@@ -16,9 +16,7 @@ from .continuation import (
     CpfSample,
     CpfTrace,
     arclength_correct,
-    load_trajectory,
     run_cpf,
-    tangent_predict,
 )
 from .errors import (
     AsymmetricParameter,

@@ -7,10 +7,12 @@ with two 9 MVA voltage regulators boosting the downstream side by 5%.  Six
 polynomial loads and two constant-reactive compensators sit on the lower
 level; the slack is a 100 MVA short-circuit source behind node 1.
 
-build_benchmark() constructs the models programmatically from the catalog
-tables below; benchmark_grid_text() renders the same tables in the grid
-file format, and the two agree bit-exactly after parsing because both paths
-share the builder helpers.
+The committed grid file data/benchmark.grid is the one definition of the
+feeder: build_benchmark() parses it.  The catalog constants below are the
+voltage levels, sequence data and ZIP triples that file carries, kept for
+generators of larger feeders from the same catalog; load_overhead_configs()
+reads the published per-mile configurations the file's config blocks
+convert.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from importlib import resources
 
 import numpy as np
 
-from .builders import MILE_KM, sequence_line, pi_line
+from .builders import MILE_KM
 from .errors import MissingData
-from .grid import GridModel, Node, ROLE_RESOURCE, ROLE_SLACK, ROLE_ZERO
-from .gridfile import resource_from_catalog, slack_from_catalog, transformer_from_catalog
+from .gridfile import parse_grid_text
 
 P = 3
 
@@ -35,68 +36,9 @@ LOWER_VPG = LOWER_KV * 1e3 / math.sqrt(3.0)
 # Loads reference phase-to-ground nominal of the 24.9 kV level.
 LOAD_V0_KV = LOWER_KV / math.sqrt(3.0)
 
-SLACK_NODE = 1
-SLACK_SC_MVA = 100.0
-SLACK_R_OVER_X = 0.1
-
 # Transposed 69 kV lines: positive/zero sequence impedance (ohm/km) and
 # charging susceptance (uS/km).
 UPPER_SEQ = (0.071, 0.379, 3.038, 0.202, 0.884, 1.740)
-UPPER_LINE_KM = 25.0
-UPPER_LINES = ((1, 2), (2, 3), (3, 4), (4, 5))
-
-# 24.9 kV lines: (from, to, length_km, config name).
-LOWER_LINES = (
-    (6, 7, 1.314, "300"),
-    (7, 8, 9.851, "300"),
-    (8, 9, 1.769, "300"),
-    (8, 10, 11.430, "300"),
-    (10, 11, 9.062, "300"),
-    (12, 13, 15.197, "301"),
-    (13, 14, 4.188, "301"),
-    (12, 15, 3.112, "301"),
-    (15, 16, 6.645, "301"),
-    (16, 17, 7.111, "301"),
-    (16, 18, 11.226, "301"),
-    (19, 20, 3.219, "301"),
-    (19, 21, 1.494, "301"),
-    (21, 22, 1.777, "301"),
-    (22, 23, 1.768, "301"),
-    (22, 24, 1.433, "301"),
-    (24, 25, 1.567, "301"),
-)
-
-# (label, from, to, rated MVA, from kV, to kV, r_pu, x_pu, tap)
-TRANSFORMERS = (
-    ("TF", 5, 6, 12.0, UPPER_KV, LOWER_KV, 0.005, 0.1, 1.0),
-    ("LVR1", 11, 12, 9.0, LOWER_KV, LOWER_KV, 0.005, 0.1, 1.05),
-    ("LVR2", 18, 19, 9.0, LOWER_KV, LOWER_KV, 0.005, 0.1, 1.05),
-)
-
-# Conductor ratings (ampere) for the monitored branches.
-RATED_A = {
-    (1, 2): 300.0,
-    (5, 6): 230.0,
-    (8, 10): 230.0,
-    (12, 15): 180.0,
-    (16, 18): 180.0,
-    (19, 21): 180.0,
-    (22, 24): 180.0,
-}
-
-# Per-phase reference powers: node -> (P0 kW, Q0 kvar), injection-positive.
-LOADS = {
-    9: ((-60.0, -50.0, -40.0), (-30.0, -25.0, -20.0)),
-    14: ((-75.0, -60.0, -45.0), (-40.0, -30.0, -21.0)),
-    17: ((-90.0, -70.0, -50.0), (-50.0, -35.0, -22.0)),
-    20: ((-105.0, -80.0, -55.0), (-60.0, -40.0, -23.0)),
-    23: ((-120.0, -90.0, -60.0), (-70.0, -45.0, -24.0)),
-    25: ((-135.0, -100.0, -65.0), (-80.0, -50.0, -25.0)),
-}
-COMPENSATORS = {
-    12: ((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
-    19: ((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
-}
 
 # Published polynomial coefficient triples (quadratic, linear, constant);
 # renormalized on ingestion because the printed values are rounded.
@@ -104,8 +46,6 @@ ZIP_LOAD_RE = (-0.067, 0.251, 0.816)
 ZIP_LOAD_IM = (1.064, -0.088, 0.025)
 ZIP_COMP_RE = (0.0, 0.0, 1.0)
 ZIP_COMP_IM = (0.0, 0.0, 1.0)
-
-RESOURCE_NODES = tuple(sorted(list(LOADS) + list(COMPENSATORS)))
 
 
 def load_overhead_configs() -> dict:
@@ -151,137 +91,6 @@ def load_overhead_configs() -> dict:
     return configs
 
 
-def _node_roles() -> list:
-    nodes = []
-    for i in range(1, 26):
-        if i == SLACK_NODE:
-            role = ROLE_SLACK
-        elif i in RESOURCE_NODES:
-            role = ROLE_RESOURCE
-        else:
-            role = ROLE_ZERO
-        vnom = UPPER_VPG if i <= 5 else LOWER_VPG
-        nodes.append(Node(id=i, role=role, vnom=vnom))
-    return nodes
-
-
-def build_benchmark():
-    """Construct the benchmark; returns (GridModel, slacks, resources)."""
-    configs = load_overhead_configs()
-    for needed in ("300", "301"):
-        if needed not in configs:
-            raise MissingData(f"overhead config {needed} missing from data file")
-
-    branches = []
-    r1, x1, b1, r0, x0, b0 = UPPER_SEQ
-    for f, t in UPPER_LINES:
-        branches.append(
-            sequence_line(f, t, UPPER_LINE_KM, r1, x1, b1, r0, x0, b0, p=P,
-                          rated_a=RATED_A.get((f, t)))
-        )
-    for f, t, km, cfg in LOWER_LINES:
-        z, b = configs[cfg]
-        branches.append(pi_line(f, t, z, b, km, rated_a=RATED_A.get((f, t)), label=cfg))
-    for label, f, t, mva, v1, v2, r, x, tap in TRANSFORMERS:
-        branches.append(
-            transformer_from_catalog(label, f, t, mva, v1, v2, r, x, tap, p=P,
-                                     rated_a=RATED_A.get((f, t)))
-        )
-
-    grid = GridModel(nodes=tuple(_node_roles()), branches=tuple(branches), p=P)
-    slacks = [slack_from_catalog(SLACK_NODE, UPPER_VPG, SLACK_SC_MVA, SLACK_R_OVER_X, P)]
-    resources = []
-    for node in RESOURCE_NODES:
-        if node in LOADS:
-            p0, q0 = LOADS[node]
-            resources.append(
-                resource_from_catalog(node, "load", LOAD_V0_KV, p0, q0, ZIP_LOAD_RE, ZIP_LOAD_IM)
-            )
-        else:
-            p0, q0 = COMPENSATORS[node]
-            resources.append(
-                resource_from_catalog(node, "compensator", LOAD_V0_KV, p0, q0,
-                                      ZIP_COMP_RE, ZIP_COMP_IM)
-            )
-    return grid, slacks, resources
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def benchmark_grid_text() -> str:
-    """Render the benchmark tables in the grid file format.
-
-    Parsing this text reproduces build_benchmark() bit-exactly: the catalog
-    rows carry the same floats and expand through the same builders.
-    """
-    configs = load_overhead_configs()
-    out = [
-        "# 25-node two-voltage-level benchmark feeder.",
-        "# 69 kV spine (nodes 1-5) and 24.9 kV radial feeder (nodes 6-25) from",
-        "# IEEE 34-node overhead configurations; nominal voltages phase-to-ground.",
-        f"phases {P}",
-        "",
-        "nodes",
-    ]
-    for n in _node_roles():
-        out.append(f"{n.id} {n.role} {_fmt(n.vnom)}")
-    out.append("end")
-    for name in ("300", "301"):
-        z, b = configs[name]
-        out.append("")
-        out.append(f"config {name}")
-        for row in z:
-            out.append("z " + " ".join(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in row))
-        for row in b:
-            out.append("b " + " ".join(_fmt(v) for v in row))
-        out.append("end")
-    out.append("")
-    out.append("lines")
-    r1, x1, b1, r0, x0, b0 = UPPER_SEQ
-    seq = " ".join(_fmt(v) for v in (r1, x1, b1, r0, x0, b0))
-    for f, t in UPPER_LINES:
-        row = f"{f} {t} {_fmt(UPPER_LINE_KM)} seq {seq} transposed"
-        if (f, t) in RATED_A:
-            row += f" rated {_fmt(RATED_A[f, t])}"
-        out.append(row)
-    for f, t, km, cfg in LOWER_LINES:
-        row = f"{f} {t} {_fmt(km)} config {cfg}"
-        if (f, t) in RATED_A:
-            row += f" rated {_fmt(RATED_A[f, t])}"
-        out.append(row)
-    out.append("end")
-    out.append("")
-    out.append("transformers")
-    for label, f, t, mva, v1, v2, r, x, tap in TRANSFORMERS:
-        row = (f"{label} {f} {t} {_fmt(mva)} {_fmt(v1)} {_fmt(v2)} "
-               f"{_fmt(r)} {_fmt(x)} {_fmt(tap)}")
-        if (f, t) in RATED_A:
-            row += f" rated {_fmt(RATED_A[f, t])}"
-        out.append(row)
-    out.append("end")
-    out.append("")
-    out.append("slacks")
-    out.append(f"{SLACK_NODE} sc {_fmt(SLACK_SC_MVA)} {_fmt(SLACK_R_OVER_X)}")
-    out.append("end")
-    out.append("")
-    out.append("resources")
-    for node in RESOURCE_NODES:
-        if node in LOADS:
-            kind, (p0, q0), zre, zim = "load", LOADS[node], ZIP_LOAD_RE, ZIP_LOAD_IM
-        else:
-            kind, (p0, q0), zre, zim = "compensator", COMPENSATORS[node], ZIP_COMP_RE, ZIP_COMP_IM
-        row = [str(node), kind, "v0_kv", _fmt(LOAD_V0_KV)]
-        row += ["p0_kw"] + [_fmt(v) for v in p0]
-        row += ["q0_kvar"] + [_fmt(v) for v in q0]
-        row += ["zip_re"] + [_fmt(v) for v in zre]
-        row += ["zip_im"] + [_fmt(v) for v in zim]
-        out.append(" ".join(row))
-    out.append("end")
-    return "\n".join(out) + "\n"
-
-
 def bundled_grid_text() -> str:
     """Text of the committed benchmark grid file."""
     ref = resources.files("polyvsi").joinpath("data", "benchmark.grid")
@@ -290,9 +99,13 @@ def bundled_grid_text() -> str:
     return ref.read_text(encoding="utf-8")
 
 
+def build_benchmark():
+    """Parse the bundled grid file; returns (GridModel, slacks, resources)."""
+    return parse_grid_text(bundled_grid_text())
+
+
 __all__ = [
     "build_benchmark",
-    "benchmark_grid_text",
     "bundled_grid_text",
     "load_overhead_configs",
 ]

@@ -90,15 +90,6 @@ class CpfTrace:
         return self.samples[-1]
 
 
-def load_trajectory(resources, xi: float) -> list:
-    """Uniform loading: loads at lam = xi, compensators pinned to lam = 1."""
-    if xi < 0.0:
-        raise ValueError("xi must be >= 0")
-    return [
-        r.with_lam(float(xi)) if r.kind == "load" else r.with_lam(1.0) for r in resources
-    ]
-
-
 def tangent_direction(problem, x: np.ndarray, xi: float) -> tuple[np.ndarray, float]:
     """Unit tangent (dx, dxi) of the solution path, oriented toward +xi."""
     j = problem.jacobian_x(x, xi)
@@ -111,12 +102,6 @@ def tangent_direction(problem, x: np.ndarray, xi: float) -> tuple[np.ndarray, fl
         raise SingularJacobian("predictor tangent is not finite")
     scale = float(np.sqrt(np.dot(dx, dx) + 1.0))
     return dx / scale, 1.0 / scale
-
-
-def tangent_predict(problem, x: np.ndarray, xi: float, sigma: float):
-    """Step sigma along the normalized tangent; returns (x_pred, xi_pred)."""
-    tx, txi = tangent_direction(problem, x, xi)
-    return x + sigma * tx, xi + sigma * txi
 
 
 def arclength_correct(problem, predicted, anchor, sigma: float, eps: float = 1e-8, max_iter: int = 20):

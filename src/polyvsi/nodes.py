@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularThevenin, ZeroVoltage
+from .grid import RCOND_FLOOR, _rcond
 
 CLOSURE_TOL = 1e-9
 
@@ -33,6 +34,8 @@ class ZipCoefficients:
     gamma: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.alpha, self.beta, self.gamma))):
+            raise ValueError("ZIP coefficients must be finite")
         s = self.alpha + self.beta + self.gamma
         if abs(s - 1.0) > CLOSURE_TOL:
             raise ValueError(f"ZIP coefficients must sum to 1, got {s!r}")
@@ -67,6 +70,10 @@ class PhaseResource:
     zip_re: ZipCoefficients
     zip_im: ZipCoefficients
 
+    def __post_init__(self):
+        if not (np.isfinite(self.p0) and np.isfinite(self.q0)):
+            raise ValueError("reference powers must be finite")
+
 
 @dataclass(frozen=True)
 class ResourceModel:
@@ -84,8 +91,8 @@ class ResourceModel:
     kind: str = "load"
 
     def __post_init__(self):
-        if not self.v0 > 0.0:
-            raise ValueError("reference voltage must be positive")
+        if not (np.isfinite(self.v0) and self.v0 > 0.0):
+            raise ValueError("reference voltage must be finite and positive")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError("loading factor must be finite and >= 0")
         if self.kind not in ("load", "compensator"):
@@ -111,6 +118,72 @@ class ZipDecomposition:
     y_pm: complex
     i_pm: complex
     s_pm: complex
+
+
+def _poly(triples: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return (triples[:, 0] * u + triples[:, 1]) * u + triples[:, 2]
+
+
+@dataclass(frozen=True)
+class ZipTable:
+    """ZIP resources packed one row per node-phase for vectorized evaluation.
+
+    Rows follow the resources' order, phases 1..P within each resource.  v0,
+    lam, p0 and q0 are per-row vectors; zip_re and zip_im hold the (alpha,
+    beta, gamma) triples as n x 3 arrays; load marks the rows that scale with
+    the loading factor (compensators do not).  The power law, its voltage
+    derivative and the admittance/current/power split are written here once;
+    pm_power_at and pm_zip_at are their scalar references.  power and
+    power_de take the loading factors as an argument so a system can drive
+    them along its trajectory; split uses the rows' own lam.
+    """
+
+    v0: np.ndarray
+    lam: np.ndarray
+    load: np.ndarray
+    p0: np.ndarray
+    q0: np.ndarray
+    zip_re: np.ndarray
+    zip_im: np.ndarray
+
+    @classmethod
+    def from_resources(cls, resources) -> "ZipTable":
+        rows = [(r, ph) for r in resources for ph in r.phases]
+
+        def triples(zs):
+            return np.array([(z.alpha, z.beta, z.gamma) for z in zs], dtype=float).reshape(-1, 3)
+
+        return cls(
+            v0=np.array([r.v0 for r, _ in rows], dtype=float),
+            lam=np.array([r.lam for r, _ in rows], dtype=float),
+            load=np.array([r.kind == "load" for r, _ in rows], dtype=bool),
+            p0=np.array([ph.p0 for _, ph in rows], dtype=float),
+            q0=np.array([ph.q0 for _, ph in rows], dtype=float),
+            zip_re=triples(ph.zip_re for _, ph in rows),
+            zip_im=triples(ph.zip_im for _, ph in rows),
+        )
+
+    def power(self, e: np.ndarray, lam: np.ndarray) -> tuple:
+        """Injected (P, Q) per row at magnitudes e under loading factors lam."""
+        u = e / self.v0
+        return lam * self.p0 * _poly(self.zip_re, u), lam * self.q0 * _poly(self.zip_im, u)
+
+    def power_de(self, e: np.ndarray, lam: np.ndarray) -> tuple:
+        """Derivatives d(P, Q)/d|v| per row."""
+        u = e / self.v0
+        dp = lam * self.p0 * (2.0 * self.zip_re[:, 0] * u + self.zip_re[:, 1]) / self.v0
+        dq = lam * self.q0 * (2.0 * self.zip_im[:, 0] * u + self.zip_im[:, 1]) / self.v0
+        return dp, dq
+
+    def split(self, v: np.ndarray) -> tuple:
+        """(y_pm, i_pm, s_pm) per row at phasors v, as pm_zip_at does for one."""
+        s_z, s_i, s_p = (
+            self.lam * (self.zip_re[:, k] * self.p0 + 1j * (self.zip_im[:, k] * self.q0))
+            for k in range(3)
+        )
+        y_pm = -np.conj(s_z) / (self.v0 * self.v0)
+        i_pm = np.conj(s_i / self.v0) * (v / np.abs(v))
+        return y_pm, i_pm, s_p
 
 
 @dataclass(frozen=True)
@@ -199,8 +272,6 @@ def slack_interface(model: SlackModel):
 
     Raises SingularThevenin when z_te cannot be inverted reliably.
     """
-    z = model.z_te
-    s = np.linalg.svd(z, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] < 1e-13:
+    if _rcond(model.z_te) < RCOND_FLOOR:
         raise SingularThevenin(f"slack {model.node}: z_te is numerically singular")
-    return np.linalg.inv(z), model.v_te.copy()
+    return np.linalg.inv(model.z_te), model.v_te.copy()

@@ -14,12 +14,13 @@ untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonConvergence, SingularJacobian
 from .grid import GridModel
+from .nodes import ZipTable
 from .vsi import build_augmented, evaluate_vsi, reduce_augmented
 
 
@@ -41,6 +42,7 @@ class OperatingPoint:
     e: np.ndarray
     theta: np.ndarray
     xi: float = 1.0
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.e, dtype=float)
@@ -49,14 +51,12 @@ class OperatingPoint:
         if e.shape != shape or th.shape != shape:
             raise ValueError(f"e/theta must have shape {shape}")
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "_rows", {n: i for i, n in enumerate(self.nodes)})
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "theta", th)
 
     def _row(self, node) -> int:
-        try:
-            return self.nodes.index(node)
-        except ValueError:
-            raise KeyError(node) from None
+        return self._rows[node]
 
     def magnitude(self, node, phase: int) -> float:
         return float(self.e[self._row(node), phase - 1])
@@ -107,8 +107,10 @@ class PolyphaseSystem:
 
     Exposes the residual/jacobian interface the continuation engine drives,
     plus converters between packed state vectors and OperatingPoint.  The
-    loading trajectory is built in: load resources run at lam = xi and
-    compensators at lam = 1 everywhere the loading factor appears.
+    loading trajectory is built in and resources_at(xi) defines it: load
+    resources run at lam = xi and compensators at lam = 1.  The residual and
+    both Jacobians evaluate the resources through one packed ZipTable, one
+    row per resource node-phase, whatever lam the given models carry.
     """
 
     def __init__(self, grid: GridModel, slacks, resources, s_base: float = 1e6):
@@ -139,28 +141,14 @@ class PolyphaseSystem:
 
         self.e_nom = np.repeat([grid.node(n).vnom for n in self.unknown_nodes], p)
 
-        nu = self.n_unknown
-        self._is_res = np.zeros(nu, dtype=bool)
-        self._is_load = np.zeros(nu, dtype=bool)
-        self._p0 = np.zeros(nu)
-        self._q0 = np.zeros(nu)
-        self._zre = np.zeros((nu, 3))
-        self._zim = np.zeros((nu, 3))
-        self._v0 = np.ones(nu)
-        flat = {n: i * p for i, n in enumerate(self.unknown_nodes)}
         for r in self.resources:
             if r.p != p:
                 raise ValueError(f"resource {r.node} phase count differs from grid")
-            base = flat[r.node]
-            for q, ph in enumerate(r.phases):
-                k = base + q
-                self._is_res[k] = True
-                self._is_load[k] = r.kind == "load"
-                self._p0[k] = ph.p0
-                self._q0[k] = ph.q0
-                self._zre[k] = (ph.zip_re.alpha, ph.zip_re.beta, ph.zip_re.gamma)
-                self._zim[k] = (ph.zip_im.alpha, ph.zip_im.beta, ph.zip_im.gamma)
-                self._v0[k] = r.v0
+        # Packed resource rows and their positions among the unknowns.
+        self._zip = ZipTable.from_resources(self.resources)
+        flat = {n: i * p for i, n in enumerate(self.unknown_nodes)}
+        self._res = np.array([flat[r.node] + q for r in self.resources for q in range(p)], dtype=int)
+        self._dlam = self._zip.load.astype(float)  # d lam / d xi per row
 
     # -- state packing ---------------------------------------------------
 
@@ -178,12 +166,8 @@ class PolyphaseSystem:
         return OperatingPoint(nodes=self.unknown_nodes, p=self.p, e=e, theta=theta, xi=float(xi))
 
     def pack(self, op: OperatingPoint) -> np.ndarray:
-        if tuple(op.nodes) != tuple(self.unknown_nodes):
-            e = np.array([[op.magnitude(n, q + 1) for q in range(self.p)] for n in self.unknown_nodes])
-            th = np.array([[op.angle(n, q + 1) for q in range(self.p)] for n in self.unknown_nodes])
-        else:
-            e, th = op.e, op.theta
-        return np.concatenate([e.ravel() / self.e_nom, th.ravel()])
+        rows = [op._row(n) for n in self.unknown_nodes]
+        return np.concatenate([op.e[rows].ravel() / self.e_nom, op.theta[rows].ravel()])
 
     def resources_at(self, xi: float) -> tuple:
         return tuple(
@@ -193,7 +177,15 @@ class PolyphaseSystem:
     # -- residual / jacobian ----------------------------------------------
 
     def _lam(self, xi: float) -> np.ndarray:
-        return np.where(self._is_load, float(xi), 1.0)
+        """Per-row loading factors of resources_at(xi)."""
+        return np.where(self._zip.load, float(xi), 1.0)
+
+    def _scatter(self, pq) -> np.ndarray:
+        """Per-row (P, Q) vectors placed into a zero [P; Q] unknowns vector."""
+        out = np.zeros(2 * self.n_unknown)
+        out[self._res] = pq[0]
+        out[self.n_unknown + self._res] = pq[1]
+        return out
 
     def _split(self, x: np.ndarray):
         nu = self.n_unknown
@@ -203,20 +195,11 @@ class PolyphaseSystem:
         i_u = self._i_from_fixed + self._y_uu @ v
         return e, theta, v, i_u
 
-    def _model_power(self, e: np.ndarray, xi: float):
-        u = e / self._v0
-        lam = self._lam(xi)
-        pz = (self._zre[:, 0] * u + self._zre[:, 1]) * u + self._zre[:, 2]
-        qz = (self._zim[:, 0] * u + self._zim[:, 1]) * u + self._zim[:, 2]
-        p_mod = np.where(self._is_res, lam * self._p0 * pz, 0.0)
-        q_mod = np.where(self._is_res, lam * self._q0 * qz, 0.0)
-        return p_mod, q_mod
-
     def residual(self, x: np.ndarray, xi: float) -> np.ndarray:
         e, _, v, i_u = self._split(x)
         s = v * np.conj(i_u)
-        p_mod, q_mod = self._model_power(e, xi)
-        return np.concatenate([s.real - p_mod, s.imag - q_mod]) / self.s_base
+        model = self._scatter(self._zip.power(e[self._res], self._lam(xi)))
+        return (np.concatenate([s.real, s.imag]) - model) / self.s_base
 
     def jacobian_x(self, x: np.ndarray, xi: float) -> np.ndarray:
         e, theta, v, i_u = self._split(x)
@@ -227,18 +210,12 @@ class PolyphaseSystem:
         ds_de = v[:, None] * np.conj(self._y_uu * unit[None, :])
         np.fill_diagonal(ds_de, ds_de.diagonal() + unit * np.conj(i_u))
 
-        u = e / self._v0
-        lam = self._lam(xi)
-        dp_de = np.where(
-            self._is_res, lam * self._p0 * (2.0 * self._zre[:, 0] * u + self._zre[:, 1]) / self._v0, 0.0
-        )
-        dq_de = np.where(
-            self._is_res, lam * self._q0 * (2.0 * self._zim[:, 0] * u + self._zim[:, 1]) / self._v0, 0.0
-        )
+        dp_de, dq_de = self._zip.power_de(e[self._res], self._lam(xi))
         j_pe = ds_de.real
         j_qe = ds_de.imag
-        np.fill_diagonal(j_pe, j_pe.diagonal() - dp_de)
-        np.fill_diagonal(j_qe, j_qe.diagonal() - dq_de)
+        r = self._res
+        j_pe[r, r] -= dp_de
+        j_qe[r, r] -= dq_de
 
         scale = self.e_nom[None, :]
         top = np.hstack([j_pe * scale, ds_dth.real])
@@ -248,13 +225,7 @@ class PolyphaseSystem:
     def jacobian_xi(self, x: np.ndarray, xi: float) -> np.ndarray:
         del xi
         e = x[: self.n_unknown] * self.e_nom
-        u = e / self._v0
-        pz = (self._zre[:, 0] * u + self._zre[:, 1]) * u + self._zre[:, 2]
-        qz = (self._zim[:, 0] * u + self._zim[:, 1]) * u + self._zim[:, 2]
-        active = self._is_res & self._is_load
-        dp = np.where(active, self._p0 * pz, 0.0)
-        dq = np.where(active, self._q0 * qz, 0.0)
-        return -np.concatenate([dp, dq]) / self.s_base
+        return -self._scatter(self._zip.power(e[self._res], self._dlam)) / self.s_base
 
     # -- recording hooks ---------------------------------------------------
 

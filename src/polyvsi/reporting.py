@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import tempfile
 
 import numpy as np
 
 from .errors import ParseError
+from .gridfile import write_text_atomic
 from .powerflow import OperatingPoint
 
 TRACE_HEADER = [
@@ -39,18 +38,7 @@ def _render(header, rows) -> str:
 
 
 def write_csv_atomic(path, header, rows):
-    text = _render(header, rows)
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(path, _render(header, rows))
 
 
 def trace_rows(trace) -> list:

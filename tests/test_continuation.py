@@ -3,12 +3,13 @@ Arclength continuation: predictor, corrector, fold bracketing.
 
 Proves:
  Group 1 - Pieces on a scalar path f = x - xi
-   1.  Tangent is (1, 1)/sqrt(2); prediction steps along it
+   1.  Tangent is (1, 1)/sqrt(2); a sigma step along it lands on the path
    2.  On-path prediction is a corrector fixed point (0 iterations)
    3.  Off-path prediction is pulled back onto path x = xi and the sphere
 
  Group 2 - Trajectory handling
-   4.  load_trajectory scales loads by xi and pins compensators at 1
+   4.  PolyphaseSystem.resources_at scales loads by xi and pins
+       compensators at 1
    5.  Negative xi raises ValueError
    6.  Missing flat_start without x0 raises ValueError
 
@@ -43,13 +44,10 @@ from polyvsi.continuation import (
     CpfConfig,
     CpfTrace,
     arclength_correct,
-    load_trajectory,
     run_cpf,
     tangent_direction,
-    tangent_predict,
 )
 from polyvsi.errors import BaseCaseDiverged, StepLimitReached
-from polyvsi.nodes import PhaseResource, ResourceModel, ZipCoefficients
 from polyvsi.powerflow import PolyphaseSystem
 
 
@@ -103,7 +101,7 @@ def test_tangent_and_predict_scalar():
     t_x, t_xi = tangent_direction(prob, x, 1.0)
     assert t_x[0] == pytest.approx(1.0 / np.sqrt(2.0))
     assert t_xi == pytest.approx(1.0 / np.sqrt(2.0))
-    xp, xip = tangent_predict(prob, x, 1.0, 0.3)
+    xp, xip = x + 0.3 * t_x, 1.0 + 0.3 * t_xi
     assert xp[0] == pytest.approx(1.0 + 0.3 / np.sqrt(2.0))
     assert xip == pytest.approx(1.0 + 0.3 / np.sqrt(2.0))
 
@@ -111,7 +109,8 @@ def test_tangent_and_predict_scalar():
 def test_corrector_fixed_point():
     prob = _ScalarPath()
     anchor = (np.array([1.0]), 1.0)
-    predicted = tangent_predict(prob, anchor[0], anchor[1], 0.3)
+    t_x, t_xi = tangent_direction(prob, anchor[0], anchor[1])
+    predicted = (anchor[0] + 0.3 * t_x, anchor[1] + 0.3 * t_xi)
     x_c, xi_c = arclength_correct(prob, predicted, anchor, 0.3)
     assert x_c[0] == pytest.approx(predicted[0][0], abs=1e-12)
     assert xi_c == pytest.approx(predicted[1], abs=1e-12)
@@ -129,20 +128,16 @@ def test_corrector_pulls_back_to_path():
 # -- Group 2 ---------------------------------------------------------------
 
 
-def test_load_trajectory_scaling():
-    cp = ZipCoefficients(0.0, 0.0, 1.0)
-    load = ResourceModel(node=1, v0=1e3, kind="load",
-                         phases=(PhaseResource(-1e3, 0.0, cp, cp),))
-    comp = ResourceModel(node=2, v0=1e3, kind="compensator",
-                         phases=(PhaseResource(0.0, 1e3, cp, cp),))
-    out = load_trajectory([load, comp], 0.0)
-    assert out[0].lam == 0.0
-    assert out[1].lam == 1.0
-    out = load_trajectory([load, comp], 1.7)
-    assert out[0].lam == 1.7
-    assert out[1].lam == 1.0
+def test_load_trajectory_scaling(bench_system):
+    kinds = [r.kind for r in bench_system.resources]
+    assert "load" in kinds and "compensator" in kinds
+    for xi in (0.0, 1.7):
+        out = bench_system.resources_at(xi)
+        assert [r.node for r in out] == [r.node for r in bench_system.resources]
+        for r in out:
+            assert r.lam == (xi if r.kind == "load" else 1.0)
     with pytest.raises(ValueError):
-        load_trajectory([load], -0.1)
+        bench_system.resources_at(-0.1)
 
 
 def test_missing_flat_start_needs_x0():

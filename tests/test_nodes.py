@@ -14,12 +14,15 @@ Proves:
    6.  ZIP decomposition reconstructs the power law at any voltage
    7.  injected_current is conj(S / v); zero voltage raises
    8.  Constructor validation: v0 > 0, lam >= 0, known kind
+   9.  Non-finite coefficients, reference powers and v0 are rejected
+  10.  The packed ZipTable matches pm_power_at / pm_zip_at row by row,
+       and its voltage derivative matches a central difference
 
  Group 3 - Slacks
-   9.  z_te symmetry and PSD real part enforced; shape checks
-  10.  slack_interface inverts z_te; singular z_te raises
-  11.  short_circuit_slack magnitude / ratio arithmetic
-  12.  positive_sequence_source angles step by -2 pi / p
+  11.  z_te symmetry and PSD real part enforced; shape checks
+  12.  slack_interface inverts z_te; singular z_te raises
+  13.  short_circuit_slack magnitude / ratio arithmetic
+  14.  positive_sequence_source angles step by -2 pi / p
 """
 
 import numpy as np
@@ -32,6 +35,7 @@ from polyvsi.nodes import (
     ResourceModel,
     SlackModel,
     ZipCoefficients,
+    ZipTable,
     injected_current,
     pm_power_at,
     pm_zip_at,
@@ -124,6 +128,50 @@ def test_resource_validation():
     m2 = _model().with_lam(1.7)
     assert m2.lam == 1.7
     assert m2.kind == "load"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(ValueError):
+        ZipCoefficients(bad, 0.5, 0.5)
+    with pytest.raises(ValueError):
+        ZipCoefficients.from_table(-0.067, bad, 0.816)
+    with pytest.raises(ValueError):
+        _model(p0=bad)
+    with pytest.raises(ValueError):
+        _model(q0=bad)
+    with pytest.raises(ValueError):
+        _model(v0=bad)
+
+
+def test_zip_table_matches_scalar_references():
+    rng = np.random.default_rng(8)
+    comp = ZipCoefficients(0.0, 0.0, 1.0)
+    load = ResourceModel(node=2, v0=1000.0, lam=1.4, phases=tuple(
+        PhaseResource(p0=-5e3 * (q + 1), q0=-2e3 * (q + 1), zip_re=ZRE, zip_im=ZIM) for q in range(3)
+    ))
+    cap = ResourceModel(node=3, v0=900.0, kind="compensator",
+                        phases=(PhaseResource(0.0, 3e3, comp, comp),) * 3)
+    models = (load, cap)
+    table = ZipTable.from_resources(models)
+    assert table.load.tolist() == [True] * 3 + [False] * 3
+    v = rng.uniform(700, 1200, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
+    e = np.abs(v)
+    p, q = table.power(e, table.lam)
+    y, i, s = table.split(v)
+    dp, dq = table.power_de(e, table.lam)
+    h = 1e-3
+    p_hi, q_hi = table.power(e + h, table.lam)
+    p_lo, q_lo = table.power(e - h, table.lam)
+    for k, (m, ph) in enumerate((m, ph) for m in models for ph in range(1, 4)):
+        ref = pm_power_at(m, ph, v[k])
+        assert abs(complex(p[k], q[k]) - ref) <= 1e-12 * abs(ref)
+        dec = pm_zip_at(m, ph, v[k])
+        assert abs(y[k] - dec.y_pm) <= 1e-15 * max(abs(dec.y_pm), 1.0)
+        assert abs(i[k] - dec.i_pm) <= 1e-12 * max(abs(dec.i_pm), 1.0)
+        assert s[k] == dec.s_pm
+        assert abs(dp[k] - (p_hi[k] - p_lo[k]) / (2 * h)) <= 1e-6 * max(abs(dp[k]), 1.0)
+        assert abs(dq[k] - (q_hi[k] - q_lo[k]) / (2 * h)) <= 1e-6 * max(abs(dq[k]), 1.0)
 
 
 # -- Group 3 ---------------------------------------------------------------

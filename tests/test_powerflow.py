@@ -34,6 +34,7 @@ from polyvsi.errors import NonConvergence, SingularJacobian
 from polyvsi.nodes import pm_power_at
 from polyvsi.powerflow import (
     Jacobian,
+    OperatingPoint,
     PolyphaseSystem,
     jacobian_svd,
     mismatch,
@@ -95,6 +96,12 @@ def test_operating_point_accessors_and_pack():
     expected = np.concatenate([x[: system.n_unknown],
                                wrap_angle(x[system.n_unknown:])])
     assert np.allclose(system.pack(op), expected, atol=1e-14)
+    # pack reorders rows of a point listing the nodes in another order
+    perm = [2, 0, 3, 1]
+    shuffled = OperatingPoint(nodes=[op.nodes[i] for i in perm], p=op.p,
+                              e=op.e[perm], theta=op.theta[perm], xi=op.xi)
+    assert shuffled.voltage(2, 1) == v
+    assert np.array_equal(system.pack(shuffled), system.pack(op))
 
 
 def test_gauge_invariance():

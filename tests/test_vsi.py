@@ -118,36 +118,42 @@ def test_zero_loading_coefficients():
 
 
 def test_coefficients_match_scalar_loop():
+    # The packed path against pm_zip_at, along the loading trajectory too:
+    # at xi = 1.3 loads run at lam = 1.3 while compensators stay at 1.
     rng = np.random.default_rng(31)
     done = 0
+    kinds = set()
     while done < 8:
-        grid, slacks, resources = random_system(rng)
+        grid, slacks, base = random_system(rng)
         if not grid.resource_nodes:
             continue
-        system = PolyphaseSystem(grid, slacks, resources)
+        system = PolyphaseSystem(grid, slacks, base)
         op, _ = solve_power_flow(system, xi=1.0)
         h = system.hybrid
-        coeffs = vsi_coefficients(h, slacks, resources, op)
-        res_by_node = {r.node: r for r in resources}
-        p = grid.p
         v_te = np.concatenate([slacks[0].v_te])
-        for i, (node, phase) in enumerate(coeffs.pairs):
-            v_i = op.voltage(node, phase)
-            a = b = c = 0.0 + 0.0j
-            for j, (nj, pj) in enumerate(coeffs.pairs):
-                v_j = op.voltage(nj, pj)
-                dec = pm_zip_at(res_by_node[nj], pj, v_j)
-                hij = h.h_mm.data[i, j]
-                a += hij * v_j * dec.y_pm / v_i
-                b += hij * dec.i_pm
-                c += np.conj(v_i) * hij * np.conj(dec.s_pm / v_j)
-            for k in range(v_te.size):
-                b += h.h_mmc.data[i, k] * v_te[k]
-            scale = max(abs(coeffs.b[i]), 1.0)
-            assert abs(a - coeffs.a[i]) <= 1e-10 * max(abs(coeffs.a[i]), 1.0)
-            assert abs(b - coeffs.b[i]) <= 1e-10 * scale
-            assert abs(c - coeffs.c[i]) <= 1e-10 * max(abs(coeffs.c[i]), 1.0)
+        for xi in (1.0, 1.3):
+            resources = system.resources_at(xi)
+            kinds |= {(r.kind, r.lam) for r in resources}
+            coeffs = vsi_coefficients(h, slacks, resources, op)
+            res_by_node = {r.node: r for r in resources}
+            for i, (node, phase) in enumerate(coeffs.pairs):
+                v_i = op.voltage(node, phase)
+                a = b = c = 0.0 + 0.0j
+                for j, (nj, pj) in enumerate(coeffs.pairs):
+                    v_j = op.voltage(nj, pj)
+                    dec = pm_zip_at(res_by_node[nj], pj, v_j)
+                    hij = h.h_mm.data[i, j]
+                    a += hij * v_j * dec.y_pm / v_i
+                    b += hij * dec.i_pm
+                    c += np.conj(v_i) * hij * np.conj(dec.s_pm / v_j)
+                for k in range(v_te.size):
+                    b += h.h_mmc.data[i, k] * v_te[k]
+                scale = max(abs(coeffs.b[i]), 1.0)
+                assert abs(a - coeffs.a[i]) <= 1e-10 * max(abs(coeffs.a[i]), 1.0)
+                assert abs(b - coeffs.b[i]) <= 1e-10 * scale
+                assert abs(c - coeffs.c[i]) <= 1e-10 * max(abs(coeffs.c[i]), 1.0)
         done += 1
+    assert kinds == {("load", 1.0), ("load", 1.3), ("compensator", 1.0)}
 
 
 def test_coefficients_at_addressing():
