@@ -20,11 +20,9 @@ from __future__ import annotations
 import math
 from importlib import resources
 
-import numpy as np
-
 from .builders import MILE_KM
 from .errors import MissingData
-from .gridfile import parse_grid_text
+from .gridfile import parse_configs, parse_grid_text
 
 P = 3
 
@@ -49,46 +47,17 @@ ZIP_COMP_IM = (0.0, 0.0, 1.0)
 
 
 def load_overhead_configs() -> dict:
-    """Parse the bundled IEEE 34-node overhead config file.
+    """IEEE 34-node overhead configurations from the bundled data file.
 
-    Returns {name: (z ohm/km, b uS/km)}; published values are per mile and
-    are converted here.
+    The file holds the published per-mile values in the grid file's config
+    grammar and is read with gridfile.parse_configs.  Returns {name: (z
+    ohm/km, b uS/km)}.
     """
     ref = resources.files("polyvsi").joinpath("data", "ieee34_overhead.txt")
     if not ref.is_file():
         raise MissingData("bundled data file ieee34_overhead.txt is missing")
-    configs: dict = {}
-    name = None
-    z_rows: list = []
-    b_rows: list = []
-
-    def finish():
-        if name is None:
-            return
-        if len(z_rows) != P or len(b_rows) != P:
-            raise MissingData(f"config {name} is incomplete in ieee34_overhead.txt")
-        z = np.array(z_rows, dtype=complex) / MILE_KM
-        b = np.array(b_rows, dtype=float) / MILE_KM
-        configs[name] = (z, b)
-
-    for raw in ref.read_text(encoding="utf-8").splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tok = body.split()
-        if tok[0] == "config":
-            finish()
-            name = tok[1]
-            z_rows, b_rows = [], []
-        elif tok[0] == "z":
-            vals = [float(t) for t in tok[1:]]
-            z_rows.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(P)])
-        elif tok[0] == "b":
-            b_rows.append([float(t) for t in tok[1:]])
-        else:
-            raise MissingData(f"unexpected row in ieee34_overhead.txt: {body!r}")
-    finish()
-    return configs
+    configs = parse_configs(ref.read_text(encoding="utf-8"), P)
+    return {name: (z / MILE_KM, b / MILE_KM) for name, (z, b) in configs.items()}
 
 
 def bundled_grid_text() -> str:

@@ -70,6 +70,8 @@ def transformer_branch(from_node, to_node, s_rated_va: float, v_from_ll: float, 
     base) sits at the to side; the no-load gain is tap * v_to_ll / v_from_ll.
     A tap above one boosts the to-side voltage.
     """
+    if not (s_rated_va > 0.0 and v_from_ll > 0.0 and v_to_ll > 0.0):
+        raise ValueError("transformer rating and voltages must be positive")
     z_base = v_to_ll * v_to_ll / s_rated_va
     z = complex(r_pu, x_pu) * z_base * np.eye(p)
     gain = tap * v_to_ll / v_from_ll
@@ -92,6 +94,8 @@ def positive_sequence_source(v_pg: float, p: int = 3) -> np.ndarray:
 def short_circuit_slack(node, v_pg: float, s_sc_va: float, r_over_x: float, p: int = 3) -> SlackModel:
     """Slack from a short-circuit rating: |z_te| = p * v_pg^2 / s_sc, split
     by the given R/X ratio, one decoupled copy per phase."""
+    if not s_sc_va > 0.0:
+        raise ValueError("short-circuit rating must be positive")
     z_mag = p * v_pg * v_pg / s_sc_va
     x = z_mag / np.sqrt(1.0 + r_over_x * r_over_x)
     r = r_over_x * x

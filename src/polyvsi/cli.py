@@ -7,7 +7,7 @@ import sys
 
 from . import benchmark, reporting
 from .continuation import CpfConfig, run_cpf
-from .errors import BaseCaseDiverged, NonConvergence, ParseError, PolyvsiError, ValidationError
+from .errors import BaseCaseDiverged, ParseError, PolyvsiError, ValidationError
 from .gridfile import parse_grid, write_text_atomic
 from .grid import validate_parameters
 from .powerflow import PolyphaseSystem, mismatch, solve_power_flow
@@ -45,7 +45,7 @@ def cmd_pf(args) -> int:
         x0 = None
     try:
         op, res = solve_power_flow(system, xi=args.xi, x0=x0, eps=args.eps, max_iter=args.max_iter)
-    except (NonConvergence, PolyvsiError) as exc:
+    except PolyvsiError as exc:
         print(f"power flow diverged at xi = {args.xi}: {exc}", file=sys.stderr)
         return 1
     mis = mismatch(system, op)
@@ -160,10 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PolyvsiError as exc:

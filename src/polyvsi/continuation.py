@@ -28,14 +28,18 @@ TERM_FOLD = "fold-detected"
 TERM_STEP_LIMIT = "step-limit"
 TERM_CORRECTOR = "corrector-failure"
 
+# Step halving at one anchor stops after MAX_HALVINGS retries or when the
+# step would drop below sigma * SIGMA_MIN_RATIO.
+MAX_HALVINGS = 6
+SIGMA_MIN_RATIO = 1.0 / 256.0
+
 
 @dataclass(frozen=True)
 class CpfConfig:
     """Continuation controls.
 
     sigma is the arclength step in normalized state units; eps the corrector
-    tolerance; halving stops when the step would drop below
-    sigma * sigma_min_ratio or after max_halvings retries at one anchor.
+    tolerance.
     """
 
     sigma: float = 0.05
@@ -45,8 +49,6 @@ class CpfConfig:
     record_vsi: bool = True
     record_svd: bool = True
     xi_start: float = 1.0
-    max_halvings: int = 6
-    sigma_min_ratio: float = 1.0 / 256.0
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -176,7 +178,7 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     trace.samples.append(_make_sample(system, x_k, xi_k, config))
 
     sigma = config.sigma
-    sigma_floor = config.sigma * config.sigma_min_ratio
+    sigma_floor = config.sigma * SIGMA_MIN_RATIO
     fold_evidence = False
 
     for step in range(config.max_steps):
@@ -188,8 +190,7 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
             return trace
 
         accepted = False
-        regressed_here = False
-        for halving in range(config.max_halvings + 1):
+        for halving in range(MAX_HALVINGS + 1):
             predicted = (x_k + sigma * t_x, xi_k + sigma * t_xi)
             try:
                 x_c, xi_c = arclength_correct(
@@ -207,19 +208,18 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
                     accepted = True
                     break
                 outcome = "regressed"
-                regressed_here = True
                 fold_evidence = True
                 trace.events.append(
                     f"step {step}: corrector {outcome} (xi {xi_c:.6f} <= {xi_k:.6f}), sigma halved"
                 )
             if outcome == "diverged":
                 trace.events.append(f"step {step}: corrector diverged, sigma halved")
-            if halving == config.max_halvings or sigma / 2.0 < sigma_floor:
+            if halving == MAX_HALVINGS or sigma / 2.0 < sigma_floor:
                 break
             sigma /= 2.0
 
         if not accepted:
-            trace.termination = TERM_FOLD if (regressed_here or fold_evidence) else TERM_CORRECTOR
+            trace.termination = TERM_FOLD if fold_evidence else TERM_CORRECTOR
             return trace
 
         x_k, xi_k = x_c, float(xi_c)

@@ -6,7 +6,9 @@ and `transformers` tables (catalog forms that expand through the shared
 builders), explicit `branch` and `slack` blocks (the exact forms the
 serializer emits), a `slacks` table for short-circuit-rated sources, and a
 `resources` table.  Node ids are integers when they look like integers,
-otherwise strings.
+otherwise strings.  Every number must be finite; a model constructor's
+ValueError is reported as a ParseError at its row's (or block header's)
+line.  parse_configs reads a text made only of config blocks.
 
 parse_grid(serialize_grid(...)) reproduces the models bit-exactly: floats
 are emitted with repr and re-read with float(), and catalog rows expand
@@ -15,6 +17,8 @@ through the same helper functions the programmatic builders use.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import tempfile
 
@@ -84,9 +88,12 @@ def _floats(tokens, n, line):
     if len(tokens) != n:
         raise ParseError(f"expected {n} numbers, got {len(tokens)}", line)
     try:
-        return [float(t) for t in tokens]
+        vals = [float(t) for t in tokens]
     except ValueError as exc:
         raise ParseError(f"bad number: {exc}", line) from None
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(f"numbers must be finite, got {' '.join(tokens)}", line)
+    return vals
 
 
 def _complex_row(tokens, p, line) -> np.ndarray:
@@ -94,27 +101,90 @@ def _complex_row(tokens, p, line) -> np.ndarray:
     return np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(p)])
 
 
+def _rated(tokens, line):
+    """Split a trailing `rated A` pair off a catalog row: (tokens, A or None)."""
+    if len(tokens) >= 2 and tokens[-2] == "rated":
+        return tokens[:-2], _floats(tokens[-1:], 1, line)[0]
+    return tokens, None
+
+
+@contextlib.contextmanager
+def _at(line):
+    """Report a model constructor's ValueError as a ParseError at `line`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None
+
+
 class _Lines:
     """Iterator over (lineno, tokens) skipping blanks and comments."""
 
     def __init__(self, text: str):
-        self.rows = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((i, body.split()))
+        rows = ((i, raw.split("#", 1)[0].split()) for i, raw in enumerate(text.splitlines(), 1))
+        self.rows = [(i, tok) for i, tok in rows if tok]
         self.pos = 0
 
     def __bool__(self):
         return self.pos < len(self.rows)
 
-    def peek(self):
-        return self.rows[self.pos]
-
     def take(self):
         row = self.rows[self.pos]
         self.pos += 1
         return row
+
+    def table(self, what):
+        """Yield rows up to the closing 'end', which is consumed."""
+        while self:
+            ln, t = self.take()
+            if t == ["end"]:
+                return
+            yield ln, t
+        raise ParseError(f"missing 'end' after {what} section")
+
+    def close(self, what):
+        """Consume the 'end' that must follow a block's fixed rows."""
+        for ln, _ in self.table(what):
+            raise ParseError(f"expected 'end' closing {what}", ln)
+
+    def row(self, keyword):
+        """Take the next row, which must start with `keyword`; returns (lineno, rest)."""
+        if not self:
+            raise ParseError(f"unexpected end of file: expected '{keyword}' row")
+        ln, t = self.take()
+        if t[0] != keyword:
+            raise ParseError(f"expected '{keyword}' row", ln)
+        return ln, t[1:]
+
+    def matrix(self, keyword, p, dtype=complex, first=None):
+        """p x p matrix from `keyword` rows; `first` is a (lineno, values) row already taken."""
+        m = np.zeros((p, p), dtype=dtype)
+        for i in range(p):
+            ln, t = first if first is not None and i == 0 else self.row(keyword)
+            m[i] = _complex_row(t, p, ln) if dtype is complex else _floats(t, p, ln)
+        return m
+
+
+def _read_config(src, tok, line, p, configs):
+    """Read the body of a `config NAME` block into configs[NAME] = (z, b)."""
+    if len(tok) != 2:
+        raise ParseError("config needs a name", line)
+    z = src.matrix("z", p)
+    b = src.matrix("b", p, float)
+    src.close(f"config {tok[1]}")
+    configs[tok[1]] = (z, b)
+
+
+def parse_configs(text: str, p: int) -> dict:
+    """Parse text made only of `config` blocks; returns {name: (z, b)}."""
+    src = _Lines(text)
+    configs = {}
+    while src:
+        line, tok = src.take()
+        if tok[0] != "config":
+            raise ParseError(f"expected a config block, got {tok[0]!r}", line)
+        _read_config(src, tok, line, p, configs)
+    return configs
 
 
 def parse_grid_text(text: str, validate: bool = True):
@@ -143,125 +213,75 @@ def parse_grid_text(text: str, validate: bool = True):
     resources: list[ResourceModel] = []
     configs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def matrix_rows(keyword, count, width):
-        rows = []
-        for _ in range(count):
-            if not src:
-                raise ParseError(f"unexpected end of file inside {keyword} block")
-            ln, t = src.take()
-            if t[0] != keyword:
-                raise ParseError(f"expected '{keyword}' row", ln)
-            rows.append((ln, t[1:], width))
-        return rows
-
-    def expect_end(what):
-        if not src:
-            raise ParseError(f"missing 'end' after {what} section")
-        ln, t = src.take()
-        if t != ["end"]:
-            raise ParseError(f"expected 'end' closing {what}", ln)
-
     while src:
         line, tok = src.take()
         head = tok[0]
 
         if head == "nodes":
-            while src and src.peek()[1] != ["end"]:
-                ln, t = src.take()
+            for ln, t in src.table("nodes"):
                 if len(t) != 3:
                     raise ParseError("node row needs: id role vnom_volts|-", ln)
                 vnom = None if t[2] == "-" else _floats([t[2]], 1, ln)[0]
-                try:
+                with _at(ln):
                     nodes.append(Node(id=_node_id(t[0]), role=t[1], vnom=vnom))
-                except ValueError as exc:
-                    raise ParseError(str(exc), ln) from None
-            expect_end("nodes")
 
         elif head == "config":
-            if len(tok) != 2:
-                raise ParseError("config needs a name", line)
-            name = tok[1]
-            z = np.zeros((p, p), dtype=complex)
-            for i, (ln, t, _) in enumerate(matrix_rows("z", p, 2 * p)):
-                z[i] = _complex_row(t, p, ln)
-            b = np.zeros((p, p), dtype=float)
-            for i, (ln, t, _) in enumerate(matrix_rows("b", p, p)):
-                b[i] = _floats(t, p, ln)
-            configs[name] = (z, b)
-            expect_end(f"config {name}")
+            _read_config(src, tok, line, p, configs)
 
         elif head == "lines":
-            while src and src.peek()[1] != ["end"]:
-                ln, t = src.take()
-                if len(t) < 5:
+            for ln, t in src.table("lines"):
+                t, rated = _rated(t, ln)
+                if len(t) < 4:
                     raise ParseError("line row too short", ln)
                 f, to = _node_id(t[0]), _node_id(t[1])
                 length = _floats([t[2]], 1, ln)[0]
                 rest = t[3:]
-                rated = None
-                if len(rest) >= 2 and rest[-2] == "rated":
-                    rated = _floats([rest[-1]], 1, ln)[0]
-                    rest = rest[:-2]
                 if rest[0] == "config":
                     if len(rest) != 2:
                         raise ParseError("config reference needs exactly one name", ln)
                     if rest[1] not in configs:
                         raise ParseError(f"undefined line config {rest[1]!r}", ln)
                     z, b = configs[rest[1]]
-                    branches.append(pi_line(f, to, z, b, length, rated_a=rated, label=rest[1]))
+                    with _at(ln):
+                        branches.append(pi_line(f, to, z, b, length, rated_a=rated, label=rest[1]))
                 elif rest[0] == "seq":
                     if len(rest) != 8 or rest[-1] != "transposed":
                         raise ParseError(
                             "seq line needs r1 x1 b1 r0 x0 b0 followed by 'transposed'", ln
                         )
                     r1, x1, b1, r0, x0, b0 = _floats(rest[1:7], 6, ln)
-                    branches.append(
-                        sequence_line(f, to, length, r1, x1, b1, r0, x0, b0, p=p, rated_a=rated)
-                    )
+                    with _at(ln):
+                        branches.append(
+                            sequence_line(f, to, length, r1, x1, b1, r0, x0, b0, p=p, rated_a=rated)
+                        )
                 else:
                     raise ParseError(f"unknown line form {rest[0]!r}", ln)
-            expect_end("lines")
 
         elif head == "transformers":
-            while src and src.peek()[1] != ["end"]:
-                ln, t = src.take()
-                rated = None
-                if len(t) >= 2 and t[-2] == "rated":
-                    rated = _floats([t[-1]], 1, ln)[0]
-                    t = t[:-2]
+            for ln, t in src.table("transformers"):
+                t, rated = _rated(t, ln)
                 if len(t) != 9:
                     raise ParseError(
                         "transformer row needs: label from to s_mva v_from_kv v_to_kv r_pu x_pu tap",
                         ln,
                     )
                 vals = _floats(t[3:], 6, ln)
-                branches.append(
-                    transformer_from_catalog(
-                        t[0], _node_id(t[1]), _node_id(t[2]), *vals, p=p, rated_a=rated
+                with _at(ln):
+                    branches.append(
+                        transformer_from_catalog(
+                            t[0], _node_id(t[1]), _node_id(t[2]), *vals, p=p, rated_a=rated
+                        )
                     )
-                )
-            expect_end("transformers")
 
         elif head == "branch":
             if len(tok) != 3:
                 raise ParseError("branch block needs: branch <from> <to>", line)
-            f, to = _node_id(tok[1]), _node_id(tok[2])
-            z = np.zeros((p, p), dtype=complex)
-            for i, (ln, t, _) in enumerate(matrix_rows("z", p, 2 * p)):
-                z[i] = _complex_row(t, p, ln)
+            z = src.matrix("z", p)
             gain, rated, label = 1.0, None, None
-            y_from = y_to = None
-            while src and src.peek()[1] != ["end"]:
-                ln, t = src.take()
-                if t[0] in ("yfrom", "yto"):
-                    m = np.zeros((p, p), dtype=complex)
-                    m[0] = _complex_row(t[1:], p, ln)
-                    for i, (ln2, t2, _) in enumerate(matrix_rows(t[0], p - 1, 2 * p), start=1):
-                        m[i] = _complex_row(t2, p, ln2)
-                    if t[0] == "yfrom":
-                        y_from = m
-                    else:
-                        y_to = m
+            shunt_y = {"yfrom": None, "yto": None}
+            for ln, t in src.table("branch"):
+                if t[0] in shunt_y:
+                    shunt_y[t[0]] = src.matrix(t[0], p, first=(ln, t[1:]))
                 elif t[0] == "gain":
                     gain = _floats(t[1:], 1, ln)[0]
                 elif t[0] == "rated":
@@ -270,63 +290,47 @@ def parse_grid_text(text: str, validate: bool = True):
                     label = " ".join(t[1:]) or None
                 else:
                     raise ParseError(f"unknown branch attribute {t[0]!r}", ln)
-            expect_end("branch")
-            try:
+            with _at(line):
                 branches.append(
-                    Branch(f, to, z, gain=gain, y_shunt_from=y_from, y_shunt_to=y_to,
+                    Branch(_node_id(tok[1]), _node_id(tok[2]), z, gain=gain,
+                           y_shunt_from=shunt_y["yfrom"], y_shunt_to=shunt_y["yto"],
                            rated_a=rated, label=label)
                 )
-            except ValueError as exc:
-                raise ParseError(str(exc), line) from None
 
         elif head == "shunt":
             if len(tok) != 2:
                 raise ParseError("shunt block needs: shunt <node>", line)
-            y = np.zeros((p, p), dtype=complex)
-            for i, (ln, t, _) in enumerate(matrix_rows("y", p, 2 * p)):
-                y[i] = _complex_row(t, p, ln)
-            expect_end("shunt")
-            shunts.append(Shunt(node=_node_id(tok[1]), y=y))
+            y = src.matrix("y", p)
+            src.close("shunt")
+            with _at(line):
+                shunts.append(Shunt(node=_node_id(tok[1]), y=y))
 
         elif head == "slacks":
-            while src and src.peek()[1] != ["end"]:
-                ln, t = src.take()
+            vnoms = {n.id: n.vnom for n in nodes}
+            for ln, t in src.table("slacks"):
                 if len(t) != 4 or t[1] != "sc":
                     raise ParseError("slack row needs: node sc s_sc_mva r_over_x", ln)
                 node = _node_id(t[0])
                 s_sc, rx = _floats(t[2:], 2, ln)
-                vnom = None
-                for n in nodes:
-                    if n.id == node:
-                        vnom = n.vnom
-                if vnom is None:
+                if vnoms.get(node) is None:
                     raise ParseError(f"slack node {node} needs a nominal voltage", ln)
-                slacks.append(slack_from_catalog(node, vnom, s_sc, rx, p))
-            expect_end("slacks")
+                with _at(ln):
+                    slacks.append(slack_from_catalog(node, vnoms[node], s_sc, rx, p))
 
         elif head == "slack":
             if len(tok) != 2:
                 raise ParseError("slack block needs: slack <node>", line)
-            z = np.zeros((p, p), dtype=complex)
-            for i, (ln, t, _) in enumerate(matrix_rows("zrow", p, 2 * p)):
-                z[i] = _complex_row(t, p, ln)
-            if not src:
-                raise ParseError("slack block missing vrow")
-            ln, t = src.take()
-            if t[0] != "vrow":
-                raise ParseError("expected 'vrow'", ln)
-            v = _complex_row(t[1:], p, ln)
-            expect_end("slack")
-            try:
+            z = src.matrix("zrow", p)
+            ln, t = src.row("vrow")
+            v = _complex_row(t, p, ln)
+            src.close("slack")
+            with _at(line):
                 slacks.append(SlackModel(node=_node_id(tok[1]), v_te=v, z_te=z))
-            except ValueError as exc:
-                raise ParseError(str(exc), line) from None
 
         elif head == "resources":
-            while src and src.peek()[1] != ["end"]:
-                ln, t = src.take()
-                resources.append(_parse_resource_row(t, p, ln))
-            expect_end("resources")
+            for ln, t in src.table("resources"):
+                with _at(ln):
+                    resources.append(_parse_resource_row(t, p, ln))
 
         else:
             raise ParseError(f"unknown section {head!r}", line)
@@ -360,30 +364,25 @@ def _parse_resource_row(t, p, ln) -> ResourceModel:
     if "zip_re" not in fields or "zip_im" not in fields:
         raise ParseError("resource row needs zip_re and zip_im triples", ln)
     lam = fields.get("lam", [1.0])[0]
-    try:
-        if "v0_kv" in fields:
-            model = resource_from_catalog(
-                node, kind, fields["v0_kv"][0], fields["p0_kw"], fields["q0_kvar"],
-                fields["zip_re"], fields["zip_im"],
-            )
-            return model.with_lam(lam)
-        zip_re = zip_from_values(*fields["zip_re"])
-        zip_im = zip_from_values(*fields["zip_im"])
-        phases = tuple(
-            PhaseResource(p0=pw, q0=qv, zip_re=zip_re, zip_im=zip_im)
-            for pw, qv in zip(fields["p0"], fields["q0"], strict=True)
+    if "v0_kv" in fields:
+        model = resource_from_catalog(
+            node, kind, fields["v0_kv"][0], fields["p0_kw"], fields["q0_kvar"],
+            fields["zip_re"], fields["zip_im"],
         )
-        return ResourceModel(node=node, v0=fields["v0"][0], phases=phases, kind=kind, lam=lam)
-    except ValueError as exc:
-        raise ParseError(str(exc), ln) from None
+        return model.with_lam(lam)
+    zip_re = zip_from_values(*fields["zip_re"])
+    zip_im = zip_from_values(*fields["zip_im"])
+    phases = tuple(
+        PhaseResource(p0=pw, q0=qv, zip_re=zip_re, zip_im=zip_im)
+        for pw, qv in zip(fields["p0"], fields["q0"], strict=True)
+    )
+    return ResourceModel(node=node, v0=fields["v0"][0], phases=phases, kind=kind, lam=lam)
 
 
 def _assemble_model(nodes, branches, shunts, slacks, resources, p) -> GridModel:
-    try:
+    with _at(None):
         grid = GridModel(nodes=tuple(nodes), branches=tuple(branches),
                          shunts=tuple(shunts), p=p)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
     slack_ids = [s.node for s in slacks]
     if sorted(map(str, slack_ids)) != sorted(map(str, grid.slack_nodes)):
         raise ParseError(

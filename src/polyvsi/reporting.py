@@ -13,7 +13,7 @@ import io
 import numpy as np
 
 from .errors import ParseError
-from .gridfile import write_text_atomic
+from .gridfile import _floats, _node_id, write_text_atomic
 from .powerflow import OperatingPoint
 
 TRACE_HEADER = [
@@ -89,8 +89,8 @@ def write_snapshot_csv(path, op: OperatingPoint):
 def read_snapshot_csv(path) -> dict:
     """Read {(node, phase): (magnitude, angle)} from a snapshot CSV.
 
-    Node ids that look like integers are read as integers, matching the
-    grid file convention.
+    Node ids that look like integers are read as integers, and numbers must
+    be finite, matching the grid file convention.
     """
     out = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -101,14 +101,14 @@ def read_snapshot_csv(path) -> dict:
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != 4:
-                raise ParseError(f"snapshot row {row} malformed")
-            node = row[0]
+                raise ParseError(f"snapshot row {row} malformed", line)
             try:
-                node = int(node)
+                phase = int(row[1])
             except ValueError:
-                pass
-            out[(node, int(row[1]))] = (float(row[2]), float(row[3]))
+                raise ParseError(f"bad phase {row[1]!r}", line) from None
+            out[(_node_id(row[0]), phase)] = tuple(_floats(row[2:], 2, line))
     return out
 
 

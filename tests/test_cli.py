@@ -8,11 +8,14 @@ Proves:
    3.  Unparseable file / missing file: exit 2
    3a. Non-finite v0, reference power or ZIP coefficient in the bundled
        feeder: validate and cpf both exit 2
+   3b. Zero tap, self-loop, non-positive or non-finite ratings and lengths,
+       and a non-finite config entry: validate and cpf exit 2 naming the line
 
  Group 2 - pf
    4.  Solves and writes --out / --voltages CSVs, exit 0
    5.  Infeasible loading exits 1
    6.  --start warm start from a snapshot converges immediately
+   6a. A non-numeric or non-finite snapshot exits 2 in pf --start and vsi
 
  Group 3 - cpf
    7.  Traces the two-bus fold to xi ~ 2, writes the trace CSV
@@ -77,6 +80,10 @@ def test_validate_parse_error(tmp_path):
     junk.write_text("not a grid\n")
     assert main(["validate", str(junk)]) == 2
     assert main(["validate", str(tmp_path / "absent.grid")]) == 2
+    assert main(["validate", str(tmp_path)]) == 2
+    binary = tmp_path / "binary.grid"
+    binary.write_bytes(b"\xff\xfe\x00phases 3\n")
+    assert main(["validate", str(binary)]) == 2
 
 
 def test_non_finite_resource_parameters_exit_two(tmp_path, capsys):
@@ -95,6 +102,31 @@ def test_non_finite_resource_parameters_exit_two(tmp_path, capsys):
         assert main(["cpf", str(path), "--out", str(tmp_path / "t.csv")]) == 2, name
         assert not (tmp_path / "t.csv").exists()
     assert "finite" in capsys.readouterr().err
+
+
+def test_malformed_catalog_rows_exit_two(tmp_path, capsys):
+    text = benchmark.bundled_grid_text()
+    mutations = [
+        ("LVR1 11 12 9.0 24.9 24.9 0.005 0.1 1.05", "LVR1 11 12 9.0 24.9 24.9 0.005 0.1 0.0"),
+        ("6 7 1.314 config 300", "6 6 1.314 config 300"),
+        ("1 sc 100.0 0.1", "1 sc 0.0 0.1"),
+        ("1 sc 100.0 0.1", "1 sc -100.0 0.1"),
+        ("TF 5 6 12.0 ", "TF 5 6 0.0 "),
+        ("6 7 1.314 config 300", "6 7 inf config 300"),
+        ("1 sc 100.0 0.1", "1 sc nan 0.1"),
+        ("TF 5 6 12.0 ", "TF 5 6 nan "),
+        ("config 300\nz 0.830649009782868 ", "config 300\nz inf "),
+    ]
+    for old, new in mutations:
+        assert text.count(old) == 1, old
+        lineno = text[: text.index(old)].count("\n") + 1 + new.count("\n")
+        path = tmp_path / "bad.grid"
+        path.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 2, new
+        assert f"line {lineno}:" in capsys.readouterr().err, new
+        assert main(["cpf", str(path)]) == 2, new
+        assert f"line {lineno}:" in capsys.readouterr().err, new
 
 
 # -- Group 2 ---------------------------------------------------------------
@@ -129,6 +161,21 @@ def test_pf_warm_start(grid_file, tmp_path, capsys):
     assert main(["pf", str(grid_file), "--start", str(snap)]) == 0
     out = capsys.readouterr().out
     assert "converged in 0 iteration(s)" in out or "converged in 1 iteration(s)" in out
+
+
+def test_bad_snapshot_exits_two(grid_file, tmp_path, capsys):
+    snap = tmp_path / "snap.csv"
+    assert main(["pf", str(grid_file), "--voltages", str(snap)]) == 0
+    header, *body = snap.read_text().splitlines()
+    for name, field in (("word", "bad"), ("nan", "nan")):
+        bad = tmp_path / f"{name}.csv"
+        row = body[1].split(",")
+        row[2] = field
+        bad.write_text("\n".join([header, body[0], ",".join(row)]) + "\n")
+        capsys.readouterr()
+        assert main(["pf", str(grid_file), "--start", str(bad)]) == 2, name
+        assert main(["vsi", str(grid_file), "--voltages", str(bad)]) == 2, name
+        assert "line 3" in capsys.readouterr().err, name
 
 
 # -- Group 3 ---------------------------------------------------------------

@@ -10,6 +10,11 @@ Proves:
    3.  Undefined config is reported with its name and line number
    4.  Structural garbage raises ParseError (empty, bad header, unknown
        section, mismatched slack/resource sections)
+   4a. Non-finite numbers, non-positive ratings and constructor errors in
+       catalog rows and blocks raise ParseError naming the line; the
+       builders reject non-positive ratings themselves
+   4b. parse_configs reads config-only text with the grid file's config
+       grammar and rejects anything else
 
  Group 2 - Validation
    5.  Asymmetric parameters raise ValidationError when validate=True and
@@ -26,9 +31,14 @@ Proves:
 import numpy as np
 import pytest
 
-from polyvsi.builders import seq_to_phase_b, seq_to_phase_z, transformer_branch
+from polyvsi.builders import (
+    seq_to_phase_b,
+    seq_to_phase_z,
+    short_circuit_slack,
+    transformer_branch,
+)
 from polyvsi.errors import ParseError, ValidationError
-from polyvsi.gridfile import parse_grid_text, serialize_grid, zip_from_values
+from polyvsi.gridfile import parse_configs, parse_grid_text, serialize_grid, zip_from_values
 from polyvsi.grid import Branch, GridModel, Node, Shunt
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients
 
@@ -142,6 +152,58 @@ def test_structural_garbage():
     broken = MINIMAL.replace("slack 1\nzrow 0.5 0.0\nvrow 1000.0 0.0\nend\n", "")
     with pytest.raises(ParseError, match="slack"):
         parse_grid_text(broken)
+
+
+def test_builders_reject_non_positive_ratings():
+    for s_va, v_from, v_to in ((0.0, 69e3, 24.9e3), (-12e6, 69e3, 24.9e3),
+                               (12e6, 0.0, 24.9e3), (12e6, 69e3, -1.0),
+                               (float("nan"), 69e3, 24.9e3)):
+        with pytest.raises(ValueError, match="positive"):
+            transformer_branch(2, 3, s_va, v_from, v_to, 0.005, 0.1)
+    for s_sc in (0.0, -100e6, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            short_circuit_slack(1, 39837.0, s_sc, 0.1)
+
+
+def _line_of(text, snippet):
+    return text[: text.index(snippet)].count("\n") + 1
+
+
+def test_bad_rows_name_their_line():
+    cases = [
+        (CATALOG, "1 2 25.0 seq", "1 2 inf seq", "finite"),
+        (CATALOG, "1 2 25.0 seq", "1 1 25.0 seq", "differ"),
+        (CATALOG, "TF 2 3 12.0", "TF 2 3 0.0", "positive"),
+        (CATALOG, "1.05 rated 230.0", "0.0 rated 230.0", "gain"),
+        (CATALOG, "1.05 rated 230.0", "1.05 rated nan", "finite"),
+        (CATALOG, "1 sc 100.0", "1 sc -100.0", "positive"),
+        (CATALOG, "3 load v0_kv 14.376", "3 load v0_kv -14.376", "positive"),
+        (MINIMAL, "z 0.5 0.0\nend", "z nan 0.0\nend", "finite"),
+        (MINIMAL, "branch 1 2", "branch 2 2", "differ"),
+        (MINIMAL, "slack 1\nzrow 0.5", "slack 1\nzrow -0.5", "semidefinite"),
+    ]
+    for text, old, new, match in cases:
+        assert text.count(old) == 1, old
+        with pytest.raises(ParseError, match=match) as exc:
+            parse_grid_text(text.replace(old, new))
+        assert exc.value.line == _line_of(text, old), new
+
+
+def test_parse_configs():
+    text = "# per-km\nconfig a\nz 1 2\nb 3\nend\n\nconfig b\nz 5 6\nb 7\nend\n"
+    configs = parse_configs(text, 1)
+    assert list(configs) == ["a", "b"]
+    z, b = configs["a"]
+    assert z.dtype == complex and z[0, 0] == 1 + 2j
+    assert b.dtype == float and b[0, 0] == 3.0
+    with pytest.raises(ParseError, match="config"):
+        parse_configs("nodes\nend\n", 1)
+    with pytest.raises(ParseError, match="end"):
+        parse_configs("config a\nz 1 2\nb 3\n", 1)
+    with pytest.raises(ParseError, match="line 3"):
+        parse_configs("config a\nz 1 2\nz 3 4\nend\n", 1)
+    with pytest.raises(ParseError, match="line 4"):
+        parse_configs("config a\nz 1 2\nb 3\nb 4\nend\n", 1)
 
 
 # -- Group 2 ---------------------------------------------------------------

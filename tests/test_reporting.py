@@ -13,6 +13,8 @@ Proves:
  Group 2 - Snapshot round trip
    5.  write -> read -> snapshot_to_point reproduces the operating point
        to 9-digit precision; missing pairs and foreign headers raise
+   5a. Non-numeric and non-finite snapshot fields raise ParseError naming
+       the line
 
  Group 3 - Atomicity conveniences
    6.  write_csv_atomic overwrites an existing file in place
@@ -156,6 +158,18 @@ def test_snapshot_errors(system, solved, tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ParseError, match="header"):
         read_snapshot_csv(bad)
+
+
+def test_snapshot_rejects_bad_numbers(tmp_path):
+    for field in ("bad", "nan", "inf"):
+        path = tmp_path / "snap.csv"
+        path.write_text(f"node,phase,V_mag_V,V_ang_rad\n1,1,1.0,0.0\n2,1,{field},0.0\n")
+        with pytest.raises(ParseError, match="line 3") as exc:
+            read_snapshot_csv(path)
+        assert exc.value.line == 3
+    path.write_text("node,phase,V_mag_V,V_ang_rad\n2,one,1.0,0.0\n")
+    with pytest.raises(ParseError, match="phase"):
+        read_snapshot_csv(path)
 
 
 # -- Group 3 ---------------------------------------------------------------
