@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import benchmark, reporting
@@ -107,6 +108,29 @@ def cmd_bench(args) -> int:
     raise AssertionError(args.bench_command)
 
 
+def _flag(convert, ok, what: str):
+    """argparse type: convert the text and require ok(value), else exit 2."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_LOADING = _flag(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_POSITIVE = _flag(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+
+
+def _at_least(low: int):
+    return _flag(int, lambda v: v >= low, f"an integer >= {low}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyvsi",
@@ -120,20 +144,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pf", help="solve the power flow at fixed loading")
     p.add_argument("grid")
-    p.add_argument("--xi", type=float, default=1.0, help="loading factor (default 1.0)")
+    p.add_argument("--xi", type=_LOADING, default=1.0, help="loading factor (default 1.0)")
     p.add_argument("--out", help="write voltages/currents/mismatch CSV")
     p.add_argument("--voltages", help="write a voltage snapshot CSV")
     p.add_argument("--start", help="initial voltages from a snapshot CSV")
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=30)
+    p.add_argument("--eps", type=_POSITIVE, default=1e-8)
+    p.add_argument("--max-iter", type=_at_least(0), default=30)
     p.set_defaults(fn=cmd_pf)
 
     p = sub.add_parser("cpf", help="trace the loading path up to the fold")
     p.add_argument("grid")
-    p.add_argument("--sigma", type=float, default=0.05, help="arclength step (default 0.05)")
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-steps", type=int, default=500)
-    p.add_argument("--xi-start", type=float, default=1.0)
+    p.add_argument("--sigma", type=_POSITIVE, default=0.05, help="arclength step (default 0.05)")
+    p.add_argument("--eps", type=_POSITIVE, default=1e-8)
+    p.add_argument("--max-steps", type=_at_least(1), default=500)
+    p.add_argument("--xi-start", type=_LOADING, default=1.0)
     p.add_argument("--out", help="write the trace CSV")
     p.add_argument("--no-vsi", action="store_true", help="skip index evaluation per sample")
     p.add_argument("--no-svd", action="store_true", help="skip Jacobian singular values per sample")
@@ -142,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vsi", help="evaluate the stability index at a voltage snapshot")
     p.add_argument("grid")
     p.add_argument("--voltages", required=True, help="snapshot CSV (node, phase, V_mag_V, V_ang_rad)")
-    p.add_argument("--xi", type=float, default=1.0, help="loading factor of the snapshot (default 1.0)")
+    p.add_argument("--xi", type=_LOADING, default=1.0,
+                   help="loading factor of the snapshot (default 1.0)")
     p.add_argument("--out", help="write the per-node index CSV")
     p.set_defaults(fn=cmd_vsi)
 

@@ -22,16 +22,29 @@ ROLE_ZERO = "zero"
 ROLE_RESOURCE = "resource"
 _ROLES = (ROLE_SLACK, ROLE_ZERO, ROLE_RESOURCE)
 
-# Below this reciprocal condition estimate a block is treated as singular.
+# Below this reciprocal condition number a matrix is treated as singular.  It
+# is the exact 1-norm value 1 / (||a||_1 ||a^-1||_1) from _inverse, which is
+# within a factor n of the 2-norm value for an n x n matrix.
 RCOND_FLOOR = 1e-13
 
 
-def _rcond(a: np.ndarray) -> float:
-    """Reciprocal 2-norm condition estimate; 0.0 for exactly singular input."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+def _norm1(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def _inverse(a: np.ndarray) -> tuple:
+    """(a^-1, reciprocal 1-norm condition number 1 / (||a||_1 ||a^-1||_1)).
+
+    The condition number is exact for the computed inverse, not an estimate.
+    rcond is 0.0 (and the inverse None) when LAPACK finds a exactly singular,
+    and nan when a or its inverse is not finite, so callers reject with
+    `not rcond >= RCOND_FLOOR`.
+    """
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    return a_inv, 1.0 / (_norm1(a) * _norm1(a_inv))
 
 
 @dataclass(frozen=True)
@@ -256,11 +269,11 @@ def branch_stamp(branch: Branch) -> np.ndarray:
     [[y, -y], [-y, y]] so that summing stamps over branches reproduces the
     incidence-based assembly A' Y_L A.
     """
-    if _rcond(branch.z) < RCOND_FLOOR:
+    y, rc = _inverse(branch.z)
+    if not rc >= RCOND_FLOOR:
         raise SingularBranch(
             f"branch {branch.from_node}-{branch.to_node} series impedance is singular"
         )
-    y = np.linalg.inv(branch.z)
     g = branch.gain
     p = branch.p
     stamp = np.empty((2 * p, 2 * p), dtype=complex)
@@ -330,7 +343,7 @@ def validate_parameters(grid: GridModel, tol: float = 1e-9) -> list[Violation]:
             out.append(
                 Violation("indefinite-real-part", element, f"min eigenvalue {eig[0]:.3e}")
             )
-        if invertible and _rcond(m) < RCOND_FLOOR:
+        if invertible and not _inverse(m)[1] >= RCOND_FLOOR:
             out.append(Violation("singular", element, f"rcond < {RCOND_FLOOR}"))
 
     for b in grid.branches:
@@ -350,7 +363,10 @@ def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:
 
     Y / Y_ZZ = Y_CC - Y_CZ Y_ZZ^-1 Y_ZC over the retained nodes C, which
     preserves the terminal behavior when the eliminated nodes carry no
-    injection.  Eliminating one node at a time gives the same result.
+    injection.  Eliminating one node at a time gives the same result.  Y_ZZ
+    is inverted once; the Schur complement uses that inverse, and Y_ZZ is
+    rejected with SingularInteriorBlock when its exact reciprocal 1-norm
+    condition number 1 / (||Y_ZZ||_1 ||Y_ZZ^-1||_1) is below RCOND_FLOOR.
     """
     if not y.square:
         raise ValueError("kron_reduce needs a square block matrix")
@@ -365,13 +381,13 @@ def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:
     keep = [n for n in y.row_nodes if n not in set(zero)]
     zi = y.row_indices(zero)
     ki = y.row_indices(keep)
-    yzz = y.data[np.ix_(zi, zi)]
-    if _rcond(yzz) < RCOND_FLOOR:
+    yzz_inv, rc = _inverse(y.data[np.ix_(zi, zi)])
+    if not rc >= RCOND_FLOOR:
         raise SingularInteriorBlock("eliminated block is numerically singular")
     ycz = y.data[np.ix_(ki, zi)]
     yzc = y.data[np.ix_(zi, ki)]
     ycc = y.data[np.ix_(ki, ki)]
-    reduced = ycc - ycz @ np.linalg.solve(yzz, yzc)
+    reduced = ycc - ycz @ (yzz_inv @ yzc)
     return BlockMatrix(reduced, tuple(keep), tuple(keep), y.p)
 
 
@@ -385,7 +401,10 @@ class HybridPartition:
         V_M  = h_mmc  V_Mc + h_mm  I_M
 
     with h_mm = Y_MM^-1, h_mmc = -Y_MM^-1 Y_MMc, h_mcm = Y_McM Y_MM^-1 and
-    h_mcmc the Schur complement Y / Y_MM.
+    h_mcmc the Schur complement Y / Y_MM = Y_McMc - h_mcm Y_MMc.
+    hybrid_partition raises SingularInteriorBlock when the exact reciprocal
+    1-norm condition number 1 / (||Y_MM||_1 ||Y_MM^-1||_1) is below
+    RCOND_FLOOR.
     """
 
     m_nodes: tuple
@@ -409,17 +428,13 @@ def hybrid_partition(y: BlockMatrix, m_set) -> HybridPartition:
     mc = [n for n in y.row_nodes if n not in set(m_set)]
     mi = y.row_indices(m)
     ci = y.row_indices(mc)
-    ymm = y.data[np.ix_(mi, mi)]
-    if _rcond(ymm) < RCOND_FLOOR:
+    h_mm, rc = _inverse(y.data[np.ix_(mi, mi)])
+    if not rc >= RCOND_FLOOR:
         raise SingularInteriorBlock("Y_MM block is numerically singular")
-    ymm_inv = np.linalg.inv(ymm)
     ymmc = y.data[np.ix_(mi, ci)]
-    ymcm = y.data[np.ix_(ci, mi)]
-    ymcmc = y.data[np.ix_(ci, ci)]
-    h_mm = ymm_inv
-    h_mmc = -ymm_inv @ ymmc
-    h_mcm = ymcm @ ymm_inv
-    h_mcmc = ymcmc - ymcm @ ymm_inv @ ymmc
+    h_mmc = -h_mm @ ymmc
+    h_mcm = y.data[np.ix_(ci, mi)] @ h_mm
+    h_mcmc = y.data[np.ix_(ci, ci)] - h_mcm @ ymmc
     m = tuple(m)
     mc = tuple(mc)
     return HybridPartition(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularThevenin, ZeroVoltage
-from .grid import RCOND_FLOOR, _rcond
+from .grid import RCOND_FLOOR, _inverse
 
 CLOSURE_TOL = 1e-9
 
@@ -201,6 +201,8 @@ class SlackModel:
             raise ValueError("v_te must be a vector")
         if z.shape != (v.size, v.size):
             raise ValueError("z_te must be P x P matching v_te")
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(z))):
+            raise ValueError("v_te and z_te must be finite")
         scale = np.linalg.norm(z)
         if scale > 0.0 and np.linalg.norm(z - z.T) > 1e-9 * scale:
             raise ValueError("z_te must be symmetric")
@@ -272,6 +274,7 @@ def slack_interface(model: SlackModel):
 
     Raises SingularThevenin when z_te cannot be inverted reliably.
     """
-    if _rcond(model.z_te) < RCOND_FLOOR:
+    y_te, rc = _inverse(model.z_te)
+    if not rc >= RCOND_FLOOR:
         raise SingularThevenin(f"slack {model.node}: z_te is numerically singular")
-    return np.linalg.inv(model.z_te), model.v_te.copy()
+    return y_te, model.v_te.copy()

@@ -202,25 +202,39 @@ class PolyphaseSystem:
         return (np.concatenate([s.real, s.imag]) - model) / self.s_base
 
     def jacobian_x(self, x: np.ndarray, xi: float) -> np.ndarray:
+        """d residual / d [E_norm; theta], written into one (2n, 2n) array.
+
+        With c_k = e_nom_k / s_base and D_ik = v_i conj(Y_ik e^{j theta_k}) c_k,
+        the off-diagonal blocks are d(P, Q)_i / dE_norm_k = (Re, Im) D_ik and
+        d(P, Q)_i / dtheta_k = (Im, -Re) D_ik E_norm_k.  The diagonal adds the
+        self terms e^{j theta_i} conj(I_i) c_i and j v_i conj(I_i) / s_base and
+        subtracts the ZIP derivatives.
+        """
         e, theta, v, i_u = self._split(x)
+        n = self.n_unknown
         unit = np.exp(1j * theta)
-        m = v[:, None] * np.conj(self._y_uu * v[None, :])
-        ds_dth = -1j * m
-        np.fill_diagonal(ds_dth, ds_dth.diagonal() + 1j * v * np.conj(i_u))
-        ds_de = v[:, None] * np.conj(self._y_uu * unit[None, :])
-        np.fill_diagonal(ds_de, ds_de.diagonal() + unit * np.conj(i_u))
+        col = self.e_nom / self.s_base
+        d = self._y_uu * (unit * col)[None, :]
+        np.conjugate(d, out=d)
+        d *= v[:, None]
+        out = np.empty((2 * n, 2 * n))
+        out[:n, :n] = d.real
+        out[n:, :n] = d.imag
+        np.multiply(d.imag, x[None, :n], out=out[:n, n:])
+        np.multiply(d.real, -x[None, :n], out=out[n:, n:])
 
-        dp_de, dq_de = self._zip.power_de(e[self._res], self._lam(xi))
-        j_pe = ds_de.real
-        j_qe = ds_de.imag
         r = self._res
-        j_pe[r, r] -= dp_de
-        j_qe[r, r] -= dq_de
-
-        scale = self.e_nom[None, :]
-        top = np.hstack([j_pe * scale, ds_dth.real])
-        bot = np.hstack([j_qe * scale, ds_dth.imag])
-        return np.vstack([top, bot]) / self.s_base
+        dp_de, dq_de = self._zip.power_de(e[r], self._lam(xi))
+        de = unit * np.conj(i_u)
+        de[r] -= dp_de + 1j * dq_de
+        de *= col
+        dth = 1j * v * np.conj(i_u) / self.s_base
+        k = np.arange(n)
+        out[k, k] += de.real
+        out[k + n, k] += de.imag
+        out[k, k + n] += dth.real
+        out[k + n, k + n] += dth.imag
+        return out
 
     def jacobian_xi(self, x: np.ndarray, xi: float) -> np.ndarray:
         del xi

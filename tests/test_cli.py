@@ -28,6 +28,10 @@ Proves:
 
  Group 5 - bench
   12.  bench emit writes a parseable file identical to the bundled data
+
+ Group 6 - numeric flags
+  13.  Out-of-range, non-finite or non-numeric flag values exit 2 at
+       parse time with a usage message; the boundary values parse
 """
 
 import csv
@@ -37,7 +41,7 @@ import pytest
 
 from conftest import two_bus
 from polyvsi import benchmark
-from polyvsi.cli import main
+from polyvsi.cli import build_parser, main
 from polyvsi.gridfile import parse_grid, serialize_grid
 from polyvsi.powerflow import PolyphaseSystem, solve_power_flow
 
@@ -262,3 +266,31 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- Group 6 ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, flag, bad, good",
+    [
+        pytest.param("pf", "--xi", ("-1", "nan", "inf"), "0", id="pf-xi"),
+        pytest.param("pf", "--eps", ("0", "-1", "nan"), "1e-12", id="pf-eps"),
+        pytest.param("pf", "--max-iter", ("-1", "1.5"), "0", id="pf-max-iter"),
+        pytest.param("cpf", "--xi-start", ("-1", "nan", "inf"), "0", id="cpf-xi-start"),
+        pytest.param("cpf", "--sigma", ("0", "-0.05", "inf"), "1e-3", id="cpf-sigma"),
+        pytest.param("cpf", "--eps", ("0", "nan"), "1e-12", id="cpf-eps"),
+        pytest.param("cpf", "--max-steps", ("0", "x"), "1", id="cpf-max-steps"),
+        pytest.param("vsi", "--xi", ("-1", "nan"), "0", id="vsi-xi"),
+    ],
+)
+def test_bad_numeric_flags_exit_two(grid_file, capsys, command, flag, bad, good):
+    extra = ["--voltages", "snap.csv"] if command == "vsi" else []
+    for value in bad:
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(grid_file), *extra, flag, value])
+        assert exc.value.code == 2, value
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}:" in err, value
+    args = build_parser().parse_args([command, str(grid_file), *extra, flag, good])
+    assert getattr(args, flag.lstrip("-").replace("-", "_")) == float(good)

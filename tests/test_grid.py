@@ -6,7 +6,8 @@ Proves:
    1.  Two-node incidence is [[1, -1]]; polyphase form is its Kronecker lift
    2.  Plain branch stamp is [[y, -y], [-y, y]] with y = z^-1
    3.  Transformer stamp carries the gain as [[g^2 y, -g y], [-g y, y]]
-   4.  Singular series impedance raises SingularBranch
+   4.  Singular, near-singular or non-finite series impedance raises
+       SingularBranch
 
  Group 2 - Assembly
    5.  Two-node Y superposes stamp, pi shunts, and node shunts exactly
@@ -28,6 +29,8 @@ Proves:
   17.  Hybrid relations V_M = h_mm I_M + h_mmc V_Mc and
        I_Mc = h_mcm I_M + h_mcmc V_Mc hold on random grids
   18.  Empty M raises ValueError
+  18a. Kron and hybrid reject an exactly singular, a near-singular and a
+       non-finite interior block with SingularInteriorBlock
 
  Group 5 - Block addressing
   19.  block / row_slice / row_indices / submatrix agree with raw offsets
@@ -38,7 +41,7 @@ import pytest
 
 from conftest import random_system
 from polyvsi.blocks import BlockMatrix
-from polyvsi.errors import AsymmetricParameter, SingularBranch
+from polyvsi.errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock
 from polyvsi.grid import (
     Branch,
     GridModel,
@@ -51,6 +54,15 @@ from polyvsi.grid import (
     kron_reduce,
     validate_parameters,
 )
+
+
+# Blocks every condition check must reject: exactly singular, singular up
+# to rounding (reciprocal condition number about 3e-16), and non-finite.
+BAD_BLOCKS = {
+    "singular": np.ones((2, 2), dtype=complex),
+    "near-singular": np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex),
+    "inf": np.array([[1.0, np.inf], [np.inf, 1.0]], dtype=complex),
+}
 
 
 def _two_node_grid(p=1, z=None, **branch_kw):
@@ -99,6 +111,9 @@ def test_branch_stamp_transformer_gain():
 def test_branch_stamp_singular_raises():
     with pytest.raises(SingularBranch):
         branch_stamp(Branch(1, 2, np.ones((3, 3), dtype=complex)))
+    for z in BAD_BLOCKS.values():
+        with pytest.raises(SingularBranch):
+            branch_stamp(Branch(1, 2, z))
 
 
 # -- Group 2 ---------------------------------------------------------------
@@ -306,6 +321,18 @@ def test_hybrid_empty_m_raises():
     y = assemble_admittance(_two_node_grid())
     with pytest.raises(ValueError):
         hybrid_partition(y, set())
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BLOCKS))
+def test_interior_block_condition_check(name):
+    data = np.zeros((3, 3), dtype=complex)
+    data[0, 0] = 1.0
+    data[1:, 1:] = BAD_BLOCKS[name]
+    y = BlockMatrix(data, (1, 2, 3), (1, 2, 3), 1)
+    with pytest.raises(SingularInteriorBlock):
+        kron_reduce(y, {2, 3})
+    with pytest.raises(SingularInteriorBlock):
+        hybrid_partition(y, {2, 3})
 
 
 # -- Group 5 ---------------------------------------------------------------

@@ -19,8 +19,9 @@ Proves:
        and its voltage derivative matches a central difference
 
  Group 3 - Slacks
-  11.  z_te symmetry and PSD real part enforced; shape checks
-  12.  slack_interface inverts z_te; singular z_te raises
+  11.  z_te symmetry and PSD real part enforced; shape checks; non-finite
+       v_te or z_te rejected
+  12.  slack_interface inverts z_te; singular or near-singular z_te raises
   13.  short_circuit_slack magnitude / ratio arithmetic
   14.  positive_sequence_source angles step by -2 pi / p
 """
@@ -185,6 +186,13 @@ def test_slack_validation():
         SlackModel(node=1, v_te=v, z_te=-np.eye(3, dtype=complex))
     with pytest.raises(ValueError):
         SlackModel(node=1, v_te=v, z_te=np.eye(2, dtype=complex))
+    for bad in (np.inf, np.nan):
+        z = np.eye(3, dtype=complex)
+        z[0, 1] = z[1, 0] = bad
+        with pytest.raises(ValueError):
+            SlackModel(node=1, v_te=v, z_te=z)
+        with pytest.raises(ValueError):
+            SlackModel(node=1, v_te=np.array([bad, 1.0, 1.0]), z_te=np.eye(3, dtype=complex))
 
 
 def test_slack_interface_inverts():
@@ -193,10 +201,11 @@ def test_slack_interface_inverts():
     y_te, v_te = slack_interface(s)
     assert np.allclose(y_te @ z, np.eye(2), atol=1e-12)
     assert np.array_equal(v_te, s.v_te)
-    bad = SlackModel(node=1, v_te=positive_sequence_source(1000.0, 2),
-                     z_te=np.zeros((2, 2), dtype=complex))
-    with pytest.raises(SingularThevenin):
-        slack_interface(bad)
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
+    for z_bad in (np.zeros((2, 2), dtype=complex), near):
+        bad = SlackModel(node=1, v_te=positive_sequence_source(1000.0, 2), z_te=z_bad)
+        with pytest.raises(SingularThevenin):
+            slack_interface(bad)
 
 
 def test_short_circuit_slack_arithmetic():

@@ -11,7 +11,8 @@ Proves:
  Group 2 - Residual correctness
    5.  Zero loading reduces to the linear network solve
    6.  Converged solutions carry a mismatch certificate <= eps * s_base
-   7.  Analytic Jacobians match central differences (d/dx and d/dxi)
+   7.  Analytic Jacobians match central differences (d/dx and d/dxi), and
+       jacobian_x matches the dense reference formula to rounding
 
  Group 3 - Newton iteration
    8.  Scalar quadratic converges; converged start returns 0 iterations
@@ -24,13 +25,19 @@ Proves:
   13.  Benchmark-style overload (xi = 5 flat start) raises NonConvergence
   14.  Constructor rejects missing resources and missing nominal voltages
   15.  branch_series_currents reproduces ohm's law and the load current
+  16.  Parsing with validation and building a system call no SVD (bundled
+       feeder, 302-node synthetic feeder); jacobian_svd still does
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fd_jacobian, random_system, two_bus
+from polyvsi.benchmark import bundled_grid_text
 from polyvsi.errors import NonConvergence, SingularJacobian
+from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import pm_power_at
 from polyvsi.powerflow import (
     Jacobian,
@@ -156,8 +163,37 @@ def test_solution_certificate():
         done += 1
 
 
-def test_jacobians_match_finite_differences():
+def dense_jacobian_x(system, x, xi):
+    """Reference state Jacobian built from full-size complex temporaries.
+
+    The textbook form of PolyphaseSystem.jacobian_x: dS/dtheta and dS/dE as
+    dense complex matrices, ZIP derivatives on the diagonal, then the blocks
+    stacked and scaled.  The in-place assembly must match it to rounding.
+    """
+    e, theta, v, i_u = system._split(x)
+    unit = np.exp(1j * theta)
+    m = v[:, None] * np.conj(system._y_uu * v[None, :])
+    ds_dth = -1j * m
+    np.fill_diagonal(ds_dth, ds_dth.diagonal() + 1j * v * np.conj(i_u))
+    ds_de = v[:, None] * np.conj(system._y_uu * unit[None, :])
+    np.fill_diagonal(ds_de, ds_de.diagonal() + unit * np.conj(i_u))
+    dp_de, dq_de = system._zip.power_de(e[system._res], system._lam(xi))
+    j_pe = ds_de.real
+    j_qe = ds_de.imag
+    r = system._res
+    j_pe[r, r] -= dp_de
+    j_qe[r, r] -= dq_de
+    scale = system.e_nom[None, :]
+    top = np.hstack([j_pe * scale, ds_dth.real])
+    bot = np.hstack([j_qe * scale, ds_dth.imag])
+    return np.vstack([top, bot]) / system.s_base
+
+
+def test_jacobians_match_finite_differences(bench_system):
+    """Analytic Jacobians against central differences, and jacobian_x
+    against the dense reference formula to 1e-13 (relative Frobenius)."""
     rng = np.random.default_rng(10)
+    points = []
     cases = [two_bus()]
     for _ in range(3):
         cases.append(random_system(rng))
@@ -167,17 +203,24 @@ def test_jacobians_match_finite_differences():
             x = system.flat_start()
             x[: system.n_unknown] *= rng.uniform(0.9, 1.1, system.n_unknown)
             x[system.n_unknown:] += rng.uniform(-0.2, 0.2, system.n_unknown)
-            xi = float(rng.uniform(0.2, 1.5))
+            points.append((system, x, float(rng.uniform(0.2, 1.5))))
+    for xi in (1.0, 1.3):
+        op, _ = solve_power_flow(bench_system, xi=xi)
+        points.append((bench_system, bench_system.pack(op), xi))
 
-            j_an = system.jacobian_x(x, xi)
-            j_fd = fd_jacobian(lambda z: system.residual(z, xi), x)
-            err = np.linalg.norm(j_an - j_fd) / max(np.linalg.norm(j_an), 1.0)
-            assert err <= 1e-6
+    for system, x, xi in points:
+        j_an = system.jacobian_x(x, xi)
+        j_ref = dense_jacobian_x(system, x, xi)
+        assert np.linalg.norm(j_an - j_ref) <= 1e-13 * np.linalg.norm(j_ref)
 
-            d_an = system.jacobian_xi(x, xi)
-            h = 1e-6
-            d_fd = (system.residual(x, xi + h) - system.residual(x, xi - h)) / (2 * h)
-            assert np.linalg.norm(d_an - d_fd) <= 1e-6 * max(np.linalg.norm(d_an), 1.0)
+        j_fd = fd_jacobian(lambda z: system.residual(z, xi), x)
+        err = np.linalg.norm(j_an - j_fd) / max(np.linalg.norm(j_an), 1.0)
+        assert err <= 1e-6
+
+        d_an = system.jacobian_xi(x, xi)
+        h = 1e-6
+        d_fd = (system.residual(x, xi + h) - system.residual(x, xi - h)) / (2 * h)
+        assert np.linalg.norm(d_an - d_fd) <= 1e-6 * max(np.linalg.norm(d_an), 1.0)
 
 
 # -- Group 3 ---------------------------------------------------------------
@@ -262,3 +305,24 @@ def test_branch_series_currents():
     assert abs(i_series[0] - (v1 - v2) / branch.z[0, 0]) < 1e-9
     i_load = np.conj(pm_power_at(resources[0], 1, v2) / v2)
     assert abs(i_series[0] + i_load) < 1e-6 * abs(i_load)
+
+
+def test_setup_calls_no_svd(monkeypatch):
+    # A full SVD is O(n^3) with a large constant; set-up must not pay it for
+    # a pass/fail condition check.  Only jacobian_svd may call it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import synthfeeder
+
+    texts = [bundled_grid_text(), synthfeeder.feeder_text(0, 300)]
+
+    class SvdCalled(Exception):
+        pass
+
+    def no_svd(*args, **kwargs):
+        raise SvdCalled
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for text in texts:
+        system = PolyphaseSystem(*parse_grid_text(text, validate=True))
+        with pytest.raises(SvdCalled):
+            system.svd_at(system.flat_start(), 1.0)
