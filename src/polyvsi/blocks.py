@@ -30,7 +30,24 @@ class BlockMatrix:
     _col_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
+        self._freeze(np.array(self.data, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, row_nodes, col_nodes, p: int) -> "BlockMatrix":
+        """Wrap an array the library has just built, taking it over uncopied.
+
+        The array becomes read-only.  Arrays from callers go through the
+        public constructor, which copies them.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "row_nodes", row_nodes)
+        object.__setattr__(out, "col_nodes", col_nodes)
+        object.__setattr__(out, "p", p)
+        out._freeze(np.asarray(data, dtype=complex))
+        return out
+
+    def _freeze(self, data: np.ndarray):
+        """Validate, then store data (owned by this instance) read-only."""
         expected = (len(self.row_nodes) * self.p, len(self.col_nodes) * self.p)
         if data.shape != expected:
             raise ValueError(f"data shape {data.shape} does not match {expected}")
@@ -40,7 +57,6 @@ class BlockMatrix:
             raise ValueError("duplicate row node ids")
         if len(set(self.col_nodes)) != len(self.col_nodes):
             raise ValueError("duplicate column node ids")
-        data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "row_nodes", tuple(self.row_nodes))
@@ -86,7 +102,7 @@ class BlockMatrix:
         sub = self.data[np.ix_(rows, cols)] if len(rows) and len(cols) else np.zeros(
             (len(rows), len(cols)), dtype=complex
         )
-        return BlockMatrix(sub, tuple(row_nodes), tuple(col_nodes), self.p)
+        return BlockMatrix._adopt(sub, tuple(row_nodes), tuple(col_nodes), self.p)
 
     def __eq__(self, other):
         if not isinstance(other, BlockMatrix):

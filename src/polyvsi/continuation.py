@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian, StepLimitReached
-from .powerflow import newton_solve
+from .powerflow import bordered, newton_solve, solve_linear
 
 TERM_FOLD = "fold-detected"
 TERM_STEP_LIMIT = "step-limit"
@@ -95,13 +95,7 @@ class CpfTrace:
 def tangent_direction(problem, x: np.ndarray, xi: float) -> tuple[np.ndarray, float]:
     """Unit tangent (dx, dxi) of the solution path, oriented toward +xi."""
     j = problem.jacobian_x(x, xi)
-    dxi_col = problem.jacobian_xi(x, xi)
-    try:
-        dx = np.linalg.solve(j, -dxi_col)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian("state Jacobian singular at the predictor") from exc
-    if not np.all(np.isfinite(dx)):
-        raise SingularJacobian("predictor tangent is not finite")
+    dx = solve_linear(j, -problem.jacobian_xi(x, xi), "state Jacobian at the predictor")
     scale = float(np.sqrt(np.dot(dx, dx) + 1.0))
     return dx / scale, 1.0 / scale
 
@@ -128,9 +122,8 @@ def arclength_correct(problem, predicted, anchor, sigma: float, eps: float = 1e-
 
     def jac(z):
         x, xi = z[:n], z[n]
-        top = np.hstack([problem.jacobian_x(x, xi), problem.jacobian_xi(x, xi)[:, None]])
         bottom = np.concatenate([2.0 * (x - x_a), [2.0 * (xi - xi_a)]]) / s2
-        return np.vstack([top, bottom[None, :]])
+        return bordered(problem.jacobian_x(x, xi), problem.jacobian_xi(x, xi), bottom)
 
     z0 = np.concatenate([np.asarray(x_pred, dtype=float), [float(xi_pred)]])
     res = newton_solve(fun, jac, z0, eps=eps, max_iter=max_iter)

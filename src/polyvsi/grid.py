@@ -314,7 +314,7 @@ def assemble_admittance(grid: GridModel, sym_tol: float = 1e-9) -> BlockMatrix:
     for s in grid.shunts:
         _check_symmetric(s.y, f"shunt at {s.node}", sym_tol)
         y[sl[s.node], sl[s.node]] += s.y
-    return BlockMatrix(y, ids, ids, p)
+    return BlockMatrix._adopt(y, ids, ids, p)
 
 
 def validate_parameters(grid: GridModel, tol: float = 1e-9) -> list[Violation]:
@@ -388,7 +388,7 @@ def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:
     yzc = y.data[np.ix_(zi, ki)]
     ycc = y.data[np.ix_(ki, ki)]
     reduced = ycc - ycz @ (yzz_inv @ yzc)
-    return BlockMatrix(reduced, tuple(keep), tuple(keep), y.p)
+    return BlockMatrix._adopt(reduced, tuple(keep), tuple(keep), y.p)
 
 
 @dataclass(frozen=True)
@@ -440,8 +440,8 @@ def hybrid_partition(y: BlockMatrix, m_set) -> HybridPartition:
     return HybridPartition(
         m_nodes=m,
         mc_nodes=mc,
-        h_mm=BlockMatrix(h_mm, m, m, y.p),
-        h_mmc=BlockMatrix(h_mmc, m, mc, y.p),
-        h_mcm=BlockMatrix(h_mcm, mc, m, y.p),
-        h_mcmc=BlockMatrix(h_mcmc, mc, mc, y.p),
+        h_mm=BlockMatrix._adopt(h_mm, m, m, y.p),
+        h_mmc=BlockMatrix._adopt(h_mmc, m, mc, y.p),
+        h_mcm=BlockMatrix._adopt(h_mcm, mc, m, y.p),
+        h_mcmc=BlockMatrix._adopt(h_mcmc, mc, mc, y.p),
     )

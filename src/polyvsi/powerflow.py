@@ -7,8 +7,12 @@ minus the resource model power (zero at slack terminals and zero-injection
 nodes).  Magnitudes are normalized by nominal voltage and powers by a common
 base so one tolerance applies across voltage levels.
 
-The Jacobian is analytic.  Newton iteration checks convergence before each
-correction, so a point that already satisfies the tolerance is returned
+The Jacobian is analytic and is evaluated only on the nonzero pattern of the
+admittance, which the grid topology gives.  Below SPARSE_MIN_STATES states it
+is a dense array solved by LAPACK; from there on it is a SciPy CSC matrix
+factored by SuperLU.  SciPy is imported only on that sparse path, so small
+systems never pay its import.  Newton iteration checks convergence before
+each correction, so a point that already satisfies the tolerance is returned
 untouched.
 """
 
@@ -22,6 +26,15 @@ from .errors import NonConvergence, SingularJacobian
 from .grid import GridModel
 from .nodes import ZipTable
 from .vsi import build_augmented, evaluate_vsi, reduce_augmented
+
+# A state Jacobian with at least this many rows (2 * n_unknown) is sparse.
+# Feeders are nearly radial, so J_x holds O(n) nonzeros.  A dense solve costs
+# O(n^3) time and 2 (2n)^2 8 bytes (J and LAPACK's copy of it); SuperLU takes
+# milliseconds, but importing scipy.sparse.linalg adds about 32 MB of peak
+# RSS.  On synthetic feeders the sparse step is faster from about 250 states
+# on, and its peak RSS, import included, drops below the dense one between
+# 972 and 1212 states (CHANGES.md has the sweep).
+SPARSE_MIN_STATES = 1000
 
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -88,9 +101,12 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class Jacobian:
-    """Mismatch derivatives: dx w.r.t. [E_norm; theta], dxi w.r.t. xi."""
+    """Mismatch derivatives: dx w.r.t. [E_norm; theta], dxi w.r.t. xi.
 
-    dx: np.ndarray
+    dx is a SciPy CSC matrix when the system is sparse (see jacobian_x).
+    """
+
+    dx: object
     dxi: np.ndarray
 
 
@@ -111,6 +127,8 @@ class PolyphaseSystem:
     resources run at lam = xi and compensators at lam = 1.  The residual and
     both Jacobians evaluate the resources through one packed ZipTable, one
     row per resource node-phase, whatever lam the given models carry.
+    sparse is set once from the size: True when 2 * n_unknown reaches
+    SPARSE_MIN_STATES, and jacobian_x then returns a SciPy CSC matrix.
     """
 
     def __init__(self, grid: GridModel, slacks, resources, s_base: float = 1e6):
@@ -139,7 +157,7 @@ class PolyphaseSystem:
         self._y_uu = self._y[u0:, u0:]
         self._i_from_fixed = self._y[u0:, :u0] @ self._v_fixed
 
-        self.e_nom = np.repeat([grid.node(n).vnom for n in self.unknown_nodes], p)
+        self.e_nom = np.repeat([n.vnom for n in grid.nodes], p)
 
         for r in self.resources:
             if r.p != p:
@@ -149,6 +167,28 @@ class PolyphaseSystem:
         flat = {n: i * p for i, n in enumerate(self.unknown_nodes)}
         self._res = np.array([flat[r.node] + q for r in self.resources for q in range(p)], dtype=int)
         self._dlam = self._zip.load.astype(float)  # d lam / d xi per row
+
+        # Nonzero pattern of Y_uu from the topology: each node's diagonal
+        # block and both off-diagonal blocks of each branch, parallel
+        # branches once, listed block by block in row-major order.
+        pairs = {(i, i) for i in range(len(self.unknown_nodes))}
+        for b in grid.branches:
+            f, t = order[b.from_node], order[b.to_node]
+            pairs.update(((f, t), (t, f)))
+        corners = np.array(sorted(pairs)) * p
+        q = np.arange(p * p)
+        self._rows = (corners[:, :1] + q // p).ravel()
+        self._cols = (corners[:, 1:] + q % p).ravel()
+        self._y_pattern = self._y_uu[self._rows, self._cols]
+        # Positions of the (k, k) entries, k ascending, in each of the four
+        # quadrant runs of jacobian_x's value vector.
+        m = self._rows.size
+        on_diag = np.flatnonzero(self._rows == self._cols)
+        self._jac_diag = np.concatenate([on_diag + k * m for k in range(4)])
+        nu = self.n_unknown
+        self._jac_rows = np.concatenate([self._rows, self._rows + nu] * 2)
+        self._jac_cols = np.concatenate([self._cols, self._cols, self._cols + nu, self._cols + nu])
+        self.sparse = 2 * nu >= SPARSE_MIN_STATES
 
     # -- state packing ---------------------------------------------------
 
@@ -201,27 +241,24 @@ class PolyphaseSystem:
         model = self._scatter(self._zip.power(e[self._res], self._lam(xi)))
         return (np.concatenate([s.real, s.imag]) - model) / self.s_base
 
-    def jacobian_x(self, x: np.ndarray, xi: float) -> np.ndarray:
-        """d residual / d [E_norm; theta], written into one (2n, 2n) array.
+    def jacobian_x(self, x: np.ndarray, xi: float):
+        """d residual / d [E_norm; theta] on the nonzero pattern of Y_uu.
 
         With c_k = e_nom_k / s_base and D_ik = v_i conj(Y_ik e^{j theta_k}) c_k,
         the off-diagonal blocks are d(P, Q)_i / dE_norm_k = (Re, Im) D_ik and
         d(P, Q)_i / dtheta_k = (Im, -Re) D_ik E_norm_k.  The diagonal adds the
         self terms e^{j theta_i} conj(I_i) c_i and j v_i conj(I_i) / s_base and
-        subtracts the ZIP derivatives.
+        subtracts the ZIP derivatives.  The result is a dense (2n, 2n) array,
+        or a SciPy CSC matrix when the system is sparse.
         """
         e, theta, v, i_u = self._split(x)
         n = self.n_unknown
+        rows, cols = self._rows, self._cols
         unit = np.exp(1j * theta)
         col = self.e_nom / self.s_base
-        d = self._y_uu * (unit * col)[None, :]
-        np.conjugate(d, out=d)
-        d *= v[:, None]
-        out = np.empty((2 * n, 2 * n))
-        out[:n, :n] = d.real
-        out[n:, :n] = d.imag
-        np.multiply(d.imag, x[None, :n], out=out[:n, n:])
-        np.multiply(d.real, -x[None, :n], out=out[n:, n:])
+        d = np.conj(self._y_pattern * (unit * col)[cols]) * v[rows]
+        e_norm = x[:n][cols]
+        vals = np.concatenate([d.real, d.imag, d.imag * e_norm, d.real * -e_norm])
 
         r = self._res
         dp_de, dq_de = self._zip.power_de(e[r], self._lam(xi))
@@ -229,11 +266,15 @@ class PolyphaseSystem:
         de[r] -= dp_de + 1j * dq_de
         de *= col
         dth = 1j * v * np.conj(i_u) / self.s_base
-        k = np.arange(n)
-        out[k, k] += de.real
-        out[k + n, k] += de.imag
-        out[k, k + n] += dth.real
-        out[k + n, k + n] += dth.imag
+        vals[self._jac_diag] += np.concatenate([de.real, de.imag, dth.real, dth.imag])
+
+        shape = (2 * n, 2 * n)
+        if self.sparse:
+            from scipy.sparse import csc_array
+
+            return csc_array((vals, (self._jac_rows, self._jac_cols)), shape=shape)
+        out = np.zeros(shape)
+        out[self._jac_rows, self._jac_cols] = vals
         return out
 
     def jacobian_xi(self, x: np.ndarray, xi: float) -> np.ndarray:
@@ -287,18 +328,59 @@ def jacobian(system: PolyphaseSystem, x: OperatingPoint) -> Jacobian:
 
 
 def jacobian_svd(j) -> tuple:
-    """(smallest, mean, largest) singular value of the state Jacobian."""
-    a = j.dx if isinstance(j, Jacobian) else np.asarray(j)
-    s = np.linalg.svd(a, compute_uv=False)
+    """(smallest, mean, largest) singular value of the state Jacobian.
+
+    A sparse Jacobian is densified first.  Raises SingularJacobian when the
+    SVD fails, for example on a Jacobian that is not finite.
+    """
+    a = j.dx if isinstance(j, Jacobian) else j
+    a = a.toarray() if hasattr(a, "toarray") else np.asarray(a)
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"Jacobian SVD failed: {exc}") from exc
     return float(s[-1]), float(s.mean()), float(s[0])
+
+
+def solve_linear(a, b: np.ndarray, what: str) -> np.ndarray:
+    """Solve a x = b: LAPACK for an array, SuperLU for a SciPy CSC matrix.
+
+    Raises SingularJacobian naming `what` when the factorization fails or
+    the solution is not finite.
+    """
+    if hasattr(a, "toarray"):
+        from scipy.sparse.linalg import splu
+
+        try:
+            x = splu(a).solve(b)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularJacobian(f"{what} is singular") from exc
+    else:
+        try:
+            x = np.linalg.solve(np.asarray(a, dtype=float), b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(f"{what} is singular") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularJacobian(f"{what} gives a solution that is not finite")
+    return x
+
+
+def bordered(a, col: np.ndarray, row: np.ndarray):
+    """[[a, col], [row]] in the container of a (row has a.shape[1] + 1 entries)."""
+    if hasattr(a, "toarray"):
+        from scipy import sparse
+
+        return sparse.vstack([sparse.hstack([a, col[:, None]]), row[None, :]], format="csc")
+    return np.vstack([np.hstack([a, col[:, None]]), row[None, :]])
 
 
 def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30) -> NewtonResult:
     """Newton iteration with convergence checked before each correction.
 
-    Returns once the max-norm of fun(x) is <= eps; raises NonConvergence
-    (with the residual history attached) after max_iter corrections, and
-    SingularJacobian if a linear solve fails.
+    jac(x) returns an array or a SciPy CSC matrix.  Returns once the
+    max-norm of fun(x) is <= eps; raises NonConvergence (with the residual
+    history attached) after max_iter corrections, and SingularJacobian if a
+    linear solve fails.
     """
     x = np.asarray(x0, dtype=float).copy()
     history = []
@@ -309,14 +391,7 @@ def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30
             return NewtonResult(x=x, iterations=it, residuals=tuple(history), converged=True)
         if it == max_iter:
             break
-        j = np.asarray(jac(x), dtype=float)
-        try:
-            dx = np.linalg.solve(j, g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Newton Jacobian solve failed at iteration {it}") from exc
-        if not np.all(np.isfinite(dx)):
-            raise SingularJacobian(f"Newton correction not finite at iteration {it}")
-        x = x - dx
+        x = x - solve_linear(jac(x), g, f"Newton Jacobian at iteration {it}")
     raise NonConvergence(
         f"no convergence to {eps} within {max_iter} corrections",
         x_last=x,

@@ -80,7 +80,7 @@ def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
         data[tt, ii] -= y_te
         data[tt, tt] += y_te
     return AugmentedGrid(
-        y_prime=BlockMatrix(data, order, order, p),
+        y_prime=BlockMatrix._adopt(data, order, order, p),
         internal_nodes=internal,
         slack_nodes=tuple(grid.slack_nodes),
         zero_nodes=tuple(grid.zero_nodes),

@@ -9,8 +9,13 @@ Provides:
     load, so P_max = V^2/(4R) = 250 kW and xi_max = 2 exactly
   * fd_jacobian()       — central-difference Jacobian for derivative checks
   * session-scoped bundled benchmark system and its continuation trace
+  * synthfeeder: the benchmark's seeded feeder generator, loaded from
+    perfbench/ without putting that directory on sys.path
   * an acceptance recorder whose lines are echoed in the terminal summary
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +139,15 @@ def bench_system():
 @pytest.fixture(scope="session")
 def bench_trace(bench_system):
     return run_cpf(bench_system)
+
+
+@pytest.fixture(scope="session")
+def synthfeeder():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synthfeeder.py"
+    spec = importlib.util.spec_from_file_location("synthfeeder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 _ACCEPTANCE_LINES = []

@@ -25,6 +25,8 @@ Proves:
  Group 4 - vsi
   10.  Chains pf --voltages into vsi; index matches the library value
   11.  At xi = 0 the reported index is ~ 0
+  11a. pf --voltages then vsi on a 302-node synthetic feeder (the sparse
+       path) both exit 0
 
  Group 5 - bench
   12.  bench emit writes a parseable file identical to the bundled data
@@ -245,6 +247,18 @@ def test_vsi_zero_loading(grid_file, tmp_path):
                  "--xi", "0.0", "--out", str(out)]) == 0
     _, body = _rows(out)
     assert float(body[0][2]) < 1e-6
+
+
+def test_large_feeder_pf_then_vsi(synthfeeder, tmp_path, capsys):
+    grid_path = tmp_path / "feeder.grid"
+    grid_path.write_text(synthfeeder.feeder_text(0, 300))
+    snap = tmp_path / "snap.csv"
+    assert main(["pf", str(grid_path), "--voltages", str(snap)]) == 0
+    assert "converged in" in capsys.readouterr().out
+    _, body = _rows(snap)
+    assert len(body) == 1812 // 2
+    assert main(["vsi", str(grid_path), "--voltages", str(snap)]) == 0
+    assert "L_global = " in capsys.readouterr().out
 
 
 # -- Group 5 ---------------------------------------------------------------

@@ -6,6 +6,8 @@ Proves:
    1.  Tangent is (1, 1)/sqrt(2); a sigma step along it lands on the path
    2.  On-path prediction is a corrector fixed point (0 iterations)
    3.  Off-path prediction is pulled back onto path x = xi and the sphere
+   3a. A singular or non-finite state Jacobian, dense or sparse, makes the
+       tangent raise SingularJacobian
 
  Group 2 - Trajectory handling
    4.  PolyphaseSystem.resources_at scales loads by xi and pins
@@ -31,12 +33,19 @@ Proves:
 
  Group 5 - Empty trace
   18.  xi_max / final on an empty trace raise ValueError
+
+ Group 6 - Sparse path
+  19.  The bundled trace with the sparse path forced keeps 50 samples,
+       xi_max 1.787102 and critical pair (25, 1), and its states agree
+       with the dense trace to 1e-9
 """
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from conftest import two_bus
+from polyvsi import powerflow
 from polyvsi.continuation import (
     TERM_CORRECTOR,
     TERM_FOLD,
@@ -47,7 +56,7 @@ from polyvsi.continuation import (
     run_cpf,
     tangent_direction,
 )
-from polyvsi.errors import BaseCaseDiverged, StepLimitReached
+from polyvsi.errors import BaseCaseDiverged, SingularJacobian, StepLimitReached
 from polyvsi.powerflow import PolyphaseSystem
 
 
@@ -126,6 +135,23 @@ def test_corrector_pulls_back_to_path():
 
 
 # -- Group 2 ---------------------------------------------------------------
+
+
+def test_tangent_singular_jacobian_is_typed():
+    class Fixed:
+        def __init__(self, j):
+            self.j = j
+
+        def jacobian_x(self, x, xi):
+            return self.j
+
+        def jacobian_xi(self, x, xi):
+            return np.array([-1.0, 0.0])
+
+    for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((2, 2), np.nan)):
+        for j in (bad, csc_array(bad)):
+            with pytest.raises(SingularJacobian):
+                tangent_direction(Fixed(j), np.zeros(2), 0.0)
 
 
 def test_load_trajectory_scaling(bench_system):
@@ -268,3 +294,20 @@ def test_empty_trace_raises():
         _ = empty.xi_max
     with pytest.raises(ValueError):
         _ = empty.final
+
+
+# -- Group 6 ---------------------------------------------------------------
+
+
+def test_sparse_bundled_trace_matches_dense(bench_system, bench_trace, monkeypatch):
+    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0)
+    system = PolyphaseSystem(bench_system.grid, bench_system.slacks, bench_system.resources)
+    assert system.sparse
+    trace = run_cpf(system)
+    assert trace.termination == TERM_FOLD
+    assert len(trace.samples) == len(bench_trace.samples) == 50
+    assert round(trace.xi_max, 6) == 1.787102
+    assert trace.final.vsi.critical == (25, 1)
+    for s, d in zip(trace.samples, bench_trace.samples):
+        assert np.abs(s.x - d.x).max() <= 1e-9
+        assert abs(s.xi - d.xi) <= 1e-9

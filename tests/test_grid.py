@@ -34,6 +34,8 @@ Proves:
 
  Group 5 - Block addressing
   19.  block / row_slice / row_indices / submatrix agree with raw offsets
+  20.  data is read-only; a caller's array is copied and left writable,
+       an array the library builds is taken over without a copy
 """
 
 import numpy as np
@@ -349,3 +351,22 @@ def test_block_addressing():
     sub = bm.submatrix(("c", "a"), ("b",))
     assert sub.row_nodes == ("c", "a")
     assert np.array_equal(sub.data, data[np.ix_([4, 5, 0, 1], [2, 3])])
+
+
+def test_block_matrix_data_ownership():
+    data = np.arange(4, dtype=complex).reshape(2, 2)
+    bm = BlockMatrix(data, (1, 2), (1, 2), 1)
+    assert not bm.data.flags.writeable
+    assert data.flags.writeable and not np.shares_memory(bm.data, data)
+    data[0, 0] = 9.0
+    assert bm.data[0, 0] == 0.0
+
+    built = np.arange(4, dtype=complex).reshape(2, 2)
+    adopted = BlockMatrix._adopt(built, (1, 2), (1, 2), 1)
+    assert adopted.data is built and not built.flags.writeable
+    assert adopted == bm
+
+    grid, _, _ = random_system(np.random.default_rng(3), n_nodes=5, p=2)
+    y = assemble_admittance(grid)
+    for m in (y, y.submatrix(grid.node_ids[:2], grid.node_ids[1:]), kron_reduce(y, {grid.node_ids[-1]})):
+        assert not m.data.flags.writeable

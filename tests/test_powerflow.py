@@ -12,14 +12,19 @@ Proves:
    5.  Zero loading reduces to the linear network solve
    6.  Converged solutions carry a mismatch certificate <= eps * s_base
    7.  Analytic Jacobians match central differences (d/dx and d/dxi), and
-       jacobian_x matches the dense reference formula to rounding
+       jacobian_x, dense and sparse, matches the dense reference formula to
+       rounding
+   7a. The topology pattern lists each entry once and covers every nonzero
+       of Y_uu (bundled feeder, 302-node synthetic feeder, parallel branches)
 
  Group 3 - Newton iteration
    8.  Scalar quadratic converges; converged start returns 0 iterations
    9.  Residual history decreases monotonically on the two-bus case
   10.  Exhausted budget raises NonConvergence with x_last and history
-  11.  Singular Jacobian raises SingularJacobian
-  12.  jacobian_svd returns (min, mean, max)
+  11.  Singular or non-finite Jacobian raises SingularJacobian, dense or
+       sparse
+  12.  jacobian_svd returns (min, mean, max), densifies a sparse Jacobian
+       and raises SingularJacobian on a non-finite one
 
  Group 4 - System-level
   13.  Benchmark-style overload (xi = 5 flat start) raises NonConvergence
@@ -27,15 +32,24 @@ Proves:
   15.  branch_series_currents reproduces ohm's law and the load current
   16.  Parsing with validation and building a system call no SVD (bundled
        feeder, 302-node synthetic feeder); jacobian_svd still does
+  17.  The 302-node feeder takes the sparse path, and its power flow agrees
+       with the forced-dense one in x and iteration count
+  18.  Parsing, building and tracing the two small CPF inputs with SVD
+       never imports scipy (fresh interpreter)
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from conftest import fd_jacobian, random_system, two_bus
+from polyvsi import powerflow
 from polyvsi.benchmark import bundled_grid_text
+from polyvsi.grid import GridModel
 from polyvsi.errors import NonConvergence, SingularJacobian
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import pm_power_at
@@ -189,9 +203,10 @@ def dense_jacobian_x(system, x, xi):
     return np.vstack([top, bot]) / system.s_base
 
 
-def test_jacobians_match_finite_differences(bench_system):
+def test_jacobians_match_finite_differences(bench_system, monkeypatch):
     """Analytic Jacobians against central differences, and jacobian_x
-    against the dense reference formula to 1e-13 (relative Frobenius)."""
+    against the dense reference formula to 1e-13 (relative Frobenius), on
+    the dense path and, with the size threshold lowered, the sparse one."""
     rng = np.random.default_rng(10)
     points = []
     cases = [two_bus()]
@@ -208,8 +223,18 @@ def test_jacobians_match_finite_differences(bench_system):
         op, _ = solve_power_flow(bench_system, xi=xi)
         points.append((bench_system, bench_system.pack(op), xi))
 
+    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0)
+    twins = {}
+    for system, x, xi in list(points):
+        if id(system) not in twins:
+            twins[id(system)] = PolyphaseSystem(system.grid, system.slacks, system.resources)
+        points.append((twins[id(system)], x, xi))
+
     for system, x, xi in points:
         j_an = system.jacobian_x(x, xi)
+        if system.sparse:
+            assert j_an.format == "csc"
+            j_an = j_an.toarray()
         j_ref = dense_jacobian_x(system, x, xi)
         assert np.linalg.norm(j_an - j_ref) <= 1e-13 * np.linalg.norm(j_ref)
 
@@ -221,6 +246,29 @@ def test_jacobians_match_finite_differences(bench_system):
         h = 1e-6
         d_fd = (system.residual(x, xi + h) - system.residual(x, xi - h)) / (2 * h)
         assert np.linalg.norm(d_an - d_fd) <= 1e-6 * max(np.linalg.norm(d_an), 1.0)
+
+
+def test_topology_pattern_covers_admittance(bench_system, synthfeeder, monkeypatch):
+    grid, slacks, resources = two_bus()
+    doubled = GridModel(nodes=grid.nodes, branches=grid.branches * 2, p=grid.p)
+    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0)
+    parallel = PolyphaseSystem(doubled, slacks, resources)
+    systems = [
+        bench_system,
+        PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300))),
+        parallel,
+    ]
+    for system in systems:
+        rows, cols = system._rows, system._cols
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+        covered = np.zeros(system._y_uu.shape, dtype=bool)
+        covered[rows, cols] = True
+        assert np.all(system._y_uu[~covered] == 0.0)
+    # Parallel branches add their admittances once into one pattern entry.
+    x = parallel.flat_start()
+    j_ref = dense_jacobian_x(parallel, x, 1.0)
+    j_an = parallel.jacobian_x(x, 1.0).toarray()
+    assert np.linalg.norm(j_an - j_ref) <= 1e-13 * np.linalg.norm(j_ref)
 
 
 # -- Group 3 ---------------------------------------------------------------
@@ -261,6 +309,13 @@ def test_newton_singular_jacobian():
     jac = lambda x: np.array([[0.0]])
     with pytest.raises(SingularJacobian):
         newton_solve(fun, jac, np.array([5.0]))
+    # Exactly singular and non-finite Jacobians, dense (LAPACK) and sparse
+    # (SuperLU), all raise the typed error.
+    fun2 = lambda x: x - 1.0
+    for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((2, 2), np.nan)):
+        for j in (bad, csc_array(bad)):
+            with pytest.raises(SingularJacobian):
+                newton_solve(fun2, lambda x: j, np.array([5.0, 5.0]))
 
 
 def test_jacobian_svd_triplet():
@@ -269,6 +324,9 @@ def test_jacobian_svd_triplet():
     assert sv == pytest.approx((1.0, 2.0, 3.0))
     wrapped = jacobian_svd(Jacobian(dx=np.diag([2.0, 4.0]), dxi=np.zeros(2)))
     assert wrapped == pytest.approx((2.0, 3.0, 4.0))
+    assert jacobian_svd(csc_array(np.diag([3.0, 1.0, 2.0]))) == pytest.approx((1.0, 2.0, 3.0))
+    with pytest.raises(SingularJacobian, match="SVD"):
+        jacobian_svd(np.full((3, 3), np.nan))
 
 
 # -- Group 4 ---------------------------------------------------------------
@@ -307,12 +365,9 @@ def test_branch_series_currents():
     assert abs(i_series[0] + i_load) < 1e-6 * abs(i_load)
 
 
-def test_setup_calls_no_svd(monkeypatch):
+def test_setup_calls_no_svd(monkeypatch, synthfeeder):
     # A full SVD is O(n^3) with a large constant; set-up must not pay it for
     # a pass/fail condition check.  Only jacobian_svd may call it.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import synthfeeder
-
     texts = [bundled_grid_text(), synthfeeder.feeder_text(0, 300)]
 
     class SvdCalled(Exception):
@@ -326,3 +381,42 @@ def test_setup_calls_no_svd(monkeypatch):
         system = PolyphaseSystem(*parse_grid_text(text, validate=True))
         with pytest.raises(SvdCalled):
             system.svd_at(system.flat_start(), 1.0)
+
+
+def test_large_feeder_sparse_matches_dense(synthfeeder, monkeypatch):
+    parsed = parse_grid_text(synthfeeder.feeder_text(0, 300))
+    sparse = PolyphaseSystem(*parsed)
+    assert sparse.sparse and 2 * sparse.n_unknown == 1812
+    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 10**9)
+    dense = PolyphaseSystem(*parsed)
+    assert not dense.sparse
+    _, res_s = solve_power_flow(sparse, xi=1.0)
+    _, res_d = solve_power_flow(dense, xi=1.0)
+    assert res_s.iterations == res_d.iterations
+    assert np.abs(res_s.x - res_d.x).max() <= 1e-10
+
+
+def test_small_systems_never_import_scipy():
+    # Importing scipy.sparse.linalg costs about 32 MB of peak RSS, more than
+    # a small CPF run uses in all; systems below SPARSE_MIN_STATES states
+    # must not pay it.  A fresh interpreter sees only what the library loads.
+    root = Path(__file__).resolve().parents[1]
+    script = f"""
+import sys
+sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
+from polyvsi.benchmark import bundled_grid_text
+from polyvsi.continuation import run_cpf
+from polyvsi.gridfile import parse_grid_text
+from polyvsi.powerflow import PolyphaseSystem
+import synthfeeder
+
+for text in (bundled_grid_text(), synthfeeder.feeder_text(0, 40)):
+    system = PolyphaseSystem(*parse_grid_text(text))
+    assert not system.sparse
+    trace = run_cpf(system)
+    assert trace.final.sv is not None
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
