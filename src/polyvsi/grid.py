@@ -27,6 +27,9 @@ _ROLES = (ROLE_SLACK, ROLE_ZERO, ROLE_RESOURCE)
 # within a factor n of the 2-norm value for an n x n matrix.
 RCOND_FLOOR = 1e-13
 
+# The passivity rule's one tolerance, relative to each matrix's scale (passivity_faults).
+PARAM_TOL = 1e-9
+
 
 def _norm1(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
@@ -253,14 +256,6 @@ def build_incidence(grid: GridModel, polyphase: bool = False) -> np.ndarray:
     return a
 
 
-def _check_symmetric(m: np.ndarray, what: str, tol: float):
-    scale = np.linalg.norm(m)
-    if scale == 0.0:
-        return
-    if np.linalg.norm(m - m.T) > tol * scale:
-        raise AsymmetricParameter(f"{what} is not symmetric within tolerance {tol}")
-
-
 def branch_stamp(branch: Branch) -> np.ndarray:
     """2P x 2P admittance stamp of one branch (series element only).
 
@@ -284,21 +279,63 @@ def branch_stamp(branch: Branch) -> np.ndarray:
     return stamp
 
 
-def assemble_admittance(grid: GridModel, sym_tol: float = 1e-9) -> BlockMatrix:
+def passivity_faults(mats, invertible=False) -> list[tuple]:
+    """The passivity rule on a sequence of P x P parameter matrices.
+
+    Every element is reciprocal and lossy, so each matrix must be finite,
+    symmetric within relative Frobenius asymmetry PARAM_TOL, and have a
+    symmetric real part whose smallest eigenvalue is at least
+    -PARAM_TOL * max(largest eigenvalue, ||m||).  Where the mask invertible
+    is set, _inverse must also give rcond >= RCOND_FLOOR.  Runs on the whole
+    stack at once; returns (index, kind, detail) per fault, by index.
+    """
+    if not len(mats):
+        return []
+    m = np.asarray(mats, dtype=complex)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    m = np.where(finite[:, None, None], m, 0.0)
+    scale = np.linalg.norm(m, axis=(1, 2))
+    asym = np.linalg.norm(m - m.transpose(0, 2, 1), axis=(1, 2)) / np.where(scale > 0.0, scale, 1.0)
+    eig = np.linalg.eigvalsh((m.real + m.real.transpose(0, 2, 1)) / 2.0)
+    indefinite = eig[:, 0] < -PARAM_TOL * np.maximum(eig[:, -1], scale)
+    faults = [(k, "non-finite", "inf or nan entry") for k in np.flatnonzero(~finite)]
+    faults += [(k, "asymmetric", f"relative asymmetry {asym[k]:.2e}")
+               for k in np.flatnonzero(asym > PARAM_TOL)]
+    faults += [(k, "indefinite-real-part", f"min eigenvalue {eig[k, 0]:.3e}")
+               for k in np.flatnonzero(indefinite)]
+    faults += [(k, "singular", f"rcond < {RCOND_FLOOR}") for k in np.flatnonzero(finite & invertible)
+               if not _inverse(m[k])[1] >= RCOND_FLOOR]
+    return sorted(faults, key=lambda f: f[0])
+
+
+def _grid_faults(grid: GridModel, check_inverse: bool) -> list[tuple]:
+    """(element, kind, detail) per passivity fault; check_inverse tests impedances too."""
+    rows = [(f"branch {b.from_node}-{b.to_node} {what}", m, check_inverse and what == "impedance")
+            for b in grid.branches
+            for what, m in (("impedance", b.z), ("from-shunt", b.y_shunt_from), ("to-shunt", b.y_shunt_to))
+            if m is not None]
+    rows += [(f"shunt at {s.node}", s.y, False) for s in grid.shunts]
+    faults = passivity_faults([m for _, m, _ in rows], [inv for _, _, inv in rows])
+    return [(rows[k][0], kind, detail) for k, kind, detail in faults]
+
+
+def assemble_admittance(grid: GridModel) -> BlockMatrix:
     """Compound nodal admittance matrix Y of the grid.
 
     Series contributions follow the incidence structure (generalized by the
     per-branch transformer gain); branch pi shunts and node shunts add onto
-    the diagonal blocks.  Raises SingularBranch or AsymmetricParameter when
-    a branch parameter fails its hypothesis outright.
+    the diagonal blocks.  Raises AsymmetricParameter on the first matrix that
+    passivity_faults finds asymmetric, SingularBranch on a singular impedance.
     """
+    for element, kind, _ in _grid_faults(grid, check_inverse=False):
+        if kind == "asymmetric":
+            raise AsymmetricParameter(f"{element} is not symmetric within tolerance {PARAM_TOL}")
     p = grid.p
     ids = grid.node_ids
     n = len(ids)
     sl = {node: slice(i * p, (i + 1) * p) for i, node in enumerate(ids)}
     y = np.zeros((n * p, n * p), dtype=complex)
     for b in grid.branches:
-        _check_symmetric(b.z, f"branch {b.from_node}-{b.to_node} impedance", sym_tol)
         stamp = branch_stamp(b)
         f, t = sl[b.from_node], sl[b.to_node]
         y[f, f] += stamp[:p, :p]
@@ -306,56 +343,22 @@ def assemble_admittance(grid: GridModel, sym_tol: float = 1e-9) -> BlockMatrix:
         y[t, f] += stamp[p:, :p]
         y[t, t] += stamp[p:, p:]
         if b.y_shunt_from is not None:
-            _check_symmetric(b.y_shunt_from, f"branch {b.from_node}-{b.to_node} from-shunt", sym_tol)
             y[f, f] += b.y_shunt_from
         if b.y_shunt_to is not None:
-            _check_symmetric(b.y_shunt_to, f"branch {b.from_node}-{b.to_node} to-shunt", sym_tol)
             y[t, t] += b.y_shunt_to
     for s in grid.shunts:
-        _check_symmetric(s.y, f"shunt at {s.node}", sym_tol)
         y[sl[s.node], sl[s.node]] += s.y
     return BlockMatrix._adopt(y, ids, ids, p)
 
 
-def validate_parameters(grid: GridModel, tol: float = 1e-9) -> list[Violation]:
-    """Check the passivity hypotheses on every branch and shunt.
+def validate_parameters(grid: GridModel) -> list[Violation]:
+    """Check passivity_faults on every branch and shunt, impedances invertible.
 
-    Each series impedance must be symmetric, invertible, and have a positive
-    semidefinite real part; shunt admittances must be symmetric with PSD real
-    part.  Violations are returned as data, not raised, so a caller can
-    report all of them at once.
+    Violations are returned as data, not raised, so a caller can report all
+    of them at once.
     """
-    out: list[Violation] = []
-
-    def check(m: np.ndarray, element: str, invertible: bool):
-        scale = np.linalg.norm(m)
-        if scale == 0.0:
-            if invertible:
-                out.append(Violation("singular", element, "matrix is zero"))
-            return
-        asym = np.linalg.norm(m - m.T) / scale
-        if asym > tol:
-            out.append(Violation("asymmetric", element, f"relative asymmetry {asym:.2e}"))
-        re = (m.real + m.real.T) / 2.0
-        eig = np.linalg.eigvalsh(re)
-        floor = -tol * max(eig[-1], scale)
-        if eig[0] < floor:
-            out.append(
-                Violation("indefinite-real-part", element, f"min eigenvalue {eig[0]:.3e}")
-            )
-        if invertible and not _inverse(m)[1] >= RCOND_FLOOR:
-            out.append(Violation("singular", element, f"rcond < {RCOND_FLOOR}"))
-
-    for b in grid.branches:
-        name = f"branch {b.from_node}-{b.to_node}"
-        check(b.z, f"{name} impedance", invertible=True)
-        if b.y_shunt_from is not None:
-            check(b.y_shunt_from, f"{name} from-shunt", invertible=False)
-        if b.y_shunt_to is not None:
-            check(b.y_shunt_to, f"{name} to-shunt", invertible=False)
-    for s in grid.shunts:
-        check(s.y, f"shunt at {s.node}", invertible=False)
-    return out
+    return [Violation(kind, element, detail)
+            for element, kind, detail in _grid_faults(grid, check_inverse=True)]
 
 
 def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:

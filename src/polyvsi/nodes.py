@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularThevenin, ZeroVoltage
-from .grid import RCOND_FLOOR, _inverse
+from .grid import RCOND_FLOOR, _inverse, passivity_faults
 
 CLOSURE_TOL = 1e-9
 
@@ -201,14 +201,11 @@ class SlackModel:
             raise ValueError("v_te must be a vector")
         if z.shape != (v.size, v.size):
             raise ValueError("z_te must be P x P matching v_te")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(z))):
-            raise ValueError("v_te and z_te must be finite")
-        scale = np.linalg.norm(z)
-        if scale > 0.0 and np.linalg.norm(z - z.T) > 1e-9 * scale:
-            raise ValueError("z_te must be symmetric")
-        re = (z.real + z.real.T) / 2.0
-        if np.linalg.eigvalsh(re)[0] < -1e-9 * max(scale, 1.0):
-            raise ValueError("Re(z_te) must be positive semidefinite")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("v_te must be finite")
+        if faults := passivity_faults([z]):
+            raise ValueError(f"z_te must be finite and symmetric with a positive semidefinite "
+                             f"real part: {faults[0][1]} ({faults[0][2]})")
         object.__setattr__(self, "v_te", v)
         object.__setattr__(self, "z_te", z)
 

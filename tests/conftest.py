@@ -9,12 +9,16 @@ Provides:
     load, so P_max = V^2/(4R) = 250 kW and xi_max = 2 exactly
   * fd_jacobian()       — central-difference Jacobian for derivative checks
   * session-scoped bundled benchmark system and its continuation trace
-  * synthfeeder: the benchmark's seeded feeder generator, loaded from
-    perfbench/ without putting that directory on sys.path
+  * synthfeeder / spans: the benchmark's seeded feeder generator and its
+    layer tracer, loaded from perfbench/ without putting that directory on
+    sys.path
+  * PASSIVITY_EDGES: matrices just inside and just outside the passivity
+    rule, with the violation kind each must raise
   * an acceptance recorder whose lines are echoed in the terminal summary
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +105,19 @@ def random_system(rng, n_nodes=None, p=None):
 
 CP = ZipCoefficients(0.0, 0.0, 1.0)
 
+# (matrix, violation kind or None) at the edges of the passivity rule
+# (grid.PARAM_TOL = 1e-9); every matrix is 2 x 2 and invertible.
+PASSIVITY_EDGES = (
+    # relative Frobenius asymmetry of [[1, d], [0, 1]] is d to rounding
+    (np.array([[1.0, 0.5e-9], [0.0, 1.0]], dtype=complex), None),
+    (np.array([[1.0, 2e-9], [0.0, 1.0]], dtype=complex), "asymmetric"),
+    # smallest eigenvalue of the real part against the floor -1e-9 * 1
+    (np.diag([1.0, -0.9e-9]).astype(complex), None),
+    (np.diag([1.0, -1.1e-9]).astype(complex), "indefinite-real-part"),
+    # the floor scales with the matrix: -1e-9 * 1e-3 here
+    (np.diag([1e-3, -5e-10]).astype(complex), "indefinite-real-part"),
+)
+
 
 def two_bus(p0_kw=-125.0):
     """Single-phase analytic case; fold at xi = 2 for the default load."""
@@ -141,13 +158,23 @@ def bench_trace(bench_system):
     return run_cpf(bench_system)
 
 
-@pytest.fixture(scope="session")
-def synthfeeder():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "synthfeeder.py"
-    spec = importlib.util.spec_from_file_location("synthfeeder", path)
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def synthfeeder():
+    return _perfbench_module("synthfeeder")
+
+
+@pytest.fixture(scope="session")
+def spans():
+    return _perfbench_module("spans")
 
 
 _ACCEPTANCE_LINES = []

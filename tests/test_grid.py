@@ -14,7 +14,12 @@ Proves:
    6.  Assembled Y satisfies KCL against per-branch physics on random grids
    7.  Assembled Y is symmetric (gains included)
    8.  Asymmetric branch impedance raises AsymmetricParameter
-   9.  validate_parameters flags asymmetric / indefinite / singular elements
+   9.  validate_parameters flags asymmetric / indefinite / singular elements;
+       at the edges of the passivity rule a branch impedance, a pi shunt and
+       a node shunt are judged alike, and assembly rejects exactly the
+       asymmetric ones
+   9a. An inf or nan impedance, pi shunt or node shunt is reported as
+       non-finite, with no warning
   10.  A healthy random grid validates clean
 
  Group 3 - Kron reduction
@@ -38,10 +43,12 @@ Proves:
        an array the library builds is taken over without a copy
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import random_system
+from conftest import PASSIVITY_EDGES, random_system
 from polyvsi.blocks import BlockMatrix
 from polyvsi.errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock
 from polyvsi.grid import (
@@ -183,6 +190,16 @@ def test_asymmetric_branch_raises():
         assemble_admittance(grid)
 
 
+def _carriers(m):
+    """Two-node grids carrying the 2 x 2 matrix m, keyed by element kind."""
+    return {
+        "impedance": _two_node_grid(p=2, z=m),
+        "from-shunt": _two_node_grid(p=2, y_shunt_from=m),
+        "to-shunt": _two_node_grid(p=2, y_shunt_to=m),
+        "node-shunt": replace(_two_node_grid(p=2), shunts=(Shunt(2, m),)),
+    }
+
+
 def test_validate_parameters_flags():
     z_asym = np.array([[0.5, 0.2], [0.1, 0.5]], dtype=complex)
     z_indef = np.array([[-1.0 + 0.5j, 0.0], [0.0, 1.0 + 0.5j]])
@@ -193,9 +210,25 @@ def test_validate_parameters_flags():
         p=2,
     )
     kinds = {(v.kind, v.element.split()[1]) for v in validate_parameters(grid)}
-    assert ("asymmetric", "1-2") in kinds
-    assert ("indefinite-real-part", "2-3") in kinds
-    assert ("singular", "3-4") in kinds
+    assert kinds == {("asymmetric", "1-2"), ("indefinite-real-part", "2-3"), ("singular", "3-4")}
+    for m, kind in PASSIVITY_EDGES:
+        for g in _carriers(m).values():
+            assert [v.kind for v in validate_parameters(g)] == ([kind] if kind else [])
+            if kind == "asymmetric":
+                with pytest.raises(AsymmetricParameter, match="not symmetric within tolerance 1e-09"):
+                    assemble_admittance(g)
+            else:
+                assemble_admittance(g)
+
+
+def test_validate_parameters_non_finite():
+    for bad in (np.inf, np.nan):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        for where, g in _carriers(m).items():
+            (v,) = validate_parameters(g)
+            assert v.kind == "non-finite"
+            assert v.element == ("shunt at 2" if where == "node-shunt" else f"branch 1-2 {where}")
 
 
 def test_validate_parameters_clean_random():

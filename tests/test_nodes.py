@@ -19,8 +19,8 @@ Proves:
        and its voltage derivative matches a central difference
 
  Group 3 - Slacks
-  11.  z_te symmetry and PSD real part enforced; shape checks; non-finite
-       v_te or z_te rejected
+  11.  z_te symmetry and PSD real part enforced by the grid's passivity
+       rule, edges included; shape checks; non-finite v_te or z_te rejected
   12.  slack_interface inverts z_te; singular or near-singular z_te raises
   13.  short_circuit_slack magnitude / ratio arithmetic
   14.  positive_sequence_source angles step by -2 pi / p
@@ -29,6 +29,7 @@ Proves:
 import numpy as np
 import pytest
 
+from conftest import PASSIVITY_EDGES
 from polyvsi.builders import positive_sequence_source, short_circuit_slack
 from polyvsi.errors import SingularThevenin, ZeroVoltage
 from polyvsi.nodes import (
@@ -189,10 +190,17 @@ def test_slack_validation():
     for bad in (np.inf, np.nan):
         z = np.eye(3, dtype=complex)
         z[0, 1] = z[1, 0] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             SlackModel(node=1, v_te=v, z_te=z)
         with pytest.raises(ValueError):
             SlackModel(node=1, v_te=np.array([bad, 1.0, 1.0]), z_te=np.eye(3, dtype=complex))
+    v2 = positive_sequence_source(1000.0, 2)
+    for z, kind in PASSIVITY_EDGES:
+        if kind is None:
+            SlackModel(node=1, v_te=v2, z_te=z)
+        else:
+            with pytest.raises(ValueError, match=kind):
+                SlackModel(node=1, v_te=v2, z_te=z)
 
 
 def test_slack_interface_inverts():

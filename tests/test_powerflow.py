@@ -36,8 +36,11 @@ Proves:
        with the forced-dense one in x and iteration count
   18.  Parsing, building and tracing the two small CPF inputs with SVD
        never imports scipy (fresh interpreter)
+  19.  Every library attribute the benchmark's layer tracer wraps by name
+       exists: module functions and PolyphaseSystem methods
 """
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -420,3 +423,12 @@ assert not loaded, loaded
 """
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_targets_exist(spans, bench_system):
+    # perfbench/spans.py times layers by replacing these attributes; a rename
+    # in the library would otherwise break only the traced benchmark run.
+    for module_name, attr, _ in spans.MODULE_SPANS:
+        assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
+    for attr, _ in spans.SYSTEM_SPANS:
+        assert callable(getattr(bench_system, attr, None)), attr
