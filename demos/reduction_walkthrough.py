@@ -10,6 +10,9 @@ worked example of the invariants the library maintains:
     whenever the eliminated nodes carry no injection.
   * The hybrid blocks satisfy V_M = h_mm I_M + h_mmc V_Mc and
     I_Mc = h_mcm I_M + h_mcmc V_Mc for *any* excitation.
+  * With a Thevenin slack attached, reduce_augmented reaches the same hybrid
+    blocks from one factorization of the physical-node admittance as these
+    stepwise Kron and hybrid steps do.
 
 Run:  python3 demos/reduction_walkthrough.py
 """
@@ -21,9 +24,13 @@ from polyvsi import (
     Branch,
     GridModel,
     Node,
+    SlackModel,
     assemble_admittance,
+    build_augmented,
     hybrid_partition,
     kron_reduce,
+    positive_sequence_source,
+    reduce_augmented,
 )
 
 rng = np.random.default_rng(7)
@@ -140,5 +147,28 @@ print(
     f"h_mcm = {h22.h_mcm.data[0, 0].real:.3g}, "
     f"h_mcmc = {h22.h_mcmc.data[0, 0].real:.3g}"
 )
+
+# %% one factorization == the stepwise steps
+#
+# Attach a Thevenin source to the slack.  reduce_augmented solves the
+# physical-node block of the augmented admittance once, for the unit
+# columns of the resources and the source coupling; Kron-eliminating the
+# slack terminal and the junction and then splitting off M = {3, 4} must
+# give the same four blocks.  h_mcmc is what the source sees with the
+# resources open, 0 on this shunt-free grid, so its difference is taken
+# relative to the source block Y_II it is computed from.
+
+slack = SlackModel(node=1, v_te=positive_sequence_source(1000.0, P), z_te=0.1 * z_line)
+aug = build_augmented(grid, [slack])
+direct = reduce_augmented(aug)
+stepwise = hybrid_partition(kron_reduce(aug.y_prime, {1, 2}), {3, 4})
+y_ii = aug.y_prime.block(aug.internal_nodes[0], aug.internal_nodes[0])
+print("\none-factorization reduction vs stepwise Kron + hybrid")
+for name in ("h_mm", "h_mmc", "h_mcm", "h_mcmc"):
+    got, want = getattr(direct, name).data, getattr(stepwise, name).data
+    scale = np.linalg.norm(y_ii if name == "h_mcmc" else want)
+    gap = np.linalg.norm(got - want) / scale
+    print(f"  {name:<6} relative difference {gap:.2e}")
+    assert gap < 1e-12
 
 print("\nall reduction identities verified.")

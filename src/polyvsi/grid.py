@@ -6,16 +6,20 @@ are P x P complex matrices in SI units (ohm, siemens).  This module builds
 the compound nodal admittance matrix, eliminates zero-injection interior
 nodes by Kron reduction (a Schur complement), and exchanges voltage and
 current roles on a node subset via the hybrid parameter transformation.
+It also holds the one linear-solve rule the solvers share (linear_solver):
+LAPACK for a dense array, SuperLU for a SciPy sparse matrix, every failure
+mapped to the caller's error type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .blocks import BlockMatrix
-from .errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock
+from .errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock, SingularJacobian
 
 ROLE_SLACK = "slack"
 ROLE_ZERO = "zero"
@@ -31,8 +35,9 @@ RCOND_FLOOR = 1e-13
 PARAM_TOL = 1e-9
 
 
-def _norm1(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
+def _norm1(a) -> float:
+    """Matrix 1-norm (largest column sum of moduli) of an array or SciPy sparse matrix."""
+    return float(abs(a).sum(axis=0).max())
 
 
 def _inverse(a: np.ndarray) -> tuple:
@@ -48,6 +53,44 @@ def _inverse(a: np.ndarray) -> tuple:
     except np.linalg.LinAlgError:
         return None, 0.0
     return a_inv, 1.0 / (_norm1(a) * _norm1(a_inv))
+
+
+def linear_solver(a, what: str, error: type = SingularJacobian):
+    """solve(b) for a x = b, with b of shape (n,) or (n, k), real or complex.
+
+    An array is solved by LAPACK on each call; a SciPy sparse matrix is
+    factored once by SuperLU with the minimum-degree ordering of a' + a,
+    which suits every matrix the library factors: each has the structurally
+    symmetric pattern of the admittance (the corrector's bordered matrix
+    adds one row and column).  scipy is imported only in that case.  Raises
+    error naming what when the factorization fails or a solution is not
+    finite.
+    """
+    if hasattr(a, "toarray"):
+        from scipy.sparse.linalg import splu
+
+        try:
+            step = splu(a, permc_spec="MMD_AT_PLUS_A").solve
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise error(f"{what} is singular") from exc
+    else:
+        step = partial(np.linalg.solve, np.asarray(a))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        try:
+            x = step(b)
+        except np.linalg.LinAlgError as exc:
+            raise error(f"{what} is singular") from exc
+        if not np.all(np.isfinite(x)):
+            raise error(f"{what} gives a solution that is not finite")
+        return x
+
+    return solve
+
+
+def solve_linear(a, b: np.ndarray, what: str, error: type = SingularJacobian) -> np.ndarray:
+    """Solve a x = b once under the linear_solver rule."""
+    return linear_solver(a, what, error)(b)
 
 
 @dataclass(frozen=True)
@@ -370,6 +413,10 @@ def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:
     is inverted once; the Schur complement uses that inverse, and Y_ZZ is
     rejected with SingularInteriorBlock when its exact reciprocal 1-norm
     condition number 1 / (||Y_ZZ||_1 ||Y_ZZ^-1||_1) is below RCOND_FLOOR.
+
+    This is the paper's stepwise algebra on dense matrices, kept as the
+    reference that vsi.reduce_augmented, which reaches the same blocks from
+    one factorization, is tested against.
     """
     if not y.square:
         raise ValueError("kron_reduce needs a square block matrix")
@@ -419,7 +466,11 @@ class HybridPartition:
 
 
 def hybrid_partition(y: BlockMatrix, m_set) -> HybridPartition:
-    """Exchange voltage and current roles on the node subset m_set."""
+    """Exchange voltage and current roles on the node subset m_set.
+
+    Inverts Y_MM densely: the paper's stepwise algebra, kept as the
+    reference for vsi.reduce_augmented like kron_reduce.
+    """
     if not y.square:
         raise ValueError("hybrid_partition needs a square block matrix")
     m = [n for n in y.row_nodes if n in set(m_set)]

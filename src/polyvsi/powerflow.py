@@ -10,10 +10,12 @@ base so one tolerance applies across voltage levels.
 The Jacobian is analytic and is evaluated only on the nonzero pattern of the
 admittance, which the grid topology gives.  Below SPARSE_MIN_STATES states it
 is a dense array solved by LAPACK; from there on it is a SciPy CSC matrix
-factored by SuperLU.  SciPy is imported only on that sparse path, so small
-systems never pay its import.  Newton iteration checks convergence before
-each correction, so a point that already satisfies the tolerance is returned
-untouched.
+factored by SuperLU.  The physical admittance block Y_uu follows the same
+rule: the hybrid reduction factors it, and the residual multiplies by it, in
+the system's container.  SciPy is imported only on that sparse path, so
+small systems never pay its import.  Newton iteration checks convergence
+before each correction, so a point that already satisfies the tolerance is
+returned untouched.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence, SingularJacobian
-from .grid import GridModel
+from .errors import NonConvergence, SingularBranch, SingularJacobian
+from .grid import GridModel, solve_linear
 from .nodes import ZipTable
 from .vsi import build_augmented, evaluate_vsi, reduce_augmented
 
@@ -145,7 +147,6 @@ class PolyphaseSystem:
             raise ValueError(f"nodes without nominal voltage: {missing}")
 
         self.aug = build_augmented(grid, self.slacks)
-        self.hybrid = reduce_augmented(self.aug, grid)
         self._y = self.aug.y_prime.data
         p = self.p
         n_int = len(self.aug.internal_nodes)
@@ -189,6 +190,13 @@ class PolyphaseSystem:
         self._jac_rows = np.concatenate([self._rows, self._rows + nu] * 2)
         self._jac_cols = np.concatenate([self._cols, self._cols, self._cols + nu, self._cols + nu])
         self.sparse = 2 * nu >= SPARSE_MIN_STATES
+        # Y_uu in the system's container, for the residual and the reduction.
+        self._y_uu_op = self._y_uu
+        if self.sparse:
+            from scipy.sparse import csc_array
+
+            self._y_uu_op = csc_array((self._y_pattern, (self._rows, self._cols)), shape=(nu, nu))
+        self.hybrid = reduce_augmented(self.aug, self._y_uu_op)
 
     # -- state packing ---------------------------------------------------
 
@@ -232,7 +240,7 @@ class PolyphaseSystem:
         e = x[:nu] * self.e_nom
         theta = x[nu:]
         v = e * np.exp(1j * theta)
-        i_u = self._i_from_fixed + self._y_uu @ v
+        i_u = self._i_from_fixed + self._y_uu_op @ v
         return e, theta, v, i_u
 
     def residual(self, x: np.ndarray, xi: float) -> np.ndarray:
@@ -298,14 +306,15 @@ class PolyphaseSystem:
 
         The series-element current referred to the to-node winding,
         y (g V_from - V_to); for plain lines this is the conductor current
-        between the pi shunts.
+        between the pi shunts.  Raises SingularBranch when a series
+        impedance is singular or a current is not finite.
         """
         out = []
         for b in self.grid.branches:
             vf = np.array([op.voltage(b.from_node, q + 1) for q in range(self.p)])
             vt = np.array([op.voltage(b.to_node, q + 1) for q in range(self.p)])
-            i_series = np.linalg.solve(b.z, b.gain * vf - vt)
-            out.append((b, i_series))
+            what = f"branch {b.from_node}-{b.to_node} series impedance"
+            out.append((b, solve_linear(b.z, b.gain * vf - vt, what, SingularBranch)))
         return out
 
 
@@ -340,29 +349,6 @@ def jacobian_svd(j) -> tuple:
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"Jacobian SVD failed: {exc}") from exc
     return float(s[-1]), float(s.mean()), float(s[0])
-
-
-def solve_linear(a, b: np.ndarray, what: str) -> np.ndarray:
-    """Solve a x = b: LAPACK for an array, SuperLU for a SciPy CSC matrix.
-
-    Raises SingularJacobian naming `what` when the factorization fails or
-    the solution is not finite.
-    """
-    if hasattr(a, "toarray"):
-        from scipy.sparse.linalg import splu
-
-        try:
-            x = splu(a).solve(b)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SingularJacobian(f"{what} is singular") from exc
-    else:
-        try:
-            x = np.linalg.solve(np.asarray(a, dtype=float), b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"{what} is singular") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularJacobian(f"{what} gives a solution that is not finite")
-    return x
 
 
 def bordered(a, col: np.ndarray, row: np.ndarray):

@@ -4,9 +4,14 @@ The physical grid is augmented with one internal node per slack carrying the
 ideal source behind its Thevenin admittance.  Eliminating the slack terminals
 and all zero-injection nodes, then switching the resource nodes to hybrid
 parameters, yields a direct relation between internal source voltages,
-resource injections, and resource voltages.  Combining that relation with
-the exact ZIP decomposition of each resource gives, per resource node-phase,
-a quadratic voltage equation whose discriminant-style index
+resource injections, and resource voltages.  reduce_augmented reaches those
+hybrid blocks from one factorization of the physical-node admittance block
+Y_UU, which is invertible for lossy grids, and rejects Y_UU when it is
+singular or too ill-conditioned as seen from the resource nodes.
+
+Combining that relation with the exact ZIP decomposition of each resource
+gives, per resource node-phase, a quadratic voltage equation whose
+discriminant-style index
 
     L = | 1 - b / ((1 + a) V) |  =  | c | / ( |1 + a| |V|^2 )   (at solutions)
 
@@ -21,14 +26,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockMatrix
-from .errors import DegenerateDenominator, ZeroVoltage
-from .grid import GridModel, HybridPartition, assemble_admittance, hybrid_partition, kron_reduce
+from .errors import DegenerateDenominator, SingularInteriorBlock, ZeroVoltage
+from .grid import RCOND_FLOOR, GridModel, HybridPartition, _norm1, assemble_admittance, linear_solver
 from .nodes import ZipTable, slack_interface
-# Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at by name when
-# tracing (`--trace 1`), so the name must stay importable from this module.
+# Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at, kron_reduce
+# and hybrid_partition by name when tracing (`--trace 1`), so the names must
+# stay importable from this module.
+from .grid import hybrid_partition, kron_reduce  # noqa: F401
 from .nodes import pm_zip_at  # noqa: F401
 
 DENOM_TOL = 1e-9
+
+# Right-hand-side columns per SuperLU solve in reduce_augmented: a block of
+# the solution is |U| x 64 complex (0.9 MB at 906 rows), so no |U| x |M|
+# array is formed.  A dense Y_UU is solved in one call, since LAPACK would
+# factor it again for every block.
+_SOLVE_COLUMNS = 64
 
 
 def te_node(slack_node) -> tuple:
@@ -88,18 +101,72 @@ def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
     )
 
 
-def reduce_augmented(aug: AugmentedGrid, grid: GridModel) -> HybridPartition:
-    """Eliminate slack terminals and zero-injection nodes, then switch the
-    resource nodes to hybrid parameters.
+def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
+    """Hybrid parameters of the augmented grid from one factorization of Y_UU.
 
-    The result maps [V_internal; I_resource] to [I_internal; V_resource]:
-    h_mcmc couples internal voltages to source currents, h_mm is the
-    resource-side impedance-like block, and the off blocks carry the source
-    voltages into the resource equations.
+    With U the physical nodes, I the internal source nodes and M the resource
+    nodes, eliminating the slack terminals and zero-injection nodes and then
+    switching M to hybrid parameters gives the blocks of one solve
+    Y_UU X = [Y_UI | E_M], where E_M holds the unit columns of M:
+
+        h_mm  = X[M, E_M]           h_mmc  = -X[M, Y_UI]
+        h_mcm = Y_IU X[:, E_M]      h_mcmc = Y_II - Y_IU X[:, Y_UI]
+
+    The result maps [V_internal; I_resource] to [I_internal; V_resource].
+    Only the rows M and the columns T where Y_IU is nonzero (the slack
+    terminals) of X are kept.  y_uu is Y_UU in the caller's container: by
+    default the dense block of y_prime, solved by LAPACK in one call; a SciPy
+    sparse matrix (PolyphaseSystem passes one on large grids) is factored
+    once by SuperLU and solved in blocks of _SOLVE_COLUMNS columns.
+
+    Raises SingularInteriorBlock when Y_UU is singular, a solved column is
+    not finite, or 1 / (||Y_UU||_1 max_j ||Y_UU^-1 e_j||_1), j in M, is
+    below RCOND_FLOOR: Y_UU is judged through the columns of its inverse
+    that the resource nodes see.
     """
-    eliminate = set(grid.slack_nodes) | set(grid.zero_nodes)
-    reduced = kron_reduce(aug.y_prime, eliminate)
-    return hybrid_partition(reduced, set(aug.resource_nodes))
+    y = aug.y_prime
+    n_int = len(aug.internal_nodes)
+    u0 = n_int * y.p
+    resource = set(aug.resource_nodes)
+    m_nodes = tuple(n for n in y.row_nodes[n_int:] if n in resource)
+    if not m_nodes:
+        raise ValueError("the augmented grid has no resource nodes")
+    mi = y.row_indices(m_nodes) - u0
+    y_iu = y.data[:u0, u0:]
+    y_ui = y.data[u0:, :u0]
+    if y_uu is None:
+        y_uu = y.data[u0:, u0:]
+    ti = np.flatnonzero(np.any(y_iu != 0.0, axis=0))
+
+    k = u0 + mi.size  # columns of [Y_UI | E_M]
+    width = _SOLVE_COLUMNS if hasattr(y_uu, "toarray") else k
+    solve = linear_solver(y_uu, "physical admittance block Y_UU", SingularInteriorBlock)
+    x_m = np.empty((mi.size, k), dtype=complex)
+    x_t = np.empty((ti.size, k), dtype=complex)
+    x_norm = 0.0
+    for lo in range(0, k, width):
+        cols = np.arange(lo, min(lo + width, k))
+        unit = cols >= u0
+        b = np.zeros((y_uu.shape[0], cols.size), dtype=complex)
+        b[:, ~unit] = y_ui[:, cols[~unit]]
+        b[mi[cols[unit] - u0], np.flatnonzero(unit)] = 1.0
+        x = solve(b)
+        x_norm = max(x_norm, float(np.abs(x[:, unit]).sum(axis=0).max(initial=0.0)))
+        x_m[:, cols] = x[mi]
+        x_t[:, cols] = x[ti]
+    if not 1.0 / (_norm1(y_uu) * x_norm) >= RCOND_FLOOR:
+        raise SingularInteriorBlock("Y_UU is numerically singular as seen from the resource nodes")
+
+    y_it = y_iu[:, ti]
+    mc_nodes = y.row_nodes[:n_int]
+    return HybridPartition(
+        m_nodes=m_nodes,
+        mc_nodes=mc_nodes,
+        h_mm=BlockMatrix._adopt(x_m[:, u0:], m_nodes, m_nodes, y.p),
+        h_mmc=BlockMatrix._adopt(-x_m[:, :u0], m_nodes, mc_nodes, y.p),
+        h_mcm=BlockMatrix._adopt(y_it @ x_t[:, u0:], mc_nodes, m_nodes, y.p),
+        h_mcmc=BlockMatrix._adopt(y.data[:u0, :u0] - y_it @ x_t[:, :u0], mc_nodes, mc_nodes, y.p),
+    )
 
 
 @dataclass(frozen=True)

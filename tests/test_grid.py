@@ -35,7 +35,9 @@ Proves:
        I_Mc = h_mcm I_M + h_mcmc V_Mc hold on random grids
   18.  Empty M raises ValueError
   18a. Kron and hybrid reject an exactly singular, a near-singular and a
-       non-finite interior block with SingularInteriorBlock
+       non-finite interior block with SingularInteriorBlock, and so does
+       reduce_augmented, with Y_UU dense or sparse, when the bad block is
+       coupled to the resource nodes
 
  Group 5 - Block addressing
   19.  block / row_slice / row_indices / submatrix agree with raw offsets
@@ -47,6 +49,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from conftest import PASSIVITY_EDGES, random_system
 from polyvsi.blocks import BlockMatrix
@@ -63,6 +66,7 @@ from polyvsi.grid import (
     kron_reduce,
     validate_parameters,
 )
+from polyvsi.vsi import AugmentedGrid, reduce_augmented, te_node
 
 
 # Blocks every condition check must reject: exactly singular, singular up
@@ -368,6 +372,15 @@ def test_interior_block_condition_check(name):
         kron_reduce(y, {2, 3})
     with pytest.raises(SingularInteriorBlock):
         hybrid_partition(y, {2, 3})
+    # The same matrix as an augmented grid: one internal source node, then
+    # the physical block Y_UU = the bad block over a zero node and a
+    # resource node, so M couples to it.
+    nodes = (te_node(1), 2, 3)
+    aug = AugmentedGrid(y_prime=BlockMatrix(data, nodes, nodes, 1), internal_nodes=nodes[:1],
+                        slack_nodes=(), zero_nodes=(2,), resource_nodes=(3,))
+    for y_uu in (None, csc_array(BAD_BLOCKS[name])):
+        with pytest.raises(SingularInteriorBlock):
+            reduce_augmented(aug, y_uu)
 
 
 # -- Group 5 ---------------------------------------------------------------

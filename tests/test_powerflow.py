@@ -29,7 +29,9 @@ Proves:
  Group 4 - System-level
   13.  Benchmark-style overload (xi = 5 flat start) raises NonConvergence
   14.  Constructor rejects missing resources and missing nominal voltages
-  15.  branch_series_currents reproduces ohm's law and the load current
+  15.  branch_series_currents reproduces ohm's law and the load current;
+       a singular series impedance or a non-finite voltage raises
+       SingularBranch
   16.  Parsing with validation and building a system call no SVD (bundled
        feeder, 302-node synthetic feeder); jacobian_svd still does
   17.  The 302-node feeder takes the sparse path, and its power flow agrees
@@ -43,6 +45,7 @@ Proves:
 import importlib
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +56,7 @@ from conftest import fd_jacobian, random_system, two_bus
 from polyvsi import powerflow
 from polyvsi.benchmark import bundled_grid_text
 from polyvsi.grid import GridModel
-from polyvsi.errors import NonConvergence, SingularJacobian
+from polyvsi.errors import NonConvergence, SingularBranch, SingularJacobian
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import pm_power_at
 from polyvsi.powerflow import (
@@ -366,6 +369,13 @@ def test_branch_series_currents():
     assert abs(i_series[0] - (v1 - v2) / branch.z[0, 0]) < 1e-9
     i_load = np.conj(pm_power_at(resources[0], 1, v2) / v2)
     assert abs(i_series[0] + i_load) < 1e-6 * abs(i_load)
+
+    bad_op = OperatingPoint(nodes=op.nodes, p=1, e=np.array([[1000.0], [np.nan]]), theta=op.theta)
+    with pytest.raises(SingularBranch, match="not finite"):
+        system.branch_series_currents(bad_op)
+    system.grid = replace(grid, branches=(replace(branch, z=np.zeros((1, 1))),))
+    with pytest.raises(SingularBranch, match="1-2 series impedance is singular"):
+        system.branch_series_currents(op)
 
 
 def test_setup_calls_no_svd(monkeypatch, synthfeeder):

@@ -8,6 +8,10 @@ Proves:
 
  Group 2 - Reduction closed forms
    3.  Two-bus reduction gives h_mm = z_te + z_line, h_mmc = 1, h_mcmc = 0
+   3a. The system's one-factorization reduction equals stepwise Kron then
+       hybrid to 1e-10 relative in all four blocks (h_mcmc on the scale of
+       Y_II), with the same node orders (random grids p = 1..3, bundled
+       feeder, 302-node synthetic feeder), dense and sparse
 
  Group 3 - Coefficients
    4.  Zero loading collapses a = c = 0 and b = source voltage
@@ -29,8 +33,11 @@ import numpy as np
 import pytest
 
 from conftest import random_system, two_bus
+from polyvsi import powerflow
+from polyvsi.benchmark import build_benchmark
 from polyvsi.errors import DegenerateDenominator, ZeroVoltage
-from polyvsi.grid import assemble_admittance
+from polyvsi.grid import assemble_admittance, hybrid_partition, kron_reduce
+from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import pm_zip_at
 from polyvsi.powerflow import PolyphaseSystem, solve_power_flow
 from polyvsi.vsi import (
@@ -95,12 +102,38 @@ def test_two_bus_reduction_closed_form():
     grid, slacks, _ = two_bus()
     z_tot = grid.branches[0].z[0, 0] + slacks[0].z_te[0, 0]
     aug = build_augmented(grid, slacks)
-    h = reduce_augmented(aug, grid)
+    h = reduce_augmented(aug)
     assert h.m_nodes == (2,)
     assert h.mc_nodes == (te_node(1),)
     assert abs(h.h_mm.data[0, 0] - z_tot) < 1e-12
     assert abs(h.h_mmc.data[0, 0] - 1.0) < 1e-12
     assert abs(h.h_mcmc.data[0, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_reduction_matches_stepwise(sparse, synthfeeder, monkeypatch):
+    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0 if sparse else 10**9)
+    rng = np.random.default_rng(29)
+    cases = [random_system(rng, n_nodes=6, p=p) for p in (1, 2, 3)]
+    cases += [build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 300))]
+    for grid, slacks, resources in cases:
+        system = PolyphaseSystem(grid, slacks, resources)
+        assert system.sparse == sparse
+        assert hasattr(system._y_uu_op, "toarray") == sparse
+        eliminate = set(grid.slack_nodes) | set(grid.zero_nodes)
+        ref = hybrid_partition(kron_reduce(system.aug.y_prime, eliminate), set(grid.resource_nodes))
+        h = system.hybrid
+        assert (h.m_nodes, h.mc_nodes) == (ref.m_nodes, ref.mc_nodes)
+        # h_mcmc = Y_II - Y_IU Y_UU^-1 Y_UI is what the sources see with the
+        # resources open: only the grid's shunts, exactly 0 without any.  Both
+        # paths subtract terms of Y_II's size, so it is compared on that scale.
+        u0 = len(h.mc_nodes) * grid.p
+        y_ii = np.linalg.norm(system.aug.y_prime.data[:u0, :u0])
+        for name in ("h_mm", "h_mmc", "h_mcm", "h_mcmc"):
+            got, want = getattr(h, name), getattr(ref, name)
+            assert (got.row_nodes, got.col_nodes) == (want.row_nodes, want.col_nodes)
+            scale = max(np.linalg.norm(want.data), y_ii if name == "h_mcmc" else 0.0)
+            assert np.linalg.norm(got.data - want.data) <= 1e-10 * scale, name
 
 
 # -- Group 3 ---------------------------------------------------------------
