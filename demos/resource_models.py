@@ -104,7 +104,7 @@ print(f"  v_te magnitudes {np.abs(slack.v_te).round(1)}")
 print(f"  v_te angles     {np.angle(slack.v_te).round(4)}")
 print(f"  z_te diagonal   {slack.z_te[0, 0]:.4f} ohm")
 
-# slack_interface inverts z_te once for the augmented-network stamp
+# slack_interface inverts z_te; the augmented network stamps it as a branch
 y_te, v_te = slack_interface(slack)
 print(f"  y_te z_te = I check: {np.abs(y_te @ slack.z_te - np.eye(3)).max():.2e}")
 

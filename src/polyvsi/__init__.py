@@ -22,6 +22,7 @@ from .errors import (
     AsymmetricParameter,
     BaseCaseDiverged,
     DegenerateDenominator,
+    IncompleteModel,
     MissingData,
     NonConvergence,
     ParseError,

@@ -68,6 +68,10 @@ class BlockMatrix:
     def square(self) -> bool:
         return self.row_nodes == self.col_nodes
 
+    def _flat(self, index: dict, nodes) -> np.ndarray:
+        first = np.array([index[n] for n in nodes], dtype=int).reshape(-1, 1) * self.p
+        return (first + np.arange(self.p)).ravel()
+
     def row_slice(self, node) -> slice:
         i = self._row_index[node]
         return slice(i * self.p, (i + 1) * self.p)
@@ -82,26 +86,16 @@ class BlockMatrix:
 
     def row_indices(self, nodes) -> np.ndarray:
         """Flat row indices covering the given nodes, in the given order."""
-        idx = []
-        for n in nodes:
-            i = self._row_index[n]
-            idx.extend(range(i * self.p, (i + 1) * self.p))
-        return np.asarray(idx, dtype=int)
+        return self._flat(self._row_index, nodes)
 
     def col_indices(self, nodes) -> np.ndarray:
-        idx = []
-        for n in nodes:
-            i = self._col_index[n]
-            idx.extend(range(i * self.p, (i + 1) * self.p))
-        return np.asarray(idx, dtype=int)
+        return self._flat(self._col_index, nodes)
 
     def submatrix(self, row_nodes, col_nodes) -> "BlockMatrix":
         """Extract the sub-blockmatrix over the given node orderings."""
         rows = self.row_indices(row_nodes)
         cols = self.col_indices(col_nodes)
-        sub = self.data[np.ix_(rows, cols)] if len(rows) and len(cols) else np.zeros(
-            (len(rows), len(cols)), dtype=complex
-        )
+        sub = self.data[np.ix_(rows, cols)]
         return BlockMatrix._adopt(sub, tuple(row_nodes), tuple(col_nodes), self.p)
 
     def __eq__(self, other):

@@ -8,7 +8,7 @@ import sys
 
 from . import benchmark, reporting
 from .continuation import CpfConfig, run_cpf
-from .errors import BaseCaseDiverged, ParseError, PolyvsiError, ValidationError
+from .errors import BaseCaseDiverged, IncompleteModel, ParseError, PolyvsiError, ValidationError
 from .gridfile import parse_grid, write_text_atomic
 from .grid import validate_parameters
 from .powerflow import PolyphaseSystem, mismatch, solve_power_flow
@@ -21,11 +21,7 @@ def _load_system(path) -> PolyphaseSystem:
 
 
 def cmd_validate(args) -> int:
-    try:
-        grid, slacks, _ = parse_grid(args.grid, validate=False)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    grid, slacks, _ = parse_grid(args.grid, validate=False)
     violations = validate_parameters(grid)
     for v in violations:
         print(v)
@@ -185,7 +181,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError, IncompleteModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PolyvsiError as exc:

@@ -7,6 +7,10 @@ class PolyvsiError(Exception):
     """Base class for all library-specific errors."""
 
 
+class IncompleteModel(PolyvsiError, ValueError):
+    """Models cannot form a system: no resource node, or a node without vnom."""
+
+
 class SingularBranch(PolyvsiError):
     """A branch series impedance matrix is not invertible."""
 

@@ -362,36 +362,54 @@ def _grid_faults(grid: GridModel, check_inverse: bool) -> list[tuple]:
     return [(rows[k][0], kind, detail) for k, kind, detail in faults]
 
 
-def assemble_admittance(grid: GridModel) -> BlockMatrix:
-    """Compound nodal admittance matrix Y of the grid.
+def admittance_entries(grid: GridModel, sources=()) -> tuple:
+    """(nodes, rows, cols, values): the compound admittance on its block pattern.
 
-    Series contributions follow the incidence structure (generalized by the
-    per-branch transformer gain); branch pi shunts and node shunts add onto
-    the diagonal blocks.  Raises AsymmetricParameter on the first matrix that
-    passivity_faults finds asymmetric, SingularBranch on a singular impedance.
+    nodes are one new node per source branch (its from-node), then the grid's
+    nodes.  The pattern holds each node's diagonal block and both off-diagonal
+    blocks of each branch, parallel branches summed into one block, in
+    row-major block order and row-major within a block.  Branches stamp
+    through branch_stamp, pi shunts and node shunts add onto diagonal blocks;
+    each block sums grid branches, then node shunts, then sources.  Raises
+    AsymmetricParameter on the first grid matrix passivity_faults finds
+    asymmetric, SingularBranch on a singular impedance.
     """
     for element, kind, _ in _grid_faults(grid, check_inverse=False):
         if kind == "asymmetric":
             raise AsymmetricParameter(f"{element} is not symmetric within tolerance {PARAM_TOL}")
     p = grid.p
-    ids = grid.node_ids
-    n = len(ids)
-    sl = {node: slice(i * p, (i + 1) * p) for i, node in enumerate(ids)}
-    y = np.zeros((n * p, n * p), dtype=complex)
-    for b in grid.branches:
-        stamp = branch_stamp(b)
-        f, t = sl[b.from_node], sl[b.to_node]
-        y[f, f] += stamp[:p, :p]
-        y[f, t] += stamp[:p, p:]
-        y[t, f] += stamp[p:, :p]
-        y[t, t] += stamp[p:, p:]
-        if b.y_shunt_from is not None:
-            y[f, f] += b.y_shunt_from
-        if b.y_shunt_to is not None:
-            y[t, t] += b.y_shunt_to
-    for s in grid.shunts:
-        y[sl[s.node], sl[s.node]] += s.y
-    return BlockMatrix._adopt(y, ids, ids, p)
+    nodes = tuple(b.from_node for b in sources) + grid.node_ids
+    at = {node: i for i, node in enumerate(nodes)}
+    if len(at) < len(nodes):
+        raise ValueError("source nodes must be new and distinct")
+
+    def stamp(b):
+        s, f, t = branch_stamp(b), at[b.from_node], at[b.to_node]
+        return [(f, f, s[:p, :p]), (f, t, s[:p, p:]), (t, f, s[p:, :p]), (t, t, s[p:, p:]),
+                (f, f, b.y_shunt_from), (t, t, b.y_shunt_to)]
+
+    terms = [term for b in grid.branches for term in stamp(b)]
+    terms += [(at[s.node], at[s.node], s.y) for s in grid.shunts]
+    terms += [term for b in sources for term in stamp(b)]
+    blocks = {(i, i): np.zeros((p, p), dtype=complex) for i in range(len(nodes))}
+    for i, j, m in terms:
+        if m is not None:
+            blocks[i, j] = blocks.get((i, j), 0.0) + m
+    keys = sorted(blocks)
+    corners = np.array(keys, dtype=int) * p
+    r, c = divmod(np.arange(p * p), p)
+    rows, cols = (corners[:, :1] + r).ravel(), (corners[:, 1:] + c).ravel()
+    return nodes, rows, cols, np.concatenate([blocks[k].ravel() for k in keys])
+
+
+def assemble_admittance(grid: GridModel) -> BlockMatrix:
+    """Compound nodal admittance matrix Y of the grid: the dense view of
+    admittance_entries(grid), whose errors it raises."""
+    ids, rows, cols, values = admittance_entries(grid)
+    n = len(ids) * grid.p
+    y = np.zeros((n, n), dtype=complex)
+    y[rows, cols] = values
+    return BlockMatrix._adopt(y, ids, ids, grid.p)
 
 
 def validate_parameters(grid: GridModel) -> list[Violation]:
@@ -402,6 +420,18 @@ def validate_parameters(grid: GridModel) -> list[Violation]:
     """
     return [Violation(kind, element, detail)
             for element, kind, detail in _grid_faults(grid, check_inverse=True)]
+
+
+def _split_nodes(y: BlockMatrix, subset, name: str) -> tuple:
+    """(nodes in subset, the other nodes) of the square y, both in y's order."""
+    if not y.square:
+        raise ValueError("the stepwise reductions need a square block matrix")
+    unknown = set(subset) - set(y.row_nodes)
+    if unknown:
+        raise ValueError(f"{name} contains unknown nodes {sorted(map(str, unknown))}")
+    inside = set(subset)
+    return (tuple(n for n in y.row_nodes if n in inside),
+            tuple(n for n in y.row_nodes if n not in inside))
 
 
 def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:
@@ -418,17 +448,11 @@ def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:
     reference that vsi.reduce_augmented, which reaches the same blocks from
     one factorization, is tested against.
     """
-    if not y.square:
-        raise ValueError("kron_reduce needs a square block matrix")
-    zero = [n for n in y.row_nodes if n in set(zero_set)]
-    unknown = set(zero_set) - set(y.row_nodes)
-    if unknown:
-        raise ValueError(f"zero_set contains unknown nodes {sorted(map(str, unknown))}")
-    if len(zero) == len(y.row_nodes):
+    zero, keep = _split_nodes(y, zero_set, "zero_set")
+    if not keep:
         raise ValueError("cannot eliminate every node")
     if not zero:
         return y
-    keep = [n for n in y.row_nodes if n not in set(zero)]
     zi = y.row_indices(zero)
     ki = y.row_indices(keep)
     yzz_inv, rc = _inverse(y.data[np.ix_(zi, zi)])
@@ -438,7 +462,7 @@ def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:
     yzc = y.data[np.ix_(zi, ki)]
     ycc = y.data[np.ix_(ki, ki)]
     reduced = ycc - ycz @ (yzz_inv @ yzc)
-    return BlockMatrix._adopt(reduced, tuple(keep), tuple(keep), y.p)
+    return BlockMatrix._adopt(reduced, keep, keep, y.p)
 
 
 @dataclass(frozen=True)
@@ -471,15 +495,9 @@ def hybrid_partition(y: BlockMatrix, m_set) -> HybridPartition:
     Inverts Y_MM densely: the paper's stepwise algebra, kept as the
     reference for vsi.reduce_augmented like kron_reduce.
     """
-    if not y.square:
-        raise ValueError("hybrid_partition needs a square block matrix")
-    m = [n for n in y.row_nodes if n in set(m_set)]
-    unknown = set(m_set) - set(y.row_nodes)
-    if unknown:
-        raise ValueError(f"m_set contains unknown nodes {sorted(map(str, unknown))}")
+    m, mc = _split_nodes(y, m_set, "m_set")
     if not m:
         raise ValueError("m_set must be nonempty")
-    mc = [n for n in y.row_nodes if n not in set(m_set)]
     mi = y.row_indices(m)
     ci = y.row_indices(mc)
     h_mm, rc = _inverse(y.data[np.ix_(mi, mi)])
@@ -489,8 +507,6 @@ def hybrid_partition(y: BlockMatrix, m_set) -> HybridPartition:
     h_mmc = -h_mm @ ymmc
     h_mcm = y.data[np.ix_(ci, mi)] @ h_mm
     h_mcmc = y.data[np.ix_(ci, ci)] - h_mcm @ ymmc
-    m = tuple(m)
-    mc = tuple(mc)
     return HybridPartition(
         m_nodes=m,
         mc_nodes=mc,

@@ -44,15 +44,22 @@ def zip_from_values(alpha: float, beta: float, gamma: float) -> ZipCoefficients:
         return ZipCoefficients.from_table(alpha, beta, gamma)
 
 
-def resource_from_catalog(node, kind: str, v0_kv: float, p0_kw, q0_kvar, zre, zim) -> ResourceModel:
-    """Resource from catalog units (kV, kW, kvar), one ZIP pair for all phases."""
+def resource_from_values(node, kind: str, v0: float, p0, q0, zre, zim,
+                         lam: float = 1.0) -> ResourceModel:
+    """Resource from SI values (V, W, var), one ZIP pair for all phases."""
     zip_re = zip_from_values(*zre)
     zip_im = zip_from_values(*zim)
     phases = tuple(
-        PhaseResource(p0=p * 1e3, q0=q * 1e3, zip_re=zip_re, zip_im=zip_im)
-        for p, q in zip(p0_kw, q0_kvar, strict=True)
+        PhaseResource(p0=pw, q0=qv, zip_re=zip_re, zip_im=zip_im)
+        for pw, qv in zip(p0, q0, strict=True)
     )
-    return ResourceModel(node=node, v0=v0_kv * 1e3, phases=phases, kind=kind)
+    return ResourceModel(node=node, v0=v0, phases=phases, kind=kind, lam=lam)
+
+
+def resource_from_catalog(node, kind: str, v0_kv: float, p0_kw, q0_kvar, zre, zim) -> ResourceModel:
+    """Resource from catalog units (kV, kW, kvar), one ZIP pair for all phases."""
+    return resource_from_values(node, kind, v0_kv * 1e3, [p * 1e3 for p in p0_kw],
+                                [q * 1e3 for q in q0_kvar], zre, zim)
 
 
 def transformer_from_catalog(label, from_node, to_node, s_mva: float, v_from_kv: float,
@@ -358,25 +365,15 @@ def _parse_resource_row(t, p, ln) -> ResourceModel:
         w = widths[key]
         fields[key] = _floats(t[i + 1 : i + 1 + w], w, ln)
         i += 1 + w
+    si = {}
     for a, b in (("v0", "v0_kv"), ("p0", "p0_kw"), ("q0", "q0_kvar")):
         if (a in fields) == (b in fields):
             raise ParseError(f"resource row needs exactly one of {a!r}/{b!r}", ln)
+        si[a] = fields[a] if a in fields else [x * 1e3 for x in fields[b]]  # kV, kW, kvar
     if "zip_re" not in fields or "zip_im" not in fields:
         raise ParseError("resource row needs zip_re and zip_im triples", ln)
-    lam = fields.get("lam", [1.0])[0]
-    if "v0_kv" in fields:
-        model = resource_from_catalog(
-            node, kind, fields["v0_kv"][0], fields["p0_kw"], fields["q0_kvar"],
-            fields["zip_re"], fields["zip_im"],
-        )
-        return model.with_lam(lam)
-    zip_re = zip_from_values(*fields["zip_re"])
-    zip_im = zip_from_values(*fields["zip_im"])
-    phases = tuple(
-        PhaseResource(p0=pw, q0=qv, zip_re=zip_re, zip_im=zip_im)
-        for pw, qv in zip(fields["p0"], fields["q0"], strict=True)
-    )
-    return ResourceModel(node=node, v0=fields["v0"][0], phases=phases, kind=kind, lam=lam)
+    return resource_from_values(node, kind, si["v0"][0], si["p0"], si["q0"], fields["zip_re"],
+                                fields["zip_im"], lam=fields.get("lam", [1.0])[0])
 
 
 def _assemble_model(nodes, branches, shunts, slacks, resources, p) -> GridModel:

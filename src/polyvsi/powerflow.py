@@ -7,15 +7,15 @@ minus the resource model power (zero at slack terminals and zero-injection
 nodes).  Magnitudes are normalized by nominal voltage and powers by a common
 base so one tolerance applies across voltage levels.
 
-The Jacobian is analytic and is evaluated only on the nonzero pattern of the
-admittance, which the grid topology gives.  Below SPARSE_MIN_STATES states it
-is a dense array solved by LAPACK; from there on it is a SciPy CSC matrix
-factored by SuperLU.  The physical admittance block Y_uu follows the same
-rule: the hybrid reduction factors it, and the residual multiplies by it, in
-the system's container.  SciPy is imported only on that sparse path, so
-small systems never pay its import.  Newton iteration checks convergence
-before each correction, so a point that already satisfies the tolerance is
-returned untouched.
+The Jacobian is analytic and is evaluated only on the block pattern of the
+admittance, which grid.admittance_entries stamps from the topology.  Below
+SPARSE_MIN_STATES states it is a dense array solved by LAPACK; from there on
+it is a SciPy CSC matrix factored by SuperLU.  The physical admittance block
+Y_uu follows the same rule: the hybrid reduction factors it, and the
+residual multiplies by it, in the system's container.  SciPy is imported
+only on that sparse path, so small systems never pay its import.  Newton
+iteration checks convergence before each correction, so a point that
+already satisfies the tolerance is returned untouched.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence, SingularBranch, SingularJacobian
+from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian
 from .grid import GridModel, solve_linear
 from .nodes import ZipTable
 from .vsi import build_augmented, evaluate_vsi, reduce_augmented
@@ -144,19 +144,16 @@ class PolyphaseSystem:
             raise ValueError("resource models must match the grid's resource nodes")
         missing = [n.id for n in grid.nodes if n.vnom is None]
         if missing:
-            raise ValueError(f"nodes without nominal voltage: {missing}")
+            raise IncompleteModel(f"nodes without nominal voltage: {missing}")
 
         self.aug = build_augmented(grid, self.slacks)
-        self._y = self.aug.y_prime.data
         p = self.p
-        n_int = len(self.aug.internal_nodes)
         self.unknown_nodes = grid.node_ids
-        self.n_unknown = len(self.unknown_nodes) * p
-
-        self._v_fixed = np.concatenate([s.v_te for s in self.slacks]) if n_int else np.zeros(0, complex)
-        u0 = n_int * p
-        self._y_uu = self._y[u0:, u0:]
-        self._i_from_fixed = self._y[u0:, :u0] @ self._v_fixed
+        nu = self.n_unknown = len(self.unknown_nodes) * p
+        u0 = len(self.aug.internal_nodes) * p
+        src, u = slice(0, u0), slice(u0, None)
+        v_fixed = np.concatenate([s.v_te for s in self.slacks]) if u0 else np.zeros(0, complex)
+        self._i_from_fixed = self.aug.dense(u, src) @ v_fixed
 
         self.e_nom = np.repeat([n.vnom for n in grid.nodes], p)
 
@@ -169,33 +166,23 @@ class PolyphaseSystem:
         self._res = np.array([flat[r.node] + q for r in self.resources for q in range(p)], dtype=int)
         self._dlam = self._zip.load.astype(float)  # d lam / d xi per row
 
-        # Nonzero pattern of Y_uu from the topology: each node's diagonal
-        # block and both off-diagonal blocks of each branch, parallel
-        # branches once, listed block by block in row-major order.
-        pairs = {(i, i) for i in range(len(self.unknown_nodes))}
-        for b in grid.branches:
-            f, t = order[b.from_node], order[b.to_node]
-            pairs.update(((f, t), (t, f)))
-        corners = np.array(sorted(pairs)) * p
-        q = np.arange(p * p)
-        self._rows = (corners[:, :1] + q // p).ravel()
-        self._cols = (corners[:, 1:] + q % p).ravel()
-        self._y_pattern = self._y_uu[self._rows, self._cols]
-        # Positions of the (k, k) entries, k ascending, in each of the four
-        # quadrant runs of jacobian_x's value vector.
+        # Y_uu on the augmented admittance's block pattern.  Positions of the
+        # (k, k) entries, k ascending, in each of the four quadrant runs of
+        # jacobian_x's value vector.
+        self._rows, self._cols, self._y_pattern, _ = self.aug.entries(u, u)
         m = self._rows.size
         on_diag = np.flatnonzero(self._rows == self._cols)
         self._jac_diag = np.concatenate([on_diag + k * m for k in range(4)])
-        nu = self.n_unknown
         self._jac_rows = np.concatenate([self._rows, self._rows + nu] * 2)
         self._jac_cols = np.concatenate([self._cols, self._cols, self._cols + nu, self._cols + nu])
         self.sparse = 2 * nu >= SPARSE_MIN_STATES
         # Y_uu in the system's container, for the residual and the reduction.
-        self._y_uu_op = self._y_uu
         if self.sparse:
             from scipy.sparse import csc_array
 
             self._y_uu_op = csc_array((self._y_pattern, (self._rows, self._cols)), shape=(nu, nu))
+        else:
+            self._y_uu_op = self.aug.dense(u, u)
         self.hybrid = reduce_augmented(self.aug, self._y_uu_op)
 
     # -- state packing ---------------------------------------------------

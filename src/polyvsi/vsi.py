@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockMatrix
-from .errors import DegenerateDenominator, SingularInteriorBlock, ZeroVoltage
-from .grid import RCOND_FLOOR, GridModel, HybridPartition, _norm1, assemble_admittance, linear_solver
+from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
+from .grid import (RCOND_FLOOR, Branch, GridModel, HybridPartition, _norm1, admittance_entries,
+                   linear_solver)
 from .nodes import ZipTable, slack_interface
-# Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at, kron_reduce
-# and hybrid_partition by name when tracing (`--trace 1`), so the names must
-# stay importable from this module.
-from .grid import hybrid_partition, kron_reduce  # noqa: F401
+# Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
+# assemble_admittance, kron_reduce and hybrid_partition by name when tracing
+# (`--trace 1`), so the names must stay importable from this module.
+from .grid import assemble_admittance, hybrid_partition, kron_reduce  # noqa: F401
 from .nodes import pm_zip_at  # noqa: F401
 
 DENOM_TOL = 1e-9
@@ -51,24 +52,45 @@ def te_node(slack_node) -> tuple:
 
 @dataclass(frozen=True)
 class AugmentedGrid:
-    """Admittance of the grid extended with internal Thevenin source nodes.
+    """Admittance Y' of the grid extended with internal Thevenin source nodes.
 
-    y_prime is square over internal nodes (first) followed by the physical
-    nodes in grid order.  The slack terminals become zero-injection nodes of
-    the augmented system; injections appear only at internal and resource
-    nodes.
+    Y' is held as grid.admittance_entries gives it, over the internal nodes
+    and then the physical nodes.  The slack terminals become zero-injection
+    nodes; injections appear only at internal and resource nodes.
     """
 
-    y_prime: BlockMatrix
+    nodes: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    p: int
     internal_nodes: tuple
-    slack_nodes: tuple
-    zero_nodes: tuple
     resource_nodes: tuple
+
+    def entries(self, rows: slice, cols: slice) -> tuple:
+        """(rows, cols, values, shape) of Y' in the flat index ranges rows x
+        cols: indices relative to the ranges' starts, in pattern order."""
+        n = len(self.nodes) * self.p
+        (r0, r1, _), (c0, c1, _) = rows.indices(n), cols.indices(n)
+        keep = (self.rows >= r0) & (self.rows < r1) & (self.cols >= c0) & (self.cols < c1)
+        return self.rows[keep] - r0, self.cols[keep] - c0, self.values[keep], (r1 - r0, c1 - c0)
+
+    def dense(self, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+        """Y' over the flat index ranges rows x cols as a dense array."""
+        r, c, v, shape = self.entries(rows, cols)
+        out = np.zeros(shape, dtype=complex)
+        out[r, c] = v
+        return out
+
+    @property
+    def y_prime(self) -> BlockMatrix:
+        """Y' as a read-only dense BlockMatrix, built on each access."""
+        return BlockMatrix._adopt(self.dense(), self.nodes, self.nodes, self.p)
 
 
 def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
-    """Stamp each slack's Thevenin admittance between a new internal node
-    and its terminal on top of the assembled grid admittance."""
+    """The grid's admittance with each slack's Thevenin admittance as a
+    gain-1 branch from a new internal node to its terminal."""
     slacks = list(slacks)
     slack_ids = [s.node for s in slacks]
     if set(slack_ids) != set(grid.slack_nodes) or len(slack_ids) != len(set(slack_ids)):
@@ -76,29 +98,10 @@ def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
     for s in slacks:
         if s.p != grid.p:
             raise ValueError(f"slack {s.node} phase count differs from grid")
-    y = assemble_admittance(grid)
-    p = grid.p
-    internal = tuple(te_node(s.node) for s in slacks)
-    order = internal + y.row_nodes
-    n = len(order) * p
-    data = np.zeros((n, n), dtype=complex)
-    phys = len(internal) * p
-    data[phys:, phys:] = y.data
-    at = {node: slice(i * p, (i + 1) * p) for i, node in enumerate(order)}
-    for s in slacks:
-        y_te, _ = slack_interface(s)
-        ii, tt = at[te_node(s.node)], at[s.node]
-        data[ii, ii] += y_te
-        data[ii, tt] -= y_te
-        data[tt, ii] -= y_te
-        data[tt, tt] += y_te
-    return AugmentedGrid(
-        y_prime=BlockMatrix._adopt(data, order, order, p),
-        internal_nodes=internal,
-        slack_nodes=tuple(grid.slack_nodes),
-        zero_nodes=tuple(grid.zero_nodes),
-        resource_nodes=tuple(grid.resource_nodes),
-    )
+        slack_interface(s)  # SingularThevenin before the stamp's SingularBranch
+    entries = admittance_entries(grid, [Branch(te_node(s.node), s.node, s.z_te) for s in slacks])
+    return AugmentedGrid(*entries, p=grid.p, internal_nodes=entries[0][: len(slacks)],
+                         resource_nodes=grid.resource_nodes)
 
 
 def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
@@ -115,27 +118,29 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
     The result maps [V_internal; I_resource] to [I_internal; V_resource].
     Only the rows M and the columns T where Y_IU is nonzero (the slack
     terminals) of X are kept.  y_uu is Y_UU in the caller's container: by
-    default the dense block of y_prime, solved by LAPACK in one call; a SciPy
-    sparse matrix (PolyphaseSystem passes one on large grids) is factored
-    once by SuperLU and solved in blocks of _SOLVE_COLUMNS columns.
+    default a dense array of aug's entries, solved by LAPACK in one call; a
+    SciPy sparse matrix (PolyphaseSystem passes one on large grids) is
+    factored once by SuperLU and solved in blocks of _SOLVE_COLUMNS columns.
 
     Raises SingularInteriorBlock when Y_UU is singular, a solved column is
     not finite, or 1 / (||Y_UU||_1 max_j ||Y_UU^-1 e_j||_1), j in M, is
     below RCOND_FLOOR: Y_UU is judged through the columns of its inverse
     that the resource nodes see.
     """
-    y = aug.y_prime
+    p = aug.p
     n_int = len(aug.internal_nodes)
-    u0 = n_int * y.p
+    u0 = n_int * p
     resource = set(aug.resource_nodes)
-    m_nodes = tuple(n for n in y.row_nodes[n_int:] if n in resource)
+    phys = aug.nodes[n_int:]
+    m_nodes = tuple(n for n in phys if n in resource)
     if not m_nodes:
-        raise ValueError("the augmented grid has no resource nodes")
-    mi = y.row_indices(m_nodes) - u0
-    y_iu = y.data[:u0, u0:]
-    y_ui = y.data[u0:, :u0]
+        raise IncompleteModel("the augmented grid has no resource nodes")
+    mi = np.flatnonzero(np.repeat([n in resource for n in phys], p))
+    src, u = slice(0, u0), slice(u0, None)
+    y_iu = aug.dense(src, u)
+    y_ui = aug.dense(u, src)
     if y_uu is None:
-        y_uu = y.data[u0:, u0:]
+        y_uu = aug.dense(u, u)
     ti = np.flatnonzero(np.any(y_iu != 0.0, axis=0))
 
     k = u0 + mi.size  # columns of [Y_UI | E_M]
@@ -158,14 +163,14 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
         raise SingularInteriorBlock("Y_UU is numerically singular as seen from the resource nodes")
 
     y_it = y_iu[:, ti]
-    mc_nodes = y.row_nodes[:n_int]
+    mc_nodes = aug.internal_nodes
     return HybridPartition(
         m_nodes=m_nodes,
         mc_nodes=mc_nodes,
-        h_mm=BlockMatrix._adopt(x_m[:, u0:], m_nodes, m_nodes, y.p),
-        h_mmc=BlockMatrix._adopt(-x_m[:, :u0], m_nodes, mc_nodes, y.p),
-        h_mcm=BlockMatrix._adopt(y_it @ x_t[:, u0:], mc_nodes, m_nodes, y.p),
-        h_mcmc=BlockMatrix._adopt(y.data[:u0, :u0] - y_it @ x_t[:, :u0], mc_nodes, mc_nodes, y.p),
+        h_mm=BlockMatrix._adopt(x_m[:, u0:], m_nodes, m_nodes, p),
+        h_mmc=BlockMatrix._adopt(-x_m[:, :u0], m_nodes, mc_nodes, p),
+        h_mcm=BlockMatrix._adopt(y_it @ x_t[:, u0:], mc_nodes, m_nodes, p),
+        h_mcmc=BlockMatrix._adopt(aug.dense(src, src) - y_it @ x_t[:, :u0], mc_nodes, mc_nodes, p),
     )
 
 

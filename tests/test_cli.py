@@ -10,6 +10,8 @@ Proves:
        feeder: validate and cpf both exit 2
    3b. Zero tap, self-loop, non-positive or non-finite ratings and lengths,
        and a non-finite config entry: validate and cpf exit 2 naming the line
+   3c. Models that parse but cannot form a system (no resource node, a node
+       without nominal voltage): pf, cpf and vsi exit 2 with one line
 
  Group 2 - pf
    4.  Solves and writes --out / --voltages CSVs, exit 0
@@ -37,6 +39,7 @@ Proves:
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +47,7 @@ import pytest
 from conftest import two_bus
 from polyvsi import benchmark
 from polyvsi.cli import build_parser, main
+from polyvsi.grid import Node
 from polyvsi.gridfile import parse_grid, serialize_grid
 from polyvsi.powerflow import PolyphaseSystem, solve_power_flow
 
@@ -133,6 +137,35 @@ def test_malformed_catalog_rows_exit_two(tmp_path, capsys):
         assert f"line {lineno}:" in capsys.readouterr().err, new
         assert main(["cpf", str(path)]) == 2, new
         assert f"line {lineno}:" in capsys.readouterr().err, new
+
+
+def _system_commands_exit_two(path, tmp_path, capsys, message):
+    """pf, cpf and vsi each exit 2 with the one-line message on stderr."""
+    snap = tmp_path / "snap.csv"
+    for argv in (["pf"], ["cpf"], ["vsi", "--voltages", str(snap)]):
+        capsys.readouterr()
+        assert main([argv[0], str(path), *argv[1:]]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, (argv[0], err)
+
+
+def test_grid_without_resources_exits_two(tmp_path, capsys):
+    grid, slacks, _ = two_bus()
+    grid = replace(grid, nodes=(grid.nodes[0], Node(2, "zero", vnom=grid.nodes[1].vnom)))
+    path = tmp_path / "no_resources.grid"
+    serialize_grid(grid, slacks, [], path=path)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("ok")
+    _system_commands_exit_two(path, tmp_path, capsys, "the augmented grid has no resource nodes")
+
+
+def test_node_without_nominal_voltage_exits_two(tmp_path, capsys):
+    grid, slacks, resources = two_bus()
+    grid = replace(grid, nodes=(grid.nodes[0], replace(grid.nodes[1], vnom=None)))
+    path = tmp_path / "no_vnom.grid"
+    serialize_grid(grid, slacks, resources, path=path)
+    assert "\n2 resource -\n" in path.read_text()
+    _system_commands_exit_two(path, tmp_path, capsys, "nodes without nominal voltage")
 
 
 # -- Group 2 ---------------------------------------------------------------

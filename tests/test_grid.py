@@ -376,8 +376,9 @@ def test_interior_block_condition_check(name):
     # the physical block Y_UU = the bad block over a zero node and a
     # resource node, so M couples to it.
     nodes = (te_node(1), 2, 3)
-    aug = AugmentedGrid(y_prime=BlockMatrix(data, nodes, nodes, 1), internal_nodes=nodes[:1],
-                        slack_nodes=(), zero_nodes=(2,), resource_nodes=(3,))
+    rows, cols = np.indices(data.shape).reshape(2, -1)
+    aug = AugmentedGrid(nodes=nodes, p=1, rows=rows, cols=cols, values=data.ravel(),
+                        internal_nodes=nodes[:1], resource_nodes=(3,))
     for y_uu in (None, csc_array(BAD_BLOCKS[name])):
         with pytest.raises(SingularInteriorBlock):
             reduce_augmented(aug, y_uu)

@@ -26,6 +26,8 @@ Proves:
    7.  serialize(parse(serialize(x))) is textually stable
    8.  zip_from_values passes exact triples through and renormalizes
        rounded ones
+   9.  Resource rows mixing SI and catalog units parse to the all-catalog
+       row's model and serialize to the same text
 """
 
 import numpy as np
@@ -284,6 +286,23 @@ def test_serialize_textually_stable():
     text = serialize_grid(grid, slacks, resources)
     again = serialize_grid(*parse_grid_text(text))
     assert again == text
+
+
+def test_mixed_unit_resource_rows():
+    row = next(ln for ln in CATALOG.splitlines() if ln.startswith("3 load "))
+    mixes = [
+        row.replace("p0_kw -60.0 -50.0 -40.0", "p0 -60000.0 -50000.0 -40000.0"),
+        row.replace("v0_kv 14.376", "v0 14376.0")
+        .replace("q0_kvar -30.0 -25.0 -20.0", "q0 -30000.0 -25000.0 -20000.0"),
+    ]
+    ref = parse_grid_text(CATALOG)
+    text = serialize_grid(*ref)
+    assert serialize_grid(*parse_grid_text(text)) == text
+    for mixed in mixes:
+        assert mixed != row
+        models = parse_grid_text(CATALOG.replace(row, mixed))
+        assert models[2] == ref[2], mixed
+        assert serialize_grid(*models) == text, mixed
 
 
 def test_zip_from_values():

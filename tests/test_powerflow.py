@@ -36,6 +36,8 @@ Proves:
        feeder, 302-node synthetic feeder); jacobian_svd still does
   17.  The 302-node feeder takes the sparse path, and its power flow agrees
        with the forced-dense one in x and iteration count
+  17a. Building that sparse system peaks below one dense n_unknown^2
+       complex array (tracemalloc): no dense admittance is formed
   18.  Parsing, building and tracing the two small CPF inputs with SVD
        never imports scipy (fresh interpreter)
   19.  Every library attribute the benchmark's layer tracer wraps by name
@@ -45,6 +47,7 @@ Proves:
 import importlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,6 +186,12 @@ def test_solution_certificate():
         done += 1
 
 
+def _y_uu(system):
+    """The physical-node block of the augmented admittance, dense."""
+    u0 = len(system.aug.internal_nodes) * system.p
+    return system.aug.y_prime.data[u0:, u0:]
+
+
 def dense_jacobian_x(system, x, xi):
     """Reference state Jacobian built from full-size complex temporaries.
 
@@ -192,10 +201,11 @@ def dense_jacobian_x(system, x, xi):
     """
     e, theta, v, i_u = system._split(x)
     unit = np.exp(1j * theta)
-    m = v[:, None] * np.conj(system._y_uu * v[None, :])
+    y_uu = _y_uu(system)
+    m = v[:, None] * np.conj(y_uu * v[None, :])
     ds_dth = -1j * m
     np.fill_diagonal(ds_dth, ds_dth.diagonal() + 1j * v * np.conj(i_u))
-    ds_de = v[:, None] * np.conj(system._y_uu * unit[None, :])
+    ds_de = v[:, None] * np.conj(y_uu * unit[None, :])
     np.fill_diagonal(ds_de, ds_de.diagonal() + unit * np.conj(i_u))
     dp_de, dq_de = system._zip.power_de(e[system._res], system._lam(xi))
     j_pe = ds_de.real
@@ -267,9 +277,10 @@ def test_topology_pattern_covers_admittance(bench_system, synthfeeder, monkeypat
     for system in systems:
         rows, cols = system._rows, system._cols
         assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
-        covered = np.zeros(system._y_uu.shape, dtype=bool)
+        y_uu = _y_uu(system)
+        covered = np.zeros(y_uu.shape, dtype=bool)
         covered[rows, cols] = True
-        assert np.all(system._y_uu[~covered] == 0.0)
+        assert np.all(y_uu[~covered] == 0.0)
     # Parallel branches add their admittances once into one pattern entry.
     x = parallel.flat_start()
     j_ref = dense_jacobian_x(parallel, x, 1.0)
@@ -407,6 +418,21 @@ def test_large_feeder_sparse_matches_dense(synthfeeder, monkeypatch):
     _, res_d = solve_power_flow(dense, xi=1.0)
     assert res_s.iterations == res_d.iterations
     assert np.abs(res_s.x - res_d.x).max() <= 1e-10
+
+
+def test_sparse_build_forms_no_dense_admittance(synthfeeder):
+    import scipy.sparse.linalg  # noqa: F401  (the import is not the build's memory)
+
+    parsed = parse_grid_text(synthfeeder.feeder_text(0, 300))
+    tracemalloc.start()
+    try:
+        system = PolyphaseSystem(*parsed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = np.dtype(complex).itemsize * system.n_unknown ** 2
+    assert system.sparse
+    assert peak < dense_bytes, f"build peak {peak / 2**20:.1f} MiB >= {dense_bytes / 2**20:.1f} MiB"
 
 
 def test_small_systems_never_import_scipy():

@@ -4,7 +4,8 @@ Stability index pipeline: augmentation, reduction, coefficients, indices.
 Proves:
  Group 1 - Augmented grid
    1.  Thevenin stamp pattern on a two-node feeder is exact
-   2.  Slack set / phase count mismatches raise ValueError
+   2.  Slack set / phase count mismatches and a grid node that reuses a
+       source node's id raise ValueError
 
  Group 2 - Reduction closed forms
    3.  Two-bus reduction gives h_mm = z_te + z_line, h_mmc = 1, h_mcmc = 0
@@ -93,6 +94,10 @@ def test_augmented_mismatch_raises():
                   z_te=0.5 * np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         build_augmented(grid, [bad])
+    clash = replace(grid, nodes=(grid.nodes[0], replace(grid.nodes[1], id=te_node(1))),
+                    branches=(replace(grid.branches[0], to_node=te_node(1)),))
+    with pytest.raises(ValueError):
+        build_augmented(clash, slacks)
 
 
 # -- Group 2 ---------------------------------------------------------------
