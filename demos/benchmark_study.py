@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from polyvsi import PolyphaseSystem, evaluate_vsi, mismatch, run_cpf, solve_power_flow
+from polyvsi import PolyphaseSystem, mismatch, run_cpf, solve_power_flow
 from polyvsi.benchmark import build_benchmark
 from polyvsi.reporting import write_snapshot_csv, write_trace_csv
 
@@ -34,7 +34,7 @@ mis = mismatch(system, op)
 print(f"\nbase case: converged in {res.iterations} iterations,")
 print(f"  worst power mismatch {max(np.abs(mis.dp).max(), np.abs(mis.dq).max()):.2e} VA")
 
-base = evaluate_vsi(system.hybrid, slacks, system.resources_at(1.0), op)
+base = system.vsi_at(res.x, 1.0)
 print(f"  L_global = {base.global_value:.4f} at {base.critical}")
 print("  five largest local indices:")
 for (node, phase), val in sorted(base.local.items(), key=lambda kv: -kv[1])[:5]:

@@ -12,7 +12,6 @@ from .errors import BaseCaseDiverged, IncompleteModel, ParseError, PolyvsiError,
 from .gridfile import parse_grid, write_text_atomic
 from .grid import validate_parameters
 from .powerflow import PolyphaseSystem, mismatch, solve_power_flow
-from .vsi import evaluate_vsi
 
 
 def _load_system(path) -> PolyphaseSystem:
@@ -87,7 +86,7 @@ def cmd_vsi(args) -> int:
     system = _load_system(args.grid)
     values = reporting.read_snapshot_csv(args.voltages)
     op = reporting.snapshot_to_point(values, system, args.xi)
-    result = evaluate_vsi(system.hybrid, system.slacks, system.resources_at(args.xi), op)
+    result = system.vsi_at(system.pack(op), args.xi)
     node, phase = result.critical
     print(f"L_global = {result.global_value:.6f} at node {node} phase {phase} (xi = {args.xi})")
     if args.out:

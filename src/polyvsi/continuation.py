@@ -1,14 +1,25 @@
 """Homotopy continuation of the power-flow manifold up to the fold.
 
-The loading factor xi scales every load resource (compensators stay at
-lam = 1).  From a converged base case the tracer alternates a tangent
+The loading factor xi scales every load resource's own lam (compensators
+keep theirs).  From a converged base case the tracer alternates a tangent
 predictor with a pseudo-arclength corrector: the predictor solves
 D_x f dx = -D_xi f and steps sigma along the normalized tangent, the
 corrector solves f = 0 together with a sphere constraint centered on the
 last accepted point.  A corrected point with nonincreasing xi is evidence
 the step wrapped around the fold; the step is halved and retried from the
-same anchor so the accepted samples keep strictly increasing xi and the
-last one brackets the fold tightly.
+same anchor.
+
+Guaranteed: accepted samples solve f = 0 at strictly increasing xi, so
+xi_max is a lower bound on the fold's loading.  fold-detected means the
+Jacobian at the last sample is singular, or a corrector regressed and
+every halved retry from the last sample (at most MAX_HALVINGS, none below
+sigma * SIGMA_MIN_RATIO) failed to reach a higher xi: the fold is
+bracketed between xi_max and that last step.  Not guaranteed: that the
+samples stay on the upper branch.  The tangent is always oriented toward
++xi, so near the nose the samples can alternate across it and the final
+sample may lie on the lower branch.  On the bundled feeder det J_x
+changes sign at each of samples 43 to 49, and the final one is on the
+lower branch.
 
 Works on any problem exposing residual(x, xi), jacobian_x(x, xi) and
 jacobian_xi(x, xi); PolyphaseSystem adds the hooks used to enrich samples
@@ -73,7 +84,8 @@ class CpfSample:
 @dataclass
 class CpfTrace:
     """Accepted samples in order of strictly increasing xi, the termination
-    reason, and a log of retry events."""
+    reason, and a log of retry events.  xi_max, the last sample's xi, bounds
+    the fold from below; final may lie past the nose."""
 
     samples: list = field(default_factory=list)
     termination: str = ""

@@ -403,12 +403,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _pair_row(keyword: str, row: np.ndarray) -> str:
-    parts = [keyword]
-    for v in row:
-        parts.append(_fmt(v.real))
-        parts.append(_fmt(v.imag))
-    return " ".join(parts)
+def _pair_rows(keyword: str, m: np.ndarray) -> list:
+    """One `keyword re im re im ...` row per row of m."""
+    return [" ".join([keyword] + [_fmt(x) for v in row for x in (v.real, v.imag)]) for row in m]
 
 
 def serialize_grid(grid: GridModel, slacks, resources, path=None) -> str:
@@ -426,35 +423,19 @@ def serialize_grid(grid: GridModel, slacks, resources, path=None) -> str:
     out.append("")
     for b in grid.branches:
         out.append(f"branch {b.from_node} {b.to_node}")
-        for row in b.z:
-            out.append(_pair_row("z", row))
-        if b.y_shunt_from is not None:
-            for row in b.y_shunt_from:
-                out.append(_pair_row("yfrom", row))
-        if b.y_shunt_to is not None:
-            for row in b.y_shunt_to:
-                out.append(_pair_row("yto", row))
+        for keyword, m in (("z", b.z), ("yfrom", b.y_shunt_from), ("yto", b.y_shunt_to)):
+            out += _pair_rows(keyword, m) if m is not None else []
         if b.gain != 1.0:
             out.append(f"gain {_fmt(b.gain)}")
         if b.rated_a is not None:
             out.append(f"rated {_fmt(b.rated_a)}")
         if b.label is not None:
             out.append(f"label {b.label}")
-        out.append("end")
-        out.append("")
+        out += ["end", ""]
     for s in grid.shunts:
-        out.append(f"shunt {s.node}")
-        for row in s.y:
-            out.append(_pair_row("y", row))
-        out.append("end")
-        out.append("")
+        out += [f"shunt {s.node}", *_pair_rows("y", s.y), "end", ""]
     for s in slacks:
-        out.append(f"slack {s.node}")
-        for row in s.z_te:
-            out.append(_pair_row("zrow", row))
-        out.append(_pair_row("vrow", s.v_te))
-        out.append("end")
-        out.append("")
+        out += [f"slack {s.node}", *_pair_rows("zrow", s.z_te), *_pair_rows("vrow", [s.v_te]), "end", ""]
     out.append("resources")
     for r in resources:
         ph0 = r.phases[0]

@@ -133,9 +133,9 @@ class ZipTable:
     beta, gamma) triples as n x 3 arrays; load marks the rows that scale with
     the loading factor (compensators do not).  The power law, its voltage
     derivative and the admittance/current/power split are written here once;
-    pm_power_at and pm_zip_at are their scalar references.  power and
-    power_de take the loading factors as an argument so a system can drive
-    them along its trajectory; split uses the rows' own lam.
+    pm_power_at and pm_zip_at are their scalar references.  All three take
+    the loading factors as an argument so a system can drive them along its
+    trajectory; lam holds the models' own factors.
     """
 
     v0: np.ndarray
@@ -175,10 +175,11 @@ class ZipTable:
         dq = lam * self.q0 * (2.0 * self.zip_im[:, 0] * u + self.zip_im[:, 1]) / self.v0
         return dp, dq
 
-    def split(self, v: np.ndarray) -> tuple:
-        """(y_pm, i_pm, s_pm) per row at phasors v, as pm_zip_at does for one."""
+    def split(self, v: np.ndarray, lam: np.ndarray) -> tuple:
+        """(y_pm, i_pm, s_pm) per row at phasors v under loading factors lam,
+        as pm_zip_at does for one."""
         s_z, s_i, s_p = (
-            self.lam * (self.zip_re[:, k] * self.p0 + 1j * (self.zip_im[:, k] * self.q0))
+            lam * (self.zip_re[:, k] * self.p0 + 1j * (self.zip_im[:, k] * self.q0))
             for k in range(3)
         )
         y_pm = -np.conj(s_z) / (self.v0 * self.v0)

@@ -27,7 +27,9 @@ import numpy as np
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian
 from .grid import GridModel, solve_linear
 from .nodes import ZipTable
-from .vsi import build_augmented, evaluate_vsi, reduce_augmented
+from .vsi import build_augmented, index_at, reduce_augmented
+# Not called here; perfbench/spans.py wraps it by name when tracing.
+from .vsi import evaluate_vsi  # noqa: F401
 
 # A state Jacobian with at least this many rows (2 * n_unknown) is sparse.
 # Feeders are nearly radial, so J_x holds O(n) nonzeros.  A dense solve costs
@@ -125,10 +127,10 @@ class PolyphaseSystem:
 
     Exposes the residual/jacobian interface the continuation engine drives,
     plus converters between packed state vectors and OperatingPoint.  The
-    loading trajectory is built in and resources_at(xi) defines it: load
-    resources run at lam = xi and compensators at lam = 1.  The residual and
-    both Jacobians evaluate the resources through one packed ZipTable, one
-    row per resource node-phase, whatever lam the given models carry.
+    resources live in one packed ZipTable, one row per resource node-phase,
+    which the residual, both Jacobians and the index read.  The loading
+    trajectory is built in and _lam(xi) is its one rule: each row runs at
+    its model's lam times xi on load rows and times 1 on compensator rows.
     sparse is set once from the size: True when 2 * n_unknown reaches
     SPARSE_MIN_STATES, and jacobian_x then returns a SciPy CSC matrix.
     """
@@ -152,19 +154,20 @@ class PolyphaseSystem:
         nu = self.n_unknown = len(self.unknown_nodes) * p
         u0 = len(self.aug.internal_nodes) * p
         src, u = slice(0, u0), slice(u0, None)
-        v_fixed = np.concatenate([s.v_te for s in self.slacks]) if u0 else np.zeros(0, complex)
-        self._i_from_fixed = self.aug.dense(u, src) @ v_fixed
+        # Source voltages in the order of aug.internal_nodes (= hybrid.mc_nodes).
+        self._v_fixed = np.concatenate([s.v_te for s in self.slacks]) if u0 else np.zeros(0, complex)
+        self._i_from_fixed = self.aug.dense(u, src) @ self._v_fixed
 
         self.e_nom = np.repeat([n.vnom for n in grid.nodes], p)
 
         for r in self.resources:
             if r.p != p:
                 raise ValueError(f"resource {r.node} phase count differs from grid")
-        # Packed resource rows and their positions among the unknowns.
+        # Packed resource rows in hybrid.m_nodes order and their positions among the unknowns.
         self._zip = ZipTable.from_resources(self.resources)
         flat = {n: i * p for i, n in enumerate(self.unknown_nodes)}
         self._res = np.array([flat[r.node] + q for r in self.resources for q in range(p)], dtype=int)
-        self._dlam = self._zip.load.astype(float)  # d lam / d xi per row
+        self._dlam = self._lam(1.0) - self._lam(0.0)  # d lam / d xi per row
 
         # Y_uu on the augmented admittance's block pattern.  Positions of the
         # (k, k) entries, k ascending, in each of the four quadrant runs of
@@ -205,15 +208,16 @@ class PolyphaseSystem:
         return np.concatenate([op.e[rows].ravel() / self.e_nom, op.theta[rows].ravel()])
 
     def resources_at(self, xi: float) -> tuple:
-        return tuple(
-            r.with_lam(float(xi)) if r.kind == "load" else r.with_lam(1.0) for r in self.resources
-        )
+        """The resource models with each lam set by _lam(xi)."""
+        lam = self._lam(xi)[:: self.p]
+        return tuple(r.with_lam(float(k)) for r, k in zip(self.resources, lam))
 
     # -- residual / jacobian ----------------------------------------------
 
     def _lam(self, xi: float) -> np.ndarray:
-        """Per-row loading factors of resources_at(xi)."""
-        return np.where(self._zip.load, float(xi), 1.0)
+        """The loading rule: per-row loading factors at xi, the model's lam
+        times xi on load rows and times 1 on compensator rows."""
+        return self._zip.lam * np.where(self._zip.load, float(xi), 1.0)
 
     def _scatter(self, pq) -> np.ndarray:
         """Per-row (P, Q) vectors placed into a zero [P; Q] unknowns vector."""
@@ -280,8 +284,10 @@ class PolyphaseSystem:
     # -- recording hooks ---------------------------------------------------
 
     def vsi_at(self, x: np.ndarray, xi: float):
-        op = self.operating_point(x, xi)
-        return evaluate_vsi(self.hybrid, self.slacks, self.resources_at(xi), op)
+        """The index at state x and loading xi, from the packed resource rows."""
+        r = self._res
+        v = x[r] * self.e_nom[r] * np.exp(1j * wrap_angle(x[self.n_unknown + r]))
+        return index_at(self.hybrid, self._zip, self._lam(xi), self._v_fixed, v)
 
     def svd_at(self, x: np.ndarray, xi: float) -> tuple:
         return jacobian_svd(self.jacobian_x(x, xi))
@@ -296,10 +302,9 @@ class PolyphaseSystem:
         between the pi shunts.  Raises SingularBranch when a series
         impedance is singular or a current is not finite.
         """
-        out = []
+        out, v = [], op.phasors()
         for b in self.grid.branches:
-            vf = np.array([op.voltage(b.from_node, q + 1) for q in range(self.p)])
-            vt = np.array([op.voltage(b.to_node, q + 1) for q in range(self.p)])
+            vf, vt = v[op._row(b.from_node)], v[op._row(b.to_node)]
             what = f"branch {b.from_node}-{b.to_node} series impedance"
             out.append((b, solve_linear(b.z, b.gain * vf - vt, what, SingularBranch)))
         return out

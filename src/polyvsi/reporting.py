@@ -51,22 +51,10 @@ def trace_rows(trace) -> list:
         loc = sample.vsi.local if sample.vsi is not None else {}
         l_glob = fmt9(sample.vsi.global_value) if sample.vsi is not None else ""
         sv = tuple(fmt9(v) for v in sample.sv) if sample.sv is not None else ("", "", "")
-        for node in op.nodes:
-            for phase in range(1, op.p + 1):
-                l_loc = loc.get((node, phase))
-                rows.append([
-                    step,
-                    fmt9(sample.xi),
-                    node,
-                    phase,
-                    fmt9(op.magnitude(node, phase)),
-                    fmt9(op.angle(node, phase)),
-                    fmt9(l_loc) if l_loc is not None else "",
-                    l_glob,
-                    sv[0],
-                    sv[1],
-                    sv[2],
-                ])
+        for node, phase, magnitude, angle in snapshot_rows(op):
+            l_loc = loc.get((node, phase))
+            rows.append([step, fmt9(sample.xi), node, phase, magnitude, angle,
+                         fmt9(l_loc) if l_loc is not None else "", l_glob, *sv])
     return rows
 
 

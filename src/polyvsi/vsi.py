@@ -199,74 +199,84 @@ class VsiResult:
     critical: tuple
 
 
-def _voltages(op, pairs) -> np.ndarray:
-    """Phasors of op at the (node, phase) pairs; ZeroVoltage if any is 0."""
-    v = np.array([op.voltage(node, phase) for node, phase in pairs], dtype=complex)
+def _nonzero(v: np.ndarray, pairs) -> np.ndarray:
     zero = v == 0
     if np.any(zero):
         raise ZeroVoltage(f"zero voltage at {pairs[int(np.argmax(zero))]}")
     return v
 
 
-def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoefficients:
-    """Evaluate the quadratic coefficients at the operating point op.
+def _voltages(op, pairs) -> np.ndarray:
+    """Phasors of op at the (node, phase) pairs; ZeroVoltage if any is 0."""
+    rows = [op._row(node) for node, _ in pairs]
+    return _nonzero(op.phasors()[rows, [phase - 1 for _, phase in pairs]], pairs)
 
-    For row (r, p) with resource decompositions (Y_j, I_j, S_j) at the
-    operating voltages V_j, using the resource-side hybrid blocks H = h_mm
-    and H_src = h_mmc:
+
+def zip_coefficients(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiCoefficients:
+    """The coefficient kernel on packed rows.
+
+    table holds the resources of hybrid.m_nodes one row per node-phase, lam
+    their loading factors and v their (nonzero) voltage phasors; v_te holds
+    the source voltages of hybrid.mc_nodes.  With (Y, I, S) =
+    table.split(v, lam), H = h_mm and H_src = h_mmc:
 
         a = ( H (V * Y) ) / V
         b = H I + H_src V_te
         c = conj(V) * ( H conj(S / V) )
 
     which matches the per-entry sums with the voltage-ratio scalings folded
-    in.  All resource voltages must be nonzero.
+    in.
     """
-    p = hybrid.h_mm.p
+    pairs = tuple((node, phase) for node in hybrid.m_nodes for phase in range(1, hybrid.h_mm.p + 1))
+    ypm, ipm, spm = table.split(_nonzero(v, pairs), lam)
+    h = hybrid.h_mm.data
+    a = (h @ (v * ypm)) / v
+    b = h @ ipm + hybrid.h_mmc.data @ v_te
+    c = np.conj(v) * (h @ np.conj(spm / v))
+    return VsiCoefficients(pairs=pairs, a=a, b=b, c=c)
+
+
+def _packed(hybrid: HybridPartition, slacks, resources, op) -> tuple:
+    """(table, lam, v_te, v) for zip_coefficients from resource models at
+    their own lam and the operating point op."""
     res_by_node = {r.node: r for r in resources}
     missing = [n for n in hybrid.m_nodes if n not in res_by_node]
     if missing:
         raise ValueError(f"no resource model for nodes {missing}")
-    pairs = tuple((node, phase) for node in hybrid.m_nodes for phase in range(1, p + 1))
-    v_r = _voltages(op, pairs)
     table = ZipTable.from_resources([res_by_node[n] for n in hybrid.m_nodes])
-    ypm, ipm, spm = table.split(v_r)
-
     slack_by_te = {te_node(s.node): s for s in slacks}
-    v_te = np.empty(len(hybrid.mc_nodes) * p, dtype=complex)
-    for i, te in enumerate(hybrid.mc_nodes):
-        v_te[i * p : (i + 1) * p] = slack_by_te[te].v_te
-
-    h = hybrid.h_mm.data
-    h_src = hybrid.h_mmc.data
-    a = (h @ (v_r * ypm)) / v_r
-    b = h @ ipm + h_src @ v_te
-    c = np.conj(v_r) * (h @ np.conj(spm / v_r))
-    return VsiCoefficients(pairs=pairs, a=a, b=b, c=c)
+    v_te = np.concatenate([np.zeros(0, complex)] + [slack_by_te[te].v_te for te in hybrid.mc_nodes])
+    return table, table.lam, v_te, op.phasors()[[op._row(n) for n in hybrid.m_nodes]].ravel()
 
 
-def _local_inputs(coeffs: VsiCoefficients, op) -> tuple:
-    """(1 + a, V) per pair, after the degenerate-denominator and zero-voltage
-    checks both index forms share."""
+def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoefficients:
+    """zip_coefficients of the given models at the operating point op."""
+    return zip_coefficients(hybrid, *_packed(hybrid, slacks, resources, op))
+
+
+def _denominator(coeffs: VsiCoefficients) -> np.ndarray:
+    """1 + a per pair, after the degenerate-denominator check."""
     denom = 1.0 + coeffs.a
     bad = np.abs(denom) < DENOM_TOL
     if np.any(bad):
-        pair = coeffs.pairs[int(np.argmax(bad))]
-        raise DegenerateDenominator(f"|1 + a| < {DENOM_TOL} at {pair}")
-    return denom, _voltages(op, coeffs.pairs)
+        raise DegenerateDenominator(f"|1 + a| < {DENOM_TOL} at {coeffs.pairs[int(np.argmax(bad))]}")
+    return denom
+
+
+def _primal(coeffs: VsiCoefficients, v: np.ndarray) -> dict:
+    return dict(zip(coeffs.pairs, np.abs(1.0 - coeffs.b / (_denominator(coeffs) * v)).tolist()))
 
 
 def vsi_local(coeffs: VsiCoefficients, op) -> dict:
     """Local index per (node, phase): L = |1 - b / ((1 + a) V)|."""
-    denom, v = _local_inputs(coeffs, op)
-    return dict(zip(coeffs.pairs, np.abs(1.0 - coeffs.b / (denom * v)).tolist()))
+    return _primal(coeffs, _voltages(op, coeffs.pairs))
 
 
 def vsi_local_dual(coeffs: VsiCoefficients, op) -> dict:
     """Dual form L = |c| / (|1 + a| |V|^2); equals vsi_local at power-flow
     solutions and differs away from them."""
-    denom, v = _local_inputs(coeffs, op)
-    return dict(zip(coeffs.pairs, (np.abs(coeffs.c) / (np.abs(denom) * np.abs(v) ** 2)).tolist()))
+    dual = np.abs(coeffs.c) / (np.abs(_denominator(coeffs)) * np.abs(_voltages(op, coeffs.pairs)) ** 2)
+    return dict(zip(coeffs.pairs, dual.tolist()))
 
 
 def vsi_global(local: dict, node_order=None) -> VsiResult:
@@ -286,8 +296,12 @@ def vsi_global(local: dict, node_order=None) -> VsiResult:
     return VsiResult(local=dict(local), global_value=float(local[best]), critical=best)
 
 
+def index_at(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiResult:
+    """zip_coefficients -> local indices -> global maximum, on packed rows."""
+    coeffs = zip_coefficients(hybrid, table, lam, v_te, v)
+    return vsi_global(_primal(coeffs, v), node_order=hybrid.m_nodes)
+
+
 def evaluate_vsi(hybrid: HybridPartition, slacks, resources, op) -> VsiResult:
-    """Coefficients -> local indices -> global maximum, in one call."""
-    coeffs = vsi_coefficients(hybrid, slacks, resources, op)
-    local = vsi_local(coeffs, op)
-    return vsi_global(local, node_order=hybrid.m_nodes)
+    """index_at of the given models at the operating point op."""
+    return index_at(hybrid, *_packed(hybrid, slacks, resources, op))

@@ -14,6 +14,9 @@ Proves:
        compensators at 1
    5.  Negative xi raises ValueError
    6.  Missing flat_start without x0 raises ValueError
+   6a. A load's own lam multiplies xi: the two-bus load at lam 0.5, read
+       from a grid file, folds at the closed form 2 / lam = 4
+   6b. run_cpf packs the resources into a ZipTable only at system build
 
  Group 3 - Termination taxonomy
    7.  Flat (load-free) path hits the step budget: step-limit, xi steps
@@ -57,6 +60,8 @@ from polyvsi.continuation import (
     tangent_direction,
 )
 from polyvsi.errors import BaseCaseDiverged, SingularJacobian, StepLimitReached
+from polyvsi.gridfile import parse_grid_text, serialize_grid
+from polyvsi.nodes import ZipTable
 from polyvsi.powerflow import PolyphaseSystem
 
 
@@ -169,6 +174,33 @@ def test_load_trajectory_scaling(bench_system):
 def test_missing_flat_start_needs_x0():
     with pytest.raises(ValueError, match="x0"):
         run_cpf(_Parabola())
+
+
+def test_resource_lam_scales_the_fold():
+    grid, slacks, resources = two_bus()
+    text = serialize_grid(grid, slacks, [resources[0].with_lam(0.5)])
+    assert "lam 0.5" in text
+    trace = run_cpf(PolyphaseSystem(*parse_grid_text(text)))
+    # criterion 7's tolerances around the closed form 2 / lam
+    assert trace.termination == TERM_FOLD
+    assert abs(trace.xi_max - 4.0) <= 0.01 * 4.0
+    assert 0.99 <= trace.final.vsi.global_value <= 1.01
+
+
+def test_cpf_packs_resources_once(bench_system, monkeypatch):
+    calls = []
+    pack = ZipTable.from_resources.__func__
+
+    def counted(cls, resources):
+        calls.append(len(resources))
+        return pack(cls, resources)
+
+    monkeypatch.setattr(ZipTable, "from_resources", classmethod(counted))
+    system = PolyphaseSystem(bench_system.grid, bench_system.slacks, bench_system.resources)
+    assert len(calls) == 1
+    trace = run_cpf(system)
+    assert trace.final.vsi is not None
+    assert len(calls) == 1
 
 
 # -- Group 3 ---------------------------------------------------------------

@@ -26,6 +26,15 @@ Proves:
   10.  Zero loading gives L ~ 0 at the solved open-circuit point
   11.  Global index picks the maximum; ties resolve by node order then phase
   12.  |1 + a| ~ 0 raises DegenerateDenominator; zero voltage raises
+
+ Group 5 - One index, two entry points
+  13.  system.vsi_at (packed resource rows, the system's loading rule)
+       equals evaluate_vsi on system.resources_at(xi) in every local
+       value, the global value and the critical pair: every bundled trace
+       sample, a sparse 302-node synthetic feeder, and a random grid with a
+       lam != 1 load and a compensator
+  14.  On the bundled trace L_global starts below 1 and first reaches 1
+       before the fold (the index errs on the safe side)
 """
 
 from dataclasses import replace
@@ -40,7 +49,7 @@ from polyvsi.errors import DegenerateDenominator, ZeroVoltage
 from polyvsi.grid import assemble_admittance, hybrid_partition, kron_reduce
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import pm_zip_at
-from polyvsi.powerflow import PolyphaseSystem, solve_power_flow
+from polyvsi.powerflow import OperatingPoint, PolyphaseSystem, solve_power_flow
 from polyvsi.vsi import (
     VsiCoefficients,
     build_augmented,
@@ -52,16 +61,6 @@ from polyvsi.vsi import (
     vsi_local,
     vsi_local_dual,
 )
-
-
-class _StubOp:
-    """Minimal operating-point stand-in for direct index evaluation."""
-
-    def __init__(self, volts):
-        self._v = volts
-
-    def voltage(self, node, phase):
-        return self._v[(node, phase)]
 
 
 # -- Group 1 ---------------------------------------------------------------
@@ -280,7 +279,7 @@ def test_degenerate_denominator_and_zero_voltage():
                              a=np.array([-1.0 + 1e-12j]),
                              b=np.array([1.0 + 0j]),
                              c=np.array([1.0 + 0j]))
-    op = _StubOp({(2, 1): 900.0 + 0j})
+    op = OperatingPoint(nodes=(2,), p=1, e=[[900.0]], theta=[[0.0]])
     with pytest.raises(DegenerateDenominator):
         vsi_local(coeffs, op)
     with pytest.raises(DegenerateDenominator):
@@ -288,4 +287,45 @@ def test_degenerate_denominator_and_zero_voltage():
     ok = VsiCoefficients(pairs=((2, 1),), a=np.array([0j]),
                          b=np.array([1.0 + 0j]), c=np.array([1.0 + 0j]))
     with pytest.raises(ZeroVoltage):
-        vsi_local(ok, _StubOp({(2, 1): 0j}))
+        vsi_local(ok, OperatingPoint(nodes=(2,), p=1, e=[[0.0]], theta=[[0.0]]))
+
+
+# -- Group 5 ---------------------------------------------------------------
+
+
+def _assert_entry_points_agree(system, x, xi):
+    packed = system.vsi_at(x, xi)
+    models = evaluate_vsi(system.hybrid, system.slacks, system.resources_at(xi),
+                          system.operating_point(x, xi))
+    assert packed.local == models.local
+    assert list(packed.local) == list(models.local)
+    assert packed.global_value == models.global_value
+    assert packed.critical == models.critical
+
+
+def test_system_index_equals_model_index(bench_system, bench_trace, synthfeeder):
+    for s in bench_trace.samples:
+        _assert_entry_points_agree(bench_system, s.x, s.xi)
+
+    system = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300)))
+    assert system.sparse
+    _, res = solve_power_flow(system, xi=1.0)
+    _assert_entry_points_agree(system, res.x, 1.0)
+
+    rng = np.random.default_rng(43)
+    grid, slacks, resources = random_system(rng, n_nodes=6, p=3)
+    while len(grid.resource_nodes) < 2:
+        grid, slacks, resources = random_system(rng, n_nodes=6, p=3)
+    resources = [replace(resources[0], kind="load", lam=0.6),
+                 replace(resources[1], kind="compensator")] + resources[2:]
+    system = PolyphaseSystem(grid, slacks, resources)
+    for xi in (0.5, 1.3):
+        _, res = solve_power_flow(system, xi=xi)
+        _assert_entry_points_agree(system, res.x, xi)
+
+
+def test_index_reaches_one_before_the_fold(bench_trace):
+    l_global = [s.vsi.global_value for s in bench_trace.samples]
+    assert l_global[0] < 1.0
+    first = next(k for k, value in enumerate(l_global) if value >= 1.0)
+    assert bench_trace.samples[first].xi < bench_trace.xi_max
