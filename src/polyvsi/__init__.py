@@ -66,6 +66,7 @@ from .powerflow import (
     NewtonResult,
     OperatingPoint,
     PolyphaseSystem,
+    SvdBlock,
     jacobian,
     jacobian_svd,
     mismatch,

@@ -155,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-start", type=_LOADING, default=1.0)
     p.add_argument("--out", help="write the trace CSV")
     p.add_argument("--no-vsi", action="store_true", help="skip index evaluation per sample")
-    p.add_argument("--no-svd", action="store_true", help="skip Jacobian singular values per sample")
+    p.add_argument("--no-svd", action="store_true",
+                   help="skip Jacobian singular values (exact at the base and final "
+                        "samples, sv_min alone to within 1e-6 relative in between)")
     p.set_defaults(fn=cmd_cpf)
 
     p = sub.add_parser("vsi", help="evaluate the stability index at a voltage snapshot")

@@ -23,17 +23,23 @@ lower branch.
 
 Works on any problem exposing residual(x, xi), jacobian_x(x, xi) and
 jacobian_xi(x, xi); PolyphaseSystem adds the hooks used to enrich samples
-with operating points, index values, and Jacobian singular values.
+with operating points, index values, and Jacobian singular values.  The
+base and the final sample record the exact (sv_min, sv_mean, sv_max) of
+J_x from a values-only SVD.  Every other sample records sv_min alone, from
+one warm-started inverse subspace step (powerflow.jacobian_svd): an upper
+bound that agreed with the full SVD to within 1e-6 relative on the
+feeders measured.  system.svd_at(s.x, s.xi) gives the full triplet of any
+sample on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian, StepLimitReached
-from .powerflow import bordered, newton_solve, solve_linear
+from .powerflow import SvdBlock, bordered, newton_solve, solve_linear
 
 TERM_FOLD = "fold-detected"
 TERM_STEP_LIMIT = "step-limit"
@@ -50,7 +56,9 @@ class CpfConfig:
     """Continuation controls.
 
     sigma is the arclength step in normalized state units; eps the corrector
-    tolerance.
+    tolerance.  record_vsi stores the index at every sample.  record_svd
+    stores Jacobian singular values: the exact triplet at the base and the
+    final sample, sv_min alone (within 1e-6 relative) in between.
     """
 
     sigma: float = 0.05
@@ -72,7 +80,14 @@ class CpfConfig:
 
 @dataclass(frozen=True)
 class CpfSample:
-    """One accepted continuation point."""
+    """One accepted continuation point.
+
+    sv is (sv_min, sv_mean, sv_max) of the state Jacobian, exact at the base
+    and the final sample; intermediate samples hold (sv_min, None, None),
+    with sv_min a Ritz upper bound, measured within 1e-6 relative of the
+    exact value (powerflow.jacobian_svd).  None when singular values are
+    not recorded.
+    """
 
     x: np.ndarray
     xi: float
@@ -147,10 +162,15 @@ def _make_sample(system, x: np.ndarray, xi: float, config: CpfConfig) -> CpfSamp
     vsi = None
     if config.record_vsi and hasattr(system, "vsi_at"):
         vsi = system.vsi_at(x, xi)
-    sv = None
+    return CpfSample(x=np.asarray(x, dtype=float).copy(), xi=float(xi), op=op, vsi=vsi)
+
+
+def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | None) -> None:
+    """Fill the last sample's sv: a step of block while the sample has a
+    successor, the exact triplet (block None) once it is the final one."""
     if config.record_svd and hasattr(system, "svd_at"):
-        sv = system.svd_at(x, xi)
-    return CpfSample(x=np.asarray(x, dtype=float).copy(), xi=float(xi), op=op, vsi=vsi, sv=sv)
+        s = trace.samples[-1]
+        trace.samples[-1] = replace(s, sv=system.svd_at(s.x, s.xi, block))
 
 
 def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = None, strict: bool = False) -> CpfTrace:
@@ -160,6 +180,8 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     trace holds every accepted sample; termination is one of fold-detected,
     step-limit, or corrector-failure.  With strict=True a step-limit raises
     StepLimitReached instead of returning, carrying the partial trace.
+    Each sample's singular values are recorded once the next sample is
+    accepted or the trace ends, so the code knows which sample is final.
     """
     config = config or CpfConfig()
     trace = CpfTrace()
@@ -185,14 +207,16 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     sigma = config.sigma
     sigma_floor = config.sigma * SIGMA_MIN_RATIO
     fold_evidence = False
+    block = SvdBlock()
+    termination = TERM_STEP_LIMIT
 
     for step in range(config.max_steps):
         try:
             t_x, t_xi = tangent_direction(system, x_k, xi_k)
         except SingularJacobian:
             trace.events.append(f"step {step}: singular Jacobian at anchor, fold reached")
-            trace.termination = TERM_FOLD
-            return trace
+            termination = TERM_FOLD
+            break
 
         accepted = False
         for halving in range(MAX_HALVINGS + 1):
@@ -224,13 +248,15 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
             sigma /= 2.0
 
         if not accepted:
-            trace.termination = TERM_FOLD if fold_evidence else TERM_CORRECTOR
-            return trace
+            termination = TERM_FOLD if fold_evidence else TERM_CORRECTOR
+            break
 
         x_k, xi_k = x_c, float(xi_c)
+        _record_svd(system, trace, config, block)
         trace.samples.append(_make_sample(system, x_k, xi_k, config))
 
-    trace.termination = TERM_STEP_LIMIT
-    if strict:
+    _record_svd(system, trace, config, None)
+    trace.termination = termination
+    if strict and termination == TERM_STEP_LIMIT:
         raise StepLimitReached(f"no fold within {config.max_steps} steps", trace=trace)
     return trace

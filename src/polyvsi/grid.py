@@ -14,7 +14,6 @@ mapped to the caller's error type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -56,29 +55,37 @@ def _inverse(a: np.ndarray) -> tuple:
 
 
 def linear_solver(a, what: str, error: type = SingularJacobian):
-    """solve(b) for a x = b, with b of shape (n,) or (n, k), real or complex.
+    """solve(b, transpose=False) for a x = b, or a' x = b with transpose=True;
+    b has shape (n,) or (n, k), real or complex.
 
     An array is solved by LAPACK on each call; a SciPy sparse matrix is
     factored once by SuperLU with the minimum-degree ordering of a' + a,
     which suits every matrix the library factors: each has the structurally
     symmetric pattern of the admittance (the corrector's bordered matrix
-    adds one row and column).  scipy is imported only in that case.  Raises
-    error naming what when the factorization fails or a solution is not
-    finite.
+    adds one row and column).  The one factor serves both a and a' (a' is
+    the plain transpose, never the conjugate one).  scipy is imported only
+    in that case.  Raises error naming what when the factorization fails or
+    a solution is not finite.
     """
     if hasattr(a, "toarray"):
         from scipy.sparse.linalg import splu
 
         try:
-            step = splu(a, permc_spec="MMD_AT_PLUS_A").solve
+            lu = splu(a, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise error(f"{what} is singular") from exc
-    else:
-        step = partial(np.linalg.solve, np.asarray(a))
 
-    def solve(b: np.ndarray) -> np.ndarray:
+        def step(b, transpose):
+            return lu.solve(b, trans="T" if transpose else "N")
+    else:
+        dense = np.asarray(a)
+
+        def step(b, transpose):
+            return np.linalg.solve(dense.T if transpose else dense, b)
+
+    def solve(b: np.ndarray, transpose: bool = False) -> np.ndarray:
         try:
-            x = step(b)
+            x = step(b, transpose)
         except np.linalg.LinAlgError as exc:
             raise error(f"{what} is singular") from exc
         if not np.all(np.isfinite(x)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian
-from .grid import GridModel, solve_linear
+from .grid import GridModel, linear_solver, solve_linear
 from .nodes import ZipTable
 from .vsi import build_augmented, index_at, reduce_augmented
 # Not called here; perfbench/spans.py wraps it by name when tracing.
@@ -39,6 +39,14 @@ from .vsi import evaluate_vsi  # noqa: F401
 # on, and its peak RSS, import included, drops below the dense one between
 # 972 and 1212 states (CHANGES.md has the sweep).
 SPARSE_MIN_STATES = 1000
+
+# jacobian_svd's inverse subspace step carries SVD_BLOCK vectors.  Along the
+# 252-state synthetic feeder's trace the worst sv_min error was 7.5e-6
+# relative with 4 vectors and 1.1e-8 with 8.  Seeding stops once the Ritz
+# value matches the exact smallest singular value to the SVD's own rounding
+# (3 steps on both CPF benchmark feeders), or after SEED_ROUNDS steps.
+SVD_BLOCK = 8
+SEED_ROUNDS = 20
 
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -289,8 +297,9 @@ class PolyphaseSystem:
         v = x[r] * self.e_nom[r] * np.exp(1j * wrap_angle(x[self.n_unknown + r]))
         return index_at(self.hybrid, self._zip, self._lam(xi), self._v_fixed, v)
 
-    def svd_at(self, x: np.ndarray, xi: float) -> tuple:
-        return jacobian_svd(self.jacobian_x(x, xi))
+    def svd_at(self, x: np.ndarray, xi: float, block: SvdBlock | None = None) -> tuple:
+        """jacobian_svd of the state Jacobian at (x, xi), stepping block if given."""
+        return jacobian_svd(self.jacobian_x(x, xi), block)
 
     # -- reporting ----------------------------------------------------------
 
@@ -328,19 +337,75 @@ def jacobian(system: PolyphaseSystem, x: OperatingPoint) -> Jacobian:
     return Jacobian(dx=system.jacobian_x(packed, x.xi), dxi=system.jacobian_xi(packed, x.xi))
 
 
-def jacobian_svd(j) -> tuple:
+@dataclass
+class SvdBlock:
+    """Approximate right singular vectors of the smallest singular values of
+    the last state Jacobian jacobian_svd saw: the warm start of its next
+    inverse subspace step.  None until jacobian_svd seeds it."""
+
+    vectors: np.ndarray | None = None
+
+
+def jacobian_svd(j, block: SvdBlock | None = None) -> tuple:
     """(smallest, mean, largest) singular value of the state Jacobian.
 
-    A sparse Jacobian is densified first.  Raises SingularJacobian when the
-    SVD fails, for example on a Jacobian that is not finite.
+    Without a block, or with one not yet seeded, the values come from a
+    values-only SVD (a sparse Jacobian is densified first).  An unseeded
+    block is seeded on the way: from a fixed-seed start, inverse subspace
+    steps run until the Ritz value matches the exact smallest singular
+    value, so no SVD with vectors is formed.  With a seeded block the
+    result is (sv_min, None, None) from one step of inverse subspace
+    iteration on J'J warm-started from the block: solve J' Y = V and
+    J W = Y (on one SuperLU factor when J is sparse), orthonormalize W into
+    Q, and take the smallest singular value of the thin J Q; its right
+    vectors become the block.  That value is a Ritz value, so it bounds the
+    smallest singular value from above.  Stepped along the continuation
+    traces it agreed with the full SVD to 2.5e-9 relative on the bundled
+    feeder, 1.1e-8 on the 252-state and 7.4e-8 on the 612-state synthetic
+    feeder (every sample), and to 6.5e-7 on the 1812-state one (16 samples
+    checked, the worst next to the fold).  A Jacobian of at most SVD_BLOCK
+    rows always gets the full values, and so does one the step cannot
+    factor.  Raises SingularJacobian when the SVD fails, for example on a
+    Jacobian that is not finite.
     """
     a = j.dx if isinstance(j, Jacobian) else j
-    a = a.toarray() if hasattr(a, "toarray") else np.asarray(a)
+    if block is not None and block.vectors is not None:
+        try:
+            solve = linear_solver(a, "state Jacobian in the singular-value step")
+            s, block.vectors = _subspace_step(a, solve, block.vectors)
+            return s, None, None
+        except SingularJacobian:
+            pass  # exactly singular: the full values below still exist
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        s = np.linalg.svd(a.toarray() if hasattr(a, "toarray") else np.asarray(a), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"Jacobian SVD failed: {exc}") from exc
+    if block is not None and block.vectors is None and a.shape[0] > SVD_BLOCK:
+        _seed(a, block, float(s[-1]), float(s[0]))
     return float(s[-1]), float(s.mean()), float(s[0])
+
+
+def _subspace_step(a, solve, v: np.ndarray) -> tuple:
+    """(Ritz value, right Ritz vectors) after one inverse subspace step on a'a from v."""
+    q, _ = np.linalg.qr(solve(solve(v, transpose=True)))
+    _, s, vt = np.linalg.svd(a @ q, full_matrices=False)
+    return float(s[-1]), q @ vt.T
+
+
+def _seed(a, block: SvdBlock, s_min: float, s_max: float) -> None:
+    """Iterate from a fixed-seed block until the Ritz value is within
+    n eps s_max (the rounding of a's SVD) of s_min, at most SEED_ROUNDS
+    steps; a singular a leaves block unseeded."""
+    v = np.random.default_rng(0).standard_normal((a.shape[0], SVD_BLOCK))
+    try:
+        solve = linear_solver(a, "state Jacobian in the singular-value seed")
+        for _ in range(SEED_ROUNDS):
+            ritz, v = _subspace_step(a, solve, v)
+            if ritz - s_min <= a.shape[0] * np.finfo(float).eps * s_max:
+                break
+    except SingularJacobian:
+        return
+    block.vectors = v
 
 
 def bordered(a, col: np.ndarray, row: np.ndarray):

@@ -50,7 +50,7 @@ def trace_rows(trace) -> list:
             raise ValueError("trace samples carry no operating points")
         loc = sample.vsi.local if sample.vsi is not None else {}
         l_glob = fmt9(sample.vsi.global_value) if sample.vsi is not None else ""
-        sv = tuple(fmt9(v) for v in sample.sv) if sample.sv is not None else ("", "", "")
+        sv = tuple("" if v is None else fmt9(v) for v in sample.sv or (None,) * 3)
         for node, phase, magnitude, angle in snapshot_rows(op):
             l_loc = loc.get((node, phase))
             rows.append([step, fmt9(sample.xi), node, phase, magnitude, angle,

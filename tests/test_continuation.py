@@ -40,7 +40,19 @@ Proves:
  Group 6 - Sparse path
   19.  The bundled trace with the sparse path forced keeps 50 samples,
        xi_max 1.787102 and critical pair (25, 1), and its states agree
-       with the dense trace to 1e-9
+       with the dense trace to 1e-9; every sv_min is within 1e-6 of the
+       full SVD
+
+ Group 7 - Recorded singular values
+  20.  Every sample's sv_min is within 1e-6 relative of the full SVD of its
+       J_x (bundled feeder, 252-state synthetic feeder); base and final
+       carry the exact triplet, intermediate samples sv_min only
+  21.  Recording singular values leaves every sample's x and xi
+       bit-identical to a trace without them
+  22.  A trace calls jacobian_svd once per sample and the full n x n SVD
+       twice, or once when the base is the final sample
+  23.  The two-bus system (2 states, fewer than the block) records the
+       exact triplet at every sample
 """
 
 import numpy as np
@@ -48,7 +60,7 @@ import pytest
 from scipy.sparse import csc_array
 
 from conftest import two_bus
-from polyvsi import powerflow
+from polyvsi import continuation, powerflow
 from polyvsi.continuation import (
     TERM_CORRECTOR,
     TERM_FOLD,
@@ -62,7 +74,7 @@ from polyvsi.continuation import (
 from polyvsi.errors import BaseCaseDiverged, SingularJacobian, StepLimitReached
 from polyvsi.gridfile import parse_grid_text, serialize_grid
 from polyvsi.nodes import ZipTable
-from polyvsi.powerflow import PolyphaseSystem
+from polyvsi.powerflow import PolyphaseSystem, jacobian_svd
 
 
 class _ScalarPath:
@@ -343,3 +355,74 @@ def test_sparse_bundled_trace_matches_dense(bench_system, bench_trace, monkeypat
     for s, d in zip(trace.samples, bench_trace.samples):
         assert np.abs(s.x - d.x).max() <= 1e-9
         assert abs(s.xi - d.xi) <= 1e-9
+    _assert_recorded_spectrum(system, trace)
+
+
+# -- Group 7 ---------------------------------------------------------------
+
+
+def _assert_recorded_spectrum(system, trace):
+    """sv_min within 1e-6 of the full SVD everywhere; the exact triplet of
+    jacobian_svd at base and final, sv_min alone in between."""
+    for s in trace.samples:
+        j = system.jacobian_x(s.x, s.xi)
+        exact = np.linalg.svd(j.toarray() if hasattr(j, "toarray") else j, compute_uv=False)[-1]
+        assert abs(s.sv[0] - exact) <= 1e-6 * exact
+    for s in (trace.samples[0], trace.final):
+        assert s.sv == jacobian_svd(system.jacobian_x(s.x, s.xi))
+    for s in trace.samples[1:-1]:
+        assert s.sv[1:] == (None, None)
+
+
+@pytest.fixture(scope="module")
+def feeder_trace(synthfeeder):
+    system = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 40)))
+    assert 2 * system.n_unknown == 252 and not system.sparse
+    return system, run_cpf(system)
+
+
+def test_recorded_sv_min_matches_full_svd(bench_system, bench_trace, feeder_trace):
+    for system, trace in ((bench_system, bench_trace), feeder_trace):
+        _assert_recorded_spectrum(system, trace)
+
+
+def test_recording_leaves_the_path_bit_identical(bench_system, bench_trace, feeder_trace):
+    plain = CpfConfig(record_vsi=False, record_svd=False)
+    for system, trace in ((bench_system, bench_trace), feeder_trace):
+        bare = run_cpf(system, plain)
+        assert len(bare.samples) == len(trace.samples)
+        for s, b in zip(trace.samples, bare.samples):
+            assert np.array_equal(s.x, b.x) and s.xi == b.xi
+
+
+def test_full_svd_only_at_base_and_final(bench_system, monkeypatch):
+    n = 2 * bench_system.n_unknown
+    calls = {"jacobian_svd": 0, "full": 0}
+
+    def counted(name, fn, square=False):
+        def wrapper(a, *args, **kwargs):
+            if not square or a.shape == (n, n):
+                calls[name] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(powerflow, "jacobian_svd", counted("jacobian_svd", powerflow.jacobian_svd))
+    monkeypatch.setattr(np.linalg, "svd", counted("full", np.linalg.svd, square=True))
+    trace = run_cpf(bench_system)
+    assert calls == {"jacobian_svd": len(trace.samples), "full": 2}
+
+    def singular_tangent(*args):
+        raise SingularJacobian("fold at the base")
+
+    calls.update(jacobian_svd=0, full=0)
+    monkeypatch.setattr(continuation, "tangent_direction", singular_tangent)
+    single = run_cpf(bench_system)
+    assert len(single.samples) == 1 and len(single.final.sv) == 3
+    assert calls == {"jacobian_svd": 1, "full": 1}
+
+
+def test_two_bus_records_exact_triplets(two_bus_trace):
+    system = PolyphaseSystem(*two_bus())
+    assert 2 * system.n_unknown <= powerflow.SVD_BLOCK
+    for s in two_bus_trace.samples:
+        assert s.sv == jacobian_svd(system.jacobian_x(s.x, s.xi))

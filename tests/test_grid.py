@@ -43,6 +43,11 @@ Proves:
   19.  block / row_slice / row_indices / submatrix agree with raw offsets
   20.  data is read-only; a caller's array is copied and left writable,
        an array the library builds is taken over without a copy
+
+ Group 6 - Linear solves
+  21.  linear_solver solves a x = b and, with transpose=True, a' x = b,
+       dense and sparse, for one or several right-hand sides; a singular
+       matrix raises the caller's error type in both directions
 """
 
 from dataclasses import replace
@@ -64,6 +69,7 @@ from polyvsi.grid import (
     build_incidence,
     hybrid_partition,
     kron_reduce,
+    linear_solver,
     validate_parameters,
 )
 from polyvsi.vsi import AugmentedGrid, reduce_augmented, te_node
@@ -417,3 +423,21 @@ def test_block_matrix_data_ownership():
     y = assemble_admittance(grid)
     for m in (y, y.submatrix(grid.node_ids[:2], grid.node_ids[1:]), kron_reduce(y, {grid.node_ids[-1]})):
         assert not m.data.flags.writeable
+
+
+# -- Group 6 ---------------------------------------------------------------
+
+
+def test_linear_solver_transpose():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
+    for b in (rng.standard_normal(6), rng.standard_normal((6, 3))):
+        for m in (a, csc_array(a)):
+            solve = linear_solver(m, "test matrix")
+            assert np.allclose(solve(b), np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
+            assert np.allclose(solve(b, transpose=True), np.linalg.solve(a.T, b), rtol=1e-12, atol=0.0)
+    singular = np.ones((3, 3))
+    for transpose in (False, True):
+        for m in (singular, csc_array(singular)):
+            with pytest.raises(SingularBranch, match="test matrix is singular"):
+                linear_solver(m, "test matrix", SingularBranch)(np.ones(3), transpose=transpose)

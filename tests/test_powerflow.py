@@ -25,6 +25,10 @@ Proves:
        sparse
   12.  jacobian_svd returns (min, mean, max), densifies a sparse Jacobian
        and raises SingularJacobian on a non-finite one
+  12a. With a block, jacobian_svd seeds it next to the exact triplet, then
+       steps it to sv_min alone, an upper bound within 1e-6 of the exact
+       value; an exactly singular Jacobian, dense or sparse, gives a
+       finite sv_min instead of raising
 
  Group 4 - System-level
   13.  Benchmark-style overload (xi = 5 flat start) raises NonConvergence
@@ -66,6 +70,7 @@ from polyvsi.powerflow import (
     Jacobian,
     OperatingPoint,
     PolyphaseSystem,
+    SvdBlock,
     jacobian_svd,
     mismatch,
     newton_solve,
@@ -344,6 +349,27 @@ def test_jacobian_svd_triplet():
     assert jacobian_svd(csc_array(np.diag([3.0, 1.0, 2.0]))) == pytest.approx((1.0, 2.0, 3.0))
     with pytest.raises(SingularJacobian, match="SVD"):
         jacobian_svd(np.full((3, 3), np.nan))
+
+
+def test_jacobian_svd_block_step():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((30, 30)) + 6.0 * np.eye(30)
+    exact = np.linalg.svd(a, compute_uv=False)
+    block = SvdBlock()
+    assert jacobian_svd(a, block) == (exact[-1], exact.mean(), exact[0])
+    assert block.vectors.shape == (30, powerflow.SVD_BLOCK)
+    nearby = a + 1e-3 * rng.standard_normal((30, 30))
+    s_min = np.linalg.svd(nearby, compute_uv=False)[-1]
+    for j in (nearby, csc_array(nearby)):
+        stepped = SvdBlock(block.vectors.copy())
+        sv = jacobian_svd(j, stepped)
+        assert sv[1:] == (None, None)
+        assert -1e-12 <= (sv[0] - s_min) / s_min <= 1e-6
+    singular = a.copy()
+    singular[:, 0] = 0.0
+    for j in (singular, csc_array(singular)):
+        sv = jacobian_svd(j, SvdBlock(block.vectors.copy()))
+        assert np.isfinite(sv[0]) and sv[0] <= 1e-12 * sv[2]
 
 
 # -- Group 4 ---------------------------------------------------------------

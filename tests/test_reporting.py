@@ -5,7 +5,8 @@ Proves:
  Group 1 - Schema stability
    1.  Header rows are exactly the documented column lists
    2.  Trace rows: one per (sample, node, phase); local index only on
-       resource pairs; xi/step constant within a sample block
+       resource pairs; xi/step constant within a sample block; a None
+       singular value is a blank cell
    3.  PF rows: node rows carry voltages and mismatch, branch rows carry
        current magnitude and rating
    4.  VSI rows: exactly one is_critical = 1 and it marks the maximum
@@ -21,12 +22,13 @@ Proves:
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import two_bus
-from polyvsi.continuation import CpfConfig, run_cpf
+from polyvsi.continuation import CpfConfig, CpfTrace, run_cpf
 from polyvsi.errors import ParseError
 from polyvsi.powerflow import PolyphaseSystem, mismatch, solve_power_flow
 from polyvsi.reporting import (
@@ -88,6 +90,8 @@ def test_trace_rows_layout(system, tmp_path):
     assert second[2] == 2
     assert float(second[6]) == pytest.approx(trace.samples[0].vsi.local[(2, 1)])
     assert float(second[8]) == pytest.approx(trace.samples[0].sv[0])
+    stepped = CpfTrace(samples=[replace(trace.samples[0], sv=(0.5, None, None))])
+    assert [row[8:] for row in trace_rows(stepped)] == [[fmt9(0.5), "", ""]] * 2
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     header, body = _read(path)
