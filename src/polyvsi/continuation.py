@@ -119,9 +119,11 @@ class CpfTrace:
         return self.samples[-1]
 
 
-def tangent_direction(problem, x: np.ndarray, xi: float) -> tuple[np.ndarray, float]:
-    """Unit tangent (dx, dxi) of the solution path, oriented toward +xi."""
-    j = problem.jacobian_x(x, xi)
+def tangent_direction(problem, x: np.ndarray, xi: float, j=None) -> tuple[np.ndarray, float]:
+    """Unit tangent (dx, dxi) of the solution path, oriented toward +xi; j is
+    J_x at (x, xi) when the caller has already evaluated it."""
+    if j is None:
+        j = problem.jacobian_x(x, xi)
     dx = solve_linear(j, -problem.jacobian_xi(x, xi), "state Jacobian at the predictor")
     scale = float(np.sqrt(np.dot(dx, dx) + 1.0))
     return dx / scale, 1.0 / scale
@@ -165,12 +167,28 @@ def _make_sample(system, x: np.ndarray, xi: float, config: CpfConfig) -> CpfSamp
     return CpfSample(x=np.asarray(x, dtype=float).copy(), xi=float(xi), op=op, vsi=vsi)
 
 
-def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | None) -> None:
+def _hold(j, held):
+    """j in held's memory when both are dense arrays of one shape, else j.
+
+    run_cpf keeps each anchor's J_x across the corrector for the sample's
+    singular values.  Kept as a fresh array each time, it made glibc's
+    allocator give back and fault in again the heap pages of the
+    corrector's temporaries at every Newton step, which slowed dense traces
+    by about a tenth; one array refilled at each anchor keeps them resident.
+    """
+    if isinstance(j, np.ndarray) and isinstance(held, np.ndarray) and held.shape == j.shape:
+        np.copyto(held, j)
+        return held
+    return j
+
+
+def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | None, j) -> None:
     """Fill the last sample's sv: a step of block while the sample has a
-    successor, the exact triplet (block None) once it is the final one."""
+    successor, the exact triplet (block None) once it is the final one.  j is
+    the sample's J_x if the tangent evaluated it, else None."""
     if config.record_svd and hasattr(system, "svd_at"):
         s = trace.samples[-1]
-        trace.samples[-1] = replace(s, sv=system.svd_at(s.x, s.xi, block))
+        trace.samples[-1] = replace(s, sv=system.svd_at(s.x, s.xi, block, j))
 
 
 def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = None, strict: bool = False) -> CpfTrace:
@@ -181,7 +199,9 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     step-limit, or corrector-failure.  With strict=True a step-limit raises
     StepLimitReached instead of returning, carrying the partial trace.
     Each sample's singular values are recorded once the next sample is
-    accepted or the trace ends, so the code knows which sample is final.
+    accepted or the trace ends, so the code knows which sample is final;
+    they come from the J_x that the tangent evaluated at the sample, where
+    there is one, so each anchor's J_x is evaluated once.
     """
     config = config or CpfConfig()
     trace = CpfTrace()
@@ -209,10 +229,13 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     fold_evidence = False
     block = SvdBlock()
     termination = TERM_STEP_LIMIT
+    held = None  # the anchors' J_x, one array refilled at each anchor (see _hold)
+    j_k = None  # held while it is J_x at the anchor (x_k, xi_k)
 
     for step in range(config.max_steps):
         try:
-            t_x, t_xi = tangent_direction(system, x_k, xi_k)
+            j_k = held = _hold(system.jacobian_x(x_k, xi_k), held)
+            t_x, t_xi = tangent_direction(system, x_k, xi_k, j_k)
         except SingularJacobian:
             trace.events.append(f"step {step}: singular Jacobian at anchor, fold reached")
             termination = TERM_FOLD
@@ -252,10 +275,11 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
             break
 
         x_k, xi_k = x_c, float(xi_c)
-        _record_svd(system, trace, config, block)
+        _record_svd(system, trace, config, block, j_k)
+        j_k = None
         trace.samples.append(_make_sample(system, x_k, xi_k, config))
 
-    _record_svd(system, trace, config, None)
+    _record_svd(system, trace, config, None, j_k)
     trace.termination = termination
     if strict and termination == TERM_STEP_LIMIT:
         raise StepLimitReached(f"no fold within {config.max_steps} steps", trace=trace)

@@ -34,24 +34,33 @@ RCOND_FLOOR = 1e-13
 PARAM_TOL = 1e-9
 
 
-def _norm1(a) -> float:
-    """Matrix 1-norm (largest column sum of moduli) of an array or SciPy sparse matrix."""
-    return float(abs(a).sum(axis=0).max())
+def _norm1(a):
+    """Matrix 1-norm (largest column sum of moduli) of an array or SciPy sparse
+    matrix, or one per matrix of a (k, n, n) stack."""
+    return abs(a).sum(axis=-2).max(axis=-1)
 
 
 def _inverse(a: np.ndarray) -> tuple:
     """(a^-1, reciprocal 1-norm condition number 1 / (||a||_1 ||a^-1||_1)).
 
-    The condition number is exact for the computed inverse, not an estimate.
-    rcond is 0.0 (and the inverse None) when LAPACK finds a exactly singular,
-    and nan when a or its inverse is not finite, so callers reject with
+    a is one matrix or a (k, n, n) stack, inverted in one LAPACK call; a
+    stack gets k inverses and k condition numbers.  The condition number is
+    exact for the computed inverse, not an estimate.  rcond is 0.0 when
+    LAPACK finds a matrix exactly singular (its inverse is None, or nan
+    within a stack, whose members are then inverted one at a time), and nan
+    when a matrix or its inverse is not finite, so callers reject with
     `not rcond >= RCOND_FLOOR`.
     """
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        return None, 0.0
-    return a_inv, 1.0 / (_norm1(a) * _norm1(a_inv))
+        if np.ndim(a) == 2:
+            return None, 0.0
+        each = [_inverse(m) for m in a]
+        a_inv = np.array([np.full(a.shape[1:], np.nan) if m is None else m for m, _ in each])
+        return a_inv, np.array([rc for _, rc in each])
+    with np.errstate(all="ignore"):  # inf or nan entries give rcond nan
+        return a_inv, 1.0 / (_norm1(a) * _norm1(a_inv))
 
 
 def linear_solver(a, what: str, error: type = SingularJacobian):
@@ -306,6 +315,22 @@ def build_incidence(grid: GridModel, polyphase: bool = False) -> np.ndarray:
     return a
 
 
+def _stamps(branches, p: int) -> np.ndarray:
+    """(k, 2, 2, P, P) series-element stamps of k branches, [[g^2 y, -g y],
+    [-g y, y]] each, from one stacked inverse of the impedances; raises
+    SingularBranch on the first singular one."""
+    y, rc = _inverse(np.reshape([b.z for b in branches], (-1, p, p)))
+    for b, r in zip(branches, rc):
+        if not r >= RCOND_FLOOR:
+            raise SingularBranch(f"branch {b.from_node}-{b.to_node} series impedance is singular")
+    g = np.array([b.gain for b in branches])[:, None, None]
+    stamps = np.empty((len(branches), 2, 2, p, p), dtype=complex)
+    stamps[:, 0, 0] = g * g * y
+    stamps[:, 0, 1] = stamps[:, 1, 0] = -g * y
+    stamps[:, 1, 1] = y
+    return stamps
+
+
 def branch_stamp(branch: Branch) -> np.ndarray:
     """2P x 2P admittance stamp of one branch (series element only).
 
@@ -314,19 +339,8 @@ def branch_stamp(branch: Branch) -> np.ndarray:
     [[y, -y], [-y, y]] so that summing stamps over branches reproduces the
     incidence-based assembly A' Y_L A.
     """
-    y, rc = _inverse(branch.z)
-    if not rc >= RCOND_FLOOR:
-        raise SingularBranch(
-            f"branch {branch.from_node}-{branch.to_node} series impedance is singular"
-        )
-    g = branch.gain
     p = branch.p
-    stamp = np.empty((2 * p, 2 * p), dtype=complex)
-    stamp[:p, :p] = g * g * y
-    stamp[:p, p:] = -g * y
-    stamp[p:, :p] = -g * y
-    stamp[p:, p:] = y
-    return stamp
+    return _stamps([branch], p)[0].transpose(0, 2, 1, 3).reshape(2 * p, 2 * p)
 
 
 def passivity_faults(mats, invertible=False) -> list[tuple]:
@@ -353,8 +367,9 @@ def passivity_faults(mats, invertible=False) -> list[tuple]:
                for k in np.flatnonzero(asym > PARAM_TOL)]
     faults += [(k, "indefinite-real-part", f"min eigenvalue {eig[k, 0]:.3e}")
                for k in np.flatnonzero(indefinite)]
-    faults += [(k, "singular", f"rcond < {RCOND_FLOOR}") for k in np.flatnonzero(finite & invertible)
-               if not _inverse(m[k])[1] >= RCOND_FLOOR]
+    if (inv := np.flatnonzero(finite & invertible)).size:
+        faults += [(k, "singular", f"rcond < {RCOND_FLOOR}")
+                   for k, rc in zip(inv, _inverse(m[inv])[1]) if not rc >= RCOND_FLOOR]
     return sorted(faults, key=lambda f: f[0])
 
 
@@ -375,11 +390,13 @@ def admittance_entries(grid: GridModel, sources=()) -> tuple:
     nodes are one new node per source branch (its from-node), then the grid's
     nodes.  The pattern holds each node's diagonal block and both off-diagonal
     blocks of each branch, parallel branches summed into one block, in
-    row-major block order and row-major within a block.  Branches stamp
-    through branch_stamp, pi shunts and node shunts add onto diagonal blocks;
-    each block sums grid branches, then node shunts, then sources.  Raises
+    row-major block order and row-major within a block.  All branches stamp
+    from one stacked inverse (the stamps of branch_stamp), pi shunts and node
+    shunts add onto diagonal blocks.  Each block is a sum in term order,
+    starting from zero: per branch its stamp's four blocks then its two pi
+    shunts, grid branches, then node shunts, then sources.  Raises
     AsymmetricParameter on the first grid matrix passivity_faults finds
-    asymmetric, SingularBranch on a singular impedance.
+    asymmetric, SingularBranch on the first singular impedance.
     """
     for element, kind, _ in _grid_faults(grid, check_inverse=False):
         if kind == "asymmetric":
@@ -390,23 +407,42 @@ def admittance_entries(grid: GridModel, sources=()) -> tuple:
     if len(at) < len(nodes):
         raise ValueError("source nodes must be new and distinct")
 
-    def stamp(b):
-        s, f, t = branch_stamp(b), at[b.from_node], at[b.to_node]
-        return [(f, f, s[:p, :p]), (f, t, s[:p, p:]), (t, f, s[p:, :p]), (t, t, s[p:, p:]),
-                (f, f, b.y_shunt_from), (t, t, b.y_shunt_to)]
+    # Per branch six terms in summation order: the ff, ft, tf and tt blocks of
+    # its stamp, then its pi shunts at f and at t where present.
+    branches = grid.branches + tuple(sources)
+    none = np.zeros((p, p), dtype=complex)
+    pi = np.reshape([none if y is None else y for b in branches
+                     for y in (b.y_shunt_from, b.y_shunt_to)], (-1, 2, p, p))
+    branch_terms = np.concatenate([_stamps(branches, p).reshape(-1, 4, p, p), pi], axis=1)
+    f = np.array([at[b.from_node] for b in branches], dtype=int)
+    t = np.array([at[b.to_node] for b in branches], dtype=int)
+    bi, bj = np.stack([f, f, t, t, f, t], axis=1), np.stack([f, t, f, t, f, t], axis=1)
+    present = np.ones((len(branches), 6), dtype=bool)
+    present[:, 4] = [b.y_shunt_from is not None for b in branches]
+    present[:, 5] = [b.y_shunt_to is not None for b in branches]
 
-    terms = [term for b in grid.branches for term in stamp(b)]
-    terms += [(at[s.node], at[s.node], s.y) for s in grid.shunts]
-    terms += [term for b in sources for term in stamp(b)]
-    blocks = {(i, i): np.zeros((p, p), dtype=complex) for i in range(len(nodes))}
-    for i, j, m in terms:
-        if m is not None:
-            blocks[i, j] = blocks.get((i, j), 0.0) + m
-    keys = sorted(blocks)
-    corners = np.array(keys, dtype=int) * p
+    n = len(grid.branches)
+    at_shunt = np.array([at[s.node] for s in grid.shunts], dtype=int)
+
+    def in_order(per_branch, per_shunt):
+        """Grid branch terms, then node shunt terms, then source terms."""
+        return np.concatenate([per_branch[:n][present[:n]], per_shunt, per_branch[n:][present[n:]]])
+
+    bi, bj = in_order(bi, at_shunt), in_order(bj, at_shunt)
+    terms = in_order(branch_terms, np.reshape([s.y for s in grid.shunts], (-1, p, p)))
+
+    # Block (bi, bj) is numbered bi * size + bj, so np.unique lists the blocks
+    # row-major; every diagonal block is present.  np.add.at adds in index
+    # order, so each entry sums its terms in the order above, from zero.
+    size = len(nodes)
+    keys, block = np.unique(np.concatenate([np.arange(size) * (size + 1), bi * size + bj]),
+                            return_inverse=True)
+    values = np.zeros(keys.size * p * p, dtype=complex)
+    np.add.at(values, (block[size:, None] * (p * p) + np.arange(p * p)).ravel(), terms.ravel())
     r, c = divmod(np.arange(p * p), p)
-    rows, cols = (corners[:, :1] + r).ravel(), (corners[:, 1:] + c).ravel()
-    return nodes, rows, cols, np.concatenate([blocks[k].ravel() for k in keys])
+    rows = ((keys // size)[:, None] * p + r).ravel()
+    cols = ((keys % size)[:, None] * p + c).ravel()
+    return nodes, rows, cols, values
 
 
 def assemble_admittance(grid: GridModel) -> BlockMatrix:

@@ -6,9 +6,12 @@ and `transformers` tables (catalog forms that expand through the shared
 builders), explicit `branch` and `slack` blocks (the exact forms the
 serializer emits), a `slacks` table for short-circuit-rated sources, and a
 `resources` table.  Node ids are integers when they look like integers,
-otherwise strings.  Every number must be finite; a model constructor's
-ValueError is reported as a ParseError at its row's (or block header's)
-line.  parse_configs reads a text made only of config blocks.
+otherwise strings.  Numbers are read with Python's float(); each matrix
+block (P rows of P real or P complex numbers, the latter as real and
+imaginary pairs) is converted in one pass.  Every number must be finite;
+a faulty row, or a model constructor's ValueError, is reported as a
+ParseError at its row's (or block header's) line.  parse_configs reads a
+text made only of config blocks.
 
 parse_grid(serialize_grid(...)) reproduces the models bit-exactly: floats
 are emitted with repr and re-read with float(), and catalog rows expand
@@ -17,7 +20,6 @@ through the same helper functions the programmatic builders use.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import tempfile
@@ -103,11 +105,6 @@ def _floats(tokens, n, line):
     return vals
 
 
-def _complex_row(tokens, p, line) -> np.ndarray:
-    vals = _floats(tokens, 2 * p, line)
-    return np.array([complex(vals[2 * i], vals[2 * i + 1]) for i in range(p)])
-
-
 def _rated(tokens, line):
     """Split a trailing `rated A` pair off a catalog row: (tokens, A or None)."""
     if len(tokens) >= 2 and tokens[-2] == "rated":
@@ -115,11 +112,10 @@ def _rated(tokens, line):
     return tokens, None
 
 
-@contextlib.contextmanager
-def _at(line):
-    """Report a model constructor's ValueError as a ParseError at `line`."""
+def _made(line, ctor, *args, **kwargs):
+    """ctor(*args, **kwargs), its ValueError reported as a ParseError at `line`."""
     try:
-        yield
+        return ctor(*args, **kwargs)
     except ValueError as exc:
         raise ParseError(str(exc), line) from None
 
@@ -128,7 +124,8 @@ class _Lines:
     """Iterator over (lineno, tokens) skipping blanks and comments."""
 
     def __init__(self, text: str):
-        rows = ((i, raw.split("#", 1)[0].split()) for i, raw in enumerate(text.splitlines(), 1))
+        rows = ((i, (raw.split("#", 1)[0] if "#" in raw else raw).split())
+                for i, raw in enumerate(text.splitlines(), 1))
         self.rows = [(i, tok) for i, tok in rows if tok]
         self.pos = 0
 
@@ -163,13 +160,36 @@ class _Lines:
             raise ParseError(f"expected '{keyword}' row", ln)
         return ln, t[1:]
 
-    def matrix(self, keyword, p, dtype=complex, first=None):
-        """p x p matrix from `keyword` rows; `first` is a (lineno, values) row already taken."""
-        m = np.zeros((p, p), dtype=dtype)
-        for i in range(p):
+    def numbers(self, keyword, n, width, first=None) -> np.ndarray:
+        """(n, width) floats from n `keyword` rows; `first` is a (lineno, values) row already taken.
+
+        The rows are converted in one float() pass.  Only a faulty block is
+        read again row by row, so the error is the first one in line order.
+        A non-finite number makes the block's sum non-finite; a finite block
+        whose sum overflows just takes the row-by-row path, which accepts it.
+        """
+        start = self.pos
+        rows = [] if first is None else [first[1]]
+        rows += [t[1:] for _, t in self.rows[start : start + n - len(rows)] if t[0] == keyword]
+        if len(rows) == n and all(len(t) == width for t in rows):
+            try:
+                vals = [float(x) for t in rows for x in t]
+                clean = math.isfinite(sum(vals))
+            except ValueError:
+                clean = False
+            if clean:
+                self.pos = start + n - (first is not None)
+                return np.array(vals).reshape(n, width)
+        vals = []
+        for i in range(n):
             ln, t = first if first is not None and i == 0 else self.row(keyword)
-            m[i] = _complex_row(t, p, ln) if dtype is complex else _floats(t, p, ln)
-        return m
+            vals.append(_floats(t, width, ln))
+        return np.array(vals)
+
+    def matrix(self, keyword, p, dtype=complex, first=None):
+        """p x p matrix from `keyword` rows (real, imaginary pairs when complex)."""
+        a = self.numbers(keyword, p, 2 * p if dtype is complex else p, first)
+        return a.view(complex) if dtype is complex else a
 
 
 def _read_config(src, tok, line, p, configs):
@@ -229,8 +249,7 @@ def parse_grid_text(text: str, validate: bool = True):
                 if len(t) != 3:
                     raise ParseError("node row needs: id role vnom_volts|-", ln)
                 vnom = None if t[2] == "-" else _floats([t[2]], 1, ln)[0]
-                with _at(ln):
-                    nodes.append(Node(id=_node_id(t[0]), role=t[1], vnom=vnom))
+                nodes.append(_made(ln, Node, id=_node_id(t[0]), role=t[1], vnom=vnom))
 
         elif head == "config":
             _read_config(src, tok, line, p, configs)
@@ -249,18 +268,16 @@ def parse_grid_text(text: str, validate: bool = True):
                     if rest[1] not in configs:
                         raise ParseError(f"undefined line config {rest[1]!r}", ln)
                     z, b = configs[rest[1]]
-                    with _at(ln):
-                        branches.append(pi_line(f, to, z, b, length, rated_a=rated, label=rest[1]))
+                    branches.append(_made(ln, pi_line, f, to, z, b, length, rated_a=rated,
+                                          label=rest[1]))
                 elif rest[0] == "seq":
                     if len(rest) != 8 or rest[-1] != "transposed":
                         raise ParseError(
                             "seq line needs r1 x1 b1 r0 x0 b0 followed by 'transposed'", ln
                         )
                     r1, x1, b1, r0, x0, b0 = _floats(rest[1:7], 6, ln)
-                    with _at(ln):
-                        branches.append(
-                            sequence_line(f, to, length, r1, x1, b1, r0, x0, b0, p=p, rated_a=rated)
-                        )
+                    branches.append(_made(ln, sequence_line, f, to, length, r1, x1, b1, r0, x0, b0,
+                                          p=p, rated_a=rated))
                 else:
                     raise ParseError(f"unknown line form {rest[0]!r}", ln)
 
@@ -273,12 +290,8 @@ def parse_grid_text(text: str, validate: bool = True):
                         ln,
                     )
                 vals = _floats(t[3:], 6, ln)
-                with _at(ln):
-                    branches.append(
-                        transformer_from_catalog(
-                            t[0], _node_id(t[1]), _node_id(t[2]), *vals, p=p, rated_a=rated
-                        )
-                    )
+                branches.append(_made(ln, transformer_from_catalog, t[0], _node_id(t[1]),
+                                      _node_id(t[2]), *vals, p=p, rated_a=rated))
 
         elif head == "branch":
             if len(tok) != 3:
@@ -297,20 +310,16 @@ def parse_grid_text(text: str, validate: bool = True):
                     label = " ".join(t[1:]) or None
                 else:
                     raise ParseError(f"unknown branch attribute {t[0]!r}", ln)
-            with _at(line):
-                branches.append(
-                    Branch(_node_id(tok[1]), _node_id(tok[2]), z, gain=gain,
-                           y_shunt_from=shunt_y["yfrom"], y_shunt_to=shunt_y["yto"],
-                           rated_a=rated, label=label)
-                )
+            branches.append(_made(line, Branch, _node_id(tok[1]), _node_id(tok[2]), z, gain=gain,
+                                  y_shunt_from=shunt_y["yfrom"], y_shunt_to=shunt_y["yto"],
+                                  rated_a=rated, label=label))
 
         elif head == "shunt":
             if len(tok) != 2:
                 raise ParseError("shunt block needs: shunt <node>", line)
             y = src.matrix("y", p)
             src.close("shunt")
-            with _at(line):
-                shunts.append(Shunt(node=_node_id(tok[1]), y=y))
+            shunts.append(_made(line, Shunt, node=_node_id(tok[1]), y=y))
 
         elif head == "slacks":
             vnoms = {n.id: n.vnom for n in nodes}
@@ -321,23 +330,19 @@ def parse_grid_text(text: str, validate: bool = True):
                 s_sc, rx = _floats(t[2:], 2, ln)
                 if vnoms.get(node) is None:
                     raise ParseError(f"slack node {node} needs a nominal voltage", ln)
-                with _at(ln):
-                    slacks.append(slack_from_catalog(node, vnoms[node], s_sc, rx, p))
+                slacks.append(_made(ln, slack_from_catalog, node, vnoms[node], s_sc, rx, p))
 
         elif head == "slack":
             if len(tok) != 2:
                 raise ParseError("slack block needs: slack <node>", line)
             z = src.matrix("zrow", p)
-            ln, t = src.row("vrow")
-            v = _complex_row(t, p, ln)
+            v = src.numbers("vrow", 1, 2 * p).view(complex)[0]
             src.close("slack")
-            with _at(line):
-                slacks.append(SlackModel(node=_node_id(tok[1]), v_te=v, z_te=z))
+            slacks.append(_made(line, SlackModel, node=_node_id(tok[1]), v_te=v, z_te=z))
 
         elif head == "resources":
             for ln, t in src.table("resources"):
-                with _at(ln):
-                    resources.append(_parse_resource_row(t, p, ln))
+                resources.append(_made(ln, _parse_resource_row, t, p, ln))
 
         else:
             raise ParseError(f"unknown section {head!r}", line)
@@ -377,9 +382,8 @@ def _parse_resource_row(t, p, ln) -> ResourceModel:
 
 
 def _assemble_model(nodes, branches, shunts, slacks, resources, p) -> GridModel:
-    with _at(None):
-        grid = GridModel(nodes=tuple(nodes), branches=tuple(branches),
-                         shunts=tuple(shunts), p=p)
+    grid = _made(None, GridModel, nodes=tuple(nodes), branches=tuple(branches),
+                 shunts=tuple(shunts), p=p)
     slack_ids = [s.node for s in slacks]
     if sorted(map(str, slack_ids)) != sorted(map(str, grid.slack_nodes)):
         raise ParseError(

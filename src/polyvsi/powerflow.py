@@ -297,9 +297,10 @@ class PolyphaseSystem:
         v = x[r] * self.e_nom[r] * np.exp(1j * wrap_angle(x[self.n_unknown + r]))
         return index_at(self.hybrid, self._zip, self._lam(xi), self._v_fixed, v)
 
-    def svd_at(self, x: np.ndarray, xi: float, block: SvdBlock | None = None) -> tuple:
-        """jacobian_svd of the state Jacobian at (x, xi), stepping block if given."""
-        return jacobian_svd(self.jacobian_x(x, xi), block)
+    def svd_at(self, x: np.ndarray, xi: float, block: SvdBlock | None = None, j=None) -> tuple:
+        """jacobian_svd of the state Jacobian at (x, xi), stepping block if
+        given; j is that Jacobian when the caller has already evaluated it."""
+        return jacobian_svd(self.jacobian_x(x, xi) if j is None else j, block)
 
     # -- reporting ----------------------------------------------------------
 

@@ -159,7 +159,7 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
         x_norm = max(x_norm, float(np.abs(x[:, unit]).sum(axis=0).max(initial=0.0)))
         x_m[:, cols] = x[mi]
         x_t[:, cols] = x[ti]
-    if not 1.0 / (_norm1(y_uu) * x_norm) >= RCOND_FLOOR:
+    if not 1.0 / (float(_norm1(y_uu)) * x_norm) >= RCOND_FLOOR:
         raise SingularInteriorBlock("Y_UU is numerically singular as seen from the resource nodes")
 
     y_it = y_iu[:, ti]

@@ -51,9 +51,13 @@ Proves:
        bit-identical to a trace without them
   22.  A trace calls jacobian_svd once per sample and the full n x n SVD
        twice, or once when the base is the final sample
+  22a. J_x is evaluated once at each sample of a trace that ends at the
+       fold: the tangent's J_x also gives the sample's singular values
   23.  The two-bus system (2 states, fewer than the block) records the
        exact triplet at every sample
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -393,6 +397,21 @@ def test_recording_leaves_the_path_bit_identical(bench_system, bench_trace, feed
         assert len(bare.samples) == len(trace.samples)
         for s, b in zip(trace.samples, bare.samples):
             assert np.array_equal(s.x, b.x) and s.xi == b.xi
+
+
+def test_one_jacobian_per_sample(bench_system):
+    system = copy.copy(bench_system)
+    seen = []
+
+    def jacobian_x(x, xi):
+        seen.append((np.asarray(x).tobytes(), xi))
+        return bench_system.jacobian_x(x, xi)
+
+    system.jacobian_x = jacobian_x
+    trace = run_cpf(system)
+    assert trace.termination == TERM_FOLD
+    assert [seen.count((s.x.tobytes(), s.xi)) for s in trace.samples] == [1] * len(trace.samples)
+    assert [s.sv for s in trace.samples] == [s.sv for s in run_cpf(bench_system).samples]
 
 
 def test_full_svd_only_at_base_and_final(bench_system, monkeypatch):

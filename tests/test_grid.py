@@ -48,6 +48,14 @@ Proves:
   21.  linear_solver solves a x = b and, with transpose=True, a' x = b,
        dense and sparse, for one or several right-hand sides; a singular
        matrix raises the caller's error type in both directions
+
+ Group 7 - Stacked algebra
+  22.  _inverse on a stack equals one call per matrix bit for bit, with an
+       exactly singular, a below-floor and a non-finite member
+  23.  passivity_faults on a stack finds the faults of one call per matrix
+  24.  admittance_entries equals the per-branch sum of branch_stamp bit for
+       bit: bundled feeder, 302-node synthetic feeder, random grids with
+       gains, pi shunts, node shunts, parallel branches and sources
 """
 
 from dataclasses import replace
@@ -57,21 +65,27 @@ import pytest
 from scipy.sparse import csc_array
 
 from conftest import PASSIVITY_EDGES, random_system
+from polyvsi.benchmark import build_benchmark
 from polyvsi.blocks import BlockMatrix
 from polyvsi.errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock
 from polyvsi.grid import (
+    RCOND_FLOOR,
     Branch,
     GridModel,
     Node,
     Shunt,
+    _inverse,
+    admittance_entries,
     assemble_admittance,
     branch_stamp,
     build_incidence,
     hybrid_partition,
     kron_reduce,
     linear_solver,
+    passivity_faults,
     validate_parameters,
 )
+from polyvsi.nodes import SlackModel
 from polyvsi.vsi import AugmentedGrid, reduce_augmented, te_node
 
 
@@ -441,3 +455,105 @@ def test_linear_solver_transpose():
         for m in (singular, csc_array(singular)):
             with pytest.raises(SingularBranch, match="test matrix is singular"):
                 linear_solver(m, "test matrix", SingularBranch)(np.ones(3), transpose=transpose)
+
+
+# -- Group 7 ---------------------------------------------------------------
+
+
+def _same(a, b):
+    """Bit-for-bit equality of arrays (nan equal to nan) or of scalars."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_inverse_matches_per_matrix():
+    rng = np.random.default_rng(3)
+    good = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2 * np.eye(2)
+            for _ in range(4)]
+    below_floor = np.diag([1.0, 1e-15]).astype(complex)
+    assert not _inverse(below_floor)[1] >= RCOND_FLOOR
+    # Without the exactly singular member LAPACK inverts the stack in one call;
+    # with it the stack falls back to one call per member.
+    for bad in ([below_floor, BAD_BLOCKS["inf"], BAD_BLOCKS["near-singular"]],
+                [below_floor, BAD_BLOCKS["singular"], BAD_BLOCKS["inf"]]):
+        stack = np.array(good[:2] + bad + good[2:])
+        inv, rcond = _inverse(stack)
+        assert inv.shape == stack.shape and rcond.shape == (len(stack),)
+        for k, m in enumerate(stack):
+            m_inv, rc = _inverse(m)
+            assert _same(rcond[k], rc), k
+            if m_inv is None:
+                assert rc == 0.0 and np.isnan(inv[k]).all()
+            else:
+                assert _same(inv[k], m_inv), k
+    assert _inverse(BAD_BLOCKS["singular"]) == (None, 0.0)
+
+
+def test_stacked_passivity_faults_match_per_matrix():
+    rng = np.random.default_rng(4)
+    mats = [m for m, _ in PASSIVITY_EDGES] + list(BAD_BLOCKS.values())
+    mats += [np.diag([1.0, 1e-15]).astype(complex), np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex)]
+    mats += [0.5 * (a + a.T) + 3 * np.eye(2) for a in rng.standard_normal((4, 2, 2)) + 0j]
+    order = rng.permutation(len(mats))
+    mats = [mats[k] for k in order]
+    for invertible in (False, rng.random(len(mats)) < 0.7, np.ones(len(mats), dtype=bool)):
+        mask = np.broadcast_to(invertible, (len(mats),))
+        each = [(k, kind, detail) for k, m in enumerate(mats)
+                for _, kind, detail in passivity_faults([m], [mask[k]])]
+        assert passivity_faults(mats, mask) == sorted(each, key=lambda f: f[0])
+        assert any(kind == "singular" for _, kind, _ in each) == bool(mask.any())
+
+
+def _entries_by_stamp(grid, sources=()):
+    """admittance_entries summed one branch_stamp at a time, in its term order."""
+    p = grid.p
+    nodes = tuple(b.from_node for b in sources) + grid.node_ids
+    at = {node: i for i, node in enumerate(nodes)}
+
+    def terms(b):
+        s, f, t = branch_stamp(b), at[b.from_node], at[b.to_node]
+        return [(f, f, s[:p, :p]), (f, t, s[:p, p:]), (t, f, s[p:, :p]), (t, t, s[p:, p:]),
+                (f, f, b.y_shunt_from), (t, t, b.y_shunt_to)]
+
+    summed = {(i, i): np.zeros((p, p), dtype=complex) for i in range(len(nodes))}
+    for i, j, m in ([term for b in grid.branches for term in terms(b)]
+                    + [(at[s.node], at[s.node], s.y) for s in grid.shunts]
+                    + [term for b in sources for term in terms(b)]):
+        if m is not None:
+            summed[i, j] = summed.get((i, j), 0.0) + m
+    keys = sorted(summed)
+    rows = [i * p + r for i, _ in keys for r in range(p) for _ in range(p)]
+    cols = [j * p + c for _, j in keys for _ in range(p) for c in range(p)]
+    return nodes, np.array(rows), np.array(cols), np.concatenate([summed[k].ravel() for k in keys])
+
+
+def _with_pi_and_parallel(rng, grid):
+    """grid with pi shunts on some branches and a parallel copy of one."""
+    p = grid.p
+    branches = [replace(b, y_shunt_from=1j * rng.uniform(1e-6, 1e-5) * np.eye(p),
+                        y_shunt_to=None if rng.random() < 0.5 else 2e-6j * np.eye(p))
+                if rng.random() < 0.6 else b for b in grid.branches]
+    first = branches[0]
+    branches.append(Branch(first.to_node, first.from_node, 2.0 * first.z, gain=1.1))
+    return replace(grid, branches=tuple(branches))
+
+
+def test_admittance_entries_match_branch_stamps(synthfeeder):
+    from polyvsi.gridfile import parse_grid_text
+
+    cases = [build_benchmark()[:2], parse_grid_text(synthfeeder.feeder_text(0, 300))[:2]]
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        grid, slacks, _ = random_system(rng)
+        cases.append((_with_pi_and_parallel(rng, grid), slacks))
+    lone = GridModel(nodes=(Node(1, "slack", vnom=1.0),), branches=(), shunts=(Shunt(1, 1e-3j * np.eye(2)),), p=2)
+    cases.append((lone, [SlackModel(node=1, v_te=np.ones(2, dtype=complex), z_te=(0.1 + 0.2j) * np.eye(2))]))
+    assert any(b.gain != 1.0 for grid, _ in cases for b in grid.branches)
+    assert any(grid.shunts for grid, _ in cases)
+    for grid, slacks in cases:
+        sources = [Branch(te_node(s.node), s.node, s.z_te) for s in slacks]
+        for src in ((), sources):
+            got, ref = admittance_entries(grid, src), _entries_by_stamp(grid, src)
+            assert got[0] == ref[0]
+            for a, b in zip(got[1:], ref[1:]):
+                assert _same(a, b)

@@ -15,6 +15,10 @@ Proves:
        builders reject non-positive ratings themselves
    4b. parse_configs reads config-only text with the grid file's config
        grammar and rejects anything else
+   4c. Every row of a three-phase matrix block (config z and b, branch z,
+       yfrom and yto, shunt y, slack zrow and vrow) with a wrong width, a
+       bad token or a non-finite number raises ParseError naming that row;
+       with faults in several rows the first one in line order is reported
 
  Group 2 - Validation
    5.  Asymmetric parameters raise ValidationError when validate=True and
@@ -28,6 +32,8 @@ Proves:
        rounded ones
    9.  Resource rows mixing SI and catalog units parse to the all-catalog
        row's model and serialize to the same text
+  10.  The text of a 302-node synthetic feeder re-serializes to itself and
+       re-parses to equal models
 """
 
 import numpy as np
@@ -208,6 +214,107 @@ def test_parse_configs():
         parse_configs("config a\nz 1 2\nb 3\nb 4\nend\n", 1)
 
 
+THREE = """\
+phases 3
+nodes
+1 slack 1000.0
+2 zero 1000.0
+3 resource 1000.0
+end
+
+config a
+z 0.3 0.8 0.1 0.4 0.1 0.35
+z 0.1 0.4 0.3 0.8 0.1 0.4
+z 0.1 0.35 0.1 0.4 0.3 0.8
+b 3.0 -1.0 -0.5
+b -1.0 3.0 -1.0
+b -0.5 -1.0 3.0
+end
+
+lines
+2 3 1.5 config a
+end
+
+branch 1 2
+z 0.5 1.0 0.1 0.2 0.1 0.2
+z 0.1 0.2 0.5 1.0 0.1 0.2
+z 0.1 0.2 0.1 0.2 0.5 1.0
+yfrom 0.0 1e-05 0.0 0.0 0.0 0.0
+yfrom 0.0 0.0 0.0 1e-05 0.0 0.0
+yfrom 0.0 0.0 0.0 0.0 0.0 1e-05
+yto 0.0 2e-05 0.0 0.0 0.0 0.0
+yto 0.0 0.0 0.0 2e-05 0.0 0.0
+yto 0.0 0.0 0.0 0.0 0.0 2e-05
+label feeder
+end
+
+shunt 2
+y 0.0 3e-05 0.0 0.0 0.0 0.0
+y 0.0 0.0 0.0 3e-05 0.0 0.0
+y 0.0 0.0 0.0 0.0 0.0 3e-05
+end
+
+slack 1
+zrow 0.05 0.3 0.0 0.01 0.0 0.01
+zrow 0.0 0.01 0.05 0.3 0.0 0.01
+zrow 0.0 0.01 0.0 0.01 0.05 0.3
+vrow 1000.0 0.0 -500.0 -866.0 -500.0 866.0
+end
+
+resources
+3 load v0 1000.0 p0 -1000.0 -900.0 -800.0 q0 0.0 0.0 0.0 zip_re 0.0 0.0 1.0 zip_im 0.0 0.0 1.0
+end
+"""
+
+MATRIX_ROWS = ("z", "b", "yfrom", "yto", "y", "zrow", "vrow")
+
+
+def test_bad_matrix_rows_name_their_line():
+    grid, slacks, _ = parse_grid_text(THREE)
+    assert grid.branches[1].y_shunt_from[0, 0] == 1e-5j and grid.shunts[0].y[2, 2] == 3e-5j
+    assert slacks[0].v_te[1] == -500.0 - 866.0j
+    lines = THREE.splitlines()
+    rows = [k for k, ln in enumerate(lines) if ln.partition(" ")[0] in MATRIX_ROWS]
+    assert len(rows) == 22
+    for k in rows:
+        keyword, *numbers = lines[k].split()
+        faults = [
+            (numbers[:-1], "expected"),
+            (numbers + ["0.0"], "expected"),
+            (numbers[:1] + ["1.0.0"] + numbers[2:], "bad number"),
+            (numbers[:1] + ["0x10"] + numbers[2:], "bad number"),
+            (numbers[:-1] + ["nan"], "finite"),
+            (["inf"] + numbers[1:], "finite"),
+            (numbers[:2] + ["-1e999"] + numbers[3:], "finite"),
+        ]
+        for bad, match in faults:
+            text = "\n".join(lines[:k] + [" ".join([keyword] + bad)] + lines[k + 1:]) + "\n"
+            with pytest.raises(ParseError, match=match) as exc:
+                parse_grid_text(text)
+            assert exc.value.line == k + 1, (lines[k], bad)
+
+
+def test_first_bad_matrix_row_is_reported():
+    start = THREE.index("branch 1 2\n")
+    z_line = THREE[:start].count("\n") + 2  # the branch's first z row
+    block = THREE[start:].split("label")[0]
+    cases = [
+        # a bad token above a row with the wrong keyword
+        (["z 0.5 x 0.1 0.2 0.1 0.2", "w 0.1 0.2 0.5 1.0 0.1 0.2"], 0, "bad number"),
+        # a non-finite number above a short row
+        (["z 0.5 1.0 0.1 0.2 0.1 0.2", "z 0.1 0.2 0.5 nan 0.1 0.2", "z 0.1 0.2"], 1, "finite"),
+        # a short row above a bad token
+        (["z 0.5 1.0 0.1 0.2 0.1", "z 0.1 0.2 0.5 1.0 0.1 y"], 0, "expected 6 numbers, got 5"),
+    ]
+    for new_rows, bad, match in cases:
+        rows = block.splitlines()
+        rows[1 : 1 + len(new_rows)] = new_rows
+        text = THREE.replace(block, "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=match) as exc:
+            parse_grid_text(text)
+        assert exc.value.line == z_line + bad, new_rows
+
+
 # -- Group 2 ---------------------------------------------------------------
 
 ASYM = """\
@@ -313,3 +420,11 @@ def test_zip_from_values():
     assert rounded.alpha == 1.064 / s
     with pytest.raises(ValueError):
         zip_from_values(0.9, 0.3, 0.3)
+
+
+def test_synthetic_feeder_text_round_trips(synthfeeder):
+    text = synthfeeder.feeder_text(0, 300)
+    models = parse_grid_text(text)
+    assert len(models[0].branches) == 301
+    assert serialize_grid(*models) == text
+    assert parse_grid_text(serialize_grid(*models)) == models

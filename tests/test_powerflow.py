@@ -42,6 +42,8 @@ Proves:
        with the forced-dense one in x and iteration count
   17a. Building that sparse system peaks below one dense n_unknown^2
        complex array (tracemalloc): no dense admittance is formed
+  17b. Parsing and building it calls np.linalg.inv a few times, not once
+       per branch: branch impedances are inverted as one stack
   18.  Parsing, building and tracing the two small CPF inputs with SVD
        never imports scipy (fresh interpreter)
   19.  Every library attribute the benchmark's layer tracer wraps by name
@@ -459,6 +461,23 @@ def test_sparse_build_forms_no_dense_admittance(synthfeeder):
     dense_bytes = np.dtype(complex).itemsize * system.n_unknown ** 2
     assert system.sparse
     assert peak < dense_bytes, f"build peak {peak / 2**20:.1f} MiB >= {dense_bytes / 2**20:.1f} MiB"
+
+
+def test_setup_inverts_branches_as_one_stack(synthfeeder, monkeypatch):
+    text = synthfeeder.feeder_text(0, 300)
+    calls = []
+
+    def inv(a):
+        calls.append(np.shape(a))
+        return np_inv(a)
+
+    np_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    grid, slacks, resources = parse_grid_text(text)
+    PolyphaseSystem(grid, slacks, resources)
+    assert len(grid.branches) == 301
+    assert len(calls) <= 4, calls
+    assert (len(grid.branches), 3, 3) in calls
 
 
 def test_small_systems_never_import_scipy():
