@@ -14,6 +14,7 @@ mapped to the caller's error type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -285,6 +286,14 @@ class GridModel:
     def resource_nodes(self) -> tuple:
         return self.nodes_with_role(ROLE_RESOURCE)
 
+    @cached_property
+    def passivity(self) -> tuple:
+        """(element, kind, detail) per passivity fault of the branch and
+        shunt matrices, impedances checked invertible too.  The rule runs
+        once per grid: validate_parameters and admittance_entries both read
+        this."""
+        return tuple(_grid_faults(self))
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -373,9 +382,9 @@ def passivity_faults(mats, invertible=False) -> list[tuple]:
     return sorted(faults, key=lambda f: f[0])
 
 
-def _grid_faults(grid: GridModel, check_inverse: bool) -> list[tuple]:
-    """(element, kind, detail) per passivity fault; check_inverse tests impedances too."""
-    rows = [(f"branch {b.from_node}-{b.to_node} {what}", m, check_inverse and what == "impedance")
+def _grid_faults(grid: GridModel) -> list[tuple]:
+    """(element, kind, detail) per passivity fault, impedances checked invertible."""
+    rows = [(f"branch {b.from_node}-{b.to_node} {what}", m, what == "impedance")
             for b in grid.branches
             for what, m in (("impedance", b.z), ("from-shunt", b.y_shunt_from), ("to-shunt", b.y_shunt_to))
             if m is not None]
@@ -398,7 +407,7 @@ def admittance_entries(grid: GridModel, sources=()) -> tuple:
     AsymmetricParameter on the first grid matrix passivity_faults finds
     asymmetric, SingularBranch on the first singular impedance.
     """
-    for element, kind, _ in _grid_faults(grid, check_inverse=False):
+    for element, kind, _ in grid.passivity:
         if kind == "asymmetric":
             raise AsymmetricParameter(f"{element} is not symmetric within tolerance {PARAM_TOL}")
     p = grid.p
@@ -461,8 +470,7 @@ def validate_parameters(grid: GridModel) -> list[Violation]:
     Violations are returned as data, not raised, so a caller can report all
     of them at once.
     """
-    return [Violation(kind, element, detail)
-            for element, kind, detail in _grid_faults(grid, check_inverse=True)]
+    return [Violation(kind, element, detail) for element, kind, detail in grid.passivity]
 
 
 def _split_nodes(y: BlockMatrix, subset, name: str) -> tuple:

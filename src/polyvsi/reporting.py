@@ -1,14 +1,19 @@
 """CSV emitters and readers for the command-line tools.
 
-All floats are rendered in scientific notation with nine significant digits;
-column orders are fixed and covered by golden tests.  Files are written
-atomically (temp file + rename).
+Every number goes through one rule, fmt9: scientific notation with nine
+significant digits.  Files are rendered column-wise from the solver's
+arrays: each number column is formatted in one pass (fmt9_all), each node
+id is quoted once, by csv.writer's QUOTE_MINIMAL rule, and each line is one
+join of its cells.  The text is byte for byte what csv.writer writes for
+the same rows with a "\n" terminator.  Column orders are fixed and covered
+by golden tests.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
 import csv
-import io
+from itertools import product, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,54 +29,82 @@ SNAPSHOT_HEADER = ["node", "phase", "V_mag_V", "V_ang_rad"]
 PF_HEADER = ["kind", "id", "phase", "V_mag_V", "V_ang_rad", "I_A", "rated_A", "dP_W", "dQ_VAR"]
 VSI_HEADER = ["node", "phase", "L_local", "L_global", "is_critical"]
 
+_E9 = "%.8e"
+
 
 def fmt9(x) -> str:
-    return f"{float(x):.8e}"
+    return _E9 % float(x)
 
 
-def _render(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+def fmt9_all(values) -> list:
+    """fmt9 of every element of values, in C order, from one % call."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return (f"{_E9}\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _cells(values) -> list:
+    """Each value as csv.writer writes it as one field of a row."""
+    lines = []
+    # csv.writer makes one write call per row.  A lone empty field would be
+    # written '""', so each row gets a second, empty field, cut off below.
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        (v, "") for v in values)
+    return [line[:-2] for line in lines]
+
+
+def _id_rows(ids, p: int) -> list:
+    """The "id,phase" cells of rows (id, 1) .. (id, p) per id, in order."""
+    return [f"{cell},{q}" for cell in _cells(ids) for q in range(1, p + 1)]
+
+
+def _write(path, header, blocks):
+    """Write the header and the rows of each block.
+
+    A block is a list of columns, each a list of rendered cells (one per
+    row) or one str for every row; an entry may hold several cells joined
+    by commas.
+    """
+    lines = [",".join(_cells(header))]
+    for block in blocks:
+        lines += map(",".join, zip(*(repeat(c) if isinstance(c, str) else c for c in block)))
+    lines.append("")
+    write_text_atomic(path, "\n".join(lines))
 
 
 def write_csv_atomic(path, header, rows):
-    write_text_atomic(path, _render(header, rows))
+    """Write rows of equal length, at least two cells each."""
+    _write(path, header, [[_cells(column) for column in zip(*rows)]])
 
 
-def trace_rows(trace) -> list:
-    """Flatten a CpfTrace into trace-CSV rows (one per step, node, phase)."""
-    rows = []
+def write_trace_csv(path, trace):
+    """One row per (sample, node, phase) of a CpfTrace.
+
+    L_local is blank off the index's pairs, and every index and singular
+    value cell is blank where the sample holds none.
+    """
+    blocks, key = [], None
     for step, sample in enumerate(trace.samples):
         op = sample.op
         if op is None:
             raise ValueError("trace samples carry no operating points")
-        loc = sample.vsi.local if sample.vsi is not None else {}
-        l_glob = fmt9(sample.vsi.global_value) if sample.vsi is not None else ""
-        sv = tuple("" if v is None else fmt9(v) for v in sample.sv or (None,) * 3)
-        for node, phase, magnitude, angle in snapshot_rows(op):
-            l_loc = loc.get((node, phase))
-            rows.append([step, fmt9(sample.xi), node, phase, magnitude, angle,
-                         fmt9(l_loc) if l_loc is not None else "", l_glob, *sv])
-    return rows
-
-
-def write_trace_csv(path, trace):
-    write_csv_atomic(path, TRACE_HEADER, trace_rows(trace))
-
-
-def snapshot_rows(op: OperatingPoint) -> list:
-    rows = []
-    for node in op.nodes:
-        for phase in range(1, op.p + 1):
-            rows.append([node, phase, fmt9(op.magnitude(node, phase)), fmt9(op.angle(node, phase))])
-    return rows
+        if (op.nodes, op.p) != key:
+            key = (op.nodes, op.p)
+            ids = _id_rows(*key)
+            row = {pair: k for k, pair in enumerate(product(op.nodes, range(1, op.p + 1)))}
+        local, l_glob = [""] * len(ids), ""
+        if sample.vsi is not None:
+            for pair, cell in zip(sample.vsi.local, fmt9_all(list(sample.vsi.local.values()))):
+                if pair in row:
+                    local[row[pair]] = cell
+            l_glob = fmt9(sample.vsi.global_value)
+        sv = ",".join("" if v is None else fmt9(v) for v in sample.sv or (None,) * 3)
+        blocks.append([f"{step},{fmt9(sample.xi)}", ids, fmt9_all(op.e), fmt9_all(op.theta),
+                       local, f"{l_glob},{sv}"])
+    _write(path, TRACE_HEADER, blocks)
 
 
 def write_snapshot_csv(path, op: OperatingPoint):
-    write_csv_atomic(path, SNAPSHOT_HEADER, snapshot_rows(op))
+    _write(path, SNAPSHOT_HEADER, [[_id_rows(op.nodes, op.p), fmt9_all(op.e), fmt9_all(op.theta)]])
 
 
 def read_snapshot_csv(path) -> dict:
@@ -114,42 +147,26 @@ def snapshot_to_point(values: dict, system, xi: float) -> OperatingPoint:
     return OperatingPoint(nodes=system.unknown_nodes, p=system.p, e=e, theta=th, xi=float(xi))
 
 
-def pf_rows(system, op: OperatingPoint, mis) -> list:
-    rows = []
-    for i, node in enumerate(op.nodes):
-        for q in range(op.p):
-            rows.append([
-                "node", node, q + 1,
-                fmt9(op.e[i, q]), fmt9(op.theta[i, q]),
-                "", "",
-                fmt9(mis.dp[i, q]), fmt9(mis.dq[i, q]),
-            ])
-    for branch, i_series in system.branch_series_currents(op):
-        ident = f"{branch.from_node}-{branch.to_node}"
-        for q in range(op.p):
-            rows.append([
-                "branch", ident, q + 1,
-                "", "",
-                fmt9(abs(i_series[q])),
-                fmt9(branch.rated_a) if branch.rated_a is not None else "",
-                "", "",
-            ])
-    return rows
-
-
 def write_pf_csv(path, system, op: OperatingPoint, mis):
-    write_csv_atomic(path, PF_HEADER, pf_rows(system, op, mis))
-
-
-def vsi_rows(result) -> list:
-    rows = []
-    for (node, phase), value in result.local.items():
-        rows.append([
-            node, phase, fmt9(value), fmt9(result.global_value),
-            int((node, phase) == result.critical),
-        ])
-    return rows
+    """Node rows (voltage and mismatch), then branch rows (series current
+    magnitude and rating) per phase."""
+    currents = system.branch_series_currents(op)
+    branches = [b for b, _ in currents]
+    rated = [fmt9(b.rated_a) if b.rated_a is not None else "" for b in branches]
+    _write(path, PF_HEADER, [
+        ["node", _id_rows(op.nodes, op.p), fmt9_all(op.e), fmt9_all(op.theta), "", "",
+         fmt9_all(mis.dp), fmt9_all(mis.dq)],
+        ["branch", _id_rows([f"{b.from_node}-{b.to_node}" for b in branches], op.p), "", "",
+         fmt9_all(np.abs([i for _, i in currents])), [r for r in rated for _ in range(op.p)],
+         "", ""],
+    ])
 
 
 def write_vsi_csv(path, result):
-    write_csv_atomic(path, VSI_HEADER, vsi_rows(result))
+    pairs = list(result.local)
+    _write(path, VSI_HEADER, [[
+        [f"{cell},{q}" for cell, (_, q) in zip(_cells(node for node, _ in pairs), pairs)],
+        fmt9_all(list(result.local.values())),
+        fmt9(result.global_value),
+        ["1" if pair == result.critical else "0" for pair in pairs],
+    ]])

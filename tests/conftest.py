@@ -8,7 +8,8 @@ Provides:
     1000 V source behind 0.5 ohm, 0.5 ohm line, 125 kW constant-power
     load, so P_max = V^2/(4R) = 250 kW and xi_max = 2 exactly
   * fd_jacobian()       — central-difference Jacobian for derivative checks
-  * session-scoped bundled benchmark system and its continuation trace
+  * session-scoped bundled benchmark system and its continuation trace,
+    and the 252-state synthetic feeder system with its trace
   * synthfeeder / spans: the benchmark's seeded feeder generator and its
     layer tracer, loaded from perfbench/ without putting that directory on
     sys.path
@@ -28,6 +29,7 @@ from polyvsi.benchmark import build_benchmark
 from polyvsi.builders import positive_sequence_source
 from polyvsi.continuation import run_cpf
 from polyvsi.grid import Branch, GridModel, Node, Shunt
+from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients
 from polyvsi.powerflow import PolyphaseSystem
 
@@ -156,6 +158,13 @@ def bench_system():
 @pytest.fixture(scope="session")
 def bench_trace(bench_system):
     return run_cpf(bench_system)
+
+
+@pytest.fixture(scope="session")
+def feeder_trace(synthfeeder):
+    system = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 40)))
+    assert 2 * system.n_unknown == 252 and not system.sparse
+    return system, run_cpf(system)
 
 
 def _perfbench_module(name):

@@ -378,13 +378,6 @@ def _assert_recorded_spectrum(system, trace):
         assert s.sv[1:] == (None, None)
 
 
-@pytest.fixture(scope="module")
-def feeder_trace(synthfeeder):
-    system = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 40)))
-    assert 2 * system.n_unknown == 252 and not system.sparse
-    return system, run_cpf(system)
-
-
 def test_recorded_sv_min_matches_full_svd(bench_system, bench_trace, feeder_trace):
     for system, trace in ((bench_system, bench_trace), feeder_trace):
         _assert_recorded_spectrum(system, trace)

@@ -56,6 +56,9 @@ Proves:
   24.  admittance_entries equals the per-branch sum of branch_stamp bit for
        bit: bundled feeder, 302-node synthetic feeder, random grids with
        gains, pi shunts, node shunts, parallel branches and sources
+  25.  The passivity result is shared per grid, in either call order:
+       AsymmetricParameter still comes before SingularBranch, and the
+       violation list is the same
 """
 
 from dataclasses import replace
@@ -557,3 +560,29 @@ def test_admittance_entries_match_branch_stamps(synthfeeder):
             assert got[0] == ref[0]
             for a, b in zip(got[1:], ref[1:]):
                 assert _same(a, b)
+
+
+def test_shared_passivity_keeps_precedence():
+    z_asym = np.array([[0.5, 0.2], [0.1, 0.5]], dtype=complex)
+    z_sing = np.ones((2, 2), dtype=complex)
+
+    def grid(*impedances):
+        return GridModel(
+            nodes=tuple(Node(i, "zero" if i > 1 else "slack", vnom=1.0) for i in range(1, len(impedances) + 2)),
+            branches=tuple(Branch(i, i + 1, z) for i, z in enumerate(impedances, start=1)),
+            p=2,
+        )
+
+    expected = [("asymmetric", "branch 1-2 impedance"), ("singular", "branch 2-3 impedance")]
+    for validate_first in (True, False):
+        both = grid(z_asym, z_sing)
+        if validate_first:
+            assert [(v.kind, v.element) for v in validate_parameters(both)] == expected
+        with pytest.raises(AsymmetricParameter):
+            assemble_admittance(both)
+        assert [(v.kind, v.element) for v in validate_parameters(both)] == expected
+        singular = grid(z_sing)
+        if validate_first:
+            assert [v.kind for v in validate_parameters(singular)] == ["singular"]
+        with pytest.raises(SingularBranch):
+            assemble_admittance(singular)

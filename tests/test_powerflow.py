@@ -44,6 +44,8 @@ Proves:
        complex array (tracemalloc): no dense admittance is formed
   17b. Parsing and building it calls np.linalg.inv a few times, not once
        per branch: branch impedances are inverted as one stack
+  17c. Parsing and building it runs the grid's passivity rule once:
+       validation and the admittance stamping share one result
   18.  Parsing, building and tracing the two small CPF inputs with SVD
        never imports scipy (fresh interpreter)
   19.  Every library attribute the benchmark's layer tracer wraps by name
@@ -62,6 +64,7 @@ import pytest
 from scipy.sparse import csc_array
 
 from conftest import fd_jacobian, random_system, two_bus
+from polyvsi import grid as grid_module
 from polyvsi import powerflow
 from polyvsi.benchmark import bundled_grid_text
 from polyvsi.grid import GridModel
@@ -478,6 +481,20 @@ def test_setup_inverts_branches_as_one_stack(synthfeeder, monkeypatch):
     assert len(grid.branches) == 301
     assert len(calls) <= 4, calls
     assert (len(grid.branches), 3, 3) in calls
+
+
+def test_setup_runs_the_passivity_rule_once(synthfeeder, monkeypatch):
+    calls = []
+
+    def faults(grid, *args, **kwargs):
+        calls.append(grid)
+        return grid_faults(grid, *args, **kwargs)
+
+    grid_faults = grid_module._grid_faults
+    monkeypatch.setattr(grid_module, "_grid_faults", faults)
+    grid, slacks, resources = parse_grid_text(synthfeeder.feeder_text(0, 300))
+    PolyphaseSystem(grid, slacks, resources)
+    assert len(calls) == 1 and calls[0] is grid
 
 
 def test_small_systems_never_import_scipy():
