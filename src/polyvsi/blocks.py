@@ -9,9 +9,26 @@ instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+
+def fields_equal(self, other):
+    """__eq__ of the library's frozen dataclasses that hold arrays: every
+    compare=True field equal, arrays by np.array_equal, None equal only to
+    None."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+
+    def same(a, b):
+        if a is None or b is None:
+            return a is b
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return np.array_equal(a, b)
+        return a == b
+
+    return all(same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -98,12 +115,4 @@ class BlockMatrix:
         sub = self.data[np.ix_(rows, cols)]
         return BlockMatrix._adopt(sub, tuple(row_nodes), tuple(col_nodes), self.p)
 
-    def __eq__(self, other):
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.row_nodes == other.row_nodes
-            and self.col_nodes == other.col_nodes
-            and np.array_equal(self.data, other.data)
-        )
+    __eq__ = fields_equal

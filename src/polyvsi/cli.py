@@ -8,7 +8,7 @@ import sys
 
 from . import benchmark, reporting
 from .continuation import CpfConfig, run_cpf
-from .errors import BaseCaseDiverged, IncompleteModel, ParseError, PolyvsiError, ValidationError
+from .errors import IncompleteModel, ParseError, PolyvsiError, ValidationError
 from .gridfile import parse_grid, write_text_atomic
 from .grid import validate_parameters
 from .powerflow import PolyphaseSystem, mismatch, solve_power_flow
@@ -66,11 +66,7 @@ def cmd_cpf(args) -> int:
         record_svd=not args.no_svd,
         xi_start=args.xi_start,
     )
-    try:
-        trace = run_cpf(system, config)
-    except BaseCaseDiverged as exc:
-        print(f"{exc}", file=sys.stderr)
-        return 1
+    trace = run_cpf(system, config)
     final = trace.final
     print(f"xi_max = {trace.xi_max:.6f} ({trace.termination}, {len(trace.samples)} samples)")
     if final.vsi is not None:
@@ -95,12 +91,10 @@ def cmd_vsi(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.bench_command == "emit":
-        write_text_atomic(args.path, benchmark.bundled_grid_text())
-        print(f"wrote {args.path}")
-        return 0
-    raise AssertionError(args.bench_command)
+def cmd_bench_emit(args) -> int:
+    write_text_atomic(args.path, benchmark.bundled_grid_text())
+    print(f"wrote {args.path}")
+    return 0
 
 
 def _flag(convert, ok, what: str):
@@ -172,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     pe = bench_sub.add_parser("emit", help="write the bundled benchmark grid file")
     pe.add_argument("path")
-    pe.set_defaults(fn=cmd_bench)
+    pe.set_defaults(fn=cmd_bench_emit)
 
     return parser
 

@@ -34,48 +34,57 @@ sample on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian, StepLimitReached
-from .powerflow import SvdBlock, bordered, newton_solve, solve_linear
+from .grid import linear_solver
+from .powerflow import SvdBlock, bordered, newton_solve
 
 TERM_FOLD = "fold-detected"
 TERM_STEP_LIMIT = "step-limit"
 TERM_CORRECTOR = "corrector-failure"
 
 # Step halving at one anchor stops after MAX_HALVINGS retries or when the
-# step would drop below sigma * SIGMA_MIN_RATIO.
+# step would drop below sigma * SIGMA_MIN_RATIO.  The base case and every
+# corrector get at most MAX_CORRECTOR_ITER Newton corrections.
 MAX_HALVINGS = 6
 SIGMA_MIN_RATIO = 1.0 / 256.0
+MAX_CORRECTOR_ITER = 20
 
 
 @dataclass(frozen=True)
 class CpfConfig:
     """Continuation controls.
 
-    sigma is the arclength step in normalized state units; eps the corrector
-    tolerance.  record_vsi stores the index at every sample.  record_svd
-    stores Jacobian singular values: the exact triplet at the base and the
-    final sample, sv_min alone (within 1e-6 relative) in between.
+    sigma is the arclength step in normalized state units and eps the
+    Newton tolerance of the base case and the corrector, both finite and
+    > 0.  max_steps (>= 1) bounds the number of predictor-corrector steps.
+    record_vsi stores the index at every sample.  record_svd stores Jacobian
+    singular values: the exact triplet at the base and the final sample,
+    sv_min alone (within 1e-6 relative) in between.  xi_start, finite and
+    >= 0, is the loading of the base case.  A value out of range raises
+    ValueError naming the field.
     """
 
     sigma: float = 0.05
     eps: float = 1e-8
     max_steps: int = 500
-    max_corrector_iter: int = 20
     record_vsi: bool = True
     record_svd: bool = True
     xi_start: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if self.max_steps < 1 or self.max_corrector_iter < 1:
-            raise ValueError("iteration budgets must be >= 1")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be a finite number > 0, got {self.sigma!r}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be a finite number > 0, got {self.eps!r}")
+        if not 0.0 <= self.xi_start < math.inf:
+            raise ValueError(f"xi_start must be a finite number >= 0, got {self.xi_start!r}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -124,17 +133,18 @@ def tangent_direction(problem, x: np.ndarray, xi: float, j=None) -> tuple[np.nda
     J_x at (x, xi) when the caller has already evaluated it."""
     if j is None:
         j = problem.jacobian_x(x, xi)
-    dx = solve_linear(j, -problem.jacobian_xi(x, xi), "state Jacobian at the predictor")
+    dx = linear_solver(j, "state Jacobian at the predictor")(-problem.jacobian_xi(x, xi))
     scale = float(np.sqrt(np.dot(dx, dx) + 1.0))
     return dx / scale, 1.0 / scale
 
 
-def arclength_correct(problem, predicted, anchor, sigma: float, eps: float = 1e-8, max_iter: int = 20):
+def arclength_correct(problem, predicted, anchor, sigma: float, eps: float = 1e-8):
     """Newton-correct a predicted point onto the path at arclength sigma.
 
     Solves the augmented system [f(x, xi); (|x - x_a|^2 + (xi - xi_a)^2 -
-    sigma^2) / sigma^2] = 0 starting from the prediction.  Returns (x, xi);
-    raises NonConvergence or SingularJacobian like newton_solve.
+    sigma^2) / sigma^2] = 0 starting from the prediction, with at most
+    MAX_CORRECTOR_ITER corrections.  Returns (x, xi); raises NonConvergence
+    or SingularJacobian like newton_solve.
     """
     x_pred, xi_pred = predicted
     x_a, xi_a = anchor
@@ -155,7 +165,7 @@ def arclength_correct(problem, predicted, anchor, sigma: float, eps: float = 1e-
         return bordered(problem.jacobian_x(x, xi), problem.jacobian_xi(x, xi), bottom)
 
     z0 = np.concatenate([np.asarray(x_pred, dtype=float), [float(xi_pred)]])
-    res = newton_solve(fun, jac, z0, eps=eps, max_iter=max_iter)
+    res = newton_solve(fun, jac, z0, eps=eps, max_iter=MAX_CORRECTOR_ITER)
     return res.x[:n], float(res.x[n])
 
 
@@ -194,10 +204,12 @@ def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | No
 def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = None, strict: bool = False) -> CpfTrace:
     """Trace the solution path from xi_start until the fold or a budget.
 
-    The base case is solved at fixed xi from the flat start (or x0).  The
-    trace holds every accepted sample; termination is one of fold-detected,
-    step-limit, or corrector-failure.  With strict=True a step-limit raises
-    StepLimitReached instead of returning, carrying the partial trace.
+    The base case is solved at fixed xi from the flat start (or x0), with
+    at most MAX_CORRECTOR_ITER Newton corrections; BaseCaseDiverged when it
+    does not converge.  The trace holds every accepted sample; termination
+    is one of fold-detected, step-limit, or corrector-failure.  With
+    strict=True a step-limit raises StepLimitReached instead of returning,
+    carrying the partial trace.
     Each sample's singular values are recorded once the next sample is
     accepted or the trace ends, so the code knows which sample is final;
     they come from the J_x that the tangent evaluated at the sample, where
@@ -209,14 +221,14 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     if x0 is None:
         if not hasattr(system, "flat_start"):
             raise ValueError("x0 required for problems without flat_start()")
-        x0 = system.flat_start(xi0)
+        x0 = system.flat_start()
     try:
         base = newton_solve(
             lambda x: system.residual(x, xi0),
             lambda x: system.jacobian_x(x, xi0),
             x0,
             eps=config.eps,
-            max_iter=config.max_corrector_iter,
+            max_iter=MAX_CORRECTOR_ITER,
         )
     except (NonConvergence, SingularJacobian) as exc:
         raise BaseCaseDiverged(f"base case at xi = {xi0} diverged: {exc}") from exc
@@ -245,14 +257,7 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
         for halving in range(MAX_HALVINGS + 1):
             predicted = (x_k + sigma * t_x, xi_k + sigma * t_xi)
             try:
-                x_c, xi_c = arclength_correct(
-                    system,
-                    predicted,
-                    (x_k, xi_k),
-                    sigma,
-                    eps=config.eps,
-                    max_iter=config.max_corrector_iter,
-                )
+                x_c, xi_c = arclength_correct(system, predicted, (x_k, xi_k), sigma, eps=config.eps)
             except (NonConvergence, SingularJacobian):
                 outcome = "diverged"
             else:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import BlockMatrix
+from .blocks import BlockMatrix, fields_equal
 from .errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock, SingularJacobian
 
 ROLE_SLACK = "slack"
@@ -105,11 +105,6 @@ def linear_solver(a, what: str, error: type = SingularJacobian):
     return solve
 
 
-def solve_linear(a, b: np.ndarray, what: str, error: type = SingularJacobian) -> np.ndarray:
-    """Solve a x = b once under the linear_solver rule."""
-    return linear_solver(a, what, error)(b)
-
-
 @dataclass(frozen=True)
 class Node:
     """Grid node: hashable id, role tag, optional nominal phase-to-ground volts."""
@@ -166,25 +161,7 @@ class Branch:
     def p(self) -> int:
         return self.z.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, Branch):
-            return NotImplemented
-
-        def same(a, b):
-            if a is None or b is None:
-                return a is b
-            return np.array_equal(a, b)
-
-        return (
-            self.from_node == other.from_node
-            and self.to_node == other.to_node
-            and self.gain == other.gain
-            and self.rated_a == other.rated_a
-            and self.label == other.label
-            and np.array_equal(self.z, other.z)
-            and same(self.y_shunt_from, other.y_shunt_from)
-            and same(self.y_shunt_to, other.y_shunt_to)
-        )
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True)
@@ -200,10 +177,7 @@ class Shunt:
             raise ValueError("shunt admittance must be a square matrix")
         object.__setattr__(self, "y", y)
 
-    def __eq__(self, other):
-        if not isinstance(other, Shunt):
-            return NotImplemented
-        return self.node == other.node and np.array_equal(self.y, other.y)
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blocks import fields_equal
 from .errors import SingularThevenin, ZeroVoltage
 from .grid import RCOND_FLOOR, _inverse, passivity_faults
 
@@ -214,14 +215,7 @@ class SlackModel:
     def p(self) -> int:
         return self.v_te.size
 
-    def __eq__(self, other):
-        if not isinstance(other, SlackModel):
-            return NotImplemented
-        return (
-            self.node == other.node
-            and np.array_equal(self.v_te, other.v_te)
-            and np.array_equal(self.z_te, other.z_te)
-        )
+    __eq__ = fields_equal
 
 
 def pm_power_at(model: ResourceModel, phase: int, v: complex) -> complex:

@@ -20,12 +20,13 @@ already satisfies the tolerance is returned untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian
-from .grid import GridModel, linear_solver, solve_linear
+from .grid import GridModel, _stamps, linear_solver
 from .nodes import ZipTable
 from .vsi import build_augmented, index_at, reduce_augmented
 # Not called here; perfbench/spans.py wraps it by name when tracing.
@@ -141,12 +142,14 @@ class PolyphaseSystem:
     its model's lam times xi on load rows and times 1 on compensator rows.
     sparse is set once from the size: True when 2 * n_unknown reaches
     SPARSE_MIN_STATES, and jacobian_x then returns a SciPy CSC matrix.
+    Powers are normalized by the common base s_base (VA).
     """
 
-    def __init__(self, grid: GridModel, slacks, resources, s_base: float = 1e6):
+    s_base = 1e6
+
+    def __init__(self, grid: GridModel, slacks, resources):
         self.grid = grid
         self.p = grid.p
-        self.s_base = float(s_base)
         order = {n: i for i, n in enumerate(grid.node_ids)}
         self.slacks = tuple(sorted(slacks, key=lambda s: order[s.node]))
         self.resources = tuple(sorted(resources, key=lambda r: order[r.node]))
@@ -198,9 +201,8 @@ class PolyphaseSystem:
 
     # -- state packing ---------------------------------------------------
 
-    def flat_start(self, xi: float = 1.0) -> np.ndarray:
+    def flat_start(self) -> np.ndarray:
         """Nominal magnitudes with symmetric sequence angles."""
-        del xi
         seq = -2.0 * np.pi * np.arange(self.p) / self.p
         theta = np.tile(wrap_angle(seq), len(self.unknown_nodes))
         return np.concatenate([np.ones(self.n_unknown), theta])
@@ -309,15 +311,21 @@ class PolyphaseSystem:
 
         The series-element current referred to the to-node winding,
         y (g V_from - V_to); for plain lines this is the conductor current
-        between the pi shunts.  Raises SingularBranch when a series
-        impedance is singular or a current is not finite.
+        between the pi shunts.  Every y comes from the one stacked inverse
+        the admittance stamps use, applied to the drop g V_from - V_to.
+        Raises SingularBranch when a series impedance is singular or a
+        current is not finite.
         """
-        out, v = [], op.phasors()
-        for b in self.grid.branches:
-            vf, vt = v[op._row(b.from_node)], v[op._row(b.to_node)]
-            what = f"branch {b.from_node}-{b.to_node} series impedance"
-            out.append((b, solve_linear(b.z, b.gain * vf - vt, what, SingularBranch)))
-        return out
+        branches, v = self.grid.branches, op.phasors()
+        f = [op._row(b.from_node) for b in branches]
+        t = [op._row(b.to_node) for b in branches]
+        drop = np.array([b.gain for b in branches])[:, None] * v[f] - v[t]
+        current = (_stamps(branches, self.p)[:, 1, 1] @ drop[:, :, None])[:, :, 0]
+        for b, ok in zip(branches, np.isfinite(current).all(axis=1)):
+            if not ok:
+                raise SingularBranch(f"branch {b.from_node}-{b.to_node} series impedance "
+                                     "gives a solution that is not finite")
+        return list(zip(branches, current))
 
 
 def mismatch(system: PolyphaseSystem, x: OperatingPoint) -> Mismatch:
@@ -435,7 +443,7 @@ def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30
             return NewtonResult(x=x, iterations=it, residuals=tuple(history), converged=True)
         if it == max_iter:
             break
-        x = x - solve_linear(jac(x), g, f"Newton Jacobian at iteration {it}")
+        x = x - linear_solver(jac(x), f"Newton Jacobian at iteration {it}")(g)
     raise NonConvergence(
         f"no convergence to {eps} within {max_iter} corrections",
         x_last=x,
@@ -450,9 +458,16 @@ def solve_power_flow(
     eps: float = 1e-8,
     max_iter: int = 30,
 ):
-    """Solve the fixed-loading power flow; returns (OperatingPoint, NewtonResult)."""
+    """Solve the fixed-loading power flow; returns (OperatingPoint, NewtonResult).
+
+    xi must be finite and >= 0, eps finite and > 0; otherwise ValueError.
+    """
+    if not 0.0 <= xi < math.inf:
+        raise ValueError(f"xi must be a finite number >= 0, got {xi!r}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     if x0 is None:
-        x0 = system.flat_start(xi)
+        x0 = system.flat_start()
     res = newton_solve(
         lambda x: system.residual(x, xi),
         lambda x: system.jacobian_x(x, xi),

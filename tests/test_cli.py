@@ -22,7 +22,8 @@ Proves:
  Group 3 - cpf
    7.  Traces the two-bus fold to xi ~ 2, writes the trace CSV
    8.  --no-vsi leaves the index columns empty
-   9.  Infeasible base case exits 1
+   9.  Infeasible base case exits 1 with the usual "error: " line
+   9a. Every CpfConfig field is set by a cpf flag
 
  Group 4 - vsi
   10.  Chains pf --voltages into vsi; index matches the library value
@@ -39,14 +40,15 @@ Proves:
 """
 
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import two_bus
-from polyvsi import benchmark
+from polyvsi import benchmark, cli
 from polyvsi.cli import build_parser, main
+from polyvsi.continuation import CpfConfig, run_cpf
 from polyvsi.grid import Node
 from polyvsi.gridfile import parse_grid, serialize_grid
 from polyvsi.powerflow import PolyphaseSystem, solve_power_flow
@@ -249,7 +251,24 @@ def test_cpf_infeasible_base(tmp_path, capsys):
     path = tmp_path / "heavy.grid"
     serialize_grid(grid, slacks, resources, path=path)
     assert main(["cpf", str(path)]) == 1
-    assert "diverged" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: base case at xi = 1.0 diverged")
+
+
+def test_cpf_flags_set_every_config_field(grid_file, monkeypatch):
+    # A CpfConfig field that no flag sets is a library knob without a caller.
+    seen = []
+
+    def capture(system, config):
+        seen.append(config)
+        return run_cpf(system, replace(config, max_steps=1))
+
+    monkeypatch.setattr(cli, "run_cpf", capture)
+    assert main(["cpf", str(grid_file), "--sigma", "0.01", "--eps", "1e-9",
+                 "--max-steps", "7", "--xi-start", "0.5", "--no-vsi", "--no-svd"]) == 0
+    config, = seen
+    default = CpfConfig()
+    same = [f.name for f in fields(CpfConfig) if getattr(config, f.name) == getattr(default, f.name)]
+    assert same == []
 
 
 # -- Group 4 ---------------------------------------------------------------

@@ -32,7 +32,10 @@ Proves:
   14.  Every sample satisfies the power-flow residual (manifold adherence)
   15.  xi increases strictly; xi_max/final agree with the sample list
   16.  Recording switches drop vsi / sv payloads; xi_start moves the base
-  17.  Config validation rejects non-positive budgets
+  17.  CpfConfig rejects a non-finite or non-positive sigma or eps, a
+       non-finite or negative xi_start and a zero step budget, and
+       solve_power_flow a non-finite or negative xi and a bad eps, each
+       with ValueError naming the field
 
  Group 5 - Empty trace
   18.  xi_max / final on an empty trace raise ValueError
@@ -78,7 +81,7 @@ from polyvsi.continuation import (
 from polyvsi.errors import BaseCaseDiverged, SingularJacobian, StepLimitReached
 from polyvsi.gridfile import parse_grid_text, serialize_grid
 from polyvsi.nodes import ZipTable
-from polyvsi.powerflow import PolyphaseSystem, jacobian_svd
+from polyvsi.powerflow import PolyphaseSystem, jacobian_svd, solve_power_flow
 
 
 class _ScalarPath:
@@ -323,14 +326,27 @@ def test_recording_switches_and_xi_start():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CpfConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        CpfConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        CpfConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        CpfConfig(max_corrector_iter=0)
+    # The library takes the loadings and tolerances the CLI flags take: an
+    # infinite eps would accept any point past the fold, a negative xi_start
+    # trace from negated loads.
+    bad = {
+        "sigma": (0.0, -0.05, np.inf, np.nan),
+        "eps": (0.0, -1e-8, np.inf, np.nan),
+        "xi_start": (-1.0, np.inf, np.nan),
+        "max_steps": (0,),
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                CpfConfig(**{name: value})
+    CpfConfig(xi_start=0.0, sigma=1e-12, eps=1e-300, max_steps=1)
+    grid, slacks, resources = two_bus()
+    system = PolyphaseSystem(grid, slacks, resources)
+    for name, value in (("xi", -1.0), ("xi", np.inf), ("xi", np.nan),
+                        ("eps", 0.0), ("eps", np.inf), ("eps", np.nan)):
+        with pytest.raises(ValueError, match=name):
+            solve_power_flow(system, **{name: value})
+    assert solve_power_flow(system, xi=0.0)[1].converged
 
 
 # -- Group 5 ---------------------------------------------------------------

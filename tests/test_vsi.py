@@ -13,6 +13,12 @@ Proves:
        hybrid to 1e-10 relative in all four blocks (h_mcmc on the scale of
        Y_II), with the same node orders (random grids p = 1..3, bundled
        feeder, 302-node synthetic feeder), dense and sparse
+   3b. Existence: every lossy random grid (seeds and p = 1..3 drawn by
+       hypothesis; meshes, shunts, Thevenin slack) passes the parameter
+       check and reduces, dense and sparse, matching 3a's stepwise blocks
+   3c. Without loss it can fail: a reactive source, line and shunt that
+       pass the parameter check make Y_UU singular (SingularInteriorBlock);
+       0.1 ohm of line resistance makes the system build
 
  Group 3 - Coefficients
    4.  Zero loading collapses a = c = 0 and b = source voltage
@@ -41,14 +47,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_system, two_bus
 from polyvsi import powerflow
 from polyvsi.benchmark import build_benchmark
-from polyvsi.errors import DegenerateDenominator, ZeroVoltage
-from polyvsi.grid import assemble_admittance, hybrid_partition, kron_reduce
+from polyvsi.errors import DegenerateDenominator, SingularInteriorBlock, ZeroVoltage
+from polyvsi.grid import (
+    Branch,
+    GridModel,
+    Node,
+    Shunt,
+    assemble_admittance,
+    hybrid_partition,
+    kron_reduce,
+    validate_parameters,
+)
 from polyvsi.gridfile import parse_grid_text
-from polyvsi.nodes import pm_zip_at
+from polyvsi.nodes import SlackModel, pm_zip_at
 from polyvsi.powerflow import OperatingPoint, PolyphaseSystem, solve_power_flow
 from polyvsi.vsi import (
     VsiCoefficients,
@@ -114,6 +131,27 @@ def test_two_bus_reduction_closed_form():
     assert abs(h.h_mcmc.data[0, 0]) < 1e-12
 
 
+def _assert_matches_stepwise(system, sparse):
+    """The system's reduction equals stepwise Kron then hybrid."""
+    grid = system.grid
+    assert system.sparse == sparse
+    assert hasattr(system._y_uu_op, "toarray") == sparse
+    eliminate = set(grid.slack_nodes) | set(grid.zero_nodes)
+    ref = hybrid_partition(kron_reduce(system.aug.y_prime, eliminate), set(grid.resource_nodes))
+    h = system.hybrid
+    assert (h.m_nodes, h.mc_nodes) == (ref.m_nodes, ref.mc_nodes)
+    # h_mcmc = Y_II - Y_IU Y_UU^-1 Y_UI is what the sources see with the
+    # resources open: only the grid's shunts, exactly 0 without any.  Both
+    # paths subtract terms of Y_II's size, so it is compared on that scale.
+    u0 = len(h.mc_nodes) * grid.p
+    y_ii = np.linalg.norm(system.aug.y_prime.data[:u0, :u0])
+    for name in ("h_mm", "h_mmc", "h_mcm", "h_mcmc"):
+        got, want = getattr(h, name), getattr(ref, name)
+        assert (got.row_nodes, got.col_nodes) == (want.row_nodes, want.col_nodes)
+        scale = max(np.linalg.norm(want.data), y_ii if name == "h_mcmc" else 0.0)
+        assert np.linalg.norm(got.data - want.data) <= 1e-10 * scale, name
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 def test_reduction_matches_stepwise(sparse, synthfeeder, monkeypatch):
     monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0 if sparse else 10**9)
@@ -121,23 +159,43 @@ def test_reduction_matches_stepwise(sparse, synthfeeder, monkeypatch):
     cases = [random_system(rng, n_nodes=6, p=p) for p in (1, 2, 3)]
     cases += [build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 300))]
     for grid, slacks, resources in cases:
-        system = PolyphaseSystem(grid, slacks, resources)
-        assert system.sparse == sparse
-        assert hasattr(system._y_uu_op, "toarray") == sparse
-        eliminate = set(grid.slack_nodes) | set(grid.zero_nodes)
-        ref = hybrid_partition(kron_reduce(system.aug.y_prime, eliminate), set(grid.resource_nodes))
-        h = system.hybrid
-        assert (h.m_nodes, h.mc_nodes) == (ref.m_nodes, ref.mc_nodes)
-        # h_mcmc = Y_II - Y_IU Y_UU^-1 Y_UI is what the sources see with the
-        # resources open: only the grid's shunts, exactly 0 without any.  Both
-        # paths subtract terms of Y_II's size, so it is compared on that scale.
-        u0 = len(h.mc_nodes) * grid.p
-        y_ii = np.linalg.norm(system.aug.y_prime.data[:u0, :u0])
-        for name in ("h_mm", "h_mmc", "h_mcm", "h_mcmc"):
-            got, want = getattr(h, name), getattr(ref, name)
-            assert (got.row_nodes, got.col_nodes) == (want.row_nodes, want.col_nodes)
-            scale = max(np.linalg.norm(want.data), y_ii if name == "h_mcmc" else 0.0)
-            assert np.linalg.norm(got.data - want.data) <= 1e-10 * scale, name
+        _assert_matches_stepwise(PolyphaseSystem(grid, slacks, resources), sparse)
+
+
+@settings(derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3))
+def test_lossy_grids_always_reduce(seed, p):
+    # The paper's existence claim: with lossy elements (every random_system
+    # impedance has a positive definite real part) Y_MM of the hybrid
+    # reduction is invertible, whatever the topology, meshes, shunts and
+    # Thevenin slack; both paths build it and agree with the stepwise one.
+    case = random_system(np.random.default_rng(seed), p=p)
+    assert validate_parameters(case[0]) == []
+    _assert_matches_stepwise(PolyphaseSystem(*case), False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerflow, "SPARSE_MIN_STATES", 0)
+        _assert_matches_stepwise(PolyphaseSystem(*case), True)
+
+
+def test_lossless_grid_can_fail_to_reduce():
+    # Losslessness is what the existence claim needs: a reactive source,
+    # line and shunt pass the passivity rule, yet resonate so that Y_UU is
+    # exactly singular.  0.1 ohm of loss in the line removes the resonance.
+    def case(z_line):
+        grid = GridModel(
+            nodes=(Node(1, "slack", vnom=1000.0), Node(2, "resource", vnom=1000.0)),
+            branches=(Branch(1, 2, np.array([[z_line]])),),
+            shunts=(Shunt(2, np.array([[0.25j]])),),
+            p=1,
+        )
+        slacks = [SlackModel(node=1, v_te=np.array([1000.0 + 0j]), z_te=np.array([[2j]]))]
+        return grid, slacks, two_bus()[2]
+
+    grid, slacks, resources = case(2j)
+    assert validate_parameters(grid) == []
+    with pytest.raises(SingularInteriorBlock):
+        PolyphaseSystem(grid, slacks, resources)
+    PolyphaseSystem(*case(0.1 + 2j))
 
 
 # -- Group 3 ---------------------------------------------------------------
