@@ -31,7 +31,6 @@ from .errors import (
     SingularInteriorBlock,
     SingularJacobian,
     SingularThevenin,
-    StepLimitReached,
     ValidationError,
     ZeroVoltage,
 )
@@ -43,7 +42,6 @@ from .grid import (
     Shunt,
     Violation,
     assemble_admittance,
-    build_incidence,
     hybrid_partition,
     kron_reduce,
     validate_parameters,
@@ -61,13 +59,11 @@ from .nodes import (
     slack_interface,
 )
 from .powerflow import (
-    Jacobian,
     Mismatch,
     NewtonResult,
     OperatingPoint,
     PolyphaseSystem,
     SvdBlock,
-    jacobian,
     jacobian_svd,
     mismatch,
     newton_solve,

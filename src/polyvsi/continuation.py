@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian, StepLimitReached
+from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian
 from .grid import linear_solver
 from .powerflow import SvdBlock, bordered, newton_solve
 
@@ -128,11 +128,9 @@ class CpfTrace:
         return self.samples[-1]
 
 
-def tangent_direction(problem, x: np.ndarray, xi: float, j=None) -> tuple[np.ndarray, float]:
+def tangent_direction(problem, x: np.ndarray, xi: float, j) -> tuple[np.ndarray, float]:
     """Unit tangent (dx, dxi) of the solution path, oriented toward +xi; j is
-    J_x at (x, xi) when the caller has already evaluated it."""
-    if j is None:
-        j = problem.jacobian_x(x, xi)
+    J_x at (x, xi)."""
     dx = linear_solver(j, "state Jacobian at the predictor")(-problem.jacobian_xi(x, xi))
     scale = float(np.sqrt(np.dot(dx, dx) + 1.0))
     return dx / scale, 1.0 / scale
@@ -201,15 +199,13 @@ def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | No
         trace.samples[-1] = replace(s, sv=system.svd_at(s.x, s.xi, block, j))
 
 
-def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = None, strict: bool = False) -> CpfTrace:
+def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = None) -> CpfTrace:
     """Trace the solution path from xi_start until the fold or a budget.
 
     The base case is solved at fixed xi from the flat start (or x0), with
     at most MAX_CORRECTOR_ITER Newton corrections; BaseCaseDiverged when it
     does not converge.  The trace holds every accepted sample; termination
-    is one of fold-detected, step-limit, or corrector-failure.  With
-    strict=True a step-limit raises StepLimitReached instead of returning,
-    carrying the partial trace.
+    is one of fold-detected, step-limit, or corrector-failure.
     Each sample's singular values are recorded once the next sample is
     accepted or the trace ends, so the code knows which sample is final;
     they come from the J_x that the tangent evaluated at the sample, where
@@ -286,6 +282,4 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
 
     _record_svd(system, trace, config, None, j_k)
     trace.termination = termination
-    if strict and termination == TERM_STEP_LIMIT:
-        raise StepLimitReached(f"no fold within {config.max_steps} steps", trace=trace)
     return trace

@@ -56,17 +56,6 @@ class BaseCaseDiverged(PolyvsiError):
     """The continuation base case failed to converge from the flat start."""
 
 
-class StepLimitReached(PolyvsiError):
-    """Continuation hit the step budget before finding a fold (strict mode).
-
-    The partial trace is attached as ``trace``.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
 class ParseError(PolyvsiError):
     """A grid file could not be parsed; carries the offending line number."""
 

@@ -239,12 +239,6 @@ class GridModel:
     def node_ids(self) -> tuple:
         return tuple(n.id for n in self.nodes)
 
-    def node(self, node_id) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def nodes_with_role(self, role: str) -> tuple:
         return tuple(n.id for n in self.nodes if n.role == role)
 
@@ -279,23 +273,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.element}: {self.kind} ({self.detail})"
-
-
-def build_incidence(grid: GridModel, polyphase: bool = False) -> np.ndarray:
-    """Branch-node incidence matrix: +1 at from-node, -1 at to-node.
-
-    With polyphase=True the matrix is expanded to blocks via the Kronecker
-    product with the P x P identity.
-    """
-    ids = grid.node_ids
-    col = {n: i for i, n in enumerate(ids)}
-    a = np.zeros((len(grid.branches), len(ids)), dtype=float)
-    for r, b in enumerate(grid.branches):
-        a[r, col[b.from_node]] = 1.0
-        a[r, col[b.to_node]] = -1.0
-    if polyphase:
-        a = np.kron(a, np.eye(grid.p))
-    return a
 
 
 def _stamps(branches, p: int) -> np.ndarray:

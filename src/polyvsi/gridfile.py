@@ -412,21 +412,34 @@ def _pair_rows(keyword: str, m: np.ndarray) -> list:
     return [" ".join([keyword] + [_fmt(x) for v in row for x in (v.real, v.imag)]) for row in m]
 
 
+def _token(node_id, what: str) -> str:
+    """The id as the parser reads it back; ValueError naming what otherwise."""
+    text = str(node_id)
+    if "#" in text or text.split() != [text] or _node_id(text) != node_id:
+        raise ValueError(f"{what}: node id {node_id!r} does not read back from a grid file "
+                         "(ids are ints, or strings without whitespace or '#' that int() rejects)")
+    return text
+
+
 def serialize_grid(grid: GridModel, slacks, resources, path=None) -> str:
     """Render models to grid-file text; optionally write it atomically.
 
     Branches and slacks are emitted in their explicit block forms so every
-    parameter round-trips bit-exactly.
+    parameter round-trips bit-exactly.  Models the format cannot hold raise
+    ValueError naming the element: a node id that does not read back as
+    itself, a branch label that is not single-spaced words free of '#',
+    and per-phase ZIP triples that differ within one resource.
     """
     out = ["# polyvsi grid file", f"phases {grid.p}", ""]
     out.append("nodes")
     for n in grid.nodes:
         vnom = "-" if n.vnom is None else _fmt(n.vnom)
-        out.append(f"{n.id} {n.role} {vnom}")
+        out.append(f"{_token(n.id, 'node')} {n.role} {vnom}")
     out.append("end")
     out.append("")
     for b in grid.branches:
-        out.append(f"branch {b.from_node} {b.to_node}")
+        name = f"branch {b.from_node}-{b.to_node}"
+        out.append(f"branch {_token(b.from_node, name)} {_token(b.to_node, name)}")
         for keyword, m in (("z", b.z), ("yfrom", b.y_shunt_from), ("yto", b.y_shunt_to)):
             out += _pair_rows(keyword, m) if m is not None else []
         if b.gain != 1.0:
@@ -434,12 +447,15 @@ def serialize_grid(grid: GridModel, slacks, resources, path=None) -> str:
         if b.rated_a is not None:
             out.append(f"rated {_fmt(b.rated_a)}")
         if b.label is not None:
+            if "#" in str(b.label) or (" ".join(str(b.label).split()) or None) != b.label:
+                raise ValueError(f"{name}: label {b.label!r} does not read back from a grid file")
             out.append(f"label {b.label}")
         out += ["end", ""]
     for s in grid.shunts:
-        out += [f"shunt {s.node}", *_pair_rows("y", s.y), "end", ""]
+        out += [f"shunt {_token(s.node, 'shunt')}", *_pair_rows("y", s.y), "end", ""]
     for s in slacks:
-        out += [f"slack {s.node}", *_pair_rows("zrow", s.z_te), *_pair_rows("vrow", [s.v_te]), "end", ""]
+        out += [f"slack {_token(s.node, 'slack')}", *_pair_rows("zrow", s.z_te),
+                *_pair_rows("vrow", [s.v_te]), "end", ""]
     out.append("resources")
     for r in resources:
         ph0 = r.phases[0]
@@ -447,8 +463,9 @@ def serialize_grid(grid: GridModel, slacks, resources, path=None) -> str:
             ph.zip_re == ph0.zip_re and ph.zip_im == ph0.zip_im for ph in r.phases
         )
         if not uniform:
-            raise ValueError("per-phase ZIP triples differing within one resource are not serializable")
-        row = [str(r.node), r.kind, "v0", _fmt(r.v0)]
+            raise ValueError(f"resource {r.node}: per-phase ZIP triples differ, which a grid file "
+                             "cannot hold")
+        row = [_token(r.node, "resource"), r.kind, "v0", _fmt(r.v0)]
         if r.lam != 1.0:
             row += ["lam", _fmt(r.lam)]
         row += ["p0"] + [_fmt(ph.p0) for ph in r.phases]
@@ -464,13 +481,20 @@ def serialize_grid(grid: GridModel, slacks, resources, path=None) -> str:
 
 
 def write_text_atomic(path, text: str):
-    """Write text via a temp file and rename, so readers never see a torn file."""
+    """Write text via a temp file and rename, so readers never see a torn file.
+
+    The file gets the mode open(path, "w") gives a new file: 0o666 less the
+    umask (mkstemp alone would leave it 0o600).
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0o022)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

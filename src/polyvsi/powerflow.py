@@ -113,17 +113,6 @@ class Mismatch:
 
 
 @dataclass(frozen=True)
-class Jacobian:
-    """Mismatch derivatives: dx w.r.t. [E_norm; theta], dxi w.r.t. xi.
-
-    dx is a SciPy CSC matrix when the system is sparse (see jacobian_x).
-    """
-
-    dx: object
-    dxi: np.ndarray
-
-
-@dataclass(frozen=True)
 class NewtonResult:
     x: np.ndarray
     iterations: int
@@ -340,12 +329,6 @@ def mismatch(system: PolyphaseSystem, x: OperatingPoint) -> Mismatch:
     )
 
 
-def jacobian(system: PolyphaseSystem, x: OperatingPoint) -> Jacobian:
-    """Analytic mismatch derivatives at the operating point."""
-    packed = system.pack(x)
-    return Jacobian(dx=system.jacobian_x(packed, x.xi), dxi=system.jacobian_xi(packed, x.xi))
-
-
 @dataclass
 class SvdBlock:
     """Approximate right singular vectors of the smallest singular values of
@@ -355,8 +338,8 @@ class SvdBlock:
     vectors: np.ndarray | None = None
 
 
-def jacobian_svd(j, block: SvdBlock | None = None) -> tuple:
-    """(smallest, mean, largest) singular value of the state Jacobian.
+def jacobian_svd(a, block: SvdBlock | None = None) -> tuple:
+    """(smallest, mean, largest) singular value of the state Jacobian a.
 
     Without a block, or with one not yet seeded, the values come from a
     values-only SVD (a sparse Jacobian is densified first).  An unseeded
@@ -377,7 +360,6 @@ def jacobian_svd(j, block: SvdBlock | None = None) -> tuple:
     factor.  Raises SingularJacobian when the SVD fails, for example on a
     Jacobian that is not finite.
     """
-    a = j.dx if isinstance(j, Jacobian) else j
     if block is not None and block.vectors is not None:
         try:
             solve = linear_solver(a, "state Jacobian in the singular-value step")

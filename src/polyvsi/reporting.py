@@ -71,11 +71,6 @@ def _write(path, header, blocks):
     write_text_atomic(path, "\n".join(lines))
 
 
-def write_csv_atomic(path, header, rows):
-    """Write rows of equal length, at least two cells each."""
-    _write(path, header, [[_cells(column) for column in zip(*rows)]])
-
-
 def write_trace_csv(path, trace):
     """One row per (sample, node, phase) of a CpfTrace.
 
@@ -108,10 +103,11 @@ def write_snapshot_csv(path, op: OperatingPoint):
 
 
 def read_snapshot_csv(path) -> dict:
-    """Read {(node, phase): (magnitude, angle)} from a snapshot CSV.
+    """Read {(node, phase): (magnitude, angle, line)} from a snapshot CSV.
 
     Node ids that look like integers are read as integers, and numbers must
-    be finite, matching the grid file convention.
+    be finite, matching the grid file convention.  A (node, phase) pair may
+    appear on one row only.
     """
     out = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -129,21 +125,32 @@ def read_snapshot_csv(path) -> dict:
                 phase = int(row[1])
             except ValueError:
                 raise ParseError(f"bad phase {row[1]!r}", line) from None
-            out[(_node_id(row[0]), phase)] = tuple(_floats(row[2:], 2, line))
+            key = (_node_id(row[0]), phase)
+            if key in out:
+                raise ParseError(f"node {key[0]} phase {phase} repeats line {out[key][2]}", line)
+            out[key] = (*_floats(row[2:], 2, line), line)
     return out
 
 
 def snapshot_to_point(values: dict, system, xi: float) -> OperatingPoint:
-    """Arrange snapshot values into an OperatingPoint over the system's nodes."""
+    """Arrange snapshot values into an OperatingPoint over the system's nodes.
+
+    Every (node, phase) of the system needs a value, and every value a
+    (node, phase) of the system.
+    """
     n = len(system.unknown_nodes)
     e = np.empty((n, system.p))
     th = np.empty((n, system.p))
     for i, node in enumerate(system.unknown_nodes):
         for q in range(system.p):
             try:
-                e[i, q], th[i, q] = values[(node, q + 1)]
+                e[i, q], th[i, q], _ = values[(node, q + 1)]
             except KeyError:
                 raise ParseError(f"snapshot is missing node {node} phase {q + 1}") from None
+    if len(values) > e.size:
+        known = set(product(system.unknown_nodes, range(1, system.p + 1)))
+        (node, q), (*_, line) = next(item for item in values.items() if item[0] not in known)
+        raise ParseError(f"the grid has no node {node} phase {q}", line)
     return OperatingPoint(nodes=system.unknown_nodes, p=system.p, e=e, theta=th, xi=float(xi))
 
 

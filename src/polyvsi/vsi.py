@@ -184,10 +184,6 @@ class VsiCoefficients:
     b: np.ndarray
     c: np.ndarray
 
-    def at(self, node, phase: int) -> tuple[complex, complex, complex]:
-        i = self.pairs.index((node, phase))
-        return complex(self.a[i]), complex(self.b[i]), complex(self.c[i])
-
 
 @dataclass(frozen=True)
 class VsiResult:
@@ -279,27 +275,19 @@ def vsi_local_dual(coeffs: VsiCoefficients, op) -> dict:
     return dict(zip(coeffs.pairs, dual.tolist()))
 
 
-def vsi_global(local: dict, node_order=None) -> VsiResult:
+def vsi_global(local: dict) -> VsiResult:
     """Global index: maximum local value; ties resolve to the first pair in
-    node_order (or insertion order), lowest phase first."""
+    insertion order."""
     if not local:
         raise ValueError("no local indices")
-    if node_order is None:
-        ordered = list(local.keys())
-    else:
-        rank = {n: i for i, n in enumerate(node_order)}
-        ordered = sorted(local.keys(), key=lambda kp: (rank[kp[0]], kp[1]))
-    best = ordered[0]
-    for pair in ordered[1:]:
-        if local[pair] > local[best]:
-            best = pair
+    best = max(local, key=local.get)
     return VsiResult(local=dict(local), global_value=float(local[best]), critical=best)
 
 
 def index_at(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiResult:
     """zip_coefficients -> local indices -> global maximum, on packed rows."""
     coeffs = zip_coefficients(hybrid, table, lam, v_te, v)
-    return vsi_global(_primal(coeffs, v), node_order=hybrid.m_nodes)
+    return vsi_global(_primal(coeffs, v))
 
 
 def evaluate_vsi(hybrid: HybridPartition, slacks, resources, op) -> VsiResult:

@@ -361,7 +361,7 @@ def test_scaling_symmetry_moves_fold_not_voltages(bench_system, bench_trace):
 def test_published_tables_sit_at_published_loading(bench_system):
     # Line 22-24 feeds node 25 alone, through the zero-injection node 24.
     grid = bench_system.grid
-    assert grid.node(24).role == ROLE_ZERO
+    assert next(n for n in grid.nodes if n.id == 24).role == ROLE_ZERO
     assert {(b.from_node, b.to_node) for b in grid.branches
             if {24, 25} & {b.from_node, b.to_node}} == {(22, 24), (24, 25)}
     # So |I_22-24| |V_25| is the load's |S| = xi |S_1(|V_25|)|, up to a few

@@ -18,6 +18,9 @@ Proves:
    5.  Infeasible loading exits 1
    6.  --start warm start from a snapshot converges immediately
    6a. A non-numeric or non-finite snapshot exits 2 in pf --start and vsi
+   6b. A snapshot that repeats a (node, phase) row, or has a row for a
+       node or phase the grid lacks, exits 2 in pf --start and vsi,
+       naming the row's line
 
  Group 3 - cpf
    7.  Traces the two-bus fold to xi ~ 2, writes the trace CSV
@@ -37,6 +40,11 @@ Proves:
  Group 6 - numeric flags
   13.  Out-of-range, non-finite or non-numeric flag values exit 2 at
        parse time with a usage message; the boundary values parse
+
+ Group 7 - mutated grid files
+  14.  (hypothesis) The bundled file with a token replaced by nan, inf,
+       1e400 or x, a line dropped, duplicated or swapped, or the text
+       truncated: validate and pf return 0, 1 or 2 and never raise
 """
 
 import csv
@@ -44,6 +52,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import two_bus
 from polyvsi import benchmark, cli
@@ -219,6 +229,35 @@ def test_bad_snapshot_exits_two(grid_file, tmp_path, capsys):
         assert "line 3" in capsys.readouterr().err, name
 
 
+def _snapshot_with(grid_file, tmp_path, extra_row):
+    """pf's snapshot of grid_file with extra_row appended as its line 4."""
+    snap = tmp_path / "snap.csv"
+    assert main(["pf", str(grid_file), "--voltages", str(snap)]) == 0
+    text = snap.read_text()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text + extra_row(text.splitlines()[2]) + "\n")
+    return bad
+
+
+def _assert_line_4_exits_two(grid_file, bad, capsys, message):
+    capsys.readouterr()
+    assert main(["pf", str(grid_file), "--start", str(bad)]) == 2
+    assert main(["vsi", str(grid_file), "--voltages", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("line 4") == 2 and err.count(message) == 2, err
+
+
+def test_repeated_snapshot_row_exits_two(grid_file, tmp_path, capsys):
+    bad = _snapshot_with(grid_file, tmp_path, lambda row: row)
+    _assert_line_4_exits_two(grid_file, bad, capsys, "repeats line 3")
+
+
+@pytest.mark.parametrize("pair", ["9,1", "2,2"], ids=["node", "phase"])
+def test_snapshot_row_off_the_grid_exits_two(grid_file, tmp_path, capsys, pair):
+    bad = _snapshot_with(grid_file, tmp_path, lambda row: pair + "," + row.split(",", 2)[2])
+    _assert_line_4_exits_two(grid_file, bad, capsys, f"no node {pair.replace(',', ' phase ')}")
+
+
 # -- Group 3 ---------------------------------------------------------------
 
 
@@ -360,3 +399,35 @@ def test_bad_numeric_flags_exit_two(grid_file, capsys, command, flag, bad, good)
         assert "usage:" in err and f"argument {flag}:" in err, value
     args = build_parser().parse_args([command, str(grid_file), *extra, flag, good])
     assert getattr(args, flag.lstrip("-").replace("-", "_")) == float(good)
+
+
+# -- Group 7 ---------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_grid_files_exit_cleanly(data, tmp_path, capsys):
+    lines = benchmark.bundled_grid_text().splitlines()
+    kind = data.draw(st.sampled_from(["token", "drop", "duplicate", "swap", "truncate"]))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "token":
+        tokens = lines[i].split() or [""]
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(
+            st.sampled_from(["nan", "inf", "1e400", "x"]))
+        lines[i] = " ".join(tokens)
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    text = "\n".join(lines) + "\n"
+    if kind == "truncate":
+        text = text[: data.draw(st.integers(0, len(text)))]
+    path = tmp_path / "mutated.grid"
+    path.write_text(text)
+    for command in ("validate", "pf"):
+        assert main([command, str(path)]) in (0, 1, 2), (kind, command)
+    capsys.readouterr()

@@ -2,61 +2,60 @@
 Compound admittance algebra - assembly, Kron reduction, hybrid parameters.
 
 Proves:
- Group 1 - Incidence and stamps
-   1.  Two-node incidence is [[1, -1]]; polyphase form is its Kronecker lift
-   2.  Plain branch stamp is [[y, -y], [-y, y]] with y = z^-1
-   3.  Transformer stamp carries the gain as [[g^2 y, -g y], [-g y, y]]
-   4.  Singular, near-singular or non-finite series impedance raises
+ Group 1 - Stamps
+   1.  Plain branch stamp is [[y, -y], [-y, y]] with y = z^-1
+   2.  Transformer stamp carries the gain as [[g^2 y, -g y], [-g y, y]]
+   3.  Singular, near-singular or non-finite series impedance raises
        SingularBranch
 
  Group 2 - Assembly
-   5.  Two-node Y superposes stamp, pi shunts, and node shunts exactly
-   6.  Assembled Y satisfies KCL against per-branch physics on random grids
-   7.  Assembled Y is symmetric (gains included)
-   8.  Asymmetric branch impedance raises AsymmetricParameter
-   9.  validate_parameters flags asymmetric / indefinite / singular elements;
+   4.  Two-node Y superposes stamp, pi shunts, and node shunts exactly
+   5.  Assembled Y satisfies KCL against per-branch physics on random grids
+   6.  Assembled Y is symmetric (gains included)
+   7.  Asymmetric branch impedance raises AsymmetricParameter
+   8.  validate_parameters flags asymmetric / indefinite / singular elements;
        at the edges of the passivity rule a branch impedance, a pi shunt and
        a node shunt are judged alike, and assembly rejects exactly the
        asymmetric ones
-   9a. An inf or nan impedance, pi shunt or node shunt is reported as
+   8a. An inf or nan impedance, pi shunt or node shunt is reported as
        non-finite, with no warning
-  10.  A healthy random grid validates clean
+   9.  A healthy random grid validates clean
 
  Group 3 - Kron reduction
-  11.  Empty elimination set returns the matrix unchanged
-  12.  Series ladder reduces to the textbook y1 y2 / (y1 + y2)
-  13.  One-shot elimination equals sequential elimination
-  14.  Reduction preserves terminal behavior when eliminated injections are 0
-  15.  Eliminating everything / unknown nodes raises ValueError
+  10.  Empty elimination set returns the matrix unchanged
+  11.  Series ladder reduces to the textbook y1 y2 / (y1 + y2)
+  12.  One-shot elimination equals sequential elimination
+  13.  Reduction preserves terminal behavior when eliminated injections are 0
+  14.  Eliminating everything / unknown nodes raises ValueError
 
  Group 4 - Hybrid parameters
-  16.  2x2 integer example: blocks (0.5, 0.5, -0.5, 1.5)
-  17.  Hybrid relations V_M = h_mm I_M + h_mmc V_Mc and
+  15.  2x2 integer example: blocks (0.5, 0.5, -0.5, 1.5)
+  16.  Hybrid relations V_M = h_mm I_M + h_mmc V_Mc and
        I_Mc = h_mcm I_M + h_mcmc V_Mc hold on random grids
-  18.  Empty M raises ValueError
-  18a. Kron and hybrid reject an exactly singular, a near-singular and a
+  17.  Empty M raises ValueError
+  17a. Kron and hybrid reject an exactly singular, a near-singular and a
        non-finite interior block with SingularInteriorBlock, and so does
        reduce_augmented, with Y_UU dense or sparse, when the bad block is
        coupled to the resource nodes
 
  Group 5 - Block addressing
-  19.  block / row_slice / row_indices / submatrix agree with raw offsets
-  20.  data is read-only; a caller's array is copied and left writable,
+  18.  block / row_slice / row_indices agree with raw offsets
+  19.  data is read-only; a caller's array is copied and left writable,
        an array the library builds is taken over without a copy
 
  Group 6 - Linear solves
-  21.  linear_solver solves a x = b and, with transpose=True, a' x = b,
+  20.  linear_solver solves a x = b and, with transpose=True, a' x = b,
        dense and sparse, for one or several right-hand sides; a singular
        matrix raises the caller's error type in both directions
 
  Group 7 - Stacked algebra
-  22.  _inverse on a stack equals one call per matrix bit for bit, with an
+  21.  _inverse on a stack equals one call per matrix bit for bit, with an
        exactly singular, a below-floor and a non-finite member
-  23.  passivity_faults on a stack finds the faults of one call per matrix
-  24.  admittance_entries equals the per-branch sum of branch_stamp bit for
+  22.  passivity_faults on a stack finds the faults of one call per matrix
+  23.  admittance_entries equals the per-branch sum of branch_stamp bit for
        bit: bundled feeder, 302-node synthetic feeder, random grids with
        gains, pi shunts, node shunts, parallel branches and sources
-  25.  The passivity result is shared per grid, in either call order:
+  24.  The passivity result is shared per grid, in either call order:
        AsymmetricParameter still comes before SingularBranch, and the
        violation list is the same
 """
@@ -81,7 +80,6 @@ from polyvsi.grid import (
     admittance_entries,
     assemble_admittance,
     branch_stamp,
-    build_incidence,
     hybrid_partition,
     kron_reduce,
     linear_solver,
@@ -112,15 +110,6 @@ def _two_node_grid(p=1, z=None, **branch_kw):
 
 
 # -- Group 1 ---------------------------------------------------------------
-
-
-def test_incidence_two_node():
-    grid = _two_node_grid(p=3, z=(0.5 + 0.1j) * np.eye(3))
-    a = build_incidence(grid)
-    assert a.shape == (1, 2)
-    assert np.array_equal(a, [[1.0, -1.0]])
-    ap = build_incidence(grid, polyphase=True)
-    assert np.array_equal(ap, np.kron(a, np.eye(3)))
 
 
 def test_branch_stamp_plain():
@@ -418,9 +407,9 @@ def test_block_addressing():
     assert bm.row_slice("b") == slice(2, 4)
     assert np.array_equal(bm.block("b", "c"), data[2:4, 4:6])
     assert np.array_equal(bm.row_indices(["c", "a"]), [4, 5, 0, 1])
-    sub = bm.submatrix(("c", "a"), ("b",))
-    assert sub.row_nodes == ("c", "a")
-    assert np.array_equal(sub.data, data[np.ix_([4, 5, 0, 1], [2, 3])])
+    rows, cols = bm.row_indices(["c", "a"]), bm.row_indices(["b"])
+    sub = BlockMatrix(bm.data[np.ix_(rows, cols)], ("c", "a"), ("b",), p)
+    assert np.array_equal(sub.block("a", "b"), data[0:2, 2:4])
 
 
 def test_block_matrix_data_ownership():
@@ -438,7 +427,7 @@ def test_block_matrix_data_ownership():
 
     grid, _, _ = random_system(np.random.default_rng(3), n_nodes=5, p=2)
     y = assemble_admittance(grid)
-    for m in (y, y.submatrix(grid.node_ids[:2], grid.node_ids[1:]), kron_reduce(y, {grid.node_ids[-1]})):
+    for m in (y, kron_reduce(y, {grid.node_ids[-1]})):
         assert not m.data.flags.writeable
 
 

@@ -34,10 +34,27 @@ Proves:
        row's model and serialize to the same text
   10.  The text of a 302-node synthetic feeder re-serializes to itself and
        re-parses to equal models
+  11.  (hypothesis) serialize -> parse reproduces random_system models with
+       each resource's ZIP triples made uniform and a drawn lam; with the
+       per-phase triples left differing, serialize raises ValueError
+       naming the resource
+
+ Group 4 - What the format cannot hold
+  12.  serialize raises ValueError naming the element for a node id with
+       whitespace or '#', a string id that reads back as an int, and a
+       branch label with '#', a newline, leading, trailing or repeated
+       spaces, or no text; a string id and a single-spaced label round-trip
 """
+
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_system
 
 from polyvsi.builders import (
     seq_to_phase_b,
@@ -427,4 +444,54 @@ def test_synthetic_feeder_text_round_trips(synthfeeder):
     models = parse_grid_text(text)
     assert len(models[0].branches) == 301
     assert serialize_grid(*models) == text
+    assert parse_grid_text(serialize_grid(*models)) == models
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 4.0))
+def test_random_models_round_trip(seed, lam):
+    grid, slacks, resources = random_system(np.random.default_rng(seed))
+    mixed = [r for r in resources if len({(ph.zip_re, ph.zip_im) for ph in r.phases}) > 1]
+    if mixed:
+        with pytest.raises(ValueError, match=f"resource {mixed[0].node}: per-phase ZIP"):
+            serialize_grid(grid, slacks, resources)
+    uniform = [replace(r, lam=lam, phases=tuple(replace(ph, zip_re=r.phases[0].zip_re,
+                                                        zip_im=r.phases[0].zip_im)
+                                                for ph in r.phases))
+               for r in resources]
+    assert parse_grid_text(serialize_grid(grid, slacks, uniform)) == (grid, slacks, uniform)
+
+
+# -- Group 4 ---------------------------------------------------------------
+
+
+def _with_resource_id(node_id):
+    """_full_feature_models with the resource node 3 renamed node_id."""
+    grid, slacks, resources = _full_feature_models()
+    grid = replace(grid, nodes=grid.nodes[:2] + (replace(grid.nodes[2], id=node_id),),
+                   branches=(grid.branches[0], replace(grid.branches[1], to_node=node_id)))
+    return grid, slacks, [replace(resources[0], node=node_id)]
+
+
+@pytest.mark.parametrize("node_id", ["n 3", "n#3", "3"], ids=["whitespace", "hash", "int-text"])
+def test_serialize_refuses_ids_that_do_not_read_back(node_id):
+    message = f"node: node id {node_id!r} does not read back"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize_grid(*_with_resource_id(node_id))
+
+
+@pytest.mark.parametrize("label", ["a#b", "a\nb", " a", "a ", "a  b", ""],
+                         ids=["hash", "newline", "leading", "trailing", "repeated", "empty"])
+def test_serialize_refuses_labels_that_do_not_read_back(label):
+    grid, slacks, resources = _full_feature_models()
+    grid = replace(grid, branches=(replace(grid.branches[0], label=label), grid.branches[1]))
+    with pytest.raises(ValueError, match=re.escape(f"branch 1-2: label {label!r}")):
+        serialize_grid(grid, slacks, resources)
+
+
+def test_string_ids_and_spaced_labels_round_trip():
+    grid, slacks, resources = _with_resource_id("n3")
+    labelled = replace(grid.branches[0], label="main feeder")
+    grid = replace(grid, branches=(labelled, grid.branches[1]))
+    models = (grid, slacks, resources)
     assert parse_grid_text(serialize_grid(*models)) == models

@@ -75,7 +75,6 @@ from polyvsi.errors import NonConvergence, SingularBranch, SingularJacobian
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import pm_power_at
 from polyvsi.powerflow import (
-    Jacobian,
     OperatingPoint,
     PolyphaseSystem,
     SvdBlock,
@@ -352,8 +351,6 @@ def test_jacobian_svd_triplet():
     assert jacobian_svd(np.eye(3)) == pytest.approx((1.0, 1.0, 1.0))
     sv = jacobian_svd(np.diag([3.0, 1.0, 2.0]))
     assert sv == pytest.approx((1.0, 2.0, 3.0))
-    wrapped = jacobian_svd(Jacobian(dx=np.diag([2.0, 4.0]), dxi=np.zeros(2)))
-    assert wrapped == pytest.approx((2.0, 3.0, 4.0))
     assert jacobian_svd(csc_array(np.diag([3.0, 1.0, 2.0]))) == pytest.approx((1.0, 2.0, 3.0))
     with pytest.raises(SingularJacobian, match="SVD"):
         jacobian_svd(np.full((3, 3), np.nan))

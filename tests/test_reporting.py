@@ -18,7 +18,9 @@ Proves:
        the line
 
  Group 3 - Atomicity conveniences
-   6.  write_csv_atomic overwrites an existing file in place
+   6.  write_text_atomic overwrites an existing file in place, leaves no
+       temporary file, and gives the file the mode open(path, "w") would:
+       0o644 under umask 0o022
 
  Group 4 - Column-wise rendering equals csv.writer
    7.  Every writer's file is byte for byte what csv.writer writes for the
@@ -33,6 +35,8 @@ Proves:
 
 import csv
 import io
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +47,7 @@ from hypothesis import strategies as st
 from conftest import CP, two_bus
 from polyvsi.continuation import CpfConfig, CpfTrace, run_cpf
 from polyvsi.errors import ParseError
+from polyvsi.gridfile import write_text_atomic
 from polyvsi.grid import Branch, GridModel, Node
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel
 from polyvsi.powerflow import OperatingPoint, PolyphaseSystem, mismatch, solve_power_flow
@@ -55,7 +60,6 @@ from polyvsi.reporting import (
     fmt9_all,
     read_snapshot_csv,
     snapshot_to_point,
-    write_csv_atomic,
     write_pf_csv,
     write_snapshot_csv,
     write_trace_csv,
@@ -191,13 +195,22 @@ def test_snapshot_rejects_bad_numbers(tmp_path):
 # -- Group 3 ---------------------------------------------------------------
 
 
-def test_write_csv_atomic_overwrites(tmp_path):
+def test_write_text_atomic_overwrites(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv_atomic(path, ["a", "b"], [[fmt9(1.0), fmt9(2.0)]])
-    write_csv_atomic(path, ["a", "b"], [[fmt9(3.0), fmt9(4.0)]])
-    header, body = _read(path)
-    assert header == ["a", "b"]
-    assert body == [[fmt9(3.0), fmt9(4.0)]]
+    write_text_atomic(path, "a,b\n1,2\n")
+    write_text_atomic(path, "a,b\n3,4\n")
+    assert path.read_text() == "a,b\n3,4\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_written_files_get_the_umask_mode(solved, tmp_path):
+    path = tmp_path / "snap.csv"
+    old = os.umask(0o022)
+    try:
+        write_snapshot_csv(path, solved)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
     assert fmt9(3.0) == "3.00000000e+00"
 
 

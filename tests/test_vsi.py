@@ -23,14 +23,15 @@ Proves:
  Group 3 - Coefficients
    4.  Zero loading collapses a = c = 0 and b = source voltage
    5.  Vectorized coefficients match an explicit per-pair block loop
-   6.  VsiCoefficients.at addresses the right pair
+   6.  VsiCoefficients.pairs addresses the coefficient arrays
    7.  Missing resource model raises ValueError
 
  Group 4 - Index values
    8.  Two-bus index matches the closed-form |1 - E/V| at the solution
    9.  Primal and dual forms agree at power-flow solutions (random grids)
   10.  Zero loading gives L ~ 0 at the solved open-circuit point
-  11.  Global index picks the maximum; ties resolve by node order then phase
+  11.  Global index picks the maximum; ties resolve to the first pair, and
+       the index lists its pairs in hybrid node order, phases ascending
   12.  |1 + a| ~ 0 raises DegenerateDenominator; zero voltage raises
 
  Group 5 - One index, two entry points
@@ -256,10 +257,9 @@ def test_coefficients_at_addressing():
     system = PolyphaseSystem(grid, slacks, resources)
     op, _ = solve_power_flow(system, xi=1.0)
     coeffs = vsi_coefficients(system.hybrid, slacks, resources, op)
-    a, b, c = coeffs.at(2, 1)
-    assert a == coeffs.a[0] and b == coeffs.b[0] and c == coeffs.c[0]
+    assert coeffs.pairs.index((2, 1)) == 0
     with pytest.raises(ValueError):
-        coeffs.at(2, 9)
+        coeffs.pairs.index((2, 9))
 
 
 def test_missing_resource_raises():
@@ -323,13 +323,16 @@ def test_zero_loading_index_vanishes():
 
 def test_global_index_tie_break():
     local = {(2, 1): 0.5, (1, 1): 0.5, (1, 2): 0.3}
-    r = vsi_global(local, node_order=(1, 2))
-    assert r.critical == (1, 1)
+    r = vsi_global(local)
+    assert r.critical == (2, 1)
     assert r.global_value == 0.5
-    r2 = vsi_global(local)
-    assert r2.critical == (2, 1)
     with pytest.raises(ValueError):
         vsi_global({})
+    system = PolyphaseSystem(*build_benchmark())
+    op, _ = solve_power_flow(system, xi=1.0)
+    h = system.hybrid
+    pairs = [(n, q) for n in h.m_nodes for q in range(1, h.h_mm.p + 1)]
+    assert list(system.vsi_at(system.pack(op), 1.0).local) == pairs
 
 
 def test_degenerate_denominator_and_zero_voltage():
