@@ -30,6 +30,11 @@ one warm-started inverse subspace step (powerflow.jacobian_svd): an upper
 bound that agreed with the full SVD to within 1e-6 relative on the
 feeders measured.  system.svd_at(s.x, s.xi) gives the full triplet of any
 sample on demand.
+
+Each anchor's J_x is evaluated once and factored once, dense or sparse
+(grid.linear_solver): the tangent, the sample's subspace step and, at the
+base, the seeding of the step's block all solve on that one LU.  Only the
+base solve and the correctors factor their own Jacobians.
 """
 
 from __future__ import annotations
@@ -128,10 +133,10 @@ class CpfTrace:
         return self.samples[-1]
 
 
-def tangent_direction(problem, x: np.ndarray, xi: float, j) -> tuple[np.ndarray, float]:
-    """Unit tangent (dx, dxi) of the solution path, oriented toward +xi; j is
-    J_x at (x, xi)."""
-    dx = linear_solver(j, "state Jacobian at the predictor")(-problem.jacobian_xi(x, xi))
+def tangent_direction(problem, x: np.ndarray, xi: float, solve) -> tuple[np.ndarray, float]:
+    """Unit tangent (dx, dxi) of the solution path, oriented toward +xi; solve
+    is grid.linear_solver of J_x at (x, xi)."""
+    dx = solve(-problem.jacobian_xi(x, xi))
     scale = float(np.sqrt(np.dot(dx, dx) + 1.0))
     return dx / scale, 1.0 / scale
 
@@ -190,13 +195,15 @@ def _hold(j, held):
     return j
 
 
-def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | None, j) -> None:
+def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | None, j,
+                solve=None) -> None:
     """Fill the last sample's sv: a step of block while the sample has a
     successor, the exact triplet (block None) once it is the final one.  j is
-    the sample's J_x if the tangent evaluated it, else None."""
+    the sample's J_x if the tangent evaluated it, else None, and solve the
+    tangent's linear_solver of j."""
     if config.record_svd and hasattr(system, "svd_at"):
         s = trace.samples[-1]
-        trace.samples[-1] = replace(s, sv=system.svd_at(s.x, s.xi, block, j))
+        trace.samples[-1] = replace(s, sv=system.svd_at(s.x, s.xi, block, j, solve))
 
 
 def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = None) -> CpfTrace:
@@ -209,7 +216,9 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     Each sample's singular values are recorded once the next sample is
     accepted or the trace ends, so the code knows which sample is final;
     they come from the J_x that the tangent evaluated at the sample, where
-    there is one, so each anchor's J_x is evaluated once.
+    there is one, and from the tangent's factor of it, so each anchor's J_x
+    is evaluated once and factored once.  That factor is the only one kept
+    across the corrector.
     """
     config = config or CpfConfig()
     trace = CpfTrace()
@@ -238,12 +247,13 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     block = SvdBlock()
     termination = TERM_STEP_LIMIT
     held = None  # the anchors' J_x, one array refilled at each anchor (see _hold)
-    j_k = None  # held while it is J_x at the anchor (x_k, xi_k)
+    j_k = solve_k = None  # held while J_x at the anchor (x_k, xi_k) and its factor
 
     for step in range(config.max_steps):
         try:
             j_k = held = _hold(system.jacobian_x(x_k, xi_k), held)
-            t_x, t_xi = tangent_direction(system, x_k, xi_k, j_k)
+            solve_k = linear_solver(j_k, "state Jacobian at the anchor")
+            t_x, t_xi = tangent_direction(system, x_k, xi_k, solve_k)
         except SingularJacobian:
             trace.events.append(f"step {step}: singular Jacobian at anchor, fold reached")
             termination = TERM_FOLD
@@ -276,8 +286,8 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
             break
 
         x_k, xi_k = x_c, float(xi_c)
-        _record_svd(system, trace, config, block, j_k)
-        j_k = None
+        _record_svd(system, trace, config, block, j_k, solve_k)
+        j_k = solve_k = None
         trace.samples.append(_make_sample(system, x_k, xi_k, config))
 
     _record_svd(system, trace, config, None, j_k)

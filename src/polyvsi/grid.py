@@ -7,14 +7,18 @@ the compound nodal admittance matrix, eliminates zero-injection interior
 nodes by Kron reduction (a Schur complement), and exchanges voltage and
 current roles on a node subset via the hybrid parameter transformation.
 It also holds the one linear-solve rule the solvers share (linear_solver):
-LAPACK for a dense array, SuperLU for a SciPy sparse matrix, every failure
-mapped to the caller's error type.
+factor once, solve many times, on both containers: LAPACK for a dense
+array, SuperLU for a SciPy sparse matrix, every failure mapped to the
+caller's error type.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -64,34 +68,122 @@ def _inverse(a: np.ndarray) -> tuple:
         return a_inv, 1.0 / (_norm1(a) * _norm1(a_inv))
 
 
+@cache
+def _lapack() -> dict:
+    """{dtype char: (gesv, getrf, getrs)} for float64 ("d") and complex128
+    ("D"), bound by ctypes to the ILP64 LAPACK of the OpenBLAS that the numpy
+    wheel ships as numpy.libs/libscipy_openblas64_*, the library np.linalg
+    itself calls.  Empty, or without a dtype, when that file or a symbol is
+    missing (a distro or conda numpy, another BLAS): linear_solver then
+    solves with np.linalg.solve.  Loaded on the first dense solve, not on
+    import.
+    """
+    found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                   "libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(found[0])
+    except (IndexError, OSError):
+        return {}
+    table = {}
+    c_char, int_p, ptr = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    for char, kind in (("d", "d"), ("D", "z")):
+        try:
+            routines = [getattr(lib, f"scipy_{kind}{name}_64_") for name in ("gesv", "getrf", "getrs")]
+        except AttributeError:
+            continue
+        # gesv(n, nrhs, a, lda, ipiv, b, ldb, info); getrf(m, n, a, lda, ipiv, info);
+        # getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)
+        for routine, args in zip(routines, ([int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p],
+                                            [int_p, int_p, ptr, int_p, ptr, int_p],
+                                            [c_char, int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p])):
+            routine.argtypes, routine.restype = args, None
+        table[char] = tuple(routines)
+    return table
+
+
+def _lu_step(dense: np.ndarray, gesv, getrf, getrs):
+    """step(b, transpose) on one LU factor of dense, kept in a Fortran-order
+    copy.
+
+    The first call factors: an untransposed one by gesv, which factors and
+    solves in one call as np.linalg.solve does in the same library, so that
+    solve is bit-identical to np.linalg.solve at any OpenBLAS thread count;
+    a transposed one by getrf.  Every later call solves on the kept factor
+    with getrs.  The closure holds the factor and pivot arrays themselves
+    (data_as keeps a reference), so they live as long as the solver.
+    Raises LinAlgError when dense is not square, and on every call once a
+    factorization has found it exactly singular, like np.linalg.solve;
+    ValueError when b does not have n rows, because LAPACK reads and writes
+    through the bare pointers.
+    """
+    n = dense.shape[0]
+    if dense.shape != (n, n):
+        raise np.linalg.LinAlgError("the matrix is not square")
+    lu = np.array(dense, order="F")
+    piv = np.empty(n, dtype=np.int64)
+    size, lead, nrhs, info = (ctypes.c_int64(v) for v in (n, max(n, 1), 0, 0))
+    lu_p, piv_p = lu.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
+    factored = False
+
+    def step(b, transpose):
+        nonlocal factored
+        if info.value:  # left by a factorization that failed
+            raise np.linalg.LinAlgError("Singular matrix")
+        x = np.asarray(b).astype(lu.dtype, order="F", casting="safe")  # LAPACK overwrites x
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ValueError(f"right-hand side of shape {x.shape} for a {n} x {n} matrix")
+        nrhs.value = 1 if x.ndim == 1 else x.shape[1]
+        x_p = x.ctypes.data_as(ctypes.c_void_p)
+        if not factored and not transpose:
+            gesv(size, nrhs, lu_p, lead, piv_p, x_p, lead, info)
+        else:
+            if not factored:
+                getrf(size, size, lu_p, lead, piv_p, info)
+            if not info.value:
+                getrs(b"T" if transpose else b"N", size, nrhs, lu_p, lead, piv_p, x_p, lead, info)
+        if info.value:
+            raise np.linalg.LinAlgError("Singular matrix")
+        factored = True
+        return x
+
+    return step
+
+
 def linear_solver(a, what: str, error: type = SingularJacobian):
     """solve(b, transpose=False) for a x = b, or a' x = b with transpose=True;
-    b has shape (n,) or (n, k), real or complex.
+    b has shape (n,) or (n, k), real, or complex when a is.
 
-    An array is solved by LAPACK on each call; a SciPy sparse matrix is
-    factored once by SuperLU with the minimum-degree ordering of a' + a,
-    which suits every matrix the library factors: each has the structurally
-    symmetric pattern of the admittance (the corrector's bordered matrix
-    adds one row and column).  The one factor serves both a and a' (a' is
-    the plain transpose, never the conjugate one).  scipy is imported only
-    in that case.  Raises error naming what when the factorization fails or
-    a solution is not finite.
+    a is factored once and every call solves on that factor, for both a and
+    a' (a' is the plain transpose, never the conjugate one).  An array is
+    factored by LAPACK at the first call and solved by getrs after it
+    (_lu_step); where numpy's LAPACK cannot be bound (_lapack), each call
+    solves with np.linalg.solve instead, with identical results for a first
+    solve and results that may differ in the last digits for a'.  A SciPy
+    sparse matrix is factored by SuperLU with the minimum-degree ordering of
+    a' + a, which suits every matrix the library factors: each has the
+    structurally symmetric pattern of the admittance (the corrector's
+    bordered matrix adds one row and column).  scipy is imported only in
+    that case.  Raises error naming what when the factorization fails or a
+    solution is not finite.
     """
-    if hasattr(a, "toarray"):
-        from scipy.sparse.linalg import splu
+    try:
+        if hasattr(a, "toarray"):
+            from scipy.sparse.linalg import splu
 
-        try:
             lu = splu(a, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise error(f"{what} is singular") from exc
 
-        def step(b, transpose):
-            return lu.solve(b, trans="T" if transpose else "N")
-    else:
-        dense = np.asarray(a)
+            def step(b, transpose):
+                return lu.solve(b, trans="T" if transpose else "N")
+        else:
+            dense = np.asarray(a)
+            if routines := _lapack().get(dense.dtype.char):
+                step = _lu_step(dense, *routines)
+            else:
 
-        def step(b, transpose):
-            return np.linalg.solve(dense.T if transpose else dense, b)
+                def step(b, transpose):
+                    return np.linalg.solve(dense.T if transpose else dense, b)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # SuperLU: "Factor is exactly singular"
+        raise error(f"{what} is singular") from exc
 
     def solve(b: np.ndarray, transpose: bool = False) -> np.ndarray:
         try:

@@ -288,10 +288,12 @@ class PolyphaseSystem:
         v = x[r] * self.e_nom[r] * np.exp(1j * wrap_angle(x[self.n_unknown + r]))
         return index_at(self.hybrid, self._zip, self._lam(xi), self._v_fixed, v)
 
-    def svd_at(self, x: np.ndarray, xi: float, block: SvdBlock | None = None, j=None) -> tuple:
+    def svd_at(self, x: np.ndarray, xi: float, block: SvdBlock | None = None, j=None,
+               solve=None) -> tuple:
         """jacobian_svd of the state Jacobian at (x, xi), stepping block if
-        given; j is that Jacobian when the caller has already evaluated it."""
-        return jacobian_svd(self.jacobian_x(x, xi) if j is None else j, block)
+        given; j is that Jacobian when the caller has already evaluated it,
+        and solve its linear_solver when the caller has factored it."""
+        return jacobian_svd(self.jacobian_x(x, xi) if j is None else j, block, solve)
 
     # -- reporting ----------------------------------------------------------
 
@@ -338,7 +340,7 @@ class SvdBlock:
     vectors: np.ndarray | None = None
 
 
-def jacobian_svd(a, block: SvdBlock | None = None) -> tuple:
+def jacobian_svd(a, block: SvdBlock | None = None, solve=None) -> tuple:
     """(smallest, mean, largest) singular value of the state Jacobian a.
 
     Without a block, or with one not yet seeded, the values come from a
@@ -348,21 +350,24 @@ def jacobian_svd(a, block: SvdBlock | None = None) -> tuple:
     value, so no SVD with vectors is formed.  With a seeded block the
     result is (sv_min, None, None) from one step of inverse subspace
     iteration on J'J warm-started from the block: solve J' Y = V and
-    J W = Y (on one SuperLU factor when J is sparse), orthonormalize W into
-    Q, and take the smallest singular value of the thin J Q; its right
-    vectors become the block.  That value is a Ritz value, so it bounds the
-    smallest singular value from above.  Stepped along the continuation
-    traces it agreed with the full SVD to 2.5e-9 relative on the bundled
-    feeder, 1.1e-8 on the 252-state and 7.4e-8 on the 612-state synthetic
-    feeder (every sample), and to 6.5e-7 on the 1812-state one (16 samples
-    checked, the worst next to the fold).  A Jacobian of at most SVD_BLOCK
+    J W = Y on one LU factor of J (LAPACK's when J is dense, SuperLU's when
+    it is sparse), orthonormalize W into Q, and take the smallest singular
+    value of the thin J Q; its right vectors become the block.  That value
+    is a Ritz value, so it bounds the smallest singular value from above.
+    Stepped along the continuation traces it agreed with the full SVD to
+    2.5e-9 relative on the bundled feeder, 9.7e-8 on the 252-state and
+    1.2e-8 on the 612-state synthetic feeder (every sample, OpenBLAS at one
+    thread), and to 6.5e-7 on the 1812-state one (16 samples checked, the
+    worst next to the fold).  A Jacobian of at most SVD_BLOCK
     rows always gets the full values, and so does one the step cannot
-    factor.  Raises SingularJacobian when the SVD fails, for example on a
-    Jacobian that is not finite.
+    factor.  solve is grid.linear_solver of a when the caller has one (the
+    CPF tangent's), so the step and the seed reuse its factor; without it
+    they factor a themselves.  Raises SingularJacobian when the SVD fails,
+    for example on a Jacobian that is not finite.
     """
     if block is not None and block.vectors is not None:
         try:
-            solve = linear_solver(a, "state Jacobian in the singular-value step")
+            solve = solve or linear_solver(a, "state Jacobian in the singular-value step")
             s, block.vectors = _subspace_step(a, solve, block.vectors)
             return s, None, None
         except SingularJacobian:
@@ -372,7 +377,7 @@ def jacobian_svd(a, block: SvdBlock | None = None) -> tuple:
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"Jacobian SVD failed: {exc}") from exc
     if block is not None and block.vectors is None and a.shape[0] > SVD_BLOCK:
-        _seed(a, block, float(s[-1]), float(s[0]))
+        _seed(a, block, float(s[-1]), float(s[0]), solve)
     return float(s[-1]), float(s.mean()), float(s[0])
 
 
@@ -383,13 +388,14 @@ def _subspace_step(a, solve, v: np.ndarray) -> tuple:
     return float(s[-1]), q @ vt.T
 
 
-def _seed(a, block: SvdBlock, s_min: float, s_max: float) -> None:
+def _seed(a, block: SvdBlock, s_min: float, s_max: float, solve=None) -> None:
     """Iterate from a fixed-seed block until the Ritz value is within
     n eps s_max (the rounding of a's SVD) of s_min, at most SEED_ROUNDS
-    steps; a singular a leaves block unseeded."""
+    steps, on solve (a's linear_solver) or a factor of its own; a singular
+    a leaves block unseeded."""
     v = np.random.default_rng(0).standard_normal((a.shape[0], SVD_BLOCK))
     try:
-        solve = linear_solver(a, "state Jacobian in the singular-value seed")
+        solve = solve or linear_solver(a, "state Jacobian in the singular-value seed")
         for _ in range(SEED_ROUNDS):
             ritz, v = _subspace_step(a, solve, v)
             if ritz - s_min <= a.shape[0] * np.finfo(float).eps * s_max:

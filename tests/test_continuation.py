@@ -6,8 +6,8 @@ Proves:
    1.  Tangent is (1, 1)/sqrt(2); a sigma step along it lands on the path
    2.  On-path prediction is a corrector fixed point (0 iterations)
    3.  Off-path prediction is pulled back onto path x = xi and the sphere
-   3a. A singular or non-finite state Jacobian, dense or sparse, makes the
-       tangent raise SingularJacobian
+   3a. A singular or non-finite state Jacobian, dense or sparse, makes its
+       solver or the tangent raise SingularJacobian
 
  Group 2 - Trajectory handling
    4.  PolyphaseSystem.resources_at scales loads by xi and pins
@@ -40,11 +40,14 @@ Proves:
  Group 5 - Empty trace
   18.  xi_max / final on an empty trace raise ValueError
 
- Group 6 - Sparse path
+ Group 6 - Solver paths
   19.  The bundled trace with the sparse path forced keeps 50 samples,
        xi_max 1.787102 and critical pair (25, 1), and its states agree
        with the dense trace to 1e-9; every sv_min is within 1e-6 of the
        full SVD
+  19a. With numpy's LAPACK binding absent, the bundled trace keeps every
+       x, xi, event and the termination bit for bit; every sv_min is
+       within 1e-6 of the full SVD
 
  Group 7 - Recorded singular values
   20.  Every sample's sv_min is within 1e-6 relative of the full SVD of its
@@ -56,6 +59,9 @@ Proves:
        twice, or once when the base is the final sample
   22a. J_x is evaluated once at each sample of a trace that ends at the
        fold: the tangent's J_x also gives the sample's singular values
+  22b. Outside the Newton solves, a dense trace factors J_x once per
+       anchor: the singular-value step and the base sample's seed reuse
+       the tangent's LU
   23.  The two-bus system (2 states, fewer than the block) records the
        exact triplet at every sample
 """
@@ -67,7 +73,7 @@ import pytest
 from scipy.sparse import csc_array
 
 from conftest import two_bus
-from polyvsi import continuation, powerflow
+from polyvsi import continuation, grid, powerflow
 from polyvsi.continuation import (
     TERM_CORRECTOR,
     TERM_FOLD,
@@ -79,9 +85,10 @@ from polyvsi.continuation import (
     tangent_direction,
 )
 from polyvsi.errors import BaseCaseDiverged, SingularJacobian
+from polyvsi.grid import linear_solver
 from polyvsi.gridfile import parse_grid_text, serialize_grid
 from polyvsi.nodes import ZipTable
-from polyvsi.powerflow import PolyphaseSystem, jacobian_svd, solve_power_flow
+from polyvsi.powerflow import PolyphaseSystem, jacobian_svd, newton_solve, solve_power_flow
 
 
 class _ScalarPath:
@@ -131,7 +138,7 @@ class _Wall:
 def test_tangent_and_predict_scalar():
     prob = _ScalarPath()
     x = np.array([1.0])
-    t_x, t_xi = tangent_direction(prob, x, 1.0, prob.jacobian_x(x, 1.0))
+    t_x, t_xi = tangent_direction(prob, x, 1.0, linear_solver(prob.jacobian_x(x, 1.0), "J_x"))
     assert t_x[0] == pytest.approx(1.0 / np.sqrt(2.0))
     assert t_xi == pytest.approx(1.0 / np.sqrt(2.0))
     xp, xip = x + 0.3 * t_x, 1.0 + 0.3 * t_xi
@@ -142,7 +149,7 @@ def test_tangent_and_predict_scalar():
 def test_corrector_fixed_point():
     prob = _ScalarPath()
     anchor = (np.array([1.0]), 1.0)
-    t_x, t_xi = tangent_direction(prob, *anchor, prob.jacobian_x(*anchor))
+    t_x, t_xi = tangent_direction(prob, *anchor, linear_solver(prob.jacobian_x(*anchor), "J_x"))
     predicted = (anchor[0] + 0.3 * t_x, anchor[1] + 0.3 * t_xi)
     x_c, xi_c = arclength_correct(prob, predicted, anchor, 0.3)
     assert x_c[0] == pytest.approx(predicted[0][0], abs=1e-12)
@@ -169,7 +176,7 @@ def test_tangent_singular_jacobian_is_typed():
     for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((2, 2), np.nan)):
         for j in (bad, csc_array(bad)):
             with pytest.raises(SingularJacobian):
-                tangent_direction(Fixed(), np.zeros(2), 0.0, j)
+                tangent_direction(Fixed(), np.zeros(2), 0.0, linear_solver(j, "J_x"))
 
 
 def test_load_trajectory_scaling(bench_system):
@@ -369,6 +376,16 @@ def test_sparse_bundled_trace_matches_dense(bench_system, bench_trace, monkeypat
     _assert_recorded_spectrum(system, trace)
 
 
+def test_fallback_solver_keeps_the_bundled_trace(bench_system, bench_trace, monkeypatch):
+    monkeypatch.setattr(grid, "_lapack", lambda: {})
+    trace = run_cpf(bench_system)
+    assert (trace.termination, trace.events) == (bench_trace.termination, bench_trace.events)
+    assert len(trace.samples) == len(bench_trace.samples)
+    for s, d in zip(trace.samples, bench_trace.samples):
+        assert np.array_equal(s.x, d.x) and s.xi == d.xi
+    _assert_recorded_spectrum(bench_system, trace)
+
+
 # -- Group 7 ---------------------------------------------------------------
 
 
@@ -438,6 +455,42 @@ def test_full_svd_only_at_base_and_final(bench_system, monkeypatch):
     single = run_cpf(bench_system)
     assert len(single.samples) == 1 and len(single.final.sv) == 3
     assert calls == {"jacobian_svd": 1, "full": 1}
+
+
+def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
+    # Outside the base solve and the correctors, the only dense LU of a
+    # trace is the tangent's at each anchor: the singular-value step, and
+    # the seed at the base sample, solve on that factor.
+    table = grid._lapack()
+    if "d" not in table:
+        pytest.skip("numpy's bundled LAPACK cannot be bound here")
+    gesv, getrf, getrs = table["d"]
+    counts = {"newton": 0, "other": 0, "anchors": 0}
+    in_newton = []
+
+    def counted(routine):
+        def factor(*args):
+            counts["newton" if in_newton else "other"] += 1
+            return routine(*args)
+        return factor
+
+    def newton(*args, **kwargs):
+        in_newton.append(True)
+        try:
+            return newton_solve(*args, **kwargs)
+        finally:
+            in_newton.pop()
+
+    def tangent(*args):
+        counts["anchors"] += 1
+        return tangent_direction(*args)
+
+    monkeypatch.setattr(grid, "_lapack", lambda: {**table, "d": (counted(gesv), counted(getrf), getrs)})
+    monkeypatch.setattr(continuation, "newton_solve", newton)
+    monkeypatch.setattr(continuation, "tangent_direction", tangent)
+    trace = run_cpf(bench_system)
+    assert trace.termination == TERM_FOLD and counts["newton"] > 0
+    assert counts["other"] == counts["anchors"] == len(trace.samples)
 
 
 def test_two_bus_records_exact_triplets(two_bus_trace):

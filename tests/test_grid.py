@@ -45,8 +45,13 @@ Proves:
 
  Group 6 - Linear solves
   20.  linear_solver solves a x = b and, with transpose=True, a' x = b,
-       dense and sparse, for one or several right-hand sides; a singular
-       matrix raises the caller's error type in both directions
+       dense and sparse, real and complex, for one or several real or
+       complex right-hand sides; a singular or nan matrix raises the
+       caller's error type in both directions, never a raw LinAlgError, and
+       a dense solver that found its matrix singular raises on every call
+  20a. With numpy's LAPACK binding absent, linear_solver's fallback gives
+       a first a x = b bit for bit, and a' x = b and later solves to
+       1e-12, real and complex
 
  Group 7 - Stacked algebra
   21.  _inverse on a stack equals one call per matrix bit for bit, with an
@@ -67,6 +72,7 @@ import pytest
 from scipy.sparse import csc_array
 
 from conftest import PASSIVITY_EDGES, random_system
+from polyvsi import grid
 from polyvsi.benchmark import build_benchmark
 from polyvsi.blocks import BlockMatrix
 from polyvsi.errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock
@@ -436,17 +442,44 @@ def test_block_matrix_data_ownership():
 
 def test_linear_solver_transpose():
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
-    for b in (rng.standard_normal(6), rng.standard_normal((6, 3))):
+    real = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
+    cplx = real + 1j * rng.standard_normal((6, 6))  # like the Y_UU of reduce_augmented
+    vector, block = rng.standard_normal(6), rng.standard_normal((6, 3))
+    cases = [(real, b) for b in (vector, block)]
+    cases += [(cplx, b) for b in (vector, block, vector + 1j * vector[::-1], block - 2j * block)]
+    for a, b in cases:
         for m in (a, csc_array(a)):
             solve = linear_solver(m, "test matrix")
             assert np.allclose(solve(b), np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
             assert np.allclose(solve(b, transpose=True), np.linalg.solve(a.T, b), rtol=1e-12, atol=0.0)
-    singular = np.ones((3, 3))
-    for transpose in (False, True):
-        for m in (singular, csc_array(singular)):
-            with pytest.raises(SingularBranch, match="test matrix is singular"):
-                linear_solver(m, "test matrix", SingularBranch)(np.ones(3), transpose=transpose)
+    singular, nan = np.ones((3, 3)), np.full((3, 3), np.nan)
+    for bad in (singular, nan, singular.astype(complex), nan.astype(complex)):
+        for transpose in (False, True):
+            for m in (bad, csc_array(bad)):
+                with pytest.raises(SingularBranch, match="^test matrix (is singular|gives a solution)"):
+                    linear_solver(m, "test matrix", SingularBranch)(np.ones(3), transpose=transpose)
+    solve = linear_solver(singular, "test matrix", SingularBranch)
+    for transpose in (False, True, False):  # a failed factorization stays failed
+        with pytest.raises(SingularBranch, match="^test matrix is singular"):
+            solve(np.ones(3), transpose=transpose)
+
+
+def test_linear_solver_fallback_agrees(monkeypatch):
+    # Without numpy's LAPACK binding every call goes through np.linalg.solve.
+    # A first untransposed solve is gesv on both paths, so bit for bit; a
+    # transposed one, or a later one on the kept factor, agrees to rounding.
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((40, 40)) + 10.0 * np.eye(40)
+    cplx = real + 1j * rng.standard_normal((40, 40))
+    for a in (real, cplx):
+        for b in (rng.standard_normal(40), rng.standard_normal((40, 8))):
+            fast = linear_solver(a, "test matrix")
+            with monkeypatch.context() as patch:
+                patch.setattr(grid, "_lapack", lambda: {})
+                fallback = linear_solver(a, "test matrix")
+            assert np.array_equal(fast(b), fallback(b))
+            for transpose in (True, False):
+                assert np.allclose(fast(b, transpose), fallback(b, transpose), rtol=1e-12, atol=0.0)
 
 
 # -- Group 7 ---------------------------------------------------------------
