@@ -71,12 +71,12 @@ def _inverse(a: np.ndarray) -> tuple:
 @cache
 def _lapack() -> dict:
     """{dtype char: (gesv, getrf, getrs)} for float64 ("d") and complex128
-    ("D"), bound by ctypes to the ILP64 LAPACK of the OpenBLAS that the numpy
+    ("D"), bound by ctypes to the ILP64 LAPACK of the OpenBLAS that a numpy 2
     wheel ships as numpy.libs/libscipy_openblas64_*, the library np.linalg
     itself calls.  Empty, or without a dtype, when that file or a symbol is
-    missing (a distro or conda numpy, another BLAS): linear_solver then
-    solves with np.linalg.solve.  Loaded on the first dense solve, not on
-    import.
+    missing (a numpy 1.x wheel, a distro or conda numpy, another BLAS):
+    linear_solver then solves with np.linalg.solve.  Loaded on the first
+    dense solve, not on import.
     """
     found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                    "libscipy_openblas64_*"))

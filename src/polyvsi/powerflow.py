@@ -291,8 +291,8 @@ class PolyphaseSystem:
     def svd_at(self, x: np.ndarray, xi: float, block: SvdBlock | None = None, j=None,
                solve=None) -> tuple:
         """jacobian_svd of the state Jacobian at (x, xi), stepping block if
-        given; j is that Jacobian when the caller has already evaluated it,
-        and solve its linear_solver when the caller has factored it."""
+        given on solve, that Jacobian's linear_solver; j is the Jacobian
+        when the caller has already evaluated it."""
         return jacobian_svd(self.jacobian_x(x, xi) if j is None else j, block, solve)
 
     # -- reporting ----------------------------------------------------------
@@ -360,14 +360,13 @@ def jacobian_svd(a, block: SvdBlock | None = None, solve=None) -> tuple:
     thread), and to 6.5e-7 on the 1812-state one (16 samples checked, the
     worst next to the fold).  A Jacobian of at most SVD_BLOCK
     rows always gets the full values, and so does one the step cannot
-    factor.  solve is grid.linear_solver of a when the caller has one (the
-    CPF tangent's), so the step and the seed reuse its factor; without it
-    they factor a themselves.  Raises SingularJacobian when the SVD fails,
-    for example on a Jacobian that is not finite.
+    solve on.  solve is grid.linear_solver of a, required with a block (in a
+    trace it is the CPF tangent's), so the step and the seed reuse its
+    factor.  Raises SingularJacobian when the SVD fails, for example on a
+    Jacobian that is not finite.
     """
     if block is not None and block.vectors is not None:
         try:
-            solve = solve or linear_solver(a, "state Jacobian in the singular-value step")
             s, block.vectors = _subspace_step(a, solve, block.vectors)
             return s, None, None
         except SingularJacobian:
@@ -388,14 +387,13 @@ def _subspace_step(a, solve, v: np.ndarray) -> tuple:
     return float(s[-1]), q @ vt.T
 
 
-def _seed(a, block: SvdBlock, s_min: float, s_max: float, solve=None) -> None:
+def _seed(a, block: SvdBlock, s_min: float, s_max: float, solve) -> None:
     """Iterate from a fixed-seed block until the Ritz value is within
     n eps s_max (the rounding of a's SVD) of s_min, at most SEED_ROUNDS
-    steps, on solve (a's linear_solver) or a factor of its own; a singular
-    a leaves block unseeded."""
+    steps, on solve (a's linear_solver); a singular a leaves block
+    unseeded."""
     v = np.random.default_rng(0).standard_normal((a.shape[0], SVD_BLOCK))
     try:
-        solve = solve or linear_solver(a, "state Jacobian in the singular-value seed")
         for _ in range(SEED_ROUNDS):
             ritz, v = _subspace_step(a, solve, v)
             if ritz - s_min <= a.shape[0] * np.finfo(float).eps * s_max:

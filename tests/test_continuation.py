@@ -463,7 +463,7 @@ def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
     # the seed at the base sample, solve on that factor.
     table = grid._lapack()
     if "d" not in table:
-        pytest.skip("numpy's bundled LAPACK cannot be bound here")
+        pytest.skip("needs the OpenBLAS of a numpy 2 wheel (numpy.libs/libscipy_openblas64_*)")
     gesv, getrf, getrs = table["d"]
     counts = {"newton": 0, "other": 0, "anchors": 0}
     in_newton = []

@@ -453,15 +453,18 @@ def test_linear_solver_transpose():
             assert np.allclose(solve(b), np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
             assert np.allclose(solve(b, transpose=True), np.linalg.solve(a.T, b), rtol=1e-12, atol=0.0)
     singular, nan = np.ones((3, 3)), np.full((3, 3), np.nan)
-    for bad in (singular, nan, singular.astype(complex), nan.astype(complex)):
-        for transpose in (False, True):
-            for m in (bad, csc_array(bad)):
-                with pytest.raises(SingularBranch, match="^test matrix (is singular|gives a solution)"):
-                    linear_solver(m, "test matrix", SingularBranch)(np.ones(3), transpose=transpose)
-    solve = linear_solver(singular, "test matrix", SingularBranch)
-    for transpose in (False, True, False):  # a failed factorization stays failed
-        with pytest.raises(SingularBranch, match="^test matrix is singular"):
-            solve(np.ones(3), transpose=transpose)
+    # A nan matrix may fail in the factorization or only in its solution.
+    for bad, message in ((singular, "is singular"), (nan, "(is singular|gives a solution)")):
+        for dtype in (float, complex):
+            for transpose in (False, True):
+                for m in (bad.astype(dtype), csc_array(bad.astype(dtype))):
+                    with pytest.raises(SingularBranch, match=f"^test matrix {message}"):
+                        linear_solver(m, "test matrix", SingularBranch)(np.ones(3), transpose=transpose)
+    for first in (False, True):  # a failed factorization stays failed
+        solve = linear_solver(singular, "test matrix", SingularBranch)
+        for transpose in (first, not first, first):
+            with pytest.raises(SingularBranch, match="^test matrix is singular"):
+                solve(np.ones(3), transpose=transpose)
 
 
 def test_linear_solver_fallback_agrees(monkeypatch):

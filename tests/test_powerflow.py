@@ -25,10 +25,10 @@ Proves:
        sparse
   12.  jacobian_svd returns (min, mean, max), densifies a sparse Jacobian
        and raises SingularJacobian on a non-finite one
-  12a. With a block, jacobian_svd seeds it next to the exact triplet, then
-       steps it to sv_min alone, an upper bound within 1e-6 of the exact
-       value; an exactly singular Jacobian, dense or sparse, gives a
-       finite sv_min instead of raising
+  12a. With a block and its solver, jacobian_svd seeds it next to the exact
+       triplet, then steps it to sv_min alone, an upper bound within 1e-6
+       of the exact value; an exactly singular Jacobian, dense or sparse,
+       gives a finite sv_min instead of raising
 
  Group 4 - System-level
   13.  Benchmark-style overload (xi = 5 flat start) raises NonConvergence
@@ -70,7 +70,7 @@ from conftest import fd_jacobian, random_system, two_bus
 from polyvsi import grid as grid_module
 from polyvsi import powerflow
 from polyvsi.benchmark import bundled_grid_text
-from polyvsi.grid import GridModel
+from polyvsi.grid import GridModel, linear_solver
 from polyvsi.errors import NonConvergence, SingularBranch, SingularJacobian
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import pm_power_at
@@ -361,19 +361,20 @@ def test_jacobian_svd_block_step():
     a = rng.standard_normal((30, 30)) + 6.0 * np.eye(30)
     exact = np.linalg.svd(a, compute_uv=False)
     block = SvdBlock()
-    assert jacobian_svd(a, block) == (exact[-1], exact.mean(), exact[0])
+    assert jacobian_svd(a, block, linear_solver(a, "a")) == (exact[-1], exact.mean(), exact[0])
     assert block.vectors.shape == (30, powerflow.SVD_BLOCK)
     nearby = a + 1e-3 * rng.standard_normal((30, 30))
     s_min = np.linalg.svd(nearby, compute_uv=False)[-1]
     for j in (nearby, csc_array(nearby)):
         stepped = SvdBlock(block.vectors.copy())
-        sv = jacobian_svd(j, stepped)
+        sv = jacobian_svd(j, stepped, linear_solver(j, "j"))
         assert sv[1:] == (None, None)
         assert -1e-12 <= (sv[0] - s_min) / s_min <= 1e-6
     singular = a.copy()
     singular[:, 0] = 0.0
+    solve = linear_solver(singular, "singular")  # a dense factor fails at its first solve
     for j in (singular, csc_array(singular)):
-        sv = jacobian_svd(j, SvdBlock(block.vectors.copy()))
+        sv = jacobian_svd(j, SvdBlock(block.vectors.copy()), solve)
         assert np.isfinite(sv[0]) and sv[0] <= 1e-12 * sv[2]
 
 
