@@ -34,7 +34,11 @@ sample on demand.
 Each anchor's J_x is evaluated once and factored once, dense or sparse
 (grid.linear_solver): the tangent, the sample's subspace step and, at the
 base, the seeding of the step's block all solve on that one LU.  Only the
-base solve and the correctors factor their own Jacobians.
+base solve and the correctors factor their own Jacobians.  A dense
+corrector builds its bordered matrix (powerflow.bordered) in one
+Fortran-order array per arclength_correct call, refilled at each Newton
+step and factored there in place, so its steps allocate no matrix beyond
+J_x itself.
 """
 
 from __future__ import annotations
@@ -147,7 +151,8 @@ def arclength_correct(problem, predicted, anchor, sigma: float, eps: float = 1e-
     Solves the augmented system [f(x, xi); (|x - x_a|^2 + (xi - xi_a)^2 -
     sigma^2) / sigma^2] = 0 starting from the prediction, with at most
     MAX_CORRECTOR_ITER corrections.  Returns (x, xi); raises NonConvergence
-    or SingularJacobian like newton_solve.
+    or SingularJacobian like newton_solve.  A dense bordered matrix lives in
+    one array for the whole call, which newton_solve factors in place.
     """
     x_pred, xi_pred = predicted
     x_a, xi_a = anchor
@@ -162,10 +167,14 @@ def arclength_correct(problem, predicted, anchor, sigma: float, eps: float = 1e-
         sphere = (np.dot(dx, dx) + dxi * dxi - s2) / s2
         return np.concatenate([problem.residual(x, xi), [sphere]])
 
+    work = None  # the dense bordered matrix, refilled at each step and factored in place
+
     def jac(z):
+        nonlocal work
         x, xi = z[:n], z[n]
         bottom = np.concatenate([2.0 * (x - x_a), [2.0 * (xi - xi_a)]]) / s2
-        return bordered(problem.jacobian_x(x, xi), problem.jacobian_xi(x, xi), bottom)
+        work = bordered(problem.jacobian_x(x, xi), problem.jacobian_xi(x, xi), bottom, work)
+        return work
 
     z0 = np.concatenate([np.asarray(x_pred, dtype=float), [float(xi_pred)]])
     res = newton_solve(fun, jac, z0, eps=eps, max_iter=MAX_CORRECTOR_ITER)

@@ -403,22 +403,37 @@ def _seed(a, block: SvdBlock, s_min: float, s_max: float, solve) -> None:
     block.vectors = v
 
 
-def bordered(a, col: np.ndarray, row: np.ndarray):
-    """[[a, col], [row]] in the container of a (row has a.shape[1] + 1 entries)."""
+def bordered(a, col: np.ndarray, row: np.ndarray, out: np.ndarray | None = None):
+    """[[a, col], [row]] in the container of a (row has a.shape[1] + 1 entries).
+
+    A dense result is written into out, or into a new Fortran-order array
+    when out is None, and returned; every entry is rewritten, so out may
+    hold anything from an earlier use, such as the LU factor that
+    linear_solver(..., overwrite=True) left in it.  A sparse a gives a new
+    CSC matrix and out is ignored.
+    """
     if hasattr(a, "toarray"):
         from scipy import sparse
 
         return sparse.vstack([sparse.hstack([a, col[:, None]]), row[None, :]], format="csc")
-    return np.vstack([np.hstack([a, col[:, None]]), row[None, :]])
+    if out is None:
+        out = np.empty((a.shape[0] + 1, a.shape[1] + 1), np.result_type(a, col, row), order="F")
+    out[:-1, :-1] = a
+    out[:-1, -1] = col
+    out[-1] = row
+    return out
 
 
 def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30) -> NewtonResult:
     """Newton iteration with convergence checked before each correction.
 
-    jac(x) returns an array or a SciPy CSC matrix.  Returns once the
-    max-norm of fun(x) is <= eps; raises NonConvergence (with the residual
-    history attached) after max_iter corrections, and SingularJacobian if a
-    linear solve fails.
+    jac(x) returns an array or a SciPy CSC matrix, which is scratch: a
+    writeable Fortran-contiguous array is factored in place
+    (grid.linear_solver with overwrite=True), so jac must not return one it
+    still needs, and may return the same one at every call.  Returns once
+    the max-norm of fun(x) is <= eps; raises NonConvergence (with the
+    residual history attached) after max_iter corrections, and
+    SingularJacobian if a linear solve fails.
     """
     x = np.asarray(x0, dtype=float).copy()
     history = []
@@ -429,7 +444,7 @@ def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30
             return NewtonResult(x=x, iterations=it, residuals=tuple(history), converged=True)
         if it == max_iter:
             break
-        x = x - linear_solver(jac(x), f"Newton Jacobian at iteration {it}")(g)
+        x = x - linear_solver(jac(x), f"Newton Jacobian at iteration {it}", overwrite=True)(g)
     raise NonConvergence(
         f"no convergence to {eps} within {max_iter} corrections",
         x_last=x,

@@ -44,7 +44,8 @@ Proves:
  Group 7 - mutated grid files
   14.  (hypothesis) The bundled file with a token replaced by nan, inf,
        1e400 or x, a line dropped, duplicated or swapped, or the text
-       truncated: validate and pf return 0, 1 or 2 and never raise
+       truncated: validate, pf and cpf --max-steps 2 return 0, 1 or 2 and
+       never raise
 """
 
 import csv
@@ -428,6 +429,6 @@ def test_mutated_grid_files_exit_cleanly(data, tmp_path, capsys):
         text = text[: data.draw(st.integers(0, len(text)))]
     path = tmp_path / "mutated.grid"
     path.write_text(text)
-    for command in ("validate", "pf"):
-        assert main([command, str(path)]) in (0, 1, 2), (kind, command)
+    for command, *flags in (["validate"], ["pf"], ["cpf", "--max-steps", "2"]):
+        assert main([command, str(path), *flags]) in (0, 1, 2), (kind, command)
     capsys.readouterr()

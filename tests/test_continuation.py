@@ -62,6 +62,11 @@ Proves:
   22b. Outside the Newton solves, a dense trace factors J_x once per
        anchor: the singular-value step and the base sample's seed reuse
        the tangent's LU
+  22c. One dense corrector call builds its bordered matrix in one
+       F-ordered array, which every Newton step refills and hands to the
+       solver to factor in place, and corrects to the same point bit for bit as fresh
+       matrices; bordered equals np.block even into an array an LU has
+       overwritten, and a sparse a still gives a CSC matrix
   23.  The two-bus system (2 states, fewer than the block) records the
        exact triplet at every sample
 """
@@ -491,6 +496,43 @@ def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
     trace = run_cpf(bench_system)
     assert trace.termination == TERM_FOLD and counts["newton"] > 0
     assert counts["other"] == counts["anchors"] == len(trace.samples)
+
+
+def test_one_bordered_buffer_per_corrector(bench_system, monkeypatch):
+    x0 = solve_power_flow(bench_system, xi=1.0)[1].x
+    anchor = (x0, 1.0)
+    j = bench_system.jacobian_x(*anchor)
+    t_x, t_xi = tangent_direction(bench_system, *anchor, linear_solver(j, "J_x"))
+    sigma = 0.05
+    predicted = (x0 + sigma * t_x, 1.0 + sigma * t_xi)
+    seen = []
+
+    def recording(a, *args, **kwargs):
+        seen.append((a, kwargs.get("overwrite")))
+        return linear_solver(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(powerflow, "linear_solver", recording)
+        x_c, xi_c = arclength_correct(bench_system, predicted, anchor, sigma)
+    assert len(seen) >= 2, len(seen)
+    work = seen[0][0]
+    assert work.flags.f_contiguous and all(m is work and overwrite for m, overwrite in seen)
+    with monkeypatch.context() as patch:  # a fresh C-ordered matrix at every step
+        patch.setattr(continuation, "bordered", lambda a, col, row, out: np.block(
+            [[a, col[:, None]], [row[None, :]]]))
+        fresh = arclength_correct(bench_system, predicted, anchor, sigma)
+    assert np.array_equal(fresh[0], x_c) and fresh[1] == xi_c
+
+    col = bench_system.jacobian_xi(*anchor)
+    row = np.random.default_rng(3).standard_normal(j.shape[1] + 1)
+    ref = np.block([[j, col[:, None]], [row[None, :]]])
+    out = powerflow.bordered(j, col, row)
+    assert np.array_equal(out, ref) and out.flags.f_contiguous
+    linear_solver(out, "bordered", overwrite=True)(np.ones(ref.shape[0]))
+    assert np.array_equal(out, ref) == ("d" not in grid._lapack())  # else out holds the LU
+    assert powerflow.bordered(j, col, row, out) is out and np.array_equal(out, ref)
+    sparse = powerflow.bordered(csc_array(j), col, row, out)
+    assert sparse.format == "csc" and np.array_equal(sparse.toarray(), ref)
 
 
 def test_two_bus_records_exact_triplets(two_bus_trace):

@@ -48,7 +48,11 @@ Proves:
        dense and sparse, real and complex, for one or several real or
        complex right-hand sides; a singular or nan matrix raises the
        caller's error type in both directions, never a raw LinAlgError, and
-       a dense solver that found its matrix singular raises on every call
+       a dense solver that found its matrix singular raises on every call.
+       A dense first a x = b equals np.linalg.solve bit for bit.  By
+       default a is left untouched, C- or F-ordered; with overwrite=True a
+       writeable F-ordered array is factored in place, while a C-ordered, a
+       read-only or a byte-swapped one is copied and left untouched
   20a. With numpy's LAPACK binding absent, linear_solver's fallback gives
        a first a x = b bit for bit, and a' x = b and later solves to
        1e-12, real and complex
@@ -447,19 +451,37 @@ def test_linear_solver_transpose():
     vector, block = rng.standard_normal(6), rng.standard_normal((6, 3))
     cases = [(real, b) for b in (vector, block)]
     cases += [(cplx, b) for b in (vector, block, vector + 1j * vector[::-1], block - 2j * block)]
+    fast = grid._lapack()
     for a, b in cases:
-        for m in (a, csc_array(a)):
-            solve = linear_solver(m, "test matrix")
-            assert np.allclose(solve(b), np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
+        read_only = np.array(a, order="F")
+        read_only.flags.writeable = False
+        swapped = np.asfortranarray(a.astype(a.dtype.newbyteorder()))
+        # (m, overwrite, whether m is factored in place; None when sparse)
+        for m, overwrite, in_place in ((np.array(a), False, False),
+                                       (np.asfortranarray(a), False, False),
+                                       (np.array(a), True, False),
+                                       (np.asfortranarray(a), True, a.dtype.char in fast),
+                                       (read_only, True, False),
+                                       (swapped, True, False),
+                                       (csc_array(a), True, None)):
+            solve = linear_solver(m, "test matrix", overwrite=overwrite)
+            x = solve(b)
+            assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
             assert np.allclose(solve(b, transpose=True), np.linalg.solve(a.T, b), rtol=1e-12, atol=0.0)
+            if in_place is not None:
+                assert np.array_equal(x, np.linalg.solve(a, b))
+                assert np.array_equal(m, a) != in_place
     singular, nan = np.ones((3, 3)), np.full((3, 3), np.nan)
     # A nan matrix may fail in the factorization or only in its solution.
     for bad, message in ((singular, "is singular"), (nan, "(is singular|gives a solution)")):
         for dtype in (float, complex):
             for transpose in (False, True):
-                for m in (bad.astype(dtype), csc_array(bad.astype(dtype))):
-                    with pytest.raises(SingularBranch, match=f"^test matrix {message}"):
-                        linear_solver(m, "test matrix", SingularBranch)(np.ones(3), transpose=transpose)
+                for overwrite in (False, True):
+                    dense = bad.astype(dtype)
+                    for m in (dense, np.asfortranarray(dense), csc_array(dense)):
+                        with pytest.raises(SingularBranch, match=f"^test matrix {message}"):
+                            linear_solver(m, "test matrix", SingularBranch, overwrite)(
+                                np.ones(3), transpose=transpose)
     for first in (False, True):  # a failed factorization stays failed
         solve = linear_solver(singular, "test matrix", SingularBranch)
         for transpose in (first, not first, first):
