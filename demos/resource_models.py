@@ -23,7 +23,6 @@ from polyvsi import (
     pm_zip_at,
     positive_sequence_source,
     short_circuit_slack,
-    slack_interface,
 )
 
 # %% coefficient triples: exact and rounded
@@ -104,8 +103,9 @@ print(f"  v_te magnitudes {np.abs(slack.v_te).round(1)}")
 print(f"  v_te angles     {np.angle(slack.v_te).round(4)}")
 print(f"  z_te diagonal   {slack.z_te[0, 0]:.4f} ohm")
 
-# slack_interface inverts z_te; the augmented network stamps it as a branch
-y_te, v_te = slack_interface(slack)
+# SlackModel has checked z_te invertible; the augmented network stamps its
+# inverse y_te as a branch from an internal source node to the slack
+y_te = np.linalg.inv(slack.z_te)
 print(f"  y_te z_te = I check: {np.abs(y_te @ slack.z_te - np.eye(3)).max():.2e}")
 
 # %% explicit source phasors

@@ -19,7 +19,6 @@ from .continuation import (
     run_cpf,
 )
 from .errors import (
-    AsymmetricParameter,
     BaseCaseDiverged,
     DegenerateDenominator,
     IncompleteModel,
@@ -30,7 +29,6 @@ from .errors import (
     SingularBranch,
     SingularInteriorBlock,
     SingularJacobian,
-    SingularThevenin,
     ValidationError,
     ZeroVoltage,
 )
@@ -56,7 +54,6 @@ from .nodes import (
     injected_current,
     pm_power_at,
     pm_zip_at,
-    slack_interface,
 )
 from .powerflow import (
     Mismatch,

@@ -20,7 +20,7 @@ def _load_system(path) -> PolyphaseSystem:
 
 
 def cmd_validate(args) -> int:
-    grid, slacks, _ = parse_grid(args.grid, validate=False)
+    grid, slacks, _ = parse_grid(args.grid)
     violations = validate_parameters(grid)
     for v in violations:
         print(v)

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian
 from .grid import linear_solver
-from .powerflow import SvdBlock, bordered, newton_solve
+from .powerflow import SvdBlock, bordered, newton_solve, require_count
 
 TERM_FOLD = "fold-detected"
 TERM_STEP_LIMIT = "step-limit"
@@ -70,7 +70,7 @@ class CpfConfig:
 
     sigma is the arclength step in normalized state units and eps the
     Newton tolerance of the base case and the corrector, both finite and
-    > 0.  max_steps (>= 1) bounds the number of predictor-corrector steps.
+    > 0.  max_steps, an integer >= 1, bounds the predictor-corrector steps.
     record_vsi stores the index at every sample.  record_svd stores Jacobian
     singular values: the exact triplet at the base and the final sample,
     sv_min alone (within 1e-6 relative) in between.  xi_start, finite and
@@ -92,8 +92,7 @@ class CpfConfig:
             raise ValueError(f"eps must be a finite number > 0, got {self.eps!r}")
         if not 0.0 <= self.xi_start < math.inf:
             raise ValueError(f"xi_start must be a finite number >= 0, got {self.xi_start!r}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
+        require_count("max_steps", self.max_steps, 1)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,8 @@ class CpfSample:
 @dataclass
 class CpfTrace:
     """Accepted samples in order of strictly increasing xi, the termination
-    reason, and a log of retry events.  xi_max, the last sample's xi, bounds
+    reason, and one event per failed corrector, saying whether sigma was
+    halved or why the anchor stopped.  xi_max, the last sample's xi, bounds
     the fold from below; final may lie past the nose."""
 
     samples: list = field(default_factory=list)
@@ -274,21 +274,19 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
             try:
                 x_c, xi_c = arclength_correct(system, predicted, (x_k, xi_k), sigma, eps=config.eps)
             except (NonConvergence, SingularJacobian):
-                outcome = "diverged"
+                failure = "corrector diverged"
             else:
                 if xi_c > xi_k:
                     accepted = True
                     break
-                outcome = "regressed"
+                failure = f"corrector regressed (xi {xi_c:.6f} <= {xi_k:.6f})"
                 fold_evidence = True
-                trace.events.append(
-                    f"step {step}: corrector {outcome} (xi {xi_c:.6f} <= {xi_k:.6f}), sigma halved"
-                )
-            if outcome == "diverged":
-                trace.events.append(f"step {step}: corrector diverged, sigma halved")
             if halving == MAX_HALVINGS or sigma / 2.0 < sigma_floor:
+                why = f"{MAX_HALVINGS} halvings spent" if halving == MAX_HALVINGS else "sigma at its floor"
+                trace.events.append(f"step {step}: {failure}, {why}, stopped")
                 break
             sigma /= 2.0
+            trace.events.append(f"step {step}: {failure}, sigma halved")
 
         if not accepted:
             termination = TERM_FOLD if fold_evidence else TERM_CORRECTOR

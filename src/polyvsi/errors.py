@@ -15,16 +15,8 @@ class SingularBranch(PolyvsiError):
     """A branch series impedance matrix is not invertible."""
 
 
-class AsymmetricParameter(PolyvsiError):
-    """A branch or shunt parameter matrix violates symmetry beyond tolerance."""
-
-
 class SingularInteriorBlock(PolyvsiError):
     """The eliminated block of a Kron reduction is numerically singular."""
-
-
-class SingularThevenin(PolyvsiError):
-    """A Thevenin impedance matrix is not invertible."""
 
 
 class ZeroVoltage(PolyvsiError):
@@ -67,10 +59,8 @@ class ParseError(PolyvsiError):
 
 
 class ValidationError(PolyvsiError):
-    """A parsed grid violates the modeling hypotheses.
-
-    ``violations`` holds the individual findings.
-    """
+    """A grid that a system is built from violates the modeling hypotheses;
+    ``violations`` holds the findings, as validate_parameters lists them."""
 
     def __init__(self, violations):
         self.violations = list(violations)

@@ -23,7 +23,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .blocks import BlockMatrix, fields_equal
-from .errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock, SingularJacobian
+from .errors import SingularBranch, SingularInteriorBlock, SingularJacobian, ValidationError
 
 ROLE_SLACK = "slack"
 ROLE_ZERO = "zero"
@@ -358,8 +358,8 @@ class GridModel:
     def passivity(self) -> tuple:
         """(element, kind, detail) per passivity fault of the branch and
         shunt matrices, impedances checked invertible too.  The rule runs
-        once per grid: validate_parameters and admittance_entries both read
-        this."""
+        once per grid and this is its one verdict: validate_parameters lists
+        it, and admittance_entries refuses a grid where it is not empty."""
         return tuple(_grid_faults(self))
 
 
@@ -455,12 +455,13 @@ def admittance_entries(grid: GridModel, sources=()) -> tuple:
     shunts add onto diagonal blocks.  Each block is a sum in term order,
     starting from zero: per branch its stamp's four blocks then its two pi
     shunts, grid branches, then node shunts, then sources.  Raises
-    AsymmetricParameter on the first grid matrix passivity_faults finds
-    asymmetric, SingularBranch on the first singular impedance.
+    ValidationError, holding validate_parameters(grid), when grid.passivity
+    is not empty, so every system build refuses exactly what validation
+    lists.  The sources are not judged here: a SlackModel's z_te passes the
+    same rule when it is constructed.
     """
-    for element, kind, _ in grid.passivity:
-        if kind == "asymmetric":
-            raise AsymmetricParameter(f"{element} is not symmetric within tolerance {PARAM_TOL}")
+    if grid.passivity:
+        raise ValidationError(validate_parameters(grid))
     p = grid.p
     nodes = tuple(b.from_node for b in sources) + grid.node_ids
     at = {node: i for i, node in enumerate(nodes)}

@@ -32,8 +32,8 @@ from .builders import (
     short_circuit_slack,
     transformer_branch,
 )
-from .errors import ParseError, ValidationError
-from .grid import Branch, GridModel, Node, Shunt, validate_parameters
+from .errors import ParseError
+from .grid import Branch, GridModel, Node, Shunt
 from .nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients
 
 
@@ -214,11 +214,12 @@ def parse_configs(text: str, p: int) -> dict:
     return configs
 
 
-def parse_grid_text(text: str, validate: bool = True):
+def parse_grid_text(text: str):
     """Parse grid file text; returns (GridModel, slacks, resources).
 
-    With validate=True the parsed parameters are checked against the
-    passivity hypotheses and a ValidationError raised if any fail.
+    A slack's z_te is judged by SlackModel; branch and shunt matrices are
+    not judged here, but listed by validate_parameters and refused when a
+    system is built (grid.admittance_entries).
     """
     src = _Lines(text)
     if not src:
@@ -348,10 +349,6 @@ def parse_grid_text(text: str, validate: bool = True):
             raise ParseError(f"unknown section {head!r}", line)
 
     grid = _assemble_model(nodes, branches, shunts, slacks, resources, p)
-    if validate:
-        violations = validate_parameters(grid)
-        if violations:
-            raise ValidationError(violations)
     return grid, slacks, resources
 
 
@@ -397,10 +394,10 @@ def _assemble_model(nodes, branches, shunts, slacks, resources, p) -> GridModel:
     return grid
 
 
-def parse_grid(path, validate: bool = True):
+def parse_grid(path):
     """Parse a grid file from disk (see parse_grid_text)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_grid_text(fh.read(), validate=validate)
+        return parse_grid_text(fh.read())
 
 
 def _fmt(x: float) -> str:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocks import fields_equal
-from .errors import SingularThevenin, ZeroVoltage
-from .grid import RCOND_FLOOR, _inverse, passivity_faults
+from .errors import ZeroVoltage
+from .grid import passivity_faults
 
 CLOSURE_TOL = 1e-9
 
@@ -190,7 +190,8 @@ class ZipTable:
 
 @dataclass(frozen=True)
 class SlackModel:
-    """Ideal polyphase source v_te behind the Thevenin impedance z_te."""
+    """Ideal polyphase source v_te behind the Thevenin impedance z_te, which
+    passes passivity_faults invertible, as a branch impedance does."""
 
     node: object
     v_te: np.ndarray
@@ -205,9 +206,9 @@ class SlackModel:
             raise ValueError("z_te must be P x P matching v_te")
         if not np.all(np.isfinite(v)):
             raise ValueError("v_te must be finite")
-        if faults := passivity_faults([z]):
-            raise ValueError(f"z_te must be finite and symmetric with a positive semidefinite "
-                             f"real part: {faults[0][1]} ({faults[0][2]})")
+        if faults := passivity_faults([z], True):
+            raise ValueError(f"z_te must be finite, symmetric, invertible and with a positive "
+                             f"semidefinite real part: {faults[0][1]} ({faults[0][2]})")
         object.__setattr__(self, "v_te", v)
         object.__setattr__(self, "z_te", z)
 
@@ -259,14 +260,3 @@ def injected_current(model: ResourceModel, phase: int, v: complex) -> complex:
     if v == 0:
         raise ZeroVoltage(f"resource {model.node} phase {phase}: |v| = 0")
     return complex(np.conj(pm_power_at(model, phase, v) / v))
-
-
-def slack_interface(model: SlackModel):
-    """Return (y_te, v_te) with y_te = z_te^-1.
-
-    Raises SingularThevenin when z_te cannot be inverted reliably.
-    """
-    y_te, rc = _inverse(model.z_te)
-    if not rc >= RCOND_FLOOR:
-        raise SingularThevenin(f"slack {model.node}: z_te is numerically singular")
-    return y_te, model.v_te.copy()

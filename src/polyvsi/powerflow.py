@@ -21,6 +21,7 @@ already satisfies the tolerance is returned untouched.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -424,6 +425,16 @@ def bordered(a, col: np.ndarray, row: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
+def require_count(name: str, value, low: int) -> None:
+    """ValueError naming the field unless operator.index(value) >= low."""
+    try:
+        if operator.index(value) >= low:
+            return
+    except TypeError:  # 2.5, nan, inf
+        pass
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30) -> NewtonResult:
     """Newton iteration with convergence checked before each correction.
 
@@ -461,12 +472,14 @@ def solve_power_flow(
 ):
     """Solve the fixed-loading power flow; returns (OperatingPoint, NewtonResult).
 
-    xi must be finite and >= 0, eps finite and > 0; otherwise ValueError.
+    xi must be finite and >= 0, eps finite and > 0, max_iter an integer
+    >= 0; otherwise ValueError naming the field.
     """
     if not 0.0 <= xi < math.inf:
         raise ValueError(f"xi must be a finite number >= 0, got {xi!r}")
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
+    require_count("max_iter", max_iter, 0)
     if x0 is None:
         x0 = system.flat_start()
     res = newton_solve(

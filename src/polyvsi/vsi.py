@@ -29,7 +29,7 @@ from .blocks import BlockMatrix
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
 from .grid import (RCOND_FLOOR, Branch, GridModel, HybridPartition, _norm1, admittance_entries,
                    linear_solver)
-from .nodes import ZipTable, slack_interface
+from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
 # assemble_admittance, kron_reduce and hybrid_partition by name when tracing
 # (`--trace 1`), so the names must stay importable from this module.
@@ -90,7 +90,8 @@ class AugmentedGrid:
 
 def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
     """The grid's admittance with each slack's Thevenin admittance as a
-    gain-1 branch from a new internal node to its terminal."""
+    gain-1 branch from a new internal node to its terminal; ValidationError
+    for a grid that fails the passivity rule (admittance_entries)."""
     slacks = list(slacks)
     slack_ids = [s.node for s in slacks]
     if set(slack_ids) != set(grid.slack_nodes) or len(slack_ids) != len(set(slack_ids)):
@@ -98,7 +99,6 @@ def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
     for s in slacks:
         if s.p != grid.p:
             raise ValueError(f"slack {s.node} phase count differs from grid")
-        slack_interface(s)  # SingularThevenin before the stamp's SingularBranch
     entries = admittance_entries(grid, [Branch(te_node(s.node), s.node, s.z_te) for s in slacks])
     return AugmentedGrid(*entries, p=grid.p, internal_nodes=entries[0][: len(slacks)],
                          resource_nodes=grid.resource_nodes)

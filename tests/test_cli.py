@@ -4,7 +4,9 @@ Command line driver, run in-process through main(argv).
 Proves:
  Group 1 - validate
    1.  Healthy file: exit 0, summary line
-   2.  Parameter violations: exit 1, one line per violation
+   2.  Parameter violations (an indefinite or a singular branch impedance):
+       validate exits 1, one line per violation; pf, cpf and vsi exit 2
+       when they build the system
    3.  Unparseable file / missing file: exit 2
    3a. Non-finite v0, reference power or ZIP coefficient in the bundled
        feeder: validate and cpf both exit 2
@@ -12,6 +14,8 @@ Proves:
        and a non-finite config entry: validate and cpf exit 2 naming the line
    3c. Models that parse but cannot form a system (no resource node, a node
        without nominal voltage): pf, cpf and vsi exit 2 with one line
+   3d. A slack block whose zrows are zero or rank 1: validate, pf, cpf and
+       vsi each exit 2 naming the block's line
 
  Group 2 - pf
    4.  Solves and writes --out / --voltages CSVs, exit 0
@@ -89,13 +93,15 @@ def test_validate_ok(grid_file, capsys):
 
 
 def test_validate_violations(tmp_path, grid_file, capsys):
-    text = grid_file.read_text().replace("z 0.5 0.0\n", "z -0.5 0.0\n", 1)
-    bad = tmp_path / "bad.grid"
-    bad.write_text(text)
-    assert main(["validate", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "indefinite-real-part" in out
-    assert "violation(s)" in out
+    for z, kind in (("-0.5 0.0", "indefinite-real-part"), ("0.0 0.0", "singular")):
+        text = grid_file.read_text().replace("z 0.5 0.0\n", f"z {z}\n", 1)
+        bad = tmp_path / "bad.grid"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert f"branch 1-2 impedance: {kind}" in out
+        assert "violation(s)" in out
+        _system_commands_exit_two(bad, tmp_path, capsys, f"1 parameter violation(s): branch 1-2 impedance: {kind}")
 
 
 def test_validate_parse_error(tmp_path):
@@ -179,6 +185,26 @@ def test_node_without_nominal_voltage_exits_two(tmp_path, capsys):
     serialize_grid(grid, slacks, resources, path=path)
     assert "\n2 resource -\n" in path.read_text()
     _system_commands_exit_two(path, tmp_path, capsys, "nodes without nominal voltage")
+
+
+@pytest.mark.parametrize("z_te", ["zero", "rank-1"])
+def test_singular_thevenin_exits_two(tmp_path, capsys, z_te):
+    text = benchmark.bundled_grid_text()
+    table = "slacks\n1 sc 100.0 0.1\nend\n"
+    assert text.count(table) == 1
+    v_te = benchmark.build_benchmark()[1][0].v_te
+    pair = "0.0 0.0" if z_te == "zero" else "1.0 1.0"
+    block = ("slack 1\n" + f"zrow {' '.join([pair] * 3)}\n" * 3
+             + f"vrow {' '.join(repr(float(x)) for x in v_te.view(float))}\nend\n")
+    lineno = text[: text.index(table)].count("\n") + 1
+    path = tmp_path / "slack.grid"
+    path.write_text(text.replace(table, block))
+    snap = tmp_path / "snap.csv"
+    for argv in (["validate"], ["pf"], ["cpf"], ["vsi", "--voltages", str(snap)]):
+        capsys.readouterr()
+        assert main([argv[0], str(path), *argv[1:]]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lineno}: z_te ") and "singular" in err, (argv[0], err)
 
 
 # -- Group 2 ---------------------------------------------------------------

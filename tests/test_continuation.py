@@ -22,7 +22,9 @@ Proves:
    7.  Flat (load-free) path hits the step budget: step-limit, xi steps
        by exactly sigma
    8.  Analytic parabola x^2 + xi - 2 folds at xi = 2: fold-detected
-   9.  Residual wall (NaN past xi = 1) exhausts halvings: corrector-failure
+   9.  Residual wall (NaN past xi = 1) exhausts halvings: corrector-failure,
+       with one "sigma halved" event per halving done (MAX_HALVINGS) and a
+       last event saying why the anchor stopped
   10.  Infeasible base case raises BaseCaseDiverged
 
  Group 4 - Two-bus fold (closed form xi_max = 2)
@@ -33,9 +35,10 @@ Proves:
   15.  xi increases strictly; xi_max/final agree with the sample list
   16.  Recording switches drop vsi / sv payloads; xi_start moves the base
   17.  CpfConfig rejects a non-finite or non-positive sigma or eps, a
-       non-finite or negative xi_start and a zero step budget, and
-       solve_power_flow a non-finite or negative xi and a bad eps, each
-       with ValueError naming the field
+       non-finite or negative xi_start and a step budget that is zero or
+       not an integer, and solve_power_flow a non-finite or negative xi, a
+       bad eps and a negative or non-integer max_iter, each with
+       ValueError naming the field
 
  Group 5 - Empty trace
   18.  xi_max / final on an empty trace raise ValueError
@@ -80,6 +83,7 @@ from scipy.sparse import csc_array
 from conftest import two_bus
 from polyvsi import continuation, grid, powerflow
 from polyvsi.continuation import (
+    MAX_HALVINGS,
     TERM_CORRECTOR,
     TERM_FOLD,
     TERM_STEP_LIMIT,
@@ -257,6 +261,8 @@ def test_residual_wall_is_corrector_failure():
     assert trace.termination == TERM_CORRECTOR
     assert len(trace.samples) == 1
     assert any("diverged" in e for e in trace.events)
+    assert sum(e.endswith("sigma halved") for e in trace.events) == MAX_HALVINGS
+    assert trace.events[-1] == f"step 0: corrector diverged, {MAX_HALVINGS} halvings spent, stopped"
 
 
 def test_infeasible_base_case():
@@ -336,7 +342,7 @@ def test_config_validation():
         "sigma": (0.0, -0.05, np.inf, np.nan),
         "eps": (0.0, -1e-8, np.inf, np.nan),
         "xi_start": (-1.0, np.inf, np.nan),
-        "max_steps": (0,),
+        "max_steps": (0, -1, 2.5, np.inf, np.nan),
     }
     for name, values in bad.items():
         for value in values:
@@ -346,7 +352,8 @@ def test_config_validation():
     grid, slacks, resources = two_bus()
     system = PolyphaseSystem(grid, slacks, resources)
     for name, value in (("xi", -1.0), ("xi", np.inf), ("xi", np.nan),
-                        ("eps", 0.0), ("eps", np.inf), ("eps", np.nan)):
+                        ("eps", 0.0), ("eps", np.inf), ("eps", np.nan),
+                        ("max_iter", -1), ("max_iter", 2.5), ("max_iter", np.inf)):
         with pytest.raises(ValueError, match=name):
             solve_power_flow(system, **{name: value})
     assert solve_power_flow(system, xi=0.0)[1].converged

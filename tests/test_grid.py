@@ -12,13 +12,16 @@ Proves:
    4.  Two-node Y superposes stamp, pi shunts, and node shunts exactly
    5.  Assembled Y satisfies KCL against per-branch physics on random grids
    6.  Assembled Y is symmetric (gains included)
-   7.  Asymmetric branch impedance raises AsymmetricParameter
+   7.  Asymmetric branch impedance raises ValidationError at assembly
    8.  validate_parameters flags asymmetric / indefinite / singular elements;
-       at the edges of the passivity rule a branch impedance, a pi shunt and
-       a node shunt are judged alike, and assembly rejects exactly the
-       asymmetric ones
-   8a. An inf or nan impedance, pi shunt or node shunt is reported as
-       non-finite, with no warning
+       at the edges of the passivity rule, and on a singular matrix, a
+       branch impedance, a pi shunt, a node shunt and a slack's z_te are
+       judged alike (invertibility on impedances only): a flagged z_te
+       fails SlackModel with a ValueError naming the fault, and any other
+       flagged carrier makes PolyphaseSystem raise ValidationError holding
+       exactly validate_parameters(grid), while an unflagged one builds
+   8a. An inf or nan impedance, pi shunt, node shunt or z_te is reported
+       as non-finite, with no warning, and refused like any other fault
    9.  A healthy random grid validates clean
 
  Group 3 - Kron reduction
@@ -65,21 +68,23 @@ Proves:
        bit: bundled feeder, 302-node synthetic feeder, random grids with
        gains, pi shunts, node shunts, parallel branches and sources
   24.  The passivity result is shared per grid, in either call order:
-       AsymmetricParameter still comes before SingularBranch, and the
-       violation list is the same
+       assembly raises ValidationError holding the same violation list,
+       an asymmetric and a singular impedance alike
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-from conftest import PASSIVITY_EDGES, random_system
+from conftest import CP, PASSIVITY_EDGES, random_system
 from polyvsi import grid
 from polyvsi.benchmark import build_benchmark
 from polyvsi.blocks import BlockMatrix
-from polyvsi.errors import AsymmetricParameter, SingularBranch, SingularInteriorBlock
+from polyvsi.builders import positive_sequence_source
+from polyvsi.errors import SingularBranch, SingularInteriorBlock, ValidationError
 from polyvsi.grid import (
     RCOND_FLOOR,
     Branch,
@@ -96,7 +101,8 @@ from polyvsi.grid import (
     passivity_faults,
     validate_parameters,
 )
-from polyvsi.nodes import SlackModel
+from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel
+from polyvsi.powerflow import PolyphaseSystem
 from polyvsi.vsi import AugmentedGrid, reduce_augmented, te_node
 
 
@@ -212,18 +218,48 @@ def test_assembled_matrix_symmetric():
 def test_asymmetric_branch_raises():
     z = np.array([[0.5, 0.2], [0.1, 0.5]], dtype=complex)
     grid = _two_node_grid(p=2, z=z)
-    with pytest.raises(AsymmetricParameter):
+    with pytest.raises(ValidationError) as exc:
         assemble_admittance(grid)
+    assert [(v.kind, v.element) for v in exc.value.violations] == [("asymmetric", "branch 1-2 impedance")]
 
 
 def _carriers(m):
-    """Two-node grids carrying the 2 x 2 matrix m, keyed by element kind."""
+    """Two-node systems (grid, slacks, resources) carrying the 2 x 2 matrix
+    m, keyed by element kind.  Each is built on call, because a SlackModel
+    judges its z_te when it is constructed."""
+    load = ResourceModel(2, 1000.0, (PhaseResource(-1e3, 0.0, CP, CP),) * 2)
+
+    def system(grid, z_te=(0.1 + 0.2j) * np.eye(2)):
+        return grid, [SlackModel(1, positive_sequence_source(1000.0, 2), z_te)], [load]
+
     return {
-        "impedance": _two_node_grid(p=2, z=m),
-        "from-shunt": _two_node_grid(p=2, y_shunt_from=m),
-        "to-shunt": _two_node_grid(p=2, y_shunt_to=m),
-        "node-shunt": replace(_two_node_grid(p=2), shunts=(Shunt(2, m),)),
+        "impedance": lambda: system(_two_node_grid(p=2, z=m)),
+        "from-shunt": lambda: system(_two_node_grid(p=2, y_shunt_from=m)),
+        "to-shunt": lambda: system(_two_node_grid(p=2, y_shunt_to=m)),
+        "node-shunt": lambda: system(replace(_two_node_grid(p=2), shunts=(Shunt(2, m),))),
+        "z_te": lambda: system(_two_node_grid(p=2), z_te=m),
     }
+
+
+def _refused(build):
+    """Fault kinds a carrier's system is refused for, [] when it builds.
+
+    A z_te fault is read from SlackModel's ValueError; any other from the
+    ValidationError PolyphaseSystem raises, which must hold exactly
+    validate_parameters(grid).
+    """
+    try:
+        grid, slacks, resources = build()
+    except ValueError as exc:
+        return [re.search(r": ([a-z-]+) \(", str(exc)).group(1)]
+    violations = validate_parameters(grid)
+    try:
+        PolyphaseSystem(grid, slacks, resources)
+    except ValidationError as exc:
+        assert exc.violations == violations
+        return [v.kind for v in violations]
+    assert violations == []
+    return []
 
 
 def test_validate_parameters_flags():
@@ -237,24 +273,22 @@ def test_validate_parameters_flags():
     )
     kinds = {(v.kind, v.element.split()[1]) for v in validate_parameters(grid)}
     assert kinds == {("asymmetric", "1-2"), ("indefinite-real-part", "2-3"), ("singular", "3-4")}
-    for m, kind in PASSIVITY_EDGES:
-        for g in _carriers(m).values():
-            assert [v.kind for v in validate_parameters(g)] == ([kind] if kind else [])
-            if kind == "asymmetric":
-                with pytest.raises(AsymmetricParameter, match="not symmetric within tolerance 1e-09"):
-                    assemble_admittance(g)
-            else:
-                assemble_admittance(g)
+    for m, kind in PASSIVITY_EDGES + ((BAD_BLOCKS["singular"], "singular"),):
+        for where, build in _carriers(m).items():
+            # invertibility is judged on impedances only
+            judged = kind != "singular" or where in ("impedance", "z_te")
+            assert _refused(build) == ([kind] if kind and judged else []), (where, kind)
 
 
 def test_validate_parameters_non_finite():
     for bad in (np.inf, np.nan):
         m = np.eye(2, dtype=complex)
         m[0, 1] = bad
-        for where, g in _carriers(m).items():
-            (v,) = validate_parameters(g)
-            assert v.kind == "non-finite"
-            assert v.element == ("shunt at 2" if where == "node-shunt" else f"branch 1-2 {where}")
+        for where, build in _carriers(m).items():
+            assert _refused(build) == ["non-finite"], where
+            if where != "z_te":
+                (v,) = validate_parameters(build()[0])
+                assert v.element == ("shunt at 2" if where == "node-shunt" else f"branch 1-2 {where}")
 
 
 def test_validate_parameters_clean_random():
@@ -625,11 +659,13 @@ def test_shared_passivity_keeps_precedence():
         both = grid(z_asym, z_sing)
         if validate_first:
             assert [(v.kind, v.element) for v in validate_parameters(both)] == expected
-        with pytest.raises(AsymmetricParameter):
+        with pytest.raises(ValidationError) as exc:
             assemble_admittance(both)
+        assert [(v.kind, v.element) for v in exc.value.violations] == expected
         assert [(v.kind, v.element) for v in validate_parameters(both)] == expected
         singular = grid(z_sing)
         if validate_first:
             assert [v.kind for v in validate_parameters(singular)] == ["singular"]
-        with pytest.raises(SingularBranch):
+        with pytest.raises(ValidationError) as exc:
             assemble_admittance(singular)
+        assert [(v.kind, v.element) for v in exc.value.violations] == [("singular", "branch 1-2 impedance")]

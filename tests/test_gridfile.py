@@ -21,8 +21,8 @@ Proves:
        with faults in several rows the first one in line order is reported
 
  Group 2 - Validation
-   5.  Asymmetric parameters raise ValidationError when validate=True and
-       parse cleanly when validate=False
+   5.  Asymmetric parameters parse cleanly, and building a system from
+       them raises ValidationError
 
  Group 3 - Round trips
    6.  serialize -> parse reproduces every model bit-exactly (gain, rated,
@@ -66,6 +66,7 @@ from polyvsi.errors import ParseError, ValidationError
 from polyvsi.gridfile import parse_configs, parse_grid_text, serialize_grid, zip_from_values
 from polyvsi.grid import Branch, GridModel, Node, Shunt
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients
+from polyvsi.powerflow import PolyphaseSystem
 
 MINIMAL = """\
 phases 1
@@ -359,11 +360,11 @@ end
 
 
 def test_validation_toggle():
-    with pytest.raises(ValidationError) as exc:
-        parse_grid_text(ASYM)
-    assert any(v.kind == "asymmetric" for v in exc.value.violations)
-    grid, _, _ = parse_grid_text(ASYM, validate=False)
+    grid, slacks, resources = parse_grid_text(ASYM)
     assert grid.branches[0].z[0, 1] == 0.2
+    with pytest.raises(ValidationError) as exc:
+        PolyphaseSystem(grid, slacks, resources)
+    assert any(v.kind == "asymmetric" for v in exc.value.violations)
 
 
 # -- Group 3 ---------------------------------------------------------------

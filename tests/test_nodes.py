@@ -21,7 +21,8 @@ Proves:
  Group 3 - Slacks
   11.  z_te symmetry and PSD real part enforced by the grid's passivity
        rule, edges included; shape checks; non-finite v_te or z_te rejected
-  12.  slack_interface inverts z_te; singular or near-singular z_te raises
+  12.  An invertible z_te is kept as given; a singular or near-singular
+       z_te fails the passivity rule's invertibility test with ValueError
   13.  short_circuit_slack magnitude / ratio arithmetic
   14.  positive_sequence_source angles step by -2 pi / p
 """
@@ -31,7 +32,7 @@ import pytest
 
 from conftest import PASSIVITY_EDGES
 from polyvsi.builders import positive_sequence_source, short_circuit_slack
-from polyvsi.errors import SingularThevenin, ZeroVoltage
+from polyvsi.errors import ZeroVoltage
 from polyvsi.nodes import (
     PhaseResource,
     ResourceModel,
@@ -41,7 +42,6 @@ from polyvsi.nodes import (
     injected_current,
     pm_power_at,
     pm_zip_at,
-    slack_interface,
 )
 
 ZRE = ZipCoefficients.from_table(-0.067, 0.251, 0.816)
@@ -206,14 +206,11 @@ def test_slack_validation():
 def test_slack_interface_inverts():
     z = np.array([[0.3 + 1.0j, 0.1 + 0.2j], [0.1 + 0.2j, 0.4 + 0.9j]])
     s = SlackModel(node=1, v_te=positive_sequence_source(1000.0, 2), z_te=z)
-    y_te, v_te = slack_interface(s)
-    assert np.allclose(y_te @ z, np.eye(2), atol=1e-12)
-    assert np.array_equal(v_te, s.v_te)
+    assert np.array_equal(s.z_te, z)
     near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
     for z_bad in (np.zeros((2, 2), dtype=complex), near):
-        bad = SlackModel(node=1, v_te=positive_sequence_source(1000.0, 2), z_te=z_bad)
-        with pytest.raises(SingularThevenin):
-            slack_interface(bad)
+        with pytest.raises(ValueError, match="singular"):
+            SlackModel(node=1, v_te=positive_sequence_source(1000.0, 2), z_te=z_bad)
 
 
 def test_short_circuit_slack_arithmetic():

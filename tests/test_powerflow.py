@@ -448,7 +448,7 @@ def test_setup_calls_no_svd(monkeypatch, synthfeeder):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     for text in texts:
-        system = PolyphaseSystem(*parse_grid_text(text, validate=True))
+        system = PolyphaseSystem(*parse_grid_text(text))
         with pytest.raises(SvdCalled):
             system.svd_at(system.flat_start(), 1.0)
 
