@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian
 from .grid import linear_solver
-from .powerflow import SvdBlock, bordered, newton_solve, require_count
+from .powerflow import SvdBlock, bordered, newton_solve, require_count, start_vector
 
 TERM_FOLD = "fold-detected"
 TERM_STEP_LIMIT = "step-limit"
@@ -218,7 +218,7 @@ def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | No
 def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = None) -> CpfTrace:
     """Trace the solution path from xi_start until the fold or a budget.
 
-    The base case is solved at fixed xi from the flat start (or x0), with
+    The base case is solved at fixed xi from start_vector(system, x0), with
     at most MAX_CORRECTOR_ITER Newton corrections; BaseCaseDiverged when it
     does not converge.  The trace holds every accepted sample; termination
     is one of fold-detected, step-limit, or corrector-failure.
@@ -232,10 +232,7 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     config = config or CpfConfig()
     trace = CpfTrace()
     xi0 = config.xi_start
-    if x0 is None:
-        if not hasattr(system, "flat_start"):
-            raise ValueError("x0 required for problems without flat_start()")
-        x0 = system.flat_start()
+    x0 = start_vector(system, x0)
     try:
         base = newton_solve(
             lambda x: system.residual(x, xi0),

@@ -8,7 +8,7 @@ class PolyvsiError(Exception):
 
 
 class IncompleteModel(PolyvsiError, ValueError):
-    """Models cannot form a system: no resource node, or a node without vnom."""
+    """Models cannot form a system: no resource node, no vnom, or models off their nodes."""
 
 
 class SingularBranch(PolyvsiError):

@@ -23,7 +23,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .blocks import BlockMatrix, fields_equal
-from .errors import SingularBranch, SingularInteriorBlock, SingularJacobian, ValidationError
+from .errors import IncompleteModel, SingularBranch, SingularInteriorBlock, SingularJacobian, ValidationError
 
 ROLE_SLACK = "slack"
 ROLE_ZERO = "zero"
@@ -286,8 +286,8 @@ class GridModel:
 
     Construction checks structural sanity: unique node ids, known endpoint
     references, uniform phase count, and weak connectivity of the branch
-    graph.  Electrical parameter hypotheses are checked separately by
-    validate_parameters.
+    graph.  The parameter hypotheses (passivity, from series_admittance) and
+    the slack and resource models (require_models) are judged separately.
     """
 
     nodes: tuple
@@ -354,6 +354,21 @@ class GridModel:
     def resource_nodes(self) -> tuple:
         return self.nodes_with_role(ROLE_RESOURCE)
 
+    def require_models(self, role: str, models) -> tuple:
+        """models in the grid's node order; IncompleteModel unless they sit
+        one-to-one on the nodes with role, each with the grid's phase count."""
+        models, want = tuple(models), self.nodes_with_role(role)
+        at = {m.node: m for m in models}
+        if len(at) != len(models) or set(at) != set(want) or any(m.p != self.p for m in models):
+            raise IncompleteModel(f"{role} models at {[m.node for m in models]} must sit one-to-one "
+                                  f"on the grid's {role} nodes {list(want)}, each with p = {self.p}")
+        return tuple(at[n] for n in want)
+
+    @cached_property
+    def series_admittance(self) -> tuple:
+        """(y, rcond): the one _inverse of the branch impedances, in branch order."""
+        return _inverse(np.reshape([b.z for b in self.branches], (-1, self.p, self.p)))
+
     @cached_property
     def passivity(self) -> tuple:
         """(element, kind, detail) per passivity fault of the branch and
@@ -375,16 +390,11 @@ class Violation:
         return f"{self.element}: {self.kind} ({self.detail})"
 
 
-def _stamps(branches, p: int) -> np.ndarray:
-    """(k, 2, 2, P, P) series-element stamps of k branches, [[g^2 y, -g y],
-    [-g y, y]] each, from one stacked inverse of the impedances; raises
-    SingularBranch on the first singular one."""
-    y, rc = _inverse(np.reshape([b.z for b in branches], (-1, p, p)))
-    for b, r in zip(branches, rc):
-        if not r >= RCOND_FLOOR:
-            raise SingularBranch(f"branch {b.from_node}-{b.to_node} series impedance is singular")
-    g = np.array([b.gain for b in branches])[:, None, None]
-    stamps = np.empty((len(branches), 2, 2, p, p), dtype=complex)
+def _stamps(y: np.ndarray, gains) -> np.ndarray:
+    """(k, 2, 2, P, P) series-element stamps [[g^2 y, -g y], [-g y, y]] of
+    the k series admittances y, a (k, P, P) stack, and their gains g."""
+    g = np.asarray(gains, dtype=float)[:, None, None]
+    stamps = np.empty((len(y), 2, 2, *y.shape[1:]), dtype=complex)
     stamps[:, 0, 0] = g * g * y
     stamps[:, 0, 1] = stamps[:, 1, 0] = -g * y
     stamps[:, 1, 1] = y
@@ -397,21 +407,23 @@ def branch_stamp(branch: Branch) -> np.ndarray:
     Inverts the series impedance and applies the ideal-transformer gain g =
     V_to/V_from: [[g^2 y, -g y], [-g y, y]].  For gain 1 this is the familiar
     [[y, -y], [-y, y]] so that summing stamps over branches reproduces the
-    incidence-based assembly A' Y_L A.
+    incidence-based assembly A' Y_L A; SingularBranch when z is singular.
     """
-    p = branch.p
-    return _stamps([branch], p)[0].transpose(0, 2, 1, 3).reshape(2 * p, 2 * p)
+    y, rc = _inverse(branch.z)
+    if not rc >= RCOND_FLOOR:
+        raise SingularBranch(f"branch {branch.from_node}-{branch.to_node} series impedance is singular")
+    return _stamps(y[None], [branch.gain])[0].transpose(0, 2, 1, 3).reshape(2 * branch.p, -1)
 
 
-def passivity_faults(mats, invertible=False) -> list[tuple]:
+def passivity_faults(mats, rcond) -> list[tuple]:
     """The passivity rule on a sequence of P x P parameter matrices.
 
     Every element is reciprocal and lossy, so each matrix must be finite,
     symmetric within relative Frobenius asymmetry PARAM_TOL, and have a
     symmetric real part whose smallest eigenvalue is at least
-    -PARAM_TOL * max(largest eigenvalue, ||m||).  Where the mask invertible
-    is set, _inverse must also give rcond >= RCOND_FLOOR.  Runs on the whole
-    stack at once; returns (index, kind, detail) per fault, by index.
+    -PARAM_TOL * max(largest eigenvalue, ||m||), and its rcond (one _inverse
+    value per matrix; inf where none is needed) must be >= RCOND_FLOOR.
+    One stacked pass; returns (index, kind, detail) per fault, by index.
     """
     if not len(mats):
         return []
@@ -427,20 +439,20 @@ def passivity_faults(mats, invertible=False) -> list[tuple]:
                for k in np.flatnonzero(asym > PARAM_TOL)]
     faults += [(k, "indefinite-real-part", f"min eigenvalue {eig[k, 0]:.3e}")
                for k in np.flatnonzero(indefinite)]
-    if (inv := np.flatnonzero(finite & invertible)).size:
-        faults += [(k, "singular", f"rcond < {RCOND_FLOOR}")
-                   for k, rc in zip(inv, _inverse(m[inv])[1]) if not rc >= RCOND_FLOOR]
+    faults += [(k, "singular", f"rcond < {RCOND_FLOOR}")
+               for k in np.flatnonzero(finite & ~(np.asarray(rcond) >= RCOND_FLOOR))]
     return sorted(faults, key=lambda f: f[0])
 
 
 def _grid_faults(grid: GridModel) -> list[tuple]:
-    """(element, kind, detail) per passivity fault, impedances checked invertible."""
-    rows = [(f"branch {b.from_node}-{b.to_node} {what}", m, what == "impedance")
-            for b in grid.branches
+    """(element, kind, detail) per passivity fault, impedances judged invertible."""
+    rows = [(f"branch {b.from_node}-{b.to_node} {what}", m,
+             rc if what == "impedance" else np.inf)
+            for b, rc in zip(grid.branches, grid.series_admittance[1])
             for what, m in (("impedance", b.z), ("from-shunt", b.y_shunt_from), ("to-shunt", b.y_shunt_to))
             if m is not None]
-    rows += [(f"shunt at {s.node}", s.y, False) for s in grid.shunts]
-    faults = passivity_faults([m for _, m, _ in rows], [inv for _, _, inv in rows])
+    rows += [(f"shunt at {s.node}", s.y, np.inf) for s in grid.shunts]
+    faults = passivity_faults([m for _, m, _ in rows], [rc for _, _, rc in rows])
     return [(rows[k][0], kind, detail) for k, kind, detail in faults]
 
 
@@ -450,11 +462,11 @@ def admittance_entries(grid: GridModel, sources=()) -> tuple:
     nodes are one new node per source branch (its from-node), then the grid's
     nodes.  The pattern holds each node's diagonal block and both off-diagonal
     blocks of each branch, parallel branches summed into one block, in
-    row-major block order and row-major within a block.  All branches stamp
-    from one stacked inverse (the stamps of branch_stamp), pi shunts and node
-    shunts add onto diagonal blocks.  Each block is a sum in term order,
-    starting from zero: per branch its stamp's four blocks then its two pi
-    shunts, grid branches, then node shunts, then sources.  Raises
+    row-major block order and row-major within a block.  Grid branches stamp
+    from grid.series_admittance, sources from one stack of their own, and pi
+    and node shunts add onto diagonal blocks.  Each block is a sum in term
+    order, starting from zero: per branch its stamp's four blocks then its
+    two pi shunts, grid branches, then node shunts, then sources.  Raises
     ValidationError, holding validate_parameters(grid), when grid.passivity
     is not empty, so every system build refuses exactly what validation
     lists.  The sources are not judged here: a SlackModel's z_te passes the
@@ -474,7 +486,9 @@ def admittance_entries(grid: GridModel, sources=()) -> tuple:
     none = np.zeros((p, p), dtype=complex)
     pi = np.reshape([none if y is None else y for b in branches
                      for y in (b.y_shunt_from, b.y_shunt_to)], (-1, 2, p, p))
-    branch_terms = np.concatenate([_stamps(branches, p).reshape(-1, 4, p, p), pi], axis=1)
+    y_src, _ = _inverse(np.reshape([b.z for b in sources], (-1, p, p)))
+    stamps = _stamps(np.concatenate([grid.series_admittance[0], y_src]), [b.gain for b in branches])
+    branch_terms = np.concatenate([stamps.reshape(-1, 4, p, p), pi], axis=1)
     f = np.array([at[b.from_node] for b in branches], dtype=int)
     t = np.array([at[b.to_node] for b in branches], dtype=int)
     bi, bj = np.stack([f, f, t, t, f, t], axis=1), np.stack([f, t, f, t, f, t], axis=1)

@@ -33,7 +33,7 @@ from .builders import (
     transformer_branch,
 )
 from .errors import ParseError
-from .grid import Branch, GridModel, Node, Shunt
+from .grid import ROLE_RESOURCE, ROLE_SLACK, Branch, GridModel, Node, Shunt
 from .nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients
 
 
@@ -217,9 +217,11 @@ def parse_configs(text: str, p: int) -> dict:
 def parse_grid_text(text: str):
     """Parse grid file text; returns (GridModel, slacks, resources).
 
-    A slack's z_te is judged by SlackModel; branch and shunt matrices are
-    not judged here, but listed by validate_parameters and refused when a
-    system is built (grid.admittance_entries).
+    A slack's z_te is judged by SlackModel, and the slack and resource
+    models must sit one-to-one on their nodes (GridModel.require_models);
+    branch and shunt matrices are not judged here, but listed by
+    validate_parameters and refused when a system is built
+    (grid.admittance_entries).
     """
     src = _Lines(text)
     if not src:
@@ -348,7 +350,10 @@ def parse_grid_text(text: str):
         else:
             raise ParseError(f"unknown section {head!r}", line)
 
-    grid = _assemble_model(nodes, branches, shunts, slacks, resources, p)
+    grid = _made(None, GridModel, nodes=tuple(nodes), branches=tuple(branches),
+                 shunts=tuple(shunts), p=p)
+    for role, models in ((ROLE_SLACK, slacks), (ROLE_RESOURCE, resources)):
+        _made(None, grid.require_models, role, models)
     return grid, slacks, resources
 
 
@@ -376,22 +381,6 @@ def _parse_resource_row(t, p, ln) -> ResourceModel:
         raise ParseError("resource row needs zip_re and zip_im triples", ln)
     return resource_from_values(node, kind, si["v0"][0], si["p0"], si["q0"], fields["zip_re"],
                                 fields["zip_im"], lam=fields.get("lam", [1.0])[0])
-
-
-def _assemble_model(nodes, branches, shunts, slacks, resources, p) -> GridModel:
-    grid = _made(None, GridModel, nodes=tuple(nodes), branches=tuple(branches),
-                 shunts=tuple(shunts), p=p)
-    slack_ids = [s.node for s in slacks]
-    if sorted(map(str, slack_ids)) != sorted(map(str, grid.slack_nodes)):
-        raise ParseError(
-            f"slack sections {slack_ids} do not match slack-role nodes {list(grid.slack_nodes)}"
-        )
-    res_ids = [r.node for r in resources]
-    if sorted(map(str, res_ids)) != sorted(map(str, grid.resource_nodes)):
-        raise ParseError(
-            f"resource rows {res_ids} do not match resource-role nodes {list(grid.resource_nodes)}"
-        )
-    return grid
 
 
 def parse_grid(path):

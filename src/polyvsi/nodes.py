@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import fields_equal
 from .errors import ZeroVoltage
-from .grid import passivity_faults
+from .grid import _inverse, passivity_faults
 
 CLOSURE_TOL = 1e-9
 
@@ -191,7 +191,7 @@ class ZipTable:
 @dataclass(frozen=True)
 class SlackModel:
     """Ideal polyphase source v_te behind the Thevenin impedance z_te, which
-    passes passivity_faults invertible, as a branch impedance does."""
+    passes passivity_faults with its own _inverse rcond, as a branch does."""
 
     node: object
     v_te: np.ndarray
@@ -206,7 +206,7 @@ class SlackModel:
             raise ValueError("z_te must be P x P matching v_te")
         if not np.all(np.isfinite(v)):
             raise ValueError("v_te must be finite")
-        if faults := passivity_faults([z], True):
+        if faults := passivity_faults([z], [_inverse(z)[1]]):
             raise ValueError(f"z_te must be finite, symmetric, invertible and with a positive "
                              f"semidefinite real part: {faults[0][1]} ({faults[0][2]})")
         object.__setattr__(self, "v_te", v)

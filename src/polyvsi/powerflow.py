@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian
-from .grid import GridModel, _stamps, linear_solver
+from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian, ValidationError
+from .grid import ROLE_RESOURCE, GridModel, linear_solver, validate_parameters
 from .nodes import ZipTable
 from .vsi import build_augmented, index_at, reduce_augmented
 # Not called here; perfbench/spans.py wraps it by name when tracing.
@@ -132,7 +132,7 @@ class PolyphaseSystem:
     its model's lam times xi on load rows and times 1 on compensator rows.
     sparse is set once from the size: True when 2 * n_unknown reaches
     SPARSE_MIN_STATES, and jacobian_x then returns a SciPy CSC matrix.
-    Powers are normalized by the common base s_base (VA).
+    Powers are normalized by s_base (VA); misplaced models raise IncompleteModel.
     """
 
     s_base = 1e6
@@ -140,11 +140,9 @@ class PolyphaseSystem:
     def __init__(self, grid: GridModel, slacks, resources):
         self.grid = grid
         self.p = grid.p
+        self.resources = grid.require_models(ROLE_RESOURCE, resources)
         order = {n: i for i, n in enumerate(grid.node_ids)}
-        self.slacks = tuple(sorted(slacks, key=lambda s: order[s.node]))
-        self.resources = tuple(sorted(resources, key=lambda r: order[r.node]))
-        if {r.node for r in self.resources} != set(grid.resource_nodes):
-            raise ValueError("resource models must match the grid's resource nodes")
+        self.slacks = tuple(sorted(slacks, key=lambda s: order.get(s.node, -1)))
         missing = [n.id for n in grid.nodes if n.vnom is None]
         if missing:
             raise IncompleteModel(f"nodes without nominal voltage: {missing}")
@@ -161,9 +159,6 @@ class PolyphaseSystem:
 
         self.e_nom = np.repeat([n.vnom for n in grid.nodes], p)
 
-        for r in self.resources:
-            if r.p != p:
-                raise ValueError(f"resource {r.node} phase count differs from grid")
         # Packed resource rows in hybrid.m_nodes order and their positions among the unknowns.
         self._zip = ZipTable.from_resources(self.resources)
         flat = {n: i * p for i, n in enumerate(self.unknown_nodes)}
@@ -303,16 +298,18 @@ class PolyphaseSystem:
 
         The series-element current referred to the to-node winding,
         y (g V_from - V_to); for plain lines this is the conductor current
-        between the pi shunts.  Every y comes from the one stacked inverse
-        the admittance stamps use, applied to the drop g V_from - V_to.
-        Raises SingularBranch when a series impedance is singular or a
-        current is not finite.
+        between the pi shunts: grid.series_admittance's y applied to the
+        drop g V_from - V_to.  Raises ValidationError, as admittance_entries
+        does, for a grid that fails the passivity rule, and SingularBranch
+        when a current is not finite.
         """
-        branches, v = self.grid.branches, op.phasors()
+        grid, branches, v = self.grid, self.grid.branches, op.phasors()
+        if grid.passivity:
+            raise ValidationError(validate_parameters(grid))
         f = [op._row(b.from_node) for b in branches]
         t = [op._row(b.to_node) for b in branches]
         drop = np.array([b.gain for b in branches])[:, None] * v[f] - v[t]
-        current = (_stamps(branches, self.p)[:, 1, 1] @ drop[:, :, None])[:, :, 0]
+        current = (grid.series_admittance[0] @ drop[:, :, None])[:, :, 0]
         for b, ok in zip(branches, np.isfinite(current).all(axis=1)):
             if not ok:
                 raise SingularBranch(f"branch {b.from_node}-{b.to_node} series impedance "
@@ -435,6 +432,17 @@ def require_count(name: str, value, low: int) -> None:
     raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def start_vector(problem, x0) -> np.ndarray:
+    """x0, or problem.flat_start() when x0 is None; ValueError naming x0
+    unless that is a finite real 1-D vector of flat_start()'s shape."""
+    flat = problem.flat_start() if hasattr(problem, "flat_start") else None
+    x = np.asarray(flat if x0 is None else x0)
+    if x.ndim != 1 or x.dtype.kind not in "iuf" or not np.isfinite(x).all() or (
+            flat is not None and x.shape != flat.shape):
+        raise ValueError("x0 must be a finite real 1-D vector, of flat_start()'s shape if any")
+    return x
+
+
 def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30) -> NewtonResult:
     """Newton iteration with convergence checked before each correction.
 
@@ -473,19 +481,17 @@ def solve_power_flow(
     """Solve the fixed-loading power flow; returns (OperatingPoint, NewtonResult).
 
     xi must be finite and >= 0, eps finite and > 0, max_iter an integer
-    >= 0; otherwise ValueError naming the field.
+    >= 0, x0 None or a start_vector; otherwise ValueError naming the field.
     """
     if not 0.0 <= xi < math.inf:
         raise ValueError(f"xi must be a finite number >= 0, got {xi!r}")
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     require_count("max_iter", max_iter, 0)
-    if x0 is None:
-        x0 = system.flat_start()
     res = newton_solve(
         lambda x: system.residual(x, xi),
         lambda x: system.jacobian_x(x, xi),
-        x0,
+        start_vector(system, x0),
         eps=eps,
         max_iter=max_iter,
     )

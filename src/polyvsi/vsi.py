@@ -27,8 +27,8 @@ import numpy as np
 
 from .blocks import BlockMatrix
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
-from .grid import (RCOND_FLOOR, Branch, GridModel, HybridPartition, _norm1, admittance_entries,
-                   linear_solver)
+from .grid import (RCOND_FLOOR, ROLE_SLACK, Branch, GridModel, HybridPartition, _norm1,
+                   admittance_entries, linear_solver)
 from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
 # assemble_admittance, kron_reduce and hybrid_partition by name when tracing
@@ -90,15 +90,9 @@ class AugmentedGrid:
 
 def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
     """The grid's admittance with each slack's Thevenin admittance as a
-    gain-1 branch from a new internal node to its terminal; ValidationError
-    for a grid that fails the passivity rule (admittance_entries)."""
-    slacks = list(slacks)
-    slack_ids = [s.node for s in slacks]
-    if set(slack_ids) != set(grid.slack_nodes) or len(slack_ids) != len(set(slack_ids)):
-        raise ValueError("slack models must match the grid's slack nodes one-to-one")
-    for s in slacks:
-        if s.p != grid.p:
-            raise ValueError(f"slack {s.node} phase count differs from grid")
+    gain-1 branch from a new internal node to its terminal, in grid order;
+    raises as GridModel.require_models and admittance_entries do."""
+    slacks = grid.require_models(ROLE_SLACK, slacks)
     entries = admittance_entries(grid, [Branch(te_node(s.node), s.node, s.z_te) for s in slacks])
     return AugmentedGrid(*entries, p=grid.p, internal_nodes=entries[0][: len(slacks)],
                          resource_nodes=grid.resource_nodes)

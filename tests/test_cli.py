@@ -45,11 +45,14 @@ Proves:
   13.  Out-of-range, non-finite or non-numeric flag values exit 2 at
        parse time with a usage message; the boundary values parse
 
- Group 7 - mutated grid files
+ Group 7 - mutated grid files and snapshots
   14.  (hypothesis) The bundled file with a token replaced by nan, inf,
        1e400 or x, a line dropped, duplicated or swapped, or the text
        truncated: validate, pf and cpf --max-steps 2 return 0, 1 or 2 and
        never raise
+  15.  (hypothesis) The bundled feeder's pf --voltages snapshot mutated
+       the same way (a token may also become empty): vsi --voltages and
+       pf --start --max-iter 3 return 0, 1 or 2 and never raise
 """
 
 import csv
@@ -431,18 +434,17 @@ def test_bad_numeric_flags_exit_two(grid_file, capsys, command, flag, bad, good)
 # -- Group 7 ---------------------------------------------------------------
 
 
-@settings(derandomize=True, max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_grid_files_exit_cleanly(data, tmp_path, capsys):
-    lines = benchmark.bundled_grid_text().splitlines()
+def _mutated(data, lines, sep, values) -> str:
+    """The text of lines after one mutation drawn from data: a token (split
+    on sep, whitespace when None) replaced by one of values, a line dropped,
+    duplicated or swapped with another, or the whole text truncated."""
+    lines = list(lines)
     kind = data.draw(st.sampled_from(["token", "drop", "duplicate", "swap", "truncate"]))
     i = data.draw(st.integers(0, len(lines) - 1))
     if kind == "token":
-        tokens = lines[i].split() or [""]
-        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(
-            st.sampled_from(["nan", "inf", "1e400", "x"]))
-        lines[i] = " ".join(tokens)
+        tokens = lines[i].split(sep) or [""]
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(values))
+        lines[i] = (sep or " ").join(tokens)
     elif kind == "drop":
         del lines[i]
     elif kind == "duplicate":
@@ -453,8 +455,38 @@ def test_mutated_grid_files_exit_cleanly(data, tmp_path, capsys):
     text = "\n".join(lines) + "\n"
     if kind == "truncate":
         text = text[: data.draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_grid_files_exit_cleanly(data, tmp_path, capsys):
     path = tmp_path / "mutated.grid"
-    path.write_text(text)
+    path.write_text(_mutated(data, benchmark.bundled_grid_text().splitlines(), None,
+                             ["nan", "inf", "1e400", "x"]))
     for command, *flags in (["validate"], ["pf"], ["cpf", "--max-steps", "2"]):
-        assert main([command, str(path), *flags]) in (0, 1, 2), (kind, command)
+        assert main([command, str(path), *flags]) in (0, 1, 2), command
+    capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def bundled_snapshot(tmp_path_factory):
+    """The bundled feeder's grid file and the lines of its pf --voltages snapshot."""
+    root = tmp_path_factory.mktemp("bundled")
+    grid, snap = root / "bundled.grid", root / "snap.csv"
+    grid.write_text(benchmark.bundled_grid_text())
+    assert main(["pf", str(grid), "--voltages", str(snap)]) == 0
+    return grid, snap.read_text().splitlines()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_snapshots_exit_cleanly(data, bundled_snapshot, tmp_path, capsys):
+    grid, lines = bundled_snapshot
+    path = tmp_path / "mutated.csv"
+    path.write_text(_mutated(data, lines, ",", ["nan", "inf", "1e400", "x", ""]))
+    for command, *flags in (["vsi", "--voltages"], ["pf", "--max-iter", "3", "--start"]):
+        assert main([command, str(grid), *flags, str(path)]) in (0, 1, 2), command
     capsys.readouterr()

@@ -38,7 +38,9 @@ Proves:
        non-finite or negative xi_start and a step budget that is zero or
        not an integer, and solve_power_flow a non-finite or negative xi, a
        bad eps and a negative or non-integer max_iter, each with
-       ValueError naming the field
+       ValueError naming the field; both entry points and run_cpf on a
+       problem without flat_start reject an x0 that is not a finite 1-D
+       vector of the flat start's shape
 
  Group 5 - Empty trace
   18.  xi_max / final on an empty trace raise ValueError
@@ -357,6 +359,18 @@ def test_config_validation():
         with pytest.raises(ValueError, match=name):
             solve_power_flow(system, **{name: value})
     assert solve_power_flow(system, xi=0.0)[1].converged
+    # A start of the wrong shape failed to broadcast inside numpy, and a nan
+    # one surfaced as a solver failure.
+    n = system.flat_start().size
+    for x0 in (np.zeros(3), np.zeros((1, n)), np.full(n, np.nan), np.full(n, np.inf), "x"):
+        with pytest.raises(ValueError, match="x0"):
+            solve_power_flow(system, x0=x0)
+        with pytest.raises(ValueError, match="x0"):
+            run_cpf(system, x0=x0)
+    for x0 in (np.array([np.nan]), np.ones((1, 1))):
+        with pytest.raises(ValueError, match="x0"):
+            run_cpf(_Parabola(), x0=x0)
+    assert solve_power_flow(system, x0=list(system.flat_start()))[1].converged
 
 
 # -- Group 5 ---------------------------------------------------------------

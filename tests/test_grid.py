@@ -580,11 +580,13 @@ def test_stacked_passivity_faults_match_per_matrix():
     mats += [0.5 * (a + a.T) + 3 * np.eye(2) for a in rng.standard_normal((4, 2, 2)) + 0j]
     order = rng.permutation(len(mats))
     mats = [mats[k] for k in order]
+    rcond = np.array([_inverse(m)[1] for m in mats])
     for invertible in (False, rng.random(len(mats)) < 0.7, np.ones(len(mats), dtype=bool)):
         mask = np.broadcast_to(invertible, (len(mats),))
+        judged = np.where(mask, rcond, np.inf)  # inf: not judged invertible
         each = [(k, kind, detail) for k, m in enumerate(mats)
-                for _, kind, detail in passivity_faults([m], [mask[k]])]
-        assert passivity_faults(mats, mask) == sorted(each, key=lambda f: f[0])
+                for _, kind, detail in passivity_faults([m], [judged[k]])]
+        assert passivity_faults(mats, judged) == sorted(each, key=lambda f: f[0])
         assert any(kind == "singular" for _, kind, _ in each) == bool(mask.any())
 
 

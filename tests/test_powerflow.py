@@ -32,10 +32,11 @@ Proves:
 
  Group 4 - System-level
   13.  Benchmark-style overload (xi = 5 flat start) raises NonConvergence
-  14.  Constructor rejects missing resources and missing nominal voltages
+  14.  Constructor rejects missing or duplicate resource models
+       (IncompleteModel) and missing nominal voltages
   15.  branch_series_currents reproduces ohm's law and the load current;
-       a singular series impedance or a non-finite voltage raises
-       SingularBranch
+       a non-finite voltage raises SingularBranch, and a grid with a
+       singular series impedance the ValidationError of its violations
   15a. On a 302-node synthetic feeder with transformers, every current
        from the stacked inverse agrees element by element with a
        per-branch solve to 1e-12 relative
@@ -49,6 +50,9 @@ Proves:
        per branch: branch impedances are inverted as one stack
   17c. Parsing and building it runs the grid's passivity rule once:
        validation and the admittance stamping share one result
+  17d. From parsing the bundled feeder through its power flow and branch
+       currents, one _inverse call holds grid branch impedances, and it is
+       exactly their stack
   18.  Parsing, building and tracing the two small CPF inputs with SVD
        never imports scipy (fresh interpreter)
   19.  Every library attribute the benchmark's layer tracer wraps by name
@@ -70,8 +74,9 @@ from conftest import fd_jacobian, random_system, two_bus
 from polyvsi import grid as grid_module
 from polyvsi import powerflow
 from polyvsi.benchmark import bundled_grid_text
-from polyvsi.grid import GridModel, linear_solver
-from polyvsi.errors import NonConvergence, SingularBranch, SingularJacobian
+from polyvsi.grid import GridModel, linear_solver, validate_parameters
+from polyvsi.errors import (IncompleteModel, NonConvergence, SingularBranch, SingularJacobian,
+                            ValidationError)
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import pm_power_at
 from polyvsi.powerflow import (
@@ -392,6 +397,10 @@ def test_constructor_validation():
     grid, slacks, resources = two_bus()
     with pytest.raises(ValueError, match="resource models"):
         PolyphaseSystem(grid, slacks, [])
+    # Two models at one node: the power flow would keep one of them and the
+    # index would meet more rows than the reduction has.
+    with pytest.raises(IncompleteModel, match="resource models"):
+        PolyphaseSystem(grid, slacks, resources + [resources[0]])
     from polyvsi.grid import Branch, GridModel, Node
 
     bare = GridModel(
@@ -417,8 +426,9 @@ def test_branch_series_currents():
     with pytest.raises(SingularBranch, match="not finite"):
         system.branch_series_currents(bad_op)
     system.grid = replace(grid, branches=(replace(branch, z=np.zeros((1, 1))),))
-    with pytest.raises(SingularBranch, match="1-2 series impedance is singular"):
+    with pytest.raises(ValidationError, match="branch 1-2 impedance: singular") as exc:
         system.branch_series_currents(op)
+    assert exc.value.violations == validate_parameters(system.grid)
 
 
 def test_branch_series_currents_match_per_branch_solve(synthfeeder):
@@ -496,6 +506,27 @@ def test_setup_inverts_branches_as_one_stack(synthfeeder, monkeypatch):
     assert len(grid.branches) == 301
     assert len(calls) <= 4, calls
     assert (len(grid.branches), 3, 3) in calls
+
+
+def test_branch_impedances_inverted_once(monkeypatch):
+    calls = []
+
+    def inverse(a):
+        calls.append(np.array(a))
+        return grid_inverse(a)
+
+    grid_inverse = grid_module._inverse
+    monkeypatch.setattr(grid_module, "_inverse", inverse)
+    grid, slacks, resources = parse_grid_text(bundled_grid_text())
+    system = PolyphaseSystem(grid, slacks, resources)
+    op, _ = solve_power_flow(system)
+    system.branch_series_currents(op)
+    stack = np.array([b.z for b in grid.branches])
+    impedances = {z.tobytes() for z in stack}
+    holding = [a for a in calls
+               if any(m.tobytes() in impedances for m in np.reshape(a, (-1, grid.p, grid.p)))]
+    assert len(holding) == 1, [a.shape for a in holding]
+    assert holding[0].tobytes() == stack.tobytes() and holding[0].shape == stack.shape
 
 
 def test_setup_runs_the_passivity_rule_once(synthfeeder, monkeypatch):
