@@ -101,13 +101,10 @@ def _lapack() -> dict:
     return table
 
 
-def _lu_step(dense: np.ndarray, gesv, getrf, getrs, overwrite: bool):
-    """step(b, transpose) on one LU factor of dense.
+def _lu_step(dense: np.ndarray, gesv, getrf, getrs):
+    """step(b, transpose) on one LU factor of dense, kept in a Fortran-order
+    copy of it, so dense is never written.
 
-    The factor is kept in dense itself when overwrite is true and dense is a
-    writeable, aligned, Fortran-contiguous array (its dtype is the routines'
-    own, as linear_solver picks them by it), and in a Fortran-order copy
-    otherwise.
     The first call factors: an untransposed one by gesv, which factors and
     solves in one call as np.linalg.solve does in the same library, so that
     solve is bit-identical to np.linalg.solve at any OpenBLAS thread count;
@@ -122,9 +119,7 @@ def _lu_step(dense: np.ndarray, gesv, getrf, getrs, overwrite: bool):
     n = dense.shape[0]
     if dense.shape != (n, n):
         raise np.linalg.LinAlgError("the matrix is not square")
-    flags = dense.flags
-    in_place = overwrite and flags.f_contiguous and flags.writeable and flags.aligned
-    lu = dense if in_place else np.array(dense, order="F")
+    lu = np.array(dense, order="F")
     piv = np.empty(n, dtype=np.int64)
     size, lead, nrhs, info = (ctypes.c_int64(v) for v in (n, max(n, 1), 0, 0))
     lu_p, piv_p = lu.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
@@ -154,24 +149,21 @@ def _lu_step(dense: np.ndarray, gesv, getrf, getrs, overwrite: bool):
     return step
 
 
-def linear_solver(a, what: str, error: type = SingularJacobian, overwrite: bool = False):
+def linear_solver(a, what: str, error: type = SingularJacobian):
     """solve(b, transpose=False) for a x = b, or a' x = b with transpose=True;
     b has shape (n,) or (n, k), real, or complex when a is.
 
     a is factored once and every call solves on that factor, for both a and
-    a' (a' is the plain transpose, never the conjugate one).  An array of
-    native float64 or complex128 is factored by LAPACK at the first call and
-    solved by getrs after it (_lu_step); with overwrite=True a writeable,
-    aligned, Fortran-contiguous one is factored in place, so its entries are
-    lost, and any other array is copied as with the default.  Where numpy's
-    LAPACK cannot be bound (_lapack), or for another dtype, each call solves
-    with np.linalg.solve instead, which never overwrites a, with identical
-    results for a first solve and results that may differ in the last
-    digits for a'.  A SciPy sparse matrix is factored by SuperLU with the
+    a' (a' is the plain transpose, never the conjugate one); a itself is
+    never written.  An array of native float64 or complex128 is factored by
+    LAPACK at the first call and solved by getrs after it (_lu_step).  Where
+    numpy's LAPACK cannot be bound (_lapack), or for another dtype, each
+    call solves with np.linalg.solve instead, with identical results for a
+    first solve and results that may differ in the last digits for a' and
+    for later solves.  A SciPy sparse matrix is factored by SuperLU with the
     minimum-degree ordering of a' + a, which suits every matrix the library
-    factors: each has the structurally symmetric pattern of the admittance
-    (the corrector's bordered matrix adds one row and column).  scipy is
-    imported only in that case.  Raises error naming what when the
+    factors: each has the structurally symmetric pattern of the admittance.
+    scipy is imported only in that case.  Raises error naming what when the
     factorization fails or a solution is not finite.
     """
     try:
@@ -185,7 +177,7 @@ def linear_solver(a, what: str, error: type = SingularJacobian, overwrite: bool 
         else:
             dense = np.asarray(a)
             if dense.dtype.isnative and (routines := _lapack().get(dense.dtype.char)):
-                step = _lu_step(dense, *routines, overwrite)
+                step = _lu_step(dense, *routines)
             else:
 
                 def step(b, transpose):

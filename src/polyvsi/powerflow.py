@@ -401,27 +401,6 @@ def _seed(a, block: SvdBlock, s_min: float, s_max: float, solve) -> None:
     block.vectors = v
 
 
-def bordered(a, col: np.ndarray, row: np.ndarray, out: np.ndarray | None = None):
-    """[[a, col], [row]] in the container of a (row has a.shape[1] + 1 entries).
-
-    A dense result is written into out, or into a new Fortran-order array
-    when out is None, and returned; every entry is rewritten, so out may
-    hold anything from an earlier use, such as the LU factor that
-    linear_solver(..., overwrite=True) left in it.  A sparse a gives a new
-    CSC matrix and out is ignored.
-    """
-    if hasattr(a, "toarray"):
-        from scipy import sparse
-
-        return sparse.vstack([sparse.hstack([a, col[:, None]]), row[None, :]], format="csc")
-    if out is None:
-        out = np.empty((a.shape[0] + 1, a.shape[1] + 1), np.result_type(a, col, row), order="F")
-    out[:-1, :-1] = a
-    out[:-1, -1] = col
-    out[-1] = row
-    return out
-
-
 def require_count(name: str, value, low: int) -> None:
     """ValueError naming the field unless operator.index(value) >= low."""
     try:
@@ -443,16 +422,16 @@ def start_vector(problem, x0) -> np.ndarray:
     return x
 
 
-def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30) -> NewtonResult:
+def newton_solve(fun, solver, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30) -> NewtonResult:
     """Newton iteration with convergence checked before each correction.
 
-    jac(x) returns an array or a SciPy CSC matrix, which is scratch: a
-    writeable Fortran-contiguous array is factored in place
-    (grid.linear_solver with overwrite=True), so jac must not return one it
-    still needs, and may return the same one at every call.  Returns once
-    the max-norm of fun(x) is <= eps; raises NonConvergence (with the
-    residual history attached) after max_iter corrections, and
-    SingularJacobian if a linear solve fails.
+    solver(x) returns the solve of the linear model at x: a callable that
+    maps fun(x) to the correction d, and x - d is the next iterate.  Power
+    flow passes grid.linear_solver of J_x at each iterate, the CPF corrector
+    a chord solve on its anchor's factor.  Returns once the max-norm of
+    fun(x) is <= eps; raises NonConvergence (with the residual history
+    attached) after max_iter corrections, and SingularJacobian if a linear
+    solve fails.
     """
     x = np.asarray(x0, dtype=float).copy()
     history = []
@@ -463,7 +442,7 @@ def newton_solve(fun, jac, x0: np.ndarray, eps: float = 1e-8, max_iter: int = 30
             return NewtonResult(x=x, iterations=it, residuals=tuple(history), converged=True)
         if it == max_iter:
             break
-        x = x - linear_solver(jac(x), f"Newton Jacobian at iteration {it}", overwrite=True)(g)
+        x = x - solver(x)(g)
     raise NonConvergence(
         f"no convergence to {eps} within {max_iter} corrections",
         x_last=x,
@@ -490,7 +469,7 @@ def solve_power_flow(
     require_count("max_iter", max_iter, 0)
     res = newton_solve(
         lambda x: system.residual(x, xi),
-        lambda x: system.jacobian_x(x, xi),
+        lambda x: linear_solver(system.jacobian_x(x, xi), "Newton Jacobian"),
         start_vector(system, x0),
         eps=eps,
         max_iter=max_iter,

@@ -48,8 +48,8 @@ Proves:
  Group 7 - mutated grid files and snapshots
   14.  (hypothesis) The bundled file with a token replaced by nan, inf,
        1e400 or x, a line dropped, duplicated or swapped, or the text
-       truncated: validate, pf and cpf --max-steps 2 return 0, 1 or 2 and
-       never raise
+       truncated: validate, pf, cpf --max-steps 2 and vsi --voltages with
+       the bundled snapshot return 0, 1 or 2 and never raise
   15.  (hypothesis) The bundled feeder's pf --voltages snapshot mutated
        the same way (a token may also become empty): vsi --voltages and
        pf --start --max-iter 3 return 0, 1 or 2 and never raise
@@ -461,11 +461,13 @@ def _mutated(data, lines, sep, values) -> str:
 @settings(derandomize=True, max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_grid_files_exit_cleanly(data, tmp_path, capsys):
-    path = tmp_path / "mutated.grid"
+def test_mutated_grid_files_exit_cleanly(data, bundled_snapshot, tmp_path, capsys):
+    path, snapshot = tmp_path / "mutated.grid", tmp_path / "snap.csv"
     path.write_text(_mutated(data, benchmark.bundled_grid_text().splitlines(), None,
                              ["nan", "inf", "1e400", "x"]))
-    for command, *flags in (["validate"], ["pf"], ["cpf", "--max-steps", "2"]):
+    snapshot.write_text("\n".join(bundled_snapshot[1]) + "\n")
+    for command, *flags in (["validate"], ["pf"], ["cpf", "--max-steps", "2"],
+                            ["vsi", "--voltages", str(snapshot)]):
         assert main([command, str(path), *flags]) in (0, 1, 2), command
     capsys.readouterr()
 

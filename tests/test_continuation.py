@@ -8,6 +8,10 @@ Proves:
    3.  Off-path prediction is pulled back onto path x = xi and the sphere
    3a. A singular or non-finite state Jacobian, dense or sparse, makes its
        solver or the tangent raise SingularJacobian
+   3b. A prediction equal to its anchor zeroes the corrector's border
+       pivot, and a step sigma whose square underflows leaves no sphere
+       row: SingularJacobian, never a numpy warning, and run_cpf counts
+       either as a diverged corrector
 
  Group 2 - Trajectory handling
    4.  PolyphaseSystem.resources_at scales loads by xi and pins
@@ -46,13 +50,16 @@ Proves:
   18.  xi_max / final on an empty trace raise ValueError
 
  Group 6 - Solver paths
-  19.  The bundled trace with the sparse path forced keeps 50 samples,
-       xi_max 1.787102 and critical pair (25, 1), and its states agree
-       with the dense trace to 1e-9; every sv_min is within 1e-6 of the
-       full SVD
+  19.  The bundled trace with the sparse path forced (the chord
+       corrector on SuperLU's factor) keeps 50 samples, xi_max 1.787102
+       and critical pair (25, 1), and its states agree with the dense
+       trace to 1e-9; every sv_min is within 1e-6 of the full SVD
   19a. With numpy's LAPACK binding absent, the bundled trace keeps every
-       x, xi, event and the termination bit for bit; every sv_min is
-       within 1e-6 of the full SVD
+       event, the sample count and the termination, and every x and xi to
+       1e-12; every sv_min is within 1e-6 of the full SVD
+  19b. Next to the fold (the two-bus case within 1e-3 of xi 2, the last 5
+       anchors of the bundled trace) the chord corrector's point solves
+       f = 0 to its tolerance and matches full bordered Newton to 1e-8
 
  Group 7 - Recorded singular values
   20.  Every sample's sv_min is within 1e-6 relative of the full SVD of its
@@ -64,14 +71,11 @@ Proves:
        twice, or once when the base is the final sample
   22a. J_x is evaluated once at each sample of a trace that ends at the
        fold: the tangent's J_x also gives the sample's singular values
-  22b. Outside the Newton solves, a dense trace factors J_x once per
-       anchor: the singular-value step and the base sample's seed reuse
-       the tangent's LU
-  22c. One dense corrector call builds its bordered matrix in one
-       F-ordered array, which every Newton step refills and hands to the
-       solver to factor in place, and corrects to the same point bit for bit as fresh
-       matrices; bordered equals np.block even into an array an LU has
-       overwritten, and a sparse a still gives a CSC matrix
+  22b. A dense trace's LUs are the base case's, one per Newton
+       iteration, and the tangent's at each anchor: the corrector, the
+       singular-value step and the base sample's seed reuse the tangent's
+       LU.  The corrector evaluates no J_x, and every corrector call runs
+       its iterations through continuation.newton_solve
   23.  The two-bus system (2 states, fewer than the block) records the
        exact triplet at every sample
 """
@@ -160,9 +164,10 @@ def test_tangent_and_predict_scalar():
 def test_corrector_fixed_point():
     prob = _ScalarPath()
     anchor = (np.array([1.0]), 1.0)
-    t_x, t_xi = tangent_direction(prob, *anchor, linear_solver(prob.jacobian_x(*anchor), "J_x"))
+    solve = linear_solver(prob.jacobian_x(*anchor), "J_x")
+    t_x, t_xi = tangent_direction(prob, *anchor, solve)
     predicted = (anchor[0] + 0.3 * t_x, anchor[1] + 0.3 * t_xi)
-    x_c, xi_c = arclength_correct(prob, predicted, anchor, 0.3)
+    x_c, xi_c = arclength_correct(prob, predicted, anchor, 0.3, solve)
     assert x_c[0] == pytest.approx(predicted[0][0], abs=1e-12)
     assert xi_c == pytest.approx(predicted[1], abs=1e-12)
 
@@ -170,10 +175,28 @@ def test_corrector_fixed_point():
 def test_corrector_pulls_back_to_path():
     prob = _ScalarPath()
     anchor = (np.array([1.0]), 1.0)
-    x_c, xi_c = arclength_correct(prob, (np.array([1.4]), 1.2), anchor, 0.3)
+    solve = linear_solver(prob.jacobian_x(*anchor), "J_x")
+    x_c, xi_c = arclength_correct(prob, (np.array([1.4]), 1.2), anchor, 0.3, solve)
     assert x_c[0] == pytest.approx(xi_c, abs=1e-9)
     r = np.hypot(x_c[0] - 1.0, xi_c - 1.0)
     assert r == pytest.approx(0.3, rel=1e-8)
+
+
+def test_zero_border_pivot_is_typed(monkeypatch):
+    prob = _ScalarPath()
+    anchor = (np.array([1.0]), 1.0)
+    solve = linear_solver(prob.jacobian_x(*anchor), "J_x")
+    with pytest.raises(SingularJacobian, match="border"):
+        arclength_correct(prob, anchor, anchor, 0.3, solve)
+    with pytest.raises(SingularJacobian, match="underflows"):
+        arclength_correct(prob, (anchor[0] + 1e-200, 1.0 + 1e-200), anchor, 1e-200, solve)
+    stopped = f"step 0: corrector diverged, {MAX_HALVINGS} halvings spent, stopped"
+    tiny = run_cpf(prob, CpfConfig(sigma=1e-200, max_steps=3), x0=np.array([1.0]))
+    assert (tiny.termination, len(tiny.samples), tiny.events[-1]) == (TERM_CORRECTOR, 1, stopped)
+    # A zero tangent predicts the anchor itself at every halving.
+    monkeypatch.setattr(continuation, "tangent_direction", lambda p, x, xi, solve: (0.0 * x, 0.0))
+    trace = run_cpf(prob, CpfConfig(max_steps=3), x0=np.array([1.0]))
+    assert (trace.termination, len(trace.samples), trace.events[-1]) == (TERM_CORRECTOR, 1, stopped)
 
 
 # -- Group 2 ---------------------------------------------------------------
@@ -403,13 +426,54 @@ def test_sparse_bundled_trace_matches_dense(bench_system, bench_trace, monkeypat
 
 
 def test_fallback_solver_keeps_the_bundled_trace(bench_system, bench_trace, monkeypatch):
+    # The fallback refactors at every solve where LAPACK solves again on the
+    # anchor's factor with getrs, so the chord steps differ in the last digits.
     monkeypatch.setattr(grid, "_lapack", lambda: {})
     trace = run_cpf(bench_system)
     assert (trace.termination, trace.events) == (bench_trace.termination, bench_trace.events)
     assert len(trace.samples) == len(bench_trace.samples)
     for s, d in zip(trace.samples, bench_trace.samples):
-        assert np.array_equal(s.x, d.x) and s.xi == d.xi
+        assert np.abs(s.x - d.x).max() <= 1e-12 and abs(s.xi - d.xi) <= 1e-12
     _assert_recorded_spectrum(bench_system, trace)
+
+
+def _bordered_newton(problem, predicted, anchor, sigma, steps=12):
+    """The corrector's point by full Newton on the bordered matrix, rebuilt
+    from J_x at every step."""
+    (x_a, xi_a), s2 = anchor, sigma**2
+    n = x_a.size
+    z = np.append(predicted[0], predicted[1])
+    for _ in range(steps):
+        x, xi = z[:n], z[n]
+        g = np.append(problem.residual(x, xi), (np.dot(x - x_a, x - x_a) + (xi - xi_a) ** 2 - s2) / s2)
+        a = np.block([[problem.jacobian_x(x, xi), problem.jacobian_xi(x, xi)[:, None]],
+                      [2.0 * (x - x_a)[None, :] / s2, np.array([[2.0 * (xi - xi_a) / s2]])]])
+        z = z - np.linalg.solve(a, g)
+    return z
+
+
+def test_chord_matches_bordered_newton_at_the_fold(bench_system, bench_trace, two_bus_trace):
+    # Each anchor next to the fold retakes the step that reached it.  At the
+    # trace's eps of 1e-8 the two points differ by up to 6.5e-8 on the two-bus
+    # case, the stopping tolerance times the bordered system's conditioning,
+    # so the corrector is held to 1e-10 here.
+    eps = 1e-10
+    two = PolyphaseSystem(*two_bus())
+    near = [k for k, s in enumerate(two_bus_trace.samples) if s.xi >= 2.0 - 1e-3]
+    n_bench = len(bench_trace.samples)
+    cases = [(two, two_bus_trace, near), (bench_system, bench_trace, range(n_bench - 5, n_bench))]
+    for system, trace, anchors in cases:
+        assert len(anchors) >= 3
+        for k in anchors:
+            s, prev = trace.samples[k], trace.samples[k - 1]
+            sigma = float(np.sqrt(np.sum((s.x - prev.x) ** 2) + (s.xi - prev.xi) ** 2))
+            solve = linear_solver(system.jacobian_x(s.x, s.xi), "J_x")
+            t_x, t_xi = tangent_direction(system, s.x, s.xi, solve)
+            predicted = (s.x + sigma * t_x, s.xi + sigma * t_xi)
+            x_c, xi_c = arclength_correct(system, predicted, (s.x, s.xi), sigma, solve, eps=eps)
+            assert np.abs(system.residual(x_c, xi_c)).max() <= eps
+            ref = _bordered_newton(system, predicted, (s.x, s.xi), sigma)
+            assert np.abs(np.append(x_c, xi_c) - ref).max() <= 1e-8, (k, xi_c)
 
 
 # -- Group 7 ---------------------------------------------------------------
@@ -484,76 +548,60 @@ def test_full_svd_only_at_base_and_final(bench_system, monkeypatch):
 
 
 def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
-    # Outside the base solve and the correctors, the only dense LU of a
-    # trace is the tangent's at each anchor: the singular-value step, and
-    # the seed at the base sample, solve on that factor.
+    # A trace's only dense LUs are the base case's, one per Newton iteration,
+    # and the tangent's at each anchor: the corrector, the singular-value
+    # step, and the seed at the base sample, solve on the tangent's factor.
     table = grid._lapack()
     if "d" not in table:
         pytest.skip("needs the OpenBLAS of a numpy 2 wheel (numpy.libs/libscipy_openblas64_*)")
     gesv, getrf, getrs = table["d"]
-    counts = {"newton": 0, "other": 0, "anchors": 0}
-    in_newton = []
+    counts = dict.fromkeys(("factors", "anchors", "correctors", "corrector_jacobians", "base_calls",
+                            "base_iters", "corrector_calls", "corrector_iters"), 0)
+    in_corrector = []
 
     def counted(routine):
         def factor(*args):
-            counts["newton" if in_newton else "other"] += 1
+            counts["factors"] += 1
             return routine(*args)
         return factor
 
     def newton(*args, **kwargs):
-        in_newton.append(True)
-        try:
-            return newton_solve(*args, **kwargs)
-        finally:
-            in_newton.pop()
+        key = "corrector" if in_corrector else "base"
+        counts[key + "_calls"] += 1
+        res = newton_solve(*args, **kwargs)
+        counts[key + "_iters"] += res.iterations
+        return res
 
     def tangent(*args):
         counts["anchors"] += 1
         return tangent_direction(*args)
 
+    def corrector(*args, **kwargs):
+        counts["correctors"] += 1
+        in_corrector.append(True)
+        try:
+            return arclength_correct(*args, **kwargs)
+        finally:
+            in_corrector.pop()
+
+    def jacobian_x(x, xi):
+        counts["corrector_jacobians"] += bool(in_corrector)
+        return bench_system.jacobian_x(x, xi)
+
+    system = copy.copy(bench_system)
+    system.jacobian_x = jacobian_x
     monkeypatch.setattr(grid, "_lapack", lambda: {**table, "d": (counted(gesv), counted(getrf), getrs)})
     monkeypatch.setattr(continuation, "newton_solve", newton)
     monkeypatch.setattr(continuation, "tangent_direction", tangent)
-    trace = run_cpf(bench_system)
-    assert trace.termination == TERM_FOLD and counts["newton"] > 0
-    assert counts["other"] == counts["anchors"] == len(trace.samples)
-
-
-def test_one_bordered_buffer_per_corrector(bench_system, monkeypatch):
-    x0 = solve_power_flow(bench_system, xi=1.0)[1].x
-    anchor = (x0, 1.0)
-    j = bench_system.jacobian_x(*anchor)
-    t_x, t_xi = tangent_direction(bench_system, *anchor, linear_solver(j, "J_x"))
-    sigma = 0.05
-    predicted = (x0 + sigma * t_x, 1.0 + sigma * t_xi)
-    seen = []
-
-    def recording(a, *args, **kwargs):
-        seen.append((a, kwargs.get("overwrite")))
-        return linear_solver(a, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(powerflow, "linear_solver", recording)
-        x_c, xi_c = arclength_correct(bench_system, predicted, anchor, sigma)
-    assert len(seen) >= 2, len(seen)
-    work = seen[0][0]
-    assert work.flags.f_contiguous and all(m is work and overwrite for m, overwrite in seen)
-    with monkeypatch.context() as patch:  # a fresh C-ordered matrix at every step
-        patch.setattr(continuation, "bordered", lambda a, col, row, out: np.block(
-            [[a, col[:, None]], [row[None, :]]]))
-        fresh = arclength_correct(bench_system, predicted, anchor, sigma)
-    assert np.array_equal(fresh[0], x_c) and fresh[1] == xi_c
-
-    col = bench_system.jacobian_xi(*anchor)
-    row = np.random.default_rng(3).standard_normal(j.shape[1] + 1)
-    ref = np.block([[j, col[:, None]], [row[None, :]]])
-    out = powerflow.bordered(j, col, row)
-    assert np.array_equal(out, ref) and out.flags.f_contiguous
-    linear_solver(out, "bordered", overwrite=True)(np.ones(ref.shape[0]))
-    assert np.array_equal(out, ref) == ("d" not in grid._lapack())  # else out holds the LU
-    assert powerflow.bordered(j, col, row, out) is out and np.array_equal(out, ref)
-    sparse = powerflow.bordered(csc_array(j), col, row, out)
-    assert sparse.format == "csc" and np.array_equal(sparse.toarray(), ref)
+    monkeypatch.setattr(continuation, "arclength_correct", corrector)
+    trace = run_cpf(system)
+    assert trace.termination == TERM_FOLD and counts["base_calls"] == 1
+    assert counts["factors"] == counts["base_iters"] + counts["anchors"]
+    assert counts["anchors"] == len(trace.samples)
+    assert counts["corrector_jacobians"] == 0
+    # one corrector per accepted sample and one per failure event
+    assert counts["corrector_calls"] == counts["correctors"] == len(trace.samples) - 1 + len(trace.events)
+    assert counts["corrector_iters"] > 0
 
 
 def test_two_bus_records_exact_triplets(two_bus_trace):

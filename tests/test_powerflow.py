@@ -310,7 +310,7 @@ def test_topology_pattern_covers_admittance(bench_system, synthfeeder, monkeypat
 
 def test_newton_scalar_quadratic():
     fun = lambda x: np.array([x[0] ** 2 - 4.0])
-    jac = lambda x: np.array([[2.0 * x[0]]])
+    jac = lambda x: linear_solver(np.array([[2.0 * x[0]]]), "J")
     res = newton_solve(fun, jac, np.array([3.0]), eps=1e-12)
     assert res.converged
     assert res.iterations >= 1
@@ -331,7 +331,7 @@ def test_newton_history_decreases():
 
 def test_newton_nonconvergence_carries_state():
     fun = lambda x: np.array([x[0] ** 2 + 1.0])
-    jac = lambda x: np.array([[2.0 * x[0]]])
+    jac = lambda x: linear_solver(np.array([[2.0 * x[0]]]), "J")
     with pytest.raises(NonConvergence) as exc:
         newton_solve(fun, jac, np.array([0.7]), max_iter=5)
     assert exc.value.x_last is not None
@@ -340,7 +340,7 @@ def test_newton_nonconvergence_carries_state():
 
 def test_newton_singular_jacobian():
     fun = lambda x: np.array([x[0] - 1.0])
-    jac = lambda x: np.array([[0.0]])
+    jac = lambda x: linear_solver(np.array([[0.0]]), "J")
     with pytest.raises(SingularJacobian):
         newton_solve(fun, jac, np.array([5.0]))
     # Exactly singular and non-finite Jacobians, dense (LAPACK) and sparse
@@ -349,7 +349,7 @@ def test_newton_singular_jacobian():
     for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((2, 2), np.nan)):
         for j in (bad, csc_array(bad)):
             with pytest.raises(SingularJacobian):
-                newton_solve(fun2, lambda x: j, np.array([5.0, 5.0]))
+                newton_solve(fun2, lambda x: linear_solver(j, "J"), np.array([5.0, 5.0]))
 
 
 def test_jacobian_svd_triplet():
