@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian
 from .grid import linear_solver
-from .powerflow import SvdBlock, newton_solve, require_count, start_vector
+from .powerflow import SvdBlock, newton_at, newton_solve, require_count, start_vector
 
 TERM_FOLD = "fold-detected"
 TERM_STEP_LIMIT = "step-limit"
@@ -207,22 +207,6 @@ def _make_sample(system, x: np.ndarray, xi: float, config: CpfConfig) -> CpfSamp
     return CpfSample(x=np.asarray(x, dtype=float).copy(), xi=float(xi), op=op, vsi=vsi)
 
 
-def _hold(j, held):
-    """j in held's memory when both are dense arrays of one shape, else j.
-
-    run_cpf keeps each anchor's J_x across the corrector for the sample's
-    singular values.  A fresh array at each anchor is a fresh heap block of
-    2n x 2n floats, which glibc's allocator gives back and faults in again
-    from anchor to anchor; one array refilled at each anchor stays resident.
-    On the 252-state synthetic feeder it cuts a trace's minor page faults
-    from about 1300 to 500.
-    """
-    if isinstance(j, np.ndarray) and isinstance(held, np.ndarray) and held.shape == j.shape:
-        np.copyto(held, j)
-        return held
-    return j
-
-
 def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | None, j,
                 solve=None) -> None:
     """Fill the last sample's sv: a step of block while the sample has a
@@ -253,13 +237,7 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     xi0 = config.xi_start
     x0 = start_vector(system, x0)
     try:
-        base = newton_solve(
-            lambda x: system.residual(x, xi0),
-            lambda x: linear_solver(system.jacobian_x(x, xi0), "Newton Jacobian"),
-            x0,
-            eps=config.eps,
-            max_iter=MAX_CORRECTOR_ITER,
-        )
+        base = newton_at(system, xi0, x0, config.eps, MAX_CORRECTOR_ITER)
     except (NonConvergence, SingularJacobian) as exc:
         raise BaseCaseDiverged(f"base case at xi = {xi0} diverged: {exc}") from exc
 
@@ -271,12 +249,11 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     fold_evidence = False
     block = SvdBlock()
     termination = TERM_STEP_LIMIT
-    held = None  # the anchors' J_x, one array refilled at each anchor (see _hold)
     j_k = solve_k = None  # held while J_x at the anchor (x_k, xi_k) and its factor
 
     for step in range(config.max_steps):
         try:
-            j_k = held = _hold(system.jacobian_x(x_k, xi_k), held)
+            j_k = system.jacobian_x(x_k, xi_k)
             solve_k = linear_solver(j_k, "state Jacobian at the anchor")
             t_x, t_xi = tangent_direction(system, x_k, xi_k, solve_k)
         except SingularJacobian:

@@ -451,52 +451,55 @@ def _grid_faults(grid: GridModel) -> list[tuple]:
 def admittance_entries(grid: GridModel, sources=()) -> tuple:
     """(nodes, rows, cols, values): the compound admittance on its block pattern.
 
-    nodes are one new node per source branch (its from-node), then the grid's
-    nodes.  The pattern holds each node's diagonal block and both off-diagonal
-    blocks of each branch, parallel branches summed into one block, in
-    row-major block order and row-major within a block.  Grid branches stamp
-    from grid.series_admittance, sources from one stack of their own, and pi
-    and node shunts add onto diagonal blocks.  Each block is a sum in term
-    order, starting from zero: per branch its stamp's four blocks then its
-    two pi shunts, grid branches, then node shunts, then sources.  Raises
-    ValidationError, holding validate_parameters(grid), when grid.passivity
-    is not empty, so every system build refuses exactly what validation
-    lists.  The sources are not judged here: a SlackModel's z_te passes the
-    same rule when it is constructed.
+    sources are (node, terminal, y) triples, one per slack from
+    build_augmented: a P x P admittance y (the slack's y_te) from a new node
+    to the grid node terminal, gain 1, no pi shunts.  nodes are the new
+    nodes, then the grid's.  The pattern holds each node's diagonal block and
+    both off-diagonal blocks of each branch and source, parallel branches
+    summed into one block, in row-major block order and row-major within a
+    block.  Grid branches stamp from grid.series_admittance, and pi and node
+    shunts add onto diagonal blocks.  Each block is a sum in term order,
+    starting from zero: per branch its stamp's four blocks then its pi
+    shunts, grid branches, then node shunts, then the sources' stamps.
+    Raises ValidationError, holding validate_parameters(grid), when
+    grid.passivity is not empty, so every system build refuses exactly what
+    validation lists.  Sources are not judged here: a SlackModel's z_te
+    passes the same rule, and is inverted, when it is constructed.
     """
     if grid.passivity:
         raise ValidationError(validate_parameters(grid))
     p = grid.p
-    nodes = tuple(b.from_node for b in sources) + grid.node_ids
+    nodes = tuple(node for node, _, _ in sources) + grid.node_ids
     at = {node: i for i, node in enumerate(nodes)}
     if len(at) < len(nodes):
         raise ValueError("source nodes must be new and distinct")
 
     # Per branch six terms in summation order: the ff, ft, tf and tt blocks of
     # its stamp, then its pi shunts at f and at t where present.
-    branches = grid.branches + tuple(sources)
+    branches = grid.branches
     none = np.zeros((p, p), dtype=complex)
     pi = np.reshape([none if y is None else y for b in branches
                      for y in (b.y_shunt_from, b.y_shunt_to)], (-1, 2, p, p))
-    y_src, _ = _inverse(np.reshape([b.z for b in sources], (-1, p, p)))
-    stamps = _stamps(np.concatenate([grid.series_admittance[0], y_src]), [b.gain for b in branches])
+    stamps = _stamps(grid.series_admittance[0], [b.gain for b in branches])
     branch_terms = np.concatenate([stamps.reshape(-1, 4, p, p), pi], axis=1)
     f = np.array([at[b.from_node] for b in branches], dtype=int)
     t = np.array([at[b.to_node] for b in branches], dtype=int)
-    bi, bj = np.stack([f, f, t, t, f, t], axis=1), np.stack([f, t, f, t, f, t], axis=1)
     present = np.ones((len(branches), 6), dtype=bool)
     present[:, 4] = [b.y_shunt_from is not None for b in branches]
     present[:, 5] = [b.y_shunt_to is not None for b in branches]
 
-    n = len(grid.branches)
+    # Per source the four blocks of its gain-1 stamp, in the same order.
+    y_src = np.reshape([y for _, _, y in sources], (-1, p, p))
+    sf = np.array([at[node] for node, _, _ in sources], dtype=int)
+    st = np.array([at[terminal] for _, terminal, _ in sources], dtype=int)
     at_shunt = np.array([at[s.node] for s in grid.shunts], dtype=int)
 
-    def in_order(per_branch, per_shunt):
-        """Grid branch terms, then node shunt terms, then source terms."""
-        return np.concatenate([per_branch[:n][present[:n]], per_shunt, per_branch[n:][present[n:]]])
-
-    bi, bj = in_order(bi, at_shunt), in_order(bj, at_shunt)
-    terms = in_order(branch_terms, np.reshape([s.y for s in grid.shunts], (-1, p, p)))
+    bi = np.concatenate([np.stack([f, f, t, t, f, t], axis=1)[present], at_shunt,
+                         np.stack([sf, sf, st, st], axis=1).ravel()])
+    bj = np.concatenate([np.stack([f, t, f, t, f, t], axis=1)[present], at_shunt,
+                         np.stack([sf, st, sf, st], axis=1).ravel()])
+    terms = np.concatenate([branch_terms[present], np.reshape([s.y for s in grid.shunts], (-1, p, p)),
+                            _stamps(y_src, np.ones(len(sources))).reshape(-1, p, p)])
 
     # Block (bi, bj) is numbered bi * size + bj, so np.unique lists the blocks
     # row-major; every diagonal block is present.  np.add.at adds in index

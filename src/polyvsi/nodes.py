@@ -11,7 +11,7 @@ behind a Thevenin impedance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -191,11 +191,13 @@ class ZipTable:
 @dataclass(frozen=True)
 class SlackModel:
     """Ideal polyphase source v_te behind the Thevenin impedance z_te, which
-    passes passivity_faults with its own _inverse rcond, as a branch does."""
+    passes passivity_faults with its own _inverse rcond, as a branch does;
+    y_te keeps that one inverse for the stamp (build_augmented)."""
 
     node: object
     v_te: np.ndarray
     z_te: np.ndarray
+    y_te: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.v_te, dtype=complex)
@@ -206,11 +208,13 @@ class SlackModel:
             raise ValueError("z_te must be P x P matching v_te")
         if not np.all(np.isfinite(v)):
             raise ValueError("v_te must be finite")
-        if faults := passivity_faults([z], [_inverse(z)[1]]):
+        y, rcond = _inverse(z)
+        if faults := passivity_faults([z], [rcond]):
             raise ValueError(f"z_te must be finite, symmetric, invertible and with a positive "
                              f"semidefinite real part: {faults[0][1]} ({faults[0][2]})")
         object.__setattr__(self, "v_te", v)
         object.__setattr__(self, "z_te", z)
+        object.__setattr__(self, "y_te", y)
 
     @property
     def p(self) -> int:

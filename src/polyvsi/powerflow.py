@@ -132,6 +132,7 @@ class PolyphaseSystem:
     its model's lam times xi on load rows and times 1 on compensator rows.
     sparse is set once from the size: True when 2 * n_unknown reaches
     SPARSE_MIN_STATES, and jacobian_x then returns a SciPy CSC matrix.
+    slacks are aug.slacks, in the one order build_augmented gives them.
     Powers are normalized by s_base (VA); misplaced models raise IncompleteModel.
     """
 
@@ -141,13 +142,12 @@ class PolyphaseSystem:
         self.grid = grid
         self.p = grid.p
         self.resources = grid.require_models(ROLE_RESOURCE, resources)
-        order = {n: i for i, n in enumerate(grid.node_ids)}
-        self.slacks = tuple(sorted(slacks, key=lambda s: order.get(s.node, -1)))
         missing = [n.id for n in grid.nodes if n.vnom is None]
         if missing:
             raise IncompleteModel(f"nodes without nominal voltage: {missing}")
 
-        self.aug = build_augmented(grid, self.slacks)
+        self.aug = build_augmented(grid, slacks)
+        self.slacks = self.aug.slacks
         p = self.p
         self.unknown_nodes = grid.node_ids
         nu = self.n_unknown = len(self.unknown_nodes) * p
@@ -450,6 +450,15 @@ def newton_solve(fun, solver, x0: np.ndarray, eps: float = 1e-8, max_iter: int =
     )
 
 
+def newton_at(system, xi: float, x0: np.ndarray, eps: float, max_iter: int) -> NewtonResult:
+    """newton_solve of system.residual at fixed loading xi from x0, on a
+    fresh linear_solver of system.jacobian_x at each iterate: the base-case
+    Newton of both solve_power_flow and run_cpf."""
+    return newton_solve(lambda x: system.residual(x, xi),
+                        lambda x: linear_solver(system.jacobian_x(x, xi), "Newton Jacobian"),
+                        x0, eps=eps, max_iter=max_iter)
+
+
 def solve_power_flow(
     system: PolyphaseSystem,
     xi: float = 1.0,
@@ -467,11 +476,5 @@ def solve_power_flow(
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
     require_count("max_iter", max_iter, 0)
-    res = newton_solve(
-        lambda x: system.residual(x, xi),
-        lambda x: linear_solver(system.jacobian_x(x, xi), "Newton Jacobian"),
-        start_vector(system, x0),
-        eps=eps,
-        max_iter=max_iter,
-    )
+    res = newton_at(system, xi, start_vector(system, x0), eps, max_iter)
     return system.operating_point(res.x, xi), res

@@ -27,8 +27,8 @@ import numpy as np
 
 from .blocks import BlockMatrix
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
-from .grid import (RCOND_FLOOR, ROLE_SLACK, Branch, GridModel, HybridPartition, _norm1,
-                   admittance_entries, linear_solver)
+from .grid import (RCOND_FLOOR, ROLE_SLACK, GridModel, HybridPartition, _norm1, admittance_entries,
+                   linear_solver)
 from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
 # assemble_admittance, kron_reduce and hybrid_partition by name when tracing
@@ -38,10 +38,9 @@ from .nodes import pm_zip_at  # noqa: F401
 
 DENOM_TOL = 1e-9
 
-# Right-hand-side columns per SuperLU solve in reduce_augmented: a block of
-# the solution is |U| x 64 complex (0.9 MB at 906 rows), so no |U| x |M|
-# array is formed.  A dense Y_UU is solved in one call, since LAPACK would
-# factor it again for every block.
+# Right-hand-side columns per solve on Y_UU's one factor in reduce_augmented:
+# a block of the solution is |U| x 64 complex (0.9 MB at 906 rows), so no
+# |U| x |M| array is formed.
 _SOLVE_COLUMNS = 64
 
 
@@ -55,8 +54,10 @@ class AugmentedGrid:
     """Admittance Y' of the grid extended with internal Thevenin source nodes.
 
     Y' is held as grid.admittance_entries gives it, over the internal nodes
-    and then the physical nodes.  The slack terminals become zero-injection
-    nodes; injections appear only at internal and resource nodes.
+    and then the physical nodes.  slacks are the slack models in grid order,
+    one internal node each, the order every source voltage vector follows.
+    The slack terminals become zero-injection nodes; injections appear only
+    at internal and resource nodes.
     """
 
     nodes: tuple
@@ -64,8 +65,12 @@ class AugmentedGrid:
     cols: np.ndarray
     values: np.ndarray
     p: int
-    internal_nodes: tuple
+    slacks: tuple
     resource_nodes: tuple
+
+    @property
+    def internal_nodes(self) -> tuple:
+        return self.nodes[: len(self.slacks)]
 
     def entries(self, rows: slice, cols: slice) -> tuple:
         """(rows, cols, values, shape) of Y' in the flat index ranges rows x
@@ -89,13 +94,12 @@ class AugmentedGrid:
 
 
 def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
-    """The grid's admittance with each slack's Thevenin admittance as a
-    gain-1 branch from a new internal node to its terminal, in grid order;
-    raises as GridModel.require_models and admittance_entries do."""
+    """The grid's admittance with each slack's kept y_te as a source from a
+    new internal node to its terminal, the slacks in the one order of
+    GridModel.require_models; raises as it and admittance_entries do."""
     slacks = grid.require_models(ROLE_SLACK, slacks)
-    entries = admittance_entries(grid, [Branch(te_node(s.node), s.node, s.z_te) for s in slacks])
-    return AugmentedGrid(*entries, p=grid.p, internal_nodes=entries[0][: len(slacks)],
-                         resource_nodes=grid.resource_nodes)
+    entries = admittance_entries(grid, [(te_node(s.node), s.node, s.y_te) for s in slacks])
+    return AugmentedGrid(*entries, p=grid.p, slacks=slacks, resource_nodes=grid.resource_nodes)
 
 
 def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
@@ -112,9 +116,10 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
     The result maps [V_internal; I_resource] to [I_internal; V_resource].
     Only the rows M and the columns T where Y_IU is nonzero (the slack
     terminals) of X are kept.  y_uu is Y_UU in the caller's container: by
-    default a dense array of aug's entries, solved by LAPACK in one call; a
-    SciPy sparse matrix (PolyphaseSystem passes one on large grids) is
-    factored once by SuperLU and solved in blocks of _SOLVE_COLUMNS columns.
+    default a dense array of aug's entries, factored by LAPACK; a SciPy
+    sparse matrix (PolyphaseSystem passes one on large grids) is factored by
+    SuperLU.  Either is factored once (linear_solver) and solved in blocks
+    of _SOLVE_COLUMNS columns on that factor.
 
     Raises SingularInteriorBlock when Y_UU is singular, a solved column is
     not finite, or 1 / (||Y_UU||_1 max_j ||Y_UU^-1 e_j||_1), j in M, is
@@ -138,13 +143,12 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
     ti = np.flatnonzero(np.any(y_iu != 0.0, axis=0))
 
     k = u0 + mi.size  # columns of [Y_UI | E_M]
-    width = _SOLVE_COLUMNS if hasattr(y_uu, "toarray") else k
     solve = linear_solver(y_uu, "physical admittance block Y_UU", SingularInteriorBlock)
     x_m = np.empty((mi.size, k), dtype=complex)
     x_t = np.empty((ti.size, k), dtype=complex)
     x_norm = 0.0
-    for lo in range(0, k, width):
-        cols = np.arange(lo, min(lo + width, k))
+    for lo in range(0, k, _SOLVE_COLUMNS):
+        cols = np.arange(lo, min(lo + _SOLVE_COLUMNS, k))
         unit = cols >= u0
         b = np.zeros((y_uu.shape[0], cols.size), dtype=complex)
         b[:, ~unit] = y_ui[:, cols[~unit]]

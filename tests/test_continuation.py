@@ -74,8 +74,9 @@ Proves:
   22b. A dense trace's LUs are the base case's, one per Newton
        iteration, and the tangent's at each anchor: the corrector, the
        singular-value step and the base sample's seed reuse the tangent's
-       LU.  The corrector evaluates no J_x, and every corrector call runs
-       its iterations through continuation.newton_solve
+       LU.  The corrector evaluates no J_x, every corrector call runs its
+       iterations through continuation.newton_solve, and the base case
+       through powerflow.newton_solve, once
   23.  The two-bus system (2 states, fewer than the block) records the
        exact triplet at every sample
 """
@@ -591,6 +592,7 @@ def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
     system = copy.copy(bench_system)
     system.jacobian_x = jacobian_x
     monkeypatch.setattr(grid, "_lapack", lambda: {**table, "d": (counted(gesv), counted(getrf), getrs)})
+    monkeypatch.setattr(powerflow, "newton_solve", newton)  # the base case, through powerflow.newton_at
     monkeypatch.setattr(continuation, "newton_solve", newton)
     monkeypatch.setattr(continuation, "tangent_direction", tangent)
     monkeypatch.setattr(continuation, "arclength_correct", corrector)

@@ -64,7 +64,9 @@ Proves:
   22.  passivity_faults on a stack finds the faults of one call per matrix
   23.  admittance_entries equals the per-branch sum of branch_stamp bit for
        bit: bundled feeder, 302-node synthetic feeder, random grids with
-       gains, pi shunts, node shunts, parallel branches and sources
+       gains, pi shunts, node shunts, parallel branches and sources; a
+       source stamped from its slack's y_te equals the stamp of a gain-1
+       branch through its z_te
   24.  The passivity result is shared per grid, in either call order:
        assembly raises ValidationError holding the same violation list,
        an asymmetric and a singular impedance alike
@@ -431,8 +433,9 @@ def test_interior_block_condition_check(name):
     # resource node, so M couples to it.
     nodes = (te_node(1), 2, 3)
     rows, cols = np.indices(data.shape).reshape(2, -1)
+    slack = SlackModel(node=1, v_te=np.ones(1, dtype=complex), z_te=np.ones((1, 1), dtype=complex))
     aug = AugmentedGrid(nodes=nodes, p=1, rows=rows, cols=cols, values=data.ravel(),
-                        internal_nodes=nodes[:1], resource_nodes=(3,))
+                        slacks=(slack,), resource_nodes=(3,))
     for y_uu in (None, csc_array(BAD_BLOCKS[name])):
         with pytest.raises(SingularInteriorBlock):
             reduce_augmented(aug, y_uu)
@@ -624,9 +627,10 @@ def test_admittance_entries_match_branch_stamps(synthfeeder):
     assert any(b.gain != 1.0 for grid, _ in cases for b in grid.branches)
     assert any(grid.shunts for grid, _ in cases)
     for grid, slacks in cases:
-        sources = [Branch(te_node(s.node), s.node, s.z_te) for s in slacks]
-        for src in ((), sources):
-            got, ref = admittance_entries(grid, src), _entries_by_stamp(grid, src)
+        sources = [(te_node(s.node), s.node, s.y_te) for s in slacks]
+        branches = [Branch(te_node(s.node), s.node, s.z_te) for s in slacks]
+        for src, ref_src in (((), ()), (sources, branches)):
+            got, ref = admittance_entries(grid, src), _entries_by_stamp(grid, ref_src)
             assert got[0] == ref[0]
             for a, b in zip(got[1:], ref[1:]):
                 assert _same(a, b)

@@ -53,6 +53,13 @@ Proves:
   17d. From parsing the bundled feeder through its power flow and branch
        currents, one _inverse call holds grid branch impedances, and it is
        exactly their stack
+  17e. From parsing the bundled feeder through its power flow, a short
+       trace and its branch currents, one _inverse call holds the slack's
+       z_te, SlackModel's own: the stamp reads the y_te kept there
+  17f. Two slacks passed in either order build one system: the same
+       internal and hybrid source nodes, a bit-identical power flow, equal
+       indices and an equal traced fold, with each source voltage behind
+       its own Thevenin impedance
   18.  Parsing, building and tracing the two small CPF inputs with SVD
        never imports scipy (fresh interpreter)
   19.  Every library attribute the benchmark's layer tracer wraps by name
@@ -70,15 +77,17 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-from conftest import fd_jacobian, random_system, two_bus
+from conftest import CP, VNOM, fd_jacobian, random_system, two_bus
 from polyvsi import grid as grid_module
+from polyvsi import nodes as nodes_module
 from polyvsi import powerflow
 from polyvsi.benchmark import bundled_grid_text
-from polyvsi.grid import GridModel, linear_solver, validate_parameters
+from polyvsi.continuation import CpfConfig, run_cpf
+from polyvsi.grid import Branch, GridModel, Node, linear_solver, validate_parameters
 from polyvsi.errors import (IncompleteModel, NonConvergence, SingularBranch, SingularJacobian,
                             ValidationError)
 from polyvsi.gridfile import parse_grid_text
-from polyvsi.nodes import pm_power_at
+from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, pm_power_at
 from polyvsi.powerflow import (
     OperatingPoint,
     PolyphaseSystem,
@@ -89,7 +98,7 @@ from polyvsi.powerflow import (
     solve_power_flow,
     wrap_angle,
 )
-from polyvsi.vsi import build_augmented
+from polyvsi.vsi import build_augmented, evaluate_vsi, te_node
 
 
 # -- Group 1 ---------------------------------------------------------------
@@ -401,8 +410,6 @@ def test_constructor_validation():
     # index would meet more rows than the reduction has.
     with pytest.raises(IncompleteModel, match="resource models"):
         PolyphaseSystem(grid, slacks, resources + [resources[0]])
-    from polyvsi.grid import Branch, GridModel, Node
-
     bare = GridModel(
         nodes=(Node(1, "slack", vnom=1000.0), Node(2, "resource")),
         branches=(Branch(1, 2, np.array([[0.5 + 0j]])),),
@@ -508,7 +515,10 @@ def test_setup_inverts_branches_as_one_stack(synthfeeder, monkeypatch):
     assert (len(grid.branches), 3, 3) in calls
 
 
-def test_branch_impedances_inverted_once(monkeypatch):
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The argument of every _inverse call, under both names it is called
+    by: grid's own and the one nodes imports for SlackModel."""
     calls = []
 
     def inverse(a):
@@ -516,17 +526,67 @@ def test_branch_impedances_inverted_once(monkeypatch):
         return grid_inverse(a)
 
     grid_inverse = grid_module._inverse
-    monkeypatch.setattr(grid_module, "_inverse", inverse)
+    for module in (grid_module, nodes_module):
+        monkeypatch.setattr(module, "_inverse", inverse)
+    return calls
+
+
+def _holding(calls, mats, p):
+    """The calls whose argument holds one of the P x P matrices mats."""
+    held = {np.asarray(m).tobytes() for m in mats}
+    return [a for a in calls if any(m.tobytes() in held for m in np.reshape(a, (-1, p, p)))]
+
+
+def test_branch_impedances_inverted_once(inverse_calls):
     grid, slacks, resources = parse_grid_text(bundled_grid_text())
     system = PolyphaseSystem(grid, slacks, resources)
     op, _ = solve_power_flow(system)
     system.branch_series_currents(op)
     stack = np.array([b.z for b in grid.branches])
-    impedances = {z.tobytes() for z in stack}
-    holding = [a for a in calls
-               if any(m.tobytes() in impedances for m in np.reshape(a, (-1, grid.p, grid.p)))]
+    holding = _holding(inverse_calls, stack, grid.p)
     assert len(holding) == 1, [a.shape for a in holding]
     assert holding[0].tobytes() == stack.tobytes() and holding[0].shape == stack.shape
+
+
+def test_thevenin_impedances_inverted_once(inverse_calls):
+    grid, slacks, resources = parse_grid_text(bundled_grid_text())
+    system = PolyphaseSystem(grid, slacks, resources)
+    op, _ = solve_power_flow(system)
+    run_cpf(system, CpfConfig(max_steps=2))
+    system.branch_series_currents(op)
+    for s in slacks:
+        holding = _holding(inverse_calls, [s.z_te], grid.p)
+        assert len(holding) == 1, [a.shape for a in holding]
+        assert holding[0].tobytes() == s.z_te.tobytes() and holding[0].shape == s.z_te.shape
+
+
+def test_slack_order_is_one_rule():
+    grid = GridModel(
+        nodes=(Node(1, "slack", vnom=VNOM), Node(2, "resource", vnom=VNOM), Node(3, "slack", vnom=VNOM)),
+        branches=(Branch(1, 2, np.array([[0.5 + 0.2j]])), Branch(2, 3, np.array([[0.8 + 0.3j]]))),
+        p=1,
+    )
+    slacks = (SlackModel(node=1, v_te=np.array([VNOM + 0j]), z_te=np.array([[0.5 + 0.5j]])),
+              SlackModel(node=3, v_te=np.array([0.98 * VNOM * np.exp(-0.05j)]), z_te=np.array([[0.3 + 0.4j]])))
+    resources = [ResourceModel(node=2, v0=VNOM, phases=(PhaseResource(p0=-300e3, q0=-100e3, zip_re=CP, zip_im=CP),))]
+    orders = (slacks, slacks[::-1])
+    a, b = (PolyphaseSystem(grid, order, resources) for order in orders)
+    assert a.slacks == b.slacks == slacks
+    assert a.aug.internal_nodes == b.aug.internal_nodes == a.hybrid.mc_nodes == b.hybrid.mc_nodes \
+        == (te_node(1), te_node(3))
+
+    # At zero load node 2 divides the two sources by their series impedances.
+    y = [1.0 / (s.z_te[0, 0] + br.z[0, 0]) for s, br in zip(slacks, grid.branches)]
+    divider = (y[0] * slacks[0].v_te[0] + y[1] * slacks[1].v_te[0]) / (y[0] + y[1])
+    for system in (a, b):
+        op, _ = solve_power_flow(system, xi=0.0, eps=1e-12)
+        assert abs(op.voltage(2, 1) - divider) < 1e-9 * VNOM
+
+    (op_a, res_a), (op_b, res_b) = solve_power_flow(a), solve_power_flow(b)
+    assert res_a.x.tobytes() == res_b.x.tobytes()
+    assert a.vsi_at(res_a.x, 1.0) == b.vsi_at(res_b.x, 1.0)
+    assert evaluate_vsi(a.hybrid, orders[0], resources, op_a) == evaluate_vsi(b.hybrid, orders[1], resources, op_b)
+    assert run_cpf(a).xi_max == run_cpf(b).xi_max
 
 
 def test_setup_runs_the_passivity_rule_once(synthfeeder, monkeypatch):
