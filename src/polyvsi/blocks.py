@@ -15,9 +15,9 @@ import numpy as np
 
 
 def fields_equal(self, other):
-    """__eq__ of the library's frozen dataclasses that hold arrays: every
-    compare=True field equal, arrays by np.array_equal, None equal only to
-    None."""
+    """__eq__ of the library's dataclasses that hold arrays (array_dataclass):
+    every compare=True field equal, arrays by np.array_equal, None equal only
+    to None."""
     if other.__class__ is not self.__class__:
         return NotImplemented
 
@@ -31,7 +31,23 @@ def fields_equal(self, other):
     return all(same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
 
-@dataclass(frozen=True)
+def array_dataclass(**kwargs):
+    """dataclass(**kwargs) with fields_equal as __eq__, for each class holding arrays."""
+    def wrap(cls):
+        cls = dataclass(**kwargs)(cls)
+        cls.__eq__ = fields_equal
+        return cls
+    return wrap
+
+
+def node_phase_rows(order, nodes, p: int) -> np.ndarray:
+    """Flat indices of the phases of nodes, in the given order, into a vector
+    that holds p entries per node of order, node by node."""
+    at = {n: i for i, n in enumerate(order)}
+    return (np.array([at[n] for n in nodes], dtype=int).reshape(-1, 1) * p + np.arange(p)).ravel()
+
+
+@array_dataclass(frozen=True)
 class BlockMatrix:
     """Dense complex matrix with P x P blocks addressed by node ids.
 
@@ -99,7 +115,4 @@ class BlockMatrix:
 
     def row_indices(self, nodes) -> np.ndarray:
         """Flat row indices covering the given nodes, in the given order."""
-        first = np.array([self._row_index[n] for n in nodes], dtype=int).reshape(-1, 1) * self.p
-        return (first + np.arange(self.p)).ravel()
-
-    __eq__ = fields_equal
+        return node_phase_rows(self.row_nodes, nodes, self.p)

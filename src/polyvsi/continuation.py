@@ -47,6 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .blocks import array_dataclass
 from .errors import BaseCaseDiverged, NonConvergence, SingularJacobian
 from .grid import linear_solver
 from .powerflow import SvdBlock, newton_at, newton_solve, require_count, start_vector
@@ -95,7 +96,7 @@ class CpfConfig:
         require_count("max_steps", self.max_steps, 1)
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class CpfSample:
     """One accepted continuation point.
 

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .blocks import BlockMatrix, fields_equal
+from .blocks import BlockMatrix, array_dataclass
 from .errors import IncompleteModel, SingularBranch, SingularInteriorBlock, SingularJacobian, ValidationError
 
 ROLE_SLACK = "slack"
@@ -212,7 +212,7 @@ class Node:
             raise ValueError("nominal voltage must be positive")
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class Branch:
     """Two-terminal polyphase branch.
 
@@ -253,10 +253,8 @@ class Branch:
     def p(self) -> int:
         return self.z.shape[0]
 
-    __eq__ = fields_equal
 
-
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class Shunt:
     """Node-to-ground admittance, P x P in siemens."""
 
@@ -269,7 +267,19 @@ class Shunt:
             raise ValueError("shunt admittance must be a square matrix")
         object.__setattr__(self, "y", y)
 
-    __eq__ = fields_equal
+
+def match_models(role: str, models, nodes, p: int) -> tuple:
+    """models in the order of nodes, the one rule placing slack and resource
+    models; IncompleteModel naming the nodes unless they sit one-to-one on
+    nodes, each with p phases."""
+    models = tuple(models)
+    at = {m.node: m for m in models}
+    if len(at) != len(models) or set(at) != set(nodes) or any(m.p != p for m in models):
+        missing = [n for n in nodes if n not in at]
+        raise IncompleteModel((f"no {role} model for nodes {missing}; " if missing else "")
+                              + f"{role} models at {[m.node for m in models]} must sit one-to-one "
+                              f"on the {role} nodes {list(nodes)}, each with p = {p}")
+    return tuple(at[n] for n in nodes)
 
 
 @dataclass(frozen=True)
@@ -347,14 +357,8 @@ class GridModel:
         return self.nodes_with_role(ROLE_RESOURCE)
 
     def require_models(self, role: str, models) -> tuple:
-        """models in the grid's node order; IncompleteModel unless they sit
-        one-to-one on the nodes with role, each with the grid's phase count."""
-        models, want = tuple(models), self.nodes_with_role(role)
-        at = {m.node: m for m in models}
-        if len(at) != len(models) or set(at) != set(want) or any(m.p != self.p for m in models):
-            raise IncompleteModel(f"{role} models at {[m.node for m in models]} must sit one-to-one "
-                                  f"on the grid's {role} nodes {list(want)}, each with p = {self.p}")
-        return tuple(at[n] for n in want)
+        """match_models on the grid's nodes with role and its phase count."""
+        return match_models(role, models, self.nodes_with_role(role), self.p)
 
     @cached_property
     def series_admittance(self) -> tuple:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import fields_equal
+from .blocks import array_dataclass
 from .errors import ZeroVoltage
 from .grid import _inverse, passivity_faults
 
@@ -125,7 +125,7 @@ def _poly(triples: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (triples[:, 0] * u + triples[:, 1]) * u + triples[:, 2]
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class ZipTable:
     """ZIP resources packed one row per node-phase for vectorized evaluation.
 
@@ -188,7 +188,7 @@ class ZipTable:
         return y_pm, i_pm, s_p
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class SlackModel:
     """Ideal polyphase source v_te behind the Thevenin impedance z_te, which
     passes passivity_faults with its own _inverse rcond, as a branch does;
@@ -219,8 +219,6 @@ class SlackModel:
     @property
     def p(self) -> int:
         return self.v_te.size
-
-    __eq__ = fields_equal
 
 
 def pm_power_at(model: ResourceModel, phase: int, v: complex) -> complex:

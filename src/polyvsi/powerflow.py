@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
+from .blocks import array_dataclass, node_phase_rows
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian, ValidationError
 from .grid import ROLE_RESOURCE, GridModel, linear_solver, validate_parameters
 from .nodes import ZipTable
@@ -57,7 +58,7 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
     return np.where(out == -np.pi, np.pi, out)
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class OperatingPoint:
     """Voltage magnitudes/angles per (node, phase) plus the loading factor.
 
@@ -99,7 +100,7 @@ class OperatingPoint:
         return self.e * np.exp(1j * self.theta)
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class Mismatch:
     """Active/reactive power residuals (watt, var) per unknown (node, phase)."""
 
@@ -113,7 +114,7 @@ class Mismatch:
         return float(max(np.abs(self.dp).max(), np.abs(self.dq).max()))
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class NewtonResult:
     x: np.ndarray
     iterations: int
@@ -161,8 +162,7 @@ class PolyphaseSystem:
 
         # Packed resource rows in hybrid.m_nodes order and their positions among the unknowns.
         self._zip = ZipTable.from_resources(self.resources)
-        flat = {n: i * p for i, n in enumerate(self.unknown_nodes)}
-        self._res = np.array([flat[r.node] + q for r in self.resources for q in range(p)], dtype=int)
+        self._res = node_phase_rows(self.unknown_nodes, grid.resource_nodes, p)
         self._dlam = self._lam(1.0) - self._lam(0.0)  # d lam / d xi per row
 
         # Y_uu on the augmented admittance's block pattern.  Positions of the
@@ -176,13 +176,18 @@ class PolyphaseSystem:
         self._jac_cols = np.concatenate([self._cols, self._cols, self._cols + nu, self._cols + nu])
         self.sparse = 2 * nu >= SPARSE_MIN_STATES
         # Y_uu in the system's container, for the residual and the reduction.
+        self._y_uu_op = self._container(self._y_pattern, self._rows, self._cols, (nu, nu))
+        self.hybrid = reduce_augmented(self.aug, self._y_uu_op)
+
+    def _container(self, values, rows, cols, shape):
+        """The matrix of shape with values at (rows, cols): CSC if sparse, else dense."""
         if self.sparse:
             from scipy.sparse import csc_array
 
-            self._y_uu_op = csc_array((self._y_pattern, (self._rows, self._cols)), shape=(nu, nu))
-        else:
-            self._y_uu_op = self.aug.dense(u, u)
-        self.hybrid = reduce_augmented(self.aug, self._y_uu_op)
+            return csc_array((values, (rows, cols)), shape=shape)
+        out = np.zeros(shape, dtype=values.dtype)
+        out[rows, cols] = values
+        return out
 
     # -- state packing ---------------------------------------------------
 
@@ -262,14 +267,7 @@ class PolyphaseSystem:
         dth = 1j * v * np.conj(i_u) / self.s_base
         vals[self._jac_diag] += np.concatenate([de.real, de.imag, dth.real, dth.imag])
 
-        shape = (2 * n, 2 * n)
-        if self.sparse:
-            from scipy.sparse import csc_array
-
-            return csc_array((vals, (self._jac_rows, self._jac_cols)), shape=shape)
-        out = np.zeros(shape)
-        out[self._jac_rows, self._jac_cols] = vals
-        return out
+        return self._container(vals, self._jac_rows, self._jac_cols, (2 * n, 2 * n))
 
     def jacobian_xi(self, x: np.ndarray, xi: float) -> np.ndarray:
         del xi
@@ -329,7 +327,7 @@ def mismatch(system: PolyphaseSystem, x: OperatingPoint) -> Mismatch:
     )
 
 
-@dataclass
+@array_dataclass()
 class SvdBlock:
     """Approximate right singular vectors of the smallest singular values of
     the last state Jacobian jacobian_svd saw: the warm start of its next

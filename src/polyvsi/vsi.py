@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockMatrix
+from .blocks import BlockMatrix, array_dataclass, node_phase_rows
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
-from .grid import (RCOND_FLOOR, ROLE_SLACK, GridModel, HybridPartition, _norm1, admittance_entries,
-                   linear_solver)
+from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, GridModel, HybridPartition, _norm1,
+                   admittance_entries, linear_solver, match_models)
 from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
 # assemble_admittance, kron_reduce and hybrid_partition by name when tracing
@@ -49,7 +49,7 @@ def te_node(slack_node) -> tuple:
     return ("te", slack_node)
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class AugmentedGrid:
     """Admittance Y' of the grid extended with internal Thevenin source nodes.
 
@@ -57,7 +57,7 @@ class AugmentedGrid:
     and then the physical nodes.  slacks are the slack models in grid order,
     one internal node each, the order every source voltage vector follows.
     The slack terminals become zero-injection nodes; injections appear only
-    at internal and resource nodes.
+    at internal nodes and at resource_nodes, which follow the node order.
     """
 
     nodes: tuple
@@ -126,15 +126,11 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
     below RCOND_FLOOR: Y_UU is judged through the columns of its inverse
     that the resource nodes see.
     """
-    p = aug.p
-    n_int = len(aug.internal_nodes)
-    u0 = n_int * p
-    resource = set(aug.resource_nodes)
-    phys = aug.nodes[n_int:]
-    m_nodes = tuple(n for n in phys if n in resource)
+    p, m_nodes, mc_nodes = aug.p, aug.resource_nodes, aug.internal_nodes
     if not m_nodes:
         raise IncompleteModel("the augmented grid has no resource nodes")
-    mi = np.flatnonzero(np.repeat([n in resource for n in phys], p))
+    u0 = len(mc_nodes) * p
+    mi = node_phase_rows(aug.nodes[len(mc_nodes):], m_nodes, p)
     src, u = slice(0, u0), slice(u0, None)
     y_iu = aug.dense(src, u)
     y_ui = aug.dense(u, src)
@@ -161,7 +157,6 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
         raise SingularInteriorBlock("Y_UU is numerically singular as seen from the resource nodes")
 
     y_it = y_iu[:, ti]
-    mc_nodes = aug.internal_nodes
     return HybridPartition(
         m_nodes=m_nodes,
         mc_nodes=mc_nodes,
@@ -172,7 +167,7 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
     )
 
 
-@dataclass(frozen=True)
+@array_dataclass(frozen=True)
 class VsiCoefficients:
     """Per resource node-phase coefficients (a, b, c) of the local quadratic
     voltage equation, in the (node, phase) order of ``pairs``."""
@@ -232,15 +227,14 @@ def zip_coefficients(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> 
 
 def _packed(hybrid: HybridPartition, slacks, resources, op) -> tuple:
     """(table, lam, v_te, v) for zip_coefficients from resource models at
-    their own lam and the operating point op."""
-    res_by_node = {r.node: r for r in resources}
-    missing = [n for n in hybrid.m_nodes if n not in res_by_node]
-    if missing:
-        raise ValueError(f"no resource model for nodes {missing}")
-    table = ZipTable.from_resources([res_by_node[n] for n in hybrid.m_nodes])
-    slack_by_te = {te_node(s.node): s for s in slacks}
-    v_te = np.concatenate([np.zeros(0, complex)] + [slack_by_te[te].v_te for te in hybrid.mc_nodes])
-    return table, table.lam, v_te, op.phasors()[[op._row(n) for n in hybrid.m_nodes]].ravel()
+    their own lam and the operating point op.  match_models places the
+    resources on hybrid.m_nodes and the slacks on the terminals of
+    hybrid.mc_nodes, so misplaced models raise IncompleteModel."""
+    p = hybrid.h_mm.p
+    table = ZipTable.from_resources(match_models(ROLE_RESOURCE, resources, hybrid.m_nodes, p))
+    slacks = match_models(ROLE_SLACK, slacks, [node for _, node in hybrid.mc_nodes], p)
+    v_te = np.concatenate([np.zeros(0, complex)] + [s.v_te for s in slacks])
+    return table, table.lam, v_te, op.phasors().ravel()[node_phase_rows(op.nodes, hybrid.m_nodes, p)]
 
 
 def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoefficients:

@@ -40,7 +40,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fd_jacobian, random_system, two_bus
+from polyvsi_cases import fd_jacobian, random_system, two_bus
 from polyvsi.cli import main
 from polyvsi.benchmark import build_benchmark
 from polyvsi.continuation import TERM_FOLD, CpfConfig, run_cpf

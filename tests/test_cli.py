@@ -63,7 +63,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import two_bus
+from polyvsi_cases import two_bus
 from polyvsi import benchmark, cli
 from polyvsi.cli import build_parser, main
 from polyvsi.continuation import CpfConfig, run_cpf

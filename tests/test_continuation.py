@@ -87,7 +87,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-from conftest import two_bus
+from polyvsi_cases import two_bus
 from polyvsi import continuation, grid, powerflow
 from polyvsi.continuation import (
     MAX_HALVINGS,

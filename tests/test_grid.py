@@ -41,10 +41,16 @@ Proves:
        reduce_augmented, with Y_UU dense or sparse, when the bad block is
        coupled to the resource nodes
 
- Group 5 - Block addressing
+ Group 5 - Block addressing and structure
   18.  block / row_slice / row_indices agree with raw offsets
   19.  data is read-only; a caller's array is copied and left writable,
        an array the library builds is taken over without a copy
+  19a. Node, Branch, Shunt, GridModel, BlockMatrix, SlackModel and
+       OperatingPoint reject structurally broken input with a ValueError
+       naming the fault, and the stepwise reductions a non-square matrix
+  19b. Every dataclass that holds arrays compares by content: a deep copy
+       (distinct arrays) is equal, and one changed array element makes it
+       unequal; a CpfTrace compares through its samples
 
  Group 6 - Linear solves
   20.  linear_solver solves a x = b and, with transpose=True, a' x = b,
@@ -57,6 +63,8 @@ Proves:
   20a. With numpy's LAPACK binding absent, linear_solver's fallback gives
        a first a x = b bit for bit, and a' x = b and later solves to
        1e-12, real and complex
+  20b. The LAPACK step refuses a matrix that is not square and a
+       right-hand side without n rows before any raw-pointer call
 
  Group 7 - Stacked algebra
   21.  _inverse on a stack equals one call per matrix bit for bit, with an
@@ -72,6 +80,7 @@ Proves:
        an asymmetric and a singular impedance alike
 """
 
+import copy
 import re
 from dataclasses import replace
 
@@ -79,7 +88,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-from conftest import CP, PASSIVITY_EDGES, random_system
+from polyvsi_cases import CP, PASSIVITY_EDGES, random_system
 from polyvsi import grid
 from polyvsi.benchmark import build_benchmark
 from polyvsi.blocks import BlockMatrix
@@ -102,8 +111,8 @@ from polyvsi.grid import (
     validate_parameters,
 )
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel
-from polyvsi.powerflow import PolyphaseSystem
-from polyvsi.vsi import AugmentedGrid, reduce_augmented, te_node
+from polyvsi.powerflow import OperatingPoint, PolyphaseSystem, SvdBlock, mismatch, solve_power_flow
+from polyvsi.vsi import AugmentedGrid, reduce_augmented, te_node, vsi_coefficients
 
 
 # Blocks every condition check must reject: exactly singular, singular up
@@ -476,6 +485,94 @@ def test_block_matrix_data_ownership():
         assert not m.data.flags.writeable
 
 
+_Z1 = np.eye(1, dtype=complex)
+_TWO = (Node(1, "slack"), Node(2, "zero"))
+STRUCTURAL_ERRORS = {
+    "node-role": (lambda: Node(1, "load"), "unknown node role 'load'"),
+    "node-vnom": (lambda: Node(1, "zero", vnom=0.0), "nominal voltage must be positive"),
+    "branch-z-shape": (lambda: Branch(1, 2, np.ones((1, 2))),
+                       "branch impedance must be a square matrix"),
+    "branch-loop": (lambda: Branch(1, 1, _Z1), "branch endpoints must differ"),
+    "branch-gain": (lambda: Branch(1, 2, _Z1, gain=float("nan")), "branch gain must be positive"),
+    "branch-shunt-shape": (lambda: Branch(1, 2, _Z1, y_shunt_to=np.eye(2)),
+                           "y_shunt_to shape must match z"),
+    "shunt-shape": (lambda: Shunt(1, np.ones(2)), "shunt admittance must be a square matrix"),
+    "grid-duplicate": (lambda: GridModel((Node(1, "slack"), Node(1, "zero")), (), p=1),
+                       "duplicate node ids"),
+    "grid-empty": (lambda: GridModel((), (), p=1), "grid needs at least one node"),
+    "grid-branch-node": (lambda: GridModel((Node(1, "slack"),), (Branch(1, 2, _Z1),), p=1),
+                         "branch 1-2 references unknown node"),
+    "grid-branch-p": (lambda: GridModel(_TWO, (Branch(1, 2, _Z1),), p=2),
+                      "branch phase count differs from grid"),
+    "grid-shunt-node": (lambda: GridModel((Node(1, "slack"),), (), (Shunt(3, _Z1),), p=1),
+                        "shunt at unknown node 3"),
+    "grid-shunt-p": (lambda: GridModel((Node(1, "slack"),), (), (Shunt(1, _Z1),), p=2),
+                     "shunt phase count differs from grid"),
+    "grid-islands": (lambda: GridModel(_TWO, (), p=1),
+                     "branch graph is not weakly connected"),
+    "block-shape": (lambda: BlockMatrix(np.zeros((2, 2)), (1,), (1,), 1),
+                    "data shape (2, 2) does not match (1, 1)"),
+    "block-p": (lambda: BlockMatrix(np.zeros((0, 0)), (), (), 0), "phase count must be >= 1"),
+    "block-rows": (lambda: BlockMatrix(np.zeros((2, 2)), (1, 1), (1, 2), 1), "duplicate row node ids"),
+    "block-cols": (lambda: BlockMatrix(np.zeros((2, 2)), (1, 2), (2, 2), 1), "duplicate column node ids"),
+    "kron-not-square": (lambda: kron_reduce(BlockMatrix(np.zeros((1, 2)), (1,), (1, 2), 1), ()),
+                        "the stepwise reductions need a square block matrix"),
+    "slack-v-shape": (lambda: SlackModel(1, np.ones((1, 1)), _Z1), "v_te must be a vector"),
+    "slack-z-shape": (lambda: SlackModel(1, np.ones(2), np.eye(3)), "z_te must be P x P matching v_te"),
+    "slack-v-finite": (lambda: SlackModel(1, np.array([np.inf]), _Z1), "v_te must be finite"),
+    "point-shape": (lambda: OperatingPoint((1, 2), 1, np.ones((2, 1)), np.zeros((1, 2))),
+                    "e/theta must have shape (2, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL_ERRORS))
+def test_structural_errors(case):
+    build, message = STRUCTURAL_ERRORS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.fixture(scope="module")
+def bundled_records(bench_system, bench_trace):
+    """{class name: (instance, name of an array field, or of CpfTrace's samples)}."""
+    system = bench_system
+    op, result = solve_power_flow(system)
+    return {
+        "AugmentedGrid": (system.aug, "values"),
+        "VsiCoefficients": (vsi_coefficients(system.hybrid, system.slacks, system.resources, op), "b"),
+        "OperatingPoint": (op, "e"),
+        "Mismatch": (mismatch(system, op), "dp"),
+        "NewtonResult": (result, "x"),
+        "ZipTable": (system._zip, "p0"),
+        "CpfSample": (bench_trace.samples[-1], "x"),
+        "SvdBlock": (SvdBlock(np.eye(3)), "vectors"),
+        "CpfTrace": (bench_trace, "samples"),
+        "BlockMatrix": (system.hybrid.h_mm, "data"),
+    }
+
+
+def _changed(record, name):
+    """record with the last element of its array field name changed."""
+    value = getattr(record, name)
+    if isinstance(value, list):
+        return replace(record, **{name: value[:-1] + [_changed(value[-1], "x")]})
+    value = np.array(value)
+    value.flat[-1] += 1.0
+    return replace(record, **{name: value})
+
+
+@pytest.mark.parametrize("cls", ["AugmentedGrid", "VsiCoefficients", "OperatingPoint", "Mismatch",
+                                 "NewtonResult", "ZipTable", "CpfSample", "SvdBlock", "CpfTrace",
+                                 "BlockMatrix"])
+def test_array_dataclasses_compare_by_content(bundled_records, cls):
+    record, name = bundled_records[cls]
+    assert type(record).__name__ == cls
+    twin, changed = copy.deepcopy(record), _changed(record, name)
+    assert getattr(twin, name) is not getattr(record, name)
+    assert record == twin and twin == record
+    assert record != changed and changed != record
+
+
 # -- Group 6 ---------------------------------------------------------------
 
 
@@ -529,6 +626,20 @@ def test_linear_solver_fallback_agrees(monkeypatch):
             assert np.array_equal(fast(b), fallback(b))
             for transpose in (True, False):
                 assert np.allclose(fast(b, transpose), fallback(b, transpose), rtol=1e-12, atol=0.0)
+
+
+def test_lu_step_rejects_bad_shapes():
+    routines = grid._lapack().get("d")
+    if routines is None:
+        pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
+    with pytest.raises(np.linalg.LinAlgError, match="^the matrix is not square$"):
+        grid._lu_step(np.ones((2, 3)), *routines)
+    step = grid._lu_step(np.eye(3), *routines)
+    for b in (np.ones(2), np.ones((4, 1)), np.ones((3, 1, 1))):
+        message = f"right-hand side of shape {b.shape} for a 3 x 3 matrix"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step(b, False)
+    assert np.array_equal(step(np.ones(3), True), np.ones(3))  # the refusals left the solver usable
 
 
 # -- Group 7 ---------------------------------------------------------------

@@ -9,16 +9,24 @@ Proves:
        transformer matches transformer_branch
    3.  Undefined config is reported with its name and line number
    4.  Structural garbage raises ParseError (empty, bad header, unknown
-       section, mismatched slack/resource sections)
+       section, mismatched slack/resource sections, end of file inside a
+       block)
    4a. Non-finite numbers, non-positive ratings and constructor errors in
        catalog rows and blocks raise ParseError naming the line; the
-       builders reject non-positive ratings themselves
+       builders reject non-positive ratings themselves.  So do a phase
+       count that is not an integer >= 1, a nameless config, a short line
+       row, a config reference with two names, a seq row without
+       'transposed', a branch, shunt or slack header of the wrong arity,
+       an unknown branch attribute, a slacks-table node without a nominal
+       voltage, an unknown resource field, both or neither of v0/v0_kv and
+       a missing ZIP triple
    4b. parse_configs reads config-only text with the grid file's config
        grammar and rejects anything else
    4c. Every row of a three-phase matrix block (config z and b, branch z,
        yfrom and yto, shunt y, slack zrow and vrow) with a wrong width, a
        bad token or a non-finite number raises ParseError naming that row;
-       with faults in several rows the first one in line order is reported
+       with faults in several rows the first one in line order is reported;
+       a finite block whose sum overflows (two 1e308 entries) is accepted
 
  Group 2 - Validation
    5.  Asymmetric parameters parse cleanly, and building a system from
@@ -54,7 +62,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system
+from polyvsi_cases import random_system
 
 from polyvsi.builders import (
     seq_to_phase_b,
@@ -178,6 +186,9 @@ def test_structural_garbage():
     broken = MINIMAL.replace("slack 1\nzrow 0.5 0.0\nvrow 1000.0 0.0\nend\n", "")
     with pytest.raises(ParseError, match="slack"):
         parse_grid_text(broken)
+    with pytest.raises(ParseError, match="^unexpected end of file: expected 'z' row$") as exc:
+        parse_grid_text(MINIMAL[: MINIMAL.index("z 0.5")])
+    assert exc.value.line is None
 
 
 def test_builders_reject_non_positive_ratings():
@@ -207,6 +218,21 @@ def test_bad_rows_name_their_line():
         (MINIMAL, "z 0.5 0.0\nend", "z nan 0.0\nend", "finite"),
         (MINIMAL, "branch 1 2", "branch 2 2", "differ"),
         (MINIMAL, "slack 1\nzrow 0.5", "slack 1\nzrow -0.5", "semidefinite"),
+        (MINIMAL, "phases 1", "phases one", "phase count must be an integer"),
+        (MINIMAL, "phases 1", "phases 0", "phase count must be >= 1"),
+        (MINIMAL, "branch 1 2", "config", "config needs a name"),
+        (CATALOG, " seq 0.071 0.379 3.038 0.202 0.884 1.74 transposed", "", "line row too short"),
+        (THREE, "2 3 1.5 config a", "2 3 1.5 config a b", "config reference needs exactly one name"),
+        (CATALOG, "1.74 transposed", "1.74", "seq line needs r1 x1 b1 r0 x0 b0 followed by 'transposed'"),
+        (MINIMAL, "branch 1 2", "branch 1", "branch block needs: branch <from> <to>"),
+        (THREE, "shunt 2", "shunt 2 3", "shunt block needs: shunt <node>"),
+        (MINIMAL, "slack 1\nzrow", "slack\nzrow", "slack block needs: slack <node>"),
+        (MINIMAL, "end\n\nslack 1", "tap 1.0\nend\n\nslack 1", "unknown branch attribute 'tap'"),
+        (CATALOG, "1 sc 100.0", "9 sc 100.0", "slack node 9 needs a nominal voltage"),
+        (CATALOG, " zip_im", " lam 1.0 pf 0.9 zip_im", "unknown resource field 'pf'"),
+        (CATALOG, "v0_kv 14.376", "v0_kv 14.376 v0 14376.0", "exactly one of 'v0'/'v0_kv'"),
+        (MINIMAL, "load v0 1000.0", "load", "exactly one of 'v0'/'v0_kv'"),
+        (MINIMAL, " zip_im 0.0 0.0 1.0", "", "resource row needs zip_re and zip_im triples"),
     ]
     for text, old, new, match in cases:
         assert text.count(old) == 1, old
@@ -331,6 +357,14 @@ def test_first_bad_matrix_row_is_reported():
         with pytest.raises(ParseError, match=match) as exc:
             parse_grid_text(text)
         assert exc.value.line == z_line + bad, new_rows
+
+
+
+def test_overflowing_block_sum_is_accepted():
+    # The one-pass conversion sees the block's sum overflow to inf and hands
+    # the block to the row-by-row path, which accepts each finite number.
+    grid, _, _ = parse_grid_text(MINIMAL.replace("z 0.5 0.0", "z 1e308 1e308"))
+    assert grid.branches[0].z[0, 0] == complex(1e308, 1e308)
 
 
 # -- Group 2 ---------------------------------------------------------------

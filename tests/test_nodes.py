@@ -30,7 +30,7 @@ Proves:
 import numpy as np
 import pytest
 
-from conftest import PASSIVITY_EDGES
+from polyvsi_cases import PASSIVITY_EDGES
 from polyvsi.builders import positive_sequence_source, short_circuit_slack
 from polyvsi.errors import ZeroVoltage
 from polyvsi.nodes import (

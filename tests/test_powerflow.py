@@ -77,7 +77,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-from conftest import CP, VNOM, fd_jacobian, random_system, two_bus
+from polyvsi_cases import CP, VNOM, fd_jacobian, random_system, two_bus
 from polyvsi import grid as grid_module
 from polyvsi import nodes as nodes_module
 from polyvsi import powerflow

@@ -44,7 +44,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CP, two_bus
+from polyvsi_cases import CP, two_bus
 from polyvsi.continuation import CpfConfig, CpfTrace, run_cpf
 from polyvsi.errors import ParseError
 from polyvsi.gridfile import write_text_atomic

@@ -25,6 +25,9 @@ Proves:
    5.  Vectorized coefficients match an explicit per-pair block loop
    6.  VsiCoefficients.pairs addresses the coefficient arrays
    7.  Missing resource model raises ValueError
+   7a. Both index entry points place models by the system build's rule: no
+       slacks, a second resource model at a node and a repeated slack list
+       raise IncompleteModel naming the nodes (bundled feeder)
 
  Group 4 - Index values
    8.  Two-bus index matches the closed-form |1 - E/V| at the solution
@@ -44,6 +47,7 @@ Proves:
        before the fold (the index errs on the safe side)
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -51,10 +55,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system, two_bus
+from polyvsi_cases import random_system, two_bus
 from polyvsi import powerflow
 from polyvsi.benchmark import build_benchmark
-from polyvsi.errors import DegenerateDenominator, SingularInteriorBlock, ZeroVoltage
+from polyvsi.errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
 from polyvsi.grid import (
     Branch,
     GridModel,
@@ -268,6 +272,25 @@ def test_missing_resource_raises():
     op, _ = solve_power_flow(system, xi=1.0)
     with pytest.raises(ValueError, match="no resource model"):
         vsi_coefficients(system.hybrid, slacks, [], op)
+
+
+@pytest.mark.parametrize("entry", [evaluate_vsi, vsi_coefficients])
+@pytest.mark.parametrize("case", ["no-slacks", "second-model-at-9", "slacks-twice"])
+def test_index_entry_points_match_models(bench_system, entry, case):
+    op, _ = solve_power_flow(bench_system)
+    slacks, resources = list(bench_system.slacks), list(bench_system.resources)
+    at_9 = next(r for r in resources if r.node == 9).with_lam(2.0)
+    nodes = [9, 12, 14, 17, 19, 20, 23, 25]
+    slacks, resources, message = {
+        "no-slacks": ([], resources, "no slack model for nodes [1]; slack models at [] must sit"),
+        "second-model-at-9": (slacks, resources + [at_9],
+                              f"resource models at {nodes + [9]} must sit one-to-one on the "
+                              f"resource nodes {nodes}"),
+        "slacks-twice": (slacks * 2, resources,
+                         "slack models at [1, 1] must sit one-to-one on the slack nodes [1]"),
+    }[case]
+    with pytest.raises(IncompleteModel, match=re.escape(message)):
+        entry(bench_system.hybrid, slacks, resources, op)
 
 
 # -- Group 4 ---------------------------------------------------------------
