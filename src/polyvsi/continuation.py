@@ -34,10 +34,15 @@ sample on demand.
 Each anchor's J_x is evaluated once and factored once, dense or sparse
 (grid.linear_solver): the tangent, every corrector step from that anchor,
 the sample's subspace step and, at the base, the seeding of the step's
-block all solve on that one LU.  The corrector is a chord method: it
-evaluates f and D_xi f at each iterate but never J_x, and eliminates the
-sphere row by bordering, so it factors nothing.  Only the base solve
-factors its own Jacobians, one per Newton iteration.
+block all solve on that one LU.  A dense J_x is factored by LAPACK's band
+LU on the problem's band order when it has one (PolyphaseSystem.band:
+reverse Cuthill-McKee over the feeder's nodes, so a radial feeder's J_x
+is a narrow band), and by the general LU of the matrix as given when it
+has none; where numpy's LAPACK cannot be bound, every solve falls back to
+np.linalg.solve and the order is not used.  The corrector is a chord
+method: it evaluates f and D_xi f at each iterate but never J_x, and
+eliminates the sphere row by bordering, so it factors nothing.  Only the
+base solve factors its own Jacobians, one per Newton iteration.
 """
 
 from __future__ import annotations
@@ -249,13 +254,14 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     sigma_floor = config.sigma * SIGMA_MIN_RATIO
     fold_evidence = False
     block = SvdBlock()
+    band = getattr(system, "band", None)
     termination = TERM_STEP_LIMIT
     j_k = solve_k = None  # held while J_x at the anchor (x_k, xi_k) and its factor
 
     for step in range(config.max_steps):
         try:
             j_k = system.jacobian_x(x_k, xi_k)
-            solve_k = linear_solver(j_k, "state Jacobian at the anchor")
+            solve_k = linear_solver(j_k, "state Jacobian at the anchor", band=band)
             t_x, t_xi = tangent_direction(system, x_k, xi_k, solve_k)
         except SingularJacobian:
             trace.events.append(f"step {step}: singular Jacobian at anchor, fold reached")

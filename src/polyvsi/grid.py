@@ -8,8 +8,9 @@ nodes by Kron reduction (a Schur complement), and exchanges voltage and
 current roles on a node subset via the hybrid parameter transformation.
 It also holds the one linear-solve rule the solvers share (linear_solver):
 factor once, solve many times, on both containers: LAPACK for a dense
-array, SuperLU for a SciPy sparse matrix, every failure mapped to the
-caller's error type.
+array (its band LU on a Band's order, as reverse_cuthill_mckee gives it,
+when the caller has one), SuperLU for a SciPy sparse matrix, every failure
+mapped to the caller's error type.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ def _inverse(a: np.ndarray) -> tuple:
 
 @cache
 def _lapack() -> dict:
-    """{dtype char: (gesv, getrf, getrs)} for float64 ("d") and complex128
-    ("D"), bound by ctypes to the ILP64 LAPACK of the OpenBLAS that a numpy 2
+    """{dtype char: {name: routine}} for float64 ("d") and complex128 ("D"),
+    with the routines gesv, getrf, getrs (general LU) and gbtrf, gbtrs (band
+    LU), bound by ctypes to the ILP64 LAPACK of the OpenBLAS that a numpy 2
     wheel ships as numpy.libs/libscipy_openblas64_*, the library np.linalg
-    itself calls.  Empty, or without a dtype, when that file or a symbol is
-    missing (a numpy 1.x wheel, a distro or conda numpy, another BLAS):
-    linear_solver then solves with np.linalg.solve.  Loaded on the first
-    dense solve, not on import.
+    itself calls.  Empty, or without a dtype, when that file or one of the
+    dtype's symbols is missing (a numpy 1.x wheel, a distro or conda numpy,
+    another BLAS): linear_solver then solves with np.linalg.solve.  Loaded
+    on the first dense solve, not on import.
     """
     found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                    "libscipy_openblas64_*"))
@@ -84,44 +86,133 @@ def _lapack() -> dict:
         lib = ctypes.CDLL(found[0])
     except (IndexError, OSError):
         return {}
-    table = {}
     c_char, int_p, ptr = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # gesv(n, nrhs, a, lda, ipiv, b, ldb, info); getrf(m, n, a, lda, ipiv, info);
+    # getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info);
+    # gbtrf(m, n, kl, ku, ab, ldab, ipiv, info);
+    # gbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
+    signatures = {
+        "gesv": [int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p],
+        "getrf": [int_p, int_p, ptr, int_p, ptr, int_p],
+        "getrs": [c_char, int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p],
+        "gbtrf": [int_p, int_p, int_p, int_p, ptr, int_p, ptr, int_p],
+        "gbtrs": [c_char, int_p, int_p, int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p],
+    }
+    table = {}
     for char, kind in (("d", "d"), ("D", "z")):
         try:
-            routines = [getattr(lib, f"scipy_{kind}{name}_64_") for name in ("gesv", "getrf", "getrs")]
+            routines = {name: getattr(lib, f"scipy_{kind}{name}_64_") for name in signatures}
         except AttributeError:
             continue
-        # gesv(n, nrhs, a, lda, ipiv, b, ldb, info); getrf(m, n, a, lda, ipiv, info);
-        # getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)
-        for routine, args in zip(routines, ([int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p],
-                                            [int_p, int_p, ptr, int_p, ptr, int_p],
-                                            [c_char, int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p])):
-            routine.argtypes, routine.restype = args, None
-        table[char] = tuple(routines)
+        for name, routine in routines.items():
+            routine.argtypes, routine.restype = signatures[name], None
+        table[char] = routines
     return table
 
 
-def _lu_step(dense: np.ndarray, gesv, getrf, getrs):
-    """step(b, transpose) on one LU factor of dense, kept in a Fortran-order
-    copy of it, so dense is never written.
+def reverse_cuthill_mckee(rows, cols, n: int) -> np.ndarray:
+    """The n vertices of the undirected graph with edges (rows[k], cols[k]) in
+    reverse Cuthill-McKee order (Cuthill & McKee, ACM 1969): breadth first
+    from a vertex of least degree in each component, the neighbours of each
+    vertex visited in increasing degree (ties by index), the whole order
+    reversed.  On a radial feeder's node graph it keeps every edge within a
+    few positions of the diagonal.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    edge = rows != cols
+    adjacent = [set() for _ in range(n)]
+    for i, j in zip(rows[edge].tolist(), cols[edge].tolist()):
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    by_degree = sorted(range(n), key=lambda v: len(adjacent[v]))
+    rank = [0] * n
+    for k, v in enumerate(by_degree):
+        rank[v] = k
+    seen, order, head = [False] * n, [], 0
+    for start in by_degree:
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        while head < len(order):
+            for v in sorted(adjacent[order[head]], key=rank.__getitem__):
+                if not seen[v]:
+                    seen[v] = True
+                    order.append(v)
+            head += 1
+    return np.array(order[::-1], dtype=np.int64)
 
-    The first call factors: an untransposed one by gesv, which factors and
-    solves in one call as np.linalg.solve does in the same library, so that
-    solve is bit-identical to np.linalg.solve at any OpenBLAS thread count;
-    a transposed one by getrf.  Every later call solves on the kept factor
-    with getrs.  The closure holds the factor and pivot arrays themselves
+
+@array_dataclass(frozen=True)
+class Band:
+    """A symmetric permutation of an n x n sparsity pattern and the band it
+    leaves: permuted, every pattern entry lies at most kl rows below and ku
+    rows above the diagonal.  linear_solver factors a dense matrix that is
+    zero off the pattern in LAPACK's band storage on this order.
+
+    perm[k] is the row and column of the matrix placed k-th; rows and cols
+    are the pattern's entries, and storage the flat index of each in the
+    Fortran-order (lead, n) band storage of gbtrf, whose first kl rows hold
+    the factor's fill.
+    """
+
+    perm: np.ndarray
+    kl: int
+    ku: int
+    rows: np.ndarray
+    cols: np.ndarray
+    storage: np.ndarray
+
+    @classmethod
+    def of(cls, perm, rows, cols) -> Band:
+        perm = np.asarray(perm, dtype=np.int64)
+        position = np.empty_like(perm)
+        position[perm] = np.arange(perm.size)
+        i, j = position[rows], position[cols]
+        kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+        storage = j * (2 * kl + ku + 1) + kl + ku + i - j
+        return cls(perm, kl, ku, np.asarray(rows), np.asarray(cols), storage)
+
+    @property
+    def lead(self) -> int:
+        """The leading dimension of the band storage, 2 kl + ku + 1."""
+        return 2 * self.kl + self.ku + 1
+
+    def gather(self, dense: np.ndarray) -> np.ndarray:
+        """The pattern entries of dense, permuted, in a new band storage."""
+        ab = np.zeros(self.lead * self.perm.size, dtype=dense.dtype)
+        ab[self.storage] = dense[self.rows, self.cols]
+        return ab
+
+
+def _lu_step(dense: np.ndarray, routines: dict, band: Band | None = None):
+    """step(b, transpose) on one LU factor of the square dense, kept in a copy
+    of it, so dense is never written; routines are one dtype's of _lapack.
+
+    Without band the factor is the general one, in a Fortran-order copy.  The
+    first call factors: an untransposed one by gesv, which factors and solves
+    in one call as np.linalg.solve does in the same library, so that solve is
+    bit-identical to np.linalg.solve at any OpenBLAS thread count; a
+    transposed one by getrf.  Every later call solves on the kept factor
+    with getrs.  With band, dense is permuted to band.perm and its pattern
+    entries gathered into band storage, the first call factors it by gbtrf
+    and every call solves with gbtrs, on the right-hand side permuted the
+    same way.  The closure holds the factor and pivot arrays themselves
     (data_as keeps a reference), so they live as long as the solver.
-    Raises LinAlgError when dense is not square, and on every call once a
-    factorization has found it exactly singular, like np.linalg.solve;
-    ValueError when b does not have n rows, because LAPACK reads and writes
-    through the bare pointers.
+    Raises LinAlgError on every call once a factorization has found the
+    matrix exactly singular, like np.linalg.solve; ValueError when b does not
+    have n rows, because LAPACK reads and writes through the bare pointers.
     """
     n = dense.shape[0]
-    if dense.shape != (n, n):
-        raise np.linalg.LinAlgError("the matrix is not square")
-    lu = np.array(dense, order="F")
+    if band is None:
+        lu, lead, dims = np.array(dense, order="F"), n, ()
+        factor, solve_on = routines["getrf"], routines["getrs"]
+    else:
+        lu, lead = band.gather(dense), band.lead
+        dims = (ctypes.c_int64(band.kl), ctypes.c_int64(band.ku))
+        factor, solve_on = routines["gbtrf"], routines["gbtrs"]
     piv = np.empty(n, dtype=np.int64)
-    size, lead, nrhs, info = (ctypes.c_int64(v) for v in (n, max(n, 1), 0, 0))
+    size, lead, ldb, nrhs, info = (ctypes.c_int64(v) for v in (n, max(lead, 1), max(n, 1), 0, 0))
     lu_p, piv_p = lu.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
     factored = False
 
@@ -129,43 +220,58 @@ def _lu_step(dense: np.ndarray, gesv, getrf, getrs):
         nonlocal factored
         if info.value:  # left by a factorization that failed
             raise np.linalg.LinAlgError("Singular matrix")
-        x = np.asarray(b).astype(lu.dtype, order="F", casting="safe")  # LAPACK overwrites x
-        if x.ndim not in (1, 2) or x.shape[0] != n:
-            raise ValueError(f"right-hand side of shape {x.shape} for a {n} x {n} matrix")
+        b = np.asarray(b)
+        if b.ndim not in (1, 2) or b.shape[0] != n:
+            raise ValueError(f"right-hand side of shape {b.shape} for a {n} x {n} matrix")
+        x = (b if band is None else b[band.perm]).astype(lu.dtype, order="F", casting="safe")
         nrhs.value = 1 if x.ndim == 1 else x.shape[1]
         x_p = x.ctypes.data_as(ctypes.c_void_p)
-        if not factored and not transpose:
-            gesv(size, nrhs, lu_p, lead, piv_p, x_p, lead, info)
+        if not factored and not transpose and band is None:
+            routines["gesv"](size, nrhs, lu_p, lead, piv_p, x_p, ldb, info)
         else:
             if not factored:
-                getrf(size, size, lu_p, lead, piv_p, info)
+                factor(size, size, *dims, lu_p, lead, piv_p, info)
             if not info.value:
-                getrs(b"T" if transpose else b"N", size, nrhs, lu_p, lead, piv_p, x_p, lead, info)
+                solve_on(b"T" if transpose else b"N", size, *dims, nrhs, lu_p, lead, piv_p, x_p, ldb, info)
         if info.value:
             raise np.linalg.LinAlgError("Singular matrix")
         factored = True
-        return x
+        if band is None:
+            return x
+        out = np.empty_like(x)
+        out[band.perm] = x
+        return out
 
     return step
 
 
-def linear_solver(a, what: str, error: type = SingularJacobian):
+def linear_solver(a, what: str, error: type = SingularJacobian, band: Band | None = None):
     """solve(b, transpose=False) for a x = b, or a' x = b with transpose=True;
     b has shape (n,) or (n, k), real, or complex when a is.
 
     a is factored once and every call solves on that factor, for both a and
     a' (a' is the plain transpose, never the conjugate one); a itself is
     never written.  An array of native float64 or complex128 is factored by
-    LAPACK at the first call and solved by getrs after it (_lu_step).  Where
-    numpy's LAPACK cannot be bound (_lapack), or for another dtype, each
-    call solves with np.linalg.solve instead, with identical results for a
-    first solve and results that may differ in the last digits for a' and
-    for later solves.  A SciPy sparse matrix is factored by SuperLU with the
-    minimum-degree ordering of a' + a, which suits every matrix the library
-    factors: each has the structurally symmetric pattern of the admittance.
-    scipy is imported only in that case.  Raises error naming what when the
-    factorization fails or a solution is not finite.
+    LAPACK at the first call and solved on that factor after it (_lu_step):
+    in band storage on band's order when band is given, and then a must be
+    zero off band's pattern (the power flow passes PolyphaseSystem.band with
+    its dense state Jacobian), else by the general LU.  Where numpy's LAPACK
+    cannot be bound (_lapack), or for another dtype, band is not used and
+    each call solves with np.linalg.solve instead, with identical results
+    for a first general solve and results that may differ in the last digits
+    for a', for later solves and for the band factor.  A SciPy sparse matrix
+    is factored by SuperLU with the minimum-degree ordering of a' + a, which
+    suits every matrix the library factors: each has the structurally
+    symmetric pattern of the admittance.  scipy is imported only in that
+    case.  Raises ValueError naming the shape when a is not square or band
+    is not of its size, and error naming what when the factorization fails
+    or a solution is not finite.
     """
+    shape = a.shape if hasattr(a, "toarray") else np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{what} of shape {shape} is not a square matrix")
+    if band is not None and band.perm.size != shape[0]:
+        raise ValueError(f"{what} of shape {shape} does not fit a band of order {band.perm.size}")
     try:
         if hasattr(a, "toarray"):
             from scipy.sparse.linalg import splu
@@ -177,7 +283,7 @@ def linear_solver(a, what: str, error: type = SingularJacobian):
         else:
             dense = np.asarray(a)
             if dense.dtype.isnative and (routines := _lapack().get(dense.dtype.char)):
-                step = _lu_step(dense, *routines)
+                step = _lu_step(dense, routines, band)
             else:
 
                 def step(b, transpose):

@@ -9,13 +9,14 @@ base so one tolerance applies across voltage levels.
 
 The Jacobian is analytic and is evaluated only on the block pattern of the
 admittance, which grid.admittance_entries stamps from the topology.  Below
-SPARSE_MIN_STATES states it is a dense array solved by LAPACK; from there on
-it is a SciPy CSC matrix factored by SuperLU.  The physical admittance block
-Y_uu follows the same rule: the hybrid reduction factors it, and the
-residual multiplies by it, in the system's container.  SciPy is imported
-only on that sparse path, so small systems never pay its import.  Newton
-iteration checks convergence before each correction, so a point that
-already satisfies the tolerance is returned untouched.
+SPARSE_MIN_STATES states it is a dense array, factored by LAPACK's band LU
+on the system's reverse Cuthill-McKee order (PolyphaseSystem.band); from
+there on it is a SciPy CSC matrix factored by SuperLU.  The physical
+admittance block Y_uu follows the same rule: the hybrid reduction factors
+it, and the residual multiplies by it, in the system's container.  SciPy
+is imported only on that sparse path, so small systems never pay its
+import.  Newton iteration checks convergence before each correction, so a
+point that already satisfies the tolerance is returned untouched.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .blocks import array_dataclass, node_phase_rows
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian, ValidationError
-from .grid import ROLE_RESOURCE, GridModel, linear_solver, validate_parameters
+from .grid import ROLE_RESOURCE, Band, GridModel, linear_solver, reverse_cuthill_mckee, validate_parameters
 from .nodes import ZipTable
 from .vsi import build_augmented, index_at, reduce_augmented
 # Not called here; perfbench/spans.py wraps it by name when tracing.
@@ -133,6 +134,8 @@ class PolyphaseSystem:
     its model's lam times xi on load rows and times 1 on compensator rows.
     sparse is set once from the size: True when 2 * n_unknown reaches
     SPARSE_MIN_STATES, and jacobian_x then returns a SciPy CSC matrix.
+    band, None on a sparse system, is the grid.Band that the power flow
+    and run_cpf hand linear_solver with the dense jacobian_x.
     slacks are aug.slacks, in the one order build_augmented gives them.
     Powers are normalized by s_base (VA); misplaced models raise IncompleteModel.
     """
@@ -175,6 +178,12 @@ class PolyphaseSystem:
         self._jac_rows = np.concatenate([self._rows, self._rows + nu] * 2)
         self._jac_cols = np.concatenate([self._cols, self._cols, self._cols + nu, self._cols + nu])
         self.sparse = 2 * nu >= SPARSE_MIN_STATES
+        # The dense J_x's band order: the nodes in reverse Cuthill-McKee order,
+        # each node's 2p states (its E rows, then its theta rows) together.
+        self.band = None
+        if not self.sparse:
+            k = reverse_cuthill_mckee(self._rows // p, self._cols // p, nu // p)[:, None] * p + np.arange(p)
+            self.band = Band.of(np.hstack([k, k + nu]).ravel(), self._jac_rows, self._jac_cols)
         # Y_uu in the system's container, for the residual and the reduction.
         self._y_uu_op = self._container(self._y_pattern, self._rows, self._cols, (nu, nu))
         self.hybrid = reduce_augmented(self.aug, self._y_uu_op)
@@ -450,10 +459,12 @@ def newton_solve(fun, solver, x0: np.ndarray, eps: float = 1e-8, max_iter: int =
 
 def newton_at(system, xi: float, x0: np.ndarray, eps: float, max_iter: int) -> NewtonResult:
     """newton_solve of system.residual at fixed loading xi from x0, on a
-    fresh linear_solver of system.jacobian_x at each iterate: the base-case
-    Newton of both solve_power_flow and run_cpf."""
+    fresh linear_solver of system.jacobian_x at each iterate, on the
+    system's band order if it has one: the base-case Newton of both
+    solve_power_flow and run_cpf."""
+    band = getattr(system, "band", None)
     return newton_solve(lambda x: system.residual(x, xi),
-                        lambda x: linear_solver(system.jacobian_x(x, xi), "Newton Jacobian"),
+                        lambda x: linear_solver(system.jacobian_x(x, xi), "Newton Jacobian", band=band),
                         x0, eps=eps, max_iter=max_iter)
 
 

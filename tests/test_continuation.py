@@ -71,10 +71,10 @@ Proves:
        twice, or once when the base is the final sample
   22a. J_x is evaluated once at each sample of a trace that ends at the
        fold: the tangent's J_x also gives the sample's singular values
-  22b. A dense trace's LUs are the base case's, one per Newton
-       iteration, and the tangent's at each anchor: the corrector, the
-       singular-value step and the base sample's seed reuse the tangent's
-       LU.  The corrector evaluates no J_x, every corrector call runs its
+  22b. A dense trace's LUs are band LUs on the system's order: the base
+       case's, one per Newton iteration, and the tangent's at each anchor;
+       the corrector, the singular-value step and the base sample's seed
+       reuse the tangent's LU, and no general LU is formed.  The corrector evaluates no J_x, every corrector call runs its
        iterations through continuation.newton_solve, and the base case
        through powerflow.newton_solve, once
   23.  The two-bus system (2 states, fewer than the block) records the
@@ -549,20 +549,21 @@ def test_full_svd_only_at_base_and_final(bench_system, monkeypatch):
 
 
 def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
-    # A trace's only dense LUs are the base case's, one per Newton iteration,
-    # and the tangent's at each anchor: the corrector, the singular-value
-    # step, and the seed at the base sample, solve on the tangent's factor.
+    # A trace's only LUs are band LUs on the system's order: the base case's,
+    # one per Newton iteration, and the tangent's at each anchor.  The
+    # corrector, the singular-value step, and the seed at the base sample,
+    # solve on the tangent's factor.
     table = grid._lapack()
     if "d" not in table:
         pytest.skip("needs the OpenBLAS of a numpy 2 wheel (numpy.libs/libscipy_openblas64_*)")
-    gesv, getrf, getrs = table["d"]
-    counts = dict.fromkeys(("factors", "anchors", "correctors", "corrector_jacobians", "base_calls",
-                            "base_iters", "corrector_calls", "corrector_iters"), 0)
+    counts = dict.fromkeys(("band_factors", "general_factors", "anchors", "correctors",
+                            "corrector_jacobians", "base_calls", "base_iters", "corrector_calls",
+                            "corrector_iters"), 0)
     in_corrector = []
 
-    def counted(routine):
+    def counted(name, routine):
         def factor(*args):
-            counts["factors"] += 1
+            counts[name] += 1
             return routine(*args)
         return factor
 
@@ -591,14 +592,17 @@ def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
 
     system = copy.copy(bench_system)
     system.jacobian_x = jacobian_x
-    monkeypatch.setattr(grid, "_lapack", lambda: {**table, "d": (counted(gesv), counted(getrf), getrs)})
+    routines = {**table["d"], "gbtrf": counted("band_factors", table["d"]["gbtrf"])}
+    routines.update((name, counted("general_factors", table["d"][name])) for name in ("gesv", "getrf"))
+    monkeypatch.setattr(grid, "_lapack", lambda: {**table, "d": routines})
     monkeypatch.setattr(powerflow, "newton_solve", newton)  # the base case, through powerflow.newton_at
     monkeypatch.setattr(continuation, "newton_solve", newton)
     monkeypatch.setattr(continuation, "tangent_direction", tangent)
     monkeypatch.setattr(continuation, "arclength_correct", corrector)
     trace = run_cpf(system)
     assert trace.termination == TERM_FOLD and counts["base_calls"] == 1
-    assert counts["factors"] == counts["base_iters"] + counts["anchors"]
+    assert counts["band_factors"] == counts["base_iters"] + counts["anchors"]
+    assert counts["general_factors"] == 0
     assert counts["anchors"] == len(trace.samples)
     assert counts["corrector_jacobians"] == 0
     # one corrector per accepted sample and one per failure event

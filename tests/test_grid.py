@@ -63,8 +63,23 @@ Proves:
   20a. With numpy's LAPACK binding absent, linear_solver's fallback gives
        a first a x = b bit for bit, and a' x = b and later solves to
        1e-12, real and complex
-  20b. The LAPACK step refuses a matrix that is not square and a
-       right-hand side without n rows before any raw-pointer call
+  20b. The LAPACK step, general or band, refuses a right-hand side
+       without n rows before any raw-pointer call; linear_solver refuses a
+       matrix that is not square, on every path, and a band of another
+       order, with a ValueError naming the shape, never as singular
+  20c. reverse_cuthill_mckee orders every vertex, isolated ones too, and
+       takes a randomly labelled path back to bandwidth 1 and the bundled
+       feeder's randomly relabelled node graph to at most 4
+  20d. On a system's band order, linear_solver solves a x = b and
+       a' x = b as np.linalg.solve does (to 1e-13 times the condition
+       number) and backward stably, for one or three right-hand sides:
+       bundled and 252-state feeder Jacobians along their traces, and
+       random matrices on the pattern of those and of small random grids
+  20e. On the band path an exactly singular and a nan Jacobian raise the
+       caller's error with the general path's messages, and a failed band
+       factorization stays failed
+  20f. With numpy's LAPACK binding absent, a band is ignored and every
+       solve is np.linalg.solve bit for bit
 
  Group 7 - Stacked algebra
   21.  _inverse on a stack equals one call per matrix bit for bit, with an
@@ -548,6 +563,7 @@ def bundled_records(bench_system, bench_trace):
         "SvdBlock": (SvdBlock(np.eye(3)), "vectors"),
         "CpfTrace": (bench_trace, "samples"),
         "BlockMatrix": (system.hybrid.h_mm, "data"),
+        "Band": (system.band, "perm"),
     }
 
 
@@ -563,7 +579,7 @@ def _changed(record, name):
 
 @pytest.mark.parametrize("cls", ["AugmentedGrid", "VsiCoefficients", "OperatingPoint", "Mismatch",
                                  "NewtonResult", "ZipTable", "CpfSample", "SvdBlock", "CpfTrace",
-                                 "BlockMatrix"])
+                                 "BlockMatrix", "Band"])
 def test_array_dataclasses_compare_by_content(bundled_records, cls):
     record, name = bundled_records[cls]
     assert type(record).__name__ == cls
@@ -632,14 +648,114 @@ def test_lu_step_rejects_bad_shapes():
     routines = grid._lapack().get("d")
     if routines is None:
         pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
-    with pytest.raises(np.linalg.LinAlgError, match="^the matrix is not square$"):
-        grid._lu_step(np.ones((2, 3)), *routines)
-    step = grid._lu_step(np.eye(3), *routines)
-    for b in (np.ones(2), np.ones((4, 1)), np.ones((3, 1, 1))):
-        message = f"right-hand side of shape {b.shape} for a 3 x 3 matrix"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            step(b, False)
-    assert np.array_equal(step(np.ones(3), True), np.ones(3))  # the refusals left the solver usable
+    tridiagonal = grid.Band.of([2, 0, 1], [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2])
+    for band in (None, tridiagonal):
+        step = grid._lu_step(np.eye(3), routines, band)
+        for b in (np.ones(2), np.ones((4, 1)), np.ones((3, 1, 1))):
+            message = f"right-hand side of shape {b.shape} for a 3 x 3 matrix"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                step(b, False)
+        assert np.array_equal(step(np.ones(3), True), np.ones(3))  # the refusals left the solver usable
+
+
+def test_linear_solver_rejects_non_square(bench_system, monkeypatch):
+    # Checked before any factorization, so the shape is never reported as a
+    # singular matrix, on every path.
+    band = bench_system.band
+    for lapack in (grid._lapack(), {}):
+        monkeypatch.setattr(grid, "_lapack", lambda: lapack)
+        for a in (np.ones((2, 3)), np.ones((2, 3), dtype=complex), csc_array(np.ones((2, 3))), np.ones(4),
+                  np.ones((2, 2, 2)), [[1.0, 2.0]]):
+            shape = np.shape(a) if not hasattr(a, "toarray") else a.shape
+            for b in (None, band):
+                with pytest.raises(ValueError, match=re.escape(f"m of shape {shape} is not a square matrix")):
+                    linear_solver(a, "m", band=b)
+        with pytest.raises(ValueError, match=re.escape("m of shape (3, 3) does not fit a band of order 150")):
+            linear_solver(np.eye(3), "m", band=band)
+
+
+def _bandwidth(order, rows, cols):
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return int(np.abs(position[rows] - position[cols]).max(initial=0))
+
+
+def test_reverse_cuthill_mckee_orders_any_labelling(bench_system):
+    # A path labelled at random, with self loops and an isolated vertex 9,
+    # comes out as a path again.
+    path = np.array([4, 7, 0, 2, 8, 1, 5, 3, 6])
+    rows, cols = np.append(path[:-1], [3, 9]), np.append(path[1:], [3, 9])
+    order = grid.reverse_cuthill_mckee(rows, cols, 10)
+    assert sorted(order.tolist()) == list(range(10)) and _bandwidth(order, rows, cols) == 1
+    # The bundled feeder's node graph under shuffled labels: the shuffled
+    # numbering leaves about 20 of 25 nodes between neighbours, the order 4
+    # at most (2 on the grid file's own labels).
+    p = bench_system.p
+    rows, cols, n = bench_system._rows // p, bench_system._cols // p, bench_system.n_unknown // p
+    for seed in range(5):
+        label = np.random.default_rng(seed).permutation(n)
+        order = grid.reverse_cuthill_mckee(label[rows], label[cols], n)
+        assert sorted(order.tolist()) == list(range(n))
+        assert _bandwidth(order, label[rows], label[cols]) <= 4 < 15 <= _bandwidth(np.arange(n), label[rows], label[cols])
+
+
+def _pattern_matrix(band, rng):
+    """A random matrix on band's pattern, diagonally dominant."""
+    n = band.perm.size
+    a = np.zeros((n, n))
+    a[band.rows, band.cols] = rng.standard_normal(band.rows.size)
+    a[np.arange(n), np.arange(n)] += 2.0 * np.abs(a).sum(axis=1) + 1.0
+    return a
+
+
+def test_band_solver_matches_solve(bench_system, bench_trace, feeder_trace):
+    rng = np.random.default_rng(11)
+    system, trace = feeder_trace
+    cases = [(bench_system, bench_system.jacobian_x(s.x, s.xi)) for s in bench_trace.samples[::16]]
+    cases += [(system, system.jacobian_x(s.x, s.xi)) for s in trace.samples[::24]]
+    cases += [(s, _pattern_matrix(s.band, rng)) for s in (bench_system, system) for _ in range(2)]
+    for g in (random_system(np.random.default_rng(seed)) for seed in range(4)):
+        small = PolyphaseSystem(*g)
+        cases.append((small, _pattern_matrix(small.band, rng)))
+    for owner, a in cases:
+        n, cond = a.shape[0], np.linalg.cond(a)  # the Jacobians next to the fold reach 1e7
+        solve = linear_solver(a, "J_x", band=owner.band)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            for transpose in (False, True, False):
+                m = a.T if transpose else a
+                x = solve(b, transpose=transpose)
+                assert x.shape == b.shape
+                assert np.abs(x - np.linalg.solve(m, b)).max() <= 1e-13 * cond * np.abs(x).max()
+                assert np.abs(m @ x - b).max() <= 1e-13 * np.abs(m).max() * np.abs(x).max()
+
+
+def test_band_solver_failures(bench_system):
+    band = bench_system.band
+    a = bench_system.jacobian_x(bench_system.flat_start(), 1.0)
+    singular, nan = a.copy(), a.copy()
+    singular[7, band.cols[band.rows == 7]] = 0.0  # the whole row: gbtrf finds U exactly singular
+    nan[band.rows[9], band.cols[9]] = np.nan
+    # A nan matrix may fail in the factorization or only in its solution.
+    for bad, message in ((singular, "is singular"), (nan, "(is singular|gives a solution)")):
+        for transpose in (False, True):
+            with pytest.raises(SingularBranch, match=f"^J_x {message}"):
+                linear_solver(bad, "J_x", SingularBranch, band)(np.ones(150), transpose=transpose)
+    for first in (False, True):  # a failed factorization stays failed
+        solve = linear_solver(singular, "J_x", SingularBranch, band)
+        for transpose in (first, not first, first):
+            with pytest.raises(SingularBranch, match="^J_x is singular"):
+                solve(np.ones(150), transpose=transpose)
+
+
+def test_band_solver_without_lapack_takes_the_general_path(bench_system, monkeypatch):
+    # Without numpy's LAPACK binding the band is not used: every call is
+    # np.linalg.solve on the matrix as given.
+    a = bench_system.jacobian_x(bench_system.flat_start(), 1.0)
+    b = np.random.default_rng(3).standard_normal((150, 2))
+    monkeypatch.setattr(grid, "_lapack", lambda: {})
+    solve = linear_solver(a, "J_x", band=bench_system.band)
+    assert np.array_equal(solve(b), np.linalg.solve(a, b))
+    assert np.array_equal(solve(b, transpose=True), np.linalg.solve(a.T, b))
 
 
 # -- Group 7 ---------------------------------------------------------------
