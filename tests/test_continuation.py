@@ -74,9 +74,10 @@ Proves:
   22b. A dense trace's LUs are band LUs on the system's order: the base
        case's, one per Newton iteration, and the tangent's at each anchor;
        the corrector, the singular-value step and the base sample's seed
-       reuse the tangent's LU, and no general LU is formed.  The corrector evaluates no J_x, every corrector call runs its
-       iterations through continuation.newton_solve, and the base case
-       through powerflow.newton_solve, once
+       reuse the tangent's LU, and no general LU is formed.  The corrector
+       evaluates no J_x, every corrector call runs its iterations through
+       continuation.newton_solve, and the base case through
+       powerflow.newton_solve, once
   23.  The two-bus system (2 states, fewer than the block) records the
        exact triplet at every sample
 """
