@@ -6,12 +6,22 @@ and `transformers` tables (catalog forms that expand through the shared
 builders), explicit `branch` and `slack` blocks (the exact forms the
 serializer emits), a `slacks` table for short-circuit-rated sources, and a
 `resources` table.  Node ids are integers when they look like integers,
-otherwise strings.  Numbers are read with Python's float(); each matrix
-block (P rows of P real or P complex numbers, the latter as real and
-imaginary pairs) is converted in one pass.  Every number must be finite;
-a faulty row, or a model constructor's ValueError, is reported as a
-ParseError at its row's (or block header's) line.  parse_configs reads a
-text made only of config blocks.
+otherwise strings.
+
+The reader splits a line when it reaches it, so it holds the tokens of
+one block at a time.  Numbers are read with Python's float().  A block's
+matrices (P rows of P real or P complex numbers, the latter as real and
+imaginary pairs) and its one-number rows (a branch's gain and rated) are
+gathered while the block is scanned and converted in one pass; so are
+the numbers of a resource row.  Every number must be finite.  A faulty
+row, a fault in a block's structure, or a model constructor's ValueError
+is reported as a ParseError at its row's (or block header's) line, and
+it is the first fault in line order: only a faulty block is read again
+row by row.  Each key is given once: a second gain, rated, label, yfrom
+or yto in a branch block, a repeated resource field, or a second config
+of one name is a ParseError at the repeated row's line.  A resource's
+ZIP triples are built once per distinct triple of tokens.  parse_configs
+reads a text made only of config blocks.
 
 parse_grid(serialize_grid(...)) reproduces the models bit-exactly: floats
 are emitted with repr and re-read with float(), and catalog rows expand
@@ -22,7 +32,10 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
+from itertools import count, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,8 +62,12 @@ def zip_from_values(alpha: float, beta: float, gamma: float) -> ZipCoefficients:
 def resource_from_values(node, kind: str, v0: float, p0, q0, zre, zim,
                          lam: float = 1.0) -> ResourceModel:
     """Resource from SI values (V, W, var), one ZIP pair for all phases."""
-    zip_re = zip_from_values(*zre)
-    zip_im = zip_from_values(*zim)
+    return _resource(node, kind, v0, p0, q0, zip_from_values(*zre), zip_from_values(*zim), lam)
+
+
+def _resource(node, kind: str, v0: float, p0, q0, zip_re: ZipCoefficients,
+              zip_im: ZipCoefficients, lam: float = 1.0) -> ResourceModel:
+    """Resource from SI values whose phases share one ZIP pair."""
     phases = tuple(
         PhaseResource(p0=pw, q0=qv, zip_re=zip_re, zip_im=zip_im)
         for pw, qv in zip(p0, q0, strict=True)
@@ -120,97 +137,132 @@ def _made(line, ctor, *args, **kwargs):
         raise ParseError(str(exc), line) from None
 
 
-class _Lines:
-    """Iterator over (lineno, tokens) skipping blanks and comments."""
-
-    def __init__(self, text: str):
-        rows = ((i, (raw.split("#", 1)[0] if "#" in raw else raw).split())
-                for i, raw in enumerate(text.splitlines(), 1))
-        self.rows = [(i, tok) for i, tok in rows if tok]
-        self.pos = 0
-
-    def __bool__(self):
-        return self.pos < len(self.rows)
-
-    def take(self):
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
-
-    def table(self, what):
-        """Yield rows up to the closing 'end', which is consumed."""
-        while self:
-            ln, t = self.take()
-            if t == ["end"]:
-                return
-            yield ln, t
-        raise ParseError(f"missing 'end' after {what} section")
-
-    def close(self, what):
-        """Consume the 'end' that must follow a block's fixed rows."""
-        for ln, _ in self.table(what):
-            raise ParseError(f"expected 'end' closing {what}", ln)
-
-    def row(self, keyword):
-        """Take the next row, which must start with `keyword`; returns (lineno, rest)."""
-        if not self:
-            raise ParseError(f"unexpected end of file: expected '{keyword}' row")
-        ln, t = self.take()
-        if t[0] != keyword:
-            raise ParseError(f"expected '{keyword}' row", ln)
-        return ln, t[1:]
-
-    def numbers(self, keyword, n, width, first=None) -> np.ndarray:
-        """(n, width) floats from n `keyword` rows; `first` is a (lineno, values) row already taken.
-
-        The rows are converted in one float() pass.  Only a faulty block is
-        read again row by row, so the error is the first one in line order.
-        A non-finite number makes the block's sum non-finite; a finite block
-        whose sum overflows just takes the row-by-row path, which accepts it.
-        """
-        start = self.pos
-        rows = [] if first is None else [first[1]]
-        rows += [t[1:] for _, t in self.rows[start : start + n - len(rows)] if t[0] == keyword]
-        if len(rows) == n and all(len(t) == width for t in rows):
-            try:
-                vals = [float(x) for t in rows for x in t]
-                clean = math.isfinite(sum(vals))
-            except ValueError:
-                clean = False
-            if clean:
-                self.pos = start + n - (first is not None)
-                return np.array(vals).reshape(n, width)
-        vals = []
-        for i in range(n):
-            ln, t = first if first is not None and i == 0 else self.row(keyword)
-            vals.append(_floats(t, width, ln))
-        return np.array(vals)
-
-    def matrix(self, keyword, p, dtype=complex, first=None):
-        """p x p matrix from `keyword` rows (real, imaginary pairs when complex)."""
-        a = self.numbers(keyword, p, 2 * p if dtype is complex else p, first)
-        return a.view(complex) if dtype is complex else a
+# Every line boundary of str.splitlines, so a comment ends where its line does.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def _read_config(src, tok, line, p, configs):
+def _convert(rows) -> list:
+    """Flat floats of (lineno, tokens, width) rows, converted in one pass.
+
+    Only faulty rows are read again one by one (_floats), so the error is
+    the first one in line order.  A non-finite number makes the sum
+    non-finite; finite rows whose sum overflows just take the one-by-one
+    path, which accepts them.
+    """
+    if all(len(t) == w for _, t, w in rows):
+        try:
+            vals = [float(x) for _, t, _ in rows for x in t]
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(sum(vals)):
+                return vals
+    return [x for ln, t, w in rows for x in _floats(t, w, ln)]
+
+
+def _fault(rows, message, line=None):
+    """Raise ParseError(message, line), unless one of `rows`, which all sit
+    above that line, holds an earlier fault (see _convert)."""
+    _convert(rows)
+    raise ParseError(message, line)
+
+
+def _rows(text: str):
+    """Iterator over the (lineno, tokens) rows of text, skipping blanks and
+    comments.  A line is split when its row is read, so the parser holds the
+    tokens of one block at a time."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    return filter(itemgetter(1), zip(count(1), map(str.split, text.splitlines())))
+
+
+def _table(rows, what):
+    """Yield rows up to the closing 'end', which is consumed."""
+    for ln, t in rows:
+        if t == ["end"]:
+            return
+        yield ln, t
+    raise ParseError(f"missing 'end' after {what} section")
+
+
+def _block(rows, what, p, fixed, attrs=None) -> dict:
+    """Read one block up to its 'end' and convert its numbers in one pass.
+
+    `fixed` holds the (keyword, n, dtype) matrices that open the block, in
+    order: n rows of `keyword`, each a row of p numbers (complex ones as p
+    real and imaginary pairs).  Then come the rows of `attrs`, each keyword
+    at most once, in any order: an (n, dtype) matrix, a float (one number)
+    or a str (the rest of the row, None when empty).  Without attrs only the
+    'end' may follow.  Returns {keyword: (n, p) array, float or text}.  A
+    fault in the block's structure is reported after the rows above it are
+    converted, so the error is the first one in line order.
+    """
+    gathered = []  # (lineno, number tokens, width) of every row of numbers, in line order
+    found = []  # (keyword, n, width, dtype) in line order; dtype None for one number
+
+    def read(keyword, n, dtype, first):
+        """Gather the n `keyword` rows that start with the rows in `first`."""
+        width = 1 if dtype is None else 2 * p if dtype is complex else p
+        chunk = first + list(islice(rows, n - len(first)))
+        for ln, t in chunk:
+            if t[0] != keyword:
+                _fault(gathered, f"expected '{keyword}' row", ln)
+            gathered.append((ln, t[1:], width))
+        if len(chunk) < n:
+            _fault(gathered, f"unexpected end of file: expected '{keyword}' row")
+        found.append((keyword, n, width, dtype))
+
+    for keyword, n, dtype in fixed:
+        read(keyword, n, dtype, [])
+    out = {}
+    for ln, t in rows:
+        if t == ["end"]:
+            break
+        key = t[0]
+        if attrs is None:
+            _fault(gathered, f"expected 'end' closing {what}", ln)
+        if key not in attrs:
+            _fault(gathered, f"unknown {what} attribute {key!r}", ln)
+        if key in out:
+            _fault(gathered, f"repeated {what} attribute {key!r}", ln)
+        kind = attrs[key]
+        if kind is str:
+            out[key] = " ".join(t[1:]) or None
+        else:
+            out[key] = None  # set once the block is converted
+            read(key, *((1, None) if kind is float else kind), [(ln, t)])
+    else:
+        _fault(gathered, f"missing 'end' after {what} section")
+    vals = _convert(gathered)
+    array = np.array(vals)
+    k = 0
+    for keyword, n, width, dtype in found:
+        if dtype is None:
+            out[keyword] = vals[k]
+        else:
+            out[keyword] = array[k : k + n * width].view(dtype).reshape(n, p)
+        k += n * width
+    return out
+
+
+def _read_config(rows, tok, line, p, configs):
     """Read the body of a `config NAME` block into configs[NAME] = (z, b)."""
     if len(tok) != 2:
         raise ParseError("config needs a name", line)
-    z = src.matrix("z", p)
-    b = src.matrix("b", p, float)
-    src.close(f"config {tok[1]}")
-    configs[tok[1]] = (z, b)
+    if tok[1] in configs:
+        raise ParseError(f"repeated config {tok[1]!r}", line)
+    m = _block(rows, f"config {tok[1]}", p, (("z", p, complex), ("b", p, float)))
+    configs[tok[1]] = (m["z"], m["b"])
 
 
 def parse_configs(text: str, p: int) -> dict:
     """Parse text made only of `config` blocks; returns {name: (z, b)}."""
-    src = _Lines(text)
+    rows = _rows(text)
     configs = {}
-    while src:
-        line, tok = src.take()
+    for line, tok in rows:
         if tok[0] != "config":
             raise ParseError(f"expected a config block, got {tok[0]!r}", line)
-        _read_config(src, tok, line, p, configs)
+        _read_config(rows, tok, line, p, configs)
     return configs
 
 
@@ -223,10 +275,10 @@ def parse_grid_text(text: str):
     validate_parameters and refused when a system is built
     (grid.admittance_entries).
     """
-    src = _Lines(text)
-    if not src:
+    rows = _rows(text)
+    line, tok = next(rows, (None, None))
+    if tok is None:
         raise ParseError("empty grid file")
-    line, tok = src.take()
     if tok[0] != "phases" or len(tok) != 2:
         raise ParseError("file must start with 'phases P'", line)
     try:
@@ -242,23 +294,27 @@ def parse_grid_text(text: str):
     slacks: list[SlackModel] = []
     resources: list[ResourceModel] = []
     configs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    branch_attrs = {"yfrom": (p, complex), "yto": (p, complex), "gain": float, "rated": float,
+                    "label": str}
+    resource_widths = {"v0": 1, "v0_kv": 1, "p0": p, "p0_kw": p, "q0": p, "q0_kvar": p,
+                       "zip_re": 3, "zip_im": 3, "lam": 1}
+    zips: dict[tuple, ZipCoefficients] = {}
 
-    while src:
-        line, tok = src.take()
+    for line, tok in rows:
         head = tok[0]
 
         if head == "nodes":
-            for ln, t in src.table("nodes"):
+            for ln, t in _table(rows, "nodes"):
                 if len(t) != 3:
                     raise ParseError("node row needs: id role vnom_volts|-", ln)
                 vnom = None if t[2] == "-" else _floats([t[2]], 1, ln)[0]
                 nodes.append(_made(ln, Node, id=_node_id(t[0]), role=t[1], vnom=vnom))
 
         elif head == "config":
-            _read_config(src, tok, line, p, configs)
+            _read_config(rows, tok, line, p, configs)
 
         elif head == "lines":
-            for ln, t in src.table("lines"):
+            for ln, t in _table(rows, "lines"):
                 t, rated = _rated(t, ln)
                 if len(t) < 4:
                     raise ParseError("line row too short", ln)
@@ -285,7 +341,7 @@ def parse_grid_text(text: str):
                     raise ParseError(f"unknown line form {rest[0]!r}", ln)
 
         elif head == "transformers":
-            for ln, t in src.table("transformers"):
+            for ln, t in _table(rows, "transformers"):
                 t, rated = _rated(t, ln)
                 if len(t) != 9:
                     raise ParseError(
@@ -299,34 +355,21 @@ def parse_grid_text(text: str):
         elif head == "branch":
             if len(tok) != 3:
                 raise ParseError("branch block needs: branch <from> <to>", line)
-            z = src.matrix("z", p)
-            gain, rated, label = 1.0, None, None
-            shunt_y = {"yfrom": None, "yto": None}
-            for ln, t in src.table("branch"):
-                if t[0] in shunt_y:
-                    shunt_y[t[0]] = src.matrix(t[0], p, first=(ln, t[1:]))
-                elif t[0] == "gain":
-                    gain = _floats(t[1:], 1, ln)[0]
-                elif t[0] == "rated":
-                    rated = _floats(t[1:], 1, ln)[0]
-                elif t[0] == "label":
-                    label = " ".join(t[1:]) or None
-                else:
-                    raise ParseError(f"unknown branch attribute {t[0]!r}", ln)
-            branches.append(_made(line, Branch, _node_id(tok[1]), _node_id(tok[2]), z, gain=gain,
-                                  y_shunt_from=shunt_y["yfrom"], y_shunt_to=shunt_y["yto"],
-                                  rated_a=rated, label=label))
+            m = _block(rows, "branch", p, (("z", p, complex),), branch_attrs)
+            branches.append(_made(line, Branch, _node_id(tok[1]), _node_id(tok[2]), m["z"],
+                                  gain=m.get("gain", 1.0), y_shunt_from=m.get("yfrom"),
+                                  y_shunt_to=m.get("yto"), rated_a=m.get("rated"),
+                                  label=m.get("label")))
 
         elif head == "shunt":
             if len(tok) != 2:
                 raise ParseError("shunt block needs: shunt <node>", line)
-            y = src.matrix("y", p)
-            src.close("shunt")
+            y = _block(rows, "shunt", p, (("y", p, complex),))["y"]
             shunts.append(_made(line, Shunt, node=_node_id(tok[1]), y=y))
 
         elif head == "slacks":
             vnoms = {n.id: n.vnom for n in nodes}
-            for ln, t in src.table("slacks"):
+            for ln, t in _table(rows, "slacks"):
                 if len(t) != 4 or t[1] != "sc":
                     raise ParseError("slack row needs: node sc s_sc_mva r_over_x", ln)
                 node = _node_id(t[0])
@@ -338,14 +381,13 @@ def parse_grid_text(text: str):
         elif head == "slack":
             if len(tok) != 2:
                 raise ParseError("slack block needs: slack <node>", line)
-            z = src.matrix("zrow", p)
-            v = src.numbers("vrow", 1, 2 * p).view(complex)[0]
-            src.close("slack")
-            slacks.append(_made(line, SlackModel, node=_node_id(tok[1]), v_te=v, z_te=z))
+            m = _block(rows, "slack", p, (("zrow", p, complex), ("vrow", 1, complex)))
+            slacks.append(_made(line, SlackModel, node=_node_id(tok[1]), v_te=m["vrow"][0],
+                                z_te=m["zrow"]))
 
         elif head == "resources":
-            for ln, t in src.table("resources"):
-                resources.append(_made(ln, _parse_resource_row, t, p, ln))
+            for ln, t in _table(rows, "resources"):
+                resources.append(_made(ln, _parse_resource_row, t, ln, resource_widths, zips))
 
         else:
             raise ParseError(f"unknown section {head!r}", line)
@@ -357,21 +399,29 @@ def parse_grid_text(text: str):
     return grid, slacks, resources
 
 
-def _parse_resource_row(t, p, ln) -> ResourceModel:
+def _parse_resource_row(t, ln, widths, zips) -> ResourceModel:
+    """One `resources` row; widths maps each field to its count of numbers,
+    zips holds the ZipCoefficients built so far by their tokens as written."""
     if len(t) < 2:
         raise ParseError("resource row too short", ln)
     node, kind = _node_id(t[0]), t[1]
-    fields = {}
+    starts = {}  # field -> index of its first number in t
+    rows = []
     i = 2
-    widths = {"v0": 1, "v0_kv": 1, "p0": p, "p0_kw": p, "q0": p, "q0_kvar": p,
-              "zip_re": 3, "zip_im": 3, "lam": 1}
     while i < len(t):
         key = t[i]
         if key not in widths:
-            raise ParseError(f"unknown resource field {key!r}", ln)
-        w = widths[key]
-        fields[key] = _floats(t[i + 1 : i + 1 + w], w, ln)
-        i += 1 + w
+            _fault(rows, f"unknown resource field {key!r}", ln)
+        if key in starts:
+            _fault(rows, f"repeated resource field {key!r}", ln)
+        starts[key] = i + 1
+        rows.append((ln, t[i + 1 : i + 1 + widths[key]], widths[key]))
+        i += 1 + widths[key]
+    vals = _convert(rows)
+    fields, k = {}, 0
+    for key in starts:
+        fields[key] = vals[k : k + widths[key]]
+        k += widths[key]
     si = {}
     for a, b in (("v0", "v0_kv"), ("p0", "p0_kw"), ("q0", "q0_kvar")):
         if (a in fields) == (b in fields):
@@ -379,8 +429,15 @@ def _parse_resource_row(t, p, ln) -> ResourceModel:
         si[a] = fields[a] if a in fields else [x * 1e3 for x in fields[b]]  # kV, kW, kvar
     if "zip_re" not in fields or "zip_im" not in fields:
         raise ParseError("resource row needs zip_re and zip_im triples", ln)
-    return resource_from_values(node, kind, si["v0"][0], si["p0"], si["q0"], fields["zip_re"],
-                                fields["zip_im"], lam=fields.get("lam", [1.0])[0])
+    pair = []
+    for key in ("zip_re", "zip_im"):
+        # Keyed on the tokens: a float key would take -0.0 for 0.0.
+        written = tuple(t[starts[key] : starts[key] + 3])
+        if written not in zips:
+            zips[written] = zip_from_values(*fields[key])
+        pair.append(zips[written])
+    return _resource(node, kind, si["v0"][0], si["p0"], si["q0"], *pair,
+                     lam=fields.get("lam", [1.0])[0])
 
 
 def parse_grid(path):

@@ -27,6 +27,14 @@ Proves:
        bad token or a non-finite number raises ParseError naming that row;
        with faults in several rows the first one in line order is reported;
        a finite block whose sum overflows (two 1e308 entries) is accepted
+   4d. The first fault in line order is reported across a branch block's
+       matrix and attribute rows (gain, rated, an unknown attribute, a
+       missing end) and across blocks (a later malformed block or unknown
+       section)
+   4e. A repeated key is a ParseError at the repeated row's line: a second
+       gain, rated, label, yfrom or yto in one branch block, a repeated
+       resource field, and a second config of one name (also in
+       parse_configs)
 
  Group 2 - Validation
    5.  Asymmetric parameters parse cleanly, and building a system from
@@ -40,12 +48,18 @@ Proves:
        rounded ones
    9.  Resource rows mixing SI and catalog units parse to the all-catalog
        row's model and serialize to the same text
+   9a. ZIP triples that differ only in the sign of a zero keep their own
+       signs through parse and serialize
   10.  The text of a 302-node synthetic feeder re-serializes to itself and
        re-parses to equal models
   11.  (hypothesis) serialize -> parse reproduces random_system models with
        each resource's ZIP triples made uniform and a drawn lam; with the
        per-phase triples left differing, serialize raises ValueError
        naming the resource
+  11a. The models parsed from the bundled file and the 42- and 302-node
+       synthetic feeders, and the configs of the bundled catalog, match
+       SHA-256 digests of every field's bits recorded before the one-pass
+       reader
 
  Group 4 - What the format cannot hold
   12.  serialize raises ValueError naming the element for a node id with
@@ -54,8 +68,11 @@ Proves:
        spaces, or no text; a string id and a single-spaced label round-trip
 """
 
+import hashlib
+import math
 import re
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -64,6 +81,7 @@ from hypothesis import strategies as st
 
 from polyvsi_cases import random_system
 
+from polyvsi.benchmark import bundled_grid_text
 from polyvsi.builders import (
     seq_to_phase_b,
     seq_to_phase_z,
@@ -367,6 +385,103 @@ def test_overflowing_block_sum_is_accepted():
     assert grid.branches[0].z[0, 0] == complex(1e308, 1e308)
 
 
+def _edited(text, edits):
+    """text with each (old, new) replacement made; every old occurs once."""
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+_YTO_2 = "yto 0.0 0.0 0.0 2e-05 0.0 0.0\n"
+_Z_3 = "z 0.1 0.2 0.1 0.2 0.5 1.0\n"
+
+
+@pytest.mark.parametrize("edits, at, message", [
+    # a bad number in a later yto row, after a good z
+    ([(_YTO_2, "yto 0.0 0.0 0.0 2e-05 0.0 x\n")], "0.0 x",
+     "bad number: could not convert string to float: 'x'"),
+    # a bad gain row above a bad yto row
+    ([(_Z_3, _Z_3 + "gain 1.0x\n"), (_YTO_2, "yto 0.0 0.0 0.0 nan 0.0 0.0\n")], "gain",
+     "bad number: could not convert string to float: '1.0x'"),
+    # a bad yto row above a gain row of two numbers
+    ([(_YTO_2, "yto 0.0 0.0 0.0 nan 0.0 0.0\n"), ("label feeder\n", "gain 1.0 2.0\n")],
+     "0.0 nan", "numbers must be finite, got 0.0 0.0 0.0 nan 0.0 0.0"),
+    # a short yto row above a bad rated row
+    ([(_YTO_2, "yto 0.0 0.0 0.0 2e-05 0.0\n"), ("label feeder\n", "rated -inf\n")],
+     "2e-05 0.0\n", "expected 6 numbers, got 5"),
+    # a fault in z above an unknown attribute of the same block
+    ([("z 0.5 1.0 0.1 0.2 0.1 0.2\n", "z 0.5 1.0 0.1 0.2 0.1 inf\n"),
+      ("label feeder\n", "tap 1.0\n")], "0.1 inf", "numbers must be finite"),
+    # a fault in yfrom above a block that lost its end
+    ([("yfrom 0.0 0.0 0.0 1e-05 0.0 0.0\n", "yfrom 0.0 0.0 0.0 1e-05 0.0 0.0 0.0\n"),
+      ("label feeder\nend\n", "label feeder\n")], "yfrom 0.0 0.0 0.0 1e-05 0.0 0.0 0.0",
+     "expected 6 numbers, got 7"),
+    # a fault in the branch block above a malformed later shunt block
+    ([(_YTO_2, "yto 0.0 0.0 0.0 2e-05 0.0 0x1\n"), ("shunt 2\n", "shunt 2 3\n")], "0x1",
+     "bad number: could not convert string to float: '0x1'"),
+    # a fault in the branch block above an unknown section
+    ([(_YTO_2, "yto 0.0 0.0 0.0 2e-05 0.0 1.0.0\n"), ("resources\n", "wibble\n")], "1.0.0",
+     "bad number: could not convert string to float: '1.0.0'"),
+    # a good branch block, then a fault in the slack block's vrow
+    ([("vrow 1000.0 0.0", "vrow 1000.0 x")], "vrow",
+     "bad number: could not convert string to float: 'x'"),
+], ids=["yto-after-z", "gain-above-yto", "yto-above-gain", "yto-above-rated",
+        "z-above-unknown-attribute", "yfrom-above-missing-end", "branch-above-shunt-header",
+        "branch-above-unknown-section", "vrow-after-branch"])
+def test_first_fault_across_rows_and_blocks(edits, at, message):
+    text = _edited(THREE, edits)
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_grid_text(text)
+    assert exc.value.line == _line_of(text, at)
+
+
+@pytest.mark.parametrize("text, edits, at, message", [
+    (THREE, [("label feeder\n", "label feeder\ngain 1.0\ngain 2.0\n")], "gain 2.0",
+     "repeated branch attribute 'gain'"),
+    (THREE, [("label feeder\n", "rated 100.0\nlabel feeder\nrated 200.0\n")], "rated 200.0",
+     "repeated branch attribute 'rated'"),
+    (THREE, [("label feeder\n", "label feeder\nlabel other\n")], "label other",
+     "repeated branch attribute 'label'"),
+    (THREE, [("label feeder\n", "label feeder\nyfrom 0 0 0 0 0 0\nyfrom 0 0 0 0 0 0\n"
+              "yfrom 0 0 0 0 0 0\n")], "yfrom 0 0", "repeated branch attribute 'yfrom'"),
+    (THREE, [("label feeder\n", "label feeder\nyto 0 0 0 0 0 0\n")], "yto 0 0",
+     "repeated branch attribute 'yto'"),
+    (CATALOG, [(" zip_im", " lam 2 lam 3 zip_im")], "3 load", "repeated resource field 'lam'"),
+    (MINIMAL, [("v0 1000.0", "v0 1000.0 v0 1000.0")], "2 load", "repeated resource field 'v0'"),
+    (MINIMAL, [("p0 -125000.0", "p0 -125000.0 p0 -1.0")], "2 load",
+     "repeated resource field 'p0'"),
+    (THREE, [("lines\n", "config a\nz 1 2 0 0 0 0\nz 0 0 1 2 0 0\nz 0 0 0 0 1 2\n"
+              "b 1 0 0\nb 0 1 0\nb 0 0 1\nend\n\nlines\n")], "config a\nz 1 2",
+     "repeated config 'a'"),
+], ids=["gain", "rated", "label", "yfrom", "yto", "lam", "v0", "p0", "config"])
+def test_repeated_keys_are_refused(text, edits, at, message):
+    text = _edited(text, edits)
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_grid_text(text)
+    assert exc.value.line == _line_of(text, at)
+
+
+def test_zip_triples_keep_signed_zeros():
+    text = _edited(MINIMAL, [
+        ("2 resource 1000.0\n", "2 resource 1000.0\n3 resource 1000.0\n"),
+        ("\nslack 1", "\nbranch 2 3\nz 0.5 0.0\nend\n\nslack 1"),
+        ("zip_im 0.0 0.0 1.0\n", "zip_im 0.0 0.0 1.0\n"
+         "3 load v0 1000.0 p0 -1.0 q0 0.0 zip_re -0.0 0.0 1.0 zip_im 0.0 -0.0 1.0\n"),
+    ])
+    models = parse_grid_text(text)
+    signs = [[math.copysign(1.0, x) for x in (r.phases[0].zip_re.alpha, r.phases[0].zip_im.beta)]
+             for r in models[2]]
+    assert signs == [[1.0, 1.0], [-1.0, -1.0]]
+    assert "zip_re -0.0 0.0 1.0 zip_im 0.0 -0.0 1.0" in serialize_grid(*models)
+
+
+def test_parse_configs_refuses_a_repeated_name():
+    block = "config a\nz 1 2\nb 3\nend\n"
+    with pytest.raises(ParseError, match="^line 5: repeated config 'a'$"):
+        parse_configs(block + block, 1)
+
+
 # -- Group 2 ---------------------------------------------------------------
 
 ASYM = """\
@@ -495,6 +610,63 @@ def test_random_models_round_trip(seed, lam):
                                                 for ph in r.phases))
                for r in resources]
     assert parse_grid_text(serialize_grid(grid, slacks, uniform)) == (grid, slacks, uniform)
+
+
+# SHA-256 of _model_digest, recorded with the reader that converted each
+# matrix on its own; the one-pass reader must reproduce every bit.
+GOLDEN_MODELS = {
+    "bundled": "b3bc15b245a02a8b212f4d3bca7bcd66e7a5e26ca7ff3b1d60cc431d42afff4f",
+    "feeder 40": "68bb5249b8bad4d884f411ba050d62c41bad06e54507c47599039ea5d990f30f",
+    "feeder 300": "09a894a703d5d31231d4671c49358ee5fa0f2eb3d2787947625f0298d21f66df",
+}
+GOLDEN_CONFIGS = "104fa9edd7c2a629b956f55a0ec8ab50e2b19755b3fb70ab1378d3c488685173"
+
+
+def _model_digest(models) -> str:
+    """SHA-256 over every parsed field: arrays by dtype, shape and bytes,
+    scalars by type name and value (floats by their hex form, so -0.0 and
+    0.0 differ)."""
+    grid, slacks, resources = models
+    h = hashlib.sha256()
+
+    def put(*values):
+        for x in values:
+            if isinstance(x, np.ndarray):
+                h.update(f"{x.dtype.str}{x.shape}".encode())
+                h.update(np.ascontiguousarray(x).tobytes())
+            else:
+                h.update(type(x).__name__.encode())
+                h.update((x.hex() if isinstance(x, float) else repr(x)).encode())
+            h.update(b";")
+
+    put(grid.p)
+    for n in grid.nodes:
+        put(n.id, n.role, n.vnom)
+    for b in grid.branches:
+        put(b.from_node, b.to_node, b.z, b.y_shunt_from, b.y_shunt_to, b.gain, b.rated_a, b.label)
+    for s in grid.shunts:
+        put(s.node, s.y)
+    for s in slacks:
+        put(s.node, s.z_te, s.v_te)
+    for r in resources:
+        put(r.node, r.kind, r.v0, r.lam)
+        for ph in r.phases:
+            put(ph.p0, ph.q0, *(getattr(z, c) for z in (ph.zip_re, ph.zip_im)
+                                for c in ("alpha", "beta", "gamma")))
+    return h.hexdigest()
+
+
+def test_parsed_models_match_golden_digests(synthfeeder):
+    texts = {"bundled": bundled_grid_text(), "feeder 40": synthfeeder.feeder_text(0, 40),
+             "feeder 300": synthfeeder.feeder_text(0, 300)}
+    assert {name: _model_digest(parse_grid_text(t)) for name, t in texts.items()} == GOLDEN_MODELS
+    configs = resources.files("polyvsi").joinpath("data", "ieee34_overhead.txt").read_text()
+    h = hashlib.sha256()
+    for name, (z, b) in parse_configs(configs, 3).items():
+        for part in (name.encode(), z.dtype.str.encode(), z.tobytes(), b.dtype.str.encode(),
+                     b.tobytes()):
+            h.update(part)
+    assert h.hexdigest() == GOLDEN_CONFIGS
 
 
 # -- Group 4 ---------------------------------------------------------------
