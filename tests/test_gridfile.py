@@ -69,10 +69,10 @@ Proves:
 """
 
 import hashlib
+import importlib.resources
 import math
 import re
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -613,7 +613,9 @@ def test_random_models_round_trip(seed, lam):
 
 
 # SHA-256 of _model_digest, recorded with the reader that converted each
-# matrix on its own; the one-pass reader must reproduce every bit.
+# matrix on its own; the one-pass reader must reproduce every bit.  The
+# feeder texts come from perfbench/synthfeeder.py, so a change in the
+# generator's arithmetic moves their digests without any parser change.
 GOLDEN_MODELS = {
     "bundled": "b3bc15b245a02a8b212f4d3bca7bcd66e7a5e26ca7ff3b1d60cc431d42afff4f",
     "feeder 40": "68bb5249b8bad4d884f411ba050d62c41bad06e54507c47599039ea5d990f30f",
@@ -660,7 +662,8 @@ def test_parsed_models_match_golden_digests(synthfeeder):
     texts = {"bundled": bundled_grid_text(), "feeder 40": synthfeeder.feeder_text(0, 40),
              "feeder 300": synthfeeder.feeder_text(0, 300)}
     assert {name: _model_digest(parse_grid_text(t)) for name, t in texts.items()} == GOLDEN_MODELS
-    configs = resources.files("polyvsi").joinpath("data", "ieee34_overhead.txt").read_text()
+    configs = importlib.resources.files("polyvsi").joinpath("data", "ieee34_overhead.txt")
+    configs = configs.read_text(encoding="utf-8")
     h = hashlib.sha256()
     for name, (z, b) in parse_configs(configs, 3).items():
         for part in (name.encode(), z.dtype.str.encode(), z.tobytes(), b.dtype.str.encode(),
