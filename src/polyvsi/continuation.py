@@ -35,14 +35,15 @@ Each anchor's J_x is evaluated once and factored once, dense or sparse
 (grid.linear_solver): the tangent, every corrector step from that anchor,
 the sample's subspace step and, at the base, the seeding of the step's
 block all solve on that one LU.  A dense J_x is factored by LAPACK's band
-LU on the problem's band order when it has one (PolyphaseSystem.band:
-reverse Cuthill-McKee over the feeder's nodes, so a radial feeder's J_x
-is a narrow band), and by the general LU of the matrix as given when it
-has none; where numpy's LAPACK cannot be bound, every solve falls back to
-np.linalg.solve and the order is not used.  The corrector is a chord
-method: it evaluates f and D_xi f at each iterate but never J_x, and
-eliminates the sphere row by bordering, so it factors nothing.  Only the
-base solve factors its own Jacobians, one per Newton iteration.
+LU on the problem's band order (PolyphaseSystem.band: reverse
+Cuthill-McKee over the feeder's nodes, so a radial feeder's J_x is a
+narrow band).  A problem without a band, or a run where numpy's LAPACK
+cannot be bound, solves every call by np.linalg.solve on the matrix as
+given.  The corrector is a chord method: it evaluates f and D_xi f at each
+iterate but never J_x, and eliminates the sphere row by bordering, so it
+factors nothing.  A chord iterate that diverges fails as a typed
+SingularJacobian, with no numpy warning.  Only the base solve factors its
+own Jacobians, one per Newton iteration.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def arclength_correct(problem, predicted, anchor, sigma: float, solve, eps: floa
     nothing.  Returns (x, xi); raises NonConvergence like newton_solve, and
     SingularJacobian when sigma^2 underflows the normal floats, when solve
     fails, or when the border's pivot r_xi - r.w2 is zero or gives a step
-    that is not finite.
+    that is not finite.  An iterate that overflows reaches one of those
+    checks as inf or nan, with numpy's overflow and invalid warnings off.
     """
     x_pred, xi_pred = predicted
     x_a, xi_a = anchor
@@ -201,7 +203,10 @@ def arclength_correct(problem, predicted, anchor, sigma: float, solve, eps: floa
         return step
 
     z0 = np.concatenate([np.asarray(x_pred, dtype=float), [float(xi_pred)]])
-    res = newton_solve(fun, chord, z0, eps=eps, max_iter=MAX_CORRECTOR_ITER)
+    # A diverging chord overflows to inf or nan; the finiteness checks above
+    # and in linear_solver then raise SingularJacobian, so numpy stays quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = newton_solve(fun, chord, z0, eps=eps, max_iter=MAX_CORRECTOR_ITER)
     return res.x[:n], float(res.x[n])
 
 

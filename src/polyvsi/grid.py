@@ -7,10 +7,10 @@ the compound nodal admittance matrix, eliminates zero-injection interior
 nodes by Kron reduction (a Schur complement), and exchanges voltage and
 current roles on a node subset via the hybrid parameter transformation.
 It also holds the one linear-solve rule the solvers share (linear_solver):
-factor once, solve many times, on both containers: LAPACK for a dense
-array (its band LU on a Band's order, as reverse_cuthill_mckee gives it,
-when the caller has one), SuperLU for a SciPy sparse matrix, every failure
-mapped to the caller's error type.
+factor once, solve many times, on both containers: LAPACK's band LU for a
+dense array on a Band's order, as reverse_cuthill_mckee gives it,
+SuperLU for a SciPy sparse matrix, every failure mapped to the caller's
+error type.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ def _inverse(a: np.ndarray) -> tuple:
 @cache
 def _lapack() -> dict:
     """{dtype char: {name: routine}} for float64 ("d") and complex128 ("D"),
-    with the routines gesv, getrf, getrs (general LU) and gbtrf, gbtrs (band
-    LU), bound by ctypes to the ILP64 LAPACK of the OpenBLAS that a numpy 2
-    wheel ships as numpy.libs/libscipy_openblas64_*, the library np.linalg
-    itself calls.  Empty, or without a dtype, when that file or one of the
-    dtype's symbols is missing (a numpy 1.x wheel, a distro or conda numpy,
-    another BLAS): linear_solver then solves with np.linalg.solve.  Loaded
-    on the first dense solve, not on import.
+    with the band LU routines gbtrf and gbtrs bound by ctypes to the ILP64
+    LAPACK of the OpenBLAS that a numpy 2 wheel ships as
+    numpy.libs/libscipy_openblas64_*, the library np.linalg itself calls.
+    Empty, or without a dtype, when that file or one of the dtype's symbols
+    is missing (a numpy 1.x wheel, a distro or conda numpy, another BLAS):
+    linear_solver then solves with np.linalg.solve.  Loaded on the first
+    band solve, not on import.
     """
     found = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                    "libscipy_openblas64_*"))
@@ -87,14 +87,9 @@ def _lapack() -> dict:
     except (IndexError, OSError):
         return {}
     c_char, int_p, ptr = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    # gesv(n, nrhs, a, lda, ipiv, b, ldb, info); getrf(m, n, a, lda, ipiv, info);
-    # getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info);
     # gbtrf(m, n, kl, ku, ab, ldab, ipiv, info);
     # gbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info)
     signatures = {
-        "gesv": [int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p],
-        "getrf": [int_p, int_p, ptr, int_p, ptr, int_p],
-        "getrs": [c_char, int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p],
         "gbtrf": [int_p, int_p, int_p, int_p, ptr, int_p, ptr, int_p],
         "gbtrs": [c_char, int_p, int_p, int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p],
     }
@@ -185,35 +180,25 @@ class Band:
         return ab
 
 
-def _lu_step(dense: np.ndarray, routines: dict, band: Band | None = None):
-    """step(b, transpose) on one LU factor of the square dense, kept in a copy
-    of it, so dense is never written; routines are one dtype's of _lapack.
+def _lu_step(dense: np.ndarray, routines: dict, band: Band):
+    """step(b, transpose) on one band LU factor of the square dense on band's
+    order; routines are one dtype's of _lapack.
 
-    Without band the factor is the general one, in a Fortran-order copy.  The
-    first call factors: an untransposed one by gesv, which factors and solves
-    in one call as np.linalg.solve does in the same library, so that solve is
-    bit-identical to np.linalg.solve at any OpenBLAS thread count; a
-    transposed one by getrf.  Every later call solves on the kept factor
-    with getrs.  With band, dense is permuted to band.perm and its pattern
-    entries gathered into band storage, the first call factors it by gbtrf
-    and every call solves with gbtrs, on the right-hand side permuted the
-    same way.  The closure holds the factor and pivot arrays themselves
-    (data_as keeps a reference), so they live as long as the solver.
-    Raises LinAlgError on every call once a factorization has found the
-    matrix exactly singular, like np.linalg.solve; ValueError when b does not
-    have n rows, because LAPACK reads and writes through the bare pointers.
+    dense is permuted to band.perm and its pattern entries gathered into a
+    new band storage, so dense is never written.  The first call factors
+    that storage by gbtrf, and every call solves with gbtrs on the
+    right-hand side permuted the same way.  The closure holds the factor and
+    pivot arrays themselves (data_as keeps a reference), so they live as
+    long as the solver.  Raises LinAlgError on every call once the
+    factorization has found the matrix exactly singular, like
+    np.linalg.solve; ValueError when b does not have n rows, because LAPACK
+    reads and writes through the bare pointers.
     """
     n = dense.shape[0]
-    if band is None:
-        lu, lead, dims = np.array(dense, order="F"), n, ()
-        factor, solve_on = routines["getrf"], routines["getrs"]
-    else:
-        lu, lead = band.gather(dense), band.lead
-        dims = (ctypes.c_int64(band.kl), ctypes.c_int64(band.ku))
-        factor, solve_on = routines["gbtrf"], routines["gbtrs"]
-    piv = np.empty(n, dtype=np.int64)
-    size, lead, ldb, nrhs, info = (ctypes.c_int64(v) for v in (n, max(lead, 1), max(n, 1), 0, 0))
-    lu_p, piv_p = lu.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
+    ab, piv = band.gather(dense), np.empty(n, dtype=np.int64)
+    size, kl, ku, lead, ldb, nrhs, info = (ctypes.c_int64(v) for v in
+                                           (n, band.kl, band.ku, band.lead, max(n, 1), 0, 0))
+    ab_p, piv_p = ab.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
     factored = False
 
     def step(b, transpose):
@@ -223,21 +208,16 @@ def _lu_step(dense: np.ndarray, routines: dict, band: Band | None = None):
         b = np.asarray(b)
         if b.ndim not in (1, 2) or b.shape[0] != n:
             raise ValueError(f"right-hand side of shape {b.shape} for a {n} x {n} matrix")
-        x = (b if band is None else b[band.perm]).astype(lu.dtype, order="F", casting="safe")
+        x = b[band.perm].astype(ab.dtype, order="F", casting="safe")
         nrhs.value = 1 if x.ndim == 1 else x.shape[1]
-        x_p = x.ctypes.data_as(ctypes.c_void_p)
-        if not factored and not transpose and band is None:
-            routines["gesv"](size, nrhs, lu_p, lead, piv_p, x_p, ldb, info)
-        else:
-            if not factored:
-                factor(size, size, *dims, lu_p, lead, piv_p, info)
-            if not info.value:
-                solve_on(b"T" if transpose else b"N", size, *dims, nrhs, lu_p, lead, piv_p, x_p, ldb, info)
+        if not factored:
+            routines["gbtrf"](size, size, kl, ku, ab_p, lead, piv_p, info)
+            factored = True
+        if not info.value:
+            routines["gbtrs"](b"T" if transpose else b"N", size, kl, ku, nrhs, ab_p, lead, piv_p,
+                              x.ctypes.data_as(ctypes.c_void_p), ldb, info)
         if info.value:
             raise np.linalg.LinAlgError("Singular matrix")
-        factored = True
-        if band is None:
-            return x
         out = np.empty_like(x)
         out[band.perm] = x
         return out
@@ -247,25 +227,22 @@ def _lu_step(dense: np.ndarray, routines: dict, band: Band | None = None):
 
 def linear_solver(a, what: str, error: type = SingularJacobian, band: Band | None = None):
     """solve(b, transpose=False) for a x = b, or a' x = b with transpose=True;
-    b has shape (n,) or (n, k), real, or complex when a is.
+    b has shape (n,) or (n, k), real, or complex when a is.  a' is the plain
+    transpose, never the conjugate one, and a itself is never written.
 
-    a is factored once and every call solves on that factor, for both a and
-    a' (a' is the plain transpose, never the conjugate one); a itself is
-    never written.  An array of native float64 or complex128 is factored by
-    LAPACK at the first call and solved on that factor after it (_lu_step):
-    in band storage on band's order when band is given, and then a must be
-    zero off band's pattern (the power flow passes PolyphaseSystem.band with
-    its dense state Jacobian), else by the general LU.  Where numpy's LAPACK
-    cannot be bound (_lapack), or for another dtype, band is not used and
-    each call solves with np.linalg.solve instead, with identical results
-    for a first general solve and results that may differ in the last digits
-    for a', for later solves and for the band factor.  A SciPy sparse matrix
-    is factored by SuperLU with the minimum-degree ordering of a' + a, which
-    suits every matrix the library factors: each has the structurally
-    symmetric pattern of the admittance.  scipy is imported only in that
-    case.  Raises ValueError naming the shape when a is not square or band
-    is not of its size, and error naming what when the factorization fails
-    or a solution is not finite.
+    An array of native float64 or complex128 with a band is factored once,
+    by LAPACK's band LU on band's order at the first call, and every call
+    solves on that factor (_lu_step); a must then be zero off band's
+    pattern (PolyphaseSystem.band with its dense state Jacobian,
+    AugmentedGrid.band with its dense Y_UU).  Any other array, and every
+    array where numpy's LAPACK cannot be bound (_lapack), is solved by
+    np.linalg.solve at each call, which agrees with the band factor to
+    rounding.  A SciPy sparse matrix is factored once by SuperLU with the
+    minimum-degree ordering of a' + a, which suits every matrix the library
+    factors: each has the structurally symmetric pattern of the admittance.
+    scipy is imported only in that case.  Raises ValueError naming the
+    shape when a is not square or band is not of its size, and error naming
+    what when the factorization fails or a solution is not finite.
     """
     shape = a.shape if hasattr(a, "toarray") else np.shape(a)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -282,7 +259,7 @@ def linear_solver(a, what: str, error: type = SingularJacobian, band: Band | Non
                 return lu.solve(b, trans="T" if transpose else "N")
         else:
             dense = np.asarray(a)
-            if dense.dtype.isnative and (routines := _lapack().get(dense.dtype.char)):
+            if band is not None and dense.dtype.isnative and (routines := _lapack().get(dense.dtype.char)):
                 step = _lu_step(dense, routines, band)
             else:
 

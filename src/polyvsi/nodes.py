@@ -11,6 +11,8 @@ behind a Thevenin impedance.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +22,13 @@ from .errors import ZeroVoltage
 from .grid import _inverse, passivity_faults
 
 CLOSURE_TOL = 1e-9
+
+
+def _require_finite_real(name: str, value) -> None:
+    """ValueError naming the field unless value is a real number
+    (numbers.Real: Python and numpy ints and floats) that is finite."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +44,8 @@ class ZipCoefficients:
     gamma: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.alpha, self.beta, self.gamma))):
-            raise ValueError("ZIP coefficients must be finite")
+        for name in ("alpha", "beta", "gamma"):
+            _require_finite_real(f"ZIP coefficient {name}", getattr(self, name))
         s = self.alpha + self.beta + self.gamma
         if abs(s - 1.0) > CLOSURE_TOL:
             raise ValueError(f"ZIP coefficients must sum to 1, got {s!r}")
@@ -49,6 +58,8 @@ class ZipCoefficients:
         1 +/- 1e-3.  Dividing by the sum restores the closure exactly while
         staying within the rounding error of the source.
         """
+        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+            _require_finite_real(f"ZIP coefficient {name}", value)
         s = alpha + beta + gamma
         if abs(s - 1.0) > 0.01:
             raise ValueError(f"coefficient triple sums to {s!r}, not a rounded 1")
@@ -72,8 +83,8 @@ class PhaseResource:
     zip_im: ZipCoefficients
 
     def __post_init__(self):
-        if not (np.isfinite(self.p0) and np.isfinite(self.q0)):
-            raise ValueError("reference powers must be finite")
+        _require_finite_real("reference power p0", self.p0)
+        _require_finite_real("reference power q0", self.q0)
 
 
 @dataclass(frozen=True)
@@ -92,10 +103,12 @@ class ResourceModel:
     kind: str = "load"
 
     def __post_init__(self):
-        if not (np.isfinite(self.v0) and self.v0 > 0.0):
-            raise ValueError("reference voltage must be finite and positive")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError("loading factor must be finite and >= 0")
+        _require_finite_real("reference voltage v0", self.v0)
+        if not self.v0 > 0.0:
+            raise ValueError(f"reference voltage v0 must be positive, got {self.v0!r}")
+        _require_finite_real("loading factor lam", self.lam)
+        if not self.lam >= 0.0:
+            raise ValueError(f"loading factor lam must be >= 0, got {self.lam!r}")
         if self.kind not in ("load", "compensator"):
             raise ValueError(f"unknown resource kind {self.kind!r}")
         object.__setattr__(self, "phases", tuple(self.phases))

@@ -10,13 +10,15 @@ base so one tolerance applies across voltage levels.
 The Jacobian is analytic and is evaluated only on the block pattern of the
 admittance, which grid.admittance_entries stamps from the topology.  Below
 SPARSE_MIN_STATES states it is a dense array, factored by LAPACK's band LU
-on the system's reverse Cuthill-McKee order (PolyphaseSystem.band); from
-there on it is a SciPy CSC matrix factored by SuperLU.  The physical
-admittance block Y_uu follows the same rule: the hybrid reduction factors
-it, and the residual multiplies by it, in the system's container.  SciPy
-is imported only on that sparse path, so small systems never pay its
-import.  Newton iteration checks convergence before each correction, so a
-point that already satisfies the tolerance is returned untouched.
+on the system's band order (PolyphaseSystem.band); from there on it is a
+SciPy CSC matrix factored by SuperLU.  The physical admittance block Y_uu
+follows the same rule: the hybrid reduction factors it, and the residual
+multiplies by it, in the system's container, a dense Y_uu by the same band
+LU.  Both band orders come from one reverse Cuthill-McKee order of the
+grid's nodes (AugmentedGrid.band).  SciPy is imported only on the sparse
+path, so small systems never pay its import.  Newton iteration checks
+convergence before each correction, so a point that already satisfies the
+tolerance is returned untouched.
 """
 
 from __future__ import annotations
@@ -29,19 +31,23 @@ import numpy as np
 
 from .blocks import array_dataclass, node_phase_rows
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian, ValidationError
-from .grid import ROLE_RESOURCE, Band, GridModel, linear_solver, reverse_cuthill_mckee, validate_parameters
+from .grid import ROLE_RESOURCE, Band, GridModel, linear_solver, validate_parameters
 from .nodes import ZipTable
 from .vsi import build_augmented, index_at, reduce_augmented
 # Not called here; perfbench/spans.py wraps it by name when tracing.
 from .vsi import evaluate_vsi  # noqa: F401
 
 # A state Jacobian with at least this many rows (2 * n_unknown) is sparse.
-# Feeders are nearly radial, so J_x holds O(n) nonzeros.  A dense solve costs
-# O(n^3) time and 2 (2n)^2 8 bytes (J and LAPACK's copy of it); SuperLU takes
-# milliseconds, but importing scipy.sparse.linalg adds about 32 MB of peak
-# RSS.  On synthetic feeders the sparse step is faster from about 250 states
-# on, and its peak RSS, import included, drops below the dense one between
-# 972 and 1212 states (CHANGES.md has the sweep).
+# Feeders are nearly radial, so J_x holds O(n) nonzeros, and on the band
+# order one factor and solve of it is no slower than SuperLU's up to 3612
+# states.  What decides is the rest of each path.  The sparse one imports
+# scipy.sparse.linalg, about 32 MB of peak RSS.  The dense one forms the
+# whole (2n)^2 J_x at every anchor before the band gather (26 MB at 1812
+# states), and factors Y_UU on a band whose fill makes the hybrid reduction
+# 1.4 to 1.7 times as slow as SuperLU's at 906 rows.  A synthetic feeder's
+# trace peaks at 53 MB dense against 77 MB sparse at 612 states, and at
+# 103 MB against 89 MB at 1812 (ROADMAP's F5 and CHANGES.md have the
+# measurements).
 SPARSE_MIN_STATES = 1000
 
 # jacobian_svd's inverse subspace step carries SVD_BLOCK vectors.  Along the
@@ -135,7 +141,8 @@ class PolyphaseSystem:
     sparse is set once from the size: True when 2 * n_unknown reaches
     SPARSE_MIN_STATES, and jacobian_x then returns a SciPy CSC matrix.
     band, None on a sparse system, is the grid.Band that the power flow
-    and run_cpf hand linear_solver with the dense jacobian_x.
+    and run_cpf hand linear_solver with the dense jacobian_x, on
+    aug.band's node order.
     slacks are aug.slacks, in the one order build_augmented gives them.
     Powers are normalized by s_base (VA); misplaced models raise IncompleteModel.
     """
@@ -178,11 +185,11 @@ class PolyphaseSystem:
         self._jac_rows = np.concatenate([self._rows, self._rows + nu] * 2)
         self._jac_cols = np.concatenate([self._cols, self._cols, self._cols + nu, self._cols + nu])
         self.sparse = 2 * nu >= SPARSE_MIN_STATES
-        # The dense J_x's band order: the nodes in reverse Cuthill-McKee order,
-        # each node's 2p states (its E rows, then its theta rows) together.
+        # The dense J_x's band order: aug.band's node order, each node's 2p
+        # states (its E rows, then its theta rows) together.
         self.band = None
         if not self.sparse:
-            k = reverse_cuthill_mckee(self._rows // p, self._cols // p, nu // p)[:, None] * p + np.arange(p)
+            k = self.aug.band.perm.reshape(-1, p)
             self.band = Band.of(np.hstack([k, k + nu]).ravel(), self._jac_rows, self._jac_cols)
         # Y_uu in the system's container, for the residual and the reduction.
         self._y_uu_op = self._container(self._y_pattern, self._rows, self._cols, (nu, nu))

@@ -22,13 +22,14 @@ resource node-phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .blocks import BlockMatrix, array_dataclass, node_phase_rows
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
-from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, GridModel, HybridPartition, _norm1,
-                   admittance_entries, linear_solver, match_models)
+from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, Band, GridModel, HybridPartition, _norm1,
+                   admittance_entries, linear_solver, match_models, reverse_cuthill_mckee)
 from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
 # assemble_admittance, kron_reduce and hybrid_partition by name when tracing
@@ -87,6 +88,16 @@ class AugmentedGrid:
         out[r, c] = v
         return out
 
+    @cached_property
+    def band(self) -> Band:
+        """The grid's one node order for dense factors, as the Band of Y_UU:
+        reverse Cuthill-McKee over Y_UU's node pattern, each node's p phases
+        together.  Ordered on first access, so a sparse system never is."""
+        p, u = self.p, slice(len(self.slacks) * self.p, None)
+        rows, cols, _, (n, _) = self.entries(u, u)
+        order = reverse_cuthill_mckee(rows // p, cols // p, n // p)[:, None] * p + np.arange(p)
+        return Band.of(order.ravel(), rows, cols)
+
     @property
     def y_prime(self) -> BlockMatrix:
         """Y' as a read-only dense BlockMatrix, built on each access."""
@@ -116,10 +127,11 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
     The result maps [V_internal; I_resource] to [I_internal; V_resource].
     Only the rows M and the columns T where Y_IU is nonzero (the slack
     terminals) of X are kept.  y_uu is Y_UU in the caller's container: by
-    default a dense array of aug's entries, factored by LAPACK; a SciPy
-    sparse matrix (PolyphaseSystem passes one on large grids) is factored by
-    SuperLU.  Either is factored once (linear_solver) and solved in blocks
-    of _SOLVE_COLUMNS columns on that factor.
+    default a dense array of aug's entries, factored by LAPACK's band LU on
+    aug.band; a SciPy sparse matrix (PolyphaseSystem passes one on large
+    grids) is factored by SuperLU and never orders aug.band.  Either is
+    factored once (linear_solver) and solved in blocks of _SOLVE_COLUMNS
+    columns on that factor.
 
     Raises SingularInteriorBlock when Y_UU is singular, a solved column is
     not finite, or 1 / (||Y_UU||_1 max_j ||Y_UU^-1 e_j||_1), j in M, is
@@ -139,7 +151,8 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
     ti = np.flatnonzero(np.any(y_iu != 0.0, axis=0))
 
     k = u0 + mi.size  # columns of [Y_UI | E_M]
-    solve = linear_solver(y_uu, "physical admittance block Y_UU", SingularInteriorBlock)
+    solve = linear_solver(y_uu, "physical admittance block Y_UU", SingularInteriorBlock,
+                          None if hasattr(y_uu, "toarray") else aug.band)
     x_m = np.empty((mi.size, k), dtype=complex)
     x_t = np.empty((ti.size, k), dtype=complex)
     x_norm = 0.0

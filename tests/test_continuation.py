@@ -12,6 +12,10 @@ Proves:
        pivot, and a step sigma whose square underflows leaves no sphere
        row: SingularJacobian, never a numpy warning, and run_cpf counts
        either as a diverged corrector
+   3c. A chord corrector that overflows next to the fold fails as a
+       diverged corrector without a numpy warning: on 11 seeded random
+       grids the trace with warnings as errors equals, sample for sample,
+       the trace with warnings ignored
 
  Group 2 - Trajectory handling
    4.  PolyphaseSystem.resources_at scales loads by xi and pins
@@ -74,7 +78,8 @@ Proves:
   22b. A dense trace's LUs are band LUs on the system's order: the base
        case's, one per Newton iteration, and the tangent's at each anchor;
        the corrector, the singular-value step and the base sample's seed
-       reuse the tangent's LU, and no general LU is formed.  The corrector
+       reuse the tangent's LU, and no solve falls back to
+       np.linalg.solve.  The corrector
        evaluates no J_x, every corrector call runs its iterations through
        continuation.newton_solve, and the base case through
        powerflow.newton_solve, once
@@ -83,12 +88,13 @@ Proves:
 """
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-from polyvsi_cases import two_bus
+from polyvsi_cases import random_system, two_bus
 from polyvsi import continuation, grid, powerflow
 from polyvsi.continuation import (
     MAX_HALVINGS,
@@ -199,6 +205,26 @@ def test_zero_border_pivot_is_typed(monkeypatch):
     monkeypatch.setattr(continuation, "tangent_direction", lambda p, x, xi, solve: (0.0 * x, 0.0))
     trace = run_cpf(prob, CpfConfig(max_steps=3), x0=np.array([1.0]))
     assert (trace.termination, len(trace.samples), trace.events[-1]) == (TERM_CORRECTOR, 1, stopped)
+
+
+def test_diverging_chord_is_typed_without_warnings():
+    # On these grids a chord iterate next to the fold overflows.  Under the
+    # suite's warnings-as-errors a numpy overflow warning would escape
+    # run_cpf; it must fail as a diverged corrector and leave the trace as
+    # it is with warnings ignored.
+    for seed in (10, 12, 13, 16, 19, 22, 24, 26, 29, 31, 37):
+        system = PolyphaseSystem(*random_system(np.random.default_rng(seed), n_nodes=6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = run_cpf(system)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_cpf(system)
+        assert quiet.events, seed
+        assert (trace.termination, trace.events) == (quiet.termination, quiet.events), seed
+        assert len(trace.samples) == len(quiet.samples), seed
+        for s, q in zip(trace.samples, quiet.samples):
+            assert np.array_equal(s.x, q.x) and s.xi == q.xi, seed
 
 
 # -- Group 2 ---------------------------------------------------------------
@@ -429,7 +455,8 @@ def test_sparse_bundled_trace_matches_dense(bench_system, bench_trace, monkeypat
 
 def test_fallback_solver_keeps_the_bundled_trace(bench_system, bench_trace, monkeypatch):
     # The fallback refactors at every solve where LAPACK solves again on the
-    # anchor's factor with getrs, so the chord steps differ in the last digits.
+    # anchor's band factor with gbtrs, so the chord steps differ in the last
+    # digits.
     monkeypatch.setattr(grid, "_lapack", lambda: {})
     trace = run_cpf(bench_system)
     assert (trace.termination, trace.events) == (bench_trace.termination, bench_trace.events)
@@ -553,11 +580,11 @@ def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
     # A trace's only LUs are band LUs on the system's order: the base case's,
     # one per Newton iteration, and the tangent's at each anchor.  The
     # corrector, the singular-value step, and the seed at the base sample,
-    # solve on the tangent's factor.
+    # solve on the tangent's factor, and nothing falls back to np.linalg.solve.
     table = grid._lapack()
     if "d" not in table:
         pytest.skip("needs the OpenBLAS of a numpy 2 wheel (numpy.libs/libscipy_openblas64_*)")
-    counts = dict.fromkeys(("band_factors", "general_factors", "anchors", "correctors",
+    counts = dict.fromkeys(("band_factors", "general_solves", "anchors", "correctors",
                             "corrector_jacobians", "base_calls", "base_iters", "corrector_calls",
                             "corrector_iters"), 0)
     in_corrector = []
@@ -594,8 +621,8 @@ def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
     system = copy.copy(bench_system)
     system.jacobian_x = jacobian_x
     routines = {**table["d"], "gbtrf": counted("band_factors", table["d"]["gbtrf"])}
-    routines.update((name, counted("general_factors", table["d"][name])) for name in ("gesv", "getrf"))
     monkeypatch.setattr(grid, "_lapack", lambda: {**table, "d": routines})
+    monkeypatch.setattr(np.linalg, "solve", counted("general_solves", np.linalg.solve))
     monkeypatch.setattr(powerflow, "newton_solve", newton)  # the base case, through powerflow.newton_at
     monkeypatch.setattr(continuation, "newton_solve", newton)
     monkeypatch.setattr(continuation, "tangent_direction", tangent)
@@ -603,7 +630,7 @@ def test_one_dense_factor_per_anchor(bench_system, monkeypatch):
     trace = run_cpf(system)
     assert trace.termination == TERM_FOLD and counts["base_calls"] == 1
     assert counts["band_factors"] == counts["base_iters"] + counts["anchors"]
-    assert counts["general_factors"] == 0
+    assert counts["general_solves"] == 0
     assert counts["anchors"] == len(trace.samples)
     assert counts["corrector_jacobians"] == 0
     # one corrector per accepted sample and one per failure event

@@ -58,15 +58,16 @@ Proves:
        complex right-hand sides; a singular or nan matrix raises the
        caller's error type in both directions, never a raw LinAlgError, and
        a dense solver that found its matrix singular raises on every call.
-       A dense first a x = b equals np.linalg.solve bit for bit, and a is
-       left untouched: C- or F-ordered, read-only or byte-swapped
-  20a. With numpy's LAPACK binding absent, linear_solver's fallback gives
-       a first a x = b bit for bit, and a' x = b and later solves to
-       1e-12, real and complex
-  20b. The LAPACK step, general or band, refuses a right-hand side
-       without n rows before any raw-pointer call; linear_solver refuses a
-       matrix that is not square, on every path, and a band of another
-       order, with a ValueError naming the shape, never as singular
+       A dense matrix without a band is solved by np.linalg.solve bit for
+       bit, and a is left untouched: C- or F-ordered, read-only or
+       byte-swapped
+  20a. A dense matrix without a band solves alike with numpy's LAPACK
+       binding present or absent: a first a x = b bit for bit, and a' x = b
+       and later solves to 1e-12, real and complex
+  20b. The band LU step refuses a right-hand side without n rows before
+       any raw-pointer call; linear_solver refuses a matrix that is not
+       square, on every path, and a band of another order, with a
+       ValueError naming the shape, never as singular
   20c. reverse_cuthill_mckee orders every vertex, isolated ones too, and
        takes a randomly labelled path back to bandwidth 1 and the bundled
        feeder's randomly relabelled node graph to at most 4
@@ -80,6 +81,10 @@ Proves:
        factorization stays failed
   20f. With numpy's LAPACK binding absent, a band is ignored and every
        solve is np.linalg.solve bit for bit
+  20g. numpy's LAPACK is bound for the band LU alone: gbtrf and gbtrs,
+       real and complex
+  20h. Building the bundled and the 252-state feeder's systems factors
+       once: one complex band LU, of Y_UU on the grid's band order
 
  Group 7 - Stacked algebra
   21.  _inverse on a stack equals one call per matrix bit for bit, with an
@@ -109,6 +114,7 @@ from polyvsi.benchmark import build_benchmark
 from polyvsi.blocks import BlockMatrix
 from polyvsi.builders import positive_sequence_source
 from polyvsi.errors import SingularBranch, SingularInteriorBlock, ValidationError
+from polyvsi.gridfile import parse_grid_text
 from polyvsi.grid import (
     RCOND_FLOOR,
     Branch,
@@ -627,9 +633,8 @@ def test_linear_solver_transpose():
 
 
 def test_linear_solver_fallback_agrees(monkeypatch):
-    # Without numpy's LAPACK binding every call goes through np.linalg.solve.
-    # A first untransposed solve is gesv on both paths, so bit for bit; a
-    # transposed one, or a later one on the kept factor, agrees to rounding.
+    # A dense matrix without a band is solved by np.linalg.solve whether or
+    # not numpy's LAPACK is bound.
     rng = np.random.default_rng(7)
     real = rng.standard_normal((40, 40)) + 10.0 * np.eye(40)
     cplx = real + 1j * rng.standard_normal((40, 40))
@@ -649,13 +654,12 @@ def test_lu_step_rejects_bad_shapes():
     if routines is None:
         pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
     tridiagonal = grid.Band.of([2, 0, 1], [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2])
-    for band in (None, tridiagonal):
-        step = grid._lu_step(np.eye(3), routines, band)
-        for b in (np.ones(2), np.ones((4, 1)), np.ones((3, 1, 1))):
-            message = f"right-hand side of shape {b.shape} for a 3 x 3 matrix"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                step(b, False)
-        assert np.array_equal(step(np.ones(3), True), np.ones(3))  # the refusals left the solver usable
+    step = grid._lu_step(np.eye(3), routines, tridiagonal)
+    for b in (np.ones(2), np.ones((4, 1)), np.ones((3, 1, 1))):
+        message = f"right-hand side of shape {b.shape} for a 3 x 3 matrix"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step(b, False)
+    assert np.array_equal(step(np.ones(3), True), np.ones(3))  # the refusals left the solver usable
 
 
 def test_linear_solver_rejects_non_square(bench_system, monkeypatch):
@@ -757,6 +761,33 @@ def test_band_solver_without_lapack_takes_the_general_path(bench_system, monkeyp
     solve = linear_solver(a, "J_x", band=bench_system.band)
     assert np.array_equal(solve(b), np.linalg.solve(a, b))
     assert np.array_equal(solve(b, transpose=True), np.linalg.solve(a.T, b))
+
+
+def test_lapack_binds_only_the_band_lu():
+    table = grid._lapack()
+    if not table:
+        pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
+    assert {char: sorted(routines) for char, routines in table.items()} == {
+        "d": ["gbtrf", "gbtrs"], "D": ["gbtrf", "gbtrs"]}
+
+
+def test_system_build_factors_y_uu_once_on_its_band(synthfeeder, monkeypatch):
+    table = grid._lapack()
+    if not table:
+        pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
+    factors = []
+
+    def counted(char):
+        def gbtrf(*args):
+            factors.append(char)
+            return table[char]["gbtrf"](*args)
+        return {**table[char], "gbtrf": gbtrf}
+
+    monkeypatch.setattr(grid, "_lapack", lambda: {char: counted(char) for char in table})
+    for models in (build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 40))):
+        factors.clear()
+        system = PolyphaseSystem(*models)
+        assert not system.sparse and factors == ["D"]
 
 
 # -- Group 7 ---------------------------------------------------------------

@@ -15,6 +15,10 @@ Proves:
    7.  injected_current is conj(S / v); zero voltage raises
    8.  Constructor validation: v0 > 0, lam >= 0, known kind
    9.  Non-finite coefficients, reference powers and v0 are rejected
+   9a. Every scalar field (the ZIP triple, also through from_table, p0,
+       q0, v0, lam) refuses a value that is not a finite real number,
+       complex, array, string or None included, with a ValueError naming
+       the field; numpy's real scalars pass and are kept as given
   10.  The packed ZipTable matches pm_power_at / pm_zip_at row by row,
        and its voltage derivative matches a central difference
 
@@ -144,6 +148,33 @@ def test_non_finite_parameters_rejected(bad):
         _model(q0=bad)
     with pytest.raises(ValueError):
         _model(v0=bad)
+
+
+# Values that are not finite real numbers; the complex ones used to pass
+# construction (p0) or raise a raw TypeError (v0), and the array numpy's
+# "truth value is ambiguous".
+NOT_FINITE_REAL = [np.nan, np.inf, -np.inf, 1.0 + 0.5j, np.complex128(2.0), np.array([1.0, 2.0]),
+                   np.array(1.0), "1.0", None]
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_REAL, ids=repr)
+def test_scalar_fields_must_be_finite_reals(bad):
+    builds = [
+        ("ZIP coefficient alpha", lambda: ZipCoefficients(bad, 0.5, 0.5)),
+        ("ZIP coefficient beta", lambda: ZipCoefficients(0.5, bad, 0.5)),
+        ("ZIP coefficient gamma", lambda: ZipCoefficients(0.5, 0.5, bad)),
+        ("ZIP coefficient beta", lambda: ZipCoefficients.from_table(0.5, bad, 0.5)),
+        ("reference power p0", lambda: _model(p0=bad)),
+        ("reference power q0", lambda: _model(q0=bad)),
+        ("reference voltage v0", lambda: _model(v0=bad)),
+        ("loading factor lam", lambda: _model(lam=bad)),
+    ]
+    for name, build in builds:
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number, got "):
+            build()
+    # numpy's scalars are real numbers like Python's, and are kept as given.
+    for good in (np.float64(0.5), np.int64(1)):
+        assert _model(p0=good, v0=good, lam=good).phases[0].p0 is good
 
 
 def test_zip_table_matches_scalar_references():
