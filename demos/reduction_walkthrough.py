@@ -150,13 +150,15 @@ print(
 
 # %% one factorization == the stepwise steps
 #
-# Attach a Thevenin source to the slack.  reduce_augmented solves the
-# physical-node block of the augmented admittance once, for the unit
-# columns of the resources and the source coupling; Kron-eliminating the
-# slack terminal and the junction and then splitting off M = {3, 4} must
-# give the same four blocks.  h_mcmc is what the source sees with the
-# resources open, 0 on this shunt-free grid, so its difference is taken
-# relative to the source block Y_II it is computed from.
+# Attach a Thevenin source to the slack.  reduce_augmented factors the
+# physical-node block of the augmented admittance once and solves the
+# source coupling on it; h_mm, which the index only ever multiplies, is
+# formed from the unit columns of the resources when it is read here.
+# Kron-eliminating the slack terminal and the junction and then splitting
+# off M = {3, 4} must give the same four blocks.  h_mcmc is what the source
+# sees with the resources open, 0 on this shunt-free grid, so its
+# difference is taken relative to the source block Y_II it is computed
+# from.
 
 slack = SlackModel(node=1, v_te=positive_sequence_source(1000.0, P), z_te=0.1 * z_line)
 aug = build_augmented(grid, [slack])

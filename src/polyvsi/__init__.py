@@ -68,6 +68,7 @@ from .powerflow import (
 )
 from .vsi import (
     AugmentedGrid,
+    FactoredHybrid,
     VsiCoefficients,
     VsiResult,
     build_augmented,

@@ -32,9 +32,13 @@ ROLE_RESOURCE = "resource"
 _ROLES = (ROLE_SLACK, ROLE_ZERO, ROLE_RESOURCE)
 
 # Below this reciprocal condition number a matrix is treated as singular.  It
-# is the exact 1-norm value 1 / (||a||_1 ||a^-1||_1) from _inverse, which is
-# within a factor n of the 2-norm value for an n x n matrix.
+# is the 1-norm value 1 / (||a||_1 ||a^-1||_1), exact from _inverse and from
+# below (norm1_estimate of ||a^-1||_1) in vsi.reduce_augmented, and within a
+# factor n of the 2-norm value for an n x n matrix.
 RCOND_FLOOR = 1e-13
+
+# norm1_estimate's iteration limit, ITMAX of LAPACK's zlacn2.
+NORM1_ITERATIONS = 5
 
 # The passivity rule's one tolerance, relative to each matrix's scale (passivity_faults).
 PARAM_TOL = 1e-9
@@ -44,6 +48,43 @@ def _norm1(a):
     """Matrix 1-norm (largest column sum of moduli) of an array or SciPy sparse
     matrix, or one per matrix of a (k, n, n) stack."""
     return abs(a).sum(axis=-2).max(axis=-1)
+
+
+def norm1_estimate(apply, adjoint, n: int) -> float:
+    """Hager-Higham estimate of ||B||_1 for a linear map B with n >= 1 columns.
+
+    apply(x) is B x and adjoint(y) the conjugate transpose B^H y.  The
+    iteration is Higham's (ACM TOMS 1988) as LAPACK's zlacn2 runs it: from
+    the uniform x, step to the unit column e_j where |B^H sign(B x)| peaks
+    while ||B e_j||_1 grows, for at most NORM1_ITERATIONS products with B,
+    then try the alternating vector.  Each candidate is ||B x||_1 / ||x||_1
+    for some x, so the estimate never exceeds ||B||_1; it is exact for
+    n = 1.  apply is called at most NORM1_ITERATIONS + 1 times, adjoint at
+    most NORM1_ITERATIONS - 1 times.
+    """
+
+    def sign(y):  # y / |y| entrywise, 1 where y is 0
+        size = np.abs(y)
+        return np.divide(y, size, out=np.ones_like(y), where=size > 0.0)
+
+    y = apply(np.full(n, 1.0 / n))
+    est = float(np.abs(y).sum())
+    if n == 1:
+        return est
+    last = None
+    for _ in range(NORM1_ITERATIONS - 1):
+        z = np.abs(adjoint(sign(y)))
+        j = int(np.argmax(z))
+        if last is not None and z[j] == z[last]:
+            break
+        last = j
+        y = apply(np.eye(1, n, j).ravel())
+        column = float(np.abs(y).sum())
+        if not column > est:
+            break
+        est = column
+    alternating = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(est, 2.0 * float(np.abs(apply(alternating)).sum()) / (3 * n))
 
 
 def _inverse(a: np.ndarray) -> tuple:
@@ -215,7 +256,7 @@ def _lu_step(dense: np.ndarray, routines: dict, band: Band):
             factored = True
         if not info.value:
             routines["gbtrs"](b"T" if transpose else b"N", size, kl, ku, nrhs, ab_p, lead, piv_p,
-                              x.ctypes.data_as(ctypes.c_void_p), ldb, info)
+                              x.ctypes.data, ldb, info)
         if info.value:
             raise np.linalg.LinAlgError("Singular matrix")
         out = np.empty_like(x)
@@ -273,7 +314,7 @@ def linear_solver(a, what: str, error: type = SingularJacobian, band: Band | Non
             x = step(b, transpose)
         except np.linalg.LinAlgError as exc:
             raise error(f"{what} is singular") from exc
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise error(f"{what} gives a solution that is not finite")
         return x
 
@@ -677,7 +718,8 @@ class HybridPartition:
     h_mcmc the Schur complement Y / Y_MM = Y_McMc - h_mcm Y_MMc.
     hybrid_partition raises SingularInteriorBlock when the exact reciprocal
     1-norm condition number 1 / (||Y_MM||_1 ||Y_MM^-1||_1) is below
-    RCOND_FLOOR.
+    RCOND_FLOOR.  solve_m is the product with h_mm that the index reads,
+    as on vsi.FactoredHybrid, the same blocks on a factor of Y_UU.
     """
 
     m_nodes: tuple
@@ -686,6 +728,14 @@ class HybridPartition:
     h_mmc: BlockMatrix
     h_mcm: BlockMatrix
     h_mcmc: BlockMatrix
+
+    @property
+    def p(self) -> int:
+        return self.h_mm.p
+
+    def solve_m(self, b: np.ndarray) -> np.ndarray:
+        """h_mm b for b of shape (|M|,) or (|M|, k), |M| = len(m_nodes) * p."""
+        return self.h_mm.data @ b
 
 
 def hybrid_partition(y: BlockMatrix, m_set) -> HybridPartition:

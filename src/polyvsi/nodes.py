@@ -26,8 +26,13 @@ CLOSURE_TOL = 1e-9
 
 def _require_finite_real(name: str, value) -> None:
     """ValueError naming the field unless value is a real number
-    (numbers.Real: Python and numpy ints and floats) that is finite."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    (numbers.Real: Python and numpy ints and floats) that is finite, which
+    an int beyond the float range is not."""
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # math.isfinite(10**400)
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 

@@ -12,13 +12,14 @@ admittance, which grid.admittance_entries stamps from the topology.  Below
 SPARSE_MIN_STATES states it is a dense array, factored by LAPACK's band LU
 on the system's band order (PolyphaseSystem.band); from there on it is a
 SciPy CSC matrix factored by SuperLU.  The physical admittance block Y_uu
-follows the same rule: the hybrid reduction factors it, and the residual
-multiplies by it, in the system's container, a dense Y_uu by the same band
-LU.  Both band orders come from one reverse Cuthill-McKee order of the
-grid's nodes (AugmentedGrid.band).  SciPy is imported only on the sparse
-path, so small systems never pay its import.  Newton iteration checks
-convergence before each correction, so a point that already satisfies the
-tolerance is returned untouched.
+follows the same rule: the system factors it once, in its container (a
+dense Y_uu by the same band LU), and keeps that factor on system.hybrid,
+where the reduction's source-side blocks and every index evaluation solve
+on it; the residual multiplies by it.  Both band orders come from one
+reverse Cuthill-McKee order of the grid's nodes (AugmentedGrid.band).
+SciPy is imported only on the sparse path, so small systems never pay its
+import.  Newton iteration checks convergence before each correction, so a
+point that already satisfies the tolerance is returned untouched.
 """
 
 from __future__ import annotations
@@ -43,11 +44,15 @@ from .vsi import evaluate_vsi  # noqa: F401
 # states.  What decides is the rest of each path.  The sparse one imports
 # scipy.sparse.linalg, about 32 MB of peak RSS.  The dense one forms the
 # whole (2n)^2 J_x at every anchor before the band gather (26 MB at 1812
-# states), and factors Y_UU on a band whose fill makes the hybrid reduction
-# 1.4 to 1.7 times as slow as SuperLU's at 906 rows.  A synthetic feeder's
-# trace peaks at 53 MB dense against 77 MB sparse at 612 states, and at
-# 103 MB against 89 MB at 1812 (ROADMAP's F5 and CHANGES.md have the
-# measurements).
+# states), and a dense Y_UU at build.  The build now solves about ten
+# columns on Y_UU's factor, which cost the same on the band as on SuperLU
+# (0.04 ms each at 906 rows), so the band path's whole build is no longer
+# held back by right-hand sides but by its dense arrays: 3.2 to 5.3 ms
+# against 1.8 to 3.1 ms at 906 rows, of which the reduction is 1.5 to
+# 2.0 ms against 1.0 ms (the band factor 0.4 ms against 0.3 ms, and the
+# 1-norm of the dense Y_UU 0.5 ms).  A synthetic feeder's trace peaks at
+# 53 MB dense against 77 MB sparse at 612 states, and at 103 MB against
+# 89 MB at 1812 (ROADMAP's F5 and CHANGES.md have the measurements).
 SPARSE_MIN_STATES = 1000
 
 # jacobian_svd's inverse subspace step carries SVD_BLOCK vectors.  Along the
@@ -144,6 +149,8 @@ class PolyphaseSystem:
     and run_cpf hand linear_solver with the dense jacobian_x, on
     aug.band's node order.
     slacks are aug.slacks, in the one order build_augmented gives them.
+    hybrid is vsi.reduce_augmented's FactoredHybrid, which holds Y_uu's one
+    factor; vsi_at solves three columns on it and never forms h_mm.
     Powers are normalized by s_base (VA); misplaced models raise IncompleteModel.
     """
 
@@ -191,7 +198,8 @@ class PolyphaseSystem:
         if not self.sparse:
             k = self.aug.band.perm.reshape(-1, p)
             self.band = Band.of(np.hstack([k, k + nu]).ravel(), self._jac_rows, self._jac_cols)
-        # Y_uu in the system's container, for the residual and the reduction.
+        # Y_uu in the system's container, for the residual, and its one
+        # factor, kept on the hybrid blocks for the index.
         self._y_uu_op = self._container(self._y_pattern, self._rows, self._cols, (nu, nu))
         self.hybrid = reduce_augmented(self.aug, self._y_uu_op)
 

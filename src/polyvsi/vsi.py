@@ -4,10 +4,15 @@ The physical grid is augmented with one internal node per slack carrying the
 ideal source behind its Thevenin admittance.  Eliminating the slack terminals
 and all zero-injection nodes, then switching the resource nodes to hybrid
 parameters, yields a direct relation between internal source voltages,
-resource injections, and resource voltages.  reduce_augmented reaches those
-hybrid blocks from one factorization of the physical-node admittance block
-Y_UU, which is invertible for lossy grids, and rejects Y_UU when it is
-singular or too ill-conditioned as seen from the resource nodes.
+resource injections, and resource voltages.  reduce_augmented keeps one
+factorization of the physical-node admittance block Y_UU, which is
+invertible for lossy grids, and solves on it only what is cheap: the
+source-side blocks, a few columns per slack.  The resource block h_mm is a
+dense |M| x |M| array that the index never forms: it reads h_mm B for the
+three columns B it needs, one solve on the factor (FactoredHybrid.solve_m),
+and the dense block is formed on demand only.  Y_UU is rejected when it is
+singular or when a Hager-Higham estimate of its inverse's 1-norm, as the
+resource nodes see it, says it is too ill-conditioned.
 
 Combining that relation with the exact ZIP decomposition of each resource
 gives, per resource node-phase, a quadratic voltage equation whose
@@ -21,15 +26,16 @@ resource node-phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .blocks import BlockMatrix, array_dataclass, node_phase_rows
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
 from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, Band, GridModel, HybridPartition, _norm1,
-                   admittance_entries, linear_solver, match_models, reverse_cuthill_mckee)
+                   admittance_entries, linear_solver, match_models, norm1_estimate, reverse_cuthill_mckee)
 from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
 # assemble_admittance, kron_reduce and hybrid_partition by name when tracing
@@ -38,11 +44,6 @@ from .grid import assemble_admittance, hybrid_partition, kron_reduce  # noqa: F4
 from .nodes import pm_zip_at  # noqa: F401
 
 DENOM_TOL = 1e-9
-
-# Right-hand-side columns per solve on Y_UU's one factor in reduce_augmented:
-# a block of the solution is |U| x 64 complex (0.9 MB at 906 rows), so no
-# |U| x |M| array is formed.
-_SOLVE_COLUMNS = 64
 
 
 def te_node(slack_node) -> tuple:
@@ -113,30 +114,70 @@ def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
     return AugmentedGrid(*entries, p=grid.p, slacks=slacks, resource_nodes=grid.resource_nodes)
 
 
-def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
-    """Hybrid parameters of the augmented grid from one factorization of Y_UU.
+@dataclass(frozen=True, eq=False)
+class FactoredHybrid:
+    """HybridPartition's blocks of an augmented grid, on Y_UU's one factor.
+
+    h_mmc, h_mcm and h_mcmc are formed at construction, as on
+    HybridPartition.  h_mm = (Y_UU^-1)[M, M] is not: solve_m(b) gives h_mm b
+    from one solve on the factor, which is all the index reads, and the
+    dense h_mm is formed on first access, by |M| solves, for the callers
+    that compare or print the blocks.  solve is Y_UU's linear_solver, rows
+    the flat indices of M's node-phases among Y_UU's rows, and rcond the
+    reciprocal condition number reduce_augmented judged Y_UU by.
+    """
+
+    m_nodes: tuple
+    mc_nodes: tuple
+    h_mmc: BlockMatrix
+    h_mcm: BlockMatrix
+    h_mcmc: BlockMatrix
+    solve: Callable = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    size: int = field(repr=False)
+    rcond: float = field(repr=False)
+
+    @property
+    def p(self) -> int:
+        return self.h_mmc.p
+
+    def solve_m(self, b: np.ndarray) -> np.ndarray:
+        """h_mm b = (Y_UU^-1 E_M b)[M] for b of shape (|M|,) or (|M|, k),
+        where E_M places |M| rows on M's rows of Y_UU."""
+        rhs = np.zeros((self.size, *np.shape(b)[1:]), dtype=complex)
+        rhs[self.rows] = b
+        return self.solve(rhs)[self.rows]
+
+    @cached_property
+    def h_mm(self) -> BlockMatrix:
+        return BlockMatrix._adopt(self.solve_m(np.eye(self.rows.size)), self.m_nodes, self.m_nodes, self.p)
+
+
+def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> FactoredHybrid:
+    """Hybrid parameters of the augmented grid on one factorization of Y_UU.
 
     With U the physical nodes, I the internal source nodes and M the resource
     nodes, eliminating the slack terminals and zero-injection nodes and then
-    switching M to hybrid parameters gives the blocks of one solve
-    Y_UU X = [Y_UI | E_M], where E_M holds the unit columns of M:
+    switching M to hybrid parameters gives, with E_M the unit columns of M,
 
-        h_mm  = X[M, E_M]           h_mmc  = -X[M, Y_UI]
-        h_mcm = Y_IU X[:, E_M]      h_mcmc = Y_II - Y_IU X[:, Y_UI]
+        h_mm  = (Y_UU^-1 E_M)[M]        h_mmc  = -(Y_UU^-1 Y_UI)[M]
+        h_mcm = (Y_UU^-T Y_IU')[M]'     h_mcmc = Y_II - Y_IU Y_UU^-1 Y_UI
 
     The result maps [V_internal; I_resource] to [I_internal; V_resource].
-    Only the rows M and the columns T where Y_IU is nonzero (the slack
-    terminals) of X are kept.  y_uu is Y_UU in the caller's container: by
-    default a dense array of aug's entries, factored by LAPACK's band LU on
-    aug.band; a SciPy sparse matrix (PolyphaseSystem passes one on large
-    grids) is factored by SuperLU and never orders aug.band.  Either is
-    factored once (linear_solver) and solved in blocks of _SOLVE_COLUMNS
-    columns on that factor.
+    Y_UU is factored once (linear_solver) and the factor kept on the
+    result: the build solves the |I| columns of Y_UI and, transposed, of
+    Y_IU', and h_mm is left to FactoredHybrid.  y_uu is Y_UU in the
+    caller's container: by default a dense array of aug's entries, factored
+    by LAPACK's band LU on aug.band; a SciPy sparse matrix (PolyphaseSystem
+    passes one on large grids) is factored by SuperLU and never orders
+    aug.band.
 
-    Raises SingularInteriorBlock when Y_UU is singular, a solved column is
-    not finite, or 1 / (||Y_UU||_1 max_j ||Y_UU^-1 e_j||_1), j in M, is
-    below RCOND_FLOOR: Y_UU is judged through the columns of its inverse
-    that the resource nodes see.
+    Raises SingularInteriorBlock when Y_UU is singular, a solution is not
+    finite, or 1 / (||Y_UU||_1 est) is below RCOND_FLOOR, where est is
+    norm1_estimate of Y_UU^-1 E_M, a lower bound on max_j ||Y_UU^-1 e_j||_1
+    over j in M, from at most NORM1_ITERATIONS + 1 solves and
+    NORM1_ITERATIONS - 1 conjugate-transposed solves on the factor: Y_UU is
+    judged through the columns of its inverse that the resource nodes see.
     """
     p, m_nodes, mc_nodes = aug.p, aug.resource_nodes, aug.internal_nodes
     if not m_nodes:
@@ -144,39 +185,38 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> HybridPartition:
     u0 = len(mc_nodes) * p
     mi = node_phase_rows(aug.nodes[len(mc_nodes):], m_nodes, p)
     src, u = slice(0, u0), slice(u0, None)
-    y_iu = aug.dense(src, u)
-    y_ui = aug.dense(u, src)
     if y_uu is None:
         y_uu = aug.dense(u, u)
-    ti = np.flatnonzero(np.any(y_iu != 0.0, axis=0))
-
-    k = u0 + mi.size  # columns of [Y_UI | E_M]
+    n = y_uu.shape[0]
     solve = linear_solver(y_uu, "physical admittance block Y_UU", SingularInteriorBlock,
                           None if hasattr(y_uu, "toarray") else aug.band)
-    x_m = np.empty((mi.size, k), dtype=complex)
-    x_t = np.empty((ti.size, k), dtype=complex)
-    x_norm = 0.0
-    for lo in range(0, k, _SOLVE_COLUMNS):
-        cols = np.arange(lo, min(lo + _SOLVE_COLUMNS, k))
-        unit = cols >= u0
-        b = np.zeros((y_uu.shape[0], cols.size), dtype=complex)
-        b[:, ~unit] = y_ui[:, cols[~unit]]
-        b[mi[cols[unit] - u0], np.flatnonzero(unit)] = 1.0
-        x = solve(b)
-        x_norm = max(x_norm, float(np.abs(x[:, unit]).sum(axis=0).max(initial=0.0)))
-        x_m[:, cols] = x[mi]
-        x_t[:, cols] = x[ti]
-    if not 1.0 / (float(_norm1(y_uu)) * x_norm) >= RCOND_FLOOR:
+
+    def columns(x):  # Y_UU^-1 E_M x
+        rhs = np.zeros(n, dtype=complex)
+        rhs[mi] = x
+        return solve(rhs)
+
+    def adjoint(y):  # (Y_UU^-1 E_M)^H y, the conjugate transpose on the factor's transposed solve
+        return np.conj(solve(np.conj(y), transpose=True))[mi]
+
+    rcond = 1.0 / (float(_norm1(y_uu)) * norm1_estimate(columns, adjoint, mi.size))
+    if not rcond >= RCOND_FLOOR:
         raise SingularInteriorBlock("Y_UU is numerically singular as seen from the resource nodes")
 
-    y_it = y_iu[:, ti]
-    return HybridPartition(
+    y_iu = aug.dense(src, u)
+    ti = np.flatnonzero(np.any(y_iu != 0.0, axis=0))  # the slack terminals
+    x_src = solve(aug.dense(u, src))
+    z = solve(y_iu.T, transpose=True)
+    return FactoredHybrid(
         m_nodes=m_nodes,
         mc_nodes=mc_nodes,
-        h_mm=BlockMatrix._adopt(x_m[:, u0:], m_nodes, m_nodes, p),
-        h_mmc=BlockMatrix._adopt(-x_m[:, :u0], m_nodes, mc_nodes, p),
-        h_mcm=BlockMatrix._adopt(y_it @ x_t[:, u0:], mc_nodes, m_nodes, p),
-        h_mcmc=BlockMatrix._adopt(aug.dense(src, src) - y_it @ x_t[:, :u0], mc_nodes, mc_nodes, p),
+        h_mmc=BlockMatrix._adopt(-x_src[mi], m_nodes, mc_nodes, p),
+        h_mcm=BlockMatrix._adopt(z[mi].T, mc_nodes, m_nodes, p),
+        h_mcmc=BlockMatrix._adopt(aug.dense(src, src) - y_iu[:, ti] @ x_src[ti], mc_nodes, mc_nodes, p),
+        solve=solve,
+        rows=mi,
+        size=n,
+        rcond=rcond,
     )
 
 
@@ -214,43 +254,45 @@ def _voltages(op, pairs) -> np.ndarray:
     return _nonzero(op.phasors()[rows, [phase - 1 for _, phase in pairs]], pairs)
 
 
-def zip_coefficients(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiCoefficients:
+def zip_coefficients(hybrid: HybridPartition | FactoredHybrid, table: ZipTable, lam, v_te,
+                     v) -> VsiCoefficients:
     """The coefficient kernel on packed rows.
 
     table holds the resources of hybrid.m_nodes one row per node-phase, lam
     their loading factors and v their (nonzero) voltage phasors; v_te holds
     the source voltages of hybrid.mc_nodes.  With (Y, I, S) =
-    table.split(v, lam), H = h_mm and H_src = h_mmc:
+    table.split(v, lam), the three columns X = h_mm [V * Y, I, conj(S / V)]
+    come from one hybrid.solve_m, and with H_src = h_mmc:
 
-        a = ( H (V * Y) ) / V
-        b = H I + H_src V_te
-        c = conj(V) * ( H conj(S / V) )
+        a = X_0 / V
+        b = X_1 + H_src V_te
+        c = conj(V) * X_2
 
     which matches the per-entry sums with the voltage-ratio scalings folded
     in.
     """
-    pairs = tuple((node, phase) for node in hybrid.m_nodes for phase in range(1, hybrid.h_mm.p + 1))
+    pairs = tuple((node, phase) for node in hybrid.m_nodes for phase in range(1, hybrid.p + 1))
     ypm, ipm, spm = table.split(_nonzero(v, pairs), lam)
-    h = hybrid.h_mm.data
-    a = (h @ (v * ypm)) / v
-    b = h @ ipm + hybrid.h_mmc.data @ v_te
-    c = np.conj(v) * (h @ np.conj(spm / v))
+    x = hybrid.solve_m(np.array([v * ypm, ipm, np.conj(spm / v)]).T)
+    a = x[:, 0] / v
+    b = x[:, 1] + hybrid.h_mmc.data @ v_te
+    c = np.conj(v) * x[:, 2]
     return VsiCoefficients(pairs=pairs, a=a, b=b, c=c)
 
 
-def _packed(hybrid: HybridPartition, slacks, resources, op) -> tuple:
+def _packed(hybrid: HybridPartition | FactoredHybrid, slacks, resources, op) -> tuple:
     """(table, lam, v_te, v) for zip_coefficients from resource models at
     their own lam and the operating point op.  match_models places the
     resources on hybrid.m_nodes and the slacks on the terminals of
     hybrid.mc_nodes, so misplaced models raise IncompleteModel."""
-    p = hybrid.h_mm.p
+    p = hybrid.p
     table = ZipTable.from_resources(match_models(ROLE_RESOURCE, resources, hybrid.m_nodes, p))
     slacks = match_models(ROLE_SLACK, slacks, [node for _, node in hybrid.mc_nodes], p)
     v_te = np.concatenate([np.zeros(0, complex)] + [s.v_te for s in slacks])
     return table, table.lam, v_te, op.phasors().ravel()[node_phase_rows(op.nodes, hybrid.m_nodes, p)]
 
 
-def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoefficients:
+def vsi_coefficients(hybrid: HybridPartition | FactoredHybrid, slacks, resources, op) -> VsiCoefficients:
     """zip_coefficients of the given models at the operating point op."""
     return zip_coefficients(hybrid, *_packed(hybrid, slacks, resources, op))
 
@@ -289,12 +331,12 @@ def vsi_global(local: dict) -> VsiResult:
     return VsiResult(local=dict(local), global_value=float(local[best]), critical=best)
 
 
-def index_at(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiResult:
+def index_at(hybrid: HybridPartition | FactoredHybrid, table: ZipTable, lam, v_te, v) -> VsiResult:
     """zip_coefficients -> local indices -> global maximum, on packed rows."""
     coeffs = zip_coefficients(hybrid, table, lam, v_te, v)
     return vsi_global(_primal(coeffs, v))
 
 
-def evaluate_vsi(hybrid: HybridPartition, slacks, resources, op) -> VsiResult:
+def evaluate_vsi(hybrid: HybridPartition | FactoredHybrid, slacks, resources, op) -> VsiResult:
     """index_at of the given models at the operating point op."""
     return index_at(hybrid, *_packed(hybrid, slacks, resources, op))

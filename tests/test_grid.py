@@ -61,9 +61,9 @@ Proves:
        A dense matrix without a band is solved by np.linalg.solve bit for
        bit, and a is left untouched: C- or F-ordered, read-only or
        byte-swapped
-  20a. A dense matrix without a band solves alike with numpy's LAPACK
-       binding present or absent: a first a x = b bit for bit, and a' x = b
-       and later solves to 1e-12, real and complex
+  20a. On a band, the band LU and the np.linalg.solve fallback taken
+       without numpy's LAPACK binding agree to 1e-12: a' x = b and a x = b,
+       real and complex, on matrices that make gbtrf pivot
   20b. The band LU step refuses a right-hand side without n rows before
        any raw-pointer call; linear_solver refuses a matrix that is not
        square, on every path, and a band of another order, with a
@@ -633,20 +633,36 @@ def test_linear_solver_transpose():
 
 
 def test_linear_solver_fallback_agrees(monkeypatch):
-    # A dense matrix without a band is solved by np.linalg.solve whether or
-    # not numpy's LAPACK is bound.
+    # On a band, LAPACK's band LU and the np.linalg.solve fallback taken
+    # without numpy's LAPACK binding agree to 1e-12, real and complex,
+    # plain and transposed.  The matrices are not diagonally dominant, so
+    # gbtrf pivots.
+    if not grid._lapack():
+        pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
     rng = np.random.default_rng(7)
-    real = rng.standard_normal((40, 40)) + 10.0 * np.eye(40)
-    cplx = real + 1j * rng.standard_normal((40, 40))
-    for a in (real, cplx):
-        for b in (rng.standard_normal(40), rng.standard_normal((40, 8))):
-            fast = linear_solver(a, "test matrix")
-            with monkeypatch.context() as patch:
-                patch.setattr(grid, "_lapack", lambda: {})
-                fallback = linear_solver(a, "test matrix")
-            assert np.array_equal(fast(b), fallback(b))
-            for transpose in (True, False):
-                assert np.allclose(fast(b, transpose), fallback(b, transpose), rtol=1e-12, atol=0.0)
+    n = 40
+    label = rng.permutation(n)
+    rows, cols = (label[k] for k in np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 2))
+    band = grid.Band.of(grid.reverse_cuthill_mckee(rows, cols, n), rows, cols)
+    assert band.kl == band.ku == 2
+
+    def on_pattern():
+        a = np.zeros((n, n))
+        a[rows, cols] = rng.standard_normal(rows.size)
+        return a
+
+    real = on_pattern() + np.eye(n)
+    cplx = real + 1j * on_pattern()
+    vector, block = rng.standard_normal(n), rng.standard_normal((n, 8))
+    for a, b in ((real, vector), (real, block), (cplx, vector), (cplx, block + 1j * block[::-1])):
+        fast = linear_solver(a, "test matrix", band=band)
+        with monkeypatch.context() as patch:
+            patch.setattr(grid, "_lapack", lambda: {})
+            fallback = linear_solver(a, "test matrix", band=band)
+        for transpose in (False, True, False):
+            want = fallback(b, transpose)
+            assert np.array_equal(want, np.linalg.solve(a.T if transpose else a, b))
+            assert np.linalg.norm(fast(b, transpose) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_lu_step_rejects_bad_shapes():

@@ -151,10 +151,10 @@ def test_non_finite_parameters_rejected(bad):
 
 
 # Values that are not finite real numbers; the complex ones used to pass
-# construction (p0) or raise a raw TypeError (v0), and the array numpy's
-# "truth value is ambiguous".
+# construction (p0) or raise a raw TypeError (v0), the array numpy's "truth
+# value is ambiguous", and the int beyond the float range a raw OverflowError.
 NOT_FINITE_REAL = [np.nan, np.inf, -np.inf, 1.0 + 0.5j, np.complex128(2.0), np.array([1.0, 2.0]),
-                   np.array(1.0), "1.0", None]
+                   np.array(1.0), "1.0", None, pytest.param(10**400, id="10**400")]
 
 
 @pytest.mark.parametrize("bad", NOT_FINITE_REAL, ids=repr)

@@ -19,6 +19,15 @@ Proves:
    3c. Without loss it can fail: a reactive source, line and shunt that
        pass the parameter check make Y_UU singular (SingularInteriorBlock);
        0.1 ohm of line resistance makes the system build
+   3d. Y_UU's factor gets few right-hand sides: a build solves the source
+       columns plain and transposed plus the condition estimate's single
+       columns, one index evaluation 3 columns, and run_cpf 3 per recorded
+       sample; h_mm is never formed (bundled feeder, 252-state and 302-node
+       synthetic feeders, dense and sparse)
+   3e. The condition estimate never exceeds the exact
+       max_j ||Y_UU^-1 e_j||_1 over the resource columns (random grids
+       p = 1..3), and equals it on the bundled feeder, the 252-state
+       feeder and four 302-node feeders, dense and sparse
 
  Group 3 - Coefficients
    4.  Zero loading collapses a = c = 0 and b = source voltage
@@ -56,10 +65,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvsi_cases import random_system, two_bus
-from polyvsi import powerflow
+from polyvsi import powerflow, vsi
 from polyvsi.benchmark import build_benchmark
+from polyvsi.continuation import CpfConfig, run_cpf
 from polyvsi.errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
 from polyvsi.grid import (
+    NORM1_ITERATIONS,
     Branch,
     GridModel,
     Node,
@@ -165,6 +176,88 @@ def test_reduction_matches_stepwise(sparse, synthfeeder, monkeypatch):
     cases += [build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 300))]
     for grid, slacks, resources in cases:
         _assert_matches_stepwise(PolyphaseSystem(grid, slacks, resources), sparse)
+
+
+def _count_y_uu_columns(monkeypatch) -> list:
+    """Wrap reduce_augmented's linear_solver: the returned list gets
+    (columns, transpose) for every solve on Y_UU's factor."""
+    calls = []
+    factor = vsi.linear_solver
+
+    def counting(*args, **kwargs):
+        solve = factor(*args, **kwargs)
+
+        def counted(b, transpose=False):
+            calls.append((1 if np.ndim(b) == 1 else np.shape(b)[1], transpose))
+            return solve(b, transpose)
+
+        return counted
+
+    monkeypatch.setattr(vsi, "linear_solver", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_index_solves_three_columns_on_the_factor(sparse, synthfeeder, monkeypatch):
+    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0 if sparse else 10**9)
+    calls = _count_y_uu_columns(monkeypatch)
+    cases = [(build_benchmark(), True), (parse_grid_text(synthfeeder.feeder_text(0, 40)), True),
+             (parse_grid_text(synthfeeder.feeder_text(7000008, 300)), False)]
+    for case, trace in cases:
+        del calls[:]
+        system = PolyphaseSystem(*case)
+        assert system.sparse == sparse
+        u0 = len(system.hybrid.mc_nodes) * system.p
+        assert u0 == 3
+        # The source columns plain and transposed, then the estimate's single columns.
+        assert sorted(c for c in calls if c[0] != 1) == [(u0, False), (u0, True)]
+        estimate = [transpose for k, transpose in calls if k == 1]
+        assert estimate.count(False) <= NORM1_ITERATIONS + 1
+        assert estimate.count(True) <= NORM1_ITERATIONS - 1
+
+        built = len(calls)
+        op, _ = solve_power_flow(system)
+        evaluate_vsi(system.hybrid, system.slacks, system.resources_at(1.0), op)
+        assert calls[built:] == [(3, False)]
+        if trace:
+            built = len(calls)
+            samples = run_cpf(system, CpfConfig(record_svd=False)).samples
+            assert all(s.vsi is not None for s in samples)
+            assert calls[built:] == [(3, False)] * len(samples)
+        assert "h_mm" not in vars(system.hybrid)
+
+
+def _inverse_norms(system) -> tuple:
+    """(estimated, exact) max_j ||Y_UU^-1 e_j||_1 over the resource columns
+    j: the estimate from the rcond the build judged, the exact value from
+    a dense solve."""
+    u0 = len(system.hybrid.mc_nodes) * system.p
+    y_uu = system.aug.dense(slice(u0, None), slice(u0, None))
+    norm = np.abs(y_uu).sum(axis=0).max()
+    unit = np.eye(y_uu.shape[0])[:, system.hybrid.rows]
+    return 1.0 / (system.hybrid.rcond * norm), np.abs(np.linalg.solve(y_uu, unit)).sum(axis=0).max()
+
+
+def test_condition_estimate_is_a_lower_bound(monkeypatch):
+    rng = np.random.default_rng(47)
+    for p in (1, 2, 3):
+        for _ in range(8):
+            case = random_system(rng, p=p)
+            for threshold in (10**9, 0):
+                monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", threshold)
+                estimate, exact = _inverse_norms(PolyphaseSystem(*case))
+                assert estimate <= exact * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_condition_estimate_is_exact_on_feeders(sparse, synthfeeder, monkeypatch):
+    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0 if sparse else 10**9)
+    cases = [build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 40))]
+    cases += [parse_grid_text(synthfeeder.feeder_text(seed, 300))
+              for seed in (7000008, 7000009, 9000010, 1000004)]
+    for case in cases:
+        estimate, exact = _inverse_norms(PolyphaseSystem(*case))
+        assert abs(estimate - exact) <= 1e-12 * exact
 
 
 @settings(derandomize=True, deadline=None)
