@@ -209,7 +209,7 @@ def test_index_solves_three_columns_on_the_factor(sparse, synthfeeder, monkeypat
         assert system.sparse == sparse
         u0 = len(system.hybrid.mc_nodes) * system.p
         assert u0 == 3
-        # The source columns plain and transposed, then the estimate's single columns.
+        # The source columns plain and transposed, and the estimate's single columns.
         assert sorted(c for c in calls if c[0] != 1) == [(u0, False), (u0, True)]
         estimate = [transpose for k, transpose in calls if k == 1]
         assert estimate.count(False) <= NORM1_ITERATIONS + 1
