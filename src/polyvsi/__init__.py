@@ -33,6 +33,7 @@ from .errors import (
     ZeroVoltage,
 )
 from .grid import (
+    BandMatrix,
     Branch,
     GridModel,
     HybridPartition,

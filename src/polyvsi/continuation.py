@@ -31,19 +31,18 @@ bound that agreed with the full SVD to within 1e-6 relative on the
 feeders measured.  system.svd_at(s.x, s.xi) gives the full triplet of any
 sample on demand.
 
-Each anchor's J_x is evaluated once and factored once, dense or sparse
-(grid.linear_solver): the tangent, every corrector step from that anchor,
-the sample's subspace step and, at the base, the seeding of the step's
-block all solve on that one LU.  A dense J_x is factored by LAPACK's band
-LU on the problem's band order (PolyphaseSystem.band: reverse
-Cuthill-McKee over the feeder's nodes, so a radial feeder's J_x is a
-narrow band).  A problem without a band, or a run where numpy's LAPACK
-cannot be bound, solves every call by np.linalg.solve on the matrix as
-given.  The corrector is a chord method: it evaluates f and D_xi f at each
-iterate but never J_x, and eliminates the sphere row by bordering, so it
-factors nothing.  A chord iterate that diverges fails as a typed
-SingularJacobian, with no numpy warning.  Only the base solve factors its
-own Jacobians, one per Newton iteration.
+Each anchor's J_x is evaluated once and factored once (grid.linear_solver):
+the tangent, every corrector step from that anchor, the sample's subspace
+step and, at the base, the seeding of the step's block all solve on that
+one LU.  PolyphaseSystem's J_x is a grid.BandMatrix, factored by LAPACK's
+band LU on its band order (reverse Cuthill-McKee over the feeder's nodes,
+so a radial feeder's J_x is a narrow band).  A problem whose J_x is a plain
+array, or a run where numpy's LAPACK cannot be bound, solves every call by
+np.linalg.solve on the dense matrix.  The corrector is a chord method: it
+evaluates f and D_xi f at each iterate but never J_x, and eliminates the
+sphere row by bordering, so it factors nothing.  A chord iterate that
+diverges fails as a typed SingularJacobian, with no numpy warning.  Only
+the base solve factors its own Jacobians, one per Newton iteration.
 """
 
 from __future__ import annotations
@@ -259,14 +258,13 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     sigma_floor = config.sigma * SIGMA_MIN_RATIO
     fold_evidence = False
     block = SvdBlock()
-    band = getattr(system, "band", None)
     termination = TERM_STEP_LIMIT
     j_k = solve_k = None  # held while J_x at the anchor (x_k, xi_k) and its factor
 
     for step in range(config.max_steps):
         try:
             j_k = system.jacobian_x(x_k, xi_k)
-            solve_k = linear_solver(j_k, "state Jacobian at the anchor", band=band)
+            solve_k = linear_solver(j_k, "state Jacobian at the anchor")
             t_x, t_xi = tangent_direction(system, x_k, xi_k, solve_k)
         except SingularJacobian:
             trace.events.append(f"step {step}: singular Jacobian at anchor, fold reached")

@@ -6,11 +6,11 @@ are P x P complex matrices in SI units (ohm, siemens).  This module builds
 the compound nodal admittance matrix, eliminates zero-injection interior
 nodes by Kron reduction (a Schur complement), and exchanges voltage and
 current roles on a node subset via the hybrid parameter transformation.
-It also holds the one linear-solve rule the solvers share (linear_solver):
-factor once, solve many times, on both containers: LAPACK's band LU for a
-dense array on a Band's order, as reverse_cuthill_mckee gives it,
-SuperLU for a SciPy sparse matrix, every failure mapped to the caller's
-error type.
+It also holds the library's one sparse matrix container (BandMatrix: the
+values of a block pattern over the nodes, on a Band's order as
+reverse_cuthill_mckee gives it) and the one linear-solve rule the solvers
+share (linear_solver): factor once by LAPACK's band LU, solve many times,
+every failure mapped to the caller's error type.
 """
 
 from __future__ import annotations
@@ -42,12 +42,6 @@ NORM1_ITERATIONS = 5
 
 # The passivity rule's one tolerance, relative to each matrix's scale (passivity_faults).
 PARAM_TOL = 1e-9
-
-
-def _norm1(a):
-    """Matrix 1-norm (largest column sum of moduli) of an array or SciPy sparse
-    matrix, or one per matrix of a (k, n, n) stack."""
-    return abs(a).sum(axis=-2).max(axis=-1)
 
 
 def norm1_estimate(apply, adjoint, n: int) -> float:
@@ -107,7 +101,7 @@ def _inverse(a: np.ndarray) -> tuple:
         a_inv = np.array([np.full(a.shape[1:], np.nan) if m is None else m for m, _ in each])
         return a_inv, np.array([rc for _, rc in each])
     with np.errstate(all="ignore"):  # inf or nan entries give rcond nan
-        return a_inv, 1.0 / (_norm1(a) * _norm1(a_inv))
+        return a_inv, 1.0 / (abs(a).sum(axis=-2).max(axis=-1) * abs(a_inv).sum(axis=-2).max(axis=-1))
 
 
 @cache
@@ -181,62 +175,122 @@ def reverse_cuthill_mckee(rows, cols, n: int) -> np.ndarray:
 
 @array_dataclass(frozen=True)
 class Band:
-    """A symmetric permutation of an n x n sparsity pattern and the band it
-    leaves: permuted, every pattern entry lies at most kl rows below and ku
-    rows above the diagonal.  linear_solver factors a dense matrix that is
-    zero off the pattern in LAPACK's band storage on this order.
+    """A pattern of dense b x b blocks over N nodes, ordered into a band.
 
-    perm[k] is the row and column of the matrix placed k-th; rows and cols
-    are the pattern's entries, and storage the flat index of each in the
-    Fortran-order (lead, n) band storage of gbtrf, whose first kl rows hold
-    the factor's fill.
+    index[i] holds the b flat rows (and columns) of node i's states, and the
+    blocks are the node pairs (block_rows[k], block_cols[k]), sorted by block
+    row.  The node order (as reverse_cuthill_mckee gives it) places the
+    states at perm = index[order].ravel(), each node's together, which
+    leaves every entry at most kl rows below and ku rows above the
+    diagonal.  storage (k, b, b) is each block entry's flat index in the
+    Fortran-order (lead, n) band storage of gbtrf, lead = 2 kl + ku + 1,
+    whose first kl rows hold the factor's fill.  Node i's blocks start at row_starts[i].
     """
 
+    index: np.ndarray
+    block_rows: np.ndarray
+    block_cols: np.ndarray
+    row_starts: np.ndarray
+    order: np.ndarray
     perm: np.ndarray
     kl: int
     ku: int
-    rows: np.ndarray
-    cols: np.ndarray
+    lead: int
     storage: np.ndarray
 
     @classmethod
-    def of(cls, perm, rows, cols) -> Band:
-        perm = np.asarray(perm, dtype=np.int64)
+    def of(cls, order, index, block_rows, block_cols) -> Band:
+        """The Band on order; ValueError unless block_rows runs 0, 1, ..., N - 1 in steps of 0 or 1."""
+        index, rows, cols = (np.asarray(a, dtype=np.int64) for a in (index, block_rows, block_cols))
+        row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        if not np.array_equal(rows[row_starts], np.arange(len(index))):
+            raise ValueError("the pattern's blocks must be sorted by block row, each row holding one")
+        order = np.asarray(order, dtype=np.int64)
+        perm = index[order].ravel()
         position = np.empty_like(perm)
         position[perm] = np.arange(perm.size)
-        i, j = position[rows], position[cols]
+        i, j = position[index[rows]][:, :, None], position[index[cols]][:, None, :]
         kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
-        storage = j * (2 * kl + ku + 1) + kl + ku + i - j
-        return cls(perm, kl, ku, np.asarray(rows), np.asarray(cols), storage)
+        lead = 2 * kl + ku + 1
+        return cls(index, rows, cols, row_starts, order, perm, kl, ku, lead, j * lead + kl + ku + i - j)
 
     @property
-    def lead(self) -> int:
-        """The leading dimension of the band storage, 2 kl + ku + 1."""
-        return 2 * self.kl + self.ku + 1
-
-    def gather(self, dense: np.ndarray) -> np.ndarray:
-        """The pattern entries of dense, permuted, in a new band storage."""
-        ab = np.zeros(self.lead * self.perm.size, dtype=dense.dtype)
-        ab[self.storage] = dense[self.rows, self.cols]
-        return ab
+    def entries(self) -> tuple:
+        """(rows, cols): the flat row and column of each block entry, both (k, b, b)."""
+        rows, cols = self.index[self.block_rows], self.index[self.block_cols]
+        return tuple(np.broadcast_arrays(rows[:, :, None], cols[:, None, :]))
 
 
-def _lu_step(dense: np.ndarray, routines: dict, band: Band):
-    """step(b, transpose) on one band LU factor of the square dense on band's
-    order; routines are one dtype's of _lapack.
+@array_dataclass(frozen=True)
+class BandMatrix:
+    """A square matrix that is zero off band's pattern, held as its blocks'
+    values (k, b, b) in band's block order: the one container of Y_UU and
+    of the state Jacobian J_x at every size.  linear_solver factors it by
+    the band LU, and np.asarray gives its dense copy.
+    """
 
-    dense is permuted to band.perm and its pattern entries gathered into a
-    new band storage, so dense is never written.  The first call factors
-    that storage by gbtrf, and every call solves with gbtrs on the
-    right-hand side permuted the same way.  The closure holds the factor and
-    pivot arrays themselves (data_as keeps a reference), so they live as
-    long as the solver.  Raises LinAlgError on every call once the
+    band: Band
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.values.shape != self.band.storage.shape:
+            raise ValueError(f"values of shape {self.values.shape} for blocks of {self.band.storage.shape}")
+
+    @property
+    def shape(self) -> tuple:
+        return self.band.perm.size, self.band.perm.size
+
+    @cached_property
+    def by_row(self) -> tuple:
+        """(values, their columns, the first of each row): the entries sorted
+        by row, the order of a product with a vector."""
+        rows, cols = (a.ravel() for a in self.band.entries)
+        order = np.argsort(rows, kind="stable")
+        return self.values.ravel()[order], cols[order], np.flatnonzero(np.diff(rows[order], prepend=-1))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with x of shape (n,) or (n, k): a vector entry by entry
+        in row order, columns by one batched product of the blocks, summed
+        per block row (each the faster on its shape)."""
+        band, x = self.band, np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"operand of shape {x.shape} for a matrix of shape {self.shape}")
+        if x.ndim == 1:
+            values, cols, starts = self.by_row
+            return np.add.reduceat(values * x[cols], starts)
+        out = np.empty(x.shape, dtype=np.result_type(self.values, x))
+        out[band.index] = np.add.reduceat(self.values @ x[band.index[band.block_cols]], band.row_starts)
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a BandMatrix has no dense array to share")
+        out = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
+        out[self.band.entries] = self.values
+        return out
+
+    def norm1(self) -> float:
+        """The 1-norm, the largest column sum of moduli."""
+        sums = np.bincount(self.band.entries[1].ravel(), np.abs(self.values).ravel(), self.shape[1])
+        return float(sums.max(initial=0.0))
+
+
+def _lu_step(a: BandMatrix, routines: dict):
+    """step(b, transpose) on one band LU factor of a on its band's order;
+    routines are one dtype's of _lapack.
+
+    a's values are written into a new band storage, so a is never written.
+    The first call factors it by gbtrf, and every call solves with gbtrs on
+    the right-hand side permuted to band.perm.  The closure holds the
+    factor and pivot arrays themselves (data_as keeps a reference), so they
+    live as long as the solver.  Raises LinAlgError on every call once the
     factorization has found the matrix exactly singular, like
     np.linalg.solve; ValueError when b does not have n rows, because LAPACK
     reads and writes through the bare pointers.
     """
-    n = dense.shape[0]
-    ab, piv = band.gather(dense), np.empty(n, dtype=np.int64)
+    band, n = a.band, a.shape[0]
+    ab, piv = np.zeros(band.lead * n, dtype=a.values.dtype.char), np.empty(n, dtype=np.int64)
+    ab[band.storage] = a.values
     size, kl, ku, lead, ldb, nrhs, info = (ctypes.c_int64(v) for v in
                                            (n, band.kl, band.ku, band.lead, max(n, 1), 0, 0))
     ab_p, piv_p = ab.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
@@ -266,48 +320,30 @@ def _lu_step(dense: np.ndarray, routines: dict, band: Band):
     return step
 
 
-def linear_solver(a, what: str, error: type = SingularJacobian, band: Band | None = None):
+def linear_solver(a, what: str, error: type = SingularJacobian):
     """solve(b, transpose=False) for a x = b, or a' x = b with transpose=True;
     b has shape (n,) or (n, k), real, or complex when a is.  a' is the plain
     transpose, never the conjugate one, and a itself is never written.
 
-    An array of native float64 or complex128 with a band is factored once,
-    by LAPACK's band LU on band's order at the first call, and every call
-    solves on that factor (_lu_step); a must then be zero off band's
-    pattern (PolyphaseSystem.band with its dense state Jacobian,
-    AugmentedGrid.band with its dense Y_UU).  Any other array, and every
-    array where numpy's LAPACK cannot be bound (_lapack), is solved by
+    A BandMatrix of float64 or complex128 values is factored once, by
+    LAPACK's band LU on its band's order at the first call, and every call
+    solves on that factor (_lu_step).  Any other matrix, and every one where
+    numpy's LAPACK cannot be bound (_lapack), is solved as a dense array by
     np.linalg.solve at each call, which agrees with the band factor to
-    rounding.  A SciPy sparse matrix is factored once by SuperLU with the
-    minimum-degree ordering of a' + a, which suits every matrix the library
-    factors: each has the structurally symmetric pattern of the admittance.
-    scipy is imported only in that case.  Raises ValueError naming the
-    shape when a is not square or band is not of its size, and error naming
-    what when the factorization fails or a solution is not finite.
+    rounding.  Raises ValueError naming the shape when a is not square, and
+    error naming what when the factorization fails or a solution is not
+    finite.
     """
-    shape = a.shape if hasattr(a, "toarray") else np.shape(a)
+    shape = np.shape(a)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"{what} of shape {shape} is not a square matrix")
-    if band is not None and band.perm.size != shape[0]:
-        raise ValueError(f"{what} of shape {shape} does not fit a band of order {band.perm.size}")
-    try:
-        if hasattr(a, "toarray"):
-            from scipy.sparse.linalg import splu
+    if isinstance(a, BandMatrix) and (routines := _lapack().get(a.values.dtype.char)):
+        step = _lu_step(a, routines)
+    else:
+        dense = np.asarray(a)
 
-            lu = splu(a, permc_spec="MMD_AT_PLUS_A")
-
-            def step(b, transpose):
-                return lu.solve(b, trans="T" if transpose else "N")
-        else:
-            dense = np.asarray(a)
-            if band is not None and dense.dtype.isnative and (routines := _lapack().get(dense.dtype.char)):
-                step = _lu_step(dense, routines, band)
-            else:
-
-                def step(b, transpose):
-                    return np.linalg.solve(dense.T if transpose else dense, b)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:  # SuperLU: "Factor is exactly singular"
-        raise error(f"{what} is singular") from exc
+        def step(b, transpose):
+            return np.linalg.solve(dense.T if transpose else dense, b)
 
     def solve(b: np.ndarray, transpose: bool = False) -> np.ndarray:
         try:
@@ -719,7 +755,8 @@ class HybridPartition:
     hybrid_partition raises SingularInteriorBlock when the exact reciprocal
     1-norm condition number 1 / (||Y_MM||_1 ||Y_MM^-1||_1) is below
     RCOND_FLOOR.  solve_m is the product with h_mm that the index reads,
-    as on vsi.FactoredHybrid, the same blocks on a factor of Y_UU.
+    and pairs the (node, phase) keys of its rows, as on vsi.FactoredHybrid,
+    the same blocks on a factor of Y_UU.
     """
 
     m_nodes: tuple
@@ -732,6 +769,11 @@ class HybridPartition:
     @property
     def p(self) -> int:
         return self.h_mm.p
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """(node, phase) of each row of M, phases from 1: the index's keys, formed once."""
+        return tuple((node, phase) for node in self.m_nodes for phase in range(1, self.p + 1))
 
     def solve_m(self, b: np.ndarray) -> np.ndarray:
         """h_mm b for b of shape (|M|,) or (|M|, k), |M| = len(m_nodes) * p."""

@@ -8,18 +8,17 @@ nodes).  Magnitudes are normalized by nominal voltage and powers by a common
 base so one tolerance applies across voltage levels.
 
 The Jacobian is analytic and is evaluated only on the block pattern of the
-admittance, which grid.admittance_entries stamps from the topology.  Below
-SPARSE_MIN_STATES states it is a dense array, factored by LAPACK's band LU
-on the system's band order (PolyphaseSystem.band); from there on it is a
-SciPy CSC matrix factored by SuperLU.  The physical admittance block Y_uu
-follows the same rule: the system factors it once, in its container (a
-dense Y_uu by the same band LU), and keeps that factor on system.hybrid,
-where the reduction's source-side blocks and every index evaluation solve
-on it; the residual multiplies by it.  Both band orders come from one
-reverse Cuthill-McKee order of the grid's nodes (AugmentedGrid.band).
-SciPy is imported only on the sparse path, so small systems never pay its
-import.  Newton iteration checks convergence before each correction, so a
-point that already satisfies the tolerance is returned untouched.
+admittance, which grid.admittance_entries stamps from the topology: at every
+size it is a grid.BandMatrix, one 2p x 2p block per block of Y_uu, factored
+by LAPACK's band LU on the system's band order (PolyphaseSystem.band).  The
+physical admittance block Y_uu is the BandMatrix of the same node blocks
+(AugmentedGrid.y_uu): the system factors it once and keeps that factor on
+system.hybrid, where the reduction's source-side blocks and every index
+evaluation solve on it; the residual multiplies by it.  Both band orders
+come from one reverse Cuthill-McKee order of the grid's nodes
+(AugmentedGrid.band), and no dense n x n array is formed on the way.
+Newton iteration checks convergence before each correction, so a point
+that already satisfies the tolerance is returned untouched.
 """
 
 from __future__ import annotations
@@ -32,28 +31,11 @@ import numpy as np
 
 from .blocks import array_dataclass, node_phase_rows
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian, ValidationError
-from .grid import ROLE_RESOURCE, Band, GridModel, linear_solver, validate_parameters
+from .grid import ROLE_RESOURCE, Band, BandMatrix, GridModel, linear_solver, validate_parameters
 from .nodes import ZipTable
 from .vsi import build_augmented, index_at, reduce_augmented
 # Not called here; perfbench/spans.py wraps it by name when tracing.
 from .vsi import evaluate_vsi  # noqa: F401
-
-# A state Jacobian with at least this many rows (2 * n_unknown) is sparse.
-# Feeders are nearly radial, so J_x holds O(n) nonzeros, and on the band
-# order one factor and solve of it is no slower than SuperLU's up to 3612
-# states.  What decides is the rest of each path.  The sparse one imports
-# scipy.sparse.linalg, about 32 MB of peak RSS.  The dense one forms the
-# whole (2n)^2 J_x at every anchor before the band gather (26 MB at 1812
-# states), and a dense Y_UU at build.  The build now solves about ten
-# columns on Y_UU's factor, which cost the same on the band as on SuperLU
-# (0.04 ms each at 906 rows), so the band path's whole build is no longer
-# held back by right-hand sides but by its dense arrays: 3.2 to 5.3 ms
-# against 1.8 to 3.1 ms at 906 rows, of which the reduction is 1.5 to
-# 2.0 ms against 1.0 ms (the band factor 0.4 ms against 0.3 ms, and the
-# 1-norm of the dense Y_UU 0.5 ms).  A synthetic feeder's trace peaks at
-# 53 MB dense against 77 MB sparse at 612 states, and at 103 MB against
-# 89 MB at 1812 (ROADMAP's F5 and CHANGES.md have the measurements).
-SPARSE_MIN_STATES = 1000
 
 # jacobian_svd's inverse subspace step carries SVD_BLOCK vectors.  Along the
 # 252-state synthetic feeder's trace the worst sv_min error was 7.5e-6
@@ -143,11 +125,9 @@ class PolyphaseSystem:
     which the residual, both Jacobians and the index read.  The loading
     trajectory is built in and _lam(xi) is its one rule: each row runs at
     its model's lam times xi on load rows and times 1 on compensator rows.
-    sparse is set once from the size: True when 2 * n_unknown reaches
-    SPARSE_MIN_STATES, and jacobian_x then returns a SciPy CSC matrix.
-    band, None on a sparse system, is the grid.Band that the power flow
-    and run_cpf hand linear_solver with the dense jacobian_x, on
-    aug.band's node order.
+    band is the grid.Band of jacobian_x's BandMatrix: the node blocks and
+    node order of aug.y_uu's band, each node's 2p states (its E rows, then its
+    theta rows) together.
     slacks are aug.slacks, in the one order build_augmented gives them.
     hybrid is vsi.reduce_augmented's FactoredHybrid, which holds Y_uu's one
     factor; vsi_at solves three columns on it and never forms h_mm.
@@ -182,36 +162,16 @@ class PolyphaseSystem:
         self._res = node_phase_rows(self.unknown_nodes, grid.resource_nodes, p)
         self._dlam = self._lam(1.0) - self._lam(0.0)  # d lam / d xi per row
 
-        # Y_uu on the augmented admittance's block pattern.  Positions of the
-        # (k, k) entries, k ascending, in each of the four quadrant runs of
-        # jacobian_x's value vector.
-        self._rows, self._cols, self._y_pattern, _ = self.aug.entries(u, u)
-        m = self._rows.size
-        on_diag = np.flatnonzero(self._rows == self._cols)
-        self._jac_diag = np.concatenate([on_diag + k * m for k in range(4)])
-        self._jac_rows = np.concatenate([self._rows, self._rows + nu] * 2)
-        self._jac_cols = np.concatenate([self._cols, self._cols, self._cols + nu, self._cols + nu])
-        self.sparse = 2 * nu >= SPARSE_MIN_STATES
-        # The dense J_x's band order: aug.band's node order, each node's 2p
-        # states (its E rows, then its theta rows) together.
-        self.band = None
-        if not self.sparse:
-            k = self.aug.band.perm.reshape(-1, p)
-            self.band = Band.of(np.hstack([k, k + nu]).ravel(), self._jac_rows, self._jac_cols)
-        # Y_uu in the system's container, for the residual, and its one
-        # factor, kept on the hybrid blocks for the index.
-        self._y_uu_op = self._container(self._y_pattern, self._rows, self._cols, (nu, nu))
-        self.hybrid = reduce_augmented(self.aug, self._y_uu_op)
-
-    def _container(self, values, rows, cols, shape):
-        """The matrix of shape with values at (rows, cols): CSC if sparse, else dense."""
-        if self.sparse:
-            from scipy.sparse import csc_array
-
-            return csc_array((values, (rows, cols)), shape=shape)
-        out = np.zeros(shape, dtype=values.dtype)
-        out[rows, cols] = values
-        return out
+        # J_x has one 2p x 2p block per node block of Y_uu.  Flat positions in
+        # its values of the diagonal blocks' (P, E), (Q, E), (P, theta) and
+        # (Q, theta) self terms, each run node-phase by node-phase.
+        y_band = self.aug.y_uu.band
+        k, phase = np.arange(nu).reshape(-1, p), np.arange(p)
+        self.band = Band.of(y_band.order, np.hstack([k, k + nu]), y_band.block_rows, y_band.block_cols)
+        diag = np.flatnonzero(y_band.block_rows == y_band.block_cols)[:, None] * (2 * p) ** 2
+        self._jac_diag = np.concatenate([(diag + (r * p + phase) * 2 * p + c * p + phase).ravel()
+                                         for r, c in ((0, 0), (1, 0), (0, 1), (1, 1))])
+        self.hybrid = reduce_augmented(self.aug)
 
     # -- state packing ---------------------------------------------------
 
@@ -255,7 +215,7 @@ class PolyphaseSystem:
         e = x[:nu] * self.e_nom
         theta = x[nu:]
         v = e * np.exp(1j * theta)
-        i_u = self._i_from_fixed + self._y_uu_op @ v
+        i_u = self._i_from_fixed + self.aug.y_uu @ v
         return e, theta, v, i_u
 
     def residual(self, x: np.ndarray, xi: float) -> np.ndarray:
@@ -271,17 +231,18 @@ class PolyphaseSystem:
         the off-diagonal blocks are d(P, Q)_i / dE_norm_k = (Re, Im) D_ik and
         d(P, Q)_i / dtheta_k = (Im, -Re) D_ik E_norm_k.  The diagonal adds the
         self terms e^{j theta_i} conj(I_i) c_i and j v_i conj(I_i) / s_base and
-        subtracts the ZIP derivatives.  The result is a dense (2n, 2n) array,
-        or a SciPy CSC matrix when the system is sparse.
+        subtracts the ZIP derivatives.  The result is a BandMatrix on band.
         """
         e, theta, v, i_u = self._split(x)
-        n = self.n_unknown
-        rows, cols = self._rows, self._cols
+        n, p, band = self.n_unknown, self.p, self.band
+        rows, cols = band.block_rows, band.block_cols
         unit = np.exp(1j * theta)
         col = self.e_nom / self.s_base
-        d = np.conj(self._y_pattern * (unit * col)[cols]) * v[rows]
-        e_norm = x[:n][cols]
-        vals = np.concatenate([d.real, d.imag, d.imag * e_norm, d.real * -e_norm])
+        d = np.conj(self.aug.y_uu.values * (unit * col).reshape(-1, p)[cols][:, None, :])
+        d *= v.reshape(-1, p)[rows][:, :, None]
+        # Each block is [[Re D, Im D E_norm], [Im D, -Re D E_norm]] = [Re; Im] [D, -j D E_norm].
+        d = np.concatenate([d, -1j * d * x[:n].reshape(-1, p)[cols][:, None, :]], axis=2)
+        vals = np.concatenate([d.real, d.imag], axis=1)
 
         r = self._res
         dp_de, dq_de = self._zip.power_de(e[r], self._lam(xi))
@@ -289,9 +250,8 @@ class PolyphaseSystem:
         de[r] -= dp_de + 1j * dq_de
         de *= col
         dth = 1j * v * np.conj(i_u) / self.s_base
-        vals[self._jac_diag] += np.concatenate([de.real, de.imag, dth.real, dth.imag])
-
-        return self._container(vals, self._jac_rows, self._jac_cols, (2 * n, 2 * n))
+        vals.reshape(-1)[self._jac_diag] += np.concatenate([de.real, de.imag, dth.real, dth.imag])
+        return BandMatrix(band, vals)
 
     def jacobian_xi(self, x: np.ndarray, xi: float) -> np.ndarray:
         del xi
@@ -364,16 +324,16 @@ def jacobian_svd(a, block: SvdBlock | None = None, solve=None) -> tuple:
     """(smallest, mean, largest) singular value of the state Jacobian a.
 
     Without a block, or with one not yet seeded, the values come from a
-    values-only SVD (a sparse Jacobian is densified first).  An unseeded
-    block is seeded on the way: from a fixed-seed start, inverse subspace
-    steps run until the Ritz value matches the exact smallest singular
-    value, so no SVD with vectors is formed.  With a seeded block the
-    result is (sv_min, None, None) from one step of inverse subspace
+    values-only SVD of a's dense copy, the only place J_x is densified.  An
+    unseeded block is seeded on the way: from a fixed-seed start, inverse
+    subspace steps run until the Ritz value matches the exact smallest
+    singular value, so no SVD with vectors is formed.  With a seeded block
+    the result is (sv_min, None, None) from one step of inverse subspace
     iteration on J'J warm-started from the block: solve J' Y = V and
-    J W = Y on one LU factor of J (LAPACK's when J is dense, SuperLU's when
-    it is sparse), orthonormalize W into Q, and take the smallest singular
-    value of the thin J Q; its right vectors become the block.  That value
-    is a Ritz value, so it bounds the smallest singular value from above.
+    J W = Y on one LU factor of J (the band LU of a BandMatrix),
+    orthonormalize W into Q, and take the smallest singular value of the
+    thin J Q; its right vectors become the block.  That value is a Ritz
+    value, so it bounds the smallest singular value from above.
     Stepped along the continuation traces it agreed with the full SVD to
     2.5e-9 relative on the bundled feeder, 9.7e-8 on the 252-state and
     1.2e-8 on the 612-state synthetic feeder (every sample, OpenBLAS at one
@@ -392,7 +352,7 @@ def jacobian_svd(a, block: SvdBlock | None = None, solve=None) -> tuple:
         except SingularJacobian:
             pass  # exactly singular: the full values below still exist
     try:
-        s = np.linalg.svd(a.toarray() if hasattr(a, "toarray") else np.asarray(a), compute_uv=False)
+        s = np.linalg.svd(np.asarray(a), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"Jacobian SVD failed: {exc}") from exc
     if block is not None and block.vectors is None and a.shape[0] > SVD_BLOCK:
@@ -474,12 +434,10 @@ def newton_solve(fun, solver, x0: np.ndarray, eps: float = 1e-8, max_iter: int =
 
 def newton_at(system, xi: float, x0: np.ndarray, eps: float, max_iter: int) -> NewtonResult:
     """newton_solve of system.residual at fixed loading xi from x0, on a
-    fresh linear_solver of system.jacobian_x at each iterate, on the
-    system's band order if it has one: the base-case Newton of both
-    solve_power_flow and run_cpf."""
-    band = getattr(system, "band", None)
+    fresh linear_solver of system.jacobian_x at each iterate: the base-case
+    Newton of both solve_power_flow and run_cpf."""
     return newton_solve(lambda x: system.residual(x, xi),
-                        lambda x: linear_solver(system.jacobian_x(x, xi), "Newton Jacobian", band=band),
+                        lambda x: linear_solver(system.jacobian_x(x, xi), "Newton Jacobian"),
                         x0, eps=eps, max_iter=max_iter)
 
 

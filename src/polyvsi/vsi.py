@@ -5,7 +5,7 @@ ideal source behind its Thevenin admittance.  Eliminating the slack terminals
 and all zero-injection nodes, then switching the resource nodes to hybrid
 parameters, yields a direct relation between internal source voltages,
 resource injections, and resource voltages.  reduce_augmented keeps one
-factorization of the physical-node admittance block Y_UU, which is
+band LU of the physical-node admittance block Y_UU (AugmentedGrid.y_uu),
 invertible for lossy grids, and solves on it only what is cheap: the
 source-side blocks, a few columns per slack.  The resource block h_mm is a
 dense |M| x |M| array that the index never forms: it reads h_mm B for the
@@ -34,7 +34,7 @@ import numpy as np
 
 from .blocks import BlockMatrix, array_dataclass, node_phase_rows
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
-from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, Band, GridModel, HybridPartition, _norm1,
+from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, Band, BandMatrix, GridModel, HybridPartition,
                    admittance_entries, linear_solver, match_models, norm1_estimate, reverse_cuthill_mckee)
 from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
@@ -90,14 +90,17 @@ class AugmentedGrid:
         return out
 
     @cached_property
-    def band(self) -> Band:
-        """The grid's one node order for dense factors, as the Band of Y_UU:
-        reverse Cuthill-McKee over Y_UU's node pattern, each node's p phases
-        together.  Ordered on first access, so a sparse system never is."""
+    def y_uu(self) -> BandMatrix:
+        """The physical admittance block Y_UU, the p x p blocks that
+        admittance_entries lists, on the grid's one node order for band
+        factors: reverse Cuthill-McKee over its node blocks, one edge per
+        block, each node's p phases together."""
         p, u = self.p, slice(len(self.slacks) * self.p, None)
-        rows, cols, _, (n, _) = self.entries(u, u)
-        order = reverse_cuthill_mckee(rows // p, cols // p, n // p)[:, None] * p + np.arange(p)
-        return Band.of(order.ravel(), rows, cols)
+        rows, cols, values, (n, _) = self.entries(u, u)
+        block_rows, block_cols = rows[:: p * p] // p, cols[:: p * p] // p
+        order = reverse_cuthill_mckee(block_rows, block_cols, n // p)
+        return BandMatrix(Band.of(order, np.arange(n).reshape(-1, p), block_rows, block_cols),
+                          values.reshape(-1, p, p))
 
     @property
     def y_prime(self) -> BlockMatrix:
@@ -141,6 +144,8 @@ class FactoredHybrid:
     def p(self) -> int:
         return self.h_mmc.p
 
+    pairs = HybridPartition.pairs  # the same rule, formed once per hybrid
+
     def solve_m(self, b: np.ndarray) -> np.ndarray:
         """h_mm b = (Y_UU^-1 E_M b)[M] for b of shape (|M|,) or (|M|, k),
         where E_M places |M| rows on M's rows of Y_UU."""
@@ -153,7 +158,7 @@ class FactoredHybrid:
         return BlockMatrix._adopt(self.solve_m(np.eye(self.rows.size)), self.m_nodes, self.m_nodes, self.p)
 
 
-def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> FactoredHybrid:
+def reduce_augmented(aug: AugmentedGrid) -> FactoredHybrid:
     """Hybrid parameters of the augmented grid on one factorization of Y_UU.
 
     With U the physical nodes, I the internal source nodes and M the resource
@@ -164,13 +169,10 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> FactoredHybrid:
         h_mcm = (Y_UU^-T Y_IU')[M]'     h_mcmc = Y_II - Y_IU Y_UU^-1 Y_UI
 
     The result maps [V_internal; I_resource] to [I_internal; V_resource].
-    Y_UU is factored once (linear_solver) and the factor kept on the
-    result: the build solves the |I| columns of Y_UI and, transposed, of
-    Y_IU', and h_mm is left to FactoredHybrid.  y_uu is Y_UU in the
-    caller's container: by default a dense array of aug's entries, factored
-    by LAPACK's band LU on aug.band; a SciPy sparse matrix (PolyphaseSystem
-    passes one on large grids) is factored by SuperLU and never orders
-    aug.band.
+    Y_UU (aug.y_uu) is factored once by linear_solver, LAPACK's band LU on
+    its band, and the factor kept on the result: the build solves the |I|
+    columns of Y_UI and, transposed, of Y_IU', and h_mm is left to
+    FactoredHybrid.
 
     Raises SingularInteriorBlock when Y_UU is singular, a solution is not
     finite, or 1 / (||Y_UU||_1 est) is below RCOND_FLOOR, where est is
@@ -185,11 +187,9 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> FactoredHybrid:
     u0 = len(mc_nodes) * p
     mi = node_phase_rows(aug.nodes[len(mc_nodes):], m_nodes, p)
     src, u = slice(0, u0), slice(u0, None)
-    if y_uu is None:
-        y_uu = aug.dense(u, u)
+    y_uu = aug.y_uu
     n = y_uu.shape[0]
-    solve = linear_solver(y_uu, "physical admittance block Y_UU", SingularInteriorBlock,
-                          None if hasattr(y_uu, "toarray") else aug.band)
+    solve = linear_solver(y_uu, "physical admittance block Y_UU", SingularInteriorBlock)
 
     def columns(x):  # Y_UU^-1 E_M x
         rhs = np.zeros(n, dtype=complex)
@@ -199,7 +199,7 @@ def reduce_augmented(aug: AugmentedGrid, y_uu=None) -> FactoredHybrid:
     def adjoint(y):  # (Y_UU^-1 E_M)^H y, the conjugate transpose on the factor's transposed solve
         return np.conj(solve(np.conj(y), transpose=True))[mi]
 
-    rcond = 1.0 / (float(_norm1(y_uu)) * norm1_estimate(columns, adjoint, mi.size))
+    rcond = 1.0 / (y_uu.norm1() * norm1_estimate(columns, adjoint, mi.size))
     if not rcond >= RCOND_FLOOR:
         raise SingularInteriorBlock("Y_UU is numerically singular as seen from the resource nodes")
 
@@ -271,7 +271,7 @@ def zip_coefficients(hybrid: HybridPartition | FactoredHybrid, table: ZipTable, 
     which matches the per-entry sums with the voltage-ratio scalings folded
     in.
     """
-    pairs = tuple((node, phase) for node in hybrid.m_nodes for phase in range(1, hybrid.p + 1))
+    pairs = hybrid.pairs
     ypm, ipm, spm = table.split(_nonzero(v, pairs), lam)
     x = hybrid.solve_m(np.array([v * ypm, ipm, np.conj(spm / v)]).T)
     a = x[:, 0] / v

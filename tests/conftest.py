@@ -39,7 +39,7 @@ def bench_trace(bench_system):
 @pytest.fixture(scope="session")
 def feeder_trace(synthfeeder):
     system = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 40)))
-    assert 2 * system.n_unknown == 252 and not system.sparse
+    assert 2 * system.n_unknown == 252
     return system, run_cpf(system)
 
 

@@ -11,6 +11,8 @@ Provides:
     1000 V source behind 0.5 ohm, 0.5 ohm line, 125 kW constant-power
     load, so P_max = V^2/(4R) = 250 kW and xi_max = 2 exactly
   * fd_jacobian()       — central-difference Jacobian for derivative checks
+  * band_matrix(a)      — a small dense square matrix as a BandMatrix of one
+    block, so the band LU factors it
   * PASSIVITY_EDGES: matrices just inside and just outside the passivity
     rule, with the violation kind each must raise
 """
@@ -18,7 +20,7 @@ Provides:
 import numpy as np
 
 from polyvsi.builders import positive_sequence_source
-from polyvsi.grid import Branch, GridModel, Node, Shunt
+from polyvsi.grid import Band, BandMatrix, Branch, GridModel, Node, Shunt
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients
 
 VNOM = 1000.0
@@ -121,6 +123,12 @@ def two_bus(p0_kw=-125.0):
                                phases=(PhaseResource(p0=p0_kw * 1e3, q0=0.0,
                                                      zip_re=CP, zip_im=CP),))]
     return grid, slacks, resources
+
+
+def band_matrix(a):
+    """The square a as a BandMatrix whose pattern is one dense block."""
+    a = np.asarray(a)
+    return BandMatrix(Band.of([0], [np.arange(len(a))], [0], [0]), a[None])
 
 
 def fd_jacobian(fun, x, h=1e-6):

@@ -35,8 +35,7 @@ Proves:
  Group 4 - vsi
   10.  Chains pf --voltages into vsi; index matches the library value
   11.  At xi = 0 the reported index is ~ 0
-  11a. pf --voltages then vsi on a 302-node synthetic feeder (the sparse
-       path) both exit 0
+  11a. pf --voltages then vsi on a 302-node synthetic feeder both exit 0
 
  Group 5 - bench
   12.  bench emit writes a parseable file identical to the bundled data

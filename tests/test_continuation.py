@@ -6,8 +6,8 @@ Proves:
    1.  Tangent is (1, 1)/sqrt(2); a sigma step along it lands on the path
    2.  On-path prediction is a corrector fixed point (0 iterations)
    3.  Off-path prediction is pulled back onto path x = xi and the sphere
-   3a. A singular or non-finite state Jacobian, dense or sparse, makes its
-       solver or the tangent raise SingularJacobian
+   3a. A singular or non-finite state Jacobian, a plain array or a
+       BandMatrix, makes its solver or the tangent raise SingularJacobian
    3b. A prediction equal to its anchor zeroes the corrector's border
        pivot, and a step sigma whose square underflows leaves no sphere
        row: SingularJacobian, never a numpy warning, and run_cpf counts
@@ -54,10 +54,6 @@ Proves:
   18.  xi_max / final on an empty trace raise ValueError
 
  Group 6 - Solver paths
-  19.  The bundled trace with the sparse path forced (the chord
-       corrector on SuperLU's factor) keeps 50 samples, xi_max 1.787102
-       and critical pair (25, 1), and its states agree with the dense
-       trace to 1e-9; every sv_min is within 1e-6 of the full SVD
   19a. With numpy's LAPACK binding absent, the bundled trace keeps every
        event, the sample count and the termination, and every x and xi to
        1e-12; every sv_min is within 1e-6 of the full SVD
@@ -75,7 +71,7 @@ Proves:
        twice, or once when the base is the final sample
   22a. J_x is evaluated once at each sample of a trace that ends at the
        fold: the tangent's J_x also gives the sample's singular values
-  22b. A dense trace's LUs are band LUs on the system's order: the base
+  22b. A trace's LUs are band LUs on the system's order: the base
        case's, one per Newton iteration, and the tangent's at each anchor;
        the corrector, the singular-value step and the base sample's seed
        reuse the tangent's LU, and no solve falls back to
@@ -92,9 +88,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
-
-from polyvsi_cases import random_system, two_bus
+from polyvsi_cases import band_matrix, random_system, two_bus
 from polyvsi import continuation, grid, powerflow
 from polyvsi.continuation import (
     MAX_HALVINGS,
@@ -236,7 +230,7 @@ def test_tangent_singular_jacobian_is_typed():
             return np.array([-1.0, 0.0])
 
     for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((2, 2), np.nan)):
-        for j in (bad, csc_array(bad)):
+        for j in (bad, band_matrix(bad)):
             with pytest.raises(SingularJacobian):
                 tangent_direction(Fixed(), np.zeros(2), 0.0, linear_solver(j, "J_x"))
 
@@ -438,21 +432,6 @@ def test_empty_trace_raises():
 # -- Group 6 ---------------------------------------------------------------
 
 
-def test_sparse_bundled_trace_matches_dense(bench_system, bench_trace, monkeypatch):
-    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0)
-    system = PolyphaseSystem(bench_system.grid, bench_system.slacks, bench_system.resources)
-    assert system.sparse
-    trace = run_cpf(system)
-    assert trace.termination == TERM_FOLD
-    assert len(trace.samples) == len(bench_trace.samples) == 50
-    assert round(trace.xi_max, 6) == 1.787102
-    assert trace.final.vsi.critical == (25, 1)
-    for s, d in zip(trace.samples, bench_trace.samples):
-        assert np.abs(s.x - d.x).max() <= 1e-9
-        assert abs(s.xi - d.xi) <= 1e-9
-    _assert_recorded_spectrum(system, trace)
-
-
 def test_fallback_solver_keeps_the_bundled_trace(bench_system, bench_trace, monkeypatch):
     # The fallback refactors at every solve where LAPACK solves again on the
     # anchor's band factor with gbtrs, so the chord steps differ in the last
@@ -513,7 +492,7 @@ def _assert_recorded_spectrum(system, trace):
     jacobian_svd at base and final, sv_min alone in between."""
     for s in trace.samples:
         j = system.jacobian_x(s.x, s.xi)
-        exact = np.linalg.svd(j.toarray() if hasattr(j, "toarray") else j, compute_uv=False)[-1]
+        exact = np.linalg.svd(np.asarray(j), compute_uv=False)[-1]
         assert abs(s.sv[0] - exact) <= 1e-6 * exact
     for s in (trace.samples[0], trace.final):
         assert s.sv == jacobian_svd(system.jacobian_x(s.x, s.xi))

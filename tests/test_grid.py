@@ -38,8 +38,8 @@ Proves:
   17.  Empty M raises ValueError
   17a. Kron and hybrid reject an exactly singular, a near-singular and a
        non-finite interior block with SingularInteriorBlock, and so does
-       reduce_augmented, with Y_UU dense or sparse, when the bad block is
-       coupled to the resource nodes
+       reduce_augmented, on Y_UU's band LU, when the bad block is coupled
+       to the resource nodes
 
  Group 5 - Block addressing and structure
   18.  block / row_slice / row_indices agree with raw offsets
@@ -54,11 +54,11 @@ Proves:
 
  Group 6 - Linear solves
   20.  linear_solver solves a x = b and, with transpose=True, a' x = b,
-       dense and sparse, real and complex, for one or several real or
-       complex right-hand sides; a singular or nan matrix raises the
-       caller's error type in both directions, never a raw LinAlgError, and
-       a dense solver that found its matrix singular raises on every call.
-       A dense matrix without a band is solved by np.linalg.solve bit for
+       a plain array or a BandMatrix, real and complex, for one or several
+       real or complex right-hand sides; a singular or nan matrix raises
+       the caller's error type in both directions, never a raw
+       LinAlgError, and a solver that found its matrix singular raises on
+       every call.  A plain array is solved by np.linalg.solve bit for
        bit, and a is left untouched: C- or F-ordered, read-only or
        byte-swapped
   20a. On a band, the band LU and the np.linalg.solve fallback taken
@@ -66,25 +66,31 @@ Proves:
        real and complex, on matrices that make gbtrf pivot
   20b. The band LU step refuses a right-hand side without n rows before
        any raw-pointer call; linear_solver refuses a matrix that is not
-       square, on every path, and a band of another order, with a
-       ValueError naming the shape, never as singular
+       square, on every path, with a ValueError naming the shape, never as
+       singular; a BandMatrix refuses values that do not fit its blocks
+       and a Band blocks that are out of row order or leave a row empty
   20c. reverse_cuthill_mckee orders every vertex, isolated ones too, and
        takes a randomly labelled path back to bandwidth 1 and the bundled
-       feeder's randomly relabelled node graph to at most 4
+       feeder's randomly relabelled node graph to at most 4; the grid's
+       order, from one edge per node block of Y_UU, is the order of one
+       edge per entry (bundled, 252-state and 302-node feeders)
   20d. On a system's band order, linear_solver solves a x = b and
        a' x = b as np.linalg.solve does (to 1e-13 times the condition
        number) and backward stably, for one or three right-hand sides:
        bundled and 252-state feeder Jacobians along their traces, and
-       random matrices on the pattern of those and of small random grids
+       random matrices on the pattern of those and of small random grids;
+       a BandMatrix times a vector or a block of 8 columns matches its
+       dense copy (Y_UU and J_x of the bundled and 252-state feeders)
   20e. On the band path an exactly singular and a nan Jacobian raise the
        caller's error with the general path's messages, and a failed band
        factorization stays failed
   20f. With numpy's LAPACK binding absent, a band is ignored and every
-       solve is np.linalg.solve bit for bit
+       solve is np.linalg.solve of the dense copy bit for bit
   20g. numpy's LAPACK is bound for the band LU alone: gbtrf and gbtrs,
        real and complex
-  20h. Building the bundled and the 252-state feeder's systems factors
-       once: one complex band LU, of Y_UU on the grid's band order
+  20h. Building the bundled, the 252-state and a 302-node feeder's
+       systems factors once: one complex band LU, of Y_UU on the grid's
+       band order
 
  Group 7 - Stacked algebra
   21.  _inverse on a stack equals one call per matrix bit for bit, with an
@@ -106,9 +112,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
-
-from polyvsi_cases import CP, PASSIVITY_EDGES, random_system
+from polyvsi_cases import CP, PASSIVITY_EDGES, band_matrix, random_system
 from polyvsi import grid
 from polyvsi.benchmark import build_benchmark
 from polyvsi.blocks import BlockMatrix
@@ -117,6 +121,7 @@ from polyvsi.errors import SingularBranch, SingularInteriorBlock, ValidationErro
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.grid import (
     RCOND_FLOOR,
+    BandMatrix,
     Branch,
     GridModel,
     Node,
@@ -466,9 +471,8 @@ def test_interior_block_condition_check(name):
     slack = SlackModel(node=1, v_te=np.ones(1, dtype=complex), z_te=np.ones((1, 1), dtype=complex))
     aug = AugmentedGrid(nodes=nodes, p=1, rows=rows, cols=cols, values=data.ravel(),
                         slacks=(slack,), resource_nodes=(3,))
-    for y_uu in (None, csc_array(BAD_BLOCKS[name])):
-        with pytest.raises(SingularInteriorBlock):
-            reduce_augmented(aug, y_uu)
+    with pytest.raises(SingularInteriorBlock):
+        reduce_augmented(aug)
 
 
 # -- Group 5 ---------------------------------------------------------------
@@ -569,7 +573,8 @@ def bundled_records(bench_system, bench_trace):
         "SvdBlock": (SvdBlock(np.eye(3)), "vectors"),
         "CpfTrace": (bench_trace, "samples"),
         "BlockMatrix": (system.hybrid.h_mm, "data"),
-        "Band": (system.band, "perm"),
+        "Band": (system.band, "order"),
+        "BandMatrix": (system.aug.y_uu, "values"),
     }
 
 
@@ -585,7 +590,7 @@ def _changed(record, name):
 
 @pytest.mark.parametrize("cls", ["AugmentedGrid", "VsiCoefficients", "OperatingPoint", "Mismatch",
                                  "NewtonResult", "ZipTable", "CpfSample", "SvdBlock", "CpfTrace",
-                                 "BlockMatrix", "Band"])
+                                 "BlockMatrix", "Band", "BandMatrix"])
 def test_array_dataclasses_compare_by_content(bundled_records, cls):
     record, name = bundled_records[cls]
     assert type(record).__name__ == cls
@@ -609,12 +614,12 @@ def test_linear_solver_transpose():
         read_only = np.array(a, order="F")
         read_only.flags.writeable = False
         swapped = np.asfortranarray(a.astype(a.dtype.newbyteorder()))
-        for m in (np.array(a), np.asfortranarray(a), read_only, swapped, csc_array(a)):
+        for m in (np.array(a), np.asfortranarray(a), read_only, swapped, band_matrix(a), band_matrix(swapped)):
             solve = linear_solver(m, "test matrix")
             x = solve(b)
             assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
             assert np.allclose(solve(b, transpose=True), np.linalg.solve(a.T, b), rtol=1e-12, atol=0.0)
-            if not hasattr(m, "toarray"):
+            if not isinstance(m, BandMatrix):
                 assert np.array_equal(x, np.linalg.solve(a, b)) and np.array_equal(m, a)
     singular, nan = np.ones((3, 3)), np.full((3, 3), np.nan)
     # A nan matrix may fail in the factorization or only in its solution.
@@ -622,7 +627,7 @@ def test_linear_solver_transpose():
         for dtype in (float, complex):
             for transpose in (False, True):
                 dense = bad.astype(dtype)
-                for m in (dense, np.asfortranarray(dense), csc_array(dense)):
+                for m in (dense, np.asfortranarray(dense), band_matrix(dense)):
                     with pytest.raises(SingularBranch, match=f"^test matrix {message}"):
                         linear_solver(m, "test matrix", SingularBranch)(np.ones(3), transpose=transpose)
     for first in (False, True):  # a failed factorization stays failed
@@ -643,25 +648,27 @@ def test_linear_solver_fallback_agrees(monkeypatch):
     n = 40
     label = rng.permutation(n)
     rows, cols = (label[k] for k in np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 2))
-    band = grid.Band.of(grid.reverse_cuthill_mckee(rows, cols, n), rows, cols)
+    by_row = np.lexsort((cols, rows))
+    rows, cols = rows[by_row], cols[by_row]
+    band = grid.Band.of(grid.reverse_cuthill_mckee(rows, cols, n), np.arange(n)[:, None], rows, cols)
     assert band.kl == band.ku == 2
 
     def on_pattern():
-        a = np.zeros((n, n))
-        a[rows, cols] = rng.standard_normal(rows.size)
-        return a
+        return rng.standard_normal(band.storage.shape)
 
-    real = on_pattern() + np.eye(n)
+    real = on_pattern() + (rows == cols)[:, None, None]
     cplx = real + 1j * on_pattern()
     vector, block = rng.standard_normal(n), rng.standard_normal((n, 8))
-    for a, b in ((real, vector), (real, block), (cplx, vector), (cplx, block + 1j * block[::-1])):
-        fast = linear_solver(a, "test matrix", band=band)
+    for values, b in ((real, vector), (real, block), (cplx, vector), (cplx, block + 1j * block[::-1])):
+        a = BandMatrix(band, values)
+        dense = np.asarray(a)
+        fast = linear_solver(a, "test matrix")
         with monkeypatch.context() as patch:
             patch.setattr(grid, "_lapack", lambda: {})
-            fallback = linear_solver(a, "test matrix", band=band)
+            fallback = linear_solver(a, "test matrix")
         for transpose in (False, True, False):
             want = fallback(b, transpose)
-            assert np.array_equal(want, np.linalg.solve(a.T if transpose else a, b))
+            assert np.array_equal(want, np.linalg.solve(dense.T if transpose else dense, b))
             assert np.linalg.norm(fast(b, transpose) - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -669,8 +676,9 @@ def test_lu_step_rejects_bad_shapes():
     routines = grid._lapack().get("d")
     if routines is None:
         pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
-    tridiagonal = grid.Band.of([2, 0, 1], [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2])
-    step = grid._lu_step(np.eye(3), routines, tridiagonal)
+    rows, cols = [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2]
+    tridiagonal = grid.Band.of([2, 0, 1], np.arange(3)[:, None], rows, cols)
+    step = grid._lu_step(BandMatrix(tridiagonal, np.equal(rows, cols)[:, None, None] * 1.0), routines)
     for b in (np.ones(2), np.ones((4, 1)), np.ones((3, 1, 1))):
         message = f"right-hand side of shape {b.shape} for a 3 x 3 matrix"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -681,17 +689,18 @@ def test_lu_step_rejects_bad_shapes():
 def test_linear_solver_rejects_non_square(bench_system, monkeypatch):
     # Checked before any factorization, so the shape is never reported as a
     # singular matrix, on every path.
-    band = bench_system.band
     for lapack in (grid._lapack(), {}):
         monkeypatch.setattr(grid, "_lapack", lambda: lapack)
-        for a in (np.ones((2, 3)), np.ones((2, 3), dtype=complex), csc_array(np.ones((2, 3))), np.ones(4),
-                  np.ones((2, 2, 2)), [[1.0, 2.0]]):
-            shape = np.shape(a) if not hasattr(a, "toarray") else a.shape
-            for b in (None, band):
-                with pytest.raises(ValueError, match=re.escape(f"m of shape {shape} is not a square matrix")):
-                    linear_solver(a, "m", band=b)
-        with pytest.raises(ValueError, match=re.escape("m of shape (3, 3) does not fit a band of order 150")):
-            linear_solver(np.eye(3), "m", band=band)
+        for a in (np.ones((2, 3)), np.ones((2, 3), dtype=complex), np.ones(4), np.ones((2, 2, 2)), [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match=re.escape(f"m of shape {np.shape(a)} is not a square matrix")):
+                linear_solver(a, "m")
+    band = bench_system.band
+    with pytest.raises(ValueError, match=re.escape(f"values of shape (3, 3) for blocks of {band.storage.shape}")):
+        BandMatrix(band, np.eye(3))
+    index, rows, cols = np.arange(3)[:, None], np.array([0, 1, 1, 2]), np.array([0, 0, 1, 2])
+    for block_rows, block_cols in ((rows[::-1], cols[::-1]), (rows[rows != 1], cols[rows != 1])):
+        with pytest.raises(ValueError, match="sorted by block row, each row holding one"):
+            grid.Band.of([0, 1, 2], index, block_rows, block_cols)
 
 
 def _bandwidth(order, rows, cols):
@@ -710,8 +719,8 @@ def test_reverse_cuthill_mckee_orders_any_labelling(bench_system):
     # The bundled feeder's node graph under shuffled labels: the shuffled
     # numbering leaves about 20 of 25 nodes between neighbours, the order 4
     # at most (2 on the grid file's own labels).
-    p = bench_system.p
-    rows, cols, n = bench_system._rows // p, bench_system._cols // p, bench_system.n_unknown // p
+    band = bench_system.aug.y_uu.band
+    rows, cols, n = band.block_rows, band.block_cols, band.order.size
     for seed in range(5):
         label = np.random.default_rng(seed).permutation(n)
         edges = label[rows], label[cols]
@@ -720,49 +729,73 @@ def test_reverse_cuthill_mckee_orders_any_labelling(bench_system):
         assert _bandwidth(order, *edges) <= 4 and _bandwidth(np.arange(n), *edges) >= 15
 
 
+def test_grid_order_takes_one_edge_per_block(bench_system, feeder_trace, synthfeeder):
+    # AugmentedGrid.y_uu orders the node graph from one edge per p x p block
+    # of Y_UU; one edge per entry gives the same graph, so the same order.
+    big = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300)))
+    for system in (bench_system, feeder_trace[0], big):
+        p, u = system.p, slice(len(system.slacks) * system.p, None)
+        rows, cols, _, (n, _) = system.aug.entries(u, u)
+        order = grid.reverse_cuthill_mckee(rows // p, cols // p, n // p)
+        assert np.array_equal(system.aug.y_uu.band.order, order)
+
+
 def _pattern_matrix(band, rng):
-    """A random matrix on band's pattern, diagonally dominant."""
-    n = band.perm.size
-    a = np.zeros((n, n))
-    a[band.rows, band.cols] = rng.standard_normal(band.rows.size)
-    a[np.arange(n), np.arange(n)] += 2.0 * np.abs(a).sum(axis=1) + 1.0
-    return a
+    """A random BandMatrix on band's pattern, diagonally dominant."""
+    dense = np.asarray(BandMatrix(band, rng.standard_normal(band.storage.shape)))
+    dense[np.diag_indices_from(dense)] += 2.0 * np.abs(dense).sum(axis=1) + 1.0
+    return BandMatrix(band, dense[band.entries])
 
 
 def test_band_solver_matches_solve(bench_system, bench_trace, feeder_trace):
     rng = np.random.default_rng(11)
     system, trace = feeder_trace
-    cases = [(bench_system, bench_system.jacobian_x(s.x, s.xi)) for s in bench_trace.samples[::16]]
-    cases += [(system, system.jacobian_x(s.x, s.xi)) for s in trace.samples[::24]]
-    cases += [(s, _pattern_matrix(s.band, rng)) for s in (bench_system, system) for _ in range(2)]
+    cases = [bench_system.jacobian_x(s.x, s.xi) for s in bench_trace.samples[::16]]
+    cases += [system.jacobian_x(s.x, s.xi) for s in trace.samples[::24]]
+    cases += [_pattern_matrix(s.band, rng) for s in (bench_system, system) for _ in range(2)]
     for g in (random_system(np.random.default_rng(seed)) for seed in range(4)):
-        small = PolyphaseSystem(*g)
-        cases.append((small, _pattern_matrix(small.band, rng)))
-    for owner, a in cases:
-        n, cond = a.shape[0], np.linalg.cond(a)  # the Jacobians next to the fold reach 1e7
-        solve = linear_solver(a, "J_x", band=owner.band)
+        cases.append(_pattern_matrix(PolyphaseSystem(*g).band, rng))
+    for a in cases:
+        dense = np.asarray(a)
+        n, cond = a.shape[0], np.linalg.cond(dense)  # the Jacobians next to the fold reach 1e7
+        solve = linear_solver(a, "J_x")
         for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             for transpose in (False, True, False):
-                m = a.T if transpose else a
+                m = dense.T if transpose else dense
                 x = solve(b, transpose=transpose)
                 assert x.shape == b.shape
                 assert np.abs(x - np.linalg.solve(m, b)).max() <= 1e-13 * cond * np.abs(x).max()
                 assert np.abs(m @ x - b).max() <= 1e-13 * np.abs(m).max() * np.abs(x).max()
 
 
+def test_band_matrix_product_matches_dense(bench_system, feeder_trace):
+    # Y_UU @ v entry by entry in row order, J_x @ q block by block.
+    rng = np.random.default_rng(13)
+    for system in (bench_system, feeder_trace[0]):
+        for a in (system.aug.y_uu, system.jacobian_x(system.flat_start(), 1.0)):
+            dense = np.asarray(a)
+            for x in (rng.standard_normal(a.shape[0]), rng.standard_normal((a.shape[0], 8))):
+                want = dense @ x
+                assert (a @ x).shape == want.shape
+                assert np.abs(a @ x - want).max() <= 1e-14 * np.abs(dense).max() * np.abs(x).max() * a.shape[0]
+            with pytest.raises(ValueError, match="operand of shape"):
+                a @ np.ones(3)
+
+
 def test_band_solver_failures(bench_system):
-    band = bench_system.band
     a = bench_system.jacobian_x(bench_system.flat_start(), 1.0)
-    singular, nan = a.copy(), a.copy()
-    singular[7, band.cols[band.rows == 7]] = 0.0  # the whole row: gbtrf finds U exactly singular
-    nan[band.rows[9], band.cols[9]] = np.nan
+    band = a.band
+    singular, nan = a.values.copy(), a.values.copy()
+    # The whole row 7: gbtrf finds U exactly singular.
+    singular[band.entries[0] == 7] = 0.0
+    nan.reshape(-1)[9] = np.nan
     # A nan matrix may fail in the factorization or only in its solution.
     for bad, message in ((singular, "is singular"), (nan, "(is singular|gives a solution)")):
         for transpose in (False, True):
             with pytest.raises(SingularBranch, match=f"^J_x {message}"):
-                linear_solver(bad, "J_x", SingularBranch, band)(np.ones(150), transpose=transpose)
+                linear_solver(BandMatrix(band, bad), "J_x", SingularBranch)(np.ones(150), transpose=transpose)
     for first in (False, True):  # a failed factorization stays failed
-        solve = linear_solver(singular, "J_x", SingularBranch, band)
+        solve = linear_solver(BandMatrix(band, singular), "J_x", SingularBranch)
         for transpose in (first, not first, first):
             with pytest.raises(SingularBranch, match="^J_x is singular"):
                 solve(np.ones(150), transpose=transpose)
@@ -770,13 +803,13 @@ def test_band_solver_failures(bench_system):
 
 def test_band_solver_without_lapack_takes_the_general_path(bench_system, monkeypatch):
     # Without numpy's LAPACK binding the band is not used: every call is
-    # np.linalg.solve on the matrix as given.
+    # np.linalg.solve on the dense matrix.
     a = bench_system.jacobian_x(bench_system.flat_start(), 1.0)
     b = np.random.default_rng(3).standard_normal((150, 2))
     monkeypatch.setattr(grid, "_lapack", lambda: {})
-    solve = linear_solver(a, "J_x", band=bench_system.band)
-    assert np.array_equal(solve(b), np.linalg.solve(a, b))
-    assert np.array_equal(solve(b, transpose=True), np.linalg.solve(a.T, b))
+    solve = linear_solver(a, "J_x")
+    assert np.array_equal(solve(b), np.linalg.solve(np.asarray(a), b))
+    assert np.array_equal(solve(b, transpose=True), np.linalg.solve(np.asarray(a).T, b))
 
 
 def test_lapack_binds_only_the_band_lu():
@@ -800,10 +833,11 @@ def test_system_build_factors_y_uu_once_on_its_band(synthfeeder, monkeypatch):
         return {**table[char], "gbtrf": gbtrf}
 
     monkeypatch.setattr(grid, "_lapack", lambda: {char: counted(char) for char in table})
-    for models in (build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 40))):
+    for models in (build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 40)),
+                   parse_grid_text(synthfeeder.feeder_text(0, 300))):
         factors.clear()
-        system = PolyphaseSystem(*models)
-        assert not system.sparse and factors == ["D"]
+        PolyphaseSystem(*models)
+        assert factors == ["D"]
 
 
 # -- Group 7 ---------------------------------------------------------------

@@ -12,8 +12,7 @@ Proves:
    5.  Zero loading reduces to the linear network solve
    6.  Converged solutions carry a mismatch certificate <= eps * s_base
    7.  Analytic Jacobians match central differences (d/dx and d/dxi), and
-       jacobian_x, dense and sparse, matches the dense reference formula to
-       rounding
+       jacobian_x matches the dense reference formula to rounding
    7a. The topology pattern lists each entry once and covers every nonzero
        of Y_uu (bundled feeder, 302-node synthetic feeder, parallel branches)
 
@@ -21,14 +20,14 @@ Proves:
    8.  Scalar quadratic converges; converged start returns 0 iterations
    9.  Residual history decreases monotonically on the two-bus case
   10.  Exhausted budget raises NonConvergence with x_last and history
-  11.  Singular or non-finite Jacobian raises SingularJacobian, dense or
-       sparse
-  12.  jacobian_svd returns (min, mean, max), densifies a sparse Jacobian
-       and raises SingularJacobian on a non-finite one
+  11.  Singular or non-finite Jacobian raises SingularJacobian, a plain
+       array or a BandMatrix
+  12.  jacobian_svd returns (min, mean, max), densifies a BandMatrix and
+       raises SingularJacobian on a non-finite one
   12a. With a block and its solver, jacobian_svd seeds it next to the exact
        triplet, then steps it to sv_min alone, an upper bound within 1e-6
-       of the exact value; an exactly singular Jacobian, dense or sparse,
-       gives a finite sv_min instead of raising
+       of the exact value; an exactly singular Jacobian, a plain array or
+       a BandMatrix, gives a finite sv_min instead of raising
 
  Group 4 - System-level
   13.  Benchmark-style overload (xi = 5 flat start) raises NonConvergence
@@ -42,10 +41,12 @@ Proves:
        per-branch solve to 1e-12 relative
   16.  Parsing with validation and building a system call no SVD (bundled
        feeder, 302-node synthetic feeder); jacobian_svd still does
-  17.  The 302-node feeder takes the sparse path, and its power flow agrees
-       with the forced-dense one in x and iteration count
-  17a. Building that sparse system peaks below one dense n_unknown^2
-       complex array (tracemalloc): no dense admittance is formed
+  17.  The 302-node feeder's power flow on the band LU over all 1812
+       states agrees with the np.linalg.solve fallback taken without
+       numpy's LAPACK binding, in x to 1e-10 and in iteration count
+  17a. Building that system and solving its power flow from flat start
+       peaks below one dense n_unknown^2 complex array (tracemalloc): no
+       dense admittance or Jacobian is formed
   17b. Parsing and building it calls np.linalg.inv a few times, not once
        per branch: branch impedances are inverted as one stack
   17c. Parsing and building it runs the grid's passivity rule once:
@@ -60,16 +61,15 @@ Proves:
        internal and hybrid source nodes, a bit-identical power flow, equal
        indices and an equal traced fold, with each source voltage behind
        its own Thevenin impedance
-  18.  Parsing, building and tracing the two small CPF inputs with SVD
-       never imports scipy (fresh interpreter)
+  18.  Parsing, building and tracing the two small CPF inputs with SVD,
+       and parsing, building, solving and indexing a 302-node feeder,
+       never import scipy (fresh interpreter)
   19.  Every library attribute the benchmark's layer tracer wraps by name
        exists: module functions and PolyphaseSystem methods
-  20.  A dense system's band order is a permutation of all states that
-       keeps each node's 2p states together and bounds the band of J_x
-       along the trace to at most 1.5 times the measured kl = ku = 17
-       (bundled) and 29 (252-state feeder); the sparse 302-node
-       system has no band, and its forced-dense twin one over all 1812
-       states
+  20.  A system's band order is a permutation of all states that keeps
+       each node's 2p states together and bounds the band of J_x along the
+       trace to at most 1.5 times the measured kl = ku = 17 (bundled) and
+       29 (252-state feeder)
 """
 
 import importlib
@@ -81,9 +81,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
-
-from polyvsi_cases import CP, VNOM, fd_jacobian, random_system, two_bus
+from polyvsi_cases import CP, VNOM, band_matrix, fd_jacobian, random_system, two_bus
 from polyvsi import grid as grid_module
 from polyvsi import nodes as nodes_module
 from polyvsi import powerflow
@@ -251,10 +249,9 @@ def dense_jacobian_x(system, x, xi):
     return np.vstack([top, bot]) / system.s_base
 
 
-def test_jacobians_match_finite_differences(bench_system, monkeypatch):
+def test_jacobians_match_finite_differences(bench_system):
     """Analytic Jacobians against central differences, and jacobian_x
-    against the dense reference formula to 1e-13 (relative Frobenius), on
-    the dense path and, with the size threshold lowered, the sparse one."""
+    against the dense reference formula to 1e-13 (relative Frobenius)."""
     rng = np.random.default_rng(10)
     points = []
     cases = [two_bus()]
@@ -271,18 +268,8 @@ def test_jacobians_match_finite_differences(bench_system, monkeypatch):
         op, _ = solve_power_flow(bench_system, xi=xi)
         points.append((bench_system, bench_system.pack(op), xi))
 
-    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0)
-    twins = {}
-    for system, x, xi in list(points):
-        if id(system) not in twins:
-            twins[id(system)] = PolyphaseSystem(system.grid, system.slacks, system.resources)
-        points.append((twins[id(system)], x, xi))
-
     for system, x, xi in points:
-        j_an = system.jacobian_x(x, xi)
-        if system.sparse:
-            assert j_an.format == "csc"
-            j_an = j_an.toarray()
+        j_an = np.asarray(system.jacobian_x(x, xi))
         j_ref = dense_jacobian_x(system, x, xi)
         assert np.linalg.norm(j_an - j_ref) <= 1e-13 * np.linalg.norm(j_ref)
 
@@ -296,10 +283,9 @@ def test_jacobians_match_finite_differences(bench_system, monkeypatch):
         assert np.linalg.norm(d_an - d_fd) <= 1e-6 * max(np.linalg.norm(d_an), 1.0)
 
 
-def test_topology_pattern_covers_admittance(bench_system, synthfeeder, monkeypatch):
+def test_topology_pattern_covers_admittance(bench_system, synthfeeder):
     grid, slacks, resources = two_bus()
     doubled = GridModel(nodes=grid.nodes, branches=grid.branches * 2, p=grid.p)
-    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0)
     parallel = PolyphaseSystem(doubled, slacks, resources)
     systems = [
         bench_system,
@@ -307,7 +293,8 @@ def test_topology_pattern_covers_admittance(bench_system, synthfeeder, monkeypat
         parallel,
     ]
     for system in systems:
-        rows, cols = system._rows, system._cols
+        band = system.aug.y_uu.band
+        rows, cols = (a.ravel() for a in band.entries)
         assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
         y_uu = _y_uu(system)
         covered = np.zeros(y_uu.shape, dtype=bool)
@@ -316,7 +303,7 @@ def test_topology_pattern_covers_admittance(bench_system, synthfeeder, monkeypat
     # Parallel branches add their admittances once into one pattern entry.
     x = parallel.flat_start()
     j_ref = dense_jacobian_x(parallel, x, 1.0)
-    j_an = parallel.jacobian_x(x, 1.0).toarray()
+    j_an = np.asarray(parallel.jacobian_x(x, 1.0))
     assert np.linalg.norm(j_an - j_ref) <= 1e-13 * np.linalg.norm(j_ref)
 
 
@@ -358,11 +345,11 @@ def test_newton_singular_jacobian():
     jac = lambda x: linear_solver(np.array([[0.0]]), "J")
     with pytest.raises(SingularJacobian):
         newton_solve(fun, jac, np.array([5.0]))
-    # Exactly singular and non-finite Jacobians, dense (LAPACK) and sparse
-    # (SuperLU), all raise the typed error.
+    # Exactly singular and non-finite Jacobians, plain arrays
+    # (np.linalg.solve) and BandMatrix (the band LU), all raise the typed error.
     fun2 = lambda x: x - 1.0
     for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.full((2, 2), np.nan)):
-        for j in (bad, csc_array(bad)):
+        for j in (bad, band_matrix(bad)):
             with pytest.raises(SingularJacobian):
                 newton_solve(fun2, lambda x: linear_solver(j, "J"), np.array([5.0, 5.0]))
 
@@ -371,7 +358,7 @@ def test_jacobian_svd_triplet():
     assert jacobian_svd(np.eye(3)) == pytest.approx((1.0, 1.0, 1.0))
     sv = jacobian_svd(np.diag([3.0, 1.0, 2.0]))
     assert sv == pytest.approx((1.0, 2.0, 3.0))
-    assert jacobian_svd(csc_array(np.diag([3.0, 1.0, 2.0]))) == pytest.approx((1.0, 2.0, 3.0))
+    assert jacobian_svd(band_matrix(np.diag([3.0, 1.0, 2.0]))) == pytest.approx((1.0, 2.0, 3.0))
     with pytest.raises(SingularJacobian, match="SVD"):
         jacobian_svd(np.full((3, 3), np.nan))
 
@@ -385,7 +372,7 @@ def test_jacobian_svd_block_step():
     assert block.vectors.shape == (30, powerflow.SVD_BLOCK)
     nearby = a + 1e-3 * rng.standard_normal((30, 30))
     s_min = np.linalg.svd(nearby, compute_uv=False)[-1]
-    for j in (nearby, csc_array(nearby)):
+    for j in (nearby, band_matrix(nearby)):
         stepped = SvdBlock(block.vectors.copy())
         sv = jacobian_svd(j, stepped, linear_solver(j, "j"))
         assert sv[1:] == (None, None)
@@ -393,7 +380,7 @@ def test_jacobian_svd_block_step():
     singular = a.copy()
     singular[:, 0] = 0.0
     solve = linear_solver(singular, "singular")  # a dense factor fails at its first solve
-    for j in (singular, csc_array(singular)):
+    for j in (singular, band_matrix(singular)):
         sv = jacobian_svd(j, SvdBlock(block.vectors.copy()), solve)
         assert np.isfinite(sv[0]) and sv[0] <= 1e-12 * sv[2]
 
@@ -476,33 +463,28 @@ def test_setup_calls_no_svd(monkeypatch, synthfeeder):
             system.svd_at(system.flat_start(), 1.0)
 
 
-def test_large_feeder_sparse_matches_dense(synthfeeder, monkeypatch):
-    parsed = parse_grid_text(synthfeeder.feeder_text(0, 300))
-    sparse = PolyphaseSystem(*parsed)
-    assert sparse.sparse and 2 * sparse.n_unknown == 1812
-    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 10**9)
-    dense = PolyphaseSystem(*parsed)
-    assert not dense.sparse
-    assert sparse.band is None and dense.band.perm.size == 1812
-    _, res_s = solve_power_flow(sparse, xi=1.0)
-    _, res_d = solve_power_flow(dense, xi=1.0)
-    assert res_s.iterations == res_d.iterations
-    assert np.abs(res_s.x - res_d.x).max() <= 1e-10
+def test_large_feeder_band_matches_fallback(synthfeeder, monkeypatch):
+    system = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300)))
+    assert 2 * system.n_unknown == system.band.perm.size == 1812
+    _, res_band = solve_power_flow(system, xi=1.0)
+    monkeypatch.setattr(grid_module, "_lapack", lambda: {})
+    _, res_dense = solve_power_flow(system, xi=1.0)
+    assert res_band.iterations == res_dense.iterations
+    assert np.abs(res_band.x - res_dense.x).max() <= 1e-10
 
 
-def test_sparse_build_forms_no_dense_admittance(synthfeeder):
-    import scipy.sparse.linalg  # noqa: F401  (the import is not the build's memory)
-
+def test_build_and_solve_form_no_dense_matrix(synthfeeder):
     parsed = parse_grid_text(synthfeeder.feeder_text(0, 300))
     tracemalloc.start()
     try:
         system = PolyphaseSystem(*parsed)
+        _, result = solve_power_flow(system, xi=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     dense_bytes = np.dtype(complex).itemsize * system.n_unknown ** 2
-    assert system.sparse
-    assert peak < dense_bytes, f"build peak {peak / 2**20:.1f} MiB >= {dense_bytes / 2**20:.1f} MiB"
+    assert result.converged and 2 * system.n_unknown == 1812
+    assert peak < dense_bytes, f"peak {peak / 2**20:.1f} MiB >= {dense_bytes / 2**20:.1f} MiB"
 
 
 def test_setup_inverts_branches_as_one_stack(synthfeeder, monkeypatch):
@@ -622,14 +604,14 @@ def test_band_order_bounds_the_jacobian(bench_system, bench_trace, feeder_trace)
         assert (node.reshape(-1, 2 * p) == node[:: 2 * p, None]).all()  # 2p states per node, together
         assert max(band.kl, band.ku) <= 1.5 * measured
         for s in trace.samples[:: len(trace.samples) // 4]:
-            i, j = np.nonzero(system.jacobian_x(s.x, s.xi)[np.ix_(band.perm, band.perm)])
+            i, j = np.nonzero(np.asarray(system.jacobian_x(s.x, s.xi))[np.ix_(band.perm, band.perm)])
             assert (i - j).max() <= band.kl and (j - i).max() <= band.ku
 
 
 def test_small_systems_never_import_scipy():
     # Importing scipy.sparse.linalg costs about 32 MB of peak RSS, more than
-    # a small CPF run uses in all; systems below SPARSE_MIN_STATES states
-    # must not pay it.  A fresh interpreter sees only what the library loads.
+    # a small CPF run uses in all; numpy is the library's only dependency,
+    # at every size.  A fresh interpreter sees only what the library loads.
     root = Path(__file__).resolve().parents[1]
     script = f"""
 import sys
@@ -637,14 +619,16 @@ sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
 from polyvsi.benchmark import bundled_grid_text
 from polyvsi.continuation import run_cpf
 from polyvsi.gridfile import parse_grid_text
-from polyvsi.powerflow import PolyphaseSystem
+from polyvsi.powerflow import PolyphaseSystem, solve_power_flow
+from polyvsi.vsi import evaluate_vsi
 import synthfeeder
 
 for text in (bundled_grid_text(), synthfeeder.feeder_text(0, 40)):
-    system = PolyphaseSystem(*parse_grid_text(text))
-    assert not system.sparse
-    trace = run_cpf(system)
+    trace = run_cpf(PolyphaseSystem(*parse_grid_text(text)))
     assert trace.final.sv is not None
+system = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300)))
+op, _ = solve_power_flow(system)
+assert 0.0 < evaluate_vsi(system.hybrid, system.slacks, system.resources_at(1.0), op).global_value < 1.0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """

@@ -12,10 +12,10 @@ Proves:
    3a. The system's one-factorization reduction equals stepwise Kron then
        hybrid to 1e-10 relative in all four blocks (h_mcmc on the scale of
        Y_II), with the same node orders (random grids p = 1..3, bundled
-       feeder, 302-node synthetic feeder), dense and sparse
+       feeder, 302-node synthetic feeder)
    3b. Existence: every lossy random grid (seeds and p = 1..3 drawn by
        hypothesis; meshes, shunts, Thevenin slack) passes the parameter
-       check and reduces, dense and sparse, matching 3a's stepwise blocks
+       check and reduces, matching 3a's stepwise blocks
    3c. Without loss it can fail: a reactive source, line and shunt that
        pass the parameter check make Y_UU singular (SingularInteriorBlock);
        0.1 ohm of line resistance makes the system build
@@ -23,11 +23,15 @@ Proves:
        columns plain and transposed plus the condition estimate's single
        columns, one index evaluation 3 columns, and run_cpf 3 per recorded
        sample; h_mm is never formed (bundled feeder, 252-state and 302-node
-       synthetic feeders, dense and sparse)
+       synthetic feeders)
    3e. The condition estimate never exceeds the exact
        max_j ||Y_UU^-1 e_j||_1 over the resource columns (random grids
        p = 1..3), and equals it on the bundled feeder, the 252-state
-       feeder and four 302-node feeders, dense and sparse
+       feeder and four 302-node feeders, the exact value taken on the
+       same factor
+   3f. The estimate's adjoint is the conjugate transpose: on a small
+       complex Y_UU where the plain transpose leads norm1_estimate to a
+       column below the largest, the build's estimate is exact
 
  Group 3 - Coefficients
    4.  Zero loading collapses a = c = 0 and b = source voltage
@@ -50,7 +54,7 @@ Proves:
   13.  system.vsi_at (packed resource rows, the system's loading rule)
        equals evaluate_vsi on system.resources_at(xi) in every local
        value, the global value and the critical pair: every bundled trace
-       sample, a sparse 302-node synthetic feeder, and a random grid with a
+       sample, a 302-node synthetic feeder, and a random grid with a
        lam != 1 load and a compensator
   14.  On the bundled trace L_global starts below 1 and first reaches 1
        before the fold (the index errs on the safe side)
@@ -65,7 +69,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyvsi_cases import random_system, two_bus
-from polyvsi import powerflow, vsi
+from polyvsi import vsi
 from polyvsi.benchmark import build_benchmark
 from polyvsi.continuation import CpfConfig, run_cpf
 from polyvsi.errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
@@ -78,12 +82,14 @@ from polyvsi.grid import (
     assemble_admittance,
     hybrid_partition,
     kron_reduce,
+    norm1_estimate,
     validate_parameters,
 )
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import SlackModel, pm_zip_at
 from polyvsi.powerflow import OperatingPoint, PolyphaseSystem, solve_power_flow
 from polyvsi.vsi import (
+    AugmentedGrid,
     VsiCoefficients,
     build_augmented,
     evaluate_vsi,
@@ -147,11 +153,9 @@ def test_two_bus_reduction_closed_form():
     assert abs(h.h_mcmc.data[0, 0]) < 1e-12
 
 
-def _assert_matches_stepwise(system, sparse):
+def _assert_matches_stepwise(system):
     """The system's reduction equals stepwise Kron then hybrid."""
     grid = system.grid
-    assert system.sparse == sparse
-    assert hasattr(system._y_uu_op, "toarray") == sparse
     eliminate = set(grid.slack_nodes) | set(grid.zero_nodes)
     ref = hybrid_partition(kron_reduce(system.aug.y_prime, eliminate), set(grid.resource_nodes))
     h = system.hybrid
@@ -168,14 +172,12 @@ def _assert_matches_stepwise(system, sparse):
         assert np.linalg.norm(got.data - want.data) <= 1e-10 * scale, name
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_reduction_matches_stepwise(sparse, synthfeeder, monkeypatch):
-    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0 if sparse else 10**9)
+def test_reduction_matches_stepwise(synthfeeder):
     rng = np.random.default_rng(29)
     cases = [random_system(rng, n_nodes=6, p=p) for p in (1, 2, 3)]
     cases += [build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 300))]
     for grid, slacks, resources in cases:
-        _assert_matches_stepwise(PolyphaseSystem(grid, slacks, resources), sparse)
+        _assert_matches_stepwise(PolyphaseSystem(grid, slacks, resources))
 
 
 def _count_y_uu_columns(monkeypatch) -> list:
@@ -197,16 +199,13 @@ def _count_y_uu_columns(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_index_solves_three_columns_on_the_factor(sparse, synthfeeder, monkeypatch):
-    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0 if sparse else 10**9)
+def test_index_solves_three_columns_on_the_factor(synthfeeder, monkeypatch):
     calls = _count_y_uu_columns(monkeypatch)
     cases = [(build_benchmark(), True), (parse_grid_text(synthfeeder.feeder_text(0, 40)), True),
              (parse_grid_text(synthfeeder.feeder_text(7000008, 300)), False)]
     for case, trace in cases:
         del calls[:]
         system = PolyphaseSystem(*case)
-        assert system.sparse == sparse
         u0 = len(system.hybrid.mc_nodes) * system.p
         assert u0 == 3
         # The source columns plain and transposed, and the estimate's single columns.
@@ -227,37 +226,56 @@ def test_index_solves_three_columns_on_the_factor(sparse, synthfeeder, monkeypat
         assert "h_mm" not in vars(system.hybrid)
 
 
-def _inverse_norms(system) -> tuple:
+def _inverse_norms(hybrid, aug) -> tuple:
     """(estimated, exact) max_j ||Y_UU^-1 e_j||_1 over the resource columns
     j: the estimate from the rcond the build judged, the exact value from
-    a dense solve."""
-    u0 = len(system.hybrid.mc_nodes) * system.p
-    y_uu = system.aug.dense(slice(u0, None), slice(u0, None))
-    norm = np.abs(y_uu).sum(axis=0).max()
-    unit = np.eye(y_uu.shape[0])[:, system.hybrid.rows]
-    return 1.0 / (system.hybrid.rcond * norm), np.abs(np.linalg.solve(y_uu, unit)).sum(axis=0).max()
+    the unit columns solved on the same factor, so that the two differ by
+    the estimator alone, not by the rounding of two LUs."""
+    norm = np.abs(np.asarray(aug.y_uu)).sum(axis=0).max()
+    unit = np.eye(hybrid.size)[:, hybrid.rows]
+    return 1.0 / (hybrid.rcond * norm), np.abs(hybrid.solve(unit)).sum(axis=0).max()
 
 
-def test_condition_estimate_is_a_lower_bound(monkeypatch):
+def test_condition_estimate_is_a_lower_bound():
     rng = np.random.default_rng(47)
     for p in (1, 2, 3):
         for _ in range(8):
-            case = random_system(rng, p=p)
-            for threshold in (10**9, 0):
-                monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", threshold)
-                estimate, exact = _inverse_norms(PolyphaseSystem(*case))
-                assert estimate <= exact * (1.0 + 1e-12)
+            system = PolyphaseSystem(*random_system(rng, p=p))
+            estimate, exact = _inverse_norms(system.hybrid, system.aug)
+            assert estimate <= exact * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_condition_estimate_is_exact_on_feeders(sparse, synthfeeder, monkeypatch):
-    monkeypatch.setattr(powerflow, "SPARSE_MIN_STATES", 0 if sparse else 10**9)
+def test_condition_estimate_is_exact_on_feeders(synthfeeder):
     cases = [build_benchmark(), parse_grid_text(synthfeeder.feeder_text(0, 40))]
     cases += [parse_grid_text(synthfeeder.feeder_text(seed, 300))
               for seed in (7000008, 7000009, 9000010, 1000004)]
     for case in cases:
-        estimate, exact = _inverse_norms(PolyphaseSystem(*case))
+        system = PolyphaseSystem(*case)
+        estimate, exact = _inverse_norms(system.hybrid, system.aug)
         assert abs(estimate - exact) <= 1e-12 * exact
+
+
+def test_condition_estimate_adjoint_is_conjugate():
+    # B = Y_UU^-1 over three resource nodes.  Its largest column is the
+    # third; stepping with the plain transpose B' in place of B^H, the
+    # estimate stops on a column of about half that, so a build whose
+    # adjoint dropped the conjugation would judge Y_UU by the wrong column.
+    b = np.array([[-0.7 - 0.5j, 0.4 + 0.5j, -0.4 + 0.9j],
+                  [-1.1 + 0.3j, 0.7 + 1.1j, -0.3 + 1.7j],
+                  [1.0j, 0.7 + 0.5j, 2.5 + 1.4j]])
+    exact = np.abs(b).sum(axis=0).max()
+    assert norm1_estimate(lambda x: b @ x, lambda y: b.T @ y, 3) < 0.6 * exact
+    # One source node, then Y_UU = B^-1 over the resource nodes 2, 3 and 4.
+    data = np.zeros((4, 4), dtype=complex)
+    data[1:, 1:] = np.linalg.inv(b)
+    data[0, 0], data[0, 1], data[1, 0] = 1.0, -1.0, -1.0
+    rows, cols = np.indices(data.shape).reshape(2, -1)
+    slack = SlackModel(node=1, v_te=np.ones(1, dtype=complex), z_te=np.ones((1, 1), dtype=complex))
+    aug = AugmentedGrid(nodes=(te_node(1), 2, 3, 4), p=1, rows=rows, cols=cols, values=data.ravel(),
+                        slacks=(slack,), resource_nodes=(2, 3, 4))
+    estimate, exact_on_factor = _inverse_norms(reduce_augmented(aug), aug)
+    assert abs(exact_on_factor - exact) <= 1e-12 * exact
+    assert abs(estimate - exact) <= 1e-12 * exact
 
 
 @settings(derandomize=True, deadline=None)
@@ -266,13 +284,10 @@ def test_lossy_grids_always_reduce(seed, p):
     # The paper's existence claim: with lossy elements (every random_system
     # impedance has a positive definite real part) Y_MM of the hybrid
     # reduction is invertible, whatever the topology, meshes, shunts and
-    # Thevenin slack; both paths build it and agree with the stepwise one.
+    # Thevenin slack; the system builds it and agrees with the stepwise one.
     case = random_system(np.random.default_rng(seed), p=p)
     assert validate_parameters(case[0]) == []
-    _assert_matches_stepwise(PolyphaseSystem(*case), False)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(powerflow, "SPARSE_MIN_STATES", 0)
-        _assert_matches_stepwise(PolyphaseSystem(*case), True)
+    _assert_matches_stepwise(PolyphaseSystem(*case))
 
 
 def test_lossless_grid_can_fail_to_reduce():
@@ -485,7 +500,6 @@ def test_system_index_equals_model_index(bench_system, bench_trace, synthfeeder)
         _assert_entry_points_agree(bench_system, s.x, s.xi)
 
     system = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300)))
-    assert system.sparse
     _, res = solve_power_flow(system, xi=1.0)
     _assert_entry_points_agree(system, res.x, 1.0)
 
