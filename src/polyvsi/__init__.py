@@ -69,7 +69,6 @@ from .powerflow import (
 )
 from .vsi import (
     AugmentedGrid,
-    FactoredHybrid,
     VsiCoefficients,
     VsiResult,
     build_augmented,

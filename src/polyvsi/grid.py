@@ -3,14 +3,16 @@
 The network is a graph of polyphase branches and shunts over nodes tagged
 with a role (slack, zero-injection, or resource).  All electrical parameters
 are P x P complex matrices in SI units (ohm, siemens).  This module builds
-the compound nodal admittance matrix, eliminates zero-injection interior
-nodes by Kron reduction (a Schur complement), and exchanges voltage and
-current roles on a node subset via the hybrid parameter transformation.
-It also holds the library's one sparse matrix container (BandMatrix: the
-values of a block pattern over the nodes, on a Band's order as
-reverse_cuthill_mckee gives it) and the one linear-solve rule the solvers
-share (linear_solver): factor once by LAPACK's band LU, solve many times,
-every failure mapped to the caller's error type.
+the compound nodal admittance matrix on its node-block pattern
+(admittance_entries), eliminates zero-injection interior nodes by Kron
+reduction (a Schur complement), and exchanges voltage and current roles on
+a node subset via the hybrid parameter transformation, whose blocks
+(HybridPartition) the stepwise reference here and vsi.reduce_augmented's
+factored build both return.  It also holds the library's one sparse matrix
+container (BandMatrix: the values of a block pattern over the nodes, on a
+Band's order as reverse_cuthill_mckee gives it) and the one linear-solve
+rule the solvers share (linear_solver): factor once by LAPACK's band LU,
+solve many times, every failure mapped to the caller's error type.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -612,31 +615,27 @@ def _grid_faults(grid: GridModel) -> list[tuple]:
     return [(rows[k][0], kind, detail) for k, kind, detail in faults]
 
 
-def admittance_entries(grid: GridModel, sources=()) -> tuple:
-    """(nodes, rows, cols, values): the compound admittance on its block pattern.
+def admittance_entries(grid: GridModel, shunts=()) -> tuple:
+    """(block_rows, block_cols, values): the compound admittance on its block
+    pattern over grid.node_ids, values a (k, P, P) stack.
 
-    sources are (node, terminal, y) triples, one per slack from
-    build_augmented: a P x P admittance y (the slack's y_te) from a new node
-    to the grid node terminal, gain 1, no pi shunts.  nodes are the new
-    nodes, then the grid's.  The pattern holds each node's diagonal block and
-    both off-diagonal blocks of each branch and source, parallel branches
-    summed into one block, in row-major block order and row-major within a
-    block.  Grid branches stamp from grid.series_admittance, and pi and node
-    shunts add onto diagonal blocks.  Each block is a sum in term order,
-    starting from zero: per branch its stamp's four blocks then its pi
-    shunts, grid branches, then node shunts, then the sources' stamps.
-    Raises ValidationError, holding validate_parameters(grid), when
-    grid.passivity is not empty, so every system build refuses exactly what
-    validation lists.  Sources are not judged here: a SlackModel's z_te
-    passes the same rule, and is inverted, when it is constructed.
+    shunts are extra Shunt terms, such as the slacks' y_te from
+    build_augmented, added after the grid's own.  The pattern holds each
+    node's diagonal block and both off-diagonal blocks of each branch,
+    parallel branches summed into one block, in row-major block order.
+    Grid branches stamp from grid.series_admittance, and pi and node shunts
+    add onto diagonal blocks.  Each block is a sum in term order, starting
+    from zero: per branch its stamp's four blocks then its pi shunts, grid
+    branches, then node shunts, then the extra shunts.  Raises
+    ValidationError, holding validate_parameters(grid), when grid.passivity
+    is not empty, so every system build refuses exactly what validation
+    lists.  The extra shunts are not judged here: a SlackModel's z_te passes
+    the same rule, and is inverted, when it is constructed.
     """
     if grid.passivity:
         raise ValidationError(validate_parameters(grid))
-    p = grid.p
-    nodes = tuple(node for node, _, _ in sources) + grid.node_ids
-    at = {node: i for i, node in enumerate(nodes)}
-    if len(at) < len(nodes):
-        raise ValueError("source nodes must be new and distinct")
+    p, size = grid.p, len(grid.nodes)
+    at = {node: i for i, node in enumerate(grid.node_ids)}
 
     # Per branch six terms in summation order: the ff, ft, tf and tt blocks of
     # its stamp, then its pi shunts at f and at t where present.
@@ -651,42 +650,31 @@ def admittance_entries(grid: GridModel, sources=()) -> tuple:
     present = np.ones((len(branches), 6), dtype=bool)
     present[:, 4] = [b.y_shunt_from is not None for b in branches]
     present[:, 5] = [b.y_shunt_to is not None for b in branches]
+    shunts = grid.shunts + tuple(shunts)
+    at_shunt = np.array([at[s.node] for s in shunts], dtype=int)
 
-    # Per source the four blocks of its gain-1 stamp, in the same order.
-    y_src = np.reshape([y for _, _, y in sources], (-1, p, p))
-    sf = np.array([at[node] for node, _, _ in sources], dtype=int)
-    st = np.array([at[terminal] for _, terminal, _ in sources], dtype=int)
-    at_shunt = np.array([at[s.node] for s in grid.shunts], dtype=int)
-
-    bi = np.concatenate([np.stack([f, f, t, t, f, t], axis=1)[present], at_shunt,
-                         np.stack([sf, sf, st, st], axis=1).ravel()])
-    bj = np.concatenate([np.stack([f, t, f, t, f, t], axis=1)[present], at_shunt,
-                         np.stack([sf, st, sf, st], axis=1).ravel()])
-    terms = np.concatenate([branch_terms[present], np.reshape([s.y for s in grid.shunts], (-1, p, p)),
-                            _stamps(y_src, np.ones(len(sources))).reshape(-1, p, p)])
+    bi = np.concatenate([np.stack([f, f, t, t, f, t], axis=1)[present], at_shunt])
+    bj = np.concatenate([np.stack([f, t, f, t, f, t], axis=1)[present], at_shunt])
+    terms = np.concatenate([branch_terms[present], np.reshape([s.y for s in shunts], (-1, p, p))])
 
     # Block (bi, bj) is numbered bi * size + bj, so np.unique lists the blocks
     # row-major; every diagonal block is present.  np.add.at adds in index
     # order, so each entry sums its terms in the order above, from zero.
-    size = len(nodes)
     keys, block = np.unique(np.concatenate([np.arange(size) * (size + 1), bi * size + bj]),
                             return_inverse=True)
     values = np.zeros(keys.size * p * p, dtype=complex)
     np.add.at(values, (block[size:, None] * (p * p) + np.arange(p * p)).ravel(), terms.ravel())
-    r, c = divmod(np.arange(p * p), p)
-    rows = ((keys // size)[:, None] * p + r).ravel()
-    cols = ((keys % size)[:, None] * p + c).ravel()
-    return nodes, rows, cols, values
+    return keys // size, keys % size, values.reshape(-1, p, p)
 
 
 def assemble_admittance(grid: GridModel) -> BlockMatrix:
     """Compound nodal admittance matrix Y of the grid: the dense view of
     admittance_entries(grid), whose errors it raises."""
-    ids, rows, cols, values = admittance_entries(grid)
-    n = len(ids) * grid.p
-    y = np.zeros((n, n), dtype=complex)
-    y[rows, cols] = values
-    return BlockMatrix._adopt(y, ids, ids, grid.p)
+    rows, cols, values = admittance_entries(grid)
+    n, p = len(grid.nodes), grid.p
+    y = np.zeros((n, p, n, p), dtype=complex)
+    y[rows, :, cols] = values
+    return BlockMatrix._adopt(y.reshape(n * p, n * p), grid.node_ids, grid.node_ids, p)
 
 
 def validate_parameters(grid: GridModel) -> list[Violation]:
@@ -741,7 +729,7 @@ def kron_reduce(y: BlockMatrix, zero_set) -> BlockMatrix:
     return BlockMatrix._adopt(reduced, keep, keep, y.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridPartition:
     """Hybrid parameter blocks for a node subset M of a square admittance Y.
 
@@ -752,39 +740,43 @@ class HybridPartition:
 
     with h_mm = Y_MM^-1, h_mmc = -Y_MM^-1 Y_MMc, h_mcm = Y_McM Y_MM^-1 and
     h_mcmc the Schur complement Y / Y_MM = Y_McMc - h_mcm Y_MMc.
-    hybrid_partition raises SingularInteriorBlock when the exact reciprocal
-    1-norm condition number 1 / (||Y_MM||_1 ||Y_MM^-1||_1) is below
-    RCOND_FLOOR.  solve_m is the product with h_mm that the index reads,
-    and pairs the (node, phase) keys of its rows, as on vsi.FactoredHybrid,
-    the same blocks on a factor of Y_UU.
+    solve_m(b) is h_mm b for b of shape (|M|,) or (|M|, k), all the index
+    reads: a product with the dense inverse from hybrid_partition, one solve
+    on Y_UU's factor from vsi.reduce_augmented.  h_mm itself is formed from
+    it on first access, for the callers that compare or print the blocks.
+    rcond is the reciprocal 1-norm condition number of the inverted block,
+    exact for Y_MM from hybrid_partition and estimated for Y_UU from
+    reduce_augmented, each raising SingularInteriorBlock below RCOND_FLOOR.
     """
 
     m_nodes: tuple
     mc_nodes: tuple
-    h_mm: BlockMatrix
     h_mmc: BlockMatrix
     h_mcm: BlockMatrix
     h_mcmc: BlockMatrix
+    solve_m: Callable = field(repr=False)
+    rcond: float = field(repr=False)
 
     @property
     def p(self) -> int:
-        return self.h_mm.p
+        return self.h_mmc.p
 
     @cached_property
     def pairs(self) -> tuple:
         """(node, phase) of each row of M, phases from 1: the index's keys, formed once."""
         return tuple((node, phase) for node in self.m_nodes for phase in range(1, self.p + 1))
 
-    def solve_m(self, b: np.ndarray) -> np.ndarray:
-        """h_mm b for b of shape (|M|,) or (|M|, k), |M| = len(m_nodes) * p."""
-        return self.h_mm.data @ b
+    @cached_property
+    def h_mm(self) -> BlockMatrix:
+        return BlockMatrix._adopt(self.solve_m(np.eye(len(self.pairs))), self.m_nodes, self.m_nodes, self.p)
 
 
 def hybrid_partition(y: BlockMatrix, m_set) -> HybridPartition:
     """Exchange voltage and current roles on the node subset m_set.
 
-    Inverts Y_MM densely: the paper's stepwise algebra, kept as the
-    reference for vsi.reduce_augmented like kron_reduce.
+    Inverts Y_MM densely, the inverse kept as solve_m's matrix: the paper's
+    stepwise algebra, kept as the reference for vsi.reduce_augmented like
+    kron_reduce.
     """
     m, mc = _split_nodes(y, m_set, "m_set")
     if not m:
@@ -801,8 +793,9 @@ def hybrid_partition(y: BlockMatrix, m_set) -> HybridPartition:
     return HybridPartition(
         m_nodes=m,
         mc_nodes=mc,
-        h_mm=BlockMatrix._adopt(h_mm, m, m, y.p),
         h_mmc=BlockMatrix._adopt(h_mmc, m, mc, y.p),
         h_mcm=BlockMatrix._adopt(h_mcm, mc, m, y.p),
         h_mcmc=BlockMatrix._adopt(h_mcmc, mc, mc, y.p),
+        solve_m=h_mm.__matmul__,
+        rcond=rc,
     )

@@ -15,8 +15,9 @@ physical admittance block Y_uu is the BandMatrix of the same node blocks
 (AugmentedGrid.y_uu): the system factors it once and keeps that factor on
 system.hybrid, where the reduction's source-side blocks and every index
 evaluation solve on it; the residual multiplies by it.  Both band orders
-come from one reverse Cuthill-McKee order of the grid's nodes
-(AugmentedGrid.band), and no dense n x n array is formed on the way.
+come from one reverse Cuthill-McKee order of the grid's nodes, which
+build_augmented gives Y_uu's band, and no dense n x n array is formed on
+the way.
 Newton iteration checks convergence before each correction, so a point
 that already satisfies the tolerance is returned untouched.
 """
@@ -129,7 +130,7 @@ class PolyphaseSystem:
     node order of aug.y_uu's band, each node's 2p states (its E rows, then its
     theta rows) together.
     slacks are aug.slacks, in the one order build_augmented gives them.
-    hybrid is vsi.reduce_augmented's FactoredHybrid, which holds Y_uu's one
+    hybrid is vsi.reduce_augmented's HybridPartition, which holds Y_uu's one
     factor; vsi_at solves three columns on it and never forms h_mm.
     Powers are normalized by s_base (VA); misplaced models raise IncompleteModel.
     """
@@ -149,11 +150,9 @@ class PolyphaseSystem:
         p = self.p
         self.unknown_nodes = grid.node_ids
         nu = self.n_unknown = len(self.unknown_nodes) * p
-        u0 = len(self.aug.internal_nodes) * p
-        src, u = slice(0, u0), slice(u0, None)
         # Source voltages in the order of aug.internal_nodes (= hybrid.mc_nodes).
-        self._v_fixed = np.concatenate([s.v_te for s in self.slacks]) if u0 else np.zeros(0, complex)
-        self._i_from_fixed = self.aug.dense(u, src) @ self._v_fixed
+        self._v_fixed = np.concatenate([np.zeros(0, complex)] + [s.v_te for s in self.slacks])
+        self._i_from_fixed = self.aug.y_ui @ self._v_fixed
 
         self.e_nom = np.repeat([n.vnom for n in grid.nodes], p)
 

@@ -1,15 +1,17 @@
 """Voltage-stability index for polyphase grids with Thevenin slacks.
 
 The physical grid is augmented with one internal node per slack carrying the
-ideal source behind its Thevenin admittance.  Eliminating the slack terminals
-and all zero-injection nodes, then switching the resource nodes to hybrid
-parameters, yields a direct relation between internal source voltages,
-resource injections, and resource voltages.  reduce_augmented keeps one
-band LU of the physical-node admittance block Y_UU (AugmentedGrid.y_uu),
-invertible for lossy grids, and solves on it only what is cheap: the
-source-side blocks, a few columns per slack.  The resource block h_mm is a
+ideal source behind its Thevenin admittance; that node enters only through
+the slack's y_te, so the augmented grid is the physical-node admittance
+block Y_UU (AugmentedGrid.y_uu) plus the slack models.  Eliminating the
+slack terminals and all zero-injection nodes, then switching the resource
+nodes to hybrid parameters, yields a direct relation between internal
+source voltages, resource injections, and resource voltages.
+reduce_augmented keeps one band LU of Y_UU, invertible for lossy grids, and
+solves on it only what is cheap: the source-side blocks, a few columns per
+slack.  The resource block h_mm is a
 dense |M| x |M| array that the index never forms: it reads h_mm B for the
-three columns B it needs, one solve on the factor (FactoredHybrid.solve_m),
+three columns B it needs, one solve on the factor (HybridPartition.solve_m),
 and the dense block is formed on demand only.  Y_UU is rejected when it is
 singular or when a Hager-Higham estimate of its inverse's 1-norm, as the
 resource nodes see it, says it is too ill-conditioned.
@@ -26,15 +28,13 @@ resource node-phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockMatrix, array_dataclass, node_phase_rows
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
-from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, Band, BandMatrix, GridModel, HybridPartition,
+from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, Band, BandMatrix, GridModel, HybridPartition, Shunt,
                    admittance_entries, linear_solver, match_models, norm1_estimate, reverse_cuthill_mckee)
 from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
@@ -55,110 +55,90 @@ def te_node(slack_node) -> tuple:
 class AugmentedGrid:
     """Admittance Y' of the grid extended with internal Thevenin source nodes.
 
-    Y' is held as grid.admittance_entries gives it, over the internal nodes
-    and then the physical nodes.  slacks are the slack models in grid order,
-    one internal node each, the order every source voltage vector follows.
+    Y' is held as its physical block y_uu, a BandMatrix over the grid's
+    nodes, and the slacks: slacks are the slack models in grid order, one
+    internal node te_node(s.node) each, the order every source voltage
+    vector follows.  An internal node meets Y' only through its slack's
+    y_te, which y_uu holds at the terminal's diagonal block, so the
+    source-side blocks follow from the slacks alone, with E_T the unit
+    columns of the terminals (terminal_rows):
+
+        Y_II = diag(y_te)    Y_UI = -E_T Y_II    Y_IU = -Y_II E_T'
+
     The slack terminals become zero-injection nodes; injections appear only
     at internal nodes and at resource_nodes, which follow the node order.
     """
 
     nodes: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
+    y_uu: BandMatrix
     p: int
     slacks: tuple
     resource_nodes: tuple
 
     @property
     def internal_nodes(self) -> tuple:
-        return self.nodes[: len(self.slacks)]
+        return tuple(te_node(s.node) for s in self.slacks)
 
-    def entries(self, rows: slice, cols: slice) -> tuple:
-        """(rows, cols, values, shape) of Y' in the flat index ranges rows x
-        cols: indices relative to the ranges' starts, in pattern order."""
-        n = len(self.nodes) * self.p
-        (r0, r1, _), (c0, c1, _) = rows.indices(n), cols.indices(n)
-        keep = (self.rows >= r0) & (self.rows < r1) & (self.cols >= c0) & (self.cols < c1)
-        return self.rows[keep] - r0, self.cols[keep] - c0, self.values[keep], (r1 - r0, c1 - c0)
+    @property
+    def terminal_rows(self) -> np.ndarray:
+        """The rows of Y_UU at the slack terminals' phases, in slack order."""
+        return node_phase_rows(self.nodes, [s.node for s in self.slacks], self.p)
 
-    def dense(self, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
-        """Y' over the flat index ranges rows x cols as a dense array."""
-        r, c, v, shape = self.entries(rows, cols)
-        out = np.zeros(shape, dtype=complex)
-        out[r, c] = v
+    @property
+    def y_ii(self) -> np.ndarray:
+        """Y_II, each slack's y_te on its internal node's diagonal block."""
+        p, k = self.p, len(self.slacks)
+        out = np.zeros((k * p, k * p), dtype=complex)
+        for i, s in enumerate(self.slacks):
+            out[i * p:(i + 1) * p, i * p:(i + 1) * p] += s.y_te
         return out
 
-    @cached_property
-    def y_uu(self) -> BandMatrix:
-        """The physical admittance block Y_UU, the p x p blocks that
-        admittance_entries lists, on the grid's one node order for band
-        factors: reverse Cuthill-McKee over its node blocks, one edge per
-        block, each node's p phases together."""
-        p, u = self.p, slice(len(self.slacks) * self.p, None)
-        rows, cols, values, (n, _) = self.entries(u, u)
-        block_rows, block_cols = rows[:: p * p] // p, cols[:: p * p] // p
-        order = reverse_cuthill_mckee(block_rows, block_cols, n // p)
-        return BandMatrix(Band.of(order, np.arange(n).reshape(-1, p), block_rows, block_cols),
-                          values.reshape(-1, p, p))
+    @property
+    def y_ui(self) -> np.ndarray:
+        """Y_UI = -E_T Y_II, dense: the physical rows, the internal columns."""
+        out = np.zeros((self.y_uu.shape[0], len(self.slacks) * self.p), dtype=complex)
+        out[self.terminal_rows] -= self.y_ii
+        return out
+
+    @property
+    def y_iu(self) -> np.ndarray:
+        """Y_IU = -Y_II E_T', dense, formed from Y_II and not as Y_UI's
+        transpose: y_te need not be exactly symmetric."""
+        out = np.zeros((len(self.slacks) * self.p, self.y_uu.shape[0]), dtype=complex)
+        out[:, self.terminal_rows] -= self.y_ii
+        return out
 
     @property
     def y_prime(self) -> BlockMatrix:
-        """Y' as a read-only dense BlockMatrix, built on each access."""
-        return BlockMatrix._adopt(self.dense(), self.nodes, self.nodes, self.p)
+        """Y' as a read-only dense BlockMatrix over the internal nodes, then
+        the physical ones, assembled on each access: the reference view."""
+        u0 = len(self.slacks) * self.p
+        out = np.zeros((u0 + self.y_uu.shape[0],) * 2, dtype=complex)
+        out[:u0, :u0], out[:u0, u0:], out[u0:, :u0] = self.y_ii, self.y_iu, self.y_ui
+        out[u0:, u0:] = np.asarray(self.y_uu)
+        nodes = self.internal_nodes + self.nodes
+        return BlockMatrix._adopt(out, nodes, nodes, self.p)
 
 
 def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
     """The grid's admittance with each slack's kept y_te as a source from a
     new internal node to its terminal, the slacks in the one order of
-    GridModel.require_models; raises as it and admittance_entries do."""
+    GridModel.require_models; raises as it and admittance_entries do, and
+    ValueError when a grid node already has an internal node's id.  Y_UU
+    takes y_te as a shunt at the terminal and lies on the grid's one node
+    order for band factors: reverse Cuthill-McKee over its node blocks,
+    each node's p phases together."""
     slacks = grid.require_models(ROLE_SLACK, slacks)
-    entries = admittance_entries(grid, [(te_node(s.node), s.node, s.y_te) for s in slacks])
-    return AugmentedGrid(*entries, p=grid.p, slacks=slacks, resource_nodes=grid.resource_nodes)
+    clash = set(grid.node_ids) & {te_node(s.node) for s in slacks}
+    if clash:
+        raise ValueError(f"grid nodes {sorted(map(str, clash))} reuse a source node's id")
+    p, n = grid.p, len(grid.nodes)
+    rows, cols, values = admittance_entries(grid, [Shunt(s.node, s.y_te) for s in slacks])
+    band = Band.of(reverse_cuthill_mckee(rows, cols, n), np.arange(n * p).reshape(-1, p), rows, cols)
+    return AugmentedGrid(grid.node_ids, BandMatrix(band, values), p, slacks, grid.resource_nodes)
 
 
-@dataclass(frozen=True, eq=False)
-class FactoredHybrid:
-    """HybridPartition's blocks of an augmented grid, on Y_UU's one factor.
-
-    h_mmc, h_mcm and h_mcmc are formed at construction, as on
-    HybridPartition.  h_mm = (Y_UU^-1)[M, M] is not: solve_m(b) gives h_mm b
-    from one solve on the factor, which is all the index reads, and the
-    dense h_mm is formed on first access, by |M| solves, for the callers
-    that compare or print the blocks.  solve is Y_UU's linear_solver, rows
-    the flat indices of M's node-phases among Y_UU's rows, and rcond the
-    reciprocal condition number reduce_augmented judged Y_UU by.
-    """
-
-    m_nodes: tuple
-    mc_nodes: tuple
-    h_mmc: BlockMatrix
-    h_mcm: BlockMatrix
-    h_mcmc: BlockMatrix
-    solve: Callable = field(repr=False)
-    rows: np.ndarray = field(repr=False)
-    size: int = field(repr=False)
-    rcond: float = field(repr=False)
-
-    @property
-    def p(self) -> int:
-        return self.h_mmc.p
-
-    pairs = HybridPartition.pairs  # the same rule, formed once per hybrid
-
-    def solve_m(self, b: np.ndarray) -> np.ndarray:
-        """h_mm b = (Y_UU^-1 E_M b)[M] for b of shape (|M|,) or (|M|, k),
-        where E_M places |M| rows on M's rows of Y_UU."""
-        rhs = np.zeros((self.size, *np.shape(b)[1:]), dtype=complex)
-        rhs[self.rows] = b
-        return self.solve(rhs)[self.rows]
-
-    @cached_property
-    def h_mm(self) -> BlockMatrix:
-        return BlockMatrix._adopt(self.solve_m(np.eye(self.rows.size)), self.m_nodes, self.m_nodes, self.p)
-
-
-def reduce_augmented(aug: AugmentedGrid) -> FactoredHybrid:
+def reduce_augmented(aug: AugmentedGrid) -> HybridPartition:
     """Hybrid parameters of the augmented grid on one factorization of Y_UU.
 
     With U the physical nodes, I the internal source nodes and M the resource
@@ -171,8 +151,9 @@ def reduce_augmented(aug: AugmentedGrid) -> FactoredHybrid:
     The result maps [V_internal; I_resource] to [I_internal; V_resource].
     Y_UU (aug.y_uu) is factored once by linear_solver, LAPACK's band LU on
     its band, and the factor kept on the result: the build solves the |I|
-    columns of Y_UI and, transposed, of Y_IU', and h_mm is left to
-    FactoredHybrid.
+    columns of Y_UI and, transposed, of Y_IU', and the result's solve_m
+    gives h_mm b from one solve on it, so h_mm itself is formed only when
+    read.
 
     Raises SingularInteriorBlock when Y_UU is singular, a solution is not
     finite, or 1 / (||Y_UU||_1 est) is below RCOND_FLOOR, where est is
@@ -184,15 +165,13 @@ def reduce_augmented(aug: AugmentedGrid) -> FactoredHybrid:
     p, m_nodes, mc_nodes = aug.p, aug.resource_nodes, aug.internal_nodes
     if not m_nodes:
         raise IncompleteModel("the augmented grid has no resource nodes")
-    u0 = len(mc_nodes) * p
-    mi = node_phase_rows(aug.nodes[len(mc_nodes):], m_nodes, p)
-    src, u = slice(0, u0), slice(u0, None)
+    mi = node_phase_rows(aug.nodes, m_nodes, p)
     y_uu = aug.y_uu
     n = y_uu.shape[0]
     solve = linear_solver(y_uu, "physical admittance block Y_UU", SingularInteriorBlock)
 
-    def columns(x):  # Y_UU^-1 E_M x
-        rhs = np.zeros(n, dtype=complex)
+    def columns(x):  # Y_UU^-1 E_M x for x of shape (|M|,) or (|M|, k)
+        rhs = np.zeros((n, *np.shape(x)[1:]), dtype=complex)
         rhs[mi] = x
         return solve(rhs)
 
@@ -203,19 +182,16 @@ def reduce_augmented(aug: AugmentedGrid) -> FactoredHybrid:
     if not rcond >= RCOND_FLOOR:
         raise SingularInteriorBlock("Y_UU is numerically singular as seen from the resource nodes")
 
-    y_iu = aug.dense(src, u)
-    ti = np.flatnonzero(np.any(y_iu != 0.0, axis=0))  # the slack terminals
-    x_src = solve(aug.dense(u, src))
+    y_iu, t = aug.y_iu, aug.terminal_rows
+    x_src = solve(aug.y_ui)
     z = solve(y_iu.T, transpose=True)
-    return FactoredHybrid(
+    return HybridPartition(
         m_nodes=m_nodes,
         mc_nodes=mc_nodes,
         h_mmc=BlockMatrix._adopt(-x_src[mi], m_nodes, mc_nodes, p),
         h_mcm=BlockMatrix._adopt(z[mi].T, mc_nodes, m_nodes, p),
-        h_mcmc=BlockMatrix._adopt(aug.dense(src, src) - y_iu[:, ti] @ x_src[ti], mc_nodes, mc_nodes, p),
-        solve=solve,
-        rows=mi,
-        size=n,
+        h_mcmc=BlockMatrix._adopt(aug.y_ii - y_iu[:, t] @ x_src[t], mc_nodes, mc_nodes, p),
+        solve_m=lambda b: columns(b)[mi],
         rcond=rcond,
     )
 
@@ -254,8 +230,7 @@ def _voltages(op, pairs) -> np.ndarray:
     return _nonzero(op.phasors()[rows, [phase - 1 for _, phase in pairs]], pairs)
 
 
-def zip_coefficients(hybrid: HybridPartition | FactoredHybrid, table: ZipTable, lam, v_te,
-                     v) -> VsiCoefficients:
+def zip_coefficients(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiCoefficients:
     """The coefficient kernel on packed rows.
 
     table holds the resources of hybrid.m_nodes one row per node-phase, lam
@@ -280,7 +255,7 @@ def zip_coefficients(hybrid: HybridPartition | FactoredHybrid, table: ZipTable, 
     return VsiCoefficients(pairs=pairs, a=a, b=b, c=c)
 
 
-def _packed(hybrid: HybridPartition | FactoredHybrid, slacks, resources, op) -> tuple:
+def _packed(hybrid: HybridPartition, slacks, resources, op) -> tuple:
     """(table, lam, v_te, v) for zip_coefficients from resource models at
     their own lam and the operating point op.  match_models places the
     resources on hybrid.m_nodes and the slacks on the terminals of
@@ -292,7 +267,7 @@ def _packed(hybrid: HybridPartition | FactoredHybrid, slacks, resources, op) -> 
     return table, table.lam, v_te, op.phasors().ravel()[node_phase_rows(op.nodes, hybrid.m_nodes, p)]
 
 
-def vsi_coefficients(hybrid: HybridPartition | FactoredHybrid, slacks, resources, op) -> VsiCoefficients:
+def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoefficients:
     """zip_coefficients of the given models at the operating point op."""
     return zip_coefficients(hybrid, *_packed(hybrid, slacks, resources, op))
 
@@ -331,12 +306,12 @@ def vsi_global(local: dict) -> VsiResult:
     return VsiResult(local=dict(local), global_value=float(local[best]), critical=best)
 
 
-def index_at(hybrid: HybridPartition | FactoredHybrid, table: ZipTable, lam, v_te, v) -> VsiResult:
+def index_at(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiResult:
     """zip_coefficients -> local indices -> global maximum, on packed rows."""
     coeffs = zip_coefficients(hybrid, table, lam, v_te, v)
     return vsi_global(_primal(coeffs, v))
 
 
-def evaluate_vsi(hybrid: HybridPartition | FactoredHybrid, slacks, resources, op) -> VsiResult:
+def evaluate_vsi(hybrid: HybridPartition, slacks, resources, op) -> VsiResult:
     """index_at of the given models at the operating point op."""
     return index_at(hybrid, *_packed(hybrid, slacks, resources, op))

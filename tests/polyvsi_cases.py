@@ -13,6 +13,8 @@ Provides:
   * fd_jacobian()       — central-difference Jacobian for derivative checks
   * band_matrix(a)      — a small dense square matrix as a BandMatrix of one
     block, so the band LU factors it
+  * stamped_blocks()    — a grid's admittance node blocks summed one
+    branch_stamp at a time, the bit-for-bit reference of admittance_entries
   * PASSIVITY_EDGES: matrices just inside and just outside the passivity
     rule, with the violation kind each must raise
 """
@@ -20,7 +22,7 @@ Provides:
 import numpy as np
 
 from polyvsi.builders import positive_sequence_source
-from polyvsi.grid import Band, BandMatrix, Branch, GridModel, Node, Shunt
+from polyvsi.grid import Band, BandMatrix, Branch, GridModel, Node, Shunt, branch_stamp
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients
 
 VNOM = 1000.0
@@ -129,6 +131,32 @@ def band_matrix(a):
     """The square a as a BandMatrix whose pattern is one dense block."""
     a = np.asarray(a)
     return BandMatrix(Band.of([0], [np.arange(len(a))], [0], [0]), a[None])
+
+
+def stamped_blocks(grid, branches=()):
+    """(nodes, block_rows, block_cols, values (k, P, P)): the admittance of
+    grid and the extra branches, whose from-nodes are new, summed one
+    branch_stamp at a time in admittance_entries' term order (grid branches,
+    node shunts, extra branches), each block from zero.  nodes are the new
+    nodes, then the grid's."""
+    p = grid.p
+    nodes = tuple(b.from_node for b in branches) + grid.node_ids
+    at = {node: i for i, node in enumerate(nodes)}
+
+    def terms(b):
+        s, f, t = branch_stamp(b), at[b.from_node], at[b.to_node]
+        return [(f, f, s[:p, :p]), (f, t, s[:p, p:]), (t, f, s[p:, :p]), (t, t, s[p:, p:]),
+                (f, f, b.y_shunt_from), (t, t, b.y_shunt_to)]
+
+    summed = {(i, i): np.zeros((p, p), dtype=complex) for i in range(len(nodes))}
+    for i, j, m in ([term for b in grid.branches for term in terms(b)]
+                    + [(at[s.node], at[s.node], s.y) for s in grid.shunts]
+                    + [term for b in branches for term in terms(b)]):
+        if m is not None:
+            summed[i, j] = summed.get((i, j), 0.0) + m
+    keys = sorted(summed)
+    return (nodes, np.array([i for i, _ in keys]), np.array([j for _, j in keys]),
+            np.array([summed[k] for k in keys]))
 
 
 def fd_jacobian(fun, x, h=1e-6):

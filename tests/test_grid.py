@@ -73,7 +73,7 @@ Proves:
        takes a randomly labelled path back to bandwidth 1 and the bundled
        feeder's randomly relabelled node graph to at most 4; the grid's
        order, from one edge per node block of Y_UU, is the order of one
-       edge per entry (bundled, 252-state and 302-node feeders)
+       edge per nonzero entry (bundled, 252-state and 302-node feeders)
   20d. On a system's band order, linear_solver solves a x = b and
        a' x = b as np.linalg.solve does (to 1e-13 times the condition
        number) and backward stably, for one or three right-hand sides:
@@ -96,11 +96,12 @@ Proves:
   21.  _inverse on a stack equals one call per matrix bit for bit, with an
        exactly singular, a below-floor and a non-finite member
   22.  passivity_faults on a stack finds the faults of one call per matrix
-  23.  admittance_entries equals the per-branch sum of branch_stamp bit for
-       bit: bundled feeder, 302-node synthetic feeder, random grids with
-       gains, pi shunts, node shunts, parallel branches and sources; a
-       source stamped from its slack's y_te equals the stamp of a gain-1
-       branch through its z_te
+  23.  admittance_entries' node blocks equal the per-branch sum of
+       branch_stamp bit for bit: bundled feeder, 302-node synthetic feeder,
+       random grids with gains, pi shunts, node shunts and parallel
+       branches; each slack's y_te, taken as a shunt at its terminal,
+       gives the grid's part of the stamp of a gain-1 branch from its
+       internal node through its z_te
   24.  The passivity result is shared per grid, in either call order:
        assembly raises ValidationError holding the same violation list,
        an asymmetric and a singular impedance alike
@@ -112,7 +113,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from polyvsi_cases import CP, PASSIVITY_EDGES, band_matrix, random_system
+from polyvsi_cases import CP, PASSIVITY_EDGES, band_matrix, random_system, stamped_blocks
 from polyvsi import grid
 from polyvsi.benchmark import build_benchmark
 from polyvsi.blocks import BlockMatrix
@@ -463,14 +464,11 @@ def test_interior_block_condition_check(name):
         kron_reduce(y, {2, 3})
     with pytest.raises(SingularInteriorBlock):
         hybrid_partition(y, {2, 3})
-    # The same matrix as an augmented grid: one internal source node, then
-    # the physical block Y_UU = the bad block over a zero node and a
-    # resource node, so M couples to it.
-    nodes = (te_node(1), 2, 3)
-    rows, cols = np.indices(data.shape).reshape(2, -1)
-    slack = SlackModel(node=1, v_te=np.ones(1, dtype=complex), z_te=np.ones((1, 1), dtype=complex))
-    aug = AugmentedGrid(nodes=nodes, p=1, rows=rows, cols=cols, values=data.ravel(),
-                        slacks=(slack,), resource_nodes=(3,))
+    # The bad block as the physical block Y_UU of an augmented grid over a
+    # slack terminal and a resource node, so M couples to it.
+    slack = SlackModel(node=2, v_te=np.ones(1, dtype=complex), z_te=np.ones((1, 1), dtype=complex))
+    aug = AugmentedGrid(nodes=(2, 3), y_uu=band_matrix(BAD_BLOCKS[name]), p=1, slacks=(slack,),
+                        resource_nodes=(3,))
     with pytest.raises(SingularInteriorBlock):
         reduce_augmented(aug)
 
@@ -563,7 +561,7 @@ def bundled_records(bench_system, bench_trace):
     system = bench_system
     op, result = solve_power_flow(system)
     return {
-        "AugmentedGrid": (system.aug, "values"),
+        "AugmentedGrid": (system.aug, "y_uu"),
         "VsiCoefficients": (vsi_coefficients(system.hybrid, system.slacks, system.resources, op), "b"),
         "OperatingPoint": (op, "e"),
         "Mismatch": (mismatch(system, op), "dp"),
@@ -579,10 +577,13 @@ def bundled_records(bench_system, bench_trace):
 
 
 def _changed(record, name):
-    """record with the last element of its array field name changed."""
+    """record with the last element of its array field name changed: of the
+    last sample's x for a list of samples, of the values for a BandMatrix."""
     value = getattr(record, name)
     if isinstance(value, list):
         return replace(record, **{name: value[:-1] + [_changed(value[-1], "x")]})
+    if isinstance(value, BandMatrix):
+        return replace(record, **{name: _changed(value, "values")})
     value = np.array(value)
     value.flat[-1] += 1.0
     return replace(record, **{name: value})
@@ -730,13 +731,13 @@ def test_reverse_cuthill_mckee_orders_any_labelling(bench_system):
 
 
 def test_grid_order_takes_one_edge_per_block(bench_system, feeder_trace, synthfeeder):
-    # AugmentedGrid.y_uu orders the node graph from one edge per p x p block
-    # of Y_UU; one edge per entry gives the same graph, so the same order.
+    # build_augmented orders the node graph from one edge per p x p block of
+    # Y_UU; one edge per nonzero entry gives the same graph, so the same order.
     big = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300)))
     for system in (bench_system, feeder_trace[0], big):
-        p, u = system.p, slice(len(system.slacks) * system.p, None)
-        rows, cols, _, (n, _) = system.aug.entries(u, u)
-        order = grid.reverse_cuthill_mckee(rows // p, cols // p, n // p)
+        p, dense = system.p, np.asarray(system.aug.y_uu)
+        rows, cols = np.nonzero(dense)
+        order = grid.reverse_cuthill_mckee(rows // p, cols // p, dense.shape[0] // p)
         assert np.array_equal(system.aug.y_uu.band.order, order)
 
 
@@ -889,29 +890,6 @@ def test_stacked_passivity_faults_match_per_matrix():
         assert any(kind == "singular" for _, kind, _ in each) == bool(mask.any())
 
 
-def _entries_by_stamp(grid, sources=()):
-    """admittance_entries summed one branch_stamp at a time, in its term order."""
-    p = grid.p
-    nodes = tuple(b.from_node for b in sources) + grid.node_ids
-    at = {node: i for i, node in enumerate(nodes)}
-
-    def terms(b):
-        s, f, t = branch_stamp(b), at[b.from_node], at[b.to_node]
-        return [(f, f, s[:p, :p]), (f, t, s[:p, p:]), (t, f, s[p:, :p]), (t, t, s[p:, p:]),
-                (f, f, b.y_shunt_from), (t, t, b.y_shunt_to)]
-
-    summed = {(i, i): np.zeros((p, p), dtype=complex) for i in range(len(nodes))}
-    for i, j, m in ([term for b in grid.branches for term in terms(b)]
-                    + [(at[s.node], at[s.node], s.y) for s in grid.shunts]
-                    + [term for b in sources for term in terms(b)]):
-        if m is not None:
-            summed[i, j] = summed.get((i, j), 0.0) + m
-    keys = sorted(summed)
-    rows = [i * p + r for i, _ in keys for r in range(p) for _ in range(p)]
-    cols = [j * p + c for _, j in keys for _ in range(p) for c in range(p)]
-    return nodes, np.array(rows), np.array(cols), np.concatenate([summed[k].ravel() for k in keys])
-
-
 def _with_pi_and_parallel(rng, grid):
     """grid with pi shunts on some branches and a parallel copy of one."""
     p = grid.p
@@ -936,13 +914,17 @@ def test_admittance_entries_match_branch_stamps(synthfeeder):
     assert any(b.gain != 1.0 for grid, _ in cases for b in grid.branches)
     assert any(grid.shunts for grid, _ in cases)
     for grid, slacks in cases:
-        sources = [(te_node(s.node), s.node, s.y_te) for s in slacks]
-        branches = [Branch(te_node(s.node), s.node, s.z_te) for s in slacks]
-        for src, ref_src in (((), ()), (sources, branches)):
-            got, ref = admittance_entries(grid, src), _entries_by_stamp(grid, ref_src)
-            assert got[0] == ref[0]
-            for a, b in zip(got[1:], ref[1:]):
-                assert _same(a, b)
+        nodes, *ref = stamped_blocks(grid)
+        assert nodes == grid.node_ids
+        assert all(_same(a, b) for a, b in zip(admittance_entries(grid), ref, strict=True))
+        # A slack's y_te as a shunt at its terminal, stamped last, is the
+        # grid's part of a gain-1 branch from its internal node through z_te.
+        k = len(slacks)
+        nodes, rows, cols, values = stamped_blocks(grid, [Branch(te_node(s.node), s.node, s.z_te) for s in slacks])
+        physical = (rows >= k) & (cols >= k)
+        got = admittance_entries(grid, [Shunt(s.node, s.y_te) for s in slacks])
+        ref = rows[physical] - k, cols[physical] - k, values[physical]
+        assert all(_same(a, b) for a, b in zip(got, ref, strict=True))
 
 
 def test_shared_passivity_keeps_precedence():

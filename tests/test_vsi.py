@@ -32,6 +32,10 @@ Proves:
    3f. The estimate's adjoint is the conjugate transpose: on a small
        complex Y_UU where the plain transpose leads norm1_estimate to a
        column below the largest, the build's estimate is exact
+   3g. With two slacks at p = 3 (random grids with a second source meshed
+       through the grid), Y' equals the sum of branch stamps with each
+       slack a gain-1 branch through its z_te bit for bit, and the
+       reduction matches 3a's stepwise blocks
 
  Group 3 - Coefficients
    4.  Zero loading collapses a = c = 0 and b = source voltage
@@ -68,9 +72,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvsi_cases import random_system, two_bus
+from polyvsi_cases import VNOM, band_matrix, random_system, stamped_blocks, two_bus
 from polyvsi import vsi
 from polyvsi.benchmark import build_benchmark
+from polyvsi.blocks import node_phase_rows
+from polyvsi.builders import positive_sequence_source, seq_to_phase_z
 from polyvsi.continuation import CpfConfig, run_cpf
 from polyvsi.errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
 from polyvsi.grid import (
@@ -82,6 +88,7 @@ from polyvsi.grid import (
     assemble_admittance,
     hybrid_partition,
     kron_reduce,
+    linear_solver,
     norm1_estimate,
     validate_parameters,
 )
@@ -180,6 +187,32 @@ def test_reduction_matches_stepwise(synthfeeder):
         _assert_matches_stepwise(PolyphaseSystem(grid, slacks, resources))
 
 
+def test_two_slacks_reduce_like_stepwise():
+    # A second source at a new node 7 tied to node 4 of a random p = 3 grid:
+    # two terminals meshed through the grid.  Y' is the stamped-branch
+    # reference bit for bit, each slack a gain-1 branch from its internal
+    # node through its z_te, which pins Y_II, Y_UI and Y_IU as derived from
+    # the slacks; the reduction matches the stepwise one in all four blocks.
+    for seed in range(3):
+        grid, slacks, resources = random_system(np.random.default_rng(seed), n_nodes=6, p=3)
+        grid = replace(grid, nodes=grid.nodes + (Node(7, "slack", vnom=VNOM),),
+                       branches=grid.branches + (Branch(7, 4, seq_to_phase_z(0.2 + 0.4j, 0.6 + 1.2j)),))
+        slacks = [SlackModel(node=7, v_te=0.98 * positive_sequence_source(VNOM, 3),
+                             z_te=seq_to_phase_z(0.05 + 0.3j, 0.15 + 0.9j))] + slacks
+        system = PolyphaseSystem(grid, slacks, resources)
+        aug = system.aug
+        assert [s.node for s in aug.slacks] == [1, 7]
+        assert aug.internal_nodes == system.hybrid.mc_nodes == (te_node(1), te_node(7))
+        nodes, rows, cols, values = stamped_blocks(grid, [Branch(te_node(s.node), s.node, s.z_te)
+                                                          for s in aug.slacks])
+        n, p = len(nodes), grid.p
+        ref = np.zeros((n, p, n, p), dtype=complex)
+        ref[rows, :, cols] = values
+        assert aug.y_prime.row_nodes == aug.y_prime.col_nodes == nodes
+        assert aug.y_prime.data.tobytes() == ref.reshape(n * p, n * p).tobytes()
+        _assert_matches_stepwise(system)
+
+
 def _count_y_uu_columns(monkeypatch) -> list:
     """Wrap reduce_augmented's linear_solver: the returned list gets
     (columns, transpose) for every solve on Y_UU's factor."""
@@ -229,11 +262,13 @@ def test_index_solves_three_columns_on_the_factor(synthfeeder, monkeypatch):
 def _inverse_norms(hybrid, aug) -> tuple:
     """(estimated, exact) max_j ||Y_UU^-1 e_j||_1 over the resource columns
     j: the estimate from the rcond the build judged, the exact value from
-    the unit columns solved on the same factor, so that the two differ by
-    the estimator alone, not by the rounding of two LUs."""
+    the unit columns solved on a new factor of the same Y_UU, whose bits are
+    the build's, so that the two differ by the estimator alone, not by the
+    rounding of two LUs."""
     norm = np.abs(np.asarray(aug.y_uu)).sum(axis=0).max()
-    unit = np.eye(hybrid.size)[:, hybrid.rows]
-    return 1.0 / (hybrid.rcond * norm), np.abs(hybrid.solve(unit)).sum(axis=0).max()
+    unit = np.eye(aug.y_uu.shape[0])[:, node_phase_rows(aug.nodes, hybrid.m_nodes, aug.p)]
+    solve = linear_solver(aug.y_uu, "Y_UU")
+    return 1.0 / (hybrid.rcond * norm), np.abs(solve(unit)).sum(axis=0).max()
 
 
 def test_condition_estimate_is_a_lower_bound():
@@ -265,14 +300,10 @@ def test_condition_estimate_adjoint_is_conjugate():
                   [1.0j, 0.7 + 0.5j, 2.5 + 1.4j]])
     exact = np.abs(b).sum(axis=0).max()
     assert norm1_estimate(lambda x: b @ x, lambda y: b.T @ y, 3) < 0.6 * exact
-    # One source node, then Y_UU = B^-1 over the resource nodes 2, 3 and 4.
-    data = np.zeros((4, 4), dtype=complex)
-    data[1:, 1:] = np.linalg.inv(b)
-    data[0, 0], data[0, 1], data[1, 0] = 1.0, -1.0, -1.0
-    rows, cols = np.indices(data.shape).reshape(2, -1)
-    slack = SlackModel(node=1, v_te=np.ones(1, dtype=complex), z_te=np.ones((1, 1), dtype=complex))
-    aug = AugmentedGrid(nodes=(te_node(1), 2, 3, 4), p=1, rows=rows, cols=cols, values=data.ravel(),
-                        slacks=(slack,), resource_nodes=(2, 3, 4))
+    # Y_UU = B^-1 over the resource nodes 2, 3 and 4, one source tied to node 2.
+    slack = SlackModel(node=2, v_te=np.ones(1, dtype=complex), z_te=np.ones((1, 1), dtype=complex))
+    aug = AugmentedGrid(nodes=(2, 3, 4), y_uu=band_matrix(np.linalg.inv(b)), p=1, slacks=(slack,),
+                        resource_nodes=(2, 3, 4))
     estimate, exact_on_factor = _inverse_norms(reduce_augmented(aug), aug)
     assert abs(exact_on_factor - exact) <= 1e-12 * exact
     assert abs(estimate - exact) <= 1e-12 * exact
