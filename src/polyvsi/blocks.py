@@ -47,6 +47,14 @@ def node_phase_rows(order, nodes, p: int) -> np.ndarray:
     return (np.array([at[n] for n in nodes], dtype=int).reshape(-1, 1) * p + np.arange(p)).ravel()
 
 
+def phase_column(phase, p: int) -> int:
+    """The 0-based column of the 1-based phase of p phases; ValueError naming
+    a phase outside 1..p, which a bare phase - 1 would wrap or overrun."""
+    if not 1 <= phase <= p:
+        raise ValueError(f"phase {phase!r} is outside 1..{p}")
+    return phase - 1
+
+
 @array_dataclass(frozen=True)
 class BlockMatrix:
     """Dense complex matrix with P x P blocks addressed by node ids.

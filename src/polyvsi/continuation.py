@@ -31,18 +31,15 @@ bound that agreed with the full SVD to within 1e-6 relative on the
 feeders measured.  system.svd_at(s.x, s.xi) gives the full triplet of any
 sample on demand.
 
-Each anchor's J_x is evaluated once and factored once (grid.linear_solver):
-the tangent, every corrector step from that anchor, the sample's subspace
-step and, at the base, the seeding of the step's block all solve on that
-one LU.  PolyphaseSystem's J_x is a grid.BandMatrix, factored by LAPACK's
-band LU on its band order (reverse Cuthill-McKee over the feeder's nodes,
-so a radial feeder's J_x is a narrow band).  A problem whose J_x is a plain
-array, or a run where numpy's LAPACK cannot be bound, solves every call by
-np.linalg.solve on the dense matrix.  The corrector is a chord method: it
-evaluates f and D_xi f at each iterate but never J_x, and eliminates the
-sphere row by bordering, so it factors nothing.  A chord iterate that
-diverges fails as a typed SingularJacobian, with no numpy warning.  Only
-the base solve factors its own Jacobians, one per Newton iteration.
+Each anchor's J_x is evaluated once and factored once by
+grid.linear_solver, whose docstring states the solve rule: the tangent,
+every corrector step from that anchor, the sample's subspace step and, at
+the base, the seeding of the step's block all solve on that one factor.
+The corrector is a chord method: it evaluates f and D_xi f at each iterate
+but never J_x, and eliminates the sphere row by bordering, so it factors
+nothing.  A chord iterate that diverges fails as a typed SingularJacobian,
+with no numpy warning.  Only the base solve factors its own Jacobians, one
+per Newton iteration.
 """
 
 from __future__ import annotations

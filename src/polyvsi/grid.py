@@ -278,81 +278,66 @@ class BandMatrix:
         return float(sums.max(initial=0.0))
 
 
-def _lu_step(a: BandMatrix, routines: dict):
-    """step(b, transpose) on one band LU factor of a on its band's order;
-    routines are one dtype's of _lapack.
-
-    a's values are written into a new band storage, so a is never written.
-    The first call factors it by gbtrf, and every call solves with gbtrs on
-    the right-hand side permuted to band.perm.  The closure holds the
-    factor and pivot arrays themselves (data_as keeps a reference), so they
-    live as long as the solver.  Raises LinAlgError on every call once the
-    factorization has found the matrix exactly singular, like
-    np.linalg.solve; ValueError when b does not have n rows, because LAPACK
-    reads and writes through the bare pointers.
-    """
-    band, n = a.band, a.shape[0]
-    ab, piv = np.zeros(band.lead * n, dtype=a.values.dtype.char), np.empty(n, dtype=np.int64)
-    ab[band.storage] = a.values
-    size, kl, ku, lead, ldb, nrhs, info = (ctypes.c_int64(v) for v in
-                                           (n, band.kl, band.ku, band.lead, max(n, 1), 0, 0))
-    ab_p, piv_p = ab.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
-    factored = False
-
-    def step(b, transpose):
-        nonlocal factored
-        if info.value:  # left by a factorization that failed
-            raise np.linalg.LinAlgError("Singular matrix")
-        b = np.asarray(b)
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ValueError(f"right-hand side of shape {b.shape} for a {n} x {n} matrix")
-        x = b[band.perm].astype(ab.dtype, order="F", casting="safe")
-        nrhs.value = 1 if x.ndim == 1 else x.shape[1]
-        if not factored:
-            routines["gbtrf"](size, size, kl, ku, ab_p, lead, piv_p, info)
-            factored = True
-        if not info.value:
-            routines["gbtrs"](b"T" if transpose else b"N", size, kl, ku, nrhs, ab_p, lead, piv_p,
-                              x.ctypes.data, ldb, info)
-        if info.value:
-            raise np.linalg.LinAlgError("Singular matrix")
-        out = np.empty_like(x)
-        out[band.perm] = x
-        return out
-
-    return step
-
-
 def linear_solver(a, what: str, error: type = SingularJacobian):
     """solve(b, transpose=False) for a x = b, or a' x = b with transpose=True;
     b has shape (n,) or (n, k), real, or complex when a is.  a' is the plain
     transpose, never the conjugate one, and a itself is never written.
 
-    A BandMatrix of float64 or complex128 values is factored once, by
-    LAPACK's band LU on its band's order at the first call, and every call
-    solves on that factor (_lu_step).  Any other matrix, and every one where
-    numpy's LAPACK cannot be bound (_lapack), is solved as a dense array by
-    np.linalg.solve at each call, which agrees with the band factor to
-    rounding.  Raises ValueError naming the shape when a is not square, and
-    error naming what when the factorization fails or a solution is not
-    finite.
+    A BandMatrix of float64 or complex128 values is copied into gbtrf's band
+    storage, factored by LAPACK's band LU on its band's order at the first
+    call, and every call solves on that factor with gbtrs, b permuted to
+    band.perm.  The solver holds the factor and pivot arrays themselves
+    (data_as keeps a reference), so they live as long as it does.  Any other
+    matrix, and every one where numpy's LAPACK cannot be bound (_lapack), is
+    solved as a dense array by np.linalg.solve at each call, which agrees
+    with the band factor to rounding.  Raises ValueError naming the shape
+    when a is not square; at each call, on either path and before any
+    LAPACK call, ValueError naming the shape when b is not (n,) or (n, k)
+    and naming the dtype when b is complex and a is not.  Raises error
+    naming what when the factorization fails, on that call and every later
+    one, or when a solution is not finite.
     """
     shape = np.shape(a)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"{what} of shape {shape} is not a square matrix")
+    n = shape[0]
     if isinstance(a, BandMatrix) and (routines := _lapack().get(a.values.dtype.char)):
-        step = _lu_step(a, routines)
+        band = a.band
+        ab, piv = np.zeros(band.lead * n, dtype=a.values.dtype.char), np.empty(n, dtype=np.int64)
+        ab[band.storage] = a.values
+        # info is the factor's state: -1 before gbtrf, then 0 when factored
+        # and k > 0 when U[k, k] is exactly zero, which stays.
+        size, kl, ku, lead, ldb, nrhs, info = (ctypes.c_int64(v) for v in
+                                               (n, band.kl, band.ku, band.lead, max(n, 1), 0, -1))
+        ab_p, piv_p = ab.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
+        dtype = ab.dtype
     else:
-        dense = np.asarray(a)
-
-        def step(b, transpose):
-            return np.linalg.solve(dense.T if transpose else dense, b)
+        routines, dense = None, np.asarray(a)
+        dtype = dense.dtype
 
     def solve(b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        try:
-            x = step(b, transpose)
-        except np.linalg.LinAlgError as exc:
-            raise error(f"{what} is singular") from exc
+        b = np.asarray(b)
+        if b.ndim not in (1, 2) or b.shape[0] != n:
+            raise ValueError(f"right-hand side of shape {b.shape} for a {n} x {n} matrix")
+        if b.dtype.kind == "c" and dtype.kind != "c":
+            raise ValueError(f"right-hand side of dtype {b.dtype} for a real {n} x {n} matrix")
+        if routines:
+            if info.value < 0:
+                routines["gbtrf"](size, size, kl, ku, ab_p, lead, piv_p, info)
+            if info.value:
+                raise error(f"{what} is singular")
+            x = b[band.perm].astype(dtype, order="F", casting="safe")
+            nrhs.value = 1 if x.ndim == 1 else x.shape[1]
+            routines["gbtrs"](b"T" if transpose else b"N", size, kl, ku, nrhs, ab_p, lead, piv_p,
+                              x.ctypes.data, ldb, info)
+            out = np.empty_like(x)
+            out[band.perm] = x
+            x = out
+        else:
+            try:
+                x = np.linalg.solve(dense.T if transpose else dense, b)
+            except np.linalg.LinAlgError as exc:
+                raise error(f"{what} is singular") from exc
         if not np.isfinite(x).all():
             raise error(f"{what} gives a solution that is not finite")
         return x

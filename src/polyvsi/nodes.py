@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blocks import array_dataclass
+from .blocks import array_dataclass, phase_column
 from .errors import ZeroVoltage
 from .grid import _inverse, passivity_faults
 
@@ -242,10 +242,10 @@ class SlackModel:
 def pm_power_at(model: ResourceModel, phase: int, v: complex) -> complex:
     """Injected complex power of one phase at voltage phasor v.
 
-    phase is 1-based.  S = lam * (p0 * poly_re(u) + j q0 * poly_im(u)) with
-    u = |v| / v0.
+    phase is 1-based, ValueError outside 1..p.  S = lam * (p0 * poly_re(u)
+    + j q0 * poly_im(u)) with u = |v| / v0.
     """
-    ph = model.phases[phase - 1]
+    ph = model.phases[phase_column(phase, model.p)]
     u = abs(v) / model.v0
     p = model.lam * ph.p0 * ph.zip_re.eval(u)
     q = model.lam * ph.q0 * ph.zip_im.eval(u)
@@ -253,7 +253,8 @@ def pm_power_at(model: ResourceModel, phase: int, v: complex) -> complex:
 
 
 def pm_zip_at(model: ResourceModel, phase: int, v: complex) -> ZipDecomposition:
-    """Exact admittance / current / power split at voltage v (1-based phase).
+    """Exact admittance / current / power split at voltage v (1-based phase,
+    ValueError outside 1..p).
 
     The quadratic terms become a constant admittance, the linear terms a
     constant current aligned with v, the constant terms a constant power:
@@ -266,7 +267,7 @@ def pm_zip_at(model: ResourceModel, phase: int, v: complex) -> ZipDecomposition:
     """
     if v == 0:
         raise ZeroVoltage(f"resource {model.node} phase {phase}: |v| = 0")
-    ph = model.phases[phase - 1]
+    ph = model.phases[phase_column(phase, model.p)]
     s_z = model.lam * complex(ph.zip_re.alpha * ph.p0, ph.zip_im.alpha * ph.q0)
     s_i = model.lam * complex(ph.zip_re.beta * ph.p0, ph.zip_im.beta * ph.q0)
     s_p = model.lam * complex(ph.zip_re.gamma * ph.p0, ph.zip_im.gamma * ph.q0)

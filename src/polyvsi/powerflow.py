@@ -30,7 +30,7 @@ from dataclasses import field
 
 import numpy as np
 
-from .blocks import array_dataclass, node_phase_rows
+from .blocks import array_dataclass, node_phase_rows, phase_column
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian, ValidationError
 from .grid import ROLE_RESOURCE, Band, BandMatrix, GridModel, linear_solver, validate_parameters
 from .nodes import ZipTable
@@ -57,7 +57,8 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
 class OperatingPoint:
     """Voltage magnitudes/angles per (node, phase) plus the loading factor.
 
-    e and theta have shape (len(nodes), p); phases are 1-based in accessors.
+    e and theta have shape (len(nodes), p); phases are 1-based in accessors,
+    which raise ValueError for a phase outside 1..p.
     """
 
     nodes: tuple
@@ -82,14 +83,14 @@ class OperatingPoint:
         return self._rows[node]
 
     def magnitude(self, node, phase: int) -> float:
-        return float(self.e[self._row(node), phase - 1])
+        return float(self.e[self._row(node), phase_column(phase, self.p)])
 
     def angle(self, node, phase: int) -> float:
-        return float(self.theta[self._row(node), phase - 1])
+        return float(self.theta[self._row(node), phase_column(phase, self.p)])
 
     def voltage(self, node, phase: int) -> complex:
-        r = self._row(node)
-        return complex(self.e[r, phase - 1] * np.exp(1j * self.theta[r, phase - 1]))
+        at = self._row(node), phase_column(phase, self.p)
+        return complex(self.e[at] * np.exp(1j * self.theta[at]))
 
     def phasors(self) -> np.ndarray:
         return self.e * np.exp(1j * self.theta)

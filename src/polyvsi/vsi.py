@@ -67,6 +67,8 @@ class AugmentedGrid:
 
     The slack terminals become zero-injection nodes; injections appear only
     at internal nodes and at resource_nodes, which follow the node order.
+    Raises ValueError when a slack or resource node is not among nodes, or
+    y_uu is not square with p rows per node.
     """
 
     nodes: tuple
@@ -74,6 +76,15 @@ class AugmentedGrid:
     p: int
     slacks: tuple
     resource_nodes: tuple
+
+    def __post_init__(self):
+        known = set(self.nodes)
+        for what, nodes in (("slack", [s.node for s in self.slacks]), ("resource", self.resource_nodes)):
+            if missing := [n for n in nodes if n not in known]:
+                raise ValueError(f"{what} nodes {missing} are not among the grid's nodes")
+        shape, n = np.shape(self.y_uu), len(self.nodes)
+        if shape != (n * self.p, n * self.p):
+            raise ValueError(f"y_uu of shape {shape} for {n} nodes at p = {self.p}")
 
     @property
     def internal_nodes(self) -> tuple:

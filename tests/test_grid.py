@@ -45,9 +45,11 @@ Proves:
   18.  block / row_slice / row_indices agree with raw offsets
   19.  data is read-only; a caller's array is copied and left writable,
        an array the library builds is taken over without a copy
-  19a. Node, Branch, Shunt, GridModel, BlockMatrix, SlackModel and
-       OperatingPoint reject structurally broken input with a ValueError
-       naming the fault, and the stepwise reductions a non-square matrix
+  19a. Node, Branch, Shunt, GridModel, BlockMatrix, SlackModel,
+       OperatingPoint and AugmentedGrid reject structurally broken input
+       with a ValueError naming the fault (for AugmentedGrid a slack or
+       resource node off its nodes, or a Y_UU without p rows per node), and
+       the stepwise reductions a non-square matrix
   19b. Every dataclass that holds arrays compares by content: a deep copy
        (distinct arrays) is equal, and one changed array element makes it
        unequal; a CpfTrace compares through its samples
@@ -64,11 +66,13 @@ Proves:
   20a. On a band, the band LU and the np.linalg.solve fallback taken
        without numpy's LAPACK binding agree to 1e-12: a' x = b and a x = b,
        real and complex, on matrices that make gbtrf pivot
-  20b. The band LU step refuses a right-hand side without n rows before
-       any raw-pointer call; linear_solver refuses a matrix that is not
-       square, on every path, with a ValueError naming the shape, never as
-       singular; a BandMatrix refuses values that do not fit its blocks
-       and a Band blocks that are out of row order or leave a row empty
+  20b. linear_solver refuses a right-hand side that is not (n,) or (n, k),
+       and a complex one for a real matrix, with the same ValueError on
+       the band LU and on the fallback, before any LAPACK call, and stays
+       usable; it refuses a matrix that is not square, on every path, with
+       a ValueError naming the shape, never as singular; a BandMatrix
+       refuses values that do not fit its blocks and a Band blocks that
+       are out of row order or leave a row empty
   20c. reverse_cuthill_mckee orders every vertex, isolated ones too, and
        takes a randomly labelled path back to bandwidth 1 and the bundled
        feeder's randomly relabelled node graph to at most 4; the grid's
@@ -545,7 +549,19 @@ STRUCTURAL_ERRORS = {
     "slack-v-finite": (lambda: SlackModel(1, np.array([np.inf]), _Z1), "v_te must be finite"),
     "point-shape": (lambda: OperatingPoint((1, 2), 1, np.ones((2, 1)), np.zeros((1, 2))),
                     "e/theta must have shape (2, 1)"),
+    # A 2 x 2 Y_UU with p = 1: a slack off the grid's nodes, a resource node
+    # off them, and one node more than Y_UU has rows.
+    "augmented-slack": (lambda: _augmented((2, 3), slack_at=1), "slack nodes [1] are not among the grid's nodes"),
+    "augmented-resource": (lambda: _augmented((2, 3), resource_at=4),
+                           "resource nodes [4] are not among the grid's nodes"),
+    "augmented-y-uu": (lambda: _augmented((2, 3, 4)), "y_uu of shape (2, 2) for 3 nodes at p = 1"),
 }
+
+
+def _augmented(nodes, slack_at=2, resource_at=3):
+    slack = SlackModel(node=slack_at, v_te=np.ones(1, dtype=complex), z_te=np.ones((1, 1), dtype=complex))
+    return AugmentedGrid(nodes=nodes, y_uu=band_matrix(np.eye(2, dtype=complex)), p=1, slacks=(slack,),
+                         resource_nodes=(resource_at,))
 
 
 @pytest.mark.parametrize("case", sorted(STRUCTURAL_ERRORS))
@@ -673,18 +689,43 @@ def test_linear_solver_fallback_agrees(monkeypatch):
             assert np.linalg.norm(fast(b, transpose) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_lu_step_rejects_bad_shapes():
-    routines = grid._lapack().get("d")
-    if routines is None:
-        pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
+def test_linear_solver_refuses_bad_right_hand_sides(bench_system, monkeypatch):
+    # Each right-hand side is checked once, ahead of both paths: the band LU
+    # and the np.linalg.solve fallback (_lapack patched to {}) refuse a
+    # wrong shape and a complex b for a real matrix with the same
+    # ValueError, the band LU before any LAPACK call, and a refused call
+    # leaves the solver usable.  The matrices: the identity as a real
+    # tridiagonal BandMatrix and as a plain array, and the real J_x.
     rows, cols = [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2]
     tridiagonal = grid.Band.of([2, 0, 1], np.arange(3)[:, None], rows, cols)
-    step = grid._lu_step(BandMatrix(tridiagonal, np.equal(rows, cols)[:, None, None] * 1.0), routines)
-    for b in (np.ones(2), np.ones((4, 1)), np.ones((3, 1, 1))):
-        message = f"right-hand side of shape {b.shape} for a 3 x 3 matrix"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            step(b, False)
-    assert np.array_equal(step(np.ones(3), True), np.ones(3))  # the refusals left the solver usable
+    j_x = bench_system.jacobian_x(bench_system.flat_start(), 1.0)
+    x = np.random.default_rng(2).standard_normal(150)
+    cases = [(BandMatrix(tridiagonal, np.equal(rows, cols)[:, None, None] * 1.0), np.ones(3)),
+             (np.eye(3), np.ones(3)), (j_x, j_x @ x)]
+    table, calls = grid._lapack(), []
+
+    def recorded(char):
+        return {name: lambda *args, name=name, routine=routine: calls.append(name) or routine(*args)
+                for name, routine in table[char].items()}
+
+    for lapack in ({char: recorded(char) for char in table}, {}):
+        monkeypatch.setattr(grid, "_lapack", lambda: lapack)
+        for a, b in cases:
+            n, banded = b.size, bool(lapack) and isinstance(a, BandMatrix)
+            solve = linear_solver(a, "J_x")
+            calls.clear()
+            refusals = [(bad, f"right-hand side of shape {bad.shape} for a {n} x {n} matrix")
+                        for bad in (b[:-1], np.ones((n + 1, 1)), b[:, None, None], np.float64(1.0))]
+            refusals += [(bad, f"right-hand side of dtype complex128 for a real {n} x {n} matrix")
+                         for bad in (b + 0j, 1j * b[:, None])]
+            for bad, message in refusals:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    solve(bad)
+            assert calls == []
+            for transpose in (False, True):  # the refusals left the solver usable
+                want = np.linalg.solve(np.asarray(a).T if transpose else np.asarray(a), b)
+                assert np.allclose(solve(b, transpose), want, rtol=1e-12, atol=1e-12)
+            assert calls == (["gbtrf", "gbtrs", "gbtrs"] if banded else [])
 
 
 def test_linear_solver_rejects_non_square(bench_system, monkeypatch):

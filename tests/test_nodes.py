@@ -13,6 +13,8 @@ Proves:
    5.  lam = 0 kills the injection; the law is linear in lam
    6.  ZIP decomposition reconstructs the power law at any voltage
    7.  injected_current is conj(S / v); zero voltage raises
+   7a. pm_power_at, pm_zip_at and injected_current refuse a phase outside
+       1..p (0, -1, p + 1) with a ValueError naming it
    8.  Constructor validation: v0 > 0, lam >= 0, known kind
    9.  Non-finite coefficients, reference powers and v0 are rejected
    9a. Every scalar field (the ZIP triple, also through from_table, p0,
@@ -122,6 +124,15 @@ def test_injected_current():
         injected_current(m, 1, 0.0)
     with pytest.raises(ZeroVoltage):
         pm_zip_at(m, 1, 0.0)
+
+
+def test_phase_outside_range_raises():
+    m = _model()
+    three = ResourceModel(node=2, v0=1000.0, phases=m.phases * 3)
+    for model, phase in ((m, 0), (m, -1), (m, 2), (three, 0), (three, -1), (three, 4)):
+        for law in (pm_power_at, pm_zip_at, injected_current):
+            with pytest.raises(ValueError, match=f"^phase {phase} is outside 1..{model.p}$"):
+                law(model, phase, 950.0 + 10.0j)
 
 
 def test_resource_validation():

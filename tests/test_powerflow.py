@@ -5,7 +5,8 @@ Proves:
  Group 1 - State handling
    1.  wrap_angle maps onto (-pi, pi] including both endpoints
    2.  flat_start is nominal magnitude with symmetric sequence angles
-   3.  operating_point / pack round-trip; accessors; unknown node -> KeyError
+   3.  operating_point / pack round-trip; accessors; unknown node -> KeyError,
+       a phase outside 1..p (0, -1, p + 1) -> ValueError naming it
    4.  Residual is gauge-consistent under theta -> theta + 2 pi
 
  Group 2 - Residual correctness
@@ -153,6 +154,10 @@ def test_operating_point_accessors_and_pack():
     assert op.phasors().shape == (4, 2)
     with pytest.raises(KeyError):
         op.voltage(99, 1)
+    for phase in (0, -1, 3):  # 1-based: neither wrapped round nor a bare IndexError
+        for accessor in (op.magnitude, op.angle, op.voltage):
+            with pytest.raises(ValueError, match=f"^phase {phase} is outside 1..2$"):
+                accessor(2, phase)
     expected = np.concatenate([x[: system.n_unknown],
                                wrap_angle(x[system.n_unknown:])])
     assert np.allclose(system.pack(op), expected, atol=1e-14)
