@@ -203,11 +203,17 @@ class Band:
 
     @classmethod
     def of(cls, order, index, block_rows, block_cols) -> Band:
-        """The Band on order; ValueError unless block_rows runs 0, 1, ..., N - 1 in steps of 0 or 1."""
+        """The Band on order; ValueError unless block_rows runs 0, 1, ..., N - 1 in steps of 0 or 1,
+        and naming a block whose column is outside 0..N - 1 or that is repeated."""
         index, rows, cols = (np.asarray(a, dtype=np.int64) for a in (index, block_rows, block_cols))
-        row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        if not np.array_equal(rows[row_starts], np.arange(len(index))):
+        row_starts, n = np.flatnonzero(np.diff(rows, prepend=-1)), len(index)
+        if not np.array_equal(rows[row_starts], np.arange(n)):
             raise ValueError("the pattern's blocks must be sorted by block row, each row holding one")
+        if (outside := np.flatnonzero((cols < 0) | (cols >= n))).size:
+            raise ValueError(f"block ({rows[outside[0]]}, {cols[outside[0]]}) has a column outside 0..{n - 1}")
+        keys = np.sort(rows * n + cols)
+        if (repeated := keys[1:][np.diff(keys) == 0]).size:
+            raise ValueError(f"block ({repeated[0] // n}, {repeated[0] % n}) is repeated")
         order = np.asarray(order, dtype=np.int64)
         perm = index[order].ravel()
         position = np.empty_like(perm)

@@ -59,12 +59,6 @@ def zip_from_values(alpha: float, beta: float, gamma: float) -> ZipCoefficients:
         return ZipCoefficients.from_table(alpha, beta, gamma)
 
 
-def resource_from_values(node, kind: str, v0: float, p0, q0, zre, zim,
-                         lam: float = 1.0) -> ResourceModel:
-    """Resource from SI values (V, W, var), one ZIP pair for all phases."""
-    return _resource(node, kind, v0, p0, q0, zip_from_values(*zre), zip_from_values(*zim), lam)
-
-
 def _resource(node, kind: str, v0: float, p0, q0, zip_re: ZipCoefficients,
               zip_im: ZipCoefficients, lam: float = 1.0) -> ResourceModel:
     """Resource from SI values whose phases share one ZIP pair."""
@@ -77,8 +71,8 @@ def _resource(node, kind: str, v0: float, p0, q0, zip_re: ZipCoefficients,
 
 def resource_from_catalog(node, kind: str, v0_kv: float, p0_kw, q0_kvar, zre, zim) -> ResourceModel:
     """Resource from catalog units (kV, kW, kvar), one ZIP pair for all phases."""
-    return resource_from_values(node, kind, v0_kv * 1e3, [p * 1e3 for p in p0_kw],
-                                [q * 1e3 for q in q0_kvar], zre, zim)
+    return _resource(node, kind, v0_kv * 1e3, [p * 1e3 for p in p0_kw], [q * 1e3 for q in q0_kvar],
+                     zip_from_values(*zre), zip_from_values(*zim))
 
 
 def transformer_from_catalog(label, from_node, to_node, s_mva: float, v_from_kv: float,

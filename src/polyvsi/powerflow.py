@@ -34,7 +34,7 @@ from .blocks import array_dataclass, node_phase_rows, phase_column
 from .errors import IncompleteModel, NonConvergence, SingularBranch, SingularJacobian, ValidationError
 from .grid import ROLE_RESOURCE, Band, BandMatrix, GridModel, linear_solver, validate_parameters
 from .nodes import ZipTable
-from .vsi import build_augmented, index_at, reduce_augmented
+from .vsi import build_augmented, reduce_augmented, vsi_global, vsi_local, zip_coefficients
 # Not called here; perfbench/spans.py wraps it by name when tracing.
 from .vsi import evaluate_vsi  # noqa: F401
 
@@ -57,8 +57,9 @@ def wrap_angle(theta: np.ndarray) -> np.ndarray:
 class OperatingPoint:
     """Voltage magnitudes/angles per (node, phase) plus the loading factor.
 
-    e and theta have shape (len(nodes), p); phases are 1-based in accessors,
-    which raise ValueError for a phase outside 1..p.
+    e and theta have shape (len(nodes), p) and nodes are distinct, else
+    ValueError; phases are 1-based in accessors, which raise ValueError for
+    a phase outside 1..p.
     """
 
     nodes: tuple
@@ -76,6 +77,8 @@ class OperatingPoint:
             raise ValueError(f"e/theta must have shape {shape}")
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "_rows", {n: i for i, n in enumerate(self.nodes)})
+        if len(self._rows) != len(self.nodes):
+            raise ValueError("duplicate node ids")
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "theta", th)
 
@@ -264,7 +267,7 @@ class PolyphaseSystem:
         """The index at state x and loading xi, from the packed resource rows."""
         r = self._res
         v = x[r] * self.e_nom[r] * np.exp(1j * wrap_angle(x[self.n_unknown + r]))
-        return index_at(self.hybrid, self._zip, self._lam(xi), self._v_fixed, v)
+        return vsi_global(vsi_local(zip_coefficients(self.hybrid, self._zip, self._lam(xi), self._v_fixed, v)))
 
     def svd_at(self, x: np.ndarray, xi: float, block: SvdBlock | None = None, j=None,
                solve=None) -> tuple:

@@ -23,7 +23,9 @@ discriminant-style index
     L = | 1 - b / ((1 + a) V) |  =  | c | / ( |1 + a| |V|^2 )   (at solutions)
 
 certifies solvability while L <= 1.  The global index is the maximum over
-resource node-phases.
+resource node-phases.  PolyphaseSystem.vsi_at and evaluate_vsi run one
+pipeline: the coefficients at V, held with V (VsiCoefficients), then
+vsi_local, then vsi_global.
 """
 
 from __future__ import annotations
@@ -209,13 +211,24 @@ def reduce_augmented(aug: AugmentedGrid) -> HybridPartition:
 
 @array_dataclass(frozen=True)
 class VsiCoefficients:
-    """Per resource node-phase coefficients (a, b, c) of the local quadratic
-    voltage equation, in the (node, phase) order of ``pairs``."""
+    """The index's one evaluation point: per resource node-phase, in the
+    (node, phase) order of ``pairs``, the voltage v and the coefficients
+    (a, b, c) of the local quadratic voltage equation taken at that v.
+    ValueError unless each is of shape (len(pairs),), and ZeroVoltage
+    naming the pair where v is 0."""
 
     pairs: tuple
+    v: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self):
+        shape = (len(self.pairs),)
+        for name in ("v", "a", "b", "c"):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} of shape {np.shape(getattr(self, name))} for {shape[0]} pairs")
+        _nonzero(np.asarray(self.v), self.pairs)
 
 
 @dataclass(frozen=True)
@@ -235,14 +248,8 @@ def _nonzero(v: np.ndarray, pairs) -> np.ndarray:
     return v
 
 
-def _voltages(op, pairs) -> np.ndarray:
-    """Phasors of op at the (node, phase) pairs; ZeroVoltage if any is 0."""
-    rows = [op._row(node) for node, _ in pairs]
-    return _nonzero(op.phasors()[rows, [phase - 1 for _, phase in pairs]], pairs)
-
-
 def zip_coefficients(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiCoefficients:
-    """The coefficient kernel on packed rows.
+    """The coefficients at the voltages v, on packed rows.
 
     table holds the resources of hybrid.m_nodes one row per node-phase, lam
     their loading factors and v their (nonzero) voltage phasors; v_te holds
@@ -263,24 +270,20 @@ def zip_coefficients(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> 
     a = x[:, 0] / v
     b = x[:, 1] + hybrid.h_mmc.data @ v_te
     c = np.conj(v) * x[:, 2]
-    return VsiCoefficients(pairs=pairs, a=a, b=b, c=c)
+    return VsiCoefficients(pairs=pairs, v=v, a=a, b=b, c=c)
 
 
-def _packed(hybrid: HybridPartition, slacks, resources, op) -> tuple:
-    """(table, lam, v_te, v) for zip_coefficients from resource models at
-    their own lam and the operating point op.  match_models places the
-    resources on hybrid.m_nodes and the slacks on the terminals of
-    hybrid.mc_nodes, so misplaced models raise IncompleteModel."""
+def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoefficients:
+    """zip_coefficients of the given models, each resource at its own lam,
+    at the operating point op.  match_models places the resources on
+    hybrid.m_nodes and the slacks on the terminals of hybrid.mc_nodes, so
+    misplaced models raise IncompleteModel."""
     p = hybrid.p
     table = ZipTable.from_resources(match_models(ROLE_RESOURCE, resources, hybrid.m_nodes, p))
     slacks = match_models(ROLE_SLACK, slacks, [node for _, node in hybrid.mc_nodes], p)
     v_te = np.concatenate([np.zeros(0, complex)] + [s.v_te for s in slacks])
-    return table, table.lam, v_te, op.phasors().ravel()[node_phase_rows(op.nodes, hybrid.m_nodes, p)]
-
-
-def vsi_coefficients(hybrid: HybridPartition, slacks, resources, op) -> VsiCoefficients:
-    """zip_coefficients of the given models at the operating point op."""
-    return zip_coefficients(hybrid, *_packed(hybrid, slacks, resources, op))
+    v = op.phasors().ravel()[node_phase_rows(op.nodes, hybrid.m_nodes, p)]
+    return zip_coefficients(hybrid, table, table.lam, v_te, v)
 
 
 def _denominator(coeffs: VsiCoefficients) -> np.ndarray:
@@ -292,19 +295,15 @@ def _denominator(coeffs: VsiCoefficients) -> np.ndarray:
     return denom
 
 
-def _primal(coeffs: VsiCoefficients, v: np.ndarray) -> dict:
-    return dict(zip(coeffs.pairs, np.abs(1.0 - coeffs.b / (_denominator(coeffs) * v)).tolist()))
+def vsi_local(coeffs: VsiCoefficients) -> dict:
+    """Local index per (node, phase) at coeffs.v: L = |1 - b / ((1 + a) V)|."""
+    return dict(zip(coeffs.pairs, np.abs(1.0 - coeffs.b / (_denominator(coeffs) * coeffs.v)).tolist()))
 
 
-def vsi_local(coeffs: VsiCoefficients, op) -> dict:
-    """Local index per (node, phase): L = |1 - b / ((1 + a) V)|."""
-    return _primal(coeffs, _voltages(op, coeffs.pairs))
-
-
-def vsi_local_dual(coeffs: VsiCoefficients, op) -> dict:
-    """Dual form L = |c| / (|1 + a| |V|^2); equals vsi_local at power-flow
-    solutions and differs away from them."""
-    dual = np.abs(coeffs.c) / (np.abs(_denominator(coeffs)) * np.abs(_voltages(op, coeffs.pairs)) ** 2)
+def vsi_local_dual(coeffs: VsiCoefficients) -> dict:
+    """Dual form L = |c| / (|1 + a| |V|^2) at coeffs.v; equals vsi_local at
+    power-flow solutions and differs away from them."""
+    dual = np.abs(coeffs.c) / (np.abs(_denominator(coeffs)) * np.abs(coeffs.v) ** 2)
     return dict(zip(coeffs.pairs, dual.tolist()))
 
 
@@ -317,12 +316,6 @@ def vsi_global(local: dict) -> VsiResult:
     return VsiResult(local=dict(local), global_value=float(local[best]), critical=best)
 
 
-def index_at(hybrid: HybridPartition, table: ZipTable, lam, v_te, v) -> VsiResult:
-    """zip_coefficients -> local indices -> global maximum, on packed rows."""
-    coeffs = zip_coefficients(hybrid, table, lam, v_te, v)
-    return vsi_global(_primal(coeffs, v))
-
-
 def evaluate_vsi(hybrid: HybridPartition, slacks, resources, op) -> VsiResult:
-    """index_at of the given models at the operating point op."""
-    return index_at(hybrid, *_packed(hybrid, slacks, resources, op))
+    """vsi_coefficients -> vsi_local -> vsi_global of the given models at op."""
+    return vsi_global(vsi_local(vsi_coefficients(hybrid, slacks, resources, op)))

@@ -250,8 +250,8 @@ def test_criterion_6_property_suite(acceptance_report):
         op, res = solve_power_flow(system, xi=1.0, eps=1e-12)
         assert res.converged
         coeffs = vsi_coefficients(system.hybrid, slacks, system.resources_at(1.0), op)
-        primal = vsi_local(coeffs, op)
-        dual = vsi_local_dual(coeffs, op)
+        primal = vsi_local(coeffs)
+        dual = vsi_local_dual(coeffs)
         for pair in primal:
             dual_worst = max(dual_worst,
                              abs(primal[pair] - dual[pair]) / max(primal[pair], 1.0))

@@ -549,6 +549,7 @@ STRUCTURAL_ERRORS = {
     "slack-v-finite": (lambda: SlackModel(1, np.array([np.inf]), _Z1), "v_te must be finite"),
     "point-shape": (lambda: OperatingPoint((1, 2), 1, np.ones((2, 1)), np.zeros((1, 2))),
                     "e/theta must have shape (2, 1)"),
+    "point-duplicate": (lambda: OperatingPoint((1, 1), 1, [[1.0], [2.0]], np.zeros((2, 1))), "duplicate node ids"),
     # A 2 x 2 Y_UU with p = 1: a slack off the grid's nodes, a resource node
     # off them, and one node more than Y_UU has rows.
     "augmented-slack": (lambda: _augmented((2, 3), slack_at=1), "slack nodes [1] are not among the grid's nodes"),
@@ -743,6 +744,19 @@ def test_linear_solver_rejects_non_square(bench_system, monkeypatch):
     for block_rows, block_cols in ((rows[::-1], cols[::-1]), (rows[rows != 1], cols[rows != 1])):
         with pytest.raises(ValueError, match="sorted by block row, each row holding one"):
             grid.Band.of([0, 1, 2], index, block_rows, block_cols)
+
+
+def test_band_refuses_repeated_and_outside_blocks():
+    # A repeated block would be summed by @ but kept once by the dense view
+    # and the band LU; a column of -1 would be read as the last node.
+    index = np.arange(2)[:, None]
+    assert grid.Band.of([0, 1], index, [0, 1, 1], [0, 1, 0]).block_cols.tolist() == [0, 1, 0]
+    for rows, cols, message in (([0, 0, 1], [0, 0, 1], "block (0, 0) is repeated"),
+                                ([0, 1, 1, 1], [0, 0, 1, 0], "block (1, 0) is repeated"),
+                                ([0, 1], [0, -1], "block (1, -1) has a column outside 0..1"),
+                                ([0, 0, 1], [0, 7, 1], "block (0, 7) has a column outside 0..1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid.Band.of([0, 1], index, rows, cols)
 
 
 def _bandwidth(order, rows, cols):

@@ -41,6 +41,8 @@ Proves:
    4.  Zero loading collapses a = c = 0 and b = source voltage
    5.  Vectorized coefficients match an explicit per-pair block loop
    6.  VsiCoefficients.pairs addresses the coefficient arrays
+   6a. VsiCoefficients refuses v, a, b or c of a shape other than
+       (len(pairs),) with ValueError naming the field
    7.  Missing resource model raises ValueError
    7a. Both index entry points place models by the system build's rule: no
        slacks, a second resource model at a node and a repeated slack list
@@ -52,7 +54,8 @@ Proves:
   10.  Zero loading gives L ~ 0 at the solved open-circuit point
   11.  Global index picks the maximum; ties resolve to the first pair, and
        the index lists its pairs in hybrid node order, phases ascending
-  12.  |1 + a| ~ 0 raises DegenerateDenominator; zero voltage raises
+  12.  |1 + a| ~ 0 raises DegenerateDenominator; VsiCoefficients with a
+       zero voltage raises ZeroVoltage naming the pair
 
  Group 5 - One index, two entry points
   13.  system.vsi_at (packed resource rows, the system's loading rule)
@@ -60,6 +63,8 @@ Proves:
        value, the global value and the critical pair: every bundled trace
        sample, a 302-node synthetic feeder, and a random grid with a
        lam != 1 load and a compensator
+  13a. One evaluate_vsi call reaches polyvsi.vsi.vsi_coefficients once,
+       through the module attribute (the name the vsi.coeff span wraps)
   14.  On the bundled trace L_global starts below 1 and first reaches 1
        before the fold (the index errs on the safe side)
 """
@@ -94,7 +99,7 @@ from polyvsi.grid import (
 )
 from polyvsi.gridfile import parse_grid_text
 from polyvsi.nodes import SlackModel, pm_zip_at
-from polyvsi.powerflow import OperatingPoint, PolyphaseSystem, solve_power_flow
+from polyvsi.powerflow import PolyphaseSystem, solve_power_flow
 from polyvsi.vsi import (
     AugmentedGrid,
     VsiCoefficients,
@@ -405,6 +410,16 @@ def test_coefficients_at_addressing():
         coeffs.pairs.index((2, 9))
 
 
+def test_coefficients_refuse_a_length_other_than_the_pairs():
+    # One coefficient for two pairs would otherwise be broadcast to both.
+    pairs, full = ((2, 1), (3, 1)), {name: np.ones(2, dtype=complex) for name in "vabc"}
+    for name in "vabc":
+        for bad in (np.ones(1, dtype=complex), np.ones((2, 1), dtype=complex), np.complex128(1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"{name} of shape {np.shape(bad)} for 2 pairs")):
+                VsiCoefficients(pairs=pairs, **{**full, name: bad})
+    assert vsi_local(VsiCoefficients(pairs=pairs, **full)) == {(2, 1): 0.5, (3, 1): 0.5}
+
+
 def test_missing_resource_raises():
     grid, slacks, resources = two_bus()
     system = PolyphaseSystem(grid, slacks, resources)
@@ -461,8 +476,8 @@ def test_primal_dual_agree_at_solutions():
         op, res = solve_power_flow(system, xi=1.0)
         assert res.converged
         coeffs = vsi_coefficients(system.hybrid, slacks, resources, op)
-        primal = vsi_local(coeffs, op)
-        dual = vsi_local_dual(coeffs, op)
+        primal = vsi_local(coeffs)
+        dual = vsi_local_dual(coeffs)
         for pair in primal:
             assert abs(primal[pair] - dual[pair]) <= 1e-6 * max(primal[pair], 1.0)
         done += 1
@@ -499,18 +514,17 @@ def test_global_index_tie_break():
 
 def test_degenerate_denominator_and_zero_voltage():
     coeffs = VsiCoefficients(pairs=((2, 1),),
+                             v=np.array([900.0 + 0j]),
                              a=np.array([-1.0 + 1e-12j]),
                              b=np.array([1.0 + 0j]),
                              c=np.array([1.0 + 0j]))
-    op = OperatingPoint(nodes=(2,), p=1, e=[[900.0]], theta=[[0.0]])
     with pytest.raises(DegenerateDenominator):
-        vsi_local(coeffs, op)
+        vsi_local(coeffs)
     with pytest.raises(DegenerateDenominator):
-        vsi_local_dual(coeffs, op)
-    ok = VsiCoefficients(pairs=((2, 1),), a=np.array([0j]),
-                         b=np.array([1.0 + 0j]), c=np.array([1.0 + 0j]))
-    with pytest.raises(ZeroVoltage):
-        vsi_local(ok, OperatingPoint(nodes=(2,), p=1, e=[[0.0]], theta=[[0.0]]))
+        vsi_local_dual(coeffs)
+    with pytest.raises(ZeroVoltage, match=re.escape("zero voltage at (2, 1)")):
+        VsiCoefficients(pairs=((2, 1),), v=[0j], a=np.array([0j]),
+                        b=np.array([1.0 + 0j]), c=np.array([1.0 + 0j]))
 
 
 # -- Group 5 ---------------------------------------------------------------
@@ -544,6 +558,17 @@ def test_system_index_equals_model_index(bench_system, bench_trace, synthfeeder)
     for xi in (0.5, 1.3):
         _, res = solve_power_flow(system, xi=xi)
         _assert_entry_points_agree(system, res.x, xi)
+
+
+def test_evaluate_vsi_reads_the_coefficients_through_the_module(bench_system, monkeypatch):
+    # The span that times the coefficients wraps the module attribute, so
+    # evaluate_vsi must look vsi_coefficients up there, once per call.
+    op, _ = solve_power_flow(bench_system)
+    calls, coefficients = [], vsi.vsi_coefficients
+    monkeypatch.setattr(vsi, "vsi_coefficients", lambda *args: calls.append(args) or coefficients(*args))
+    result = vsi.evaluate_vsi(bench_system.hybrid, bench_system.slacks, bench_system.resources, op)
+    assert len(calls) == 1
+    assert result == vsi_global(vsi_local(coefficients(*calls[0])))
 
 
 def test_index_reaches_one_before_the_fold(bench_trace):
