@@ -1,8 +1,8 @@
 """Plain-text grid file format.
 
-Line-oriented UTF-8 with # comments.  A file opens with `phases P` and then
-holds sections: a `nodes` table, named per-km line `config` blocks, `lines`
-and `transformers` tables (catalog forms that expand through the shared
+Line-oriented UTF-8 with # comments (parse_grid skips a leading byte-order
+mark).  A file opens with `phases P` and then holds sections: a `nodes`
+table, named per-km line `config` blocks, `lines` and `transformers` tables (catalog forms that expand through the shared
 builders), explicit `branch` and `slack` blocks (the exact forms the
 serializer emits), a `slacks` table for short-circuit-rated sources, and a
 `resources` table.  Node ids are integers when they look like integers,
@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import re
 import tempfile
+import threading
 from itertools import count, islice
 from operator import itemgetter
 
@@ -435,8 +437,9 @@ def _parse_resource_row(t, ln, widths, zips) -> ResourceModel:
 
 
 def parse_grid(path):
-    """Parse a grid file from disk (see parse_grid_text)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a grid file from disk (see parse_grid_text); a leading UTF-8
+    byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_grid_text(fh.read())
 
 
@@ -520,20 +523,83 @@ def serialize_grid(grid: GridModel, slacks, resources, path=None) -> str:
 def write_text_atomic(path, text: str):
     """Write text via a temp file and rename, so readers never see a torn file.
 
-    The file gets the mode open(path, "w") gives a new file: 0o666 less the
-    umask (mkstemp alone would leave it 0o600).
+    Readers see the old file or the new one, whole, and never a missing one;
+    no name but path's and the temp file's ever appears in the directory,
+    and the temp file is gone when the call returns or raises.  The file
+    gets the mode open(path, "w") gives a new file: 0o666 less the umask
+    (mkstemp alone would leave it 0o600).
+
+    Freeing the replaced file can take tens of milliseconds on some file
+    systems (ext4 mounted with discard).  So where os.O_PATH exists, the
+    replaced file is held open across the rename and its descriptor is
+    closed on the process's one closer thread, which then does the free;
+    elsewhere, or if it cannot be held, the rename frees it in the call.
+    A path that is a symlink is replaced by the file, and its target is
+    left untouched.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0o022)
     os.umask(umask)
+    old = None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.chmod(tmp, 0o666 & ~umask)
+        old = _hold(path)
         os.replace(tmp, path)
     except BaseException:
+        if old is not None:
+            os.close(old)
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    if old is not None:
+        _close_later(old)
+
+
+def _hold(path):
+    """A descriptor that keeps the file (or symlink) at path alive, or None
+    where os.O_PATH is missing or nothing can be opened there."""
+    if not hasattr(os, "O_PATH"):
+        return None
+    try:
+        return os.open(path, os.O_PATH | os.O_NOFOLLOW)
+    except OSError:
+        return None
+
+
+_closer = None  # (pid, queue, thread) of the process's closer thread
+_closer_lock = threading.Lock()
+_HELD_MAX = 256  # descriptors waiting at most, far below the usual limit of 1024
+
+
+def _close_later(fd: int):
+    """Close fd on the process's one closer thread, started on first use and
+    again in a forked child; in the call if _HELD_MAX already wait."""
+    global _closer
+    pid = os.getpid()
+    if _closer is None or _closer[0] != pid:
+        with _closer_lock:
+            if _closer is None or _closer[0] != pid:
+                fds = queue.SimpleQueue()
+                thread = threading.Thread(target=_close_each, args=(fds,),
+                                          name="polyvsi-closer", daemon=True)
+                thread.start()
+                _closer = (pid, fds, thread)
+    fds = _closer[1]
+    if fds.qsize() < _HELD_MAX:
+        fds.put(fd)
+    else:
+        os.close(fd)
+
+
+def _close_each(fds):
+    """The closer thread: close every descriptor put on fds, forever."""
+    while True:
+        fd = fds.get()
+        try:
+            os.close(fd)
+        except OSError:
+            pass

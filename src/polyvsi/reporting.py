@@ -6,7 +6,11 @@ arrays: each number column is formatted in one pass (fmt9_all), each node
 id is quoted once, by csv.writer's QUOTE_MINIMAL rule, and each line is one
 join of its cells.  The text is byte for byte what csv.writer writes for
 the same rows with a "\n" terminator.  Column orders are fixed and covered
-by golden tests.  Files are written atomically (temp file + rename).
+by golden tests.  Files are written atomically (temp file + rename, see
+gridfile.write_text_atomic): a reader sees the previous report or the new
+one, whole.  Where os.O_PATH exists, the replaced report is freed on a
+background thread, so a write does not wait for the file system to
+release its blocks; elsewhere the rename frees it in the call.
 """
 
 from __future__ import annotations
@@ -107,10 +111,10 @@ def read_snapshot_csv(path) -> dict:
 
     Node ids that look like integers are read as integers, and numbers must
     be finite, matching the grid file convention.  A (node, phase) pair may
-    appear on one row only.
+    appear on one row only.  A leading UTF-8 byte-order mark is skipped.
     """
     out = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != SNAPSHOT_HEADER:

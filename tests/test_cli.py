@@ -39,6 +39,9 @@ Proves:
 
  Group 5 - bench
   12.  bench emit writes a parseable file identical to the bundled data
+  12a. cpf --out and pf --voltages, each run twice as a process over the
+       bundled file in one directory, exit 0 without stderr, and leave
+       only the grid and the two reports there
 
  Group 6 - numeric flags
   13.  Out-of-range, non-finite or non-numeric flag values exit 2 at
@@ -55,7 +58,11 @@ Proves:
 """
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +401,20 @@ def test_bench_emit(tmp_path):
     assert grid == ref_grid
     assert list(slacks) == list(ref_slacks)
     assert list(resources) == list(ref_resources)
+
+
+def test_cli_processes_exit_cleanly(tmp_path):
+    grid = tmp_path / "bench.grid"
+    assert main(["bench", "emit", str(grid)]) == 0
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs = [["cpf", grid.name, "--out", "T"]] * 2 + [["pf", grid.name, "--voltages", "S"]] * 2
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "polyvsi.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["S", "T", "bench.grid"]
 
 
 def test_unknown_subcommand_exits_two():

@@ -35,6 +35,9 @@ Proves:
        gain, rated, label, yfrom or yto in one branch block, a repeated
        resource field, and a second config of one name (also in
        parse_configs)
+   4f. A file opening with a UTF-8 byte-order mark parses to the models of
+       the plain file; a byte-order mark later in the file is a ParseError
+       at its line
 
  Group 2 - Validation
    5.  Asymmetric parameters parse cleanly, and building a system from
@@ -89,7 +92,13 @@ from polyvsi.builders import (
     transformer_branch,
 )
 from polyvsi.errors import ParseError, ValidationError
-from polyvsi.gridfile import parse_configs, parse_grid_text, serialize_grid, zip_from_values
+from polyvsi.gridfile import (
+    parse_configs,
+    parse_grid,
+    parse_grid_text,
+    serialize_grid,
+    zip_from_values,
+)
 from polyvsi.grid import Branch, GridModel, Node, Shunt
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients
 from polyvsi.powerflow import PolyphaseSystem
@@ -480,6 +489,21 @@ def test_parse_configs_refuses_a_repeated_name():
     block = "config a\nz 1 2\nb 3\nend\n"
     with pytest.raises(ParseError, match="^line 5: repeated config 'a'$"):
         parse_configs(block + block, 1)
+
+
+def test_byte_order_mark(tmp_path):
+    text = bundled_grid_text()
+    plain, marked = tmp_path / "plain.grid", tmp_path / "marked.grid"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert parse_grid(marked) == parse_grid(plain)
+    lines = MINIMAL.splitlines(keepends=True)
+    assert lines[6] == "branch 1 2\n"
+    lines[6] = "\ufeff" + lines[6]
+    marked.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        parse_grid(marked)
+    assert exc.value.line == 7
 
 
 # -- Group 2 ---------------------------------------------------------------

@@ -16,11 +16,28 @@ Proves:
        to 9-digit precision; missing pairs and foreign headers raise
    5a. Non-numeric and non-finite snapshot fields raise ParseError naming
        the line
+   5b. A snapshot opening with a UTF-8 byte-order mark reads as the plain
+       file; a byte-order mark later in the file is a ParseError at its line
 
  Group 3 - Atomicity conveniences
    6.  write_text_atomic overwrites an existing file in place, leaves no
        temporary file, and gives the file the mode open(path, "w") would:
        0o644 under umask 0o022
+   6a. A reader re-reading the path during 200 rewrites always sees one
+       whole version and never a missing file
+   6b. The descriptor handed to the closer thread is the replaced file,
+       already unlinked.  Once the closer has closed the replaced files,
+       the process holds as many descriptors as before, and writes from
+       one process start one closer thread, also when four threads write
+       at once
+   6c. Without a held descriptor (os.open refusing O_PATH, os.O_PATH
+       missing) or past the closer's backlog, the bytes and mode are the
+       same and no descriptor is left open
+   6d. A directory at the path raises IsADirectoryError and leaves no temp
+       file and no descriptor; a symlink at the path is replaced by the
+       file, and its target is left untouched
+   6e. A changed pid (as after a fork) starts a fresh closer thread, and a
+       close that raises neither stops the closer nor prints
 
  Group 4 - Column-wise rendering equals csv.writer
    7.  Every writer's file is byte for byte what csv.writer writes for the
@@ -34,9 +51,13 @@ Proves:
 """
 
 import csv
+import errno
 import io
 import os
 import stat
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +68,7 @@ from hypothesis import strategies as st
 from polyvsi_cases import CP, two_bus
 from polyvsi.continuation import CpfConfig, CpfTrace, run_cpf
 from polyvsi.errors import ParseError
+from polyvsi import gridfile
 from polyvsi.gridfile import write_text_atomic
 from polyvsi.grid import Branch, GridModel, Node
 from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel
@@ -192,6 +214,22 @@ def test_snapshot_rejects_bad_numbers(tmp_path):
         read_snapshot_csv(path)
 
 
+def test_snapshot_byte_order_mark(solved, tmp_path):
+    plain = tmp_path / "snap.csv"
+    write_snapshot_csv(plain, solved)
+    text = plain.read_text()
+    marked = tmp_path / "marked.csv"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert read_snapshot_csv(marked) == read_snapshot_csv(plain)
+    lines = text.splitlines(keepends=True)
+    node, phase, rest = lines[2].split(",", 2)
+    lines[2] = f"{node},{phase},\ufeff{rest}"
+    marked.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read_snapshot_csv(marked)
+    assert exc.value.line == 3
+
+
 # -- Group 3 ---------------------------------------------------------------
 
 
@@ -212,6 +250,218 @@ def test_written_files_get_the_umask_mode(solved, tmp_path):
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == 0o644
     assert fmt9(3.0) == "3.00000000e+00"
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _closer_threads():
+    return [t for t in threading.enumerate() if t.name == "polyvsi-closer"]
+
+
+def _is_closed(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return True
+    return False
+
+
+def _drain(seconds=10.0):
+    """Wait until the closer has closed every descriptor queued so far."""
+    read_end, write_end = os.pipe()
+    gridfile._close_later(read_end)
+    deadline = time.monotonic() + seconds
+    while not _is_closed(read_end) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    os.close(write_end)
+    assert _is_closed(read_end), "the closer did not drain"
+
+
+def test_readers_see_whole_versions_during_rewrites(tmp_path):
+    path = tmp_path / "out.csv"
+    versions = [f"{i},{i}\n" * (100 + 10 * i) for i in range(201)]
+    valid = set(versions)
+    write_text_atomic(path, versions[0])
+    reads, faults, done = [0], [], threading.Event()
+
+    def reader():
+        while not done.is_set():
+            try:
+                text = path.read_text()
+            except OSError as exc:
+                faults.append(exc)
+                return
+            reads[0] += 1
+            if text not in valid:
+                faults.append(text[:40])
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        for text in versions[1:]:
+            write_text_atomic(path, text)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert faults == []
+    assert reads[0] > 0
+    assert path.read_text() == versions[-1]
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_replaced_files_are_released(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text_atomic(path, "a\n")
+    write_text_atomic(path, "b\n")
+    closer = gridfile._closer
+    threads = _closer_threads()
+    _drain()
+    before = _open_fds()
+    for i in range(20):
+        write_text_atomic(path, f"{i}\n" * 1000)
+    assert gridfile._closer is closer
+    assert _closer_threads() == threads
+    _drain()
+    assert _open_fds() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "O_PATH"), reason="needs os.O_PATH")
+def test_the_replaced_file_is_held_across_the_rename(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    write_text_atomic(path, "old\n")
+    old = path.stat()
+    handed = []
+    monkeypatch.setattr(gridfile, "_close_later", handed.append)
+    write_text_atomic(path, "new\n")
+    assert len(handed) == 1
+    try:
+        held = os.fstat(handed[0])
+    finally:
+        os.close(handed[0])
+    assert (held.st_dev, held.st_ino) == (old.st_dev, old.st_ino)
+    assert held.st_nlink == 0
+
+
+def test_concurrent_writers_start_one_closer(tmp_path, monkeypatch):
+    monkeypatch.setattr(gridfile, "_closer", None)  # the old closer is restored after
+    threads = _closer_threads()
+    paths = [tmp_path / f"out{i}.csv" for i in range(4)]
+    faults = []
+
+    def writer(path):
+        try:
+            for j in range(25):
+                write_text_atomic(path, f"{path.name},{j}\n" * 50)
+        except Exception as exc:  # reported by the assertion below
+            faults.append(exc)
+
+    workers = [threading.Thread(target=writer, args=(path,)) for path in paths]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert faults == []
+    fresh = [t for t in _closer_threads() if t not in threads]
+    assert fresh == [gridfile._closer[2]]
+    _drain()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in paths]
+    for path in paths:
+        assert path.read_text() == f"{path.name},24\n" * 50
+
+
+def _reference_write(path):
+    write_text_atomic(path, "old\n")
+    write_text_atomic(path, "a,b\n1,2\n")
+    return path.read_bytes(), stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.parametrize("held", ["o_path_refused", "no_o_path", "backlog_full"])
+def test_writes_without_a_held_descriptor_match(tmp_path, monkeypatch, held):
+    expected = _reference_write(tmp_path / "ref.csv")
+    _drain()
+    if held == "o_path_refused":
+        real_open = os.open
+
+        def refuse_o_path(path, flags, *args, **kwargs):
+            if flags & os.O_PATH:
+                raise OSError(errno.EACCES, "refused", path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse_o_path)
+    elif held == "no_o_path":
+        monkeypatch.delattr(os, "O_PATH", raising=False)
+    else:
+        monkeypatch.setattr(gridfile, "_HELD_MAX", 0)
+    counts = os.path.isdir("/proc/self/fd")
+    path = tmp_path / "out.csv"
+    write_text_atomic(path, "first\n")
+    before = _open_fds() if counts else None
+    assert _reference_write(path) == expected
+    if counts:
+        assert _open_fds() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "ref.csv"]
+
+
+def test_directory_at_the_path_is_refused(tmp_path):
+    (tmp_path / "out.csv").mkdir()
+    counts = os.path.isdir("/proc/self/fd")
+    _drain()
+    before = _open_fds() if counts else None
+    with pytest.raises(IsADirectoryError):
+        write_text_atomic(tmp_path / "out.csv", "a,b\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert (tmp_path / "out.csv").is_dir()
+    if counts:
+        assert _open_fds() == before
+
+
+def test_symlink_at_the_path_is_replaced(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("keep\n")
+    link = tmp_path / "out.csv"
+    link.symlink_to(target)
+    write_text_atomic(link, "new\n")
+    assert not link.is_symlink()
+    assert link.read_text() == "new\n"
+    assert target.read_text() == "keep\n"
+
+
+def test_changed_pid_starts_a_fresh_closer(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    write_text_atomic(path, "a\n")
+    write_text_atomic(path, "b\n")
+    first = gridfile._closer
+    monkeypatch.setattr(gridfile, "_closer", first)  # restored after the test
+    monkeypatch.setattr(os, "getpid", lambda: first[0] + 1)
+    write_text_atomic(path, "c\n")
+    fresh = gridfile._closer
+    assert fresh[0] == first[0] + 1
+    assert fresh[2] is not first[2]
+    assert fresh[2].is_alive() and first[2].is_alive()
+    write_text_atomic(path, "d\n")
+    assert gridfile._closer is fresh
+    _drain()
+    assert path.read_text() == "d\n"
+
+
+def test_failing_close_does_not_stop_the_closer(tmp_path, capfd):
+    path = tmp_path / "out.csv"
+    write_text_atomic(path, "a\n")
+    write_text_atomic(path, "b\n")
+    gridfile._close_later(-1)
+    _drain()
+    assert gridfile._closer[2].is_alive()
+    assert capfd.readouterr().err == ""
 
 
 # -- Group 4 ---------------------------------------------------------------
