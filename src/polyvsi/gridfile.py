@@ -523,19 +523,24 @@ def serialize_grid(grid: GridModel, slacks, resources, path=None) -> str:
 def write_text_atomic(path, text: str):
     """Write text via a temp file and rename, so readers never see a torn file.
 
-    Readers see the old file or the new one, whole, and never a missing one;
-    no name but path's and the temp file's ever appears in the directory,
+    Readers see the old file or the new one, whole, and never a missing one,
     and the temp file is gone when the call returns or raises.  The file
     gets the mode open(path, "w") gives a new file: 0o666 less the umask
-    (mkstemp alone would leave it 0o600).
+    (mkstemp alone would leave it 0o600).  A path that is a symlink is
+    replaced by the file, and its target is left untouched.
 
     Freeing the replaced file can take tens of milliseconds on some file
     systems (ext4 mounted with discard).  So where os.O_PATH exists, the
     replaced file is held open across the rename and its descriptor is
     closed on the process's one closer thread, which then does the free;
-    elsewhere, or if it cannot be held, the rename frees it in the call.
-    A path that is a symlink is replaced by the file, and its target is
-    left untouched.
+    elsewhere, if it cannot be held, or once _HELD_MAX wait, the call frees
+    it.  This spares a process that writes report after report; one that
+    writes a single report and exits still waits for the free, because the
+    kernel closes the held descriptor as the process exits.  On a local
+    file system no name but path's and the temp file's ever appears in the
+    directory.  NFS is the exception: the client renames a replaced file
+    that is still open to a hidden .nfs name, which stays until the closer
+    closes it.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -570,25 +575,24 @@ def _hold(path):
         return None
 
 
-_closer = None  # (pid, queue, thread) of the process's closer thread
+_closer = None  # (queue, thread) of the process's closer thread
 _closer_lock = threading.Lock()
-_HELD_MAX = 256  # descriptors waiting at most, far below the usual limit of 1024
+_HELD_MAX = 256  # replaced files waiting at most; descriptors far below the usual limit of 1024
 
 
 def _close_later(fd: int):
-    """Close fd on the process's one closer thread, started on first use and
-    again in a forked child; in the call if _HELD_MAX already wait."""
+    """Close fd on the process's one closer thread, started on first use;
+    in the call if _HELD_MAX already wait."""
     global _closer
-    pid = os.getpid()
-    if _closer is None or _closer[0] != pid:
+    if _closer is None:
         with _closer_lock:
-            if _closer is None or _closer[0] != pid:
+            if _closer is None:
                 fds = queue.SimpleQueue()
                 thread = threading.Thread(target=_close_each, args=(fds,),
                                           name="polyvsi-closer", daemon=True)
                 thread.start()
-                _closer = (pid, fds, thread)
-    fds = _closer[1]
+                _closer = (fds, thread)
+    fds = _closer[0]
     if fds.qsize() < _HELD_MAX:
         fds.put(fd)
     else:
@@ -603,3 +607,24 @@ def _close_each(fds):
             os.close(fd)
         except OSError:
             pass
+
+
+def _reset_closer_in_child():
+    """After a fork: close the child's copies of the descriptors still
+    queued in the parent, whose closer thread the child lacks, and let the
+    child's first write start its own closer.  One the parent's closer had
+    taken but not yet closed stays open in the child."""
+    global _closer, _closer_lock
+    if _closer is not None:
+        fds = _closer[0]
+        while not fds.empty():
+            try:
+                os.close(fds.get_nowait())
+            except OSError:
+                pass
+    _closer = None
+    _closer_lock = threading.Lock()  # the parent's may have been held at the fork
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_closer_in_child)

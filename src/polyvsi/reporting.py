@@ -9,8 +9,10 @@ the same rows with a "\n" terminator.  Column orders are fixed and covered
 by golden tests.  Files are written atomically (temp file + rename, see
 gridfile.write_text_atomic): a reader sees the previous report or the new
 one, whole.  Where os.O_PATH exists, the replaced report is freed on a
-background thread, so a write does not wait for the file system to
-release its blocks; elsewhere the rename frees it in the call.
+background thread, so a process writing report after report does not
+wait for the file system to release its blocks; elsewhere the rename
+frees it in the call.  On NFS the replaced report shows as a hidden .nfs
+file until that thread frees it.
 """
 
 from __future__ import annotations
