@@ -8,19 +8,31 @@ serializer emits), a `slacks` table for short-circuit-rated sources, and a
 `resources` table.  Node ids are integers when they look like integers,
 otherwise strings.
 
-The reader splits a line when it reaches it, so it holds the tokens of
-one block at a time.  Numbers are read with Python's float().  A block's
-matrices (P rows of P real or P complex numbers, the latter as real and
-imaginary pairs) and its one-number rows (a branch's gain and rated) are
-gathered while the block is scanned and converted in one pass; so are
-the numbers of a resource row.  Every number must be finite.  A faulty
-row, a fault in a block's structure, or a model constructor's ValueError
-is reported as a ParseError at its row's (or block header's) line, and
-it is the first fault in line order: only a faulty block is read again
-row by row.  Each key is given once: a second gain, rated, label, yfrom
-or yto in a branch block, a repeated resource field, or a second config
-of one name is a ParseError at the repeated row's line.  A resource's
-ZIP triples are built once per distinct triple of tokens.  parse_configs
+Numbers are read with Python's float() syntax, and every number must be
+finite.  The matrix rows (the z, b, yfrom, yto, y, zrow and vrow rows: P
+real numbers, or P complex ones as real and imaginary pairs) are
+converted for the whole file at once.  The reader walks the rows once and
+keeps only the number text of each matrix row, in one list per width (2P
+for complex rows, P for a config's b).  At the end it converts each list
+with one np.loadtxt call (numpy's C reader, which gives float()'s bits),
+checks finiteness once, and builds the branch, shunt and slack blocks and
+the config lines, in line order, from views of those arrays.  Every other
+number (tables, resource rows, a branch's gain and rated) is converted
+when its row is read, and its model built there.
+
+A faulty row, a fault in a block's structure, or a model constructor's
+ValueError is reported as a ParseError at its row's (or block header's)
+line, and it is the first fault in line order.  So when np.loadtxt
+refuses a row (a bad token, a wrong count, or a spelling float() accepts
+but it does not, such as 1_0 or non-ASCII digits), when a number is not
+finite, or when a fault is found while the rows are walked, the matrix
+rows gathered so far are replayed: converted row by row with float(), and
+each deferred model built after its rows, in line order.  The replay
+raises the first fault; without one it gives the models the fast path
+would.  Each key is given once: a second gain, rated, label, yfrom or yto
+in a branch block, a repeated resource field, or a second config of one
+name is a ParseError at the repeated row's line.  A resource's ZIP
+triples are built once per distinct triple of tokens.  parse_configs
 reads a text made only of config blocks.
 
 parse_grid(serialize_grid(...)) reproduces the models bit-exactly: floats
@@ -36,7 +48,7 @@ import queue
 import re
 import tempfile
 import threading
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -64,10 +76,7 @@ def zip_from_values(alpha: float, beta: float, gamma: float) -> ZipCoefficients:
 def _resource(node, kind: str, v0: float, p0, q0, zip_re: ZipCoefficients,
               zip_im: ZipCoefficients, lam: float = 1.0) -> ResourceModel:
     """Resource from SI values whose phases share one ZIP pair."""
-    phases = tuple(
-        PhaseResource(p0=pw, q0=qv, zip_re=zip_re, zip_im=zip_im)
-        for pw, qv in zip(p0, q0, strict=True)
-    )
+    phases = tuple([PhaseResource(pw, qv, zip_re, zip_im) for pw, qv in zip(p0, q0, strict=True)])
     return ResourceModel(node=node, v0=v0, phases=phases, kind=kind, lam=lam)
 
 
@@ -110,7 +119,7 @@ def _floats(tokens, n, line):
     if len(tokens) != n:
         raise ParseError(f"expected {n} numbers, got {len(tokens)}", line)
     try:
-        vals = [float(t) for t in tokens]
+        vals = list(map(float, tokens))
     except ValueError as exc:
         raise ParseError(f"bad number: {exc}", line) from None
     if not all(map(math.isfinite, vals)):
@@ -137,129 +146,186 @@ def _made(line, ctor, *args, **kwargs):
 _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def _convert(rows) -> list:
-    """Flat floats of (lineno, tokens, width) rows, converted in one pass.
-
-    Only faulty rows are read again one by one (_floats), so the error is
-    the first one in line order.  A non-finite number makes the sum
-    non-finite; finite rows whose sum overflows just take the one-by-one
-    path, which accepts them.
-    """
-    if all(len(t) == w for _, t, w in rows):
-        try:
-            vals = [float(x) for _, t, _ in rows for x in t]
-        except ValueError:
-            pass
-        else:
-            if math.isfinite(sum(vals)):
-                return vals
-    return [x for ln, t, w in rows for x in _floats(t, w, ln)]
-
-
-def _fault(rows, message, line=None):
-    """Raise ParseError(message, line), unless one of `rows`, which all sit
-    above that line, holds an earlier fault (see _convert)."""
-    _convert(rows)
-    raise ParseError(message, line)
-
-
 def _rows(text: str):
-    """Iterator over the (lineno, tokens) rows of text, skipping blanks and
-    comments.  A line is split when its row is read, so the parser holds the
-    tokens of one block at a time."""
+    """Iterator over the (lineno, parts) rows of text, skipping blanks and
+    comments; parts is the line split at its first whitespace, [keyword] or
+    [keyword, rest]."""
     if "#" in text:
         text = _COMMENT.sub("", text)
-    return filter(itemgetter(1), zip(count(1), map(str.split, text.splitlines())))
+    parts = map(str.split, text.splitlines(), repeat(None), repeat(1))
+    return filter(itemgetter(1), zip(count(1), parts))
+
+
+def _tokens(parts) -> list:
+    """The whitespace-separated tokens of a row given as its _rows parts."""
+    return [parts[0], *parts[1].split()] if len(parts) == 2 else parts
 
 
 def _table(rows, what):
-    """Yield rows up to the closing 'end', which is consumed."""
-    for ln, t in rows:
-        if t == ["end"]:
+    """Yield the (lineno, tokens) rows up to the closing 'end', which is
+    consumed."""
+    for ln, parts in rows:
+        if parts == ["end"]:
             return
-        yield ln, t
+        yield ln, _tokens(parts)
     raise ParseError(f"missing 'end' after {what} section")
 
 
-def _block(rows, what, p, fixed, attrs=None) -> dict:
-    """Read one block up to its 'end' and convert its numbers in one pass.
+class _Matrices:
+    """The matrix rows of one text, and the models built from them.
 
-    `fixed` holds the (keyword, n, dtype) matrices that open the block, in
-    order: n rows of `keyword`, each a row of p numbers (complex ones as p
-    real and imaginary pairs).  Then come the rows of `attrs`, each keyword
-    at most once, in any order: an (n, dtype) matrix, a float (one number)
-    or a str (the rest of the row, None when empty).  Without attrs only the
-    'end' may follow.  Returns {keyword: (n, p) array, float or text}.  A
-    fault in the block's structure is reported after the rows above it are
-    converted, so the error is the first one in line order.
+    The number text of each matrix row is kept, in line order, in one list
+    per dtype: complex rows hold 2p numbers, float rows p.  Until they are
+    converted, a matrix is named by a (dtype, index) tuple into its dtype's
+    rows: index is a slice, or an int for one row read as a vector.  A model
+    that reads matrices is deferred: it holds a slot in its list, and it is
+    built once the rows are converted, by _made(line, ctor, *args) with
+    every such tuple among args replaced by its array (no other argument is
+    a tuple).  convert() converts each list in one np.loadtxt call;
+    replay() converts row by row with _floats.
     """
-    gathered = []  # (lineno, number tokens, width) of every row of numbers, in line order
-    found = []  # (keyword, n, width, dtype) in line order; dtype None for one number
 
-    def read(keyword, n, dtype, first):
-        """Gather the n `keyword` rows that start with the rows in `first`."""
-        width = 1 if dtype is None else 2 * p if dtype is complex else p
-        chunk = first + list(islice(rows, n - len(first)))
-        for ln, t in chunk:
-            if t[0] != keyword:
-                _fault(gathered, f"expected '{keyword}' row", ln)
-            gathered.append((ln, t[1:], width))
-        if len(chunk) < n:
-            _fault(gathered, f"unexpected end of file: expected '{keyword}' row")
-        found.append((keyword, n, width, dtype))
+    def __init__(self, p: int):
+        self.p = p
+        self.texts = {complex: [], float: []}
+        self.lines = {complex: [], float: []}
+        self.steps = []  # (models, slot, row counts, line, ctor, args), in line order
+        self.arrays = None  # dtype -> (rows, p) array, once converted
 
-    for keyword, n, dtype in fixed:
-        read(keyword, n, dtype, [])
-    out = {}
-    for ln, t in rows:
-        if t == ["end"]:
-            break
-        key = t[0]
-        if attrs is None:
-            _fault(gathered, f"expected 'end' closing {what}", ln)
-        if key not in attrs:
-            _fault(gathered, f"unknown {what} attribute {key!r}", ln)
-        if key in out:
-            _fault(gathered, f"repeated {what} attribute {key!r}", ln)
-        kind = attrs[key]
-        if kind is str:
-            out[key] = " ".join(t[1:]) or None
-        else:
-            out[key] = None  # set once the block is converted
-            read(key, *((1, None) if kind is float else kind), [(ln, t)])
-    else:
-        _fault(gathered, f"missing 'end' after {what} section")
-    vals = _convert(gathered)
-    array = np.array(vals)
-    k = 0
-    for keyword, n, width, dtype in found:
-        if dtype is None:
-            out[keyword] = vals[k]
-        else:
-            out[keyword] = array[k : k + n * width].view(dtype).reshape(n, p)
-        k += n * width
-    return out
+    def _counts(self) -> tuple:
+        return len(self.lines[complex]), len(self.lines[float])
 
+    def matrix(self, rows, keyword: str, n: int, dtype, first=None) -> tuple:
+        """Gather the n `keyword` rows that follow, or that start with the
+        row `first`."""
+        texts, lines = self.texts[dtype], self.lines[dtype]
+        start = len(texts)
+        for ln, parts in islice(rows, n) if first is None else chain((first,), islice(rows, n - 1)):
+            if parts[0] != keyword:
+                raise ParseError(f"expected '{keyword}' row", ln)
+            if len(parts) == 1:
+                _floats([], 2 * self.p if dtype is complex else self.p, ln)  # a row of no numbers
+            texts.append(parts[1])
+            lines.append(ln)
+        if len(texts) - start < n:
+            raise ParseError(f"unexpected end of file: expected '{keyword}' row")
+        return dtype, slice(start, start + n)
 
-def _read_config(rows, tok, line, p, configs):
-    """Read the body of a `config NAME` block into configs[NAME] = (z, b)."""
-    if len(tok) != 2:
-        raise ParseError("config needs a name", line)
-    if tok[1] in configs:
-        raise ParseError(f"repeated config {tok[1]!r}", line)
-    m = _block(rows, f"config {tok[1]}", p, (("z", p, complex), ("b", p, float)))
-    configs[tok[1]] = (m["z"], m["b"])
+    def block(self, rows, what: str, fixed, attrs=None) -> dict:
+        """Read one block up to its 'end'.
+
+        `fixed` holds the (keyword, n, dtype) matrices that open the block, in
+        order: n rows of `keyword`.  Then come the rows of `attrs`, each
+        keyword at most once, in any order: an (n, dtype) matrix, a float (one
+        number, converted here) or a str (the rest of the row, None when
+        empty).  Without attrs only the 'end' may follow.  Returns {keyword:
+        (dtype, index), float or text}.
+        """
+        out = {}
+        for keyword, n, dtype in fixed:
+            out[keyword] = self.matrix(rows, keyword, n, dtype)
+        for ln, parts in rows:
+            if parts == ["end"]:
+                return out
+            key = parts[0]
+            if attrs is None:
+                raise ParseError(f"expected 'end' closing {what}", ln)
+            if key not in attrs:
+                raise ParseError(f"unknown {what} attribute {key!r}", ln)
+            if key in out:
+                raise ParseError(f"repeated {what} attribute {key!r}", ln)
+            kind = attrs[key]
+            if kind is str:
+                out[key] = " ".join(_tokens(parts)[1:]) or None
+            elif kind is float:
+                out[key] = _floats(_tokens(parts)[1:], 1, ln)[0]
+            else:
+                out[key] = self.matrix(rows, key, *kind, first=(ln, parts))
+        raise ParseError(f"missing 'end' after {what} section")
+
+    def config(self, rows, tok, line, configs):
+        """Read the body of a `config NAME` block into configs[NAME] = (z, b)."""
+        if len(tok) != 2:
+            raise ParseError("config needs a name", line)
+        if tok[1] in configs:
+            raise ParseError(f"repeated config {tok[1]!r}", line)
+        m = self.block(rows, f"config {tok[1]}", (("z", self.p, complex), ("b", self.p, float)))
+        configs[tok[1]] = (m["z"], m["b"])
+
+    def defer(self, models: list, line, ctor, *args):
+        """Hold the next slot of models for _made(line, ctor, *args)."""
+        models.append(None)
+        self.steps.append((models, len(models) - 1, self._counts(), line, ctor, args))
+
+    def _build(self, step):
+        models, slot, _, line, ctor, args = step
+        arrays = self.arrays
+        models[slot] = _made(line, ctor, *[arrays[a[0]][a[1]] if type(a) is tuple else a
+                                           for a in args])
+
+    def _use(self, flat: dict):
+        """Read matrices from flat, each dtype's rows of real numbers."""
+        self.arrays = {complex: flat[complex].view(complex), float: flat[float]}
+
+    def convert(self):
+        """Convert every gathered row and build every deferred model.
+
+        Each dtype's rows take one np.loadtxt call; if it refuses one, or a
+        number is not finite, everything is replayed instead.
+        """
+        flat = {}
+        for dtype, texts in self.texts.items():
+            width = 2 * self.p if dtype is complex else self.p
+            try:
+                # No call on an empty list, which np.loadtxt warns about.
+                flat[dtype] = np.loadtxt(texts, ndmin=2, comments=None) if texts else \
+                    np.empty((0, width))
+            except ValueError:
+                return self.replay()
+            if flat[dtype].shape != (len(texts), width) or not np.isfinite(flat[dtype]).all():
+                return self.replay()
+        self._use(flat)
+        for step in self.steps:
+            self._build(step)
+
+    def replay(self):
+        """Convert the gathered rows one by one with _floats and build the
+        deferred models, each after the rows gathered before it, in line
+        order.  So the first fault in line order is raised; without one, the
+        models are those convert() builds."""
+        lines, texts = self.lines, self.texts
+        flat = {dtype: np.empty((len(texts[dtype]), 2 * self.p if dtype is complex else self.p))
+                for dtype in texts}
+        self._use(flat)
+        done = (0, 0)
+        for step in [*self.steps, (None, None, self._counts())]:
+            rows = sorted(((lines[dtype][k], dtype, k) for dtype, first, end in
+                           zip((complex, float), done, step[2]) for k in range(first, end)),
+                          key=itemgetter(0))
+            for ln, dtype, k in rows:
+                flat[dtype][k] = _floats(texts[dtype][k].split(), flat[dtype].shape[1], ln)
+            done = step[2]
+            if step[0] is not None:
+                self._build(step)
 
 
 def parse_configs(text: str, p: int) -> dict:
     """Parse text made only of `config` blocks; returns {name: (z, b)}."""
     rows = _rows(text)
+    matrices = _Matrices(p)
     configs = {}
-    for line, tok in rows:
-        if tok[0] != "config":
-            raise ParseError(f"expected a config block, got {tok[0]!r}", line)
-        _read_config(rows, tok, line, p, configs)
-    return configs
+    try:
+        for line, parts in rows:
+            if parts[0] != "config":
+                raise ParseError(f"expected a config block, got {parts[0]!r}", line)
+            matrices.config(rows, _tokens(parts), line, configs)
+    except ParseError:
+        matrices.replay()  # raises a fault above this one, if there is one
+        raise
+    matrices.convert()
+    arrays = matrices.arrays
+    return {name: tuple(arrays[dtype][index] for dtype, index in pair)
+            for name, pair in configs.items()}
 
 
 def parse_grid_text(text: str):
@@ -272,9 +338,10 @@ def parse_grid_text(text: str):
     (grid.admittance_entries).
     """
     rows = _rows(text)
-    line, tok = next(rows, (None, None))
-    if tok is None:
+    line, parts = next(rows, (None, None))
+    if parts is None:
         raise ParseError("empty grid file")
+    tok = _tokens(parts)
     if tok[0] != "phases" or len(tok) != 2:
         raise ParseError("file must start with 'phases P'", line)
     try:
@@ -289,104 +356,112 @@ def parse_grid_text(text: str):
     shunts: list[Shunt] = []
     slacks: list[SlackModel] = []
     resources: list[ResourceModel] = []
-    configs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    matrices = _Matrices(p)
+    configs: dict[str, tuple] = {}  # name -> (z, b) as named by _Matrices
     branch_attrs = {"yfrom": (p, complex), "yto": (p, complex), "gain": float, "rated": float,
                     "label": str}
     resource_widths = {"v0": 1, "v0_kv": 1, "p0": p, "p0_kw": p, "q0": p, "q0_kvar": p,
                        "zip_re": 3, "zip_im": 3, "lam": 1}
     zips: dict[tuple, ZipCoefficients] = {}
 
-    for line, tok in rows:
-        head = tok[0]
+    try:
+        for line, parts in rows:
+            head = parts[0]
 
-        if head == "nodes":
-            for ln, t in _table(rows, "nodes"):
-                if len(t) != 3:
-                    raise ParseError("node row needs: id role vnom_volts|-", ln)
-                vnom = None if t[2] == "-" else _floats([t[2]], 1, ln)[0]
-                nodes.append(_made(ln, Node, id=_node_id(t[0]), role=t[1], vnom=vnom))
+            if head == "branch":
+                tok = _tokens(parts)
+                if len(tok) != 3:
+                    raise ParseError("branch block needs: branch <from> <to>", line)
+                m = matrices.block(rows, "branch", (("z", p, complex),), branch_attrs)
+                # Branch(from, to, z, gain, y_shunt_from, y_shunt_to, rated_a, label)
+                matrices.defer(branches, line, Branch, _node_id(tok[1]), _node_id(tok[2]),
+                               m["z"], m.get("gain", 1.0), m.get("yfrom"), m.get("yto"),
+                               m.get("rated"), m.get("label"))
 
-        elif head == "config":
-            _read_config(rows, tok, line, p, configs)
+            elif head == "nodes":
+                for ln, t in _table(rows, "nodes"):
+                    if len(t) != 3:
+                        raise ParseError("node row needs: id role vnom_volts|-", ln)
+                    vnom = None if t[2] == "-" else _floats([t[2]], 1, ln)[0]
+                    nodes.append(_made(ln, Node, id=_node_id(t[0]), role=t[1], vnom=vnom))
 
-        elif head == "lines":
-            for ln, t in _table(rows, "lines"):
-                t, rated = _rated(t, ln)
-                if len(t) < 4:
-                    raise ParseError("line row too short", ln)
-                f, to = _node_id(t[0]), _node_id(t[1])
-                length = _floats([t[2]], 1, ln)[0]
-                rest = t[3:]
-                if rest[0] == "config":
-                    if len(rest) != 2:
-                        raise ParseError("config reference needs exactly one name", ln)
-                    if rest[1] not in configs:
-                        raise ParseError(f"undefined line config {rest[1]!r}", ln)
-                    z, b = configs[rest[1]]
-                    branches.append(_made(ln, pi_line, f, to, z, b, length, rated_a=rated,
-                                          label=rest[1]))
-                elif rest[0] == "seq":
-                    if len(rest) != 8 or rest[-1] != "transposed":
+            elif head == "config":
+                matrices.config(rows, _tokens(parts), line, configs)
+
+            elif head == "lines":
+                for ln, t in _table(rows, "lines"):
+                    t, rated = _rated(t, ln)
+                    if len(t) < 4:
+                        raise ParseError("line row too short", ln)
+                    f, to = _node_id(t[0]), _node_id(t[1])
+                    length = _floats([t[2]], 1, ln)[0]
+                    rest = t[3:]
+                    if rest[0] == "config":
+                        if len(rest) != 2:
+                            raise ParseError("config reference needs exactly one name", ln)
+                        if rest[1] not in configs:
+                            raise ParseError(f"undefined line config {rest[1]!r}", ln)
+                        matrices.defer(branches, ln, pi_line, f, to, *configs[rest[1]], length,
+                                       rated, rest[1])
+                    elif rest[0] == "seq":
+                        if len(rest) != 8 or rest[-1] != "transposed":
+                            raise ParseError(
+                                "seq line needs r1 x1 b1 r0 x0 b0 followed by 'transposed'", ln
+                            )
+                        r1, x1, b1, r0, x0, b0 = _floats(rest[1:7], 6, ln)
+                        branches.append(_made(ln, sequence_line, f, to, length, r1, x1, b1, r0,
+                                              x0, b0, p=p, rated_a=rated))
+                    else:
+                        raise ParseError(f"unknown line form {rest[0]!r}", ln)
+
+            elif head == "transformers":
+                for ln, t in _table(rows, "transformers"):
+                    t, rated = _rated(t, ln)
+                    if len(t) != 9:
                         raise ParseError(
-                            "seq line needs r1 x1 b1 r0 x0 b0 followed by 'transposed'", ln
+                            "transformer row needs: label from to s_mva v_from_kv v_to_kv r_pu "
+                            "x_pu tap", ln,
                         )
-                    r1, x1, b1, r0, x0, b0 = _floats(rest[1:7], 6, ln)
-                    branches.append(_made(ln, sequence_line, f, to, length, r1, x1, b1, r0, x0, b0,
-                                          p=p, rated_a=rated))
-                else:
-                    raise ParseError(f"unknown line form {rest[0]!r}", ln)
+                    vals = _floats(t[3:], 6, ln)
+                    branches.append(_made(ln, transformer_from_catalog, t[0], _node_id(t[1]),
+                                          _node_id(t[2]), *vals, p=p, rated_a=rated))
 
-        elif head == "transformers":
-            for ln, t in _table(rows, "transformers"):
-                t, rated = _rated(t, ln)
-                if len(t) != 9:
-                    raise ParseError(
-                        "transformer row needs: label from to s_mva v_from_kv v_to_kv r_pu x_pu tap",
-                        ln,
-                    )
-                vals = _floats(t[3:], 6, ln)
-                branches.append(_made(ln, transformer_from_catalog, t[0], _node_id(t[1]),
-                                      _node_id(t[2]), *vals, p=p, rated_a=rated))
+            elif head == "shunt":
+                tok = _tokens(parts)
+                if len(tok) != 2:
+                    raise ParseError("shunt block needs: shunt <node>", line)
+                m = matrices.block(rows, "shunt", (("y", p, complex),))
+                matrices.defer(shunts, line, Shunt, _node_id(tok[1]), m["y"])
 
-        elif head == "branch":
-            if len(tok) != 3:
-                raise ParseError("branch block needs: branch <from> <to>", line)
-            m = _block(rows, "branch", p, (("z", p, complex),), branch_attrs)
-            branches.append(_made(line, Branch, _node_id(tok[1]), _node_id(tok[2]), m["z"],
-                                  gain=m.get("gain", 1.0), y_shunt_from=m.get("yfrom"),
-                                  y_shunt_to=m.get("yto"), rated_a=m.get("rated"),
-                                  label=m.get("label")))
+            elif head == "slacks":
+                vnoms = {n.id: n.vnom for n in nodes}
+                for ln, t in _table(rows, "slacks"):
+                    if len(t) != 4 or t[1] != "sc":
+                        raise ParseError("slack row needs: node sc s_sc_mva r_over_x", ln)
+                    node = _node_id(t[0])
+                    s_sc, rx = _floats(t[2:], 2, ln)
+                    if vnoms.get(node) is None:
+                        raise ParseError(f"slack node {node} needs a nominal voltage", ln)
+                    slacks.append(_made(ln, slack_from_catalog, node, vnoms[node], s_sc, rx, p))
 
-        elif head == "shunt":
-            if len(tok) != 2:
-                raise ParseError("shunt block needs: shunt <node>", line)
-            y = _block(rows, "shunt", p, (("y", p, complex),))["y"]
-            shunts.append(_made(line, Shunt, node=_node_id(tok[1]), y=y))
+            elif head == "slack":
+                tok = _tokens(parts)
+                if len(tok) != 2:
+                    raise ParseError("slack block needs: slack <node>", line)
+                m = matrices.block(rows, "slack", (("zrow", p, complex), ("vrow", 1, complex)))
+                v_te = (complex, m["vrow"][1].start)  # the one vrow, as a vector
+                matrices.defer(slacks, line, SlackModel, _node_id(tok[1]), v_te, m["zrow"])
 
-        elif head == "slacks":
-            vnoms = {n.id: n.vnom for n in nodes}
-            for ln, t in _table(rows, "slacks"):
-                if len(t) != 4 or t[1] != "sc":
-                    raise ParseError("slack row needs: node sc s_sc_mva r_over_x", ln)
-                node = _node_id(t[0])
-                s_sc, rx = _floats(t[2:], 2, ln)
-                if vnoms.get(node) is None:
-                    raise ParseError(f"slack node {node} needs a nominal voltage", ln)
-                slacks.append(_made(ln, slack_from_catalog, node, vnoms[node], s_sc, rx, p))
+            elif head == "resources":
+                for ln, t in _table(rows, "resources"):
+                    resources.append(_made(ln, _parse_resource_row, t, ln, resource_widths, zips))
 
-        elif head == "slack":
-            if len(tok) != 2:
-                raise ParseError("slack block needs: slack <node>", line)
-            m = _block(rows, "slack", p, (("zrow", p, complex), ("vrow", 1, complex)))
-            slacks.append(_made(line, SlackModel, node=_node_id(tok[1]), v_te=m["vrow"][0],
-                                z_te=m["zrow"]))
-
-        elif head == "resources":
-            for ln, t in _table(rows, "resources"):
-                resources.append(_made(ln, _parse_resource_row, t, ln, resource_widths, zips))
-
-        else:
-            raise ParseError(f"unknown section {head!r}", line)
+            else:
+                raise ParseError(f"unknown section {head!r}", line)
+    except ParseError:
+        matrices.replay()  # raises a fault above this one, if there is one
+        raise
+    matrices.convert()
 
     grid = _made(None, GridModel, nodes=tuple(nodes), branches=tuple(branches),
                  shunts=tuple(shunts), p=p)
@@ -401,39 +476,35 @@ def _parse_resource_row(t, ln, widths, zips) -> ResourceModel:
     if len(t) < 2:
         raise ParseError("resource row too short", ln)
     node, kind = _node_id(t[0]), t[1]
-    starts = {}  # field -> index of its first number in t
-    rows = []
+    fields = {}  # field -> (index of its first number in t, its numbers)
     i = 2
     while i < len(t):
         key = t[i]
-        if key not in widths:
-            _fault(rows, f"unknown resource field {key!r}", ln)
-        if key in starts:
-            _fault(rows, f"repeated resource field {key!r}", ln)
-        starts[key] = i + 1
-        rows.append((ln, t[i + 1 : i + 1 + widths[key]], widths[key]))
-        i += 1 + widths[key]
-    vals = _convert(rows)
-    fields, k = {}, 0
-    for key in starts:
-        fields[key] = vals[k : k + widths[key]]
-        k += widths[key]
+        width = widths.get(key)
+        if width is None:
+            raise ParseError(f"unknown resource field {key!r}", ln)
+        if key in fields:
+            raise ParseError(f"repeated resource field {key!r}", ln)
+        i += 1
+        fields[key] = (i, _floats(t[i : i + width], width, ln))
+        i += width
     si = {}
     for a, b in (("v0", "v0_kv"), ("p0", "p0_kw"), ("q0", "q0_kvar")):
         if (a in fields) == (b in fields):
             raise ParseError(f"resource row needs exactly one of {a!r}/{b!r}", ln)
-        si[a] = fields[a] if a in fields else [x * 1e3 for x in fields[b]]  # kV, kW, kvar
+        si[a] = fields[a][1] if a in fields else [x * 1e3 for x in fields[b][1]]  # kV, kW, kvar
     if "zip_re" not in fields or "zip_im" not in fields:
         raise ParseError("resource row needs zip_re and zip_im triples", ln)
     pair = []
     for key in ("zip_re", "zip_im"):
         # Keyed on the tokens: a float key would take -0.0 for 0.0.
-        written = tuple(t[starts[key] : starts[key] + 3])
+        start, values = fields[key]
+        written = tuple(t[start : start + 3])
         if written not in zips:
-            zips[written] = zip_from_values(*fields[key])
+            zips[written] = zip_from_values(*values)
         pair.append(zips[written])
     return _resource(node, kind, si["v0"][0], si["p0"], si["q0"], *pair,
-                     lam=fields.get("lam", [1.0])[0])
+                     lam=fields["lam"][1][0] if "lam" in fields else 1.0)
 
 
 def parse_grid(path):
@@ -541,8 +612,21 @@ def write_text_atomic(path, text: str):
     directory.  NFS is the exception: the client renames a replaced file
     that is still open to a hidden .nfs name, which stays until the closer
     closes it.
+
+    An OSError names path, whichever file it arose on: a missing directory,
+    or a directory at path, is reported for path, not for the temp file.
     """
     path = os.fspath(path)
+    try:
+        _replace_with(path, text)
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+
+
+def _replace_with(path: str, text: str):
+    """write_text_atomic's temp file, rename and hand-off of the replaced file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0o022)

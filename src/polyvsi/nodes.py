@@ -28,6 +28,8 @@ def _require_finite_real(name: str, value) -> None:
     """ValueError naming the field unless value is a real number
     (numbers.Real: Python and numpy ints and floats) that is finite, which
     an int beyond the float range is not."""
+    if type(value) is float and math.isfinite(value):  # the common case, without the ABC check
+        return
     try:
         finite = isinstance(value, numbers.Real) and math.isfinite(value)
     except OverflowError:  # math.isfinite(10**400)

@@ -142,21 +142,26 @@ def snapshot_to_point(values: dict, system, xi: float) -> OperatingPoint:
     """Arrange snapshot values into an OperatingPoint over the system's nodes.
 
     Every (node, phase) of the system needs a value, and every value a
-    (node, phase) of the system.
+    (node, phase) of the system.  A row of a (node, phase) the system lacks
+    is reported at its line, before any pair the snapshot lacks: a mistyped
+    node id is named where it was written.
     """
     n = len(system.unknown_nodes)
     e = np.empty((n, system.p))
     th = np.empty((n, system.p))
+    missing = None
     for i, node in enumerate(system.unknown_nodes):
         for q in range(system.p):
             try:
                 e[i, q], th[i, q], _ = values[(node, q + 1)]
             except KeyError:
-                raise ParseError(f"snapshot is missing node {node} phase {q + 1}") from None
-    if len(values) > e.size:
+                missing = missing or (node, q + 1)
+    if missing is not None or len(values) > e.size:
         known = set(product(system.unknown_nodes, range(1, system.p + 1)))
-        (node, q), (*_, line) = next(item for item in values.items() if item[0] not in known)
-        raise ParseError(f"the grid has no node {node} phase {q}", line)
+        for (node, q), (*_, line) in values.items():
+            if (node, q) not in known:
+                raise ParseError(f"the grid has no node {node} phase {q}", line)
+        raise ParseError(f"snapshot is missing node {missing[0]} phase {missing[1]}")
     return OperatingPoint(nodes=system.unknown_nodes, p=system.p, e=e, theta=th, xi=float(xi))
 
 

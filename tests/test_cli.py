@@ -24,7 +24,12 @@ Proves:
    6a. A non-numeric or non-finite snapshot exits 2 in pf --start and vsi
    6b. A snapshot that repeats a (node, phase) row, or has a row for a
        node or phase the grid lacks, exits 2 in pf --start and vsi,
-       naming the row's line
+       naming the row's line; so does a row of the bundled feeder's
+       snapshot whose node id is mistyped, before the pair it leaves
+       missing
+   6c. A report that cannot be written (pf --voltages into a missing
+       directory, cpf --out onto a directory) exits 2 naming the path
+       given, not a temp file
 
  Group 3 - cpf
    7.  Traces the two-bus fold to xi ~ 2, writes the trace CSV
@@ -292,6 +297,34 @@ def test_repeated_snapshot_row_exits_two(grid_file, tmp_path, capsys):
 def test_snapshot_row_off_the_grid_exits_two(grid_file, tmp_path, capsys, pair):
     bad = _snapshot_with(grid_file, tmp_path, lambda row: pair + "," + row.split(",", 2)[2])
     _assert_line_4_exits_two(grid_file, bad, capsys, f"no node {pair.replace(',', ' phase ')}")
+
+
+def test_mistyped_snapshot_node_names_its_line(tmp_path, capsys):
+    grid = tmp_path / "bench.grid"
+    snap = tmp_path / "snap.csv"
+    assert main(["bench", "emit", str(grid)]) == 0
+    assert main(["pf", str(grid), "--voltages", str(snap)]) == 0
+    lines = snap.read_text().splitlines()
+    assert lines[29].startswith("10,2,")
+    lines[29] = "1O" + lines[29][2:]
+    snap.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["vsi", str(grid), "--voltages", str(snap)]) == 2
+    assert capsys.readouterr().err == "error: line 30: the grid has no node 1O phase 2\n"
+
+
+def test_unwritable_report_names_its_path(grid_file, tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "s.csv"
+    capsys.readouterr()
+    assert main(["pf", str(grid_file), "--voltages", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n", err
+    directory = tmp_path / "out"
+    directory.mkdir()
+    assert main(["cpf", str(grid_file), "--out", str(directory)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: {str(directory)!r}\n", err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "two_bus.grid"]
 
 
 # -- Group 3 ---------------------------------------------------------------

@@ -38,6 +38,19 @@ Proves:
    4f. A file opening with a UTF-8 byte-order mark parses to the models of
        the plain file; a byte-order mark later in the file is a ParseError
        at its line
+   4g. (hypothesis) The file-level conversion of matrix rows gives the bits,
+       or the ParseError (message and line), of converting row by row with
+       _floats: random doubles (signed zeros, subnormals, +-1e308), spellings
+       float() accepts and np.loadtxt refuses (1_0, non-ASCII digits),
+       numbers separated by non-breaking and other Unicode spaces, nan, inf,
+       Infinity, 1e400, rows whose finite numbers sum past the float range,
+       wrong counts and junk; fixed cases pin each of these, in config
+       blocks and in a grid's branch and shunt blocks
+   4h. A file without matrix rows (a catalog-only grid, an empty config
+       text) parses with warnings as errors; every matrix row of one width
+       is converted by one np.loadtxt call
+   4i. Parsing the 302-node synthetic feeder peaks below 2.5 MB of traced
+       memory
 
  Group 2 - Validation
    5.  Asymmetric parameters parse cleanly, and building a system from
@@ -75,6 +88,8 @@ import hashlib
 import importlib.resources
 import math
 import re
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +108,7 @@ from polyvsi.builders import (
 )
 from polyvsi.errors import ParseError, ValidationError
 from polyvsi.gridfile import (
+    _floats,
     parse_configs,
     parse_grid,
     parse_grid_text,
@@ -483,6 +499,159 @@ def test_zip_triples_keep_signed_zeros():
              for r in models[2]]
     assert signs == [[1.0, 1.0], [-1.0, -1.0]]
     assert "zip_re -0.0 0.0 1.0 zip_im 0.0 -0.0 1.0" in serialize_grid(*models)
+
+
+def _config_text(p, blocks):
+    """Config-only text with one block per entry of blocks, each the number
+    texts of its p z rows and p b rows; also (line, width, number text) of
+    every row."""
+    lines, rows = [], []
+    for k, block in enumerate(blocks):
+        lines.append(f"config c{k}")
+        for i, numbers in enumerate(block):
+            keyword, width = ("z", 2 * p) if i < p else ("b", p)
+            lines.append(f"{keyword} {numbers}")
+            rows.append((len(lines), width, numbers))
+        lines.append("end")
+    return "\n".join(lines) + "\n", rows
+
+
+def _assert_converts_row_by_row(p, blocks):
+    """parse_configs gives the bits, or the ParseError, of _floats applied
+    to each row in line order."""
+    text, rows = _config_text(p, blocks)
+    try:
+        values = [_floats(numbers.split(), width, ln) for ln, width, numbers in rows]
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_configs(text, p)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    configs = parse_configs(text, p)
+    assert list(configs) == [f"c{k}" for k in range(len(blocks))]
+    for k, (z, b) in enumerate(configs.values()):
+        block = values[2 * p * k : 2 * p * (k + 1)]
+        for got, want in ((z, np.array(block[:p]).view(complex)), (b, np.array(block[p:]))):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+# Spellings float() accepts and np.loadtxt refuses, and spellings both refuse.
+_LOADTXT_REFUSES = ["1_0", "1_000.5", "\u0661\u0662", "\uff11.\uff15", "-\u0660.\u0665"]
+_JUNK = ["x", "0x10", "1.0.0", "1e", "--1", "1d3", "1,5", '"1"', "\x00"]
+_NOT_FINITE = ["nan", "-nan", "inf", "-inf", "Infinity", "-iNF", "1e400", "-1e400"]
+_EDGES = ["-0.0", "0.0", "5e-324", "-2.2250738585072014e-308", "1e308", "-1e308",
+          "1.7976931348623157e308"]
+_SEPARATORS = [" ", "  ", "\t", "\xa0", "\u2003", " \u3000 "]
+
+
+@st.composite
+def _config_blocks(draw):
+    """(p, blocks) for _assert_converts_row_by_row: most rows are doubles as
+    repr writes them, some hold odd spellings, and some have a wrong count."""
+    p = draw(st.integers(1, 3))
+    doubles = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(_EDGES)
+    odd = st.sampled_from(_LOADTXT_REFUSES + _JUNK + _NOT_FINITE)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        block = []
+        for width in [2 * p] * p + [p] * p:
+            n = width + draw(st.sampled_from([0] * 12 + [-1, 1]))
+            tokens = st.one_of(doubles, odd) if draw(st.integers(0, 7)) == 0 else doubles
+            block.append(draw(st.sampled_from(_SEPARATORS)).join(
+                draw(st.lists(tokens, min_size=n, max_size=n))))
+        blocks.append(block)
+    return p, blocks
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_config_blocks())
+def test_file_conversion_matches_row_by_row(case):
+    _assert_converts_row_by_row(*case)
+
+
+@pytest.mark.parametrize("p, blocks", [
+    (1, [["1_0 2", "3"]]),
+    (1, [["\u0661\u0662 \uff11.\uff15", "-\u0660.\u0665"]]),
+    (2, [["1\xa02 3\u20034", "5 6 7 8", "1 2", "3\t4"]]),
+    (1, [["-0.0 5e-324", "-2.2250738585072014e-308"]]),
+    (1, [["1e308 1e308", "-1.7976931348623157e308"]]),
+    (1, [["1 2", "nan"]]),
+    (1, [["inf 1", "1"]]),
+    (1, [["1 Infinity", "1"]]),
+    (1, [["1 2", "-iNF"]]),
+    (1, [["1e400 1", "1"]]),
+    (1, [["1 2 3", "1"]]),
+    (1, [["1", "1"]]),
+    (1, [["", "1"]]),
+    (1, [["1 2", "1 2"]]),
+    (1, [["x 1", "1"]]),
+    (1, [["1 2", "0x10"]]),
+    # faults in several rows and blocks: the first in line order is raised
+    (1, [["1 2", "1"], ["1 x", "nan"], ["1 2 3", "1"]]),
+    (1, [["1 2", "1_0"], ["1 2", "1 2"], ["inf 2", "x"]]),
+    (2, [["1 2 3 4", "1 2 3 4", "1 2", "1 nan"], ["1 2 3", "x 2 3 4", "1 2", "1 2"]]),
+    # a spelling np.loadtxt refuses above a real fault
+    (1, [["1_0 2", "3"], ["1 2", "1e400"]]),
+], ids=["underscore", "unicode-digits", "unicode-spaces", "signed-zero-subnormal",
+        "overflowing-sum", "nan", "inf", "Infinity", "-iNF", "1e400", "too-many", "too-few",
+        "empty-row", "b-too-many", "bad-token", "hex", "first-of-three", "later-block-fault",
+        "two-phase-blocks", "refused-spelling-above-fault"])
+def test_file_conversion_fixed_cases(p, blocks):
+    _assert_converts_row_by_row(p, blocks)
+
+
+@pytest.mark.parametrize("old, new, plain", [
+    ("z 0.5 1.0 0.1 0.2 0.1 0.2\n", "z 0.5 1_0 0.1 0.2 0.1 0.2\n",
+     "z 0.5 10.0 0.1 0.2 0.1 0.2\n"),
+    ("y 0.0 0.0 0.0 3e-05 0.0 0.0\n", "y 0.0 0.0 \u0660.\u0660 3e-05 0.0 0.0\n",
+     "y 0.0 0.0 0.0 3e-05 0.0 0.0\n"),
+    ("yto 0.0 2e-05 0.0 0.0 0.0 0.0\n", "yto 0.0\xa02e-05\u20030.0 0.0\t0.0 0.0\n",
+     "yto 0.0 2e-05 0.0 0.0 0.0 0.0\n"),
+    ("vrow 1000.0 0.0", "vrow 1_000.0 0.0", "vrow 1000.0 0.0"),
+], ids=["branch-underscore", "shunt-unicode-digits", "yto-unicode-spaces", "vrow-underscore"])
+def test_grid_blocks_read_float_spellings(old, new, plain):
+    # np.loadtxt refuses the rows with 1_0 or non-ASCII digits, and the
+    # replay reads them as float() does, into the models of the plain
+    # spelling; the Unicode spaces np.loadtxt splits on as str.split does.
+    assert parse_grid_text(_edited(THREE, [(old, new)])) == parse_grid_text(
+        _edited(THREE, [(old, plain)]))
+
+
+def test_files_without_matrix_rows_parse_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid, slacks, resources = parse_grid_text(CATALOG)
+        assert parse_configs("# no blocks\n", 3) == {}
+    assert len(grid.branches) == 2 and len(slacks) == 1 and len(resources) == 1
+
+
+def test_matrix_rows_take_one_loadtxt_call_per_width(monkeypatch, synthfeeder):
+    feeder = synthfeeder.feeder_text(0, 300)
+    calls = []
+
+    def loadtxt(rows, **kwargs):
+        calls.append(len(rows))
+        return real(rows, **kwargs)
+
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    parse_grid_text(THREE)
+    assert calls == [22 - 3, 3]  # the complex rows, then the config's b rows
+    calls.clear()
+    parse_grid_text(feeder)
+    assert calls == [2707]
+
+
+def test_parse_memory_peak(synthfeeder):
+    text = synthfeeder.feeder_text(0, 300)
+    tracemalloc.start()
+    try:
+        parse_grid_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6, peak
 
 
 def test_parse_configs_refuses_a_repeated_name():

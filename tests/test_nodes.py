@@ -21,6 +21,10 @@ Proves:
        q0, v0, lam) refuses a value that is not a finite real number,
        complex, array, string or None included, with a ValueError naming
        the field; numpy's real scalars pass and are kept as given
+   9b. Plain floats take a fast path, and every other value the full check:
+       bools, numpy scalars and float subclasses pass when finite, nan,
+       inf, numpy's non-finite scalars and ints beyond the float range are
+       refused with the usual message
   10.  The packed ZipTable matches pm_power_at / pm_zip_at row by row,
        and its voltage derivative matches a central difference
 
@@ -32,6 +36,8 @@ Proves:
   13.  short_circuit_slack magnitude / ratio arithmetic
   14.  positive_sequence_source angles step by -2 pi / p
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +192,27 @@ def test_scalar_fields_must_be_finite_reals(bad):
     # numpy's scalars are real numbers like Python's, and are kept as given.
     for good in (np.float64(0.5), np.int64(1)):
         assert _model(p0=good, v0=good, lam=good).phases[0].p0 is good
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("value, finite", [
+    (0.0, True), (-0.0, True), (5e-324, True), (1.7976931348623157e308, True), (1, True),
+    (True, True), (False, True), (np.float64(2.5), True), (np.float32(-1.5), True),
+    (np.int64(3), True), (_Float(1.5), True),
+    (float("nan"), False), (float("inf"), False), (-float("inf"), False),
+    (np.float64("nan"), False), (np.float32("inf"), False), (_Float("inf"), False),
+    pytest.param(10**400, False, id="10**400"), pytest.param(-(10**400), False, id="-10**400"),
+], ids=repr)
+def test_finite_real_verdicts(value, finite):
+    if finite:
+        assert _model(p0=value).phases[0].p0 is value
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"reference power p0 must be a finite real number, got {value!r}")):
+            _model(p0=value)
 
 
 def test_zip_table_matches_scalar_references():

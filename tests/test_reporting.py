@@ -13,7 +13,9 @@ Proves:
 
  Group 2 - Snapshot round trip
    5.  write -> read -> snapshot_to_point reproduces the operating point
-       to 9-digit precision; missing pairs and foreign headers raise
+       to 9-digit precision; missing pairs and foreign headers raise; a row
+       whose node the grid lacks is named at its line, before the pair its
+       mistyped id leaves missing
    5a. Non-numeric and non-finite snapshot fields raise ParseError naming
        the line
    5b. A snapshot opening with a UTF-8 byte-order mark reads as the plain
@@ -36,6 +38,8 @@ Proves:
    6d. A directory at the path raises IsADirectoryError and leaves no temp
        file and no descriptor; a symlink at the path is replaced by the
        file, and its target is left untouched
+   6f. A missing directory, or a directory at the path, raises an OSError
+       that names the path given, not the temp file
    6e. A forked child closes its copies of the descriptors queued in the
        parent and starts its own closer, also when the parent's closer lock
        was held at the fork; a close that raises neither stops the closer
@@ -205,6 +209,17 @@ def test_snapshot_errors(system, solved, tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ParseError, match="header"):
         read_snapshot_csv(bad)
+
+
+def test_snapshot_names_a_row_off_the_grid_before_a_missing_pair(system, solved, tmp_path):
+    path = tmp_path / "snap.csv"
+    write_snapshot_csv(path, solved)
+    lines = path.read_text().splitlines()
+    node, phase, rest = lines[1].split(",", 2)
+    lines[1] = f"{node}x,{phase},{rest}"  # a mistyped node id, so node's pair is missing
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^line 2: the grid has no node {node}x phase {phase}$"):
+        snapshot_to_point(read_snapshot_csv(path), system, xi=1.0)
 
 
 def test_snapshot_rejects_bad_numbers(tmp_path):
@@ -429,6 +444,20 @@ def test_directory_at_the_path_is_refused(tmp_path):
     assert (tmp_path / "out.csv").is_dir()
     if counts:
         assert _open_fds() == before
+
+
+def test_write_errors_name_the_path(tmp_path):
+    missing = tmp_path / "no" / "such" / "out.csv"
+    with pytest.raises(FileNotFoundError) as exc:
+        write_text_atomic(missing, "a,b\n")
+    assert exc.value.filename == str(missing) and ".tmp" not in str(exc.value)
+    target = tmp_path / "out.csv"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        write_text_atomic(target, "a,b\n")
+    assert (exc.value.filename, exc.value.filename2) == (str(target), None)
+    assert str(exc.value).endswith(f": {str(target)!r}")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_symlink_at_the_path_is_replaced(tmp_path):
