@@ -187,6 +187,7 @@ class _Matrices:
 
     def __init__(self, p: int):
         self.p = p
+        self.width = {complex: 2 * p, float: p}  # numbers in a row of each dtype
         self.texts = {complex: [], float: []}
         self.lines = {complex: [], float: []}
         self.steps = []  # (models, slot, row counts, line, ctor, args), in line order
@@ -204,7 +205,7 @@ class _Matrices:
             if parts[0] != keyword:
                 raise ParseError(f"expected '{keyword}' row", ln)
             if len(parts) == 1:
-                _floats([], 2 * self.p if dtype is complex else self.p, ln)  # a row of no numbers
+                _floats([], self.width[dtype], ln)  # a row of no numbers
             texts.append(parts[1])
             lines.append(ln)
         if len(texts) - start < n:
@@ -275,7 +276,7 @@ class _Matrices:
         """
         flat = {}
         for dtype, texts in self.texts.items():
-            width = 2 * self.p if dtype is complex else self.p
+            width = self.width[dtype]
             try:
                 # No call on an empty list, which np.loadtxt warns about.
                 flat[dtype] = np.loadtxt(texts, ndmin=2, comments=None) if texts else \
@@ -294,8 +295,7 @@ class _Matrices:
         order.  So the first fault in line order is raised; without one, the
         models are those convert() builds."""
         lines, texts = self.lines, self.texts
-        flat = {dtype: np.empty((len(texts[dtype]), 2 * self.p if dtype is complex else self.p))
-                for dtype in texts}
+        flat = {dtype: np.empty((len(texts[dtype]), self.width[dtype])) for dtype in texts}
         self._use(flat)
         done = (0, 0)
         for step in [*self.steps, (None, None, self._counts())]:
@@ -303,7 +303,7 @@ class _Matrices:
                            zip((complex, float), done, step[2]) for k in range(first, end)),
                           key=itemgetter(0))
             for ln, dtype, k in rows:
-                flat[dtype][k] = _floats(texts[dtype][k].split(), flat[dtype].shape[1], ln)
+                flat[dtype][k] = _floats(texts[dtype][k].split(), self.width[dtype], ln)
             done = step[2]
             if step[0] is not None:
                 self._build(step)
