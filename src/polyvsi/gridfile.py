@@ -368,7 +368,7 @@ def parse_grid_text(text: str):
         for line, parts in rows:
             head = parts[0]
 
-            if head == "branch":
+            if head == "branch":  # tested first: most sections of a serialized grid are branches
                 tok = _tokens(parts)
                 if len(tok) != 3:
                     raise ParseError("branch block needs: branch <from> <to>", line)
