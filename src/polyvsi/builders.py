@@ -7,6 +7,8 @@ a file come out bit-identical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import Branch
@@ -70,7 +72,7 @@ def transformer_branch(from_node, to_node, s_rated_va: float, v_from_ll: float, 
     base) sits at the to side; the no-load gain is tap * v_to_ll / v_from_ll.
     A tap above one boosts the to-side voltage.
     """
-    if not (s_rated_va > 0.0 and v_from_ll > 0.0 and v_to_ll > 0.0):
+    if not all(0.0 < v < math.inf for v in (s_rated_va, v_from_ll, v_to_ll)):
         raise ValueError("transformer rating and voltages must be positive")
     z_base = v_to_ll * v_to_ll / s_rated_va
     z = complex(r_pu, x_pu) * z_base * np.eye(p)
@@ -94,7 +96,7 @@ def positive_sequence_source(v_pg: float, p: int = 3) -> np.ndarray:
 def short_circuit_slack(node, v_pg: float, s_sc_va: float, r_over_x: float, p: int = 3) -> SlackModel:
     """Slack from a short-circuit rating: |z_te| = p * v_pg^2 / s_sc, split
     by the given R/X ratio, one decoupled copy per phase."""
-    if not s_sc_va > 0.0:
+    if not 0.0 < s_sc_va < math.inf:
         raise ValueError("short-circuit rating must be positive")
     z_mag = p * v_pg * v_pg / s_sc_va
     x = z_mag / np.sqrt(1.0 + r_over_x * r_over_x)

@@ -22,14 +22,15 @@ changes sign at each of samples 43 to 49, and the final one is on the
 lower branch.
 
 Works on any problem exposing residual(x, xi), jacobian_x(x, xi) and
-jacobian_xi(x, xi); PolyphaseSystem adds the hooks used to enrich samples
-with operating points, index values, and Jacobian singular values.  The
-base and the final sample record the exact (sv_min, sv_mean, sv_max) of
-J_x from a values-only SVD.  Every other sample records sv_min alone, from
-one warm-started inverse subspace step (powerflow.jacobian_svd): an upper
-bound that agreed with the full SVD to within 1e-6 relative on the
-feeders measured.  system.svd_at(s.x, s.xi) gives the full triplet of any
-sample on demand.
+jacobian_xi(x, xi); PolyphaseSystem adds the hooks used to enrich
+samples with operating points, index values, and Jacobian singular
+values; each sample is built once, whole, when its successor is accepted
+or the trace ends.  The base and the final sample record the exact
+(sv_min, sv_mean, sv_max) of J_x from a values-only SVD.  Every other
+sample records sv_min alone, from one warm-started inverse subspace step
+(powerflow.jacobian_svd): an upper bound that agreed with the full SVD
+to within 1e-6 relative on the feeders measured.
+system.svd_at(s.x, s.xi) gives the full triplet of any sample on demand.
 
 Each anchor's J_x is evaluated once and factored once by
 grid.linear_solver, whose docstring states the solve rule: the tangent,
@@ -45,7 +46,7 @@ per Newton iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,7 +101,7 @@ class CpfConfig:
 
 @array_dataclass(frozen=True)
 class CpfSample:
-    """One accepted continuation point.
+    """One accepted continuation point, built once and whole (see run_cpf).
 
     sv is (sv_min, sv_mean, sv_max) of the state Jacobian, exact at the base
     and the final sample; intermediate samples hold (sv_min, None, None),
@@ -206,23 +207,18 @@ def arclength_correct(problem, predicted, anchor, sigma: float, solve, eps: floa
     return res.x[:n], float(res.x[n])
 
 
-def _make_sample(system, x: np.ndarray, xi: float, config: CpfConfig) -> CpfSample:
+def _sample(system, x: np.ndarray, xi: float, config: CpfConfig, block: SvdBlock | None = None,
+            j=None, solve=None) -> CpfSample:
+    """The sample at (x, xi), whole.  Its sv is a step of block while the
+    sample has a successor and the exact triplet (block None) once it is the
+    final one; j is the sample's J_x if the tangent evaluated it, and solve
+    the tangent's linear_solver of j."""
+    x = np.asarray(x, dtype=float).copy()
     op = system.operating_point(x, xi) if hasattr(system, "operating_point") else None
-    vsi = None
-    if config.record_vsi and hasattr(system, "vsi_at"):
-        vsi = system.vsi_at(x, xi)
-    return CpfSample(x=np.asarray(x, dtype=float).copy(), xi=float(xi), op=op, vsi=vsi)
-
-
-def _record_svd(system, trace: CpfTrace, config: CpfConfig, block: SvdBlock | None, j,
-                solve=None) -> None:
-    """Fill the last sample's sv: a step of block while the sample has a
-    successor, the exact triplet (block None) once it is the final one.  j is
-    the sample's J_x if the tangent evaluated it, else None, and solve the
-    tangent's linear_solver of j."""
-    if config.record_svd and hasattr(system, "svd_at"):
-        s = trace.samples[-1]
-        trace.samples[-1] = replace(s, sv=system.svd_at(s.x, s.xi, block, j, solve))
+    vsi = system.vsi_at(x, xi) if config.record_vsi and hasattr(system, "vsi_at") else None
+    record_svd = config.record_svd and hasattr(system, "svd_at")
+    sv = system.svd_at(x, xi, block, j, solve) if record_svd else None
+    return CpfSample(x=x, xi=float(xi), op=op, vsi=vsi, sv=sv)
 
 
 def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = None) -> CpfTrace:
@@ -232,12 +228,12 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
     at most MAX_CORRECTOR_ITER Newton corrections; BaseCaseDiverged when it
     does not converge.  The trace holds every accepted sample; termination
     is one of fold-detected, step-limit, or corrector-failure.
-    Each sample's singular values are recorded once the next sample is
-    accepted or the trace ends, so the code knows which sample is final;
-    they come from the J_x that the tangent evaluated at the sample, where
-    there is one, and from the tangent's factor of it, so each anchor's J_x
-    is evaluated once and factored once.  The correctors from that anchor
-    solve on the same factor.
+    Each sample is built once, whole, when the next sample is accepted or
+    the trace ends, so the code knows which sample is final; a hook's error
+    thus surfaces after the successor's corrector.  Its singular values come
+    from the J_x the tangent evaluated at the sample, where there is one, and
+    from the tangent's factor of it, so each anchor's J_x is evaluated once
+    and factored once; the correctors from that anchor solve on that factor.
     """
     config = config or CpfConfig()
     trace = CpfTrace()
@@ -249,8 +245,6 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
         raise BaseCaseDiverged(f"base case at xi = {xi0} diverged: {exc}") from exc
 
     x_k, xi_k = base.x, float(xi0)
-    trace.samples.append(_make_sample(system, x_k, xi_k, config))
-
     sigma = config.sigma
     sigma_floor = config.sigma * SIGMA_MIN_RATIO
     fold_evidence = False
@@ -293,11 +287,10 @@ def run_cpf(system, config: CpfConfig | None = None, x0: np.ndarray | None = Non
             termination = TERM_FOLD if fold_evidence else TERM_CORRECTOR
             break
 
+        trace.samples.append(_sample(system, x_k, xi_k, config, block, j_k, solve_k))
         x_k, xi_k = x_c, float(xi_c)
-        _record_svd(system, trace, config, block, j_k, solve_k)
         j_k = solve_k = None
-        trace.samples.append(_make_sample(system, x_k, xi_k, config))
 
-    _record_svd(system, trace, config, None, j_k)
+    trace.samples.append(_sample(system, x_k, xi_k, config, None, j_k))
     trace.termination = termination
     return trace

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cache, cached_property
 from typing import Callable
 
@@ -353,7 +355,8 @@ def linear_solver(a, what: str, error: type = SingularJacobian):
 
 @dataclass(frozen=True)
 class Node:
-    """Grid node: hashable id, role tag, optional nominal phase-to-ground volts."""
+    """Grid node: hashable id, role tag, optional nominal phase-to-ground
+    volts (finite and > 0)."""
 
     id: object
     role: str
@@ -362,7 +365,7 @@ class Node:
     def __post_init__(self):
         if self.role not in _ROLES:
             raise ValueError(f"unknown node role {self.role!r}")
-        if self.vnom is not None and not self.vnom > 0.0:
+        if self.vnom is not None and not 0.0 < self.vnom < math.inf:
             raise ValueError("nominal voltage must be positive")
 
 
@@ -371,10 +374,11 @@ class Branch:
     """Two-terminal polyphase branch.
 
     z is the P x P series impedance in ohm, referred to the to-node side.
-    gain is the no-load voltage ratio V_to / V_from of an ideal transformer
-    in series with z; plain lines have gain 1.  y_shunt_from / y_shunt_to are
-    optional P x P shunt admittance matrices tied to the terminals (the two
-    half legs of a pi section).  rated_a is metadata for margin reporting.
+    gain, finite and > 0, is the no-load voltage ratio V_to / V_from of an
+    ideal transformer in series with z; plain lines have gain 1.
+    y_shunt_from / y_shunt_to are optional P x P shunt admittance matrices
+    tied to the terminals (the two half legs of a pi section).  rated_a is
+    metadata for margin reporting.
     """
 
     from_node: object
@@ -392,7 +396,7 @@ class Branch:
             raise ValueError("branch impedance must be a square matrix")
         if self.from_node == self.to_node:
             raise ValueError("branch endpoints must differ")
-        if not self.gain > 0.0:
+        if not 0.0 < self.gain < math.inf:
             raise ValueError("branch gain must be positive")
         object.__setattr__(self, "z", z)
         for name in ("y_shunt_from", "y_shunt_to"):
@@ -565,6 +569,14 @@ def branch_stamp(branch: Branch) -> np.ndarray:
     return _stamps(y[None], [branch.gain])[0].transpose(0, 2, 1, 3).reshape(2 * branch.p, -1)
 
 
+def _unscaled(x: float, exp) -> str:
+    """x * 2**exp in '.3e' form, also beyond the float range."""
+    try:
+        return f"{math.ldexp(x, int(exp)):.3e}"
+    except OverflowError:
+        return f"{Decimal(float(x)) * Decimal(2) ** int(exp):.3e}"
+
+
 def passivity_faults(mats, rcond) -> list[tuple]:
     """The passivity rule on a sequence of P x P parameter matrices.
 
@@ -574,12 +586,17 @@ def passivity_faults(mats, rcond) -> list[tuple]:
     -PARAM_TOL * max(largest eigenvalue, ||m||), and its rcond (one _inverse
     value per matrix; inf where none is needed) must be >= RCOND_FLOOR.
     One stacked pass; returns (index, kind, detail) per fault, by index.
+    Each matrix is first scaled by a power of two that puts its largest
+    real or imaginary part in [0.5, 1): exact, scale-free for every test
+    above, and no norm or eigenvalue can overflow on a finite matrix.
     """
     if not len(mats):
         return []
     m = np.asarray(mats, dtype=complex)
     finite = np.isfinite(m).all(axis=(1, 2))
-    m = np.where(finite[:, None, None], m, 0.0)
+    m = np.where(finite[:, None, None], m, 0.0).view(float)
+    _, exp = np.frexp(np.abs(m).max(axis=(1, 2)))
+    m = np.ldexp(m, -exp[:, None, None]).view(complex)
     scale = np.linalg.norm(m, axis=(1, 2))
     asym = np.linalg.norm(m - m.transpose(0, 2, 1), axis=(1, 2)) / np.where(scale > 0.0, scale, 1.0)
     eig = np.linalg.eigvalsh((m.real + m.real.transpose(0, 2, 1)) / 2.0)
@@ -587,7 +604,7 @@ def passivity_faults(mats, rcond) -> list[tuple]:
     faults = [(k, "non-finite", "inf or nan entry") for k in np.flatnonzero(~finite)]
     faults += [(k, "asymmetric", f"relative asymmetry {asym[k]:.2e}")
                for k in np.flatnonzero(asym > PARAM_TOL)]
-    faults += [(k, "indefinite-real-part", f"min eigenvalue {eig[k, 0]:.3e}")
+    faults += [(k, "indefinite-real-part", f"min eigenvalue {_unscaled(eig[k, 0], exp[k])}")
                for k in np.flatnonzero(indefinite)]
     faults += [(k, "singular", f"rcond < {RCOND_FLOOR}")
                for k in np.flatnonzero(finite & ~(np.asarray(rcond) >= RCOND_FLOOR))]

@@ -46,7 +46,6 @@ import math
 import os
 import queue
 import re
-import tempfile
 import threading
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
@@ -595,10 +594,12 @@ def write_text_atomic(path, text: str):
     """Write text via a temp file and rename, so readers never see a torn file.
 
     Readers see the old file or the new one, whole, and never a missing one,
-    and the temp file is gone when the call returns or raises.  The file
-    gets the mode open(path, "w") gives a new file: 0o666 less the umask
-    (mkstemp alone would leave it 0o600).  A path that is a symlink is
-    replaced by the file, and its target is left untouched.
+    and the temp file is gone when the call returns or raises.  The temp
+    file, under a random .tmp name in path's directory, is created with
+    mode 0o666, which the kernel reduces by the umask: the mode open(path,
+    "w") gives a new file, without the process's umask ever being read or
+    set.  A path that is a symlink is replaced by the file, and its target
+    is left untouched.
 
     Freeing the replaced file can take tens of milliseconds on some file
     systems (ext4 mounted with discard).  So where os.O_PATH exists, the
@@ -627,15 +628,12 @@ def write_text_atomic(path, text: str):
 
 def _replace_with(path: str, text: str):
     """write_text_atomic's temp file, rename and hand-off of the replaced file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    umask = os.umask(0o022)
-    os.umask(umask)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     old = None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
         old = _hold(path)
         os.replace(tmp, path)
     except BaseException:

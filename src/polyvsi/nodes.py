@@ -185,15 +185,19 @@ class ZipTable:
         )
 
     def power(self, e: np.ndarray, lam: np.ndarray) -> tuple:
-        """Injected (P, Q) per row at magnitudes e under loading factors lam."""
-        u = e / self.v0
+        """Injected (P, Q) per row at signed magnitudes e under loading
+        factors lam.  The law reads |e|, so the state (-E, theta + pi), the
+        same phasor as (E, theta), draws the same power."""
+        u = np.abs(e) / self.v0
         return lam * self.p0 * _poly(self.zip_re, u), lam * self.q0 * _poly(self.zip_im, u)
 
     def power_de(self, e: np.ndarray, lam: np.ndarray) -> tuple:
-        """Derivatives d(P, Q)/d|v| per row."""
-        u = e / self.v0
-        dp = lam * self.p0 * (2.0 * self.zip_re[:, 0] * u + self.zip_re[:, 1]) / self.v0
-        dq = lam * self.q0 * (2.0 * self.zip_im[:, 0] * u + self.zip_im[:, 1]) / self.v0
+        """Derivatives d(P, Q)/de per row: the law's slope in |e| times the
+        sign of e (+1 at e = +0)."""
+        u = np.abs(e) / self.v0
+        sign = np.copysign(1.0, e)
+        dp = lam * self.p0 * (2.0 * self.zip_re[:, 0] * u + self.zip_re[:, 1]) / self.v0 * sign
+        dq = lam * self.q0 * (2.0 * self.zip_im[:, 0] * u + self.zip_im[:, 1]) / self.v0 * sign
         return dp, dq
 
     def split(self, v: np.ndarray, lam: np.ndarray) -> tuple:

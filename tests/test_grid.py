@@ -47,7 +47,8 @@ Proves:
        an array the library builds is taken over without a copy
   19a. Node, Branch, Shunt, GridModel, BlockMatrix, SlackModel,
        OperatingPoint and AugmentedGrid reject structurally broken input
-       with a ValueError naming the fault (for AugmentedGrid a slack or
+       with a ValueError naming the fault (for Node and Branch an infinite
+       nominal voltage or gain too; for AugmentedGrid a slack or
        resource node off its nodes, or a Y_UU without p rows per node), and
        the stepwise reductions a non-square matrix
   19b. Every dataclass that holds arrays compares by content: a deep copy
@@ -100,6 +101,9 @@ Proves:
   21.  _inverse on a stack equals one call per matrix bit for bit, with an
        exactly singular, a below-floor and a non-finite member
   22.  passivity_faults on a stack finds the faults of one call per matrix
+  22a. passivity_faults is scale-free up to the float limit: the edge
+       matrices scaled by 2^-900 to 2^1022 keep their verdicts, the
+       printed eigenvalue scales with them, and numpy never overflows
   23.  admittance_entries' node blocks equal the per-branch sum of
        branch_stamp bit for bit: bundled feeder, 302-node synthetic feeder,
        random grids with gains, pi shunts, node shunts and parallel
@@ -517,10 +521,12 @@ _TWO = (Node(1, "slack"), Node(2, "zero"))
 STRUCTURAL_ERRORS = {
     "node-role": (lambda: Node(1, "load"), "unknown node role 'load'"),
     "node-vnom": (lambda: Node(1, "zero", vnom=0.0), "nominal voltage must be positive"),
+    "node-vnom-inf": (lambda: Node(1, "zero", vnom=float("inf")), "nominal voltage must be positive"),
     "branch-z-shape": (lambda: Branch(1, 2, np.ones((1, 2))),
                        "branch impedance must be a square matrix"),
     "branch-loop": (lambda: Branch(1, 1, _Z1), "branch endpoints must differ"),
     "branch-gain": (lambda: Branch(1, 2, _Z1, gain=float("nan")), "branch gain must be positive"),
+    "branch-gain-inf": (lambda: Branch(1, 2, _Z1, gain=float("inf")), "branch gain must be positive"),
     "branch-shunt-shape": (lambda: Branch(1, 2, _Z1, y_shunt_to=np.eye(2)),
                            "y_shunt_to shape must match z"),
     "shunt-shape": (lambda: Shunt(1, np.ones(2)), "shunt admittance must be a square matrix"),
@@ -943,6 +949,22 @@ def test_stacked_passivity_faults_match_per_matrix():
                 for _, kind, detail in passivity_faults([m], [judged[k]])]
         assert passivity_faults(mats, judged) == sorted(each, key=lambda f: f[0])
         assert any(kind == "singular" for _, kind, _ in each) == bool(mask.any())
+
+
+def test_passivity_faults_are_scale_free():
+    """Scaling every matrix by a power of two up to the float limit keeps
+    each verdict and scales the printed eigenvalue, without a numpy
+    overflow."""
+    mats = [m for m, _ in PASSIVITY_EDGES] + [BAD_BLOCKS["singular"]]
+    base = passivity_faults(mats, [np.inf] * len(mats))
+    for k in (-900, -60, 60, 1022):
+        faults = passivity_faults([np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k) for m in mats],
+                                  [np.inf] * len(mats))
+        assert [f[:2] for f in faults] == [f[:2] for f in base]
+        for (_, kind, detail), (_, _, ref) in zip(faults, base):
+            if kind == "indefinite-real-part":
+                scaled = float(ref.split()[-1]) * 2.0**k
+                assert detail == f"min eigenvalue {scaled:.3e}"
 
 
 def _with_pi_and_parallel(rng, grid):

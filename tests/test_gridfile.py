@@ -13,7 +13,7 @@ Proves:
        block)
    4a. Non-finite numbers, non-positive ratings and constructor errors in
        catalog rows and blocks raise ParseError naming the line; the
-       builders reject non-positive ratings themselves.  So do a phase
+       builders reject non-positive and infinite ratings themselves.  So do a phase
        count that is not an integer >= 1, a nameless config, a short line
        row, a config reference with two names, a seq row without
        'transposed', a branch, shunt or slack header of the wrong arity,
@@ -237,10 +237,11 @@ def test_structural_garbage():
 def test_builders_reject_non_positive_ratings():
     for s_va, v_from, v_to in ((0.0, 69e3, 24.9e3), (-12e6, 69e3, 24.9e3),
                                (12e6, 0.0, 24.9e3), (12e6, 69e3, -1.0),
-                               (float("nan"), 69e3, 24.9e3)):
+                               (float("nan"), 69e3, 24.9e3), (float("inf"), 69e3, 24.9e3),
+                               (12e6, float("inf"), 24.9e3), (12e6, 69e3, float("inf"))):
         with pytest.raises(ValueError, match="positive"):
             transformer_branch(2, 3, s_va, v_from, v_to, 0.005, 0.1)
-    for s_sc in (0.0, -100e6, float("nan")):
+    for s_sc in (0.0, -100e6, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive"):
             short_circuit_slack(1, 39837.0, s_sc, 0.1)
 

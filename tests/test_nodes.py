@@ -31,6 +31,9 @@ Proves:
  Group 3 - Slacks
   11.  z_te symmetry and PSD real part enforced by the grid's passivity
        rule, edges included; shape checks; non-finite v_te or z_te rejected
+  11a. A finite z_te with entries of +-1e308 gets a verdict, not a numpy
+       overflow: a passive one builds, an asymmetric or indefinite one is
+       refused, its eigenvalue printed beyond the float range
   12.  An invertible z_te is kept as given; a singular or near-singular
        z_te fails the passivity rule's invertibility test with ValueError
   13.  short_circuit_slack magnitude / ratio arithmetic
@@ -270,6 +273,17 @@ def test_slack_validation():
         else:
             with pytest.raises(ValueError, match=kind):
                 SlackModel(node=1, v_te=v2, z_te=z)
+
+
+def test_slack_with_entries_near_the_float_limit():
+    v2 = positive_sequence_source(1000.0, 2)
+    big = 1e308
+    passive = SlackModel(node=1, v_te=v2, z_te=big * np.array([[1.0, 0.5j], [0.5j, 1.0]]))
+    assert passive.z_te[0, 0] == big
+    with pytest.raises(ValueError, match="asymmetric"):
+        SlackModel(node=1, v_te=v2, z_te=big * np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError, match=re.escape("indefinite-real-part (min eigenvalue -2.000e+308)")):
+        SlackModel(node=1, v_te=v2, z_te=big * np.array([[-1.0, 1.0], [1.0, -1.0]], dtype=complex))
 
 
 def test_slack_interface_inverts():

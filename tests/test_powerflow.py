@@ -16,6 +16,14 @@ Proves:
        jacobian_x matches the dense reference formula to rounding
    7a. The topology pattern lists each entry once and covers every nonzero
        of Y_uu (bundled feeder, 302-node synthetic feeder, parallel branches)
+   7b. The residual is a function of the phasor: the state (-E, theta + pi)
+       gives the residual of (E, theta) to rounding, on random grids whose
+       ZIP rows carry an I term (beta != 0), p = 1, 2 and 3
+   7c. At E < 0, jacobian_x matches central differences of the residual
+       and of the residual read at the same phasors with |E|
+   7d. A two-bus near series resonance, where flat-start Newton reaches a
+       negative magnitude, ends in a typed error or at a state whose
+       phasor leaves a residual below eps
 
  Group 3 - Newton iteration
    8.  Scalar quadratic converges; converged start returns 0 iterations
@@ -86,13 +94,13 @@ from polyvsi_cases import CP, VNOM, band_matrix, fd_jacobian, random_system, two
 from polyvsi import grid as grid_module
 from polyvsi import nodes as nodes_module
 from polyvsi import powerflow
-from polyvsi.benchmark import bundled_grid_text
+from polyvsi.benchmark import ZIP_LOAD_IM, ZIP_LOAD_RE, bundled_grid_text
 from polyvsi.continuation import CpfConfig, run_cpf
-from polyvsi.grid import Branch, GridModel, Node, linear_solver, validate_parameters
-from polyvsi.errors import (IncompleteModel, NonConvergence, SingularBranch, SingularJacobian,
-                            ValidationError)
+from polyvsi.grid import Branch, GridModel, Node, Shunt, linear_solver, validate_parameters
+from polyvsi.errors import (IncompleteModel, NonConvergence, PolyvsiError, SingularBranch,
+                            SingularJacobian, ValidationError)
 from polyvsi.gridfile import parse_grid_text
-from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, pm_power_at
+from polyvsi.nodes import PhaseResource, ResourceModel, SlackModel, ZipCoefficients, pm_power_at
 from polyvsi.powerflow import (
     OperatingPoint,
     PolyphaseSystem,
@@ -286,6 +294,83 @@ def test_jacobians_match_finite_differences(bench_system):
         h = 1e-6
         d_fd = (system.residual(x, xi + h) - system.residual(x, xi - h)) / (2 * h)
         assert np.linalg.norm(d_an - d_fd) <= 1e-6 * max(np.linalg.norm(d_an), 1.0)
+
+
+def _flip(system, x, rows):
+    """x with the magnitudes of the given unknown rows negated and their
+    angles turned by pi: the same phasors."""
+    n = system.n_unknown
+    y = x.copy()
+    y[rows] *= -1.0
+    y[n + rows] += np.pi
+    return y
+
+
+def _random_states(rng, system, count):
+    for _ in range(count):
+        x = system.flat_start()
+        x[: system.n_unknown] *= rng.uniform(0.8, 1.2, system.n_unknown)
+        x[system.n_unknown:] += rng.uniform(-0.5, 0.5, system.n_unknown)
+        yield x
+
+
+def test_residual_is_a_function_of_the_phasor():
+    rng = np.random.default_rng(72)
+    for p in (1, 2, 3):
+        for _ in range(3):
+            grid, slacks, resources = random_system(rng, p=p)
+            system = PolyphaseSystem(grid, slacks, resources)
+            assert system._zip.zip_re[:, 1].all() and system._zip.zip_im[:, 1].all()
+            for x in _random_states(rng, system, 3):
+                xi = float(rng.uniform(0.2, 1.5))
+                rows = np.flatnonzero(rng.random(system.n_unknown) < 0.5)
+                rows = np.union1d(rows, system._res[:1])  # at least one resource row
+                r0 = system.residual(x, xi)
+                r1 = system.residual(_flip(system, x, rows), xi)
+                assert np.abs(r1 - r0).max() <= 1e-12 * max(np.abs(r0).max(), 1.0)
+
+
+def test_jacobian_matches_finite_differences_at_negative_magnitudes():
+    rng = np.random.default_rng(73)
+    for p in (1, 3):
+        grid, slacks, resources = random_system(rng, p=p)
+        system = PolyphaseSystem(grid, slacks, resources)
+        for x in _random_states(rng, system, 2):
+            xi = float(rng.uniform(0.2, 1.5))
+            x = _flip(system, x, system._res)
+            neg = x[: system.n_unknown] < 0.0
+            assert neg.any()
+
+            def by_phasor(z):
+                return system.residual(_flip(system, z, np.flatnonzero(neg)), xi)
+
+            j_an = np.asarray(system.jacobian_x(x, xi))
+            scale = max(np.linalg.norm(j_an), 1.0)
+            assert np.linalg.norm(j_an - fd_jacobian(lambda z: system.residual(z, xi), x)) <= 1e-6 * scale
+            assert np.linalg.norm(j_an - fd_jacobian(by_phasor, x)) <= 1e-6 * scale
+
+
+def test_resonant_two_bus_solves_the_physical_phasor():
+    """X_te 2 ohm, line 3.001 ohm, a 0.2 S shunt (resonant with 5 ohm) and
+    a 1 kW load with the bundled ZIP triples: flat-start Newton ends at a
+    negative magnitude at the load node (-0.0041 pu)."""
+    vnom, eps = 1000.0, 1e-8
+    grid = GridModel(nodes=(Node(1, "slack", vnom=vnom), Node(2, "resource", vnom=vnom)),
+                     branches=(Branch(1, 2, np.array([[3.001j]])),),
+                     shunts=(Shunt(2, np.array([[0.2j]])),), p=1)
+    slacks = [SlackModel(node=1, v_te=np.array([vnom + 0j]), z_te=np.array([[2j]]))]
+    zips = (ZipCoefficients.from_table(*ZIP_LOAD_RE), ZipCoefficients.from_table(*ZIP_LOAD_IM))
+    resources = [ResourceModel(node=2, v0=vnom, phases=(PhaseResource(-1e3, 0.0, *zips),))]
+    system = PolyphaseSystem(grid, slacks, resources)
+    try:
+        _, res = solve_power_flow(system, xi=1.0, eps=eps)
+    except PolyvsiError:
+        return
+    x = res.x
+    neg = np.flatnonzero(x[: system.n_unknown] < 0.0)
+    physical = _flip(system, x, neg)
+    assert (physical[: system.n_unknown] >= 0.0).all()
+    assert np.abs(system.residual(physical, 1.0)).max() <= eps
 
 
 def test_topology_pattern_covers_admittance(bench_system, synthfeeder):

@@ -40,6 +40,9 @@ Proves:
        file, and its target is left untouched
    6f. A missing directory, or a directory at the path, raises an OSError
        that names the path given, not the temp file
+   6g. A report write never calls os.umask, which sets the umask of the
+       whole process, and its file still gets 0o666 less the umask in force
+       (0o640 under 0o027); its temp file is a tmp*.tmp name beside the path
    6e. A forked child closes its copies of the descriptors queued in the
        parent and starts its own closer, also when the parent's closer lock
        was held at the fork; a close that raises neither stops the closer
@@ -61,6 +64,7 @@ import errno
 import io
 import os
 import queue
+import re
 import signal
 import stat
 import sys
@@ -270,6 +274,36 @@ def test_written_files_get_the_umask_mode(solved, tmp_path):
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == 0o644
     assert fmt9(3.0) == "3.00000000e+00"
+
+
+def test_report_writes_never_set_the_umask(solved, tmp_path, monkeypatch):
+    created = []
+    real_open = os.open
+
+    def spy_open(name, flags, *args, **kwargs):
+        if flags & os.O_CREAT:
+            created.append(name)
+        return real_open(name, flags, *args, **kwargs)
+
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    path = tmp_path / "snap.csv"
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", spy_open)
+            patch.setattr(os, "umask", refuse)
+            write_snapshot_csv(path, solved)
+            write_text_atomic(path, "a,b\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert len(created) == 2
+    for name in created:
+        assert os.path.dirname(name) == str(tmp_path)
+        assert re.fullmatch(r"tmp\w+\.tmp", os.path.basename(name))
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.csv"]
 
 
 def _open_fds():
