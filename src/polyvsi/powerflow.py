@@ -15,9 +15,10 @@ physical admittance block Y_uu is the BandMatrix of the same node blocks
 (AugmentedGrid.y_uu): the system factors it once and keeps that factor on
 system.hybrid, where the reduction's source-side blocks and every index
 evaluation solve on it; the residual multiplies by it.  Both band orders
-come from one reverse Cuthill-McKee order of the grid's nodes, which
+come from one Cuthill-McKee order of the grid's nodes, which
 build_augmented gives Y_uu's band, and no dense n x n array is formed on
-the way.
+the way.  That order puts each node after its breadth-first parent, so
+both band LUs pivot inside a node's block (grid.Band).
 Newton iteration checks convergence before each correction, so a point
 that already satisfies the tolerance is returned untouched.
 """

@@ -37,7 +37,7 @@ import numpy as np
 from .blocks import BlockMatrix, array_dataclass, node_phase_rows
 from .errors import DegenerateDenominator, IncompleteModel, SingularInteriorBlock, ZeroVoltage
 from .grid import (RCOND_FLOOR, ROLE_RESOURCE, ROLE_SLACK, Band, BandMatrix, GridModel, HybridPartition, Shunt,
-                   admittance_entries, linear_solver, match_models, norm1_estimate, reverse_cuthill_mckee)
+                   admittance_entries, cuthill_mckee, linear_solver, match_models, norm1_estimate)
 from .nodes import ZipTable
 # Not called here; perfbench/spans.py wraps polyvsi.vsi.pm_zip_at,
 # assemble_admittance, kron_reduce and hybrid_partition by name when tracing
@@ -139,15 +139,17 @@ def build_augmented(grid: GridModel, slacks) -> AugmentedGrid:
     GridModel.require_models; raises as it and admittance_entries do, and
     ValueError when a grid node already has an internal node's id.  Y_UU
     takes y_te as a shunt at the terminal and lies on the grid's one node
-    order for band factors: reverse Cuthill-McKee over its node blocks,
-    each node's p phases together."""
+    order for band factors: Cuthill-McKee over its node blocks, each node's
+    p phases together.  The order is not reversed, so each node follows its
+    breadth-first parent and the band LU of Y_UU, and of the state Jacobian
+    on the same order, pivots inside the node's block (grid.Band)."""
     slacks = grid.require_models(ROLE_SLACK, slacks)
     clash = set(grid.node_ids) & {te_node(s.node) for s in slacks}
     if clash:
         raise ValueError(f"grid nodes {sorted(map(str, clash))} reuse a source node's id")
     p, n = grid.p, len(grid.nodes)
     rows, cols, values = admittance_entries(grid, [Shunt(s.node, s.y_te) for s in slacks])
-    band = Band.of(reverse_cuthill_mckee(rows, cols, n), np.arange(n * p).reshape(-1, p), rows, cols)
+    band = Band.of(cuthill_mckee(rows, cols, n), np.arange(n * p).reshape(-1, p), rows, cols)
     return AugmentedGrid(grid.node_ids, BandMatrix(band, values), p, slacks, grid.resource_nodes)
 
 

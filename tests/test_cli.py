@@ -78,8 +78,9 @@ from polyvsi_cases import two_bus
 from polyvsi import benchmark, cli
 from polyvsi.cli import build_parser, main
 from polyvsi.continuation import CpfConfig, run_cpf
-from polyvsi.grid import Node
+from polyvsi.grid import Branch, Node, Shunt
 from polyvsi.gridfile import parse_grid, serialize_grid
+from polyvsi.nodes import SlackModel
 from polyvsi.powerflow import PolyphaseSystem, solve_power_flow
 
 
@@ -219,6 +220,24 @@ def test_singular_thevenin_exits_two(tmp_path, capsys, z_te):
         assert main([argv[0], str(path), *argv[1:]]) == 2, argv[0]
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {lineno}: z_te ") and "singular" in err, (argv[0], err)
+
+
+def test_resonant_grid_exits_one(tmp_path, capsys):
+    # The lossless two-bus of test_vsi.test_lossless_grid_can_fail_to_reduce:
+    # source, line and shunt pass the passivity rule but resonate, so Y_UU
+    # is exactly singular.  Building the system raises SingularInteriorBlock,
+    # which pf, cpf and vsi report on one line with exit 1, not a traceback.
+    grid, _, resources = two_bus()
+    grid = replace(grid, branches=(Branch(1, 2, np.array([[2j]])),), shunts=(Shunt(2, np.array([[0.25j]])),))
+    slacks = [SlackModel(node=1, v_te=np.array([1000.0 + 0j]), z_te=np.array([[2j]]))]
+    path = tmp_path / "resonant.grid"
+    serialize_grid(grid, slacks, resources, path=path)
+    assert main(["validate", str(path)]) == 0
+    snap = tmp_path / "snap.csv"
+    for argv in (["pf"], ["cpf"], ["vsi", "--voltages", str(snap)]):
+        capsys.readouterr()
+        assert main([argv[0], str(path), *argv[1:]]) == 1, argv[0]
+        assert capsys.readouterr().err == "error: physical admittance block Y_UU is singular\n", argv[0]
 
 
 # -- Group 2 ---------------------------------------------------------------

@@ -116,8 +116,13 @@ Proves:
 """
 
 import copy
+import ctypes
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -674,7 +679,7 @@ def test_linear_solver_fallback_agrees(monkeypatch):
     rows, cols = (label[k] for k in np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 2))
     by_row = np.lexsort((cols, rows))
     rows, cols = rows[by_row], cols[by_row]
-    band = grid.Band.of(grid.reverse_cuthill_mckee(rows, cols, n), np.arange(n)[:, None], rows, cols)
+    band = grid.Band.of(grid.cuthill_mckee(rows, cols, n), np.arange(n)[:, None], rows, cols)
     assert band.kl == band.ku == 2
 
     def on_pattern():
@@ -735,6 +740,55 @@ def test_linear_solver_refuses_bad_right_hand_sides(bench_system, monkeypatch):
             assert calls == (["gbtrf", "gbtrs", "gbtrs"] if banded else [])
 
 
+def test_linear_solver_is_thread_safe():
+    # ctypes releases the GIL during gbtrf and gbtrs, so two threads may
+    # solve on one factor at once: a 1- and an 8-column solve_m on the
+    # bundled system's Y_UU factor, and a first call of a fresh solver
+    # from both threads together, which must factor once.  When nrhs and
+    # info were shared by every call this aborted the interpreter ("free():
+    # invalid next size") or factored twice in place, so the threads run in
+    # a subprocess, where a crash fails the test.
+    if not grid._lapack():
+        pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
+    script = """
+import threading
+import numpy as np
+from polyvsi.benchmark import build_benchmark
+from polyvsi.grid import linear_solver
+from polyvsi.powerflow import PolyphaseSystem
+
+system = PolyphaseSystem(*build_benchmark())
+hybrid, y_uu = system.hybrid, system.aug.y_uu
+rng = np.random.default_rng(0)
+cases = [rng.standard_normal(n) + 0j for n in (len(hybrid.pairs), y_uu.shape[0])]
+cases = [(cases[0], cases[1]), (np.outer(cases[0], np.arange(1, 9)), np.outer(cases[1], np.arange(1, 9)))]
+want = [(hybrid.solve_m(m), linear_solver(y_uu, "Y_UU")(u)) for m, u in cases]
+solver, wrong, turn = [linear_solver(y_uu, "Y_UU")], [], threading.Barrier(2)
+
+def run(k):
+    (m, u), (want_m, want_u) = cases[k], want[k]
+    for _ in range(200):
+        turn.wait()
+        wrong.append(not np.array_equal(solver[0](u), want_u))
+        wrong.extend(not np.array_equal(hybrid.solve_m(m), want_m) for _ in range(50))
+        turn.wait()
+        if k:
+            solver[0] = linear_solver(y_uu, "Y_UU")
+
+threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(len(wrong), sum(wrong))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["20400", "0"]
+
+
 def test_linear_solver_rejects_non_square(bench_system, monkeypatch):
     # Checked before any factorization, so the shape is never reported as a
     # singular matrix, on every path.
@@ -771,12 +825,12 @@ def _bandwidth(order, rows, cols):
     return int(np.abs(position[rows] - position[cols]).max(initial=0))
 
 
-def test_reverse_cuthill_mckee_orders_any_labelling(bench_system):
+def test_cuthill_mckee_orders_any_labelling(bench_system):
     # A path labelled at random, with self loops and an isolated vertex 9,
     # comes out as a path again.
     path = np.array([4, 7, 0, 2, 8, 1, 5, 3, 6])
     rows, cols = np.append(path[:-1], [3, 9]), np.append(path[1:], [3, 9])
-    order = grid.reverse_cuthill_mckee(rows, cols, 10)
+    order = grid.cuthill_mckee(rows, cols, 10)
     assert sorted(order.tolist()) == list(range(10)) and _bandwidth(order, rows, cols) == 1
     # The bundled feeder's node graph under shuffled labels: the shuffled
     # numbering leaves about 20 of 25 nodes between neighbours, the order 4
@@ -786,7 +840,7 @@ def test_reverse_cuthill_mckee_orders_any_labelling(bench_system):
     for seed in range(5):
         label = np.random.default_rng(seed).permutation(n)
         edges = label[rows], label[cols]
-        order = grid.reverse_cuthill_mckee(*edges, n)
+        order = grid.cuthill_mckee(*edges, n)
         assert sorted(order.tolist()) == list(range(n))
         assert _bandwidth(order, *edges) <= 4 and _bandwidth(np.arange(n), *edges) >= 15
 
@@ -798,8 +852,39 @@ def test_grid_order_takes_one_edge_per_block(bench_system, feeder_trace, synthfe
     for system in (bench_system, feeder_trace[0], big):
         p, dense = system.p, np.asarray(system.aug.y_uu)
         rows, cols = np.nonzero(dense)
-        order = grid.reverse_cuthill_mckee(rows // p, cols // p, dense.shape[0] // p)
+        order = grid.cuthill_mckee(rows // p, cols // p, dense.shape[0] // p)
         assert np.array_equal(system.aug.y_uu.band.order, order)
+
+
+def _pivot_offsets(a):
+    """How many rows below the diagonal gbtrf takes each pivot of the
+    BandMatrix a, factored on its band's storage as linear_solver does."""
+    band, n = a.band, a.shape[0]
+    ab, piv, info = np.zeros(band.lead * n, dtype=a.values.dtype), np.empty(n, dtype=np.int64), ctypes.c_int64()
+    ab[band.storage] = a.values
+    size, kl, ku, lead = (ctypes.c_int64(v) for v in (n, band.kl, band.ku, band.lead))
+    grid._lapack()[ab.dtype.char]["gbtrf"](size, size, kl, ku, ab.ctypes.data, lead, piv.ctypes.data, info)
+    assert info.value == 0
+    return piv - 1 - np.arange(n)
+
+
+def test_band_lu_pivots_inside_node_blocks(bench_system, bench_trace, feeder_trace, synthfeeder):
+    # On the Cuthill-McKee order each node's breadth-first parent comes
+    # before it, so a node's column holds only its children's couplings
+    # below the diagonal, and partial pivoting keeps to the node's own
+    # block: every pivot within 2p rows.  Measured: at most 6 rows on J_x
+    # along the bundled and 252-state traces, 3 on the 302-node feeder's
+    # Y_UU and J_x.  The reversed order put the parent's row below and
+    # pivoted on it, up to kl rows away (42 on the 302-node J_x).
+    if not grid._lapack():
+        pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
+    big = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300)))
+    cases = [(system.jacobian_x(s.x, s.xi), system.p)
+             for system, trace in ((bench_system, bench_trace), feeder_trace) for s in trace.samples]
+    cases += [(big.aug.y_uu, big.p), (big.jacobian_x(solve_power_flow(big)[1].x, 1.0), big.p)]
+    for a, p in cases:
+        offsets = _pivot_offsets(a)
+        assert offsets.min() >= 0 and offsets.max() <= 2 * p, (a.shape, offsets.max())
 
 
 def _pattern_matrix(band, rng):
@@ -965,6 +1050,23 @@ def test_passivity_faults_are_scale_free():
             if kind == "indefinite-real-part":
                 scaled = float(ref.split()[-1]) * 2.0**k
                 assert detail == f"min eigenvalue {scaled:.3e}"
+
+
+def test_inverse_condition_is_scale_free():
+    """rcond is judged on the matrix scaled by a power of two: a power-of-two
+    scale keeps it bit for bit, a z_te whose 1-norm exceeds the float range
+    builds like the same matrix inside it, and an inverse beyond the float
+    range gives rcond nan."""
+    z = np.array([[1 + 1j, 0.5], [0.5, 1 + 1j]])
+    inv, rcond = _inverse(z)
+    for k in (-900, -60, 60, 1022):
+        assert _same(_inverse(np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k))[1], rcond), k
+    for scale in (1e307, 1e308):  # 1-norms 1.9e307 and 1.9e308
+        slack = SlackModel(node=1, v_te=np.ones(2, dtype=complex), z_te=scale * z)
+        assert _inverse(scale * z)[1] == pytest.approx(rcond, rel=1e-12)
+        assert np.allclose(slack.y_te * scale, inv, rtol=1e-12, atol=0.0), scale
+    _, rcond = _inverse(np.ldexp(1.0, -1060) * np.eye(2, dtype=complex))
+    assert np.isnan(rcond)
 
 
 def _with_pi_and_parallel(rng, grid):
