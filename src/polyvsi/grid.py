@@ -121,7 +121,8 @@ def _inverse(a: np.ndarray) -> tuple:
         each = [_inverse(member) for member in a]
         a_inv = np.array([np.full(a.shape[1:], np.nan) if inv is None else inv for inv, _ in each])
         return a_inv, np.array([rc for _, rc in each])
-    with np.errstate(all="ignore"):  # inf or nan entries, and an inverse beyond the float range, give rcond nan
+    # inf or nan entries, and an inverse beyond the float range, give rcond nan
+    with np.errstate(all="ignore"):
         a_inv = np.ldexp(m_inv.view(float), -exp[..., None, None]).view(complex)
         rcond = 1.0 / (abs(m).sum(axis=-2).max(axis=-1) * abs(m_inv).sum(axis=-2).max(axis=-1))
     return a_inv, np.where(np.isfinite(a_inv).all(axis=(-2, -1)), rcond, np.nan)[()]
@@ -218,10 +219,9 @@ class Band:
     are eliminated first, the node's reduced diagonal is about as large as
     its coupling to the parent up to kl rows below, and 40-75 % of the
     columns swapped rows, each swap carrying fill across kl + ku columns
-    instead of ku.
-    Dropping the reversal cut gbtrf by 20-33 % (J_x 37 -> 29 us on the
-    bundled feeder, 1.50 -> 1.04 ms at 1812 states; the 1812-state Y_UU
-    0.77 -> 0.52 ms; one thread).
+    instead of ku: gbtrf takes 20-33 % less time on this order (J_x 37 ->
+    29 us on the bundled feeder, 1.50 -> 1.04 ms at 1812 states; the
+    1812-state Y_UU 0.77 -> 0.52 ms; one thread).
     """
 
     index: np.ndarray

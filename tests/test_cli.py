@@ -16,6 +16,9 @@ Proves:
        without nominal voltage): pf, cpf and vsi exit 2 with one line
    3d. A slack block whose zrows are zero or rank 1: validate, pf, cpf and
        vsi each exit 2 naming the block's line
+  3e. A lossless two-bus that passes validate but resonates, so Y_UU is
+       exactly singular: pf, cpf and vsi exit 1 with the
+       SingularInteriorBlock message, not a traceback
 
  Group 2 - pf
    4.  Solves and writes --out / --voltages CSVs, exit 0

@@ -74,11 +74,16 @@ Proves:
        a ValueError naming the shape, never as singular; a BandMatrix
        refuses values that do not fit its blocks and a Band blocks that
        are out of row order or leave a row empty
-  20c. reverse_cuthill_mckee orders every vertex, isolated ones too, and
-       takes a randomly labelled path back to bandwidth 1 and the bundled
-       feeder's randomly relabelled node graph to at most 4; the grid's
-       order, from one edge per node block of Y_UU, is the order of one
-       edge per nonzero entry (bundled, 252-state and 302-node feeders)
+  20c. cuthill_mckee orders every vertex, isolated ones too, and takes a
+       randomly labelled path back to bandwidth 1 and the bundled feeder's
+       randomly relabelled node graph to at most 4; the grid's order, from
+       one edge per node block of Y_UU, is the order of one edge per
+       nonzero entry (bundled, 252-state and 302-node feeders).  The order
+       is breadth first, not reversed, so each node follows its parent and
+       gbtrf takes every pivot within 2p rows of the diagonal: J_x at every
+       sample of the bundled and 252-state traces, Y_UU and J_x of a
+       302-node feeder (the reversed order pivoted up to kl rows away, and
+       its gbtrf took 20-33 % longer)
   20d. On a system's band order, linear_solver solves a x = b and
        a' x = b as np.linalg.solve does (to 1e-13 times the condition
        number) and backward stably, for one or three right-hand sides:
@@ -96,6 +101,9 @@ Proves:
   20h. Building the bundled, the 252-state and a 302-node feeder's
        systems factors once: one complex band LU, of Y_UU on the grid's
        band order
+  20i. Two threads solving on one factor at once (1 and 8 columns of
+       solve_m), and a fresh solver's first call from both, give the
+       single-thread results, in a subprocess so a crash fails the test
 
  Group 7 - Stacked algebra
   21.  _inverse on a stack equals one call per matrix bit for bit, with an
@@ -104,6 +112,9 @@ Proves:
   22a. passivity_faults is scale-free up to the float limit: the edge
        matrices scaled by 2^-900 to 2^1022 keep their verdicts, the
        printed eigenvalue scales with them, and numpy never overflows
+  22b. _inverse's rcond is scale-free too: bit for bit under 2^-900 to
+       2^1022, and a z_te scaled by 1e308 (1-norm beyond the float range)
+       builds as at 1e307; an inverse beyond the float range gives nan
   23.  admittance_entries' node blocks equal the per-branch sum of
        branch_stamp bit for bit: bundled feeder, 302-node synthetic feeder,
        random grids with gains, pi shunts, node shunts and parallel
@@ -751,6 +762,7 @@ def test_linear_solver_is_thread_safe():
     if not grid._lapack():
         pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
     script = """
+import sys
 import threading
 import numpy as np
 from polyvsi.benchmark import build_benchmark
@@ -760,10 +772,11 @@ from polyvsi.powerflow import PolyphaseSystem
 system = PolyphaseSystem(*build_benchmark())
 hybrid, y_uu = system.hybrid, system.aug.y_uu
 rng = np.random.default_rng(0)
-cases = [rng.standard_normal(n) + 0j for n in (len(hybrid.pairs), y_uu.shape[0])]
-cases = [(cases[0], cases[1]), (np.outer(cases[0], np.arange(1, 9)), np.outer(cases[1], np.arange(1, 9)))]
+m, u = (rng.standard_normal(n) + 0j for n in (len(hybrid.pairs), y_uu.shape[0]))
+cases = [(m, u), (np.outer(m, np.arange(1, 9)), np.outer(u, np.arange(1, 9)))]  # 1 and 8 columns
 want = [(hybrid.solve_m(m), linear_solver(y_uu, "Y_UU")(u)) for m, u in cases]
-solver, wrong, turn = [linear_solver(y_uu, "Y_UU")], [], threading.Barrier(2)
+solver, wrong, turn = [linear_solver(y_uu, "Y_UU")], [], threading.Barrier(2, timeout=60)
+sys.setswitchinterval(1e-5)
 
 def run(k):
     (m, u), (want_m, want_u) = cases[k], want[k]
@@ -779,14 +792,14 @@ threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
 for thread in threads:
     thread.start()
 for thread in threads:
-    thread.join()
-print(len(wrong), sum(wrong))
+    thread.join(timeout=60)
+print(sum(thread.is_alive() for thread in threads), len(wrong), sum(wrong))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["20400", "0"]
+    assert done.stdout.split() == ["0", "20400", "0"]  # no thread hung, every result right
 
 
 def test_linear_solver_rejects_non_square(bench_system, monkeypatch):
@@ -875,7 +888,9 @@ def test_band_lu_pivots_inside_node_blocks(bench_system, bench_trace, feeder_tra
     # block: every pivot within 2p rows.  Measured: at most 6 rows on J_x
     # along the bundled and 252-state traces, 3 on the 302-node feeder's
     # Y_UU and J_x.  The reversed order put the parent's row below and
-    # pivoted on it, up to kl rows away (42 on the 302-node J_x).
+    # pivoted on it: up to 12 of kl = 17 rows away on the bundled J_x, 24
+    # of 29 at 252 states, 21 of 23 on the 302-node Y_UU and 42 of 47 on
+    # its J_x.
     if not grid._lapack():
         pytest.skip("numpy's LAPACK is not bound here; linear_solver falls back to np.linalg.solve")
     big = PolyphaseSystem(*parse_grid_text(synthfeeder.feeder_text(0, 300)))

@@ -683,10 +683,14 @@ def test_setup_runs_the_passivity_rule_once(synthfeeder, monkeypatch):
 
 
 def test_band_order_bounds_the_jacobian(bench_system, bench_trace, feeder_trace):
-    # Reverse Cuthill-McKee on the node graph, each node's 2p states kept
-    # together: measured kl = ku = 17 of 150 states and 29 of 252.  The bound
-    # of 1.5 times that refuses an order that leaves about n / 2, as the
-    # unpermuted feeders do (86 and 146).
+    # Cuthill-McKee on the node graph, each node's 2p states kept together:
+    # measured kl = ku = 17 of 150 states and 29 of 252, as on the reversed
+    # order, whose bandwidth is the same.  Not reversed, each node follows
+    # its breadth-first parent, so the band LU pivots within the node's
+    # block (test_grid.test_band_lu_pivots_inside_node_blocks) and gbtrf
+    # runs 20-33 % faster.  The bound of 1.5 times the measured width
+    # refuses an order that leaves about n / 2, as the unpermuted feeders
+    # do (86 and 146).
     for (system, trace), measured in (((bench_system, bench_trace), 17), (feeder_trace, 29)):
         band, n, p = system.band, 2 * system.n_unknown, system.p
         assert np.array_equal(np.sort(band.perm), np.arange(n))
