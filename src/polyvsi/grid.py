@@ -24,7 +24,6 @@ import ctypes
 import glob
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cache, cached_property
@@ -324,20 +323,20 @@ def linear_solver(a, what: str, error: type = SingularJacobian):
     transpose, never the conjugate one, and a itself is never written.
 
     A BandMatrix of float64 or complex128 values is copied into gbtrf's band
-    storage, factored by LAPACK's band LU on its band's order at the first
-    call, and every call solves on that factor with gbtrs, b permuted to
-    band.perm.  The solver holds the factor and pivot arrays themselves
-    (data_as keeps a reference), so they live as long as it does.  It may
-    be called from several threads at once: gbtrf runs once, under a lock,
-    and each gbtrs call has its own nrhs and info.  Any other
-    matrix, and every one where numpy's LAPACK cannot be bound (_lapack), is
-    solved as a dense array by np.linalg.solve at each call, which agrees
-    with the band factor to rounding.  Raises ValueError naming the shape
-    when a is not square; at each call, on either path and before any
-    LAPACK call, ValueError naming the shape when b is not (n,) or (n, k)
-    and naming the dtype when b is complex and a is not.  Raises error
-    naming what when the factorization fails, on that call and every later
-    one, or when a solution is not finite.
+    storage and factored here, by LAPACK's band LU on its band's order, and
+    every call solves on that factor with gbtrs, b permuted to band.perm.
+    The solver holds the factor and pivot arrays themselves (data_as keeps
+    a reference), so they live as long as it does.  The factor is only
+    read once made, so the solver may be called from several threads at
+    once: each gbtrs call has its own nrhs and info.  Any other matrix, and
+    every one where numpy's LAPACK cannot be bound (_lapack), is solved as
+    a dense array by np.linalg.solve at each call, which agrees with the
+    band factor to rounding.  Raises ValueError naming the shape when a is
+    not square; at each call, on either path and before any LAPACK call,
+    ValueError naming the shape when b is not (n,) or (n, k) and naming the
+    dtype when b is complex and a is not.  Raises error naming what at
+    every call when the factorization failed, or when a solution is not
+    finite.
     """
     shape = np.shape(a)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -350,9 +349,9 @@ def linear_solver(a, what: str, error: type = SingularJacobian):
         size, kl, ku, lead, ldb = (ctypes.c_int64(v) for v in (n, band.kl, band.ku, band.lead, max(n, 1)))
         ab_p, piv_p = ab.ctypes.data_as(ctypes.c_void_p), piv.ctypes.data_as(ctypes.c_void_p)
         dtype = ab.dtype
-        # factored holds gbtrf's info once it has run, under lock: 0 when
-        # factored and k > 0 when U[k, k] is exactly zero, which stays.
-        factored, lock = [], threading.Lock()
+        info = ctypes.c_int64()
+        routines["gbtrf"](size, size, kl, ku, ab_p, lead, piv_p, info)
+        singular = info.value != 0  # U[k, k] is exactly zero for k = info
     else:
         routines, dense = None, np.asarray(a)
         dtype = dense.dtype
@@ -364,12 +363,7 @@ def linear_solver(a, what: str, error: type = SingularJacobian):
         if b.dtype.kind == "c" and dtype.kind != "c":
             raise ValueError(f"right-hand side of dtype {b.dtype} for a real {n} x {n} matrix")
         if routines:
-            with lock:
-                if not factored:
-                    info = ctypes.c_int64()
-                    routines["gbtrf"](size, size, kl, ku, ab_p, lead, piv_p, info)
-                    factored.append(info.value)
-            if factored[0]:
+            if singular:
                 raise error(f"{what} is singular")
             x = b[band.perm].astype(dtype, order="F", casting="safe")
             # nrhs and info are per call: ctypes releases the GIL during gbtrs.

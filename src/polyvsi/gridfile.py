@@ -22,18 +22,18 @@ when its row is read, and its model built there.
 
 A faulty row, a fault in a block's structure, or a model constructor's
 ValueError is reported as a ParseError at its row's (or block header's)
-line, and it is the first fault in line order.  So when np.loadtxt
-refuses a row (a bad token, a wrong count, or a spelling float() accepts
-but it does not, such as 1_0 or non-ASCII digits), when a number is not
-finite, or when a fault is found while the rows are walked, the matrix
-rows gathered so far are replayed: converted row by row with float(), and
-each deferred model built after its rows, in line order.  The replay
-raises the first fault; without one it gives the models the fast path
-would.  Each key is given once: a second gain, rated, label, yfrom or yto
-in a branch block, a repeated resource field, or a second config of one
-name is a ParseError at the repeated row's line.  A resource's ZIP
-triples are built once per distinct triple of tokens.  parse_configs
-reads a text made only of config blocks.
+line, and it is the first fault in line order.  So on any fault, or when
+np.loadtxt refuses a row (a bad token, a wrong count, or a spelling
+float() accepts but it does not, such as 1_0 or non-ASCII digits) or a
+number is not finite, the text is read again eagerly: each matrix row
+converted with float() as it is read, and each model built at its own
+line.  The eager read raises the first fault where it is read; without
+one it gives the models float() gives, which are those of the fast read
+whenever np.loadtxt takes every row.  Each key is given once: a second
+gain, rated, label, yfrom or yto in a branch block, a repeated resource
+field, or a second config of one name is a ParseError at the repeated
+row's line.  A resource's ZIP triples are built once per distinct triple
+of tokens.  parse_configs reads a text made only of config blocks.
 
 parse_grid(serialize_grid(...)) reproduces the models bit-exactly: floats
 are emitted with repr and re-read with float(), and catalog rows expand
@@ -173,41 +173,40 @@ def _table(rows, what):
 class _Matrices:
     """The matrix rows of one text, and the models built from them.
 
-    The number text of each matrix row is kept, in line order, in one list
-    per dtype: complex rows hold 2p numbers, float rows p.  Until they are
-    converted, a matrix is named by a (dtype, index) tuple into its dtype's
-    rows: index is a slice, or an int for one row read as a vector.  A model
-    that reads matrices is deferred: it holds a slot in its list, and it is
-    built once the rows are converted, by _made(line, ctor, *args) with
-    every such tuple among args replaced by its array (no other argument is
-    a tuple).  convert() converts each list in one np.loadtxt call;
-    replay() converts row by row with _floats.
+    The rows of each dtype are kept, in line order, in one list: complex
+    rows hold 2p numbers, float rows p.  A matrix is named by a (dtype,
+    index) tuple into its dtype's rows: index is a slice, or an int for one
+    row read as a vector.  A model that reads matrices is built by
+    _made(line, ctor, *args) with every such tuple among args replaced by
+    its array (no other argument is a tuple).
+
+    The fast read keeps each row's number text and a slot for each such
+    model, and at the end convert() converts each list in one np.loadtxt
+    call and builds the models.  The eager read converts each row with
+    _floats as it is read and builds each model at its own line, so it
+    raises the first fault in line order.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, eager: bool):
         self.p = p
+        self.eager = eager
         self.width = {complex: 2 * p, float: p}  # numbers in a row of each dtype
-        self.texts = {complex: [], float: []}
-        self.lines = {complex: [], float: []}
-        self.steps = []  # (models, slot, row counts, line, ctor, args), in line order
+        self.kept = {complex: [], float: []}  # each row's text; its numbers when eager
+        self.steps = []  # (models, slot, line, ctor, args), in line order
         self.arrays = None  # dtype -> (rows, p) array, once converted
-
-    def _counts(self) -> tuple:
-        return len(self.lines[complex]), len(self.lines[float])
 
     def matrix(self, rows, keyword: str, n: int, dtype, first=None) -> tuple:
         """Gather the n `keyword` rows that follow, or that start with the
         row `first`."""
-        texts, lines = self.texts[dtype], self.lines[dtype]
-        start = len(texts)
+        kept, width, eager = self.kept[dtype], self.width[dtype], self.eager
+        start = len(kept)
         for ln, parts in islice(rows, n) if first is None else chain((first,), islice(rows, n - 1)):
             if parts[0] != keyword:
                 raise ParseError(f"expected '{keyword}' row", ln)
             if len(parts) == 1:
-                _floats([], self.width[dtype], ln)  # a row of no numbers
-            texts.append(parts[1])
-            lines.append(ln)
-        if len(texts) - start < n:
+                _floats([], width, ln)  # a row of no numbers
+            kept.append(_floats(parts[1].split(), width, ln) if eager else parts[1])
+        if len(kept) - start < n:
             raise ParseError(f"unexpected end of file: expected '{keyword}' row")
         return dtype, slice(start, start + n)
 
@@ -253,78 +252,63 @@ class _Matrices:
         configs[tok[1]] = (m["z"], m["b"])
 
     def defer(self, models: list, line, ctor, *args):
-        """Hold the next slot of models for _made(line, ctor, *args)."""
-        models.append(None)
-        self.steps.append((models, len(models) - 1, self._counts(), line, ctor, args))
+        """Build _made(line, ctor, *args) into the next slot of models: now
+        when eager, else in convert()."""
+        if self.eager:
+            models.append(_made(line, ctor, *self.arrays_of(args)))
+        else:
+            models.append(None)
+            self.steps.append((models, len(models) - 1, line, ctor, args))
 
-    def _build(self, step):
-        models, slot, _, line, ctor, args = step
+    def arrays_of(self, args) -> list:
+        """args with each (dtype, index) tuple replaced by its array."""
+        if self.eager:
+            kept = self.kept
+            return [np.array(kept[a[0]][a[1]]).view(a[0]) if type(a) is tuple else a
+                    for a in args]
         arrays = self.arrays
-        models[slot] = _made(line, ctor, *[arrays[a[0]][a[1]] if type(a) is tuple else a
-                                           for a in args])
-
-    def _use(self, flat: dict):
-        """Read matrices from flat, each dtype's rows of real numbers."""
-        self.arrays = {complex: flat[complex].view(complex), float: flat[float]}
+        return [arrays[a[0]][a[1]] if type(a) is tuple else a for a in args]
 
     def convert(self):
-        """Convert every gathered row and build every deferred model.
-
-        Each dtype's rows take one np.loadtxt call; if it refuses one, or a
-        number is not finite, everything is replayed instead.
-        """
+        """Convert the fast read's rows, one np.loadtxt call per dtype, and
+        build its deferred models.  Raises ParseError, at no line, when
+        np.loadtxt refuses a row or a number is not finite."""
         flat = {}
-        for dtype, texts in self.texts.items():
+        for dtype, texts in self.kept.items():
             width = self.width[dtype]
             try:
                 # No call on an empty list, which np.loadtxt warns about.
                 flat[dtype] = np.loadtxt(texts, ndmin=2, comments=None) if texts else \
                     np.empty((0, width))
             except ValueError:
-                return self.replay()
+                raise ParseError("np.loadtxt refuses a matrix row") from None
             if flat[dtype].shape != (len(texts), width) or not np.isfinite(flat[dtype]).all():
-                return self.replay()
-        self._use(flat)
-        for step in self.steps:
-            self._build(step)
-
-    def replay(self):
-        """Convert the gathered rows one by one with _floats and build the
-        deferred models, each after the rows gathered before it, in line
-        order.  So the first fault in line order is raised; without one, the
-        models are those convert() builds."""
-        lines, texts = self.lines, self.texts
-        flat = {dtype: np.empty((len(texts[dtype]), self.width[dtype])) for dtype in texts}
-        self._use(flat)
-        done = (0, 0)
-        for step in [*self.steps, (None, None, self._counts())]:
-            rows = sorted(((lines[dtype][k], dtype, k) for dtype, first, end in
-                           zip((complex, float), done, step[2]) for k in range(first, end)),
-                          key=itemgetter(0))
-            for ln, dtype, k in rows:
-                flat[dtype][k] = _floats(texts[dtype][k].split(), self.width[dtype], ln)
-            done = step[2]
-            if step[0] is not None:
-                self._build(step)
+                raise ParseError("np.loadtxt reads a matrix row to a wrong count or not finite")
+        self.arrays = {complex: flat[complex].view(complex), float: flat[float]}
+        for models, slot, line, ctor, args in self.steps:
+            models[slot] = _made(line, ctor, *self.arrays_of(args))
 
 
 def parse_configs(text: str, p: int) -> dict:
     """Parse text made only of `config` blocks; returns {name: (z, b)}."""
-    rows = _rows(text)
-    matrices = _Matrices(p)
-    configs = {}
     try:
-        for line, parts in rows:
-            if parts[0] != "config":
-                raise ParseError(f"expected a config block, got {parts[0]!r}", line)
-            matrices.config(rows, _tokens(parts), line, configs)
+        return _read_configs(text, p, False)
     except ParseError:
-        matrices.replay()  # raises a fault above this one, if there is one
-        raise
-    matrices.convert()
-    arrays = matrices.arrays
-    return {name: tuple(arrays[dtype][index] for dtype, index in pair)
-            for name, pair in configs.items()}
+        return _read_configs(text, p, True)
+
+
+def _read_configs(text: str, p: int, eager: bool) -> dict:
+    """parse_configs by the fast read or the eager one (see _Matrices)."""
+    rows = _rows(text)
+    matrices = _Matrices(p, eager)
+    configs = {}
+    for line, parts in rows:
+        if parts[0] != "config":
+            raise ParseError(f"expected a config block, got {parts[0]!r}", line)
+        matrices.config(rows, _tokens(parts), line, configs)
+    if not eager:
+        matrices.convert()
+    return {name: tuple(matrices.arrays_of(pair)) for name, pair in configs.items()}
 
 
 def parse_grid_text(text: str):
@@ -336,6 +320,14 @@ def parse_grid_text(text: str):
     validate_parameters and refused when a system is built
     (grid.admittance_entries).
     """
+    try:
+        return _read_grid(text, False)
+    except ParseError:
+        return _read_grid(text, True)
+
+
+def _read_grid(text: str, eager: bool):
+    """parse_grid_text by the fast read or the eager one (see _Matrices)."""
     rows = _rows(text)
     line, parts = next(rows, (None, None))
     if parts is None:
@@ -355,7 +347,7 @@ def parse_grid_text(text: str):
     shunts: list[Shunt] = []
     slacks: list[SlackModel] = []
     resources: list[ResourceModel] = []
-    matrices = _Matrices(p)
+    matrices = _Matrices(p, eager)
     configs: dict[str, tuple] = {}  # name -> (z, b) as named by _Matrices
     branch_attrs = {"yfrom": (p, complex), "yto": (p, complex), "gain": float, "rated": float,
                     "label": str}
@@ -363,104 +355,101 @@ def parse_grid_text(text: str):
                        "zip_re": 3, "zip_im": 3, "lam": 1}
     zips: dict[tuple, ZipCoefficients] = {}
 
-    try:
-        for line, parts in rows:
-            head = parts[0]
+    for line, parts in rows:
+        head = parts[0]
 
-            if head == "branch":  # tested first: most sections of a serialized grid are branches
-                tok = _tokens(parts)
-                if len(tok) != 3:
-                    raise ParseError("branch block needs: branch <from> <to>", line)
-                m = matrices.block(rows, "branch", (("z", p, complex),), branch_attrs)
-                # Branch(from, to, z, gain, y_shunt_from, y_shunt_to, rated_a, label)
-                matrices.defer(branches, line, Branch, _node_id(tok[1]), _node_id(tok[2]),
-                               m["z"], m.get("gain", 1.0), m.get("yfrom"), m.get("yto"),
-                               m.get("rated"), m.get("label"))
+        if head == "branch":  # tested first: most sections of a serialized grid are branches
+            tok = _tokens(parts)
+            if len(tok) != 3:
+                raise ParseError("branch block needs: branch <from> <to>", line)
+            m = matrices.block(rows, "branch", (("z", p, complex),), branch_attrs)
+            # Branch(from, to, z, gain, y_shunt_from, y_shunt_to, rated_a, label)
+            matrices.defer(branches, line, Branch, _node_id(tok[1]), _node_id(tok[2]),
+                           m["z"], m.get("gain", 1.0), m.get("yfrom"), m.get("yto"),
+                           m.get("rated"), m.get("label"))
 
-            elif head == "nodes":
-                for ln, t in _table(rows, "nodes"):
-                    if len(t) != 3:
-                        raise ParseError("node row needs: id role vnom_volts|-", ln)
-                    vnom = None if t[2] == "-" else _floats([t[2]], 1, ln)[0]
-                    nodes.append(_made(ln, Node, id=_node_id(t[0]), role=t[1], vnom=vnom))
+        elif head == "nodes":
+            for ln, t in _table(rows, "nodes"):
+                if len(t) != 3:
+                    raise ParseError("node row needs: id role vnom_volts|-", ln)
+                vnom = None if t[2] == "-" else _floats([t[2]], 1, ln)[0]
+                nodes.append(_made(ln, Node, id=_node_id(t[0]), role=t[1], vnom=vnom))
 
-            elif head == "config":
-                matrices.config(rows, _tokens(parts), line, configs)
+        elif head == "config":
+            matrices.config(rows, _tokens(parts), line, configs)
 
-            elif head == "lines":
-                for ln, t in _table(rows, "lines"):
-                    t, rated = _rated(t, ln)
-                    if len(t) < 4:
-                        raise ParseError("line row too short", ln)
-                    f, to = _node_id(t[0]), _node_id(t[1])
-                    length = _floats([t[2]], 1, ln)[0]
-                    rest = t[3:]
-                    if rest[0] == "config":
-                        if len(rest) != 2:
-                            raise ParseError("config reference needs exactly one name", ln)
-                        if rest[1] not in configs:
-                            raise ParseError(f"undefined line config {rest[1]!r}", ln)
-                        matrices.defer(branches, ln, pi_line, f, to, *configs[rest[1]], length,
-                                       rated, rest[1])
-                    elif rest[0] == "seq":
-                        if len(rest) != 8 or rest[-1] != "transposed":
-                            raise ParseError(
-                                "seq line needs r1 x1 b1 r0 x0 b0 followed by 'transposed'", ln
-                            )
-                        r1, x1, b1, r0, x0, b0 = _floats(rest[1:7], 6, ln)
-                        branches.append(_made(ln, sequence_line, f, to, length, r1, x1, b1, r0,
-                                              x0, b0, p=p, rated_a=rated))
-                    else:
-                        raise ParseError(f"unknown line form {rest[0]!r}", ln)
-
-            elif head == "transformers":
-                for ln, t in _table(rows, "transformers"):
-                    t, rated = _rated(t, ln)
-                    if len(t) != 9:
+        elif head == "lines":
+            for ln, t in _table(rows, "lines"):
+                t, rated = _rated(t, ln)
+                if len(t) < 4:
+                    raise ParseError("line row too short", ln)
+                f, to = _node_id(t[0]), _node_id(t[1])
+                length = _floats([t[2]], 1, ln)[0]
+                rest = t[3:]
+                if rest[0] == "config":
+                    if len(rest) != 2:
+                        raise ParseError("config reference needs exactly one name", ln)
+                    if rest[1] not in configs:
+                        raise ParseError(f"undefined line config {rest[1]!r}", ln)
+                    matrices.defer(branches, ln, pi_line, f, to, *configs[rest[1]], length,
+                                   rated, rest[1])
+                elif rest[0] == "seq":
+                    if len(rest) != 8 or rest[-1] != "transposed":
                         raise ParseError(
-                            "transformer row needs: label from to s_mva v_from_kv v_to_kv r_pu "
-                            "x_pu tap", ln,
+                            "seq line needs r1 x1 b1 r0 x0 b0 followed by 'transposed'", ln
                         )
-                    vals = _floats(t[3:], 6, ln)
-                    branches.append(_made(ln, transformer_from_catalog, t[0], _node_id(t[1]),
-                                          _node_id(t[2]), *vals, p=p, rated_a=rated))
+                    r1, x1, b1, r0, x0, b0 = _floats(rest[1:7], 6, ln)
+                    branches.append(_made(ln, sequence_line, f, to, length, r1, x1, b1, r0,
+                                          x0, b0, p=p, rated_a=rated))
+                else:
+                    raise ParseError(f"unknown line form {rest[0]!r}", ln)
 
-            elif head == "shunt":
-                tok = _tokens(parts)
-                if len(tok) != 2:
-                    raise ParseError("shunt block needs: shunt <node>", line)
-                m = matrices.block(rows, "shunt", (("y", p, complex),))
-                matrices.defer(shunts, line, Shunt, _node_id(tok[1]), m["y"])
+        elif head == "transformers":
+            for ln, t in _table(rows, "transformers"):
+                t, rated = _rated(t, ln)
+                if len(t) != 9:
+                    raise ParseError(
+                        "transformer row needs: label from to s_mva v_from_kv v_to_kv r_pu "
+                        "x_pu tap", ln,
+                    )
+                vals = _floats(t[3:], 6, ln)
+                branches.append(_made(ln, transformer_from_catalog, t[0], _node_id(t[1]),
+                                      _node_id(t[2]), *vals, p=p, rated_a=rated))
 
-            elif head == "slacks":
-                vnoms = {n.id: n.vnom for n in nodes}
-                for ln, t in _table(rows, "slacks"):
-                    if len(t) != 4 or t[1] != "sc":
-                        raise ParseError("slack row needs: node sc s_sc_mva r_over_x", ln)
-                    node = _node_id(t[0])
-                    s_sc, rx = _floats(t[2:], 2, ln)
-                    if vnoms.get(node) is None:
-                        raise ParseError(f"slack node {node} needs a nominal voltage", ln)
-                    slacks.append(_made(ln, slack_from_catalog, node, vnoms[node], s_sc, rx, p))
+        elif head == "shunt":
+            tok = _tokens(parts)
+            if len(tok) != 2:
+                raise ParseError("shunt block needs: shunt <node>", line)
+            m = matrices.block(rows, "shunt", (("y", p, complex),))
+            matrices.defer(shunts, line, Shunt, _node_id(tok[1]), m["y"])
 
-            elif head == "slack":
-                tok = _tokens(parts)
-                if len(tok) != 2:
-                    raise ParseError("slack block needs: slack <node>", line)
-                m = matrices.block(rows, "slack", (("zrow", p, complex), ("vrow", 1, complex)))
-                v_te = (complex, m["vrow"][1].start)  # the one vrow, as a vector
-                matrices.defer(slacks, line, SlackModel, _node_id(tok[1]), v_te, m["zrow"])
+        elif head == "slacks":
+            vnoms = {n.id: n.vnom for n in nodes}
+            for ln, t in _table(rows, "slacks"):
+                if len(t) != 4 or t[1] != "sc":
+                    raise ParseError("slack row needs: node sc s_sc_mva r_over_x", ln)
+                node = _node_id(t[0])
+                s_sc, rx = _floats(t[2:], 2, ln)
+                if vnoms.get(node) is None:
+                    raise ParseError(f"slack node {node} needs a nominal voltage", ln)
+                slacks.append(_made(ln, slack_from_catalog, node, vnoms[node], s_sc, rx, p))
 
-            elif head == "resources":
-                for ln, t in _table(rows, "resources"):
-                    resources.append(_made(ln, _parse_resource_row, t, ln, resource_widths, zips))
+        elif head == "slack":
+            tok = _tokens(parts)
+            if len(tok) != 2:
+                raise ParseError("slack block needs: slack <node>", line)
+            m = matrices.block(rows, "slack", (("zrow", p, complex), ("vrow", 1, complex)))
+            v_te = (complex, m["vrow"][1].start)  # the one vrow, as a vector
+            matrices.defer(slacks, line, SlackModel, _node_id(tok[1]), v_te, m["zrow"])
 
-            else:
-                raise ParseError(f"unknown section {head!r}", line)
-    except ParseError:
-        matrices.replay()  # raises a fault above this one, if there is one
-        raise
-    matrices.convert()
+        elif head == "resources":
+            for ln, t in _table(rows, "resources"):
+                resources.append(_made(ln, _parse_resource_row, t, ln, resource_widths, zips))
+
+        else:
+            raise ParseError(f"unknown section {head!r}", line)
+    if not eager:
+        matrices.convert()
 
     grid = _made(None, GridModel, nodes=tuple(nodes), branches=tuple(branches),
                  shunts=tuple(shunts), p=p)

@@ -17,9 +17,13 @@ Provides:
     branch_stamp at a time, the bit-for-bit reference of admittance_entries
   * PASSIVITY_EDGES: matrices just inside and just outside the passivity
     rule, with the violation kind each must raise
+  * mutated_text(data, lines, sep, values) — the text of lines after one
+    hypothesis-drawn mutation: a token replaced, a line dropped, duplicated
+    or swapped, or the text truncated
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from polyvsi.builders import positive_sequence_source
 from polyvsi.grid import Band, BandMatrix, Branch, GridModel, Node, Shunt, branch_stamp
@@ -171,3 +175,27 @@ def fd_jacobian(fun, x, h=1e-6):
         xm[k] -= h
         jac[:, k] = (np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2.0 * h)
     return jac
+
+
+def mutated_text(data, lines, sep, values) -> str:
+    """The text of lines after one mutation drawn from data: a token (split
+    on sep, whitespace when None) replaced by one of values, a line dropped,
+    duplicated or swapped with another, or the whole text truncated."""
+    lines = list(lines)
+    kind = data.draw(st.sampled_from(["token", "drop", "duplicate", "swap", "truncate"]))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "token":
+        tokens = lines[i].split(sep) or [""]
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(values))
+        lines[i] = (sep or " ").join(tokens)
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    text = "\n".join(lines) + "\n"
+    if kind == "truncate":
+        text = text[: data.draw(st.integers(0, len(text)))]
+    return text

@@ -77,7 +77,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyvsi_cases import two_bus
+from polyvsi_cases import mutated_text, two_bus
 from polyvsi import benchmark, cli
 from polyvsi.cli import build_parser, main
 from polyvsi.continuation import CpfConfig, run_cpf
@@ -509,37 +509,13 @@ def test_bad_numeric_flags_exit_two(grid_file, capsys, command, flag, bad, good)
 # -- Group 7 ---------------------------------------------------------------
 
 
-def _mutated(data, lines, sep, values) -> str:
-    """The text of lines after one mutation drawn from data: a token (split
-    on sep, whitespace when None) replaced by one of values, a line dropped,
-    duplicated or swapped with another, or the whole text truncated."""
-    lines = list(lines)
-    kind = data.draw(st.sampled_from(["token", "drop", "duplicate", "swap", "truncate"]))
-    i = data.draw(st.integers(0, len(lines) - 1))
-    if kind == "token":
-        tokens = lines[i].split(sep) or [""]
-        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(values))
-        lines[i] = (sep or " ").join(tokens)
-    elif kind == "drop":
-        del lines[i]
-    elif kind == "duplicate":
-        lines.insert(i, lines[i])
-    elif kind == "swap":
-        j = data.draw(st.integers(0, len(lines) - 1))
-        lines[i], lines[j] = lines[j], lines[i]
-    text = "\n".join(lines) + "\n"
-    if kind == "truncate":
-        text = text[: data.draw(st.integers(0, len(text)))]
-    return text
-
-
 @settings(derandomize=True, max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_grid_files_exit_cleanly(data, bundled_snapshot, tmp_path, capsys):
     path, snapshot = tmp_path / "mutated.grid", tmp_path / "snap.csv"
-    path.write_text(_mutated(data, benchmark.bundled_grid_text().splitlines(), None,
-                             ["nan", "inf", "1e400", "x"]))
+    path.write_text(mutated_text(data, benchmark.bundled_grid_text().splitlines(), None,
+                                 ["nan", "inf", "1e400", "x"]))
     snapshot.write_text("\n".join(bundled_snapshot[1]) + "\n")
     for command, *flags in (["validate"], ["pf"], ["cpf", "--max-steps", "2"],
                             ["vsi", "--voltages", str(snapshot)]):
@@ -563,7 +539,7 @@ def bundled_snapshot(tmp_path_factory):
 def test_mutated_snapshots_exit_cleanly(data, bundled_snapshot, tmp_path, capsys):
     grid, lines = bundled_snapshot
     path = tmp_path / "mutated.csv"
-    path.write_text(_mutated(data, lines, ",", ["nan", "inf", "1e400", "x", ""]))
+    path.write_text(mutated_text(data, lines, ",", ["nan", "inf", "1e400", "x", ""]))
     for command, *flags in (["vsi", "--voltages"], ["pf", "--max-iter", "3", "--start"]):
         assert main([command, str(grid), *flags, str(path)]) in (0, 1, 2), command
     capsys.readouterr()

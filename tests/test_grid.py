@@ -716,8 +716,8 @@ def test_linear_solver_refuses_bad_right_hand_sides(bench_system, monkeypatch):
     # Each right-hand side is checked once, ahead of both paths: the band LU
     # and the np.linalg.solve fallback (_lapack patched to {}) refuse a
     # wrong shape and a complex b for a real matrix with the same
-    # ValueError, the band LU before any LAPACK call, and a refused call
-    # leaves the solver usable.  The matrices: the identity as a real
+    # ValueError, the band LU (which factors when the solver is made) with
+    # no LAPACK call, and a refused call leaves the solver usable.  The matrices: the identity as a real
     # tridiagonal BandMatrix and as a plain array, and the real J_x.
     rows, cols = [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2]
     tridiagonal = grid.Band.of([2, 0, 1], np.arange(3)[:, None], rows, cols)
@@ -735,7 +735,9 @@ def test_linear_solver_refuses_bad_right_hand_sides(bench_system, monkeypatch):
         monkeypatch.setattr(grid, "_lapack", lambda: lapack)
         for a, b in cases:
             n, banded = b.size, bool(lapack) and isinstance(a, BandMatrix)
+            calls.clear()
             solve = linear_solver(a, "J_x")
+            assert calls == (["gbtrf"] if banded else [])  # the band LU factors when made
             calls.clear()
             refusals = [(bad, f"right-hand side of shape {bad.shape} for a {n} x {n} matrix")
                         for bad in (b[:-1], np.ones((n + 1, 1)), b[:, None, None], np.float64(1.0))]
@@ -748,7 +750,7 @@ def test_linear_solver_refuses_bad_right_hand_sides(bench_system, monkeypatch):
             for transpose in (False, True):  # the refusals left the solver usable
                 want = np.linalg.solve(np.asarray(a).T if transpose else np.asarray(a), b)
                 assert np.allclose(solve(b, transpose), want, rtol=1e-12, atol=1e-12)
-            assert calls == (["gbtrf", "gbtrs", "gbtrs"] if banded else [])
+            assert calls == (["gbtrs", "gbtrs"] if banded else [])
 
 
 def test_linear_solver_is_thread_safe():

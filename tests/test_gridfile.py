@@ -51,6 +51,12 @@ Proves:
        is converted by one np.loadtxt call
    4i. Parsing the 302-node synthetic feeder peaks below 2.5 MB of traced
        memory
+   4j. (hypothesis) The fast read (one np.loadtxt call per width) and the
+       eager read (row by row) agree: on the bundled file, the 40-node
+       synthetic feeder, data/ieee34_overhead.txt and mutated copies of
+       each, the fast read raises or gives the eager read's models, and
+       parse_grid_text and parse_configs give the eager read's outcome,
+       the same models or the same ParseError message and line
 
  Group 2 - Validation
    5.  Asymmetric parameters parse cleanly, and building a system from
@@ -97,8 +103,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvsi_cases import random_system
+from polyvsi_cases import mutated_text, random_system
 
+from polyvsi import gridfile
 from polyvsi.benchmark import bundled_grid_text
 from polyvsi.builders import (
     seq_to_phase_b,
@@ -613,8 +620,9 @@ def test_file_conversion_fixed_cases(p, blocks):
 ], ids=["branch-underscore", "shunt-unicode-digits", "yto-unicode-spaces", "vrow-underscore"])
 def test_grid_blocks_read_float_spellings(old, new, plain):
     # np.loadtxt refuses the rows with 1_0 or non-ASCII digits, and the
-    # replay reads them as float() does, into the models of the plain
-    # spelling; the Unicode spaces np.loadtxt splits on as str.split does.
+    # eager re-read reads them as float() does, into the models of the
+    # plain spelling; the Unicode spaces np.loadtxt splits on as str.split
+    # does.
     assert parse_grid_text(_edited(THREE, [(old, new)])) == parse_grid_text(
         _edited(THREE, [(old, plain)]))
 
@@ -653,6 +661,62 @@ def test_parse_memory_peak(synthfeeder):
     finally:
         tracemalloc.stop()
     assert peak < 2.5e6, peak
+
+
+def _outcome(read, *args):
+    """read(*args)'s models (configs as the bits of their arrays), or the
+    message and line of its ParseError."""
+    try:
+        models = read(*args)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    if isinstance(models, dict):
+        models = {name: [(a.dtype, a.shape, a.tobytes()) for a in pair]
+                  for name, pair in models.items()}
+    return "models", models
+
+
+def _assert_reads_agree(kind, text):
+    """The fast read raises or gives the eager read's models, and the public
+    reader gives the eager read's outcome; returns that outcome."""
+    public, read, args = {"grid": (parse_grid_text, gridfile._read_grid, (text,)),
+                          "configs": (parse_configs, gridfile._read_configs, (text, 3))}[kind]
+    eager = _outcome(read, *args, True)
+    fast = _outcome(read, *args, False)
+    assert fast[0] == "error" or fast == eager
+    assert _outcome(public, *args) == eager
+    return eager
+
+
+@pytest.fixture(scope="module")
+def reader_texts(synthfeeder):
+    """(kind, text): the bundled file, the 40-node synthetic feeder and the
+    IEEE 34 configs."""
+    configs = importlib.resources.files("polyvsi") / "data" / "ieee34_overhead.txt"
+    return [("grid", bundled_grid_text()), ("grid", synthfeeder.feeder_text(0, 40)),
+            ("configs", configs.read_text("utf-8"))]
+
+
+# Tokens the mutations write: float() reads 1_0 and the Arabic-Indic one, np.loadtxt neither.
+_MUTANT_TOKENS = ["nan", "inf", "1e400", "x", "1_0", "\u0661", ""]
+
+
+def test_fast_and_eager_reads_agree_on_the_bundled_texts(reader_texts):
+    for kind, text in reader_texts:
+        assert _assert_reads_agree(kind, text)[0] == "models"
+        lines = text.splitlines()
+        last = max(k for k, line in enumerate(lines) if line.startswith("z "))
+        for token in _MUTANT_TOKENS:  # as the last number of the last z row
+            edited = lines[:last] + [lines[last].rsplit(" ", 1)[0] + " " + token] + lines[last + 1:]
+            outcome = _assert_reads_agree(kind, "\n".join(edited) + "\n")
+            assert outcome[0] == ("models" if token in ("1_0", "\u0661") else "error"), token
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fast_and_eager_reads_agree_on_mutated_texts(data, reader_texts):
+    kind, text = data.draw(st.sampled_from(reader_texts))
+    _assert_reads_agree(kind, mutated_text(data, text.splitlines(), None, _MUTANT_TOKENS))
 
 
 def test_parse_configs_refuses_a_repeated_name():

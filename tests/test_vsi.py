@@ -36,6 +36,9 @@ Proves:
        through the grid), Y' equals the sum of branch stamps with each
        slack a gain-1 branch through its z_te bit for bit, and the
        reduction matches 3a's stepwise blocks
+   3h. Existence across scales: random grids of 2-8 nodes, p = 1..3, with
+       each branch z and the slack's z_te scaled by 10^U(-3, 3), build
+       without SingularInteriorBlock
 
  Group 3 - Coefficients
    4.  Zero loading collapses a = c = 0 and b = source voltage
@@ -67,6 +70,9 @@ Proves:
        through the module attribute (the name the vsi.coeff span wraps)
   14.  On the bundled trace L_global starts below 1 and first reaches 1
        before the fold (the index errs on the safe side)
+  14a. L is no margin estimate: on a random 6-node grid traced to the
+       fold, L_global is below 1 at the first sample where the sign of
+       det J_x differs from the base sample's
 """
 
 import re
@@ -347,6 +353,24 @@ def test_lossless_grid_can_fail_to_reduce():
     PolyphaseSystem(*case(0.1 + 2j))
 
 
+@settings(derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 8), p=st.integers(1, 3))
+def test_lossy_grids_reduce_across_scales(seed, n_nodes, p):
+    # The existence claim holds whatever the impedance scale: each branch z
+    # and the slack's z_te times 10^U(-3, 3).  Passivity plus the numeric
+    # floor (RCOND_FLOOR on Y_UU's condition estimate) is what the library
+    # checks, so impedances spread over about 12 decades can be refused
+    # (at 10^U(-6, 6), seed 329 with n_nodes 6 and p 3 is, and 330 with p 2).
+    rng = np.random.default_rng(seed)
+    grid, slacks, resources = random_system(rng, n_nodes=n_nodes, p=p)
+
+    def scaled(z):
+        return z * 10.0 ** rng.uniform(-3.0, 3.0)
+
+    grid = replace(grid, branches=tuple(replace(b, z=scaled(b.z)) for b in grid.branches))
+    PolyphaseSystem(grid, [replace(s, z_te=scaled(s.z_te)) for s in slacks], resources)
+
+
 # -- Group 3 ---------------------------------------------------------------
 
 
@@ -576,3 +600,15 @@ def test_index_reaches_one_before_the_fold(bench_trace):
     assert l_global[0] < 1.0
     first = next(k for k, value in enumerate(l_global) if value >= 1.0)
     assert bench_trace.samples[first].xi < bench_trace.xi_max
+
+
+def test_index_is_no_margin_estimate():
+    # L names the critical node-phase at one solution; it does not read the
+    # margin to collapse.  Here det J_x first changes sign at the last
+    # sample (xi 14.788646 -> 14.789050, the fold between them), and
+    # L_global reads 0.8513 -> 0.8618 across it.
+    system = PolyphaseSystem(*random_system(np.random.default_rng(13), n_nodes=6))
+    trace = run_cpf(system, CpfConfig(sigma=0.5, max_steps=3000, record_svd=False))
+    signs = [np.linalg.slogdet(np.asarray(system.jacobian_x(s.x, s.xi)))[0] for s in trace.samples]
+    first = next(k for k, sign in enumerate(signs) if sign != signs[0])
+    assert trace.samples[first].vsi.global_value < 1.0
